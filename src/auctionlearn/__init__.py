@@ -6,7 +6,6 @@ from .auction import (
     FPA_NONE,
     FPA_RANDOM,
     AuctionRule,
-    BidDistribution,
     CandidateBid,
     Format,
     Tie,
@@ -21,7 +20,6 @@ from .da import (
     DAOutcome,
     DAPureStrategy,
     MonotoneMixture,
-    MonteCarloParams,
     PipelineReport,
     SolverParams,
     da_welfare,

@@ -40,10 +40,6 @@ ALLPAY_RANDOM = AuctionRule(Format.ALL_PAY, Tie.RANDOM_ALLOCATION)
 ALLPAY_NONE = AuctionRule(Format.ALL_PAY, Tie.NO_ALLOCATION)
 
 
-class BidDistribution(DiscreteDistribution):
-    """Distribution of an opponent's bid (pushforward of values through a strategy)."""
-
-
 @dataclass(frozen=True)
 class CandidateBid:
     """A bid that is either exactly ``base`` or the right limit ``base+``."""
@@ -85,14 +81,14 @@ def ex_post_utility(rule: AuctionRule, i: int, v_i: float, bids: Sequence[float]
     return alloc * (v_i - b)
 
 
-def push_forward(f_j: DiscreteDistribution, s_j: MonotoneStrategy) -> BidDistribution:
+def push_forward(f_j: DiscreteDistribution, s_j: MonotoneStrategy) -> DiscreteDistribution:
     """Distribution of s_j(v) for v ~ f_j, with equal bids merged."""
     merged: dict[float, float] = {}
     for a, w in f_j:
         bid = s_j.eval(a)
         merged[bid] = merged.get(bid, 0.0) + w
     pairs = sorted(merged.items())
-    return BidDistribution(tuple(b for b, _ in pairs), tuple(w for _, w in pairs))
+    return DiscreteDistribution(tuple(b for b, _ in pairs), tuple(w for _, w in pairs))
 
 
 def _tie_profile(opp: Sequence[DiscreteDistribution], b: float) -> list[float]:

@@ -16,9 +16,9 @@ import sys
 import click
 
 from .auction import AuctionRule, Format, Tie
-from .da import MonteCarloParams, SolverParams, empirical_pipeline
+from .da import SolverParams, empirical_pipeline
 from .dist import ProductDistribution, load_instance, sample_matrix
-from .equilibrium import solve_bne, verify_bne
+from .equilibrium import solve_bne, uniform_bid_grid, verify_bne
 from .errors import AuctionError
 from .estimate import label_vector_count, shade_family, sup_error_sweep
 from .lowerbound import distinguisher_trials
@@ -98,18 +98,15 @@ def verify_bne_cmd(instance, profile_path, fmt, tie, out):
 def solve_bne_cmd(instance, grid_step, max_iters, damping, seed, fmt, tie, out):
     """Search for an approximate equilibrium; output the best certified profile."""
     f = load_instance(instance)
-    steps = int(round(f.h / grid_step))
-    grid = [k * grid_step for k in range(steps + 1)]
     profile, cert = solve_bne(
-        _rule(fmt, tie), f, grid, max_iters=max_iters, damping=damping,
-        seed=child_seed(seed, "solve-bne"),
+        _rule(fmt, tie), f, uniform_bid_grid(f.h, grid_step), max_iters=max_iters,
+        damping=damping, seed=child_seed(seed, "solve-bne"),
     )
     _emit(_json_text({"certificate": cert.to_json(), "profile": profile.to_json()}), out)
 
 
 @cli.command("estimate")
 @click.option("--instance", required=True, type=click.Path(exists=True))
-@click.option("--family", type=str, default="shade")
 @click.option("--m", type=int, required=True)
 @click.option("--seeds", type=int, default=30)
 @click.option("--seed", type=int, default=0)
@@ -117,11 +114,9 @@ def solve_bne_cmd(instance, grid_step, max_iters, damping, seed, fmt, tie, out):
 @click.option("--auction", "fmt", type=click.Choice(["first-price", "all-pay"]), default="first-price")
 @click.option("--tie", type=click.Choice(["random-allocation", "no-allocation"]), default="random-allocation")
 @click.option("--out", type=click.Path(), default=None)
-def estimate_cmd(instance, family, m, seeds, seed, estimator, fmt, tie, out):
-    """Sup estimation error of a strategy family, one CSV row per seed."""
+def estimate_cmd(instance, m, seeds, seed, estimator, fmt, tie, out):
+    """Sup estimation error of the linear-shading family, one CSV row per seed."""
     f = load_instance(instance)
-    if family != "shade":
-        raise AuctionError(f"unknown family {family!r}; only 'shade' is wired up")
     profiles = shade_family(f, [k / 10 for k in range(11)])
     rows = sup_error_sweep(
         f, _rule(fmt, tie), profiles, [m], seeds, child_seed(seed, "estimate"), estimator
@@ -174,8 +169,7 @@ def da_experiment_cmd(instance, m, seeds, seed, grid_step, out_format, out):
     reports = []
     for k in range(seeds):
         s = sample_matrix(f, m, base + k)
-        rep = empirical_pipeline(s, costs, f, params, MonteCarloParams(seed=base + k))
-        reports.append((base + k, rep))
+        reports.append((base + k, empirical_pipeline(s, costs, f, params)))
     if out_format == "json":
         _emit(_json_text([dict(seed=sd, **rep.to_json()) for sd, rep in reports]), out)
     else:

@@ -7,6 +7,11 @@ claims, so strategies that claim immediately upon seeing a high value are
 executable. The first claim ends the auction; simultaneous claims follow the
 configured tie rule, with random-allocation outcomes reported in expectation.
 
+Ex ante utilities and welfare are exact. Claims are independent across
+bidders, so a bidder's share is the first-price tie DP run on the opponents'
+claim-price distributions (Kleinberg, Waggoner and Weyl, 2016); the tests
+check this against joint enumeration of :func:`simulate_da` outcomes.
+
 The lambda/mu maps translate between monotone first-price strategies on
 truncated values and descending-auction strategies; utilities transfer
 exactly for claims-above strategies, which the tests verify by independent
@@ -22,22 +27,31 @@ from typing import Sequence
 
 import numpy as np
 
-from .auction import AuctionRule, FPA_RANDOM, Format, Tie, ex_post_utility
+from .auction import (
+    FPA_RANDOM,
+    AuctionRule,
+    CandidateBid,
+    Tie,
+    allocation_probability,
+    ex_post_utility,
+)
 from .dist import (
     DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
     empirical_marginals,
+    make_discrete,
     product_of,
     truncate_at,
 )
-from .equilibrium import solve_bne, verify_bne
+from .equilibrium import solve_bne, uniform_bid_grid, verify_bne
 from .errors import ClaimAboveInspection, DimensionMismatch, OddSampleCount
 from .estimate import shade_family, sup_error
 from .pandora import SearchInstance, opt_welfare, weitzman_index
 from .strategy import MonotoneStrategy, StrategyProfile, shade
 
-ENUM_LIMIT = 10_000
+# Linear-shading levels of the pipeline's finite deviation class.
+SHADE_ALPHAS = tuple(k / 10 for k in range(11))
 
 
 @dataclass(frozen=True)
@@ -106,12 +120,6 @@ class DAOutcome:
     inspected: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class MonteCarloParams:
-    trials: int = 20_000
-    seed: int = 0
-
-
 def simulate_da(
     inst: SearchInstance,
     profile: Sequence[DAPureStrategy],
@@ -148,90 +156,72 @@ def simulate_da(
     return DAOutcome(winner, tuple(utilities), welfare, inspected)
 
 
-def _as_mixed(profile: Sequence[DAPureStrategy | DAMixedStrategy]) -> list[DAMixedStrategy]:
-    return [
+def _claim_distribution(f: DiscreteDistribution, d: DAMixedStrategy) -> DiscreteDistribution:
+    """Distribution of the claim price beta_c(v) over value v ~ f and component c."""
+    claims, weights = [], []
+    for wc, comp in d.components:
+        for a, wv in f:
+            claims.append(comp.beta.eval(a))
+            weights.append(wc * wv)
+    return make_discrete(claims, weights)
+
+
+def _bidder_terms(
+    inst: SearchInstance,
+    profile: Sequence[DAPureStrategy | DAMixedStrategy],
+    i: int,
+    tie: Tie,
+) -> tuple[float, float, float]:
+    """(E[share * v], E[share * price], P(inspect)) of bidder i.
+
+    Claims are independent across bidders, so bidder i's share at claim b is
+    the first-price tie DP against the opponents' claim distributions. Bidder
+    i inspects iff no opponent claims above the threshold tau, since the own
+    claim never exceeds tau.
+    """
+    if len(profile) != inst.n:
+        raise DimensionMismatch("profile must match the instance size")
+    mixed = [
         d if isinstance(d, DAMixedStrategy) else DAMixedStrategy.pure(d) for d in profile
     ]
-
-
-def _joint_size(inst: SearchInstance, profile: Sequence[DAMixedStrategy]) -> int:
-    size = 1
-    for f, d in zip(inst.boxes.marginals, profile):
-        size *= len(f.atoms) * len(d.components)
-        if size > ENUM_LIMIT:
-            return size
-    return size
-
-
-def _enumerate_outcomes(inst, profile, tie):
-    """Yield (probability, DAOutcome) over all value/component combinations."""
-    per_bidder = []
-    for f, d in zip(inst.boxes.marginals, profile):
-        per_bidder.append(
-            [(wv * wc, a, comp) for a, wv in f for wc, comp in d.components]
-        )
-    for combo in iter_product(*per_bidder):
-        prob = 1.0
-        values = []
-        pures = []
-        for w, a, comp in combo:
-            prob *= w
-            values.append(a)
-            pures.append(comp)
-        yield prob, simulate_da(inst, pures, values, tie)
+    opp = [
+        _claim_distribution(f, d)
+        for j, (f, d) in enumerate(zip(inst.boxes.marginals, mixed))
+        if j != i
+    ]
+    won = paid = inspect = 0.0
+    for wc, comp in mixed[i].components:
+        inspect += wc * math.prod(d.prob_at_most(comp.tau) for d in opp)
+        for a, wv in inst.boxes.marginals[i]:
+            b = comp.beta.eval(a)
+            share = wc * wv * allocation_probability(tie, opp, CandidateBid(b))
+            won += share * a
+            paid += share * b
+    return won, paid, inspect
 
 
 def ex_ante_utility_da(
     inst: SearchInstance,
     profile: Sequence[DAPureStrategy | DAMixedStrategy],
     i: int,
-    mc: MonteCarloParams | None = None,
     tie: Tie = Tie.RANDOM_ALLOCATION,
-) -> tuple[float, float]:
-    """Expected utility of bidder i before anyone learns values.
-
-    Exact enumeration (stderr 0) whenever the joint support-times-mixture
-    space is small enough; Monte Carlo with the given parameters otherwise.
-    """
-    mixed = _as_mixed(profile)
-    if _joint_size(inst, mixed) <= ENUM_LIMIT:
-        return sum(p * out.utilities[i] for p, out in _enumerate_outcomes(inst, mixed, tie)), 0.0
-    mc = mc or MonteCarloParams()
-    draws = _monte_carlo(inst, mixed, tie, mc, lambda out: out.utilities[i])
-    return float(np.mean(draws)), float(np.std(draws, ddof=1) / math.sqrt(len(draws)))
+) -> float:
+    """Exact expected utility of bidder i before anyone learns values."""
+    won, paid, inspect = _bidder_terms(inst, profile, i, tie)
+    return won - paid - inst.costs[i] * inspect
 
 
 def da_welfare(
     inst: SearchInstance,
     profile: Sequence[DAPureStrategy | DAMixedStrategy],
-    mc: MonteCarloParams | None = None,
     tie: Tie = Tie.RANDOM_ALLOCATION,
-) -> tuple[float, float]:
-    """Expected welfare (allocated value minus all inspection costs paid)."""
-    mixed = _as_mixed(profile)
-    if _joint_size(inst, mixed) <= ENUM_LIMIT:
-        return sum(p * out.welfare for p, out in _enumerate_outcomes(inst, mixed, tie)), 0.0
-    mc = mc or MonteCarloParams()
-    draws = _monte_carlo(inst, mixed, tie, mc, lambda out: out.welfare)
-    return float(np.mean(draws)), float(np.std(draws, ddof=1) / math.sqrt(len(draws)))
-
-
-def _monte_carlo(inst, mixed, tie, mc, stat):
-    rng = np.random.default_rng(mc.seed)
-    marginals = inst.boxes.marginals
-    value_draws = [
-        rng.choice(np.array(f.atoms), size=mc.trials, p=np.array(f.weights)) for f in marginals
-    ]
-    comp_draws = [
-        rng.choice(len(d.components), size=mc.trials, p=[w for w, _ in d.components])
-        for d in mixed
-    ]
-    out = np.empty(mc.trials)
-    for t in range(mc.trials):
-        pures = [mixed[j].components[comp_draws[j][t]][1] for j in range(inst.n)]
-        values = [value_draws[j][t] for j in range(inst.n)]
-        out[t] = stat(simulate_da(inst, pures, values, tie))
-    return out
+) -> float:
+    """Exact expected welfare (allocated value minus all inspection costs paid)."""
+    total = 0.0
+    for i in range(inst.n):
+        won, _, inspect = _bidder_terms(inst, profile, i, tie)
+        total += won - inst.costs[i] * inspect
+    return total
 
 
 def lambda_map(f: MonotoneStrategy, sigma: float) -> DAPureStrategy:
@@ -345,17 +335,15 @@ def poa_check(
     inst: SearchInstance,
     profile: Sequence[DAPureStrategy | DAMixedStrategy],
     certified_eps: float,
-    mc: MonteCarloParams | None = None,
     tie: Tie = Tie.RANDOM_ALLOCATION,
-) -> tuple[float, float, float]:
+) -> tuple[float, float]:
     """Welfare of the profile against the (1 - 1/e) * OPT - n * eps bound.
 
-    Returns (welfare, bound, welfare stderr); the caller asserts
-    welfare >= bound - 4 * stderr.
+    Returns (welfare, bound); the caller asserts welfare >= bound.
     """
-    welfare, stderr = da_welfare(inst, profile, mc, tie)
+    welfare = da_welfare(inst, profile, tie)
     bound = (1.0 - 1.0 / math.e) * opt_welfare(inst) - inst.n * certified_eps
-    return welfare, bound, stderr
+    return welfare, bound
 
 
 @dataclass(frozen=True)
@@ -364,12 +352,7 @@ class SolverParams:
 
     grid_step: float = 0.05
     max_iters: int = 60
-    damping: float = 0.5
     seed: int = 0
-    alpha_steps: int = 11
-    z_points: int = 64
-    target_eps: float | None = None
-    tie: Tie = Tie.RANDOM_ALLOCATION
 
 
 @dataclass(frozen=True)
@@ -383,9 +366,7 @@ class PipelineReport:
     eps_fpa: float
     empp_sup_error: float
     da_gap: float
-    da_gap_stderr: float
     welfare: float
-    welfare_stderr: float
     opt: float
     poa_bound: float
     fpa_profile: StrategyProfile = field(repr=False)
@@ -400,9 +381,7 @@ class PipelineReport:
             "eps_fpa": self.eps_fpa,
             "empp_sup_error": self.empp_sup_error,
             "da_gap": self.da_gap,
-            "da_gap_stderr": self.da_gap_stderr,
             "welfare": self.welfare,
-            "welfare_stderr": self.welfare_stderr,
             "opt": self.opt,
             "poa_bound": self.poa_bound,
         }
@@ -412,34 +391,28 @@ def _deviation_gap(
     inst: SearchInstance,
     da_profile: Sequence[DAPureStrategy],
     sigma_hat: Sequence[float],
-    params: SolverParams,
-    mc: MonteCarloParams | None,
-) -> tuple[float, float]:
+) -> float:
     """Best-deviation lower bound on the ex ante equilibrium gap on the truth.
 
     Deviations per bidder: lambda-images of a linear-shading grid on the
     truncated support, plus the 1/z-density deviation. A finite class only
     lower-bounds the true gap, which the reports document.
     """
-    gap, gap_se = 0.0, 0.0
-    alphas = [k / (params.alpha_steps - 1) for k in range(params.alpha_steps)]
+    gap = 0.0
     for i in range(inst.n):
-        own, own_se = ex_ante_utility_da(inst, da_profile, i, mc, params.tie)
+        own = ex_ante_utility_da(inst, da_profile, i)
         grid = sorted(
             {min(a, sigma_hat[i]) for a in inst.boxes.marginals[i].atoms} | {sigma_hat[i]}
         )
         deviations: list[DAPureStrategy | DAMixedStrategy] = [
-            lambda_map(shade(grid, a), sigma_hat[i]) for a in alphas
+            lambda_map(shade(grid, a), sigma_hat[i]) for a in SHADE_ALPHAS
         ]
-        deviations.append(smoothness_deviation(sigma_hat[i], grid, params.z_points))
+        deviations.append(smoothness_deviation(sigma_hat[i], grid))
         for dev in deviations:
             trial = list(da_profile)
             trial[i] = dev
-            u_dev, dev_se = ex_ante_utility_da(inst, trial, i, mc, params.tie)
-            if u_dev - own > gap:
-                gap = u_dev - own
-                gap_se = math.hypot(dev_se, own_se)
-    return gap, gap_se
+            gap = max(gap, ex_ante_utility_da(inst, trial, i) - own)
+    return gap
 
 
 def _break_bid_ties(
@@ -464,7 +437,6 @@ def empirical_pipeline(
     costs: Sequence[float],
     f_true: ProductDistribution,
     params: SolverParams | None = None,
-    mc: MonteCarloParams | None = None,
 ) -> PipelineReport:
     """Samples -> empirical indices -> truncated empirical FPA -> equilibrium -> DA.
 
@@ -476,7 +448,8 @@ def empirical_pipeline(
     :func:`_break_bid_ties`) and is re-certified after the offsets. Reports
     the certified epsilon, the measured estimator error, the deviation-grid
     equilibrium gap, welfare against the price-of-anarchy bound, and how far
-    the implied costs drift from the true ones.
+    the implied costs drift from the true ones. The deviation gap and welfare
+    are exact expectations on the true distribution, not samples.
     """
     params = params or SolverParams()
     if s.m % 2 != 0:
@@ -495,20 +468,12 @@ def empirical_pipeline(
     fpa_dist = product_of(
         (truncate_at(f, sig) for f, sig in zip(emp_b.marginals, sigma_hat)), f_true.h
     )
-    steps = int(round(f_true.h / params.grid_step))
-    bid_grid = [k * params.grid_step for k in range(steps + 1)]
-    rule = AuctionRule(Format.FIRST_PRICE, params.tie)
+    bid_grid = uniform_bid_grid(f_true.h, params.grid_step)
     solved, _ = solve_bne(
-        rule,
-        fpa_dist,
-        bid_grid,
-        max_iters=params.max_iters,
-        damping=params.damping,
-        seed=params.seed,
-        target_eps=params.target_eps,
+        FPA_RANDOM, fpa_dist, bid_grid, max_iters=params.max_iters, seed=params.seed
     )
     fpa_profile = _break_bid_ties(solved, params.grid_step, f_true.h)
-    cert = verify_bne(rule, fpa_dist, fpa_profile)
+    cert = verify_bne(FPA_RANDOM, fpa_dist, fpa_profile)
     da_profile = tuple(
         lambda_map(fpa_profile[i], sigma_hat[i]) for i in range(f_true.n)
     )
@@ -526,11 +491,11 @@ def empirical_pipeline(
     )
     s_b_trunc = SampleMatrix(np.minimum(s_b.values, np.array(sigma_hat)), seed=s.seed)
     family = shade_family(f_true_trunc, [k / 4 for k in range(5)]) + [fpa_profile]
-    empp_sup = sup_error(s_b_trunc, rule, family, f_true_trunc, "empp").sup_error
+    empp_sup = sup_error(s_b_trunc, FPA_RANDOM, family, f_true_trunc, "empp").sup_error
 
     inst = SearchInstance(f_true, costs)
-    da_gap, da_gap_se = _deviation_gap(inst, da_profile, sigma_hat, params, mc)
-    welfare, welfare_se = da_welfare(inst, da_profile, mc, params.tie)
+    da_gap = _deviation_gap(inst, da_profile, sigma_hat)
+    welfare = da_welfare(inst, da_profile)
     opt = opt_welfare(inst)
     bound = (1.0 - 1.0 / math.e) * opt - inst.n * da_gap
     return PipelineReport(
@@ -541,9 +506,7 @@ def empirical_pipeline(
         eps_fpa=cert.epsilon,
         empp_sup_error=empp_sup,
         da_gap=da_gap,
-        da_gap_stderr=da_gap_se,
         welfare=welfare,
-        welfare_stderr=welfare_se,
         opt=opt,
         poa_bound=bound,
         fpa_profile=fpa_profile,

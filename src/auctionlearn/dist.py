@@ -7,6 +7,7 @@ expectations are finite sums, and sampling is a pure function of a seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,13 +34,15 @@ class DiscreteDistribution:
     def __post_init__(self) -> None:
         if not self.atoms or len(self.atoms) != len(self.weights):
             raise DimensionMismatch("atoms and weights must be nonempty and equal length")
+        if not all(map(math.isfinite, self.atoms)):
+            raise ValueError("atoms must be finite")
         if any(b <= a for a, b in zip(self.atoms, self.atoms[1:])):
             raise ValueError("atoms must be strictly increasing")
         if self.atoms[0] < 0:
             raise AtomOutOfRange(f"atom {self.atoms[0]} < 0")
         if any(w <= 0 for w in self.weights):
             raise NegativeWeight("all weights must be strictly positive")
-        if abs(sum(self.weights) - 1.0) > WEIGHT_TOL:
+        if not abs(sum(self.weights) - 1.0) <= WEIGHT_TOL:  # also rejects NaN
             raise ValueError("weights must sum to 1 within 1e-12")
 
     def __iter__(self):
@@ -89,6 +92,8 @@ def make_discrete(
     """
     if not atoms or len(atoms) != len(weights):
         raise DimensionMismatch("atoms and weights must be nonempty and equal length")
+    if not all(map(math.isfinite, [*atoms, *weights])):
+        raise ValueError("atoms and weights must be finite")
     if any(w < 0 for w in weights):
         raise NegativeWeight("weights must be nonnegative")
     total = float(sum(weights))

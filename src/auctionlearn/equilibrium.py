@@ -10,6 +10,7 @@ epsilon, never trusting convergence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,13 @@ def _shade_on_grid(values, alpha: float, grid: list[float]) -> MonotoneStrategy:
     return MonotoneStrategy(tuple(zip(values, bids)))
 
 
+def uniform_bid_grid(h: float, grid_step: float) -> list[float]:
+    """The bids k * grid_step for k = 0, ..., round(h / grid_step)."""
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(f"grid step must be finite and positive, got {grid_step}")
+    return [k * grid_step for k in range(int(round(h / grid_step)) + 1)]
+
+
 def solve_bne(
     rule: AuctionRule,
     f: ProductDistribution,
@@ -172,15 +180,8 @@ def equilibrium_transfer_check(
     f_true: ProductDistribution,
     s: SampleMatrix,
     profile: StrategyProfile,
-    eps_prime: float | None = None,
 ) -> tuple[float, float]:
-    """Certified epsilon of one profile on the true and the empirical product distribution.
-
-    ``eps_prime`` is the certificate level the caller already holds for the
-    empirical side; it is recorded for the (eps' + 2 eps) comparison made by
-    callers and does not enter the computation.
-    """
-    del eps_prime
+    """Certified epsilon of one profile on the true and the empirical product distribution."""
     eps_true = verify_bne(rule, f_true, profile).epsilon
     emp = empirical_marginals(s, h=f_true.h)
     eps_emp = verify_bne(rule, emp, profile).epsilon

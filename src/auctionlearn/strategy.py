@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,6 +29,8 @@ class MonotoneStrategy:
         )
         thresholds = [t for t, _ in self.breakpoints]
         bids = [b for _, b in self.breakpoints]
+        if not all(map(math.isfinite, thresholds + bids + [self.default_bid])):
+            raise ValueError("thresholds and bids must be finite")
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError("thresholds must be strictly increasing")
         if any(y < x for x, y in zip(bids, bids[1:])):

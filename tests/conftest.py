@@ -7,7 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
-from auctionlearn.auction import BidDistribution, ex_post_utility
+from auctionlearn.auction import ex_post_utility
+from auctionlearn.da import DAMixedStrategy, simulate_da
 from auctionlearn.dist import DiscreteDistribution, make_discrete, product_of
 from auctionlearn.pandora import SearchInstance
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile
@@ -23,9 +24,8 @@ def random_discrete(rng, max_atoms=4, decimals=None) -> DiscreteDistribution:
     return make_discrete(atoms.tolist(), weights.tolist())
 
 
-def random_bid_dist(rng, max_atoms=4, decimals=2) -> BidDistribution:
-    d = random_discrete(rng, max_atoms, decimals)
-    return BidDistribution(d.atoms, d.weights)
+def random_bid_dist(rng, max_atoms=4, decimals=2) -> DiscreteDistribution:
+    return random_discrete(rng, max_atoms, decimals)
 
 
 def random_product(rng, n, max_atoms=4, h=1.0, decimals=None):
@@ -63,6 +63,21 @@ def interim_by_enumeration(rule, v_i, b_i, opp) -> float:
             bids.append(atom)
         total += prob * ex_post_utility(rule, 0, v_i, bids)
     return total
+
+
+def da_outcomes_by_enumeration(inst, profile, tie):
+    """Yield (probability, DAOutcome) over every joint value/mixture-component draw."""
+    per_bidder = []
+    for f, d in zip(inst.boxes.marginals, profile):
+        comps = d.components if isinstance(d, DAMixedStrategy) else ((1.0, d),)
+        per_bidder.append([(wv * wc, a, comp) for a, wv in f for wc, comp in comps])
+    for combo in itertools.product(*per_bidder):
+        prob = 1.0
+        for w, _, _ in combo:
+            prob *= w
+        values = [a for _, a, _ in combo]
+        pures = [comp for _, _, comp in combo]
+        yield prob, simulate_da(inst, pures, values, tie)
 
 
 @pytest.fixture

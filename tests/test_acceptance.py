@@ -257,9 +257,9 @@ def test_criterion_08_da_fpa_transfer():
         images = [mu_map(d, m, s) for d, m, s in zip(da2, marginals, sigmas)]
         for i in range(n):
             u_fpa = ex_ante_utility_fpa(f_trunc, fpa, i, FPA_RANDOM)
-            u_da, _ = ex_ante_utility_da(inst, da_profile, i)
+            u_da = ex_ante_utility_da(inst, da_profile, i)
             worst = max(worst, abs(u_fpa - u_da))
-            u_da2, _ = ex_ante_utility_da(inst, da2, i)
+            u_da2 = ex_ante_utility_da(inst, da2, i)
             u_fpa2 = ex_ante_utility_fpa(f_trunc, images, i, FPA_RANDOM)
             worst = max(worst, abs(u_da2 - u_fpa2))
         roundtrips = roundtrips and all(
@@ -297,8 +297,8 @@ def test_criterion_09_cost_coupling():
         )
         other = SearchInstance(f, new_costs)
         for i in range(n):
-            u1, _ = ex_ante_utility_da(inst, profile, i)
-            u2, _ = ex_ante_utility_da(other, profile, i)
+            u1 = ex_ante_utility_da(inst, profile, i)
+            u2 = ex_ante_utility_da(other, profile, i)
             worst_excess = max(
                 worst_excess, abs(u1 - u2) - abs(costs[i] - new_costs[i])
             )
@@ -324,10 +324,8 @@ def test_criterion_10_end_to_end_pipeline():
         rep = empirical_pipeline(
             s, costs, f, SolverParams(grid_step=0.05, max_iters=40, seed=trial)
         )
-        gap_bound = rep.eps_fpa + 4 * rep.empp_sup_error + 4 * rep.da_gap_stderr
-        welfare_floor = (
-            (1 - 1 / math.e) * rep.opt - n * rep.da_gap - 4 * rep.welfare_stderr
-        )
+        gap_bound = rep.eps_fpa + 4 * rep.empp_sup_error
+        welfare_floor = (1 - 1 / math.e) * rep.opt - n * rep.da_gap
         gap_ok = gap_ok and rep.da_gap <= gap_bound + 1e-12
         poa_ok = poa_ok and rep.welfare >= welfare_floor - 1e-12
         details.append(f"{rep.da_gap:.3f}<={gap_bound:.3f}")

@@ -6,7 +6,6 @@ from auctionlearn.auction import (
     ALLPAY_RANDOM,
     FPA_NONE,
     FPA_RANDOM,
-    BidDistribution,
     CandidateBid,
     best_response,
     candidate_allocations,
@@ -16,7 +15,7 @@ from auctionlearn.auction import (
     push_forward,
     realize_bid,
 )
-from auctionlearn.dist import make_discrete, point_mass, uniform_on
+from auctionlearn.dist import DiscreteDistribution, make_discrete, point_mass, uniform_on
 from auctionlearn.errors import IndexOutOfRange
 from auctionlearn.strategy import MonotoneStrategy, constant, shade
 
@@ -58,16 +57,16 @@ class TestPushForward:
 
 class TestInterimExact:
     def test_win_no_tie(self):
-        opp = [BidDistribution((0.2, 0.6), (0.5, 0.5))]
+        opp = [DiscreteDistribution((0.2, 0.6), (0.5, 0.5))]
         assert interim_utility_exact(FPA_RANDOM, 0, 1.0, 0.4, opp) == pytest.approx(0.3)
 
     def test_tie_expectation(self):
-        opp = [BidDistribution((0.2, 0.6), (0.5, 0.5))]
+        opp = [DiscreteDistribution((0.2, 0.6), (0.5, 0.5))]
         # win outright w.p. 1/2 plus half of a two-way tie w.p. 1/2
         assert interim_utility_exact(FPA_RANDOM, 0, 1.0, 0.6, opp) == pytest.approx(0.3)
 
     def test_four_way_tie(self):
-        opp = [BidDistribution((0.5,), (1.0,))] * 3
+        opp = [DiscreteDistribution((0.5,), (1.0,))] * 3
         assert interim_utility_exact(FPA_RANDOM, 0, 1.0, 0.5, opp) == pytest.approx(0.125)
 
     def test_matches_enumeration_on_random_instances(self, rng):
@@ -82,20 +81,20 @@ class TestInterimExact:
                 assert dp == pytest.approx(interim_by_enumeration(rule, v, b, opp), abs=1e-10)
 
     def test_limit_bid_wins_weak_inequality(self):
-        opp = [BidDistribution((0.2,), (1.0,))]
+        opp = [DiscreteDistribution((0.2,), (1.0,))]
         u = interim_utility_exact(FPA_RANDOM, 0, 1.0, CandidateBid(0.2, limit_above=True), opp)
         assert u == pytest.approx(0.8)
 
 
 class TestBestResponse:
     def test_just_above_point_mass(self):
-        opp = [BidDistribution((0.2,), (1.0,))]
+        opp = [DiscreteDistribution((0.2,), (1.0,))]
         sup, arg = best_response(FPA_RANDOM, 0, 1.0, opp)
         assert sup == pytest.approx(0.8)
         assert arg == CandidateBid(0.2, limit_above=True)
 
     def test_unprofitable_stays_at_zero(self):
-        opp = [BidDistribution((0.9,), (1.0,))]
+        opp = [DiscreteDistribution((0.9,), (1.0,))]
         sup, arg = best_response(FPA_RANDOM, 0, 0.5, opp)
         assert sup == 0.0
         assert arg == CandidateBid(0.0)
@@ -113,9 +112,9 @@ class TestBestResponse:
                 assert sup >= interim_utility_exact(FPA_RANDOM, 0, v, float(b), opp) - 1e-12
 
     def test_invariant_to_atom_split(self):
-        whole = [BidDistribution((0.2, 0.6), (0.5, 0.5))]
+        whole = [DiscreteDistribution((0.2, 0.6), (0.5, 0.5))]
         d = make_discrete([0.2, 0.2, 0.6], [0.25, 0.25, 0.5])
-        split = [BidDistribution(d.atoms, d.weights)]
+        split = [DiscreteDistribution(d.atoms, d.weights)]
         for v in (0.3, 0.7, 1.0):
             assert best_response(FPA_RANDOM, 0, v, whole)[0] == pytest.approx(
                 best_response(FPA_RANDOM, 0, v, split)[0], abs=1e-12
@@ -143,7 +142,7 @@ class TestRealizeBid:
 
 class TestMonotoneBestResponse:
     def test_spec_grid(self):
-        opp = [BidDistribution((0.2, 0.6), (0.5, 0.5))]
+        opp = [DiscreteDistribution((0.2, 0.6), (0.5, 0.5))]
         s = monotone_best_response_profile(FPA_RANDOM, 0, [0.1, 0.5, 1.0], opp, h=1.0)
         bids = [s.eval(v) for v in (0.1, 0.5, 1.0)]
         assert bids[0] == 0.0
@@ -151,7 +150,7 @@ class TestMonotoneBestResponse:
         assert bids[1] > 0.2 and bids[1] < 0.6  # realized just above 0.2
 
     def test_all_values_below_opponents(self):
-        opp = [BidDistribution((0.8,), (1.0,))]
+        opp = [DiscreteDistribution((0.8,), (1.0,))]
         s = monotone_best_response_profile(FPA_RANDOM, 0, [0.1, 0.3], opp, h=1.0)
         assert all(s.eval(v) == 0.0 for v in (0.1, 0.3))
 

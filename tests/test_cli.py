@@ -87,6 +87,26 @@ def test_solve_bne_emits_profile(instance_file, tmp_path):
     assert blob["certificate"]["epsilon"] >= 0.0
 
 
+@pytest.mark.parametrize("sub", ["solve-bne", "da-experiment"])
+def test_zero_grid_step_exits_2(sub, instance_file, capsys):
+    argv = [sub, "--instance", instance_file, "--grid-step", "0"]
+    if sub == "da-experiment":
+        argv += ["--m", "20"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("ERROR: validation")
+
+
+def test_nan_profile_exits_2(instance_file, tmp_path, capsys):
+    prof = tmp_path / "nan.json"
+    prof.write_text(
+        '[{"default_bid": 0.0, "breakpoints": [[0.0, 0.0], [0.5, NaN]]},'
+        ' {"default_bid": 0.0, "breakpoints": []}]'
+    )
+    code = main(["verify-bne", "--instance", instance_file, "--profile", str(prof)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ERROR: validation")
+
+
 def test_pandora_rows(instance_file, tmp_path):
     out = tmp_path / "p.csv"
     code = main(

@@ -7,8 +7,8 @@ from auctionlearn.auction import FPA_RANDOM, Tie
 from auctionlearn.da import (
     DAMixedStrategy,
     DAPureStrategy,
-    MonteCarloParams,
     SolverParams,
+    da_welfare,
     empirical_pipeline,
     ex_ante_utility_da,
     ex_ante_utility_fpa,
@@ -33,7 +33,12 @@ from auctionlearn.errors import ClaimAboveInspection, OddSampleCount
 from auctionlearn.pandora import SearchInstance, weitzman_index
 from auctionlearn.strategy import MonotoneStrategy, constant, shade
 
-from conftest import random_discrete, random_monotone
+from conftest import (
+    da_outcomes_by_enumeration,
+    random_discrete,
+    random_monotone,
+    random_search_instance,
+)
 
 
 def claims_above_strategy(rng, f, sigma, h=1.0) -> DAPureStrategy:
@@ -46,6 +51,22 @@ def claims_above_strategy(rng, f, sigma, h=1.0) -> DAPureStrategy:
     else:
         bps = ((float(sigma), tau),)
     return DAPureStrategy(tau, MonotoneStrategy(bps, 0.0))
+
+
+def tied_da_strategy(rng, f) -> DAPureStrategy:
+    """Threshold and claims on the price grid {0, 1/4, ..., 1}, so claims tie often."""
+    tau = int(rng.integers(0, 5)) / 4
+    bids = np.minimum(np.sort(rng.integers(0, 5, size=len(f.atoms))) / 4, tau)
+    return DAPureStrategy(tau, MonotoneStrategy(tuple(zip(f.atoms, bids))))
+
+
+def tied_da_mixture(rng, f) -> DAPureStrategy | DAMixedStrategy:
+    k = int(rng.integers(1, 4))
+    if k == 1:
+        return tied_da_strategy(rng, f)
+    weights = rng.random(k) + 0.1
+    weights /= weights.sum()
+    return DAMixedStrategy(tuple((float(w), tied_da_strategy(rng, f)) for w in weights))
 
 
 def instance_with_indices(rng, n, cost_scale=0.9):
@@ -122,30 +143,26 @@ class TestExAnte:
     def test_deterministic_exact(self):
         inst = SearchInstance(product_of([point_mass(0.9)], 1.0), (0.1,))
         d = DAPureStrategy(0.8, constant(0.5))
-        mean, stderr = ex_ante_utility_da(inst, [d], 0)
-        assert (mean, stderr) == (pytest.approx(0.3), 0.0)
+        assert ex_ante_utility_da(inst, [d], 0) == pytest.approx(0.3)
 
     def test_single_bidder_bernoulli(self):
         inst = SearchInstance(product_of([uniform_on([0.0, 1.0])], 1.0), (0.1,))
         d = DAPureStrategy(1.0, constant(0.0))
-        mean, stderr = ex_ante_utility_da(inst, [d], 0)
-        assert mean == pytest.approx(0.4)
-        assert stderr == 0.0
+        assert ex_ante_utility_da(inst, [d], 0) == pytest.approx(0.4)
 
-    def test_monte_carlo_matches_enumeration(self, rng):
-        inst, sigmas = instance_with_indices(rng, 2)
-        profile = [
-            claims_above_strategy(rng, m, s) for m, s in zip(inst.boxes.marginals, sigmas)
-        ]
-        exact, _ = ex_ante_utility_da(inst, profile, 0)
-        # force the Monte Carlo path by replicating components beyond the limit
-        big = DAMixedStrategy(tuple((1.0 / 128, profile[0]) for _ in range(128)))
-        mixed = [big, DAMixedStrategy(tuple((1.0 / 128, profile[1]) for _ in range(128)))]
-        mc_mean, mc_se = ex_ante_utility_da(
-            inst, mixed, 0, MonteCarloParams(trials=40_000, seed=1)
-        )
-        assert mc_se > 0.0
-        assert abs(mc_mean - exact) < 4 * mc_se
+    def test_exact_matches_joint_enumeration(self, rng):
+        # n in 1..4, up to 3 atoms and 3 mixture components, claims on a coarse
+        # price grid so that claims tie across bidders and with thresholds
+        for _ in range(100):
+            inst = random_search_instance(rng, n_max=4, atoms_max=3)
+            profile = [tied_da_mixture(rng, f) for f in inst.boxes.marginals]
+            for tie in Tie:
+                outcomes = list(da_outcomes_by_enumeration(inst, profile, tie))
+                for i in range(inst.n):
+                    oracle = sum(p * out.utilities[i] for p, out in outcomes)
+                    assert abs(ex_ante_utility_da(inst, profile, i, tie) - oracle) <= 1e-12
+                oracle = sum(p * out.welfare for p, out in outcomes)
+                assert abs(da_welfare(inst, profile, tie) - oracle) <= 1e-12
 
 
 class TestMappings:
@@ -280,7 +297,7 @@ class TestUtilityTransfer:
             da_profile = [lambda_map(g, s) for g, s in zip(fpa, sigmas)]
             for i in range(n):
                 u_fpa = ex_ante_utility_fpa(f_trunc, fpa, i, FPA_RANDOM)
-                u_da, _ = ex_ante_utility_da(inst, da_profile, i)
+                u_da = ex_ante_utility_da(inst, da_profile, i)
                 assert u_fpa == pytest.approx(u_da, abs=1e-9)
 
     def test_mu_direction_exact_for_claims_above(self, rng):
@@ -299,7 +316,7 @@ class TestUtilityTransfer:
                 for d, m, s in zip(da_profile, inst.boxes.marginals, sigmas)
             ]
             for i in range(n):
-                u_da, _ = ex_ante_utility_da(inst, da_profile, i)
+                u_da = ex_ante_utility_da(inst, da_profile, i)
                 u_fpa = ex_ante_utility_fpa(f_trunc, images, i, FPA_RANDOM)
                 assert u_da == pytest.approx(u_fpa, abs=1e-9)
 
@@ -321,8 +338,8 @@ class TestCostCoupling:
             )
             other = SearchInstance(inst.boxes, new_costs)
             for i in range(n):
-                u1, _ = ex_ante_utility_da(inst, profile, i)
-                u2, _ = ex_ante_utility_da(other, profile, i)
+                u1 = ex_ante_utility_da(inst, profile, i)
+                u2 = ex_ante_utility_da(other, profile, i)
                 assert abs(u1 - u2) <= abs(inst.costs[i] - new_costs[i]) + 1e-12
 
 
@@ -330,16 +347,16 @@ class TestPoa:
     def test_single_bidder_free_inspection(self):
         inst = SearchInstance(product_of([uniform_on([0.0, 0.5, 1.0])], 1.0), (0.0,))
         d = DAPureStrategy(1.0, constant(0.0))
-        welfare, bound, stderr = poa_check(inst, [d], certified_eps=0.0)
+        welfare, bound = poa_check(inst, [d], certified_eps=0.0)
         assert welfare == pytest.approx(0.5)  # E[v], winner always claims at 0
         assert bound == pytest.approx((1 - 1 / math.e) * 0.5)
-        assert welfare >= bound - 4 * stderr
+        assert welfare >= bound
 
     def test_all_zero_values(self):
         inst = SearchInstance(product_of([point_mass(0.0)] * 2, 1.0), (0.0, 0.0))
         profile = [DAPureStrategy(0.0, constant(0.0))] * 2
-        welfare, bound, stderr = poa_check(inst, profile, certified_eps=0.05)
-        assert welfare >= bound - 4 * stderr  # 0 >= -n * eps
+        welfare, bound = poa_check(inst, profile, certified_eps=0.05)
+        assert welfare >= bound  # 0 >= -n * eps
 
 
 class TestPipeline:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlearn.dist import (
+    DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
     empirical_marginals,
@@ -63,6 +64,25 @@ class TestMakeDiscrete:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             make_discrete([0, 1], [1.0])
+
+    def test_non_finite_rejected(self):
+        for atoms, weights in (
+            ([0.0, float("nan")], [0.5, 0.5]),
+            ([0.0, float("inf")], [0.5, 0.5]),
+            ([0.0, 1.0], [0.5, float("nan")]),
+        ):
+            with pytest.raises(ValueError):
+                make_discrete(atoms, weights)
+
+
+class TestDiscreteDistribution:
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            DiscreteDistribution((0.0, float("nan")), (0.5, 0.5))
+        with pytest.raises(ValueError):
+            DiscreteDistribution((0.0, float("inf")), (0.5, 0.5))
+        with pytest.raises(ValueError):
+            DiscreteDistribution((0.0, 1.0), (0.5, float("nan")))
 
 
 class TestTruncate:

@@ -13,6 +13,7 @@ from auctionlearn.dist import (
 from auctionlearn.equilibrium import (
     equilibrium_transfer_check,
     solve_bne,
+    uniform_bid_grid,
     verify_bne,
 )
 from auctionlearn.errors import EmptyGrid
@@ -117,6 +118,12 @@ class TestTransfer:
         profile = StrategyProfile((constant(0.0),))
         assert equilibrium_transfer_check(FPA_RANDOM, f, s, profile) == (0.0, 0.0)
 
+    def test_uniform_bid_grid(self):
+        assert uniform_bid_grid(1.0, 0.25) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        for step in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                uniform_bid_grid(1.0, step)
+
     def test_transfer_bound_with_measured_error(self):
         # eps on truth <= eps on empirical + 2 * (measured product-form sup error)
         f = ProductDistribution.iid(uniform_on([0.0, 0.25, 0.5, 0.75, 1.0]), 2, 1.0)
@@ -125,10 +132,8 @@ class TestTransfer:
 
         emp = empirical_marginals(s, h=f.h)
         grid = [k / 40 for k in range(41)]
-        profile, cert = solve_bne(FPA_RANDOM, emp, grid, max_iters=40, seed=1)
-        eps_true, eps_emp = equilibrium_transfer_check(
-            FPA_RANDOM, f, s, profile, eps_prime=cert.epsilon
-        )
+        profile, _ = solve_bne(FPA_RANDOM, emp, grid, max_iters=40, seed=1)
+        eps_true, eps_emp = equilibrium_transfer_check(FPA_RANDOM, f, s, profile)
         fam = shade_family(f, [k / 10 for k in range(11)]) + [profile]
         measured = sup_error(s, FPA_RANDOM, fam, f, "empp").sup_error
         assert eps_true <= eps_emp + 2 * measured + 1e-9

@@ -34,6 +34,18 @@ class TestEval:
         with pytest.raises(ValueError):
             MonotoneStrategy(((0.5, 0.1),), default_bid=0.2)
 
+    def test_non_finite_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for bps, default in (
+            (((0.5, nan),), 0.0),
+            (((0.0, 0.1), (0.5, nan)), 0.0),
+            (((nan, 0.3),), 0.0),
+            (((0.5, inf),), 0.0),
+            ((), nan),
+        ):
+            with pytest.raises(ValueError):
+                MonotoneStrategy(bps, default)
+
 
 class TestShade:
     def test_zero_alpha(self):
