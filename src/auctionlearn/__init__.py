@@ -10,6 +10,7 @@ from .auction import (
     Format,
     Tie,
     best_response,
+    ex_post_allocation,
     ex_post_utility,
     interim_utility_exact,
     monotone_best_response_profile,
@@ -25,7 +26,6 @@ from .da import (
     da_welfare,
     empirical_pipeline,
     ex_ante_utility_da,
-    ex_ante_utility_fpa,
     lambda_map,
     mu_map,
     poa_check,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .dist import DiscreteDistribution
 from .errors import IndexOutOfRange, NonMonotoneWitness
 from .strategy import MonotoneStrategy
@@ -55,30 +57,38 @@ class CandidateBid:
         return {"base": self.base, "limit_above": self.limit_above}
 
 
-def ex_post_utility(rule: AuctionRule, i: int, v_i: float, bids: Sequence[float]) -> float:
-    """Realized utility of bidder i at a full bid vector.
+def _utility(fmt: Format, v_i: float, base: float, alloc: float) -> float:
+    if fmt is Format.ALL_PAY:
+        return alloc * v_i - base
+    return alloc * (v_i - base)
 
+
+def ex_post_allocation(tie: Tie, bids) -> np.ndarray:
+    """Every bidder's share of the item at each row of a bid array of shape (..., n).
+
+    The top bid wins; a k-way top tie gives each tied bidder 1/k under random
+    allocation (the expectation over the uniform tie-break) and 0 otherwise.
+    """
+    b = np.asarray(bids, dtype=float)
+    top = b == b.max(axis=-1, keepdims=True)
+    k = top.sum(axis=-1, keepdims=True)
+    if tie is Tie.NO_ALLOCATION:
+        return (top & (k == 1)).astype(float)
+    return top / k
+
+
+def ex_post_utility(rule: AuctionRule, i: int, v_i, bids):
+    """Realized utility of bidder i at each row of a bid array of shape (..., n).
+
+    ``v_i`` broadcasts against the rows; a 1-D bid vector gives one float.
     Random-allocation ties are returned in expectation over the uniform
     tie-break, i.e. the utility is (v - b) / k for a k-way top tie in a
     first-price auction.
     """
-    if not 0 <= i < len(bids):
-        raise IndexOutOfRange(f"bidder {i} out of range for {len(bids)} bids")
-    b = bids[i]
-    top = max(bids)
-    if b < top:
-        alloc = 0.0
-    else:
-        k = sum(1 for x in bids if x == top)
-        if k == 1:
-            alloc = 1.0
-        elif rule.tie is Tie.RANDOM_ALLOCATION:
-            alloc = 1.0 / k
-        else:
-            alloc = 0.0
-    if rule.format is Format.ALL_PAY:
-        return alloc * v_i - b
-    return alloc * (v_i - b)
+    b = np.asarray(bids, dtype=float)
+    if not 0 <= i < b.shape[-1]:
+        raise IndexOutOfRange(f"bidder {i} out of range for {b.shape[-1]} bids")
+    return _utility(rule.format, v_i, b[..., i], ex_post_allocation(rule.tie, b)[..., i])
 
 
 def push_forward(f_j: DiscreteDistribution, s_j: MonotoneStrategy) -> DiscreteDistribution:
@@ -119,12 +129,6 @@ def allocation_probability(
     if tie is Tie.NO_ALLOCATION:
         return q[0]
     return sum(qt / (t + 1) for t, qt in enumerate(q))
-
-
-def _utility(fmt: Format, v_i: float, base: float, alloc: float) -> float:
-    if fmt is Format.ALL_PAY:
-        return alloc * v_i - base
-    return alloc * (v_i - base)
 
 
 def interim_utility_exact(
@@ -221,17 +225,11 @@ def monotone_best_response_profile(
         h = max([c.base for c, _ in cands] + [max(values, default=0.0)])
     grid = sorted(set(float(v) for v in values))
     bases = [c.base for c, _ in cands]
+    alloc_of = dict(cands)
     bids = []
     for v in grid:
-        best_u = choice = choice_alloc = None
-        for c, alloc in cands:
-            u = _utility(rule.format, v, c.base, alloc)
-            if best_u is None or u > best_u:
-                best_u, choice, choice_alloc = u, c, alloc
-        if choice_alloc == 0.0:
-            bids.append(0.0)
-        else:
-            bids.append(realize_bid(choice, bases, h))
+        _, choice = best_response(rule, i, v, opp, candidates=cands)
+        bids.append(0.0 if alloc_of[choice] == 0.0 else realize_bid(choice, bases, h))
     if any(b2 < b1 for b1, b2 in zip(bids, bids[1:])):
         raise NonMonotoneWitness(f"best-response bids not monotone: {list(zip(grid, bids))}")
     return MonotoneStrategy(tuple(zip(grid, bids)))

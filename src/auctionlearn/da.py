@@ -22,18 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 from typing import Sequence
 
 import numpy as np
 
 from .auction import (
     FPA_RANDOM,
-    AuctionRule,
     CandidateBid,
     Tie,
     allocation_probability,
-    ex_post_utility,
+    ex_post_allocation,
 )
 from .dist import (
     DiscreteDistribution,
@@ -132,28 +130,16 @@ def simulate_da(
         raise DimensionMismatch("profile and values must match the instance size")
     claims = [profile[j].beta.eval(values[j]) for j in range(n)]
     price = max(claims)
-    claimers = [j for j in range(n) if claims[j] == price]
+    shares = ex_post_allocation(tie, claims)
+    winner = int(shares.argmax()) if shares.max() == 1.0 else None
     # A bidder inspects iff the clock reaches her threshold before the sale;
     # at the sale price itself inspections still happen (they precede claims).
     inspected = tuple(profile[j].tau >= price for j in range(n))
-    k = len(claimers)
-    if k == 1:
-        shares = {claimers[0]: 1.0}
-        winner = claimers[0]
-    elif tie is Tie.RANDOM_ALLOCATION:
-        shares = {j: 1.0 / k for j in claimers}
-        winner = None
-    else:
-        shares = {}
-        winner = None
-    utilities = []
-    welfare = 0.0
-    for j in range(n):
-        share = shares.get(j, 0.0)
-        cost = inst.costs[j] if inspected[j] else 0.0
-        utilities.append(share * (values[j] - price) - cost)
-        welfare += share * values[j] - cost
-    return DAOutcome(winner, tuple(utilities), welfare, inspected)
+    costs = np.where(inspected, inst.costs, 0.0)
+    v = np.asarray(values, dtype=float)
+    utilities = tuple((shares * (v - price) - costs).tolist())
+    welfare = float(np.sum(shares * v - costs))
+    return DAOutcome(winner, utilities, welfare, inspected)
 
 
 def _claim_distribution(f: DiscreteDistribution, d: DAMixedStrategy) -> DiscreteDistribution:
@@ -300,37 +286,6 @@ def smoothness_deviation(
     return DAMixedStrategy(tuple(comps))
 
 
-def ex_ante_utility_fpa(
-    f: ProductDistribution,
-    profile: Sequence[MonotoneMixture | MonotoneStrategy],
-    i: int,
-    rule: AuctionRule = FPA_RANDOM,
-) -> float:
-    """Exact ex ante first-price utility of bidder i under mixed monotone strategies.
-
-    Pure enumeration over value profiles and mixture components; this is the
-    oracle side of the utility-transfer checks, independent of the interim
-    machinery.
-    """
-    mixed = [
-        s if isinstance(s, MonotoneMixture) else MonotoneMixture.pure(s) for s in profile
-    ]
-    per_bidder = []
-    for marg, mx in zip(f.marginals, mixed):
-        per_bidder.append([(wv * wc, a, comp) for a, wv in marg for wc, comp in mx.components])
-    total = 0.0
-    for combo in iter_product(*per_bidder):
-        prob = 1.0
-        bids = []
-        values = []
-        for w, a, comp in combo:
-            prob *= w
-            values.append(a)
-            bids.append(comp.eval(a))
-        total += prob * ex_post_utility(rule, i, values[i], bids)
-    return total
-
-
 def poa_check(
     inst: SearchInstance,
     profile: Sequence[DAPureStrategy | DAMixedStrategy],
@@ -452,12 +407,13 @@ def empirical_pipeline(
     are exact expectations on the true distribution, not samples.
     """
     params = params or SolverParams()
+    inst = SearchInstance(f_true, costs)
+    costs = inst.costs
     if s.m % 2 != 0:
         raise OddSampleCount(f"m={s.m} must be even to split into halves")
     half = s.m // 2
     s_a = SampleMatrix(s.values[:half], seed=s.seed)
     s_b = SampleMatrix(s.values[half:], seed=s.seed)
-    costs = tuple(float(c) for c in costs)
 
     emp_a = empirical_marginals(s_a, h=f_true.h)
     sigma_hat = tuple(
@@ -493,7 +449,6 @@ def empirical_pipeline(
     family = shade_family(f_true_trunc, [k / 4 for k in range(5)]) + [fpa_profile]
     empp_sup = sup_error(s_b_trunc, FPA_RANDOM, family, f_true_trunc, "empp").sup_error
 
-    inst = SearchInstance(f_true, costs)
     da_gap = _deviation_gap(inst, da_profile, sigma_hat)
     welfare = da_welfare(inst, da_profile)
     opt = opt_welfare(inst)

@@ -145,6 +145,8 @@ class ProductDistribution:
     def __post_init__(self) -> None:
         if not self.marginals:
             raise DimensionMismatch("need at least one marginal")
+        if not math.isfinite(self.h):
+            raise ValueError(f"H must be finite, got {self.h}")
         for f in self.marginals:
             if f.max_atom > self.h:
                 raise AtomOutOfRange(f"atom {f.max_atom} exceeds H={self.h}")

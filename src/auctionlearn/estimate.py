@@ -39,13 +39,10 @@ def emp_estimate(
     s: SampleMatrix, rule: AuctionRule, i: int, v_i: float, profile: StrategyProfile
 ) -> float:
     """Average ex post utility of bidder i over the sampled opponent rows."""
-    b_i = profile[i].eval(v_i)
-    total = 0.0
-    for row in s.values:
-        bids = [profile[j].eval(row[j]) for j in range(s.n)]
-        bids[i] = b_i
-        total += ex_post_utility(rule, i, v_i, bids)
-    return total / s.m
+    bids = profile.bids(s.values)
+    bids[:, i] = profile[i].eval(v_i)
+    # Summed left to right, as a loop would; adding 0.0 turns a -0.0 total into 0.0.
+    return float(0.0 + np.cumsum(ex_post_utility(rule, i, v_i, bids))[-1]) / s.m
 
 
 def empp_estimate(
@@ -157,21 +154,19 @@ def permutation_identity_check(
     if m > 5 or n > 3:
         raise TooLargeToEnumerate(f"m={m}, n={n} exceeds the (m!)^(n-1) enumeration limit")
     opp_cols = [j for j in range(n) if j != i]
-    b_i = profile[i].eval(v_i)
-    perms = list(itertools.permutations(range(m)))
-    total = 0.0
-    count = 0
-    for assignment in itertools.product(perms, repeat=len(opp_cols)):
-        acc = 0.0
-        for j in range(m):
-            bids = [0.0] * n
-            bids[i] = b_i
-            for col, perm in zip(opp_cols, assignment):
-                bids[col] = profile[col].eval(s.values[perm[j], col])
-            acc += ex_post_utility(rule, i, v_i, bids)
-        total += acc / m
-        count += 1
-    return total / count, empp_estimate(s, rule, i, v_i, profile)
+    # rows[c, k, r]: the sample row that opponent opp_cols[k] reads at
+    # position r under joint permutation c.
+    joint = list(itertools.product(itertools.permutations(range(m)), repeat=len(opp_cols)))
+    rows = np.array(joint, dtype=int).reshape(len(joint), len(opp_cols), m)
+    base = profile.bids(s.values)
+    base[:, i] = profile[i].eval(v_i)
+    bids = np.broadcast_to(base, (len(rows), m, n)).copy()
+    for k, col in enumerate(opp_cols):
+        bids[..., col] = base[rows[:, k], col]
+    # Every permutation averages over the same m rows, so the mean of the
+    # per-permutation averages is the mean over all of them.
+    emp = float(np.mean(ex_post_utility(rule, i, v_i, bids)))
+    return emp, empp_estimate(s, rule, i, v_i, profile)
 
 
 def label_vector_count(hypothesis_values: np.ndarray, witnesses: Sequence[float]) -> int:

@@ -89,6 +89,8 @@ def distinguisher_trials(
     ceil(n/2)-subsets which coordinates lie outside S. For n = 2 this reduces
     to a single-coordinate two-point test scored 0/1.
     """
+    if n < 2:
+        raise ValueError(f"the distinguisher needs n >= 2 bidders, got n = {n}")
     if n > 16:
         raise TooLargeToEnumerate("subset argmax limited to n <= 16")
     if not 0.0 < eps < 0.5:

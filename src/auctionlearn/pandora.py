@@ -258,10 +258,10 @@ def pandora_from_samples(
     Returns (expected payoff of the learned truncated policy on f_true,
     optimal payoff on f_true) for regret reporting.
     """
+    inst = SearchInstance(f_true, tuple(costs))
     emp = empirical_marginals(s, h=f_true.h)
     indices = tuple(
-        weitzman_index(f, c, h=f_true.h) for f, c in zip(emp.marginals, costs)
+        weitzman_index(f, c, h=f_true.h) for f, c in zip(emp.marginals, inst.costs)
     )
-    policy = IndexPolicy(indices, tuple(costs), truncation_budget(f_true.h, trunc_eps))
-    inst = SearchInstance(f_true, tuple(costs))
+    policy = IndexPolicy(indices, inst.costs, truncation_budget(f_true.h, trunc_eps))
     return policy_payoff_exact(inst, policy), opt_welfare(inst)

@@ -7,6 +7,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatch
 
 
@@ -106,6 +108,20 @@ class StrategyProfile:
     @property
     def n(self) -> int:
         return len(self.strategies)
+
+    def bids(self, values) -> np.ndarray:
+        """The m x n bid matrix of an m x n value matrix.
+
+        Each strategy is evaluated once per distinct value in its column.
+        """
+        v = np.asarray(values, dtype=float)
+        if v.ndim != 2 or v.shape[1] != self.n:
+            raise DimensionMismatch(f"values must be m x {self.n}, got shape {v.shape}")
+        out = np.empty_like(v)
+        for j, strat in enumerate(self.strategies):
+            uniq, inv = np.unique(v[:, j], return_inverse=True)
+            out[:, j] = np.array([strat.eval(x) for x in uniq])[inv]
+        return out
 
     def replace(self, i: int, s: MonotoneStrategy) -> "StrategyProfile":
         parts = list(self.strategies)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .auction import FPA_NONE, FPA_RANDOM, AuctionRule, ex_post_utility
-from .strategy import MonotoneStrategy
+from .strategy import MonotoneStrategy, StrategyProfile
 
 
 def random_monotone_strategy(rng: np.random.Generator, grid, h: float = 1.0) -> MonotoneStrategy:
@@ -37,17 +37,11 @@ def dense_monotone_hypotheses(
     v_grid = np.linspace(0.0, 1.0, 41)
     rows = []
     for _ in range(n_strategies):
-        opp = [random_monotone_strategy(rng, grids[j]) for j in range(n - 1)]
-        realized = sorted({opp[j].eval(x[j]) for x in samples for j in range(n - 1)})
-        bid_cands = [0.0] + realized + [b + 1e-9 for b in realized]
-        for b in bid_cands:
-            for v in v_grid:
-                rows.append(
-                    [
-                        ex_post_utility(
-                            rule, 0, v, [b] + [opp[j].eval(x[j]) for j in range(n - 1)]
-                        )
-                        for x in samples
-                    ]
-                )
-    return np.array(rows), witnesses
+        opp = tuple(random_monotone_strategy(rng, grids[j]) for j in range(n - 1))
+        # With no opponents (n = 1) the m x 0 samples are the bid matrix.
+        opp_bids = StrategyProfile(opp).bids(samples) if opp else samples
+        realized = np.unique(opp_bids)
+        for b in np.concatenate(([0.0], realized, realized + 1e-9)):
+            bids = np.column_stack([np.full(m, b), opp_bids])
+            rows.append(ex_post_utility(rule, 0, v_grid[:, None], bids))
+    return np.concatenate(rows), witnesses

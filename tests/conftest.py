@@ -7,8 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
-from auctionlearn.auction import ex_post_utility
-from auctionlearn.da import DAMixedStrategy, simulate_da
+from auctionlearn.auction import FPA_RANDOM, ex_post_utility
+from auctionlearn.da import DAMixedStrategy, MonotoneMixture, simulate_da
 from auctionlearn.dist import DiscreteDistribution, make_discrete, product_of
 from auctionlearn.pandora import SearchInstance
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile
@@ -63,6 +63,24 @@ def interim_by_enumeration(rule, v_i, b_i, opp) -> float:
             bids.append(atom)
         total += prob * ex_post_utility(rule, 0, v_i, bids)
     return total
+
+
+def ex_ante_utility_fpa(f, profile, i, rule=FPA_RANDOM) -> float:
+    """Exact ex ante first-price utility of bidder i under mixed monotone strategies.
+
+    Enumerates every joint (value, mixture component) draw and prices each
+    with the batched ex post kernel; this is the oracle side of the
+    utility-transfer checks, independent of the interim machinery.
+    """
+    per_bidder = []
+    for marg, s in zip(f.marginals, profile):
+        mx = s if isinstance(s, MonotoneMixture) else MonotoneMixture.pure(s)
+        per_bidder.append(
+            [(wv * wc, a, comp.eval(a)) for a, wv in marg for wc, comp in mx.components]
+        )
+    draws = np.array(list(itertools.product(*per_bidder)))  # (draw, bidder, field)
+    prob = np.prod(draws[:, :, 0], axis=1)
+    return float(prob @ ex_post_utility(rule, i, draws[:, i, 1], draws[:, :, 2]))
 
 
 def da_outcomes_by_enumeration(inst, profile, tie):

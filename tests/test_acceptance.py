@@ -22,7 +22,6 @@ from auctionlearn.da import (
     SolverParams,
     empirical_pipeline,
     ex_ante_utility_da,
-    ex_ante_utility_fpa,
     lambda_map,
     mu_map,
     roundtrip_check,
@@ -57,6 +56,7 @@ from auctionlearn.strategy import StrategyProfile, shade
 from auctionlearn.testkits import dense_monotone_hypotheses
 
 from conftest import (
+    ex_ante_utility_fpa,
     interim_by_enumeration,
     random_bid_dist,
     random_discrete,

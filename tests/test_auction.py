@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from auctionlearn.auction import (
     ALLPAY_NONE,
@@ -7,8 +10,11 @@ from auctionlearn.auction import (
     FPA_NONE,
     FPA_RANDOM,
     CandidateBid,
+    Format,
+    Tie,
     best_response,
     candidate_allocations,
+    ex_post_allocation,
     ex_post_utility,
     interim_utility_exact,
     monotone_best_response_profile,
@@ -38,6 +44,55 @@ class TestExPost:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             ex_post_utility(FPA_RANDOM, 2, 1.0, [0.1, 0.2])
+
+    def test_one_float_per_bid_vector(self):
+        u = ex_post_utility(FPA_RANDOM, 1, 0.8, [0.1, 0.2])
+        assert isinstance(u, float) and u == pytest.approx(0.6)
+
+    def test_value_broadcasts_against_rows(self):
+        bids = np.array([[0.5, 0.5], [0.2, 0.5]])
+        u = ex_post_utility(FPA_RANDOM, 0, np.array([[1.0], [0.6]]), bids)
+        assert u == pytest.approx(np.array([[0.25, 0.0], [0.05, 0.0]]))
+
+
+def ex_post_reference(rule, i, v_i, bids):
+    """(share, utility) of bidder i at one bid vector, written out row by row."""
+    top = max(bids)
+    k = bids.count(top)
+    if bids[i] < top:
+        alloc = 0.0
+    elif k == 1:
+        alloc = 1.0
+    elif rule.tie is Tie.RANDOM_ALLOCATION:
+        alloc = 1.0 / k
+    else:
+        alloc = 0.0
+    if rule.format is Format.ALL_PAY:
+        return alloc, alloc * v_i - bids[i]
+    return alloc, alloc * (v_i - bids[i])
+
+
+# Bids and values on a quarter grid, so that top ties are frequent.
+QUARTERS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_batched_kernel_matches_scalar_reference(data):
+    rule = data.draw(st.sampled_from([FPA_RANDOM, FPA_NONE, ALLPAY_RANDOM, ALLPAY_NONE]))
+    n = data.draw(st.integers(1, 5))
+    lead = data.draw(st.sampled_from([(), (4,), (2, 3)]))  # shapes (n,), (m, n), (a, m, n)
+    bids = data.draw(hnp.arrays(float, lead + (n,), elements=QUARTERS))
+    values = data.draw(hnp.arrays(float, lead, elements=QUARTERS))
+    alloc = ex_post_allocation(rule.tie, bids)
+    assert alloc.shape == bids.shape
+    for i in range(n):
+        util = np.asarray(ex_post_utility(rule, i, values, bids))
+        assert util.shape == lead
+        for idx in np.ndindex(*lead):
+            share, u = ex_post_reference(rule, i, float(values[idx]), bids[idx].tolist())
+            assert alloc[idx + (i,)] == share
+            assert util[idx] == u
 
 
 class TestPushForward:

@@ -173,3 +173,79 @@ def test_child_seed_stable():
     assert child_seed(7, "estimate") == child_seed(7, "estimate")
     assert child_seed(7, "estimate") != child_seed(8, "estimate")
     assert child_seed(7, "estimate") != child_seed(7, "pandora")
+
+
+@pytest.mark.parametrize("h", ["Infinity", "NaN"])
+@pytest.mark.parametrize("sub", ["solve-bne", "da-experiment"])
+def test_non_finite_h_exits_2(sub, h, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(
+        f'{{"H": {h}, "marginals": [{{"atoms": [0.0, 1.0], "weights": [0.5, 0.5]}}],'
+        ' "costs": [0.05]}'
+    )
+    argv = [sub, "--instance", str(path)] + (["--m", "20"] if sub == "da-experiment" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("ERROR: validation")
+
+
+def test_da_experiment_cost_count_exits_2(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(
+        json.dumps(
+            {
+                "H": 1.0,
+                "marginals": [{"atoms": [0.0, 0.5, 1.0], "weights": [0.4, 0.3, 0.3]}] * 2,
+                "costs": [0.05],
+            }
+        )
+    )
+    assert main(["da-experiment", "--instance", str(path), "--m", "20"]) == 2
+    assert capsys.readouterr().err.startswith("ERROR: validation: one cost per box")
+
+
+def test_lowerbound_single_bidder_exits_2(capsys):
+    assert main(["lowerbound", "--n", "1", "--eps", "0.05", "--m", "10"]) == 2
+    assert capsys.readouterr().err.startswith("ERROR: validation: the distinguisher needs n >= 2")
+
+
+# Outputs recorded before the per-row ex post loops were replaced by the
+# batched kernel; the estimators and the hypothesis family must reproduce
+# them byte for byte.
+GOLDEN = [
+    (
+        ["estimate", "--m", "30", "--seeds", "3", "--seed", "5", "--estimator", "emp"],
+        "estimator,m,seed,sup_error,argmax_bidder,argmax_value,profile_id\n"
+        "emp,30,47327894,0.06749999999999998,1,0.5,1\n"
+        "emp,30,47327895,0.04500000000000001,1,0.5,1\n"
+        "emp,30,47327896,0.05999999999999961,0,1.0,1\n",
+    ),
+    (
+        ["estimate", "--m", "30", "--seeds", "3", "--seed", "5", "--estimator", "emp",
+         "--auction", "all-pay", "--tie", "no-allocation"],
+        "estimator,m,seed,sup_error,argmax_bidder,argmax_value,profile_id\n"
+        "emp,30,47327894,0.11666666666666681,1,0.5,2\n"
+        "emp,30,47327895,0.10000000000000026,0,1.0,2\n"
+        "emp,30,47327896,0.1333333333333337,0,1.0,2\n",
+    ),
+    (
+        ["pdim-check", "--n", "2", "--m", "4", "--seed", "1"],
+        '{\n  "bound": 25,\n  "count": 6,\n  "m": 4,\n  "n": 2,\n  "ok": true\n}\n',
+    ),
+    (
+        ["pdim-check", "--n", "1", "--m", "3", "--seed", "1"],
+        '{\n  "bound": 64,\n  "count": 3,\n  "m": 3,\n  "n": 1,\n  "ok": true\n}\n',
+    ),
+    (
+        ["pdim-check", "--n", "3", "--m", "3", "--seed", "1"],
+        '{\n  "bound": 262144,\n  "count": 5,\n  "m": 3,\n  "n": 3,\n  "ok": true\n}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GOLDEN, ids=lambda x: x[0] if isinstance(x, list) else "")
+def test_golden_bytes(argv, expected, instance_file, tmp_path):
+    out = tmp_path / "out"
+    if argv[0] == "estimate":
+        argv = argv + ["--instance", instance_file]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()

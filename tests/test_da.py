@@ -11,7 +11,6 @@ from auctionlearn.da import (
     da_welfare,
     empirical_pipeline,
     ex_ante_utility_da,
-    ex_ante_utility_fpa,
     lambda_map,
     mu_map,
     poa_check,
@@ -35,6 +34,7 @@ from auctionlearn.strategy import MonotoneStrategy, constant, shade
 
 from conftest import (
     da_outcomes_by_enumeration,
+    ex_ante_utility_fpa,
     random_discrete,
     random_monotone,
     random_search_instance,

@@ -184,3 +184,8 @@ class TestSerialization:
     def test_default_h_is_max_atom(self):
         f = product_of([uniform_on([0, 0.5]), uniform_on([0.2, 0.8])])
         assert f.h == 0.8
+
+    @pytest.mark.parametrize("h", [float("inf"), float("nan")])
+    def test_non_finite_h_rejected(self, h):
+        with pytest.raises(ValueError, match="H must be finite"):
+            product_of([uniform_on([0, 0.5])], h)

@@ -101,6 +101,10 @@ class TestDistinguisher:
         with pytest.raises(TooLargeToEnumerate):
             distinguisher_trials(17, 0.01, 10, 1, seed=0)
 
+    def test_needs_two_bidders(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            distinguisher_trials(1, 0.05, 10, 1, seed=0)
+
     def test_bias_limit(self):
         with pytest.raises(EpsTooLarge):
             distinguisher_trials(4, 0.7, 10, 1, seed=0)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auctionlearn.errors import DimensionMismatch
 from auctionlearn.strategy import (
     MonotoneStrategy,
     StrategyProfile,
@@ -98,3 +99,14 @@ class TestProfile:
         q = p.replace(0, constant(0.3))
         assert q[0].eval(1.0) == 0.3
         assert p[0].eval(1.0) == 0.0
+
+    def test_bids_matrix_matches_eval(self, rng):
+        p = StrategyProfile((shade([0, 0.5, 1], 0.5), constant(0.2), shade([0.3, 0.9], 1.0)))
+        values = np.round(rng.random((7, 3)), 1)
+        expected = [[p[j].eval(v) for j, v in enumerate(row)] for row in values]
+        assert p.bids(values).tolist() == expected
+
+    def test_bids_shape_mismatch(self):
+        p = StrategyProfile((constant(0.0), constant(0.1)))
+        with pytest.raises(DimensionMismatch):
+            p.bids(np.zeros((3, 3)))
