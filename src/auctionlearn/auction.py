@@ -101,34 +101,49 @@ def push_forward(f_j: DiscreteDistribution, s_j: MonotoneStrategy) -> DiscreteDi
     return DiscreteDistribution(tuple(b for b, _ in pairs), tuple(w for _, w in pairs))
 
 
-def _tie_profile(opp: Sequence[DiscreteDistribution], b: float) -> list[float]:
-    """q[t] = P(no opponent bids above b and exactly t opponents tie at b)."""
-    q = [1.0]
+def allocation_probabilities(
+    tie: Tie, opp: Sequence[DiscreteDistribution], bases, limit_above: bool = False
+) -> np.ndarray:
+    """Exact interim allocation probability of every bid in ``bases``.
+
+    The bids are all exact or, with ``limit_above``, all right limits
+    ``base+``. An exact bid wins when no opponent bids above it; with t
+    opponents tied, the tie DP tracks q[t] = P(nobody above, exactly t tied)
+    one opponent at a time, and random allocation wins a t-way tie with
+    probability 1 / (t + 1).
+    """
+    b = np.asarray(bases, dtype=float)
+    if limit_above:
+        prob = np.ones_like(b)
+        for d in opp:
+            atoms, _, cum = d.arrays
+            prob *= cum[np.searchsorted(atoms, b, side="right")]
+        return prob
+    q = [np.ones_like(b)]
     for d in opp:
-        p_below = d.prob_below(b)
-        p_at = d.prob_at(b)
-        nxt = [0.0] * (len(q) + 1)
-        for t, qt in enumerate(q):
-            if qt:
-                nxt[t] += qt * p_below
-                nxt[t + 1] += qt * p_at
-        q = nxt
-    return q
+        atoms, weights, cum = d.arrays
+        lo = np.searchsorted(atoms, b, side="left")
+        hi = np.searchsorted(atoms, b, side="right")
+        p_below = cum[lo]
+        p_at = np.where(hi > lo, weights[lo], 0.0)
+        q = (
+            [q[0] * p_below]
+            + [q[t - 1] * p_at + q[t] * p_below for t in range(1, len(q))]
+            + [q[-1] * p_at]
+        )
+    if tie is Tie.NO_ALLOCATION:
+        return q[0]
+    share = q[0]
+    for t in range(1, len(q)):
+        share = share + q[t] / (t + 1)
+    return share
 
 
 def allocation_probability(
     tie: Tie, opp: Sequence[DiscreteDistribution], bid: CandidateBid
 ) -> float:
     """Exact interim allocation probability of the (possibly limit) bid."""
-    if bid.limit_above:
-        prob = 1.0
-        for d in opp:
-            prob *= d.prob_at_most(bid.base)
-        return prob
-    q = _tie_profile(opp, bid.base)
-    if tie is Tie.NO_ALLOCATION:
-        return q[0]
-    return sum(qt / (t + 1) for t, qt in enumerate(q))
+    return float(allocation_probabilities(tie, opp, [bid.base], bid.limit_above)[0])
 
 
 def interim_utility_exact(
@@ -144,21 +159,58 @@ def interim_utility_exact(
     return _utility(rule.format, v_i, bid.base, alloc)
 
 
-def candidate_bids(opp: Sequence[DiscreteDistribution]) -> list[CandidateBid]:
-    """The bid set sufficient for best responses: 0, every opponent atom, and its right limit."""
-    bases = sorted({0.0} | {a for d in opp for a in d.atoms})
-    out = []
-    for a in bases:
-        out.append(CandidateBid(a))
-        out.append(CandidateBid(a, limit_above=True))
-    return out
+def interim_utilities(
+    rule: AuctionRule, values, bids, opp: Sequence[DiscreteDistribution]
+) -> np.ndarray:
+    """:func:`interim_utility_exact` at equal-length arrays of values and exact bids."""
+    b = np.asarray(bids, dtype=float)
+    alloc = allocation_probabilities(rule.tie, opp, b)
+    return _utility(rule.format, np.asarray(values, dtype=float), b, alloc)
 
 
 def candidate_allocations(
     tie: Tie, opp: Sequence[DiscreteDistribution]
 ) -> list[tuple[CandidateBid, float]]:
-    """Allocation probability of every candidate bid; independent of the bidder's value."""
-    return [(c, allocation_probability(tie, opp, c)) for c in candidate_bids(opp)]
+    """Allocation probability of every bid sufficient for best responses.
+
+    The candidates are 0 and every opponent atom, each followed by its right
+    limit; the probabilities are independent of the bidder's value.
+    """
+    bases = sorted({0.0} | {a for d in opp for a in d.atoms})
+    exact = allocation_probabilities(tie, opp, bases).tolist()
+    above = allocation_probabilities(tie, opp, bases, limit_above=True).tolist()
+    out = []
+    for b, p, p_above in zip(bases, exact, above):
+        out.append((CandidateBid(b), p))
+        out.append((CandidateBid(b, limit_above=True), p_above))
+    return out
+
+
+# Elements per row block of the values x candidates utility matrix; bounds
+# the memory of best responses over many values.
+BEST_RESPONSE_BLOCK = 1 << 12
+
+
+def best_responses(
+    rule: AuctionRule, values, candidates: Sequence[tuple[CandidateBid, float]]
+) -> tuple[list[float], list[CandidateBid]]:
+    """Supremum utility and the first maximizing candidate at every value.
+
+    Row blocks of the values x candidates utility matrix are maximized with
+    ``argmax``, which returns the first maximum, so ties break toward the
+    earlier candidate.
+    """
+    bases = np.array([c.base for c, _ in candidates])
+    alloc = np.array([a for _, a in candidates])
+    v = np.asarray(values, dtype=float)
+    rows = max(1, BEST_RESPONSE_BLOCK // len(candidates))
+    sups, picks = [], []
+    for lo in range(0, len(v), rows):
+        u = _utility(rule.format, v[lo : lo + rows, None], bases, alloc)
+        k = u.argmax(axis=1)
+        sups.extend(u[np.arange(len(k)), k].tolist())
+        picks.extend(candidates[j][0] for j in k.tolist())
+    return sups, picks
 
 
 def best_response(
@@ -176,12 +228,8 @@ def best_response(
     """
     if candidates is None:
         candidates = candidate_allocations(rule.tie, opp)
-    best_u, best_c = None, None
-    for c, alloc in candidates:
-        u = _utility(rule.format, v_i, c.base, alloc)
-        if best_u is None or u > best_u:
-            best_u, best_c = u, c
-    return best_u, best_c
+    sups, picks = best_responses(rule, [v_i], candidates)
+    return sups[0], picks[0]
 
 
 def realize_bid(
@@ -215,10 +263,9 @@ def monotone_best_response_profile(
     dominance of best responses.
     """
     if bid_grid is not None:
-        cands = [
-            (CandidateBid(b), allocation_probability(rule.tie, opp, CandidateBid(b)))
-            for b in sorted(set(bid_grid))
-        ]
+        grid_bids = sorted(set(bid_grid))
+        alloc = allocation_probabilities(rule.tie, opp, grid_bids).tolist()
+        cands = [(CandidateBid(b), p) for b, p in zip(grid_bids, alloc)]
     else:
         cands = candidate_allocations(rule.tie, opp)
     if h is None:
@@ -226,10 +273,8 @@ def monotone_best_response_profile(
     grid = sorted(set(float(v) for v in values))
     bases = [c.base for c, _ in cands]
     alloc_of = dict(cands)
-    bids = []
-    for v in grid:
-        _, choice = best_response(rule, i, v, opp, candidates=cands)
-        bids.append(0.0 if alloc_of[choice] == 0.0 else realize_bid(choice, bases, h))
+    _, choices = best_responses(rule, grid, cands)
+    bids = [0.0 if alloc_of[c] == 0.0 else realize_bid(c, bases, h) for c in choices]
     if any(b2 < b1 for b1, b2 in zip(bids, bids[1:])):
         raise NonMonotoneWitness(f"best-response bids not monotone: {list(zip(grid, bids))}")
     return MonotoneStrategy(tuple(zip(grid, bids)))

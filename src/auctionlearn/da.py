@@ -26,13 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .auction import (
-    FPA_RANDOM,
-    CandidateBid,
-    Tie,
-    allocation_probability,
-    ex_post_allocation,
-)
+from .auction import FPA_RANDOM, Tie, allocation_probabilities, ex_post_allocation
 from .dist import (
     DiscreteDistribution,
     ProductDistribution,
@@ -176,11 +170,13 @@ def _bidder_terms(
         if j != i
     ]
     won = paid = inspect = 0.0
+    f_i = inst.boxes.marginals[i]
     for wc, comp in mixed[i].components:
         inspect += wc * math.prod(d.prob_at_most(comp.tau) for d in opp)
-        for a, wv in inst.boxes.marginals[i]:
-            b = comp.beta.eval(a)
-            share = wc * wv * allocation_probability(tie, opp, CandidateBid(b))
+        bids = [comp.beta.eval(a) for a in f_i.atoms]
+        alloc = allocation_probabilities(tie, opp, bids).tolist()
+        for a, wv, b, p in zip(f_i.atoms, f_i.weights, bids, alloc):
+            share = wc * wv * p
             won += share * a
             paid += share * b
     return won, paid, inspect

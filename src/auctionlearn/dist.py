@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,7 +28,8 @@ class DiscreteDistribution:
 
     Atoms are strictly increasing, weights positive and summing to one.
     Use :func:`make_discrete` to build one from raw (possibly duplicated,
-    unnormalized) data.
+    unnormalized) data. Probability queries are binary searches into prefix
+    sums of the weights, built on first use.
     """
 
     atoms: tuple[float, ...]
@@ -55,20 +59,28 @@ class DiscreteDistribution:
     def mean(self) -> float:
         return sum(a * w for a, w in self)
 
+    @cached_property
+    def cumulative(self) -> tuple[float, ...]:
+        """(0.0, w0, w0 + w1, ...): weight prefix sums, accumulated left to right."""
+        return (0.0, *accumulate(self.weights))
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Numpy atoms, weights followed by 0.0 (no atom), and prefix sums."""
+        return np.array(self.atoms), np.array((*self.weights, 0.0)), np.array(self.cumulative)
+
     def prob_at(self, x: float) -> float:
         """P(v == x), exact float comparison."""
-        for a, w in self:
-            if a == x:
-                return w
-        return 0.0
+        k = bisect_left(self.atoms, x)
+        return self.weights[k] if k < len(self.atoms) and self.atoms[k] == x else 0.0
 
     def prob_below(self, x: float) -> float:
         """P(v < x)."""
-        return sum(w for a, w in self if a < x)
+        return self.cumulative[bisect_left(self.atoms, x)]
 
     def prob_at_most(self, x: float) -> float:
         """P(v <= x)."""
-        return sum(w for a, w in self if a <= x)
+        return self.cumulative[bisect_right(self.atoms, x)]
 
     def expected_excess(self, sigma: float) -> float:
         """E[max(v - sigma, 0)]."""
@@ -192,6 +204,8 @@ class SampleMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1:
             raise DimensionMismatch("values must be a nonempty 2-D array")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("sample values must be finite")
         if np.any(v < 0):
             raise AtomOutOfRange("sample values must be nonnegative")
         v = v.copy()

@@ -18,9 +18,9 @@ import numpy as np
 from .auction import (
     AuctionRule,
     CandidateBid,
-    best_response,
+    best_responses,
     candidate_allocations,
-    interim_utility_exact,
+    interim_utilities,
     monotone_best_response_profile,
     push_forward,
 )
@@ -63,14 +63,14 @@ def verify_bne(
     gap_rows = []
     for i in range(f.n):
         opp = [pushed[j] for j in range(f.n) if j != i]
-        cands = candidate_allocations(rule.tie, opp)
+        values = f.marginals[i].atoms
+        own = interim_utilities(rule, values, [profile[i].eval(v) for v in values], opp)
+        sups, devs = best_responses(rule, values, candidate_allocations(rule.tie, opp))
         row = []
-        for v in f.marginals[i].atoms:
-            own = interim_utility_exact(rule, i, v, profile[i].eval(v), opp)
-            sup, dev = best_response(rule, i, v, opp, candidates=cands)
-            gap = sup - own
-            if gap < -1e-9:
-                raise AssertionError(f"negative gap {gap}: candidate set is not exhaustive")
+        for v, own_u, sup, dev in zip(values, own.tolist(), sups, devs):
+            gap = sup - own_u
+            if not gap >= -1e-9:  # also a NaN gap, which `gap > eps` would skip
+                raise AssertionError(f"gap {gap} is negative or NaN: candidates not exhaustive")
             gap = max(gap, 0.0)
             row.append((v, gap))
             if gap > eps:
@@ -159,18 +159,21 @@ def solve_bne(
             tuple(_shade_on_grid(f.marginals[i].atoms, alpha, grid) for i in range(f.n))
         )
         consider(profile)
+        # Bid distributions of the current profile; only the replaced bidder's changes.
+        pushed = [push_forward(f.marginals[j], profile[j]) for j in range(f.n)]
         for _ in range(rounds_per_start):
             if target_eps is not None and best_cert.epsilon <= target_eps:
                 return best_profile, best_cert
             if best_cert.epsilon == 0.0:
                 return best_profile, best_cert
             for i in range(f.n):
-                opp = [push_forward(f.marginals[j], profile[j]) for j in range(f.n) if j != i]
+                opp = pushed[:i] + pushed[i + 1 :]
                 values = f.marginals[i].atoms
                 br = monotone_best_response_profile(rule, i, values, opp, bid_grid=grid, h=f.h)
                 consider(profile.replace(i, br))
                 nxt = _damped_mix(profile[i], br, values, damping, rng) if damping > 0 else br
                 profile = profile.replace(i, nxt)
+                pushed[i] = push_forward(f.marginals[i], nxt)
                 consider(profile)
     return best_profile, best_cert
 

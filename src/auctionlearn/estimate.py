@@ -16,7 +16,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .auction import AuctionRule, ex_post_utility, interim_utility_exact, push_forward
+from .auction import (
+    AuctionRule,
+    ex_post_utility,
+    interim_utilities,
+    interim_utility_exact,
+    push_forward,
+)
 from .dist import ProductDistribution, SampleMatrix, empirical_marginals, sample_matrix
 from .errors import TooLargeToEnumerate
 from .strategy import StrategyProfile, shade
@@ -83,20 +89,20 @@ def sup_error(
         worst = 0.0
         for i in range(f.n):
             opp_true = [push_forward(f.marginals[j], profile[j]) for j in range(f.n) if j != i]
+            probes = _probe_values(f, profile, i)
+            bids = [profile[i].eval(v) for v in probes]
+            exact = interim_utilities(rule, probes, bids, opp_true).tolist()
             if emp_prod is not None:
                 opp_emp = [
                     push_forward(emp_prod.marginals[j], profile[j])
                     for j in range(f.n)
                     if j != i
                 ]
-            for v in _probe_values(f, profile, i):
-                b = profile[i].eval(v)
-                exact = interim_utility_exact(rule, i, v, b, opp_true)
-                if emp_prod is not None:
-                    est = interim_utility_exact(rule, i, v, b, opp_emp)
-                else:
-                    est = emp_estimate(s, rule, i, v, profile)
-                err = abs(est - exact)
+                est = interim_utilities(rule, probes, bids, opp_emp).tolist()
+            else:
+                est = [emp_estimate(s, rule, i, v, profile) for v in probes]
+            for v, e, x in zip(probes, est, exact):
+                err = abs(e - x)
                 worst = max(worst, err)
                 if err > sup:
                     sup, arg = err, (p_idx, i, v)

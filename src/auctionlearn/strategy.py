@@ -39,12 +39,13 @@ class MonotoneStrategy:
             raise ValueError("bids must be nondecreasing")
         if self.default_bid < 0 or (bids and bids[0] < self.default_bid):
             raise ValueError("bids must be >= default_bid >= 0")
+        object.__setattr__(self, "_thresholds", tuple(thresholds))
 
     def eval(self, v: float) -> float:
         """Bid at value v (right-continuous step lookup)."""
         if v < 0:
             raise ValueError("value must be nonnegative")
-        idx = bisect_right([t for t, _ in self.breakpoints], v) - 1
+        idx = bisect_right(self._thresholds, v) - 1
         return self.breakpoints[idx][1] if idx >= 0 else self.default_bid
 
     @property

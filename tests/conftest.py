@@ -6,12 +6,34 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from auctionlearn.auction import FPA_RANDOM, ex_post_utility
+from auctionlearn.auction import (
+    FPA_RANDOM,
+    CandidateBid,
+    Format,
+    Tie,
+    ex_post_utility,
+    push_forward,
+)
 from auctionlearn.da import DAMixedStrategy, MonotoneMixture, simulate_da
 from auctionlearn.dist import DiscreteDistribution, make_discrete, product_of
+from auctionlearn.equilibrium import BNECertificate
 from auctionlearn.pandora import SearchInstance
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile
+
+
+# Bids, values and atoms on a quarter grid, so that ties are frequent.
+QUARTERS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def quarter_distributions(draw) -> DiscreteDistribution:
+    """Up to 8 atoms, mostly on the quarter grid, with random weights."""
+    atom = st.one_of(QUARTERS, QUARTERS, st.floats(0.0, 1.0))
+    atoms = draw(st.lists(atom, min_size=1, max_size=8, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(atoms), max_size=len(atoms)))
+    return make_discrete(atoms, weights)
 
 
 def random_discrete(rng, max_atoms=4, decimals=None) -> DiscreteDistribution:
@@ -63,6 +85,100 @@ def interim_by_enumeration(rule, v_i, b_i, opp) -> float:
             bids.append(atom)
         total += prob * ex_post_utility(rule, 0, v_i, bids)
     return total
+
+
+# --- scalar references for the interim kernel ---------------------------------
+#
+# Sums run left to right with +=, the order the prefix sums of
+# DiscreteDistribution use, so queries and allocation probabilities must
+# match these references exactly.
+
+
+def prob_below_reference(d, x) -> float:
+    total = 0.0
+    for a, w in d:
+        if a < x:
+            total += w
+    return total
+
+
+def prob_at_reference(d, x) -> float:
+    for a, w in d:
+        if a == x:
+            return w
+    return 0.0
+
+
+def prob_at_most_reference(d, x) -> float:
+    total = 0.0
+    for a, w in d:
+        if a <= x:
+            total += w
+    return total
+
+
+def tie_profile_reference(opp, b) -> list[float]:
+    """q[t] = P(no opponent bids above b and exactly t opponents tie at b)."""
+    q = [1.0]
+    for d in opp:
+        p_below = prob_below_reference(d, b)
+        p_at = prob_at_reference(d, b)
+        nxt = [0.0] * (len(q) + 1)
+        for t, qt in enumerate(q):
+            if qt:
+                nxt[t] += qt * p_below
+                nxt[t + 1] += qt * p_at
+        q = nxt
+    return q
+
+
+def allocation_probability_reference(tie, opp, bid) -> float:
+    """Allocation probability of an exact or right-limit bid, one opponent at a time."""
+    if bid.limit_above:
+        prob = 1.0
+        for d in opp:
+            prob *= prob_at_most_reference(d, bid.base)
+        return prob
+    q = tie_profile_reference(opp, bid.base)
+    if tie is Tie.NO_ALLOCATION:
+        return q[0]
+    share = 0.0
+    for t, qt in enumerate(q):
+        share += qt / (t + 1)
+    return share
+
+
+def utility_reference(fmt, v, base, alloc) -> float:
+    return alloc * v - base if fmt is Format.ALL_PAY else alloc * (v - base)
+
+
+def verify_bne_reference(rule, f, profile) -> BNECertificate:
+    """The exact certificate with one strict-> scan over the candidates per value."""
+    pushed = [push_forward(m, s) for m, s in zip(f.marginals, profile)]
+    eps, worst, gap_rows = 0.0, (0, 0.0, CandidateBid(0.0)), []
+    for i in range(f.n):
+        opp = pushed[:i] + pushed[i + 1 :]
+        bases = sorted({0.0} | {a for d in opp for a in d.atoms})
+        cands = [CandidateBid(b, above) for b in bases for above in (False, True)]
+        allocs = [allocation_probability_reference(rule.tie, opp, c) for c in cands]
+        row = []
+        for v in f.marginals[i].atoms:
+            own_bid = CandidateBid(profile[i].eval(v))
+            own_alloc = allocation_probability_reference(rule.tie, opp, own_bid)
+            own = utility_reference(rule.format, v, own_bid.base, own_alloc)
+            sup, dev = None, None
+            for c, alloc in zip(cands, allocs):
+                u = utility_reference(rule.format, v, c.base, alloc)
+                if sup is None or u > sup:
+                    sup, dev = u, c
+            gap = sup - own
+            assert gap >= -1e-9
+            gap = max(gap, 0.0)
+            row.append((v, gap))
+            if gap > eps:
+                eps, worst = gap, (i, v, dev)
+        gap_rows.append(tuple(row))
+    return BNECertificate(eps, tuple(gap_rows), worst)
 
 
 def ex_ante_utility_fpa(f, profile, i, rule=FPA_RANDOM) -> float:

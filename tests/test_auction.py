@@ -12,6 +12,8 @@ from auctionlearn.auction import (
     CandidateBid,
     Format,
     Tie,
+    allocation_probabilities,
+    allocation_probability,
     best_response,
     candidate_allocations,
     ex_post_allocation,
@@ -25,7 +27,13 @@ from auctionlearn.dist import DiscreteDistribution, make_discrete, point_mass, u
 from auctionlearn.errors import IndexOutOfRange
 from auctionlearn.strategy import MonotoneStrategy, constant, shade
 
-from conftest import interim_by_enumeration, random_bid_dist
+from conftest import (
+    QUARTERS,
+    allocation_probability_reference,
+    interim_by_enumeration,
+    quarter_distributions,
+    random_bid_dist,
+)
 
 
 class TestExPost:
@@ -72,10 +80,6 @@ def ex_post_reference(rule, i, v_i, bids):
     return alloc, alloc * (v_i - bids[i])
 
 
-# Bids and values on a quarter grid, so that top ties are frequent.
-QUARTERS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
-
-
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_batched_kernel_matches_scalar_reference(data):
@@ -93,6 +97,23 @@ def test_batched_kernel_matches_scalar_reference(data):
             share, u = ex_post_reference(rule, i, float(values[idx]), bids[idx].tolist())
             assert alloc[idx + (i,)] == share
             assert util[idx] == u
+
+
+# Quarter-grid bids tie with the atoms; off-grid bids fall between them, and
+# bids in [0, 2] also lie below the smallest and above the largest atom.
+BIDS = st.one_of(QUARTERS, st.floats(0.0, 2.0))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_tie_dp_matches_scalar_reference(data):
+    tie = data.draw(st.sampled_from(list(Tie)))
+    opp = data.draw(st.lists(quarter_distributions(), max_size=5))
+    bids = data.draw(st.lists(BIDS, min_size=1, max_size=8))
+    for above in (False, True):
+        want = [allocation_probability_reference(tie, opp, CandidateBid(b, above)) for b in bids]
+        assert allocation_probabilities(tie, opp, bids, limit_above=above).tolist() == want
+        assert [allocation_probability(tie, opp, CandidateBid(b, above)) for b in bids] == want
 
 
 class TestPushForward:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -18,6 +19,21 @@ def instance_file(tmp_path):
                 ],
                 "costs": [0.05, 0.05],
             }
+        )
+    )
+    return str(path)
+
+
+@pytest.fixture
+def tie_profile_file(tmp_path):
+    # Both bidders bid 0.25 at value 0.5, so the certificate prices ties.
+    path = tmp_path / "ties.json"
+    path.write_text(
+        json.dumps(
+            [
+                {"default_bid": 0.0, "breakpoints": [[0.5, 0.25], [1.0, 0.5]]},
+                {"default_bid": 0.0, "breakpoints": [[0.5, 0.25], [1.0, 0.25]]},
+            ]
         )
     )
     return str(path)
@@ -242,10 +258,40 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv,expected", GOLDEN, ids=lambda x: x[0] if isinstance(x, list) else "")
-def test_golden_bytes(argv, expected, instance_file, tmp_path):
+# sha256 of outputs recorded before the tie DP and the best responses were
+# batched over arrays of bids; the verifier and the solver must reproduce them.
+GOLDEN_SHA256 = [
+    (
+        ["verify-bne"],
+        "sha256:5a3d574e9d3c6c0d1cec6b276d5868b702006ac25f04b409390fd1077a7fe59e",
+    ),
+    (
+        ["verify-bne", "--auction", "all-pay", "--tie", "no-allocation"],
+        "sha256:151f260a45c33a532e91c2105c1069b945f27cdfb3d2c0107a73abb304fdfe33",
+    ),
+    (
+        ["solve-bne", "--grid-step", "0.25", "--max-iters", "10", "--seed", "3"],
+        "sha256:54b389563a75b5a600664b79db645ad913d9f82da5eee692a5cd1905bd39601b",
+    ),
+    (
+        ["solve-bne", "--grid-step", "0.25", "--max-iters", "10", "--seed", "3",
+         "--auction", "all-pay"],
+        "sha256:96af443b297b03c80447c85648417d5ddff753786faf1a88910a2716d9bbf9fe",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", GOLDEN + GOLDEN_SHA256, ids=lambda x: x[0] if isinstance(x, list) else ""
+)
+def test_golden_bytes(argv, expected, instance_file, tie_profile_file, tmp_path):
     out = tmp_path / "out"
-    if argv[0] == "estimate":
+    if argv[0] in ("estimate", "verify-bne", "solve-bne"):
         argv = argv + ["--instance", instance_file]
+    if argv[0] == "verify-bne":
+        argv = argv + ["--profile", tie_profile_file]
     assert main(argv + ["--out", str(out)]) == 0
-    assert out.read_bytes() == expected.encode()
+    data = out.read_bytes()
+    if expected.startswith("sha256:"):
+        data = f"sha256:{hashlib.sha256(data).hexdigest()}".encode()
+    assert data == expected.encode()

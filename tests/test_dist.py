@@ -24,6 +24,14 @@ from auctionlearn.errors import (
     WeightSumZero,
 )
 
+from conftest import (
+    QUARTERS,
+    prob_at_most_reference,
+    prob_at_reference,
+    prob_below_reference,
+    quarter_distributions,
+)
+
 
 class TestMakeDiscrete:
     def test_bernoulli(self):
@@ -131,6 +139,11 @@ class TestSampling:
         s = sample_matrix(f, 10**5, seed=7)
         assert np.all(np.abs(s.values.mean(axis=0) - 0.5) < 0.01)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SampleMatrix(np.array([[bad, 0.5], [0.2, 0.5]]))
+
     def test_immutable(self):
         f = ProductDistribution.iid(uniform_on([0.0, 1.0]), 1, 1.0)
         s = sample_matrix(f, 3, seed=0)
@@ -164,6 +177,15 @@ class TestEmpiricalMarginals:
             # 6 sigma for a weight estimate at m = 1e5
             tol = 6 * np.sqrt(w * (1 - w) / 10**5)
             assert abs(e.marginals[0].prob_at(a) - w) < tol
+
+
+@given(quarter_distributions(), st.lists(st.one_of(QUARTERS, st.floats(-1.0, 2.0)), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_queries_match_linear_scan(d, xs):
+    for x in xs:
+        assert d.prob_below(x) == prob_below_reference(d, x)
+        assert d.prob_at(x) == prob_at_reference(d, x)
+        assert d.prob_at_most(x) == prob_at_most_reference(d, x)
 
 
 class TestSerialization:

@@ -1,7 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from auctionlearn.auction import FPA_RANDOM
+from auctionlearn.auction import (
+    ALLPAY_NONE,
+    ALLPAY_RANDOM,
+    BEST_RESPONSE_BLOCK,
+    FPA_NONE,
+    FPA_RANDOM,
+    candidate_allocations,
+    push_forward,
+)
 from auctionlearn.dist import (
     ProductDistribution,
     make_discrete,
@@ -18,9 +28,9 @@ from auctionlearn.equilibrium import (
 )
 from auctionlearn.errors import EmptyGrid
 from auctionlearn.estimate import shade_family, sup_error
-from auctionlearn.strategy import StrategyProfile, constant, shade
+from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, constant, shade
 
-from conftest import random_product, random_profile
+from conftest import random_product, random_profile, verify_bne_reference
 
 K = 20
 GRID = [k / K for k in range(K + 1)]
@@ -63,6 +73,66 @@ class TestVerify:
             cert = verify_bne(FPA_RANDOM, f, profile)
             assert all(g >= 0.0 for row in cert.gaps for _, g in row)
             assert cert.epsilon == max(g for row in cert.gaps for _, g in row)
+
+
+    def test_nan_gap_raises(self):
+        # A NaN value forged past the constructor makes one gap NaN; the
+        # certificate must refuse it rather than report the other gaps' max.
+        marginals = [uniform_on([0.0, 0.5, 1.0]) for _ in range(2)]
+        f = product_of(marginals, 1.0)
+        object.__setattr__(marginals[0], "atoms", (0.0, math.nan, 1.0))
+        profile = StrategyProfile((shade([0.0, 0.5, 1.0], 0.5),) * 2)
+        with pytest.raises(AssertionError, match="NaN"):
+            verify_bne(FPA_RANDOM, f, profile)
+
+
+RULES = [FPA_RANDOM, FPA_NONE, ALLPAY_RANDOM, ALLPAY_NONE]
+
+
+def quarter_product(rng, n):
+    """n marginals on random subsets of the quarter grid."""
+    quarters = [0.0, 0.25, 0.5, 0.75, 1.0]
+    marginals = []
+    for _ in range(n):
+        atoms = rng.choice(quarters, size=int(rng.integers(1, 6)), replace=False)
+        marginals.append(make_discrete(atoms.tolist(), (rng.random(len(atoms)) + 0.05).tolist()))
+    return product_of(marginals, 1.0)
+
+
+def grid_profile(rng, f, step=0.25):
+    """Nondecreasing bids on a grid of the given step, so that bids tie across bidders."""
+    strategies = []
+    for m in f.marginals:
+        bids = np.sort(np.floor(rng.random(len(m.atoms)) / step) * step)
+        strategies.append(MonotoneStrategy(tuple(zip(m.atoms, bids.tolist()))))
+    return StrategyProfile(tuple(strategies))
+
+
+class TestVerifyReference:
+    """The batched certificate equals a scalar scan over candidates, value by value."""
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda r: f"{r.format.value}-{r.tie.value}")
+    def test_tie_heavy_instances(self, rule, rng):
+        for _ in range(40):
+            f = quarter_product(rng, int(rng.integers(1, 6)))
+            profile = grid_profile(rng, f)
+            assert verify_bne(rule, f, profile) == verify_bne_reference(rule, f, profile)
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda r: f"{r.format.value}-{r.tie.value}")
+    def test_values_span_several_row_blocks(self, rule, rng):
+        # Bidder 0 has 257 values and bids on the quarter grid; its opponents
+        # bid on a 1/128 grid, so its values x candidates utility matrix takes
+        # several row blocks.
+        fine = uniform_on([k / 256 for k in range(257)])
+        opp = [uniform_on([k / 128 for k in range(129)]) for _ in range(2)]
+        f = product_of([fine, *opp], 1.0)
+        profile = StrategyProfile(
+            (grid_profile(rng, f)[0], *grid_profile(rng, f, step=1 / 128)[1:])
+        )
+        pushed = [push_forward(m, s) for m, s in zip(opp, profile[1:])]
+        cells = len(fine.atoms) * len(candidate_allocations(rule.tie, pushed))
+        assert cells > 2 * BEST_RESPONSE_BLOCK
+        assert verify_bne(rule, f, profile) == verify_bne_reference(rule, f, profile)
 
 
 class TestSolve:
