@@ -51,7 +51,6 @@ from .estimate import (
     emp_estimate,
     empp_estimate,
     label_vector_count,
-    permutation_identity_check,
     shade_family,
     sup_error,
     sup_error_sweep,
@@ -61,7 +60,6 @@ from .pandora import (
     IndexPolicy,
     SearchInstance,
     opt_welfare,
-    optimal_adaptive_oracle,
     pandora_from_samples,
     policy_payoff_exact,
     simulate_policy,

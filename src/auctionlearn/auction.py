@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dist import DiscreteDistribution
-from .errors import IndexOutOfRange, NonMonotoneWitness
+from .errors import EmptyGrid, IndexOutOfRange, NonMonotoneWitness
 from .strategy import MonotoneStrategy
 
 
@@ -101,16 +101,16 @@ def push_forward(f_j: DiscreteDistribution, s_j: MonotoneStrategy) -> DiscreteDi
     return DiscreteDistribution(tuple(b for b, _ in pairs), tuple(w for _, w in pairs))
 
 
-def allocation_probabilities(
+def allocation_probability(
     tie: Tie, opp: Sequence[DiscreteDistribution], bases, limit_above: bool = False
-) -> np.ndarray:
+):
     """Exact interim allocation probability of every bid in ``bases``.
 
     The bids are all exact or, with ``limit_above``, all right limits
     ``base+``. An exact bid wins when no opponent bids above it; with t
     opponents tied, the tie DP tracks q[t] = P(nobody above, exactly t tied)
     one opponent at a time, and random allocation wins a t-way tie with
-    probability 1 / (t + 1).
+    probability 1 / (t + 1). A scalar ``bases`` gives a float.
     """
     b = np.asarray(bases, dtype=float)
     if limit_above:
@@ -118,54 +118,37 @@ def allocation_probabilities(
         for d in opp:
             atoms, _, cum = d.arrays
             prob *= cum[np.searchsorted(atoms, b, side="right")]
-        return prob
-    q = [np.ones_like(b)]
-    for d in opp:
-        atoms, weights, cum = d.arrays
-        lo = np.searchsorted(atoms, b, side="left")
-        hi = np.searchsorted(atoms, b, side="right")
-        p_below = cum[lo]
-        p_at = np.where(hi > lo, weights[lo], 0.0)
-        q = (
-            [q[0] * p_below]
-            + [q[t - 1] * p_at + q[t] * p_below for t in range(1, len(q))]
-            + [q[-1] * p_at]
-        )
-    if tie is Tie.NO_ALLOCATION:
-        return q[0]
-    share = q[0]
-    for t in range(1, len(q)):
-        share = share + q[t] / (t + 1)
-    return share
-
-
-def allocation_probability(
-    tie: Tie, opp: Sequence[DiscreteDistribution], bid: CandidateBid
-) -> float:
-    """Exact interim allocation probability of the (possibly limit) bid."""
-    return float(allocation_probabilities(tie, opp, [bid.base], bid.limit_above)[0])
+    else:
+        q = [np.ones_like(b)]
+        for d in opp:
+            atoms, weights, cum = d.arrays
+            lo = np.searchsorted(atoms, b, side="left")
+            hi = np.searchsorted(atoms, b, side="right")
+            p_below = cum[lo]
+            p_at = np.where(hi > lo, weights[lo], 0.0)
+            q = (
+                [q[0] * p_below]
+                + [q[t - 1] * p_at + q[t] * p_below for t in range(1, len(q))]
+                + [q[-1] * p_at]
+            )
+        prob = q[0]
+        if tie is Tie.RANDOM_ALLOCATION:
+            for t in range(1, len(q)):
+                prob = prob + q[t] / (t + 1)
+    return float(prob) if b.ndim == 0 else prob
 
 
 def interim_utility_exact(
-    rule: AuctionRule,
-    i: int,
-    v_i: float,
-    b_i: float | CandidateBid,
-    opp: Sequence[DiscreteDistribution],
-) -> float:
-    """Exact expected utility of bidder i bidding b_i against independent opponent bids."""
-    bid = b_i if isinstance(b_i, CandidateBid) else CandidateBid(float(b_i))
-    alloc = allocation_probability(rule.tie, opp, bid)
-    return _utility(rule.format, v_i, bid.base, alloc)
-
-
-def interim_utilities(
     rule: AuctionRule, values, bids, opp: Sequence[DiscreteDistribution]
-) -> np.ndarray:
-    """:func:`interim_utility_exact` at equal-length arrays of values and exact bids."""
+):
+    """Exact expected utility of bidding ``bids`` at ``values`` against independent opponents.
+
+    Takes equal-length arrays of values and exact bids, or two scalars for one float.
+    """
     b = np.asarray(bids, dtype=float)
-    alloc = allocation_probabilities(rule.tie, opp, b)
-    return _utility(rule.format, np.asarray(values, dtype=float), b, alloc)
+    alloc = allocation_probability(rule.tie, opp, b)
+    u = _utility(rule.format, np.asarray(values, dtype=float), b, alloc)
+    return float(u) if b.ndim == 0 else u
 
 
 def candidate_allocations(
@@ -177,8 +160,8 @@ def candidate_allocations(
     limit; the probabilities are independent of the bidder's value.
     """
     bases = sorted({0.0} | {a for d in opp for a in d.atoms})
-    exact = allocation_probabilities(tie, opp, bases).tolist()
-    above = allocation_probabilities(tie, opp, bases, limit_above=True).tolist()
+    exact = allocation_probability(tie, opp, bases).tolist()
+    above = allocation_probability(tie, opp, bases, limit_above=True).tolist()
     out = []
     for b, p, p_above in zip(bases, exact, above):
         out.append((CandidateBid(b), p))
@@ -191,45 +174,34 @@ def candidate_allocations(
 BEST_RESPONSE_BLOCK = 1 << 12
 
 
-def best_responses(
-    rule: AuctionRule, values, candidates: Sequence[tuple[CandidateBid, float]]
-) -> tuple[list[float], list[CandidateBid]]:
-    """Supremum utility and the first maximizing candidate at every value.
-
-    Row blocks of the values x candidates utility matrix are maximized with
-    ``argmax``, which returns the first maximum, so ties break toward the
-    earlier candidate.
-    """
-    bases = np.array([c.base for c, _ in candidates])
-    alloc = np.array([a for _, a in candidates])
-    v = np.asarray(values, dtype=float)
-    rows = max(1, BEST_RESPONSE_BLOCK // len(candidates))
-    sups, picks = [], []
-    for lo in range(0, len(v), rows):
-        u = _utility(rule.format, v[lo : lo + rows, None], bases, alloc)
-        k = u.argmax(axis=1)
-        sups.extend(u[np.arange(len(k)), k].tolist())
-        picks.extend(candidates[j][0] for j in k.tolist())
-    return sups, picks
-
-
 def best_response(
     rule: AuctionRule,
-    i: int,
-    v_i: float,
+    values,
     opp: Sequence[DiscreteDistribution],
     candidates: Sequence[tuple[CandidateBid, float]] | None = None,
-) -> tuple[float, CandidateBid]:
-    """Supremum interim utility over all bids in [0, H] and one maximizer.
+):
+    """Supremum interim utility over all bids in [0, H] and one maximizer, per value.
 
-    Ties break toward the lower base, exact bid before its right limit.
-    ``candidates`` can be supplied to reuse allocation probabilities across
-    many values of the same bidder.
+    A scalar value gives ``(sup, bid)``; an array of values gives two lists.
+    Row blocks of the values x candidates utility matrix are maximized with
+    ``argmax``, which returns the first maximum, so ties break toward the
+    lower base, exact bid before its right limit. ``candidates`` can be
+    supplied to reuse allocation probabilities across calls for one bidder.
     """
     if candidates is None:
         candidates = candidate_allocations(rule.tie, opp)
-    sups, picks = best_responses(rule, [v_i], candidates)
-    return sups[0], picks[0]
+    bases = np.array([c.base for c, _ in candidates])
+    alloc = np.array([a for _, a in candidates])
+    v = np.asarray(values, dtype=float)
+    flat = np.atleast_1d(v)
+    rows = max(1, BEST_RESPONSE_BLOCK // len(candidates))
+    sups, picks = [], []
+    for lo in range(0, len(flat), rows):
+        u = _utility(rule.format, flat[lo : lo + rows, None], bases, alloc)
+        k = u.argmax(axis=1)
+        sups.extend(u[np.arange(len(k)), k].tolist())
+        picks.extend(candidates[j][0] for j in k.tolist())
+    return (sups[0], picks[0]) if v.ndim == 0 else (sups, picks)
 
 
 def realize_bid(
@@ -247,33 +219,32 @@ def realize_bid(
 
 def monotone_best_response_profile(
     rule: AuctionRule,
-    i: int,
     values: Sequence[float],
     opp: Sequence[DiscreteDistribution],
+    h: float,
     bid_grid: Sequence[float] | None = None,
-    h: float | None = None,
 ) -> MonotoneStrategy:
     """Pointwise best-response bids over a value grid, emitted as a strategy.
 
     When ``bid_grid`` is given the search is restricted to those bids;
-    otherwise the full candidate set (with limit bids realized numerically)
-    is used. Bids with zero winning probability are zeroed out, after which
-    the bid sequence must be nondecreasing; a violation raises
-    :class:`NonMonotoneWitness`, since it would contradict the monotone
-    dominance of best responses.
+    otherwise the full candidate set (with limit bids realized numerically,
+    capped at ``h``) is used. Bids with zero winning probability are zeroed
+    out, after which the bid sequence must be nondecreasing; a violation
+    raises :class:`NonMonotoneWitness`, since it would contradict the
+    monotone dominance of best responses.
     """
     if bid_grid is not None:
         grid_bids = sorted(set(bid_grid))
-        alloc = allocation_probabilities(rule.tie, opp, grid_bids).tolist()
+        if not grid_bids:
+            raise EmptyGrid("bid_grid is empty")
+        alloc = allocation_probability(rule.tie, opp, grid_bids).tolist()
         cands = [(CandidateBid(b), p) for b, p in zip(grid_bids, alloc)]
     else:
         cands = candidate_allocations(rule.tie, opp)
-    if h is None:
-        h = max([c.base for c, _ in cands] + [max(values, default=0.0)])
     grid = sorted(set(float(v) for v in values))
     bases = [c.base for c, _ in cands]
     alloc_of = dict(cands)
-    _, choices = best_responses(rule, grid, cands)
+    _, choices = best_response(rule, grid, opp, cands)
     bids = [0.0 if alloc_of[c] == 0.0 else realize_bid(c, bases, h) for c in choices]
     if any(b2 < b1 for b1, b2 in zip(bids, bids[1:])):
         raise NonMonotoneWitness(f"best-response bids not monotone: {list(zip(grid, bids))}")

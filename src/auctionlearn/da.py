@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .auction import FPA_RANDOM, Tie, allocation_probabilities, ex_post_allocation
+from .auction import FPA_RANDOM, Tie, allocation_probability, ex_post_allocation
 from .dist import (
     DiscreteDistribution,
     ProductDistribution,
@@ -174,7 +174,7 @@ def _bidder_terms(
     for wc, comp in mixed[i].components:
         inspect += wc * math.prod(d.prob_at_most(comp.tau) for d in opp)
         bids = [comp.beta.eval(a) for a in f_i.atoms]
-        alloc = allocation_probabilities(tie, opp, bids).tolist()
+        alloc = allocation_probability(tie, opp, bids).tolist()
         for a, wv, b, p in zip(f_i.atoms, f_i.weights, bids, alloc):
             share = wc * wv * p
             won += share * a

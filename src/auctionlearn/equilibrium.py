@@ -18,9 +18,8 @@ import numpy as np
 from .auction import (
     AuctionRule,
     CandidateBid,
-    best_responses,
-    candidate_allocations,
-    interim_utilities,
+    best_response,
+    interim_utility_exact,
     monotone_best_response_profile,
     push_forward,
 )
@@ -64,8 +63,8 @@ def verify_bne(
     for i in range(f.n):
         opp = [pushed[j] for j in range(f.n) if j != i]
         values = f.marginals[i].atoms
-        own = interim_utilities(rule, values, [profile[i].eval(v) for v in values], opp)
-        sups, devs = best_responses(rule, values, candidate_allocations(rule.tie, opp))
+        own = interim_utility_exact(rule, values, [profile[i].eval(v) for v in values], opp)
+        sups, devs = best_response(rule, values, opp)
         row = []
         for v, own_u, sup, dev in zip(values, own.tolist(), sups, devs):
             gap = sup - own_u
@@ -126,7 +125,6 @@ def solve_bne(
     max_iters: int = 500,
     damping: float = 0.5,
     seed: int = 0,
-    target_eps: float | None = None,
 ) -> tuple[StrategyProfile, BNECertificate]:
     """Damped best-response dynamics on a bid grid, certified every step.
 
@@ -135,9 +133,9 @@ def solve_bne(
     flat start); within each run, every raw best-response iterate and every
     damped iterate is certified, and the profile with the smallest certified
     epsilon across all restarts is returned. Dynamics need not converge in a
-    first-price auction, so convergence is never a stopping criterion;
-    ``target_eps`` optionally stops early once a good-enough certificate is
-    found. ``max_iters`` caps the total rounds across restarts.
+    first-price auction, so convergence is never a stopping criterion, but a
+    certificate of 0 ends the search. ``max_iters`` caps the total rounds
+    across restarts.
     """
     grid = sorted(set(float(b) for b in bid_grid))
     if not grid:
@@ -162,14 +160,12 @@ def solve_bne(
         # Bid distributions of the current profile; only the replaced bidder's changes.
         pushed = [push_forward(f.marginals[j], profile[j]) for j in range(f.n)]
         for _ in range(rounds_per_start):
-            if target_eps is not None and best_cert.epsilon <= target_eps:
-                return best_profile, best_cert
             if best_cert.epsilon == 0.0:
                 return best_profile, best_cert
             for i in range(f.n):
                 opp = pushed[:i] + pushed[i + 1 :]
                 values = f.marginals[i].atoms
-                br = monotone_best_response_profile(rule, i, values, opp, bid_grid=grid, h=f.h)
+                br = monotone_best_response_profile(rule, values, opp, f.h, bid_grid=grid)
                 consider(profile.replace(i, br))
                 nxt = _damped_mix(profile[i], br, values, damping, rng) if damping > 0 else br
                 profile = profile.replace(i, nxt)

@@ -3,14 +3,12 @@
 Two estimators are provided: the empirical one, which averages ex post
 utilities over the sampled value rows, and the product-form one, which
 computes the exact interim utility on the product of per-bidder empirical
-marginals. A permutation oracle checks the identity tying the two together,
-and a label-vector counter checks the combinatorial bound that drives the
-sample-complexity analysis.
+marginals. A label-vector counter checks the combinatorial bound that drives
+the sample-complexity analysis.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -19,12 +17,10 @@ import numpy as np
 from .auction import (
     AuctionRule,
     ex_post_utility,
-    interim_utilities,
     interim_utility_exact,
     push_forward,
 )
 from .dist import ProductDistribution, SampleMatrix, empirical_marginals, sample_matrix
-from .errors import TooLargeToEnumerate
 from .strategy import StrategyProfile, shade
 
 
@@ -57,7 +53,7 @@ def empp_estimate(
     """Exact interim utility on the empirical product distribution."""
     emp = empirical_marginals(s)
     opp = [push_forward(emp.marginals[j], profile[j]) for j in range(s.n) if j != i]
-    return interim_utility_exact(rule, i, v_i, profile[i].eval(v_i), opp)
+    return interim_utility_exact(rule, v_i, profile[i].eval(v_i), opp)
 
 
 def _probe_values(f: ProductDistribution, profile: StrategyProfile, i: int) -> list[float]:
@@ -91,14 +87,14 @@ def sup_error(
             opp_true = [push_forward(f.marginals[j], profile[j]) for j in range(f.n) if j != i]
             probes = _probe_values(f, profile, i)
             bids = [profile[i].eval(v) for v in probes]
-            exact = interim_utilities(rule, probes, bids, opp_true).tolist()
+            exact = interim_utility_exact(rule, probes, bids, opp_true).tolist()
             if emp_prod is not None:
                 opp_emp = [
                     push_forward(emp_prod.marginals[j], profile[j])
                     for j in range(f.n)
                     if j != i
                 ]
-                est = interim_utilities(rule, probes, bids, opp_emp).tolist()
+                est = interim_utility_exact(rule, probes, bids, opp_emp).tolist()
             else:
                 est = [emp_estimate(s, rule, i, v, profile) for v in probes]
             for v, e, x in zip(probes, est, exact):
@@ -145,34 +141,6 @@ def sup_error_sweep(
                 }
             )
     return rows
-
-
-def permutation_identity_check(
-    s: SampleMatrix, rule: AuctionRule, i: int, v_i: float, profile: StrategyProfile
-) -> tuple[float, float]:
-    """Exact permutation average of the empirical estimator vs. the product-form one.
-
-    Averages the empirical estimate over all (m!)^(n-1) joint permutations of
-    the opponents' columns; the result must equal the product-form estimate.
-    Only tiny instances are enumerable.
-    """
-    m, n = s.m, s.n
-    if m > 5 or n > 3:
-        raise TooLargeToEnumerate(f"m={m}, n={n} exceeds the (m!)^(n-1) enumeration limit")
-    opp_cols = [j for j in range(n) if j != i]
-    # rows[c, k, r]: the sample row that opponent opp_cols[k] reads at
-    # position r under joint permutation c.
-    joint = list(itertools.product(itertools.permutations(range(m)), repeat=len(opp_cols)))
-    rows = np.array(joint, dtype=int).reshape(len(joint), len(opp_cols), m)
-    base = profile.bids(s.values)
-    base[:, i] = profile[i].eval(v_i)
-    bids = np.broadcast_to(base, (len(rows), m, n)).copy()
-    for k, col in enumerate(opp_cols):
-        bids[..., col] = base[rows[:, k], col]
-    # Every permutation averages over the same m rows, so the mean of the
-    # per-permutation averages is the mean over all of them.
-    emp = float(np.mean(ex_post_utility(rule, i, v_i, bids)))
-    return emp, empp_estimate(s, rule, i, v_i, profile)
 
 
 def label_vector_count(hypothesis_values: np.ndarray, witnesses: Sequence[float]) -> int:

@@ -4,15 +4,13 @@ Indices solve E[max(v - sigma, 0)] = c exactly: the left side is piecewise
 linear in sigma with kinks at the atoms, so each segment is inverted in
 closed form and no iterative tolerance enters. The expected payoff of an
 index policy is computed by a forward pass over the distribution of the best
-value seen so far; a backward-induction oracle over all adaptive policies
-verifies optimality on tiny instances.
+value seen so far.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .dist import (
@@ -22,7 +20,7 @@ from .dist import (
     empirical_marginals,
     truncate_at,
 )
-from .errors import CostExceedsMean, DimensionMismatch, TooLargeToEnumerate
+from .errors import CostExceedsMean, DimensionMismatch
 
 _MEAN_TOL = 1e-9
 
@@ -84,19 +82,21 @@ def weitzman_index(f: DiscreteDistribution, c: float, h: float | None = None) ->
         raise ValueError("cost must be nonnegative")
     if h is None:
         h = f.max_atom
-    if c > f.mean() + _MEAN_TOL:
-        raise CostExceedsMean(f"cost {c} exceeds E[v] = {f.mean()}")
+    mean = f.mean()
+    if c > mean + _MEAN_TOL:
+        raise CostExceedsMean(f"cost {c} exceeds E[v] = {mean}")
     if c == 0:
         return float(h)
     # On [a_{k-1}, a_k] the excess is T - sigma * W with T, W the tail sums
     # over atoms >= a_k; scan segments from the top.
+    excess = min(c, mean)
     tail_sum = 0.0
     tail_w = 0.0
     atoms, weights = f.atoms, f.weights
     for k in range(len(atoms) - 1, -1, -1):
         tail_sum += atoms[k] * weights[k]
         tail_w += weights[k]
-        sigma = (tail_sum - min(c, f.mean())) / tail_w
+        sigma = (tail_sum - excess) / tail_w
         lower = atoms[k - 1] if k > 0 else 0.0
         if sigma >= lower:
             return sigma
@@ -187,35 +187,6 @@ def policy_payoff_exact(inst: SearchInstance, p: IndexPolicy) -> float:
         if reach == 0.0:
             break
     return total
-
-
-def optimal_adaptive_oracle(inst: SearchInstance) -> float:
-    """Exact optimum over all adaptive open/stop policies, by backward induction.
-
-    State space is (set of opened boxes) x (best value so far); only tiny
-    instances are admitted.
-    """
-    if inst.n > 4 or any(len(f.atoms) > 4 for f in inst.boxes.marginals):
-        raise TooLargeToEnumerate("oracle limited to n <= 4 and <= 4 atoms per box")
-    marginals = inst.boxes.marginals
-    costs = inst.costs
-    n = inst.n
-
-    @lru_cache(maxsize=None)
-    def value(open_mask: int, best: float) -> float:
-        out = best
-        for j in range(n):
-            if open_mask & (1 << j):
-                continue
-            cont = -costs[j]
-            for a, w in marginals[j]:
-                cont += w * value(open_mask | (1 << j), max(best, a))
-            out = max(out, cont)
-        return out
-
-    result = value(0, 0.0)
-    value.cache_clear()
-    return result
 
 
 def opt_welfare(inst: SearchInstance) -> float:

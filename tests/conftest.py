@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from auctionlearn.auction import (
 from auctionlearn.da import DAMixedStrategy, MonotoneMixture, simulate_da
 from auctionlearn.dist import DiscreteDistribution, make_discrete, product_of
 from auctionlearn.equilibrium import BNECertificate
+from auctionlearn.errors import TooLargeToEnumerate
+from auctionlearn.estimate import empp_estimate
 from auctionlearn.pandora import SearchInstance
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile
 
@@ -197,6 +200,61 @@ def ex_ante_utility_fpa(f, profile, i, rule=FPA_RANDOM) -> float:
     draws = np.array(list(itertools.product(*per_bidder)))  # (draw, bidder, field)
     prob = np.prod(draws[:, :, 0], axis=1)
     return float(prob @ ex_post_utility(rule, i, draws[:, i, 1], draws[:, :, 2]))
+
+
+def permutation_identity_check(s, rule, i, v_i, profile) -> tuple[float, float]:
+    """Exact permutation average of the empirical estimator vs. the product-form one.
+
+    Averages the empirical estimate over all (m!)^(n-1) joint permutations of
+    the opponents' columns; the result must equal the product-form estimate.
+    Only tiny instances are enumerable.
+    """
+    m, n = s.m, s.n
+    if m > 5 or n > 3:
+        raise TooLargeToEnumerate(f"m={m}, n={n} exceeds the (m!)^(n-1) enumeration limit")
+    opp_cols = [j for j in range(n) if j != i]
+    # rows[c, k, r]: the sample row that opponent opp_cols[k] reads at
+    # position r under joint permutation c.
+    joint = list(itertools.product(itertools.permutations(range(m)), repeat=len(opp_cols)))
+    rows = np.array(joint, dtype=int).reshape(len(joint), len(opp_cols), m)
+    base = profile.bids(s.values)
+    base[:, i] = profile[i].eval(v_i)
+    bids = np.broadcast_to(base, (len(rows), m, n)).copy()
+    for k, col in enumerate(opp_cols):
+        bids[..., col] = base[rows[:, k], col]
+    # Every permutation averages over the same m rows, so the mean of the
+    # per-permutation averages is the mean over all of them.
+    emp = float(np.mean(ex_post_utility(rule, i, v_i, bids)))
+    return emp, empp_estimate(s, rule, i, v_i, profile)
+
+
+def optimal_adaptive_oracle(inst: SearchInstance) -> float:
+    """Exact optimum over all adaptive open/stop policies, by backward induction.
+
+    State space is (set of opened boxes) x (best value so far); only tiny
+    instances are admitted.
+    """
+    if inst.n > 4 or any(len(f.atoms) > 4 for f in inst.boxes.marginals):
+        raise TooLargeToEnumerate("oracle limited to n <= 4 and <= 4 atoms per box")
+    marginals = inst.boxes.marginals
+    costs = inst.costs
+    n = inst.n
+
+    @lru_cache(maxsize=None)
+    def value(open_mask: int, best: float) -> float:
+        out = best
+        for j in range(n):
+            if open_mask & (1 << j):
+                continue
+            cont = -costs[j]
+            for a, w in marginals[j]:
+                cont += w * value(open_mask | (1 << j), max(best, a))
+            out = max(out, cont)
+        return out
+
+    result = value(0, 0.0)
+    value.cache_clear()
+    return result
 
 
 def da_outcomes_by_enumeration(inst, profile, tie):

@@ -38,7 +38,6 @@ from auctionlearn.equilibrium import verify_bne
 from auctionlearn.estimate import (
     label_vector_count,
     median_ratio_table,
-    permutation_identity_check,
     shade_family,
     sup_error_sweep,
 )
@@ -46,7 +45,6 @@ from auctionlearn.lowerbound import distinguisher_trials
 from auctionlearn.pandora import (
     SearchInstance,
     opt_welfare,
-    optimal_adaptive_oracle,
     policy_payoff_exact,
     truncation_budget,
     weitzman_index,
@@ -58,6 +56,8 @@ from auctionlearn.testkits import dense_monotone_hypotheses
 from conftest import (
     ex_ante_utility_fpa,
     interim_by_enumeration,
+    optimal_adaptive_oracle,
+    permutation_identity_check,
     random_bid_dist,
     random_discrete,
     random_monotone,
@@ -85,7 +85,7 @@ def test_criterion_01_interim_oracle_equivalence():
         probes = [float(rng.random())] + [a for d in opp for a in d.atoms[:1]]
         for b in probes:
             diff = abs(
-                interim_utility_exact(rule, 0, v, b, opp)
+                interim_utility_exact(rule, v, b, opp)
                 - interim_by_enumeration(rule, v, b, opp)
             )
             worst = max(worst, diff)

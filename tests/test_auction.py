@@ -12,7 +12,6 @@ from auctionlearn.auction import (
     CandidateBid,
     Format,
     Tie,
-    allocation_probabilities,
     allocation_probability,
     best_response,
     candidate_allocations,
@@ -24,7 +23,7 @@ from auctionlearn.auction import (
     realize_bid,
 )
 from auctionlearn.dist import DiscreteDistribution, make_discrete, point_mass, uniform_on
-from auctionlearn.errors import IndexOutOfRange
+from auctionlearn.errors import EmptyGrid, IndexOutOfRange
 from auctionlearn.strategy import MonotoneStrategy, constant, shade
 
 from conftest import (
@@ -112,8 +111,29 @@ def test_tie_dp_matches_scalar_reference(data):
     bids = data.draw(st.lists(BIDS, min_size=1, max_size=8))
     for above in (False, True):
         want = [allocation_probability_reference(tie, opp, CandidateBid(b, above)) for b in bids]
-        assert allocation_probabilities(tie, opp, bids, limit_above=above).tolist() == want
-        assert [allocation_probability(tie, opp, CandidateBid(b, above)) for b in bids] == want
+        assert allocation_probability(tie, opp, bids, limit_above=above).tolist() == want
+        assert [allocation_probability(tie, opp, b, above) for b in bids] == want
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_scalar_call_matches_array_element(data):
+    rule = data.draw(st.sampled_from([FPA_RANDOM, FPA_NONE, ALLPAY_RANDOM, ALLPAY_NONE]))
+    opp = data.draw(st.lists(quarter_distributions(), max_size=4))
+    bids = data.draw(st.lists(BIDS, min_size=1, max_size=6))
+    values = data.draw(st.lists(QUARTERS, min_size=len(bids), max_size=len(bids)))
+    for above in (False, True):
+        alloc = allocation_probability(rule.tie, opp, bids, limit_above=above).tolist()
+        for b, a in zip(bids, alloc):
+            p = allocation_probability(rule.tie, opp, b, above)
+            assert isinstance(p, float) and p == a
+    utils = interim_utility_exact(rule, values, bids, opp).tolist()
+    sups, picks = best_response(rule, values, opp)
+    for k, (v, b) in enumerate(zip(values, bids)):
+        u = interim_utility_exact(rule, v, b, opp)
+        assert isinstance(u, float) and u == utils[k]
+        sup, pick = best_response(rule, v, opp)
+        assert isinstance(sup, float) and sup == sups[k] and pick == picks[k]
 
 
 class TestPushForward:
@@ -134,16 +154,16 @@ class TestPushForward:
 class TestInterimExact:
     def test_win_no_tie(self):
         opp = [DiscreteDistribution((0.2, 0.6), (0.5, 0.5))]
-        assert interim_utility_exact(FPA_RANDOM, 0, 1.0, 0.4, opp) == pytest.approx(0.3)
+        assert interim_utility_exact(FPA_RANDOM, 1.0, 0.4, opp) == pytest.approx(0.3)
 
     def test_tie_expectation(self):
         opp = [DiscreteDistribution((0.2, 0.6), (0.5, 0.5))]
         # win outright w.p. 1/2 plus half of a two-way tie w.p. 1/2
-        assert interim_utility_exact(FPA_RANDOM, 0, 1.0, 0.6, opp) == pytest.approx(0.3)
+        assert interim_utility_exact(FPA_RANDOM, 1.0, 0.6, opp) == pytest.approx(0.3)
 
     def test_four_way_tie(self):
         opp = [DiscreteDistribution((0.5,), (1.0,))] * 3
-        assert interim_utility_exact(FPA_RANDOM, 0, 1.0, 0.5, opp) == pytest.approx(0.125)
+        assert interim_utility_exact(FPA_RANDOM, 1.0, 0.5, opp) == pytest.approx(0.125)
 
     def test_matches_enumeration_on_random_instances(self, rng):
         rules = [FPA_RANDOM, FPA_NONE, ALLPAY_RANDOM, ALLPAY_NONE]
@@ -153,47 +173,49 @@ class TestInterimExact:
             v = float(rng.random())
             probes = [float(rng.random())] + [a for d in opp for a in d.atoms[:1]]
             for b in probes:
-                dp = interim_utility_exact(rule, 0, v, b, opp)
+                dp = interim_utility_exact(rule, v, b, opp)
                 assert dp == pytest.approx(interim_by_enumeration(rule, v, b, opp), abs=1e-10)
 
     def test_limit_bid_wins_weak_inequality(self):
         opp = [DiscreteDistribution((0.2,), (1.0,))]
-        u = interim_utility_exact(FPA_RANDOM, 0, 1.0, CandidateBid(0.2, limit_above=True), opp)
-        assert u == pytest.approx(0.8)
+        # The exact bid ties with the atom; its right limit beats it outright.
+        assert allocation_probability(FPA_RANDOM.tie, opp, 0.2) == 0.5
+        alloc = allocation_probability(FPA_RANDOM.tie, opp, 0.2, limit_above=True)
+        assert alloc * (1.0 - 0.2) == pytest.approx(0.8)
 
 
 class TestBestResponse:
     def test_just_above_point_mass(self):
         opp = [DiscreteDistribution((0.2,), (1.0,))]
-        sup, arg = best_response(FPA_RANDOM, 0, 1.0, opp)
+        sup, arg = best_response(FPA_RANDOM, 1.0, opp)
         assert sup == pytest.approx(0.8)
         assert arg == CandidateBid(0.2, limit_above=True)
 
     def test_unprofitable_stays_at_zero(self):
         opp = [DiscreteDistribution((0.9,), (1.0,))]
-        sup, arg = best_response(FPA_RANDOM, 0, 0.5, opp)
+        sup, arg = best_response(FPA_RANDOM, 0.5, opp)
         assert sup == 0.0
         assert arg == CandidateBid(0.0)
 
     def test_no_opponents(self):
-        sup, arg = best_response(FPA_RANDOM, 0, 0.7, [])
+        sup, arg = best_response(FPA_RANDOM, 0.7, [])
         assert (sup, arg) == (0.7, CandidateBid(0.0))
 
     def test_dominates_probed_bids(self, rng):
         for _ in range(50):
             opp = [random_bid_dist(rng) for _ in range(rng.integers(1, 4))]
             v = float(rng.random())
-            sup, _ = best_response(FPA_RANDOM, 0, v, opp)
+            sup, _ = best_response(FPA_RANDOM, v, opp)
             for b in rng.random(5):
-                assert sup >= interim_utility_exact(FPA_RANDOM, 0, v, float(b), opp) - 1e-12
+                assert sup >= interim_utility_exact(FPA_RANDOM, v, float(b), opp) - 1e-12
 
     def test_invariant_to_atom_split(self):
         whole = [DiscreteDistribution((0.2, 0.6), (0.5, 0.5))]
         d = make_discrete([0.2, 0.2, 0.6], [0.25, 0.25, 0.5])
         split = [DiscreteDistribution(d.atoms, d.weights)]
         for v in (0.3, 0.7, 1.0):
-            assert best_response(FPA_RANDOM, 0, v, whole)[0] == pytest.approx(
-                best_response(FPA_RANDOM, 0, v, split)[0], abs=1e-12
+            assert best_response(FPA_RANDOM, v, whole)[0] == pytest.approx(
+                best_response(FPA_RANDOM, v, split)[0], abs=1e-12
             )
 
     def test_allocation_nondecreasing_in_bid(self, rng):
@@ -219,7 +241,7 @@ class TestRealizeBid:
 class TestMonotoneBestResponse:
     def test_spec_grid(self):
         opp = [DiscreteDistribution((0.2, 0.6), (0.5, 0.5))]
-        s = monotone_best_response_profile(FPA_RANDOM, 0, [0.1, 0.5, 1.0], opp, h=1.0)
+        s = monotone_best_response_profile(FPA_RANDOM, [0.1, 0.5, 1.0], opp, h=1.0)
         bids = [s.eval(v) for v in (0.1, 0.5, 1.0)]
         assert bids[0] == 0.0
         assert bids == sorted(bids)
@@ -227,9 +249,14 @@ class TestMonotoneBestResponse:
 
     def test_all_values_below_opponents(self):
         opp = [DiscreteDistribution((0.8,), (1.0,))]
-        s = monotone_best_response_profile(FPA_RANDOM, 0, [0.1, 0.3], opp, h=1.0)
+        s = monotone_best_response_profile(FPA_RANDOM, [0.1, 0.3], opp, h=1.0)
         assert all(s.eval(v) == 0.0 for v in (0.1, 0.3))
 
     def test_no_opponents_bids_zero(self):
-        s = monotone_best_response_profile(FPA_RANDOM, 0, [0.2, 0.9], [], h=1.0)
+        s = monotone_best_response_profile(FPA_RANDOM, [0.2, 0.9], [], h=1.0)
         assert all(s.eval(v) == 0.0 for v in (0.2, 0.9))
+
+    def test_empty_grid(self):
+        opp = [DiscreteDistribution((0.2,), (1.0,))]
+        with pytest.raises(EmptyGrid):
+            monotone_best_response_profile(FPA_RANDOM, [0.5], opp, 1.0, bid_grid=[])

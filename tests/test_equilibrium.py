@@ -165,11 +165,6 @@ class TestSolve:
         with pytest.raises(EmptyGrid):
             solve_bne(FPA_RANDOM, UNIFORM2, [])
 
-    def test_target_eps_stops_early(self):
-        grid = [k / 40 for k in range(41)]
-        _, cert = solve_bne(FPA_RANDOM, UNIFORM2, grid, max_iters=500, target_eps=0.1)
-        assert cert.epsilon <= 0.1
-
 
 class TestTransfer:
     def test_exact_empirical_support_matches(self):

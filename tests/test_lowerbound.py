@@ -57,7 +57,7 @@ class TestGapUtility:
                     push_forward(f.marginals[j], bp if j in t else bm)
                     for j in range(n - 1)
                 ]
-                exact = interim_utility_exact(FPA_RANDOM, n - 1, 1.0, 0.5, opp)
+                exact = interim_utility_exact(FPA_RANDOM, 1.0, 0.5, opp)
                 assert exact == pytest.approx(gap_utility(n, eps, s, t), abs=1e-12)
 
     def test_pairwise_inequality_all_subsets(self):

@@ -14,7 +14,6 @@ from auctionlearn.pandora import (
     IndexPolicy,
     SearchInstance,
     opt_welfare,
-    optimal_adaptive_oracle,
     pandora_from_samples,
     policy_payoff_exact,
     simulate_policy,
@@ -23,7 +22,7 @@ from auctionlearn.pandora import (
     weitzman_policy,
 )
 
-from conftest import random_search_instance
+from conftest import optimal_adaptive_oracle, random_search_instance
 
 BERNOULLI = uniform_on([0.0, 1.0])
 
