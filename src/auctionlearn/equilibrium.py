@@ -56,26 +56,37 @@ def verify_bne(
     """Exact epsilon-BNE certificate: max over (bidder, value) best-response gaps."""
     if len(profile) != f.n:
         raise DimensionMismatch(f"profile has {len(profile)} strategies for {f.n} bidders")
-    pushed = [push_forward(f.marginals[j], profile[j]) for j in range(f.n)]
-    eps = 0.0
-    worst = (0, 0.0, CandidateBid(0.0))
-    gap_rows = []
-    for i in range(f.n):
-        opp = [pushed[j] for j in range(f.n) if j != i]
+    if any(s.max_bid > f.h for s in profile):
+        raise ValueError(f"profile bids above H={f.h}")
+    return _certify(rule, f, profile, [push_forward(m, s) for m, s in zip(f.marginals, profile)])
+
+
+def _certify(rule, f, profile, pushed, stop_at: float = math.inf, first: int = 0):
+    """``verify_bne``'s certificate from the bid distributions ``pushed``, or None as
+    soon as one bidder's largest gap is >= ``stop_at``. Bidder ``first`` is examined
+    first; the certificate is assembled in bidder order, so it does not depend on it.
+    """
+    rows = {}
+    for i in [first] + [j for j in range(f.n) if j != first]:
+        opp = pushed[:i] + pushed[i + 1 :]
         values = f.marginals[i].atoms
         own = interim_utility_exact(rule, values, [profile[i].eval(v) for v in values], opp)
         sups, devs = best_response(rule, values, opp)
-        row = []
-        for v, own_u, sup, dev in zip(values, own.tolist(), sups, devs):
+        gaps = []
+        for own_u, sup in zip(own.tolist(), sups):
             gap = sup - own_u
             if not gap >= -1e-9:  # also a NaN gap, which `gap > eps` would skip
                 raise AssertionError(f"gap {gap} is negative or NaN: candidates not exhaustive")
-            gap = max(gap, 0.0)
-            row.append((v, gap))
+            gaps.append(max(gap, 0.0))
+        if max(gaps) >= stop_at:
+            return None
+        rows[i] = (values, gaps, devs)
+    eps, worst = 0.0, (0, 0.0, CandidateBid(0.0))
+    for i in range(f.n):
+        for v, gap, dev in zip(*rows[i]):
             if gap > eps:
                 eps, worst = gap, (i, v, dev)
-        gap_rows.append(tuple(row))
-    return BNECertificate(eps, tuple(gap_rows), worst)
+    return BNECertificate(eps, tuple(tuple(zip(*rows[i][:2])) for i in range(f.n)), worst)
 
 
 def _damped_mix(
@@ -112,10 +123,11 @@ def _shade_on_grid(values, alpha: float, grid: list[float]) -> MonotoneStrategy:
 
 
 def uniform_bid_grid(h: float, grid_step: float) -> list[float]:
-    """The bids k * grid_step for k = 0, ..., round(h / grid_step)."""
+    """Bids j * grid_step for j < k = floor(h / grid_step + 1e-9), then min(k * grid_step, h)."""
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise ValueError(f"grid step must be finite and positive, got {grid_step}")
-    return [k * grid_step for k in range(int(round(h / grid_step)) + 1)]
+    k = math.floor(h / grid_step + 1e-9)
+    return [j * grid_step for j in range(k)] + [min(k * grid_step, h)]
 
 
 def solve_bne(
@@ -128,49 +140,56 @@ def solve_bne(
 ) -> tuple[StrategyProfile, BNECertificate]:
     """Damped best-response dynamics on a bid grid, certified every step.
 
-    The dynamics restarts from a handful of grid-snapped linear-shading
-    profiles (best-response cycling rarely discovers graded strategies from a
-    flat start); within each run, every raw best-response iterate and every
-    damped iterate is certified, and the profile with the smallest certified
-    epsilon across all restarts is returned. Dynamics need not converge in a
-    first-price auction, so convergence is never a stopping criterion, but a
-    certificate of 0 ends the search. ``max_iters`` caps the total rounds
-    across restarts.
+    The dynamics restarts from five grid-snapped linear-shading profiles
+    (best-response cycling rarely discovers graded strategies from a flat
+    start) and runs ``max_iters // 5`` rounds from each, so ``max_iters`` caps
+    the total rounds and 0 to 4 certify only the starts. Every raw and every
+    damped best-response iterate is considered. A profile is kept only if its
+    epsilon is below the best so far, so its certification stops at the first
+    bidder (the best's worst one first) whose largest gap reaches the best; the
+    returned certificate equals ``verify_bne``'s. Dynamics need not converge in
+    a first-price auction: only a certificate of 0 ends the search early. Grid
+    bids must not exceed ``f.h``.
     """
     grid = sorted(set(float(b) for b in bid_grid))
     if not grid:
         raise EmptyGrid("bid_grid is empty")
+    if grid[-1] > f.h:
+        raise ValueError(f"bid grid reaches {grid[-1]} above H={f.h}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     rng = np.random.default_rng(seed)
     starts = [0.0, 0.25, 0.5, 0.75, 1.0]
-    rounds_per_start = max(1, max_iters // len(starts))
     best_profile: StrategyProfile | None = None
     best_cert: BNECertificate | None = None
 
-    def consider(profile: StrategyProfile) -> None:
+    def consider(profile: StrategyProfile, pushed: list) -> None:
         nonlocal best_profile, best_cert
-        cert = verify_bne(rule, f, profile)
-        if best_cert is None or cert.epsilon < best_cert.epsilon:
+        bound = (best_cert.epsilon, best_cert.worst[0]) if best_cert else (math.inf, 0)
+        cert = _certify(rule, f, profile, pushed, *bound)
+        if cert is not None:
             best_profile, best_cert = profile, cert
 
     for alpha in starts:
         profile = StrategyProfile(
             tuple(_shade_on_grid(f.marginals[i].atoms, alpha, grid) for i in range(f.n))
         )
-        consider(profile)
         # Bid distributions of the current profile; only the replaced bidder's changes.
         pushed = [push_forward(f.marginals[j], profile[j]) for j in range(f.n)]
-        for _ in range(rounds_per_start):
+        consider(profile, pushed)
+        for _ in range(max_iters // len(starts)):
             if best_cert.epsilon == 0.0:
                 return best_profile, best_cert
             for i in range(f.n):
                 opp = pushed[:i] + pushed[i + 1 :]
                 values = f.marginals[i].atoms
                 br = monotone_best_response_profile(rule, values, opp, f.h, bid_grid=grid)
-                consider(profile.replace(i, br))
+                br_pushed = push_forward(f.marginals[i], br)
+                consider(profile.replace(i, br), opp[:i] + [br_pushed] + opp[i:])
                 nxt = _damped_mix(profile[i], br, values, damping, rng) if damping > 0 else br
                 profile = profile.replace(i, nxt)
                 pushed[i] = push_forward(f.marginals[i], nxt)
-                consider(profile)
+                consider(profile, pushed)
     return best_profile, best_cert
 
 

@@ -15,11 +15,12 @@ from auctionlearn.auction import (
     Format,
     Tie,
     ex_post_utility,
+    monotone_best_response_profile,
     push_forward,
 )
 from auctionlearn.da import DAMixedStrategy, MonotoneMixture, simulate_da
 from auctionlearn.dist import DiscreteDistribution, make_discrete, product_of
-from auctionlearn.equilibrium import BNECertificate
+from auctionlearn.equilibrium import BNECertificate, _damped_mix, _shade_on_grid, verify_bne
 from auctionlearn.errors import TooLargeToEnumerate
 from auctionlearn.estimate import empp_estimate
 from auctionlearn.pandora import SearchInstance
@@ -182,6 +183,41 @@ def verify_bne_reference(rule, f, profile) -> BNECertificate:
                 eps, worst = gap, (i, v, dev)
         gap_rows.append(tuple(row))
     return BNECertificate(eps, tuple(gap_rows), worst)
+
+
+def solve_bne_reference(rule, f, bid_grid, max_iters, damping=0.5, seed=0):
+    """The certified best-response solver with a full ``verify_bne`` per considered profile.
+
+    Same dynamics, random stream and acceptance rule (strictly smaller
+    epsilon) as ``solve_bne``, without bounded certification or reuse of the
+    pushed-forward bid distributions.
+    """
+    grid = sorted(set(float(b) for b in bid_grid))
+    rng = np.random.default_rng(seed)
+    starts = [0.0, 0.25, 0.5, 0.75, 1.0]
+    best = None
+
+    def consider(profile):
+        nonlocal best
+        cert = verify_bne(rule, f, profile)
+        if best is None or cert.epsilon < best[1].epsilon:
+            best = (profile, cert)
+
+    for alpha in starts:
+        profile = StrategyProfile(tuple(_shade_on_grid(m.atoms, alpha, grid) for m in f.marginals))
+        consider(profile)
+        for _ in range(max_iters // len(starts)):
+            if best[1].epsilon == 0.0:
+                return best
+            for i in range(f.n):
+                opp = [push_forward(f.marginals[j], profile[j]) for j in range(f.n) if j != i]
+                values = f.marginals[i].atoms
+                br = monotone_best_response_profile(rule, values, opp, f.h, bid_grid=grid)
+                consider(profile.replace(i, br))
+                nxt = _damped_mix(profile[i], br, values, damping, rng) if damping > 0 else br
+                profile = profile.replace(i, nxt)
+                consider(profile)
+    return best
 
 
 def ex_ante_utility_fpa(f, profile, i, rule=FPA_RANDOM) -> float:

@@ -123,6 +123,32 @@ def test_nan_profile_exits_2(instance_file, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR: validation")
 
 
+def test_bid_above_h_exits_2(instance_file, tmp_path, capsys):
+    prof = tmp_path / "high.json"
+    prof.write_text(json.dumps([{"breakpoints": [[0.0, 5.0]]}] * 2))
+    assert main(["verify-bne", "--instance", instance_file, "--profile", str(prof)]) == 2
+    assert capsys.readouterr().err.startswith("ERROR: validation: profile bids above H")
+
+
+def test_negative_max_iters_exits_2(instance_file, capsys):
+    assert main(["solve-bne", "--instance", instance_file, "--max-iters", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("ERROR: validation: max_iters")
+
+
+def test_coarse_grid_stays_below_h(tmp_path):
+    # A 0.6 grid on H = 1 is {0, 0.6}. With a bid of 1.2 on the grid, two
+    # bidders of value 1 who both overbid would certify at epsilon 0.1, below
+    # the 0.2 of both bidding 0.6.
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"H": 1.0, "marginals": [{"atoms": [1.0], "weights": [1.0]}] * 2}))
+    out = tmp_path / "sol.json"
+    argv = ["solve-bne", "--instance", str(inst), "--grid-step", "0.6", "--max-iters", "10"]
+    assert main(argv + ["--out", str(out)]) == 0
+    blob = json.loads(out.read_text())
+    assert [s["breakpoints"] for s in blob["profile"]] == [[[1.0, 0.6]]] * 2
+    assert blob["certificate"]["epsilon"] == pytest.approx(0.2, abs=1e-12)
+
+
 def test_pandora_rows(instance_file, tmp_path):
     out = tmp_path / "p.csv"
     code = main(

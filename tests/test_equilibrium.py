@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from auctionlearn import equilibrium
 from auctionlearn.auction import (
     ALLPAY_NONE,
     ALLPAY_RANDOM,
@@ -21,6 +24,8 @@ from auctionlearn.dist import (
     uniform_on,
 )
 from auctionlearn.equilibrium import (
+    _certify,
+    _shade_on_grid,
     equilibrium_transfer_check,
     solve_bne,
     uniform_bid_grid,
@@ -30,7 +35,14 @@ from auctionlearn.errors import EmptyGrid
 from auctionlearn.estimate import shade_family, sup_error
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, constant, shade
 
-from conftest import random_product, random_profile, verify_bne_reference
+from conftest import (
+    QUARTERS,
+    quarter_distributions,
+    random_product,
+    random_profile,
+    solve_bne_reference,
+    verify_bne_reference,
+)
 
 K = 20
 GRID = [k / K for k in range(K + 1)]
@@ -85,6 +97,11 @@ class TestVerify:
         with pytest.raises(AssertionError, match="NaN"):
             verify_bne(FPA_RANDOM, f, profile)
 
+    def test_bid_above_h_raises(self):
+        profile = StrategyProfile((shade(GRID, 0.5), constant(5.0)))
+        with pytest.raises(ValueError, match="above H"):
+            verify_bne(FPA_RANDOM, UNIFORM2, profile)
+
 
 RULES = [FPA_RANDOM, FPA_NONE, ALLPAY_RANDOM, ALLPAY_NONE]
 
@@ -135,6 +152,46 @@ class TestVerifyReference:
         assert verify_bne(rule, f, profile) == verify_bne_reference(rule, f, profile)
 
 
+@st.composite
+def tie_heavy_instances(draw):
+    """A rule and 1 to 4 marginals of `quarter_distributions`, H = 1."""
+    rule = draw(st.sampled_from(RULES))
+    n = draw(st.integers(1, 4))
+    return rule, product_of([draw(quarter_distributions()) for _ in range(n)], 1.0)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_bounded_certificate_matches_verify_bne(data):
+    rule, f = data.draw(tie_heavy_instances())
+    strategies = []
+    for m in f.marginals:
+        bids = data.draw(st.lists(QUARTERS, min_size=len(m.atoms), max_size=len(m.atoms)))
+        strategies.append(MonotoneStrategy(tuple(zip(m.atoms, sorted(bids)))))
+    profile = StrategyProfile(tuple(strategies))
+    pushed = [push_forward(m, s) for m, s in zip(f.marginals, profile)]
+    first = data.draw(st.integers(0, f.n - 1))
+    cert = verify_bne(rule, f, profile)
+    assert _certify(rule, f, profile, pushed, first=first) == cert
+    # The bound hits epsilon itself and other gaps exactly, as solve_bne's does.
+    gaps = [g for row in cert.gaps for _, g in row]
+    stop_at = data.draw(st.sampled_from([cert.epsilon, *gaps]) | st.floats(0.0, 1.0))
+    got = _certify(rule, f, profile, pushed, stop_at, first)
+    assert got == (None if cert.epsilon >= stop_at else cert)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_solver_matches_full_verification_reference(data):
+    rule, f = data.draw(tie_heavy_instances())
+    damping = data.draw(st.sampled_from([0.0, 0.5]))
+    max_iters = data.draw(st.integers(0, 15))
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    grid = uniform_bid_grid(1.0, 0.25)
+    got = solve_bne(rule, f, grid, max_iters=max_iters, damping=damping, seed=seed)
+    assert got == solve_bne_reference(rule, f, grid, max_iters, damping=damping, seed=seed)
+
+
 class TestSolve:
     def test_single_bidder(self):
         f = product_of([uniform_on([0, 0.5, 1.0])], 1.0)
@@ -165,6 +222,40 @@ class TestSolve:
         with pytest.raises(EmptyGrid):
             solve_bne(FPA_RANDOM, UNIFORM2, [])
 
+    def test_invalid_grid_and_max_iters(self):
+        with pytest.raises(ValueError, match="above H"):
+            solve_bne(FPA_RANDOM, UNIFORM2, [0.0, 0.5, 1.2])
+        with pytest.raises(ValueError, match="max_iters"):
+            solve_bne(FPA_RANDOM, UNIFORM2, GRID, max_iters=-1)
+
+    @pytest.mark.parametrize("max_iters", [0, 3, 4])
+    def test_fewer_than_five_iters_certify_only_the_starts(self, max_iters):
+        # On this instance one round of best responses beats every start.
+        f = random_product(np.random.default_rng(1), 3)
+        starts = [
+            StrategyProfile(tuple(_shade_on_grid(m.atoms, alpha, GRID) for m in f.marginals))
+            for alpha in (0.0, 0.25, 0.5, 0.75, 1.0)
+        ]
+        certs = [verify_bne(FPA_RANDOM, f, p) for p in starts]
+        k = min(range(5), key=lambda j: certs[j].epsilon)  # the first minimum
+        assert solve_bne(FPA_RANDOM, f, GRID, max_iters=max_iters) == (starts[k], certs[k])
+
+    def test_bid_distributions_are_pushed_once(self, monkeypatch, rng):
+        # n pushes per start, then per bidder step one for the raw best
+        # response and one for the damped iterate; a considered profile
+        # reuses them instead of pushing every bidder again.
+        calls = []
+
+        def counting(f_j, s_j):
+            calls.append(None)
+            return push_forward(f_j, s_j)
+
+        monkeypatch.setattr(equilibrium, "push_forward", counting)
+        f = random_product(rng, 3)
+        _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.5, seed=1)
+        assert cert.epsilon > 0.0  # no early stop: all 5 x 2 rounds ran
+        assert len(calls) == 5 * f.n + 5 * 2 * f.n * 2
+
 
 class TestTransfer:
     def test_exact_empirical_support_matches(self):
@@ -185,6 +276,9 @@ class TestTransfer:
 
     def test_uniform_bid_grid(self):
         assert uniform_bid_grid(1.0, 0.25) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert uniform_bid_grid(1.0, 0.05) == [k * 0.05 for k in range(21)]
+        assert uniform_bid_grid(1.0, 0.6) == [0.0, 0.6]
+        assert uniform_bid_grid(0.3, 0.1) == [0.0, 0.1, 0.2, 0.3]
         for step in (0.0, -0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 uniform_bid_grid(1.0, step)
