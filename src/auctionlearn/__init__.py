@@ -20,16 +20,13 @@ from .da import (
     DAMixedStrategy,
     DAOutcome,
     DAPureStrategy,
-    MonotoneMixture,
     PipelineReport,
     SolverParams,
     da_welfare,
     empirical_pipeline,
     ex_ante_utility_da,
     lambda_map,
-    mu_map,
     poa_check,
-    roundtrip_check,
     simulate_da,
     smoothness_deviation,
 )
@@ -37,6 +34,7 @@ from .dist import (
     DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
+    cdf_of_max,
     empirical_marginals,
     make_discrete,
     point_mass,
@@ -45,7 +43,7 @@ from .dist import (
     truncate_at,
     uniform_on,
 )
-from .equilibrium import BNECertificate, equilibrium_transfer_check, solve_bne, verify_bne
+from .equilibrium import BNECertificate, solve_bne, verify_bne
 from .estimate import (
     ErrorReport,
     emp_estimate,
@@ -55,14 +53,13 @@ from .estimate import (
     sup_error,
     sup_error_sweep,
 )
-from .lowerbound import distinguisher_experiment, gap_utility, hard_instance
+from .lowerbound import distinguisher_trials
 from .pandora import (
     IndexPolicy,
     SearchInstance,
     opt_welfare,
     pandora_from_samples,
     policy_payoff_exact,
-    simulate_policy,
     weitzman_index,
     weitzman_policy,
 )

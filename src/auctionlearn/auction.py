@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import DiscreteDistribution
+from .dist import DiscreteDistribution, cdf_of_max
 from .errors import EmptyGrid, IndexOutOfRange, NonMonotoneWitness
 from .strategy import MonotoneStrategy
 
@@ -107,17 +107,15 @@ def allocation_probability(
     """Exact interim allocation probability of every bid in ``bases``.
 
     The bids are all exact or, with ``limit_above``, all right limits
-    ``base+``. An exact bid wins when no opponent bids above it; with t
-    opponents tied, the tie DP tracks q[t] = P(nobody above, exactly t tied)
-    one opponent at a time, and random allocation wins a t-way tie with
-    probability 1 / (t + 1). A scalar ``bases`` gives a float.
+    ``base+``. A right limit wins when no opponent bids above ``base``: the
+    CDF of the opponents' maximum. An exact bid wins when no opponent bids
+    above it; with t opponents tied, the tie DP tracks q[t] = P(nobody above,
+    exactly t tied) one opponent at a time, and random allocation wins a
+    t-way tie with probability 1 / (t + 1). A scalar ``bases`` gives a float.
     """
     b = np.asarray(bases, dtype=float)
     if limit_above:
-        prob = np.ones_like(b)
-        for d in opp:
-            atoms, _, cum = d.arrays
-            prob *= cum[np.searchsorted(atoms, b, side="right")]
+        prob = cdf_of_max(opp, b)
     else:
         q = [np.ones_like(b)]
         for d in opp:

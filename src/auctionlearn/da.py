@@ -12,10 +12,10 @@ bidders, so a bidder's share is the first-price tie DP run on the opponents'
 claim-price distributions (Kleinberg, Waggoner and Weyl, 2016); the tests
 check this against joint enumeration of :func:`simulate_da` outcomes.
 
-The lambda/mu maps translate between monotone first-price strategies on
-truncated values and descending-auction strategies; utilities transfer
-exactly for claims-above strategies, which the tests verify by independent
-enumeration on both sides.
+The lambda map turns a monotone first-price strategy on values truncated at
+the index into a descending-auction strategy that claims above the index;
+utilities transfer exactly, which the tests verify, with the inverse mu map,
+by independent enumeration on both sides.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .dist import (
     DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
+    cdf_of_max,
     empirical_marginals,
     make_discrete,
     product_of,
@@ -85,17 +86,6 @@ class DAMixedStrategy:
     @classmethod
     def pure(cls, d: DAPureStrategy) -> "DAMixedStrategy":
         return cls(((1.0, d),))
-
-
-@dataclass(frozen=True)
-class MonotoneMixture:
-    """Finite mixture over monotone first-price strategies (mu-map images)."""
-
-    components: tuple[tuple[float, MonotoneStrategy], ...]
-
-    @classmethod
-    def pure(cls, s: MonotoneStrategy) -> "MonotoneMixture":
-        return cls(((1.0, s),))
 
 
 @dataclass(frozen=True)
@@ -172,7 +162,7 @@ def _bidder_terms(
     won = paid = inspect = 0.0
     f_i = inst.boxes.marginals[i]
     for wc, comp in mixed[i].components:
-        inspect += wc * math.prod(d.prob_at_most(comp.tau) for d in opp)
+        inspect += wc * cdf_of_max(opp, comp.tau)
         bids = [comp.beta.eval(a) for a in f_i.atoms]
         alloc = allocation_probability(tie, opp, bids).tolist()
         for a, wv, b, p in zip(f_i.atoms, f_i.weights, bids, alloc):
@@ -211,52 +201,6 @@ def lambda_map(f: MonotoneStrategy, sigma: float) -> DAPureStrategy:
     tau = f.eval(sigma)
     bps = [(t, b) for t, b in f.breakpoints if t < sigma] + [(float(sigma), tau)]
     return DAPureStrategy(tau, MonotoneStrategy(tuple(bps), f.default_bid))
-
-
-def mu_map(d: DAPureStrategy, f: DiscreteDistribution, sigma: float) -> MonotoneMixture:
-    """Descending strategy -> mixture of first-price strategies on [0, sigma].
-
-    Each component copies the purchase prices below sigma and bids, at value
-    sigma, the purchase price of one conditional draw v' ~ f | v' >= sigma.
-    When f puts no mass at or above sigma the mixture degenerates to the
-    single component bidding beta(sigma) there.
-    """
-    below = tuple((t, b) for t, b in d.beta.breakpoints if t < sigma)
-
-    def component(bid_at_sigma: float) -> MonotoneStrategy:
-        return MonotoneStrategy(below + ((float(sigma), bid_at_sigma),), d.beta.default_bid)
-
-    tail = [(a, w) for a, w in f if a >= sigma]
-    if not tail:
-        return MonotoneMixture.pure(component(d.beta.eval(sigma)))
-    total = sum(w for _, w in tail)
-    merged: dict[float, float] = {}
-    for a, w in tail:
-        bid = d.beta.eval(a)
-        merged[bid] = merged.get(bid, 0.0) + w / total
-    return MonotoneMixture(tuple((w, component(b)) for b, w in sorted(merged.items())))
-
-
-def roundtrip_check(
-    strategy: DAPureStrategy | MonotoneStrategy, f: DiscreteDistribution, sigma: float
-) -> bool:
-    """Check the lambda/mu round-trip identity pointwise on supp(f) and sigma."""
-    probes = sorted(set(f.atoms) | {float(sigma)})
-    if isinstance(strategy, MonotoneStrategy):
-        # mu(lambda(f)) must reproduce f on the truncated domain.
-        image = mu_map(lambda_map(strategy, sigma), f, sigma)
-        pts = sorted({min(p, sigma) for p in probes})
-        return all(
-            comp.eval(p) == strategy.eval(p) for _, comp in image.components for p in pts
-        )
-    image = mu_map(strategy, f, sigma)
-    for _, comp in image.components:
-        back = lambda_map(comp, sigma)
-        if back.tau != strategy.tau:
-            return False
-        if any(back.beta.eval(p) != strategy.beta.eval(p) for p in probes):
-            return False
-    return True
 
 
 def smoothness_component(sigma: float, z: float, value_grid: Sequence[float]) -> DAPureStrategy:

@@ -122,6 +122,20 @@ def make_discrete(
     return DiscreteDistribution(tuple(a for a, _ in pairs), tuple(w for _, w in pairs))
 
 
+def cdf_of_max(dists: Sequence[DiscreteDistribution], x):
+    """P(max of independent draws from ``dists`` <= x) at every point of ``x``.
+
+    The product of the CDFs runs in list order; no distributions give 1.0.
+    A scalar ``x`` gives a float.
+    """
+    x = np.asarray(x, dtype=float)
+    prob = np.ones_like(x)
+    for d in dists:
+        atoms, _, cum = d.arrays
+        prob = prob * cum[np.searchsorted(atoms, x, side="right")]
+    return float(prob) if x.ndim == 0 else prob
+
+
 def point_mass(value: float) -> DiscreteDistribution:
     return DiscreteDistribution((float(value),), (1.0,))
 

@@ -23,7 +23,7 @@ from .auction import (
     monotone_best_response_profile,
     push_forward,
 )
-from .dist import ProductDistribution, SampleMatrix, empirical_marginals
+from .dist import ProductDistribution
 from .errors import DimensionMismatch, EmptyGrid
 from .strategy import MonotoneStrategy, StrategyProfile
 
@@ -191,16 +191,3 @@ def solve_bne(
                 pushed[i] = push_forward(f.marginals[i], nxt)
                 consider(profile, pushed)
     return best_profile, best_cert
-
-
-def equilibrium_transfer_check(
-    rule: AuctionRule,
-    f_true: ProductDistribution,
-    s: SampleMatrix,
-    profile: StrategyProfile,
-) -> tuple[float, float]:
-    """Certified epsilon of one profile on the true and the empirical product distribution."""
-    eps_true = verify_bne(rule, f_true, profile).epsilon
-    emp = empirical_marginals(s, h=f_true.h)
-    eps_emp = verify_bne(rule, emp, profile).epsilon
-    return eps_true, eps_emp

@@ -83,17 +83,17 @@ def sup_error(
     per_profile = []
     for p_idx, profile in enumerate(family):
         worst = 0.0
+        # Every bidder's bid distribution, pushed once per profile.
+        pushed_true = [push_forward(m, s_j) for m, s_j in zip(f.marginals, profile)]
+        if emp_prod is not None:
+            pushed_emp = [push_forward(m, s_j) for m, s_j in zip(emp_prod.marginals, profile)]
         for i in range(f.n):
-            opp_true = [push_forward(f.marginals[j], profile[j]) for j in range(f.n) if j != i]
             probes = _probe_values(f, profile, i)
             bids = [profile[i].eval(v) for v in probes]
+            opp_true = pushed_true[:i] + pushed_true[i + 1 :]
             exact = interim_utility_exact(rule, probes, bids, opp_true).tolist()
             if emp_prod is not None:
-                opp_emp = [
-                    push_forward(emp_prod.marginals[j], profile[j])
-                    for j in range(f.n)
-                    if j != i
-                ]
+                opp_emp = pushed_emp[:i] + pushed_emp[i + 1 :]
                 est = interim_utility_exact(rule, probes, bids, opp_emp).tolist()
             else:
                 est = [emp_estimate(s, rule, i, v, profile) for v in probes]
@@ -155,11 +155,3 @@ def label_vector_count(hypothesis_values: np.ndarray, witnesses: Sequence[float]
         raise ValueError("hypothesis_values must be |family| x len(witnesses)")
     labels = {tuple(1 if x > 0 else -1 for x in row - r) for row in hv}
     return len(labels)
-
-
-def median_ratio_table(rows: Sequence[dict]) -> list[tuple[int, float]]:
-    """Median sup_error per sample size, sorted by m (for scaling reports)."""
-    by_m: dict[int, list[float]] = {}
-    for r in rows:
-        by_m.setdefault(r["m"], []).append(r["sup_error"])
-    return [(m, float(np.median(v))) for m, v in sorted(by_m.items())]

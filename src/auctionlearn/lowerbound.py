@@ -1,74 +1,20 @@
-"""The hard two-point family and an empirical distinguisher experiment.
+"""An empirical distinguisher experiment on the hard two-point family.
 
 The family encodes a subset S of bidders through slightly biased two-point
-marginals; identifying near-best strategy sets for the last bidder amounts to
-recovering the complement of S. The experiment runs the empirical-estimator
-argmax over candidate sets and reports how much of the complement it
-recovers, which degrades to chance when samples are scarce.
-
-``hard_instance`` measures its bias in units of the family's fixed
-normalization constant 2000; the experiment takes the total bias amplitude
-directly, i.e. P(v = 1) = (1 +/- eps) / n, which is the same family under
-eps_total = 2000 * eps_hard.
+marginals, P(v = 1) = (1 +/- eps) / n; identifying near-best strategy sets for
+the last bidder amounts to recovering the complement of S. The experiment
+runs the empirical-estimator argmax over candidate sets and reports how much
+of the complement it recovers, which degrades to chance when samples are
+scarce.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
 
 import numpy as np
 
-from .dist import DiscreteDistribution, ProductDistribution, make_discrete, point_mass, product_of
 from .errors import EpsTooLarge, TooLargeToEnumerate
-
-C1 = 2000.0
-
-
-def biased_marginal(n: int, bias: float, plus: bool) -> DiscreteDistribution:
-    """Two-point marginal with P(v = 1) = (1 +/- bias) / n."""
-    p_one = (1.0 + bias) / n if plus else (1.0 - bias) / n
-    if not 0.0 < p_one < 1.0:
-        raise EpsTooLarge(f"bias {bias} makes P(v=1) = {p_one} invalid for n = {n}")
-    return make_discrete([0.0, 1.0], [1.0 - p_one, p_one])
-
-
-def hard_instance(n: int, eps: float, s: Iterable[int]) -> ProductDistribution:
-    """The hard product distribution F_S; bidders in s get the favorable marginal.
-
-    Bidders are 0-indexed; ``s`` must be a subset of {0, ..., n-2}, and the
-    last bidder always has a point mass on value 1.
-    """
-    s = set(s)
-    if not 0 < eps < 1.0 / 4000.0:
-        raise EpsTooLarge(f"eps = {eps} must lie in (0, 1/4000)")
-    if not s <= set(range(n - 1)):
-        raise ValueError("s must be a subset of the first n-1 bidders")
-    marginals = [biased_marginal(n, C1 * eps, plus=(i in s)) for i in range(n - 1)]
-    marginals.append(point_mass(1.0))
-    return product_of(marginals, h=1.0)
-
-
-def gap_utility(n: int, eps: float, s: Iterable[int], t: Iterable[int]) -> float:
-    """Closed-form utility of the last bidder (value 1, bid 1/2) against b_T.
-
-    Bidders in t bid just above 1/2 when their value is 1 and 0 otherwise;
-    bidders outside t bid 0 always. The last bidder wins exactly when every
-    member of t drew value 0.
-    """
-    s, t = set(s), set(t)
-    if not t <= set(range(n - 1)):
-        raise ValueError("t must be a subset of the first n-1 bidders")
-    p_plus = (1.0 + C1 * eps) / n
-    p_minus = (1.0 - C1 * eps) / n
-    return 0.5 * (1.0 - p_plus) ** len(s & t) * (1.0 - p_minus) ** len(t - s)
-
-
-def b_plus_strategy(eta: float = 0.25):
-    """Bid 0 at value 0 and 1/2 + eta at value 1 (any eta in (0, 1/2) separates)."""
-    from .strategy import MonotoneStrategy
-
-    return MonotoneStrategy(((1.0, 0.5 + eta),), 0.0)
 
 
 def _mask_probs(p_one: np.ndarray) -> np.ndarray:
@@ -134,8 +80,3 @@ def distinguisher_trials(
         else:
             scores[t] = 1.0  # nothing to recover
     return scores
-
-
-def distinguisher_experiment(n: int, eps: float, m: int, trials: int, seed: int) -> float:
-    """Mean recovery fraction over trials."""
-    return float(np.mean(distinguisher_trials(n, eps, m, trials, seed)))

@@ -3,8 +3,8 @@
 Indices solve E[max(v - sigma, 0)] = c exactly: the left side is piecewise
 linear in sigma with kinks at the atoms, so each segment is inverted in
 closed form and no iterative tolerance enters. The expected payoff of an
-index policy is computed by a forward pass over the distribution of the best
-value seen so far.
+index policy and the optimum are both computed from the CDF of a maximum of
+independent values (:func:`dist.cdf_of_max`).
 """
 
 from __future__ import annotations
@@ -13,10 +13,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .dist import (
     DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
+    cdf_of_max,
     empirical_marginals,
     truncate_at,
 )
@@ -63,7 +66,7 @@ class IndexPolicy:
     def __post_init__(self) -> None:
         if len(self.indices) != len(self.costs):
             raise DimensionMismatch("indices and costs must have equal length")
-        if self.truncation_budget is not None and self.truncation_budget <= 0:
+        if self.truncation_budget is not None and not self.truncation_budget > 0:
             raise ValueError("truncation budget must be positive")
 
     def order(self) -> list[int]:
@@ -76,7 +79,8 @@ def weitzman_index(f: DiscreteDistribution, c: float, h: float | None = None) ->
 
     For c = 0 the index is the value bound h (every solution >= max atom is
     valid there; the convention picks the bound). Defaults h to the largest
-    atom when not supplied.
+    atom when not supplied. A cost above the mean gives E[v] - c < 0, the
+    solution for sigma <= 0, which an :class:`IndexPolicy` never opens.
     """
     if c < 0:
         raise ValueError("cost must be nonnegative")
@@ -84,7 +88,7 @@ def weitzman_index(f: DiscreteDistribution, c: float, h: float | None = None) ->
         h = f.max_atom
     mean = f.mean()
     if c > mean + _MEAN_TOL:
-        raise CostExceedsMean(f"cost {c} exceeds E[v] = {mean}")
+        return mean - c
     if c == 0:
         return float(h)
     # On [a_{k-1}, a_k] the excess is T - sigma * W with T, W the tail sums
@@ -110,27 +114,6 @@ def weitzman_policy(inst: SearchInstance, truncation_budget: float | None = None
     return IndexPolicy(indices, inst.costs, truncation_budget)
 
 
-def simulate_policy(p: IndexPolicy, values: Sequence[float]) -> float:
-    """Run the index procedure on one realized value vector; returns the payoff."""
-    if len(values) != len(p.indices):
-        raise DimensionMismatch("values length must match the policy")
-    order = p.order()
-    if p.indices[order[0]] < 0:
-        return 0.0
-    best = None
-    paid = 0.0
-    for pos, i in enumerate(order):
-        if p.truncation_budget is not None and paid + p.costs[i] > p.truncation_budget:
-            break
-        paid += p.costs[i]
-        best = values[i] if best is None else max(best, values[i])
-        if pos == len(order) - 1:
-            break
-        if best >= p.indices[order[pos + 1]]:
-            break
-    return (best if best is not None else 0.0) - paid
-
-
 def _effective_prefix(p: IndexPolicy, order: Sequence[int]) -> int:
     if p.truncation_budget is None:
         return len(order)
@@ -145,76 +128,62 @@ def _effective_prefix(p: IndexPolicy, order: Sequence[int]) -> int:
 def policy_payoff_exact(inst: SearchInstance, p: IndexPolicy) -> float:
     """Exact expected payoff of an index policy on the instance.
 
-    Forward DP over the sub-distribution of the best value so far among the
-    runs that are still searching; runtime O(n * (total atoms)^2).
+    Indices descend along the opening order, so a run still searches after
+    position k iff the best of the first k + 1 values is below the next index.
+    Each stage is then a product of CDFs on the merged support of the opened
+    boxes: O(n * A) for A support points.
     """
     if len(p.indices) != inst.n:
         raise DimensionMismatch("policy and instance sizes differ")
     order = p.order()
     if p.indices[order[0]] < 0:
         return 0.0
-    n_eff = _effective_prefix(p, order)
-    if n_eff == 0:
+    opened = order[: _effective_prefix(p, order)]
+    if not opened:
         return 0.0
+    support = np.array(sorted({a for i in opened for a in inst.boxes.marginals[i].atoms}))
+    # With -inf in front, best[j] is P(best so far < support[j]).
+    points = np.concatenate(([-np.inf], support))
+    best = np.ones_like(points)  # P(best value opened so far <= t)
+    # A run stops once its best reaches the next index, and after the last box.
+    next_index = [p.indices[i] for i in opened[1:]] + [-np.inf]
     total = 0.0
-    reach = 1.0
-    best: dict[float, float] = {}  # best value -> probability, still searching
-    for pos in range(n_eff):
-        i = order[pos]
+    for i, stop_at in zip(opened, next_index):
+        reach = float(best[np.searchsorted(support, p.indices[i], side="left")])
+        own = cdf_of_max([inst.boxes.marginals[i]], points)
+        # A run opens box i iff its best so far is below sigma_i; as best is
+        # nondecreasing in t, min(best, reach) is P(best <= t, run opens box i),
+        # and times own the CDF of the new best over those runs.
+        mass = np.diff(np.minimum(best, reach) * own)
         total -= inst.costs[i] * reach
-        f = inst.boxes.marginals[i]
-        nxt: dict[float, float] = {}
-        if pos == 0:
-            for a, w in f:
-                nxt[a] = nxt.get(a, 0.0) + w
-        else:
-            for b, q in best.items():
-                for a, w in f:
-                    top = max(b, a)
-                    nxt[top] = nxt.get(top, 0.0) + q * w
-        if pos == n_eff - 1:
-            total += sum(b * q for b, q in nxt.items())
-            reach = 0.0
-            break
-        threshold = p.indices[order[pos + 1]]
-        best = {}
-        for b, q in nxt.items():
-            if b >= threshold:
-                total += b * q
-            else:
-                best[b] = q
-        reach = sum(best.values())
-        if reach == 0.0:
-            break
+        total += _sum_left_to_right(support * mass * (support >= stop_at))
+        best = best * own
     return total
+
+
+def _sum_left_to_right(terms: np.ndarray) -> float:
+    # Added in order, as a loop would; adding 0.0 turns a -0.0 sum into 0.0.
+    return float(0.0 + np.cumsum(terms)[-1])
 
 
 def opt_welfare(inst: SearchInstance) -> float:
     """E[max_i min(v_i, sigma_i)] with sigma the exact indices.
 
-    This equals the optimal expected search payoff; computed through the
-    product of CDFs of the truncated marginals, independent of the policy DP.
+    This equals the optimal expected search payoff; computed from the CDF of
+    the maximum of the truncated values, independently of any policy.
     """
     sigmas = [
         weitzman_index(f, c, h=inst.boxes.h) for f, c in zip(inst.boxes.marginals, inst.costs)
     ]
     truncated = [truncate_at(f, s) for f, s in zip(inst.boxes.marginals, sigmas)]
-    support = sorted({a for f in truncated for a in f.atoms})
-    expectation = 0.0
-    prev_cdf = 0.0
-    for t in support:
-        cdf = 1.0
-        for f in truncated:
-            cdf *= f.prob_at_most(t)
-        expectation += t * (cdf - prev_cdf)
-        prev_cdf = cdf
-    return expectation
+    support = np.array(sorted({a for f in truncated for a in f.atoms}))
+    return _sum_left_to_right(support * np.diff(cdf_of_max(truncated, support), prepend=0.0))
 
 
 def truncation_budget(h: float, eps: float) -> float:
     """Cost budget 2 * H * ln(H / eps) under which truncation loses at most eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     return 2.0 * h * math.log(h / eps)
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from auctionlearn.auction import (
     FPA_RANDOM,
+    AuctionRule,
     CandidateBid,
     Format,
     Tie,
@@ -18,12 +21,22 @@ from auctionlearn.auction import (
     monotone_best_response_profile,
     push_forward,
 )
-from auctionlearn.da import DAMixedStrategy, MonotoneMixture, simulate_da
-from auctionlearn.dist import DiscreteDistribution, make_discrete, product_of
+from auctionlearn.da import DAMixedStrategy, DAPureStrategy, lambda_map, simulate_da
+from auctionlearn.dist import (
+    DiscreteDistribution,
+    ProductDistribution,
+    SampleMatrix,
+    empirical_marginals,
+    make_discrete,
+    point_mass,
+    product_of,
+    truncate_at,
+)
 from auctionlearn.equilibrium import BNECertificate, _damped_mix, _shade_on_grid, verify_bne
-from auctionlearn.errors import TooLargeToEnumerate
+from auctionlearn.errors import DimensionMismatch, EpsTooLarge, TooLargeToEnumerate
 from auctionlearn.estimate import empp_estimate
-from auctionlearn.pandora import SearchInstance
+from auctionlearn.lowerbound import distinguisher_trials
+from auctionlearn.pandora import IndexPolicy, SearchInstance, _effective_prefix, weitzman_index
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile
 
 
@@ -306,6 +319,240 @@ def da_outcomes_by_enumeration(inst, profile, tie):
         values = [a for _, a, _ in combo]
         pures = [comp for _, _, comp in combo]
         yield prob, simulate_da(inst, pures, values, tie)
+
+
+# --- Pandora's box references -------------------------------------------------
+#
+# The dict DP that ``policy_payoff_exact`` replaced, the per-point CDF loop
+# that ``opt_welfare`` replaced, and a one-run simulation of an index policy.
+
+
+def policy_payoff_reference(inst: SearchInstance, p: IndexPolicy) -> float:
+    """Exact expected payoff of an index policy, by a dict DP over best values.
+
+    Forward DP over the sub-distribution of the best value so far among the
+    runs that are still searching; runtime O(n * (total atoms)^2).
+    """
+    if len(p.indices) != inst.n:
+        raise DimensionMismatch("policy and instance sizes differ")
+    order = p.order()
+    if p.indices[order[0]] < 0:
+        return 0.0
+    n_eff = _effective_prefix(p, order)
+    if n_eff == 0:
+        return 0.0
+    total = 0.0
+    reach = 1.0
+    best: dict[float, float] = {}  # best value -> probability, still searching
+    for pos in range(n_eff):
+        i = order[pos]
+        total -= inst.costs[i] * reach
+        f = inst.boxes.marginals[i]
+        nxt: dict[float, float] = {}
+        if pos == 0:
+            for a, w in f:
+                nxt[a] = nxt.get(a, 0.0) + w
+        else:
+            for b, q in best.items():
+                for a, w in f:
+                    top = max(b, a)
+                    nxt[top] = nxt.get(top, 0.0) + q * w
+        if pos == n_eff - 1:
+            total += sum(b * q for b, q in nxt.items())
+            reach = 0.0
+            break
+        threshold = p.indices[order[pos + 1]]
+        best = {}
+        for b, q in nxt.items():
+            if b >= threshold:
+                total += b * q
+            else:
+                best[b] = q
+        reach = sum(best.values())
+        if reach == 0.0:
+            break
+    return total
+
+
+def opt_welfare_reference(inst: SearchInstance) -> float:
+    """E[max_i min(v_i, sigma_i)] with sigma the exact indices, one support point at a time."""
+    sigmas = [
+        weitzman_index(f, c, h=inst.boxes.h) for f, c in zip(inst.boxes.marginals, inst.costs)
+    ]
+    truncated = [truncate_at(f, s) for f, s in zip(inst.boxes.marginals, sigmas)]
+    support = sorted({a for f in truncated for a in f.atoms})
+    expectation = 0.0
+    prev_cdf = 0.0
+    for t in support:
+        cdf = 1.0
+        for f in truncated:
+            cdf *= f.prob_at_most(t)
+        expectation += t * (cdf - prev_cdf)
+        prev_cdf = cdf
+    return expectation
+
+
+def simulate_policy(p: IndexPolicy, values: Sequence[float]) -> float:
+    """Run the index procedure on one realized value vector; returns the payoff."""
+    if len(values) != len(p.indices):
+        raise DimensionMismatch("values length must match the policy")
+    order = p.order()
+    if p.indices[order[0]] < 0:
+        return 0.0
+    best = None
+    paid = 0.0
+    for pos, i in enumerate(order):
+        if p.truncation_budget is not None and paid + p.costs[i] > p.truncation_budget:
+            break
+        paid += p.costs[i]
+        best = values[i] if best is None else max(best, values[i])
+        if pos == len(order) - 1:
+            break
+        if best >= p.indices[order[pos + 1]]:
+            break
+    return (best if best is not None else 0.0) - paid
+
+
+# --- the mu map: the inverse of da.lambda_map ---------------------------------
+
+
+@dataclass(frozen=True)
+class MonotoneMixture:
+    """Finite mixture over monotone first-price strategies (mu-map images)."""
+
+    components: tuple[tuple[float, MonotoneStrategy], ...]
+
+    @classmethod
+    def pure(cls, s: MonotoneStrategy) -> "MonotoneMixture":
+        return cls(((1.0, s),))
+
+
+def mu_map(d: DAPureStrategy, f: DiscreteDistribution, sigma: float) -> MonotoneMixture:
+    """Descending strategy -> mixture of first-price strategies on [0, sigma].
+
+    Each component copies the purchase prices below sigma and bids, at value
+    sigma, the purchase price of one conditional draw v' ~ f | v' >= sigma.
+    When f puts no mass at or above sigma the mixture degenerates to the
+    single component bidding beta(sigma) there.
+    """
+    below = tuple((t, b) for t, b in d.beta.breakpoints if t < sigma)
+
+    def component(bid_at_sigma: float) -> MonotoneStrategy:
+        return MonotoneStrategy(below + ((float(sigma), bid_at_sigma),), d.beta.default_bid)
+
+    tail = [(a, w) for a, w in f if a >= sigma]
+    if not tail:
+        return MonotoneMixture.pure(component(d.beta.eval(sigma)))
+    total = sum(w for _, w in tail)
+    merged: dict[float, float] = {}
+    for a, w in tail:
+        bid = d.beta.eval(a)
+        merged[bid] = merged.get(bid, 0.0) + w / total
+    return MonotoneMixture(tuple((w, component(b)) for b, w in sorted(merged.items())))
+
+
+def roundtrip_check(
+    strategy: DAPureStrategy | MonotoneStrategy, f: DiscreteDistribution, sigma: float
+) -> bool:
+    """Check the lambda/mu round-trip identity pointwise on supp(f) and sigma."""
+    probes = sorted(set(f.atoms) | {float(sigma)})
+    if isinstance(strategy, MonotoneStrategy):
+        # mu(lambda(f)) must reproduce f on the truncated domain.
+        image = mu_map(lambda_map(strategy, sigma), f, sigma)
+        pts = sorted({min(p, sigma) for p in probes})
+        return all(
+            comp.eval(p) == strategy.eval(p) for _, comp in image.components for p in pts
+        )
+    image = mu_map(strategy, f, sigma)
+    for _, comp in image.components:
+        back = lambda_map(comp, sigma)
+        if back.tau != strategy.tau:
+            return False
+        if any(back.beta.eval(p) != strategy.beta.eval(p) for p in probes):
+            return False
+    return True
+
+
+# --- check-only helpers --------------------------------------------------------
+
+
+def median_ratio_table(rows: Sequence[dict]) -> list[tuple[int, float]]:
+    """Median sup_error per sample size, sorted by m (for scaling reports)."""
+    by_m: dict[int, list[float]] = {}
+    for r in rows:
+        by_m.setdefault(r["m"], []).append(r["sup_error"])
+    return [(m, float(np.median(v))) for m, v in sorted(by_m.items())]
+
+
+def equilibrium_transfer_check(
+    rule: AuctionRule,
+    f_true: ProductDistribution,
+    s: SampleMatrix,
+    profile: StrategyProfile,
+) -> tuple[float, float]:
+    """Certified epsilon of one profile on the true and the empirical product distribution."""
+    eps_true = verify_bne(rule, f_true, profile).epsilon
+    emp = empirical_marginals(s, h=f_true.h)
+    eps_emp = verify_bne(rule, emp, profile).epsilon
+    return eps_true, eps_emp
+
+
+# --- the hard two-point family of the lower bound ------------------------------
+#
+# ``hard_instance`` measures its bias in units of the family's fixed
+# normalization constant C1; the distinguisher takes the total bias amplitude
+# directly, P(v = 1) = (1 +/- eps) / n, the same family under
+# eps_total = C1 * eps_hard.
+C1 = 2000.0
+
+
+def biased_marginal(n: int, bias: float, plus: bool) -> DiscreteDistribution:
+    """Two-point marginal with P(v = 1) = (1 +/- bias) / n."""
+    p_one = (1.0 + bias) / n if plus else (1.0 - bias) / n
+    if not 0.0 < p_one < 1.0:
+        raise EpsTooLarge(f"bias {bias} makes P(v=1) = {p_one} invalid for n = {n}")
+    return make_discrete([0.0, 1.0], [1.0 - p_one, p_one])
+
+
+def hard_instance(n: int, eps: float, s: Iterable[int]) -> ProductDistribution:
+    """The hard product distribution F_S; bidders in s get the favorable marginal.
+
+    Bidders are 0-indexed; ``s`` must be a subset of {0, ..., n-2}, and the
+    last bidder always has a point mass on value 1.
+    """
+    s = set(s)
+    if not 0 < eps < 1.0 / 4000.0:
+        raise EpsTooLarge(f"eps = {eps} must lie in (0, 1/4000)")
+    if not s <= set(range(n - 1)):
+        raise ValueError("s must be a subset of the first n-1 bidders")
+    marginals = [biased_marginal(n, C1 * eps, plus=(i in s)) for i in range(n - 1)]
+    marginals.append(point_mass(1.0))
+    return product_of(marginals, h=1.0)
+
+
+def gap_utility(n: int, eps: float, s: Iterable[int], t: Iterable[int]) -> float:
+    """Closed-form utility of the last bidder (value 1, bid 1/2) against b_T.
+
+    Bidders in t bid just above 1/2 when their value is 1 and 0 otherwise;
+    bidders outside t bid 0 always. The last bidder wins exactly when every
+    member of t drew value 0.
+    """
+    s, t = set(s), set(t)
+    if not t <= set(range(n - 1)):
+        raise ValueError("t must be a subset of the first n-1 bidders")
+    p_plus = (1.0 + C1 * eps) / n
+    p_minus = (1.0 - C1 * eps) / n
+    return 0.5 * (1.0 - p_plus) ** len(s & t) * (1.0 - p_minus) ** len(t - s)
+
+
+def b_plus_strategy(eta: float = 0.25):
+    """Bid 0 at value 0 and 1/2 + eta at value 1 (any eta in (0, 1/2) separates)."""
+    return MonotoneStrategy(((1.0, 0.5 + eta),), 0.0)
+
+
+def distinguisher_experiment(n: int, eps: float, m: int, trials: int, seed: int) -> float:
+    """Mean recovery fraction over trials."""
+    return float(np.mean(distinguisher_trials(n, eps, m, trials, seed)))
 
 
 @pytest.fixture

@@ -23,8 +23,6 @@ from auctionlearn.da import (
     empirical_pipeline,
     ex_ante_utility_da,
     lambda_map,
-    mu_map,
-    roundtrip_check,
 )
 from auctionlearn.dist import (
     ProductDistribution,
@@ -37,7 +35,6 @@ from auctionlearn.dist import (
 from auctionlearn.equilibrium import verify_bne
 from auctionlearn.estimate import (
     label_vector_count,
-    median_ratio_table,
     shade_family,
     sup_error_sweep,
 )
@@ -56,6 +53,8 @@ from auctionlearn.testkits import dense_monotone_hypotheses
 from conftest import (
     ex_ante_utility_fpa,
     interim_by_enumeration,
+    median_ratio_table,
+    mu_map,
     optimal_adaptive_oracle,
     permutation_identity_check,
     random_bid_dist,
@@ -63,6 +62,7 @@ from conftest import (
     random_monotone,
     random_profile,
     random_search_instance,
+    roundtrip_check,
 )
 
 RULES = [FPA_RANDOM, FPA_NONE, ALLPAY_RANDOM, ALLPAY_NONE]

@@ -160,6 +160,62 @@ def test_pandora_rows(instance_file, tmp_path):
     assert len(lines) == 4
 
 
+def test_pandora_sweep_survives_empirical_mean_below_cost(tmp_path):
+    # With 4 samples some seed's empirical mean falls below a cost of 0.2;
+    # that box then gets a negative learned index and is never opened.
+    path = tmp_path / "inst.json"
+    path.write_text(
+        json.dumps(
+            {
+                "H": 1.0,
+                "marginals": [{"atoms": [0.0, 0.5, 1.0], "weights": [0.4, 0.3, 0.3]}] * 3,
+                "costs": [0.2, 0.2, 0.2],
+            }
+        )
+    )
+    out = tmp_path / "p.csv"
+    argv = ["pandora", "--instance", str(path), "--m", "4", "--seeds", "30", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(out.read_text().strip().splitlines()) == 31
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_pandora_non_finite_trunc_eps_exits_2(eps, instance_file, capsys):
+    argv = ["pandora", "--instance", instance_file, "--m", "50", "--trunc-eps", eps]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("ERROR: validation: eps must be finite")
+
+
+def test_pandora_matches_recorded_payoffs(tmp_path):
+    # Recorded with the dict DP that policy_payoff_exact replaced: the optimum
+    # must reproduce its strings, the learned payoff and the regret its values
+    # to 1e-12 (the CDF-product sums differ in the last digits).
+    path = tmp_path / "inst.json"
+    path.write_text(
+        json.dumps(
+            {
+                "H": 1.0,
+                "marginals": [
+                    {"atoms": [0.0, 0.3, 0.7, 1.0], "weights": [0.3, 0.3, 0.2, 0.2]},
+                    {"atoms": [0.1, 0.5, 0.9], "weights": [0.5, 0.25, 0.25]},
+                    {"atoms": [0.0, 0.6], "weights": [0.4, 0.6]},
+                ],
+                "costs": [0.05, 0.1, 0.15],
+            }
+        )
+    )
+    out = tmp_path / "p.csv"
+    argv = ["pandora", "--instance", str(path), "--m", "8", "--seeds", "4", "--seed", "9"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [r[:2] for r in rows] == [["8", str(1763616997 + k)] for k in range(4)]
+    assert [r[3] for r in rows] == ["0.527"] * 4
+    learned = [0.527, 0.48200000000000004, 0.5225, 0.527]
+    regret = [0.0, 0.044999999999999984, 0.0045000000000000595, 0.0]
+    assert [float(r[2]) for r in rows] == pytest.approx(learned, rel=0, abs=1e-12)
+    assert [float(r[4]) for r in rows] == pytest.approx(regret, rel=0, abs=1e-12)
+
+
 def test_pandora_requires_costs(single_bidder_file, tmp_path, capsys):
     code = main(["pandora", "--instance", single_bidder_file, "--m", "10"])
     assert code == 2

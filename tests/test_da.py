@@ -12,9 +12,7 @@ from auctionlearn.da import (
     empirical_pipeline,
     ex_ante_utility_da,
     lambda_map,
-    mu_map,
     poa_check,
-    roundtrip_check,
     simulate_da,
     smoothness_component,
     smoothness_deviation,
@@ -35,9 +33,11 @@ from auctionlearn.strategy import MonotoneStrategy, constant, shade
 from conftest import (
     da_outcomes_by_enumeration,
     ex_ante_utility_fpa,
+    mu_map,
     random_discrete,
     random_monotone,
     random_search_instance,
+    roundtrip_check,
 )
 
 

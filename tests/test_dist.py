@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from auctionlearn.dist import (
     DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
+    cdf_of_max,
     empirical_marginals,
     make_discrete,
     point_mass,
@@ -186,6 +188,23 @@ def test_queries_match_linear_scan(d, xs):
         assert d.prob_below(x) == prob_below_reference(d, x)
         assert d.prob_at(x) == prob_at_reference(d, x)
         assert d.prob_at_most(x) == prob_at_most_reference(d, x)
+
+
+@given(
+    st.lists(quarter_distributions(), max_size=4),
+    st.lists(st.one_of(QUARTERS, st.floats(-1.0, 2.0)), min_size=1, max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_cdf_of_max_is_the_product_of_cdfs(dists, xs):
+    expected = [math.prod(prob_at_most_reference(d, x) for d in dists) for x in xs]
+    assert cdf_of_max(dists, xs[0]) == expected[0]
+    assert isinstance(cdf_of_max(dists, xs[0]), float)
+    assert cdf_of_max(dists, xs).tolist() == expected
+
+
+def test_cdf_of_max_of_no_distributions_is_one():
+    assert cdf_of_max([], 0.3) == 1.0
+    assert cdf_of_max([], [-1.0, 0.0, 2.0]).tolist() == [1.0, 1.0, 1.0]
 
 
 class TestSerialization:

@@ -26,7 +26,6 @@ from auctionlearn.dist import (
 from auctionlearn.equilibrium import (
     _certify,
     _shade_on_grid,
-    equilibrium_transfer_check,
     solve_bne,
     uniform_bid_grid,
     verify_bne,
@@ -37,6 +36,7 @@ from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, constant, s
 
 from conftest import (
     QUARTERS,
+    equilibrium_transfer_check,
     quarter_distributions,
     random_product,
     random_profile,

@@ -17,7 +17,6 @@ from auctionlearn.estimate import (
     emp_estimate,
     empp_estimate,
     label_vector_count,
-    median_ratio_table,
     shade_family,
     sup_error,
     sup_error_sweep,
@@ -25,7 +24,7 @@ from auctionlearn.estimate import (
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
 from auctionlearn.testkits import dense_monotone_hypotheses
 
-from conftest import permutation_identity_check, random_profile
+from conftest import median_ratio_table, permutation_identity_check, random_profile
 
 TRUTHFUL = lambda grid: shade(list(grid), 1.0)  # noqa: E731
 

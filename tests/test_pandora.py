@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionlearn.dist import (
     ProductDistribution,
@@ -16,13 +20,20 @@ from auctionlearn.pandora import (
     opt_welfare,
     pandora_from_samples,
     policy_payoff_exact,
-    simulate_policy,
     truncation_budget,
     weitzman_index,
     weitzman_policy,
 )
 
-from conftest import optimal_adaptive_oracle, random_search_instance
+from conftest import (
+    QUARTERS,
+    opt_welfare_reference,
+    optimal_adaptive_oracle,
+    policy_payoff_reference,
+    quarter_distributions,
+    random_search_instance,
+    simulate_policy,
+)
 
 BERNOULLI = uniform_on([0.0, 1.0])
 
@@ -39,8 +50,10 @@ class TestWeitzmanIndex:
         assert weitzman_index(BERNOULLI, 0.5) == pytest.approx(0.0)
 
     def test_cost_exceeds_mean(self):
-        with pytest.raises(CostExceedsMean):
-            weitzman_index(BERNOULLI, 0.6)
+        # For sigma <= 0, E[max(v - sigma, 0)] = E[v] - sigma, so sigma = 0.5 - 0.6.
+        sigma = weitzman_index(BERNOULLI, 0.6)
+        assert sigma == pytest.approx(-0.1, abs=1e-15)
+        assert BERNOULLI.expected_excess(sigma) == pytest.approx(0.6, abs=1e-15)
 
     def test_solves_defining_equation(self, rng):
         for _ in range(50):
@@ -124,6 +137,28 @@ class TestPayoffExact:
         assert abs(draws.mean() - exact) < 4 * se
 
 
+@st.composite
+def search_cases(draw):
+    """Quarter-grid boxes, arbitrary (also negative) or exact indices, and a budget."""
+    marginals = draw(st.lists(quarter_distributions(), min_size=1, max_size=6))
+    costs = [draw(st.floats(0.0, 1.0)) * f.mean() for f in marginals]
+    inst = SearchInstance(product_of(marginals, 1.0), costs)
+    indices = tuple(
+        draw(st.one_of(QUARTERS, st.just(-0.25), st.just(weitzman_index(f, c, h=1.0))))
+        for f, c in zip(marginals, inst.costs)
+    )
+    budget = draw(st.one_of(st.none(), st.floats(0.01, 2.0)))
+    return inst, IndexPolicy(indices, inst.costs, budget)
+
+
+@given(search_cases())
+@settings(max_examples=300, deadline=None)
+def test_payoff_matches_dict_dp_reference(case):
+    inst, policy = case
+    assert abs(policy_payoff_exact(inst, policy) - policy_payoff_reference(inst, policy)) <= 1e-12
+    assert opt_welfare(inst) == opt_welfare_reference(inst)
+
+
 class TestOracle:
     def test_single_box(self):
         inst = SearchInstance(product_of([BERNOULLI], 1.0), (0.25,))
@@ -185,6 +220,16 @@ class TestTruncation:
         assert trunc < full  # the budget actually binds here
         assert full - trunc <= 0.1
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_budget_needs_finite_positive_eps(self, eps):
+        with pytest.raises(ValueError, match="finite and positive"):
+            truncation_budget(1.0, eps)
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan])
+    def test_policy_rejects_non_positive_budget(self, budget):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            IndexPolicy((0.5,), (0.1,), budget)
+
     def test_huge_budget_identical(self, rng):
         inst = random_search_instance(rng)
         full = policy_payoff_exact(inst, weitzman_policy(inst))
@@ -209,8 +254,15 @@ class TestLearning:
             regrets.append(opt - learned)
         assert float(np.median(regrets)) <= 0.05
 
-    def test_cost_exceeding_empirical_mean_raises(self):
+    def test_cost_exceeding_empirical_mean_never_opens(self):
+        # The empirical mean 0.05 is below the cost 0.3, so the learned index
+        # is negative and the learned policy opens nothing.
         rows = np.array([[0.0], [0.0], [0.1], [0.1]])
         f = product_of([make_discrete([0.0, 0.1, 1.0], [0.3, 0.3, 0.4])], 1.0)
+        learned, opt = pandora_from_samples(SampleMatrix(rows), (0.3,), f, 0.01)
+        assert learned == 0.0
+        assert opt > 0.0
+
+    def test_true_cost_above_mean_rejected(self):
         with pytest.raises(CostExceedsMean):
-            pandora_from_samples(SampleMatrix(rows), (0.3,), f, 0.01)
+            SearchInstance(product_of([BERNOULLI], 1.0), (0.6,))
