@@ -2,9 +2,9 @@
 
 Interim quantities are computed by dynamic programming over the per-opponent
 (below / tied / above) trinomials, so tie-breaking expectations are exact
-rather than sampled. Bids "slightly above" an atom are kept symbolic as
-:class:`CandidateBid` limits and realized numerically only when a concrete
-strategy must be emitted.
+rather than sampled. Bids "slightly above" an atom stay symbolic: the
+candidate set of a best response is a record array with a right-limit flag,
+and a :class:`CandidateBid` is built only for a returned pick.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ class CandidateBid:
 
     base: float
     limit_above: bool = False
-
-    def __post_init__(self) -> None:
-        if self.base < 0:
-            raise ValueError("bids must be nonnegative")
 
     def to_json(self) -> dict:
         return {"base": self.base, "limit_above": self.limit_above}
@@ -149,21 +145,19 @@ def interim_utility_exact(
     return float(u) if b.ndim == 0 else u
 
 
-def candidate_allocations(
-    tie: Tie, opp: Sequence[DiscreteDistribution]
-) -> list[tuple[CandidateBid, float]]:
+def candidate_allocations(tie: Tie, opp: Sequence[DiscreteDistribution]) -> np.ndarray:
     """Allocation probability of every bid sufficient for best responses.
 
-    The candidates are 0 and every opponent atom, each followed by its right
-    limit; the probabilities are independent of the bidder's value.
+    A record array with fields ``base``, ``limit_above`` and ``alloc``: 0 and
+    every opponent atom, each exact bid followed by its right limit. The
+    probabilities are independent of the bidder's value.
     """
     bases = sorted({0.0} | {a for d in opp for a in d.atoms})
-    exact = allocation_probability(tie, opp, bases).tolist()
-    above = allocation_probability(tie, opp, bases, limit_above=True).tolist()
-    out = []
-    for b, p, p_above in zip(bases, exact, above):
-        out.append((CandidateBid(b), p))
-        out.append((CandidateBid(b, limit_above=True), p_above))
+    out = np.empty(2 * len(bases), [("base", float), ("limit_above", bool), ("alloc", float)])
+    out["base"] = np.repeat(bases, 2)
+    out["limit_above"] = np.tile([False, True], len(bases))
+    out["alloc"][0::2] = allocation_probability(tie, opp, bases)
+    out["alloc"][1::2] = allocation_probability(tie, opp, bases, limit_above=True)
     return out
 
 
@@ -172,78 +166,54 @@ def candidate_allocations(
 BEST_RESPONSE_BLOCK = 1 << 12
 
 
-def best_response(
-    rule: AuctionRule,
-    values,
-    opp: Sequence[DiscreteDistribution],
-    candidates: Sequence[tuple[CandidateBid, float]] | None = None,
-):
+def _argmax_utility(fmt: Format, values: np.ndarray, bases, alloc) -> tuple[list, list]:
+    """Largest utility over the candidate bids and its first maximizing index, per value.
+
+    Row blocks of the values x candidates utility matrix are maximized with
+    ``argmax``, which returns the first maximum.
+    """
+    rows = max(1, BEST_RESPONSE_BLOCK // len(bases))
+    sups, picks = [], []
+    for lo in range(0, len(values), rows):
+        u = _utility(fmt, values[lo : lo + rows, None], bases, alloc)
+        k = u.argmax(axis=1)
+        sups.extend(u[np.arange(len(k)), k].tolist())
+        picks.extend(k.tolist())
+    return sups, picks
+
+
+def best_response(rule: AuctionRule, values, opp: Sequence[DiscreteDistribution]):
     """Supremum interim utility over all bids in [0, H] and one maximizer, per value.
 
     A scalar value gives ``(sup, bid)``; an array of values gives two lists.
-    Row blocks of the values x candidates utility matrix are maximized with
-    ``argmax``, which returns the first maximum, so ties break toward the
-    lower base, exact bid before its right limit. ``candidates`` can be
-    supplied to reuse allocation probabilities across calls for one bidder.
+    The supremum is a maximum over :func:`candidate_allocations`; ties break
+    toward the lower base, exact bid before its right limit.
     """
-    if candidates is None:
-        candidates = candidate_allocations(rule.tie, opp)
-    bases = np.array([c.base for c, _ in candidates])
-    alloc = np.array([a for _, a in candidates])
+    cands = candidate_allocations(rule.tie, opp)
     v = np.asarray(values, dtype=float)
-    flat = np.atleast_1d(v)
-    rows = max(1, BEST_RESPONSE_BLOCK // len(candidates))
-    sups, picks = [], []
-    for lo in range(0, len(flat), rows):
-        u = _utility(rule.format, flat[lo : lo + rows, None], bases, alloc)
-        k = u.argmax(axis=1)
-        sups.extend(u[np.arange(len(k)), k].tolist())
-        picks.extend(candidates[j][0] for j in k.tolist())
+    sups, ks = _argmax_utility(rule.format, np.atleast_1d(v), cands["base"], cands["alloc"])
+    picked = cands[ks]
+    picks = list(map(CandidateBid, picked["base"].tolist(), picked["limit_above"].tolist()))
     return (sups[0], picks[0]) if v.ndim == 0 else (sups, picks)
 
 
-def realize_bid(
-    bid: CandidateBid, all_bases: Sequence[float], h: float
-) -> float:
-    """Turn a symbolic limit bid into a number: base + eta, eta = half the
-    minimum gap between distinct candidate bids, capped so the result is <= h."""
-    if not bid.limit_above:
-        return bid.base
-    bases = sorted(set(all_bases))
-    gaps = [b2 - b1 for b1, b2 in zip(bases, bases[1:])]
-    eta = min(gaps) / 2 if gaps else (h - bid.base) / 2
-    return min(bid.base + eta, h)
-
-
 def monotone_best_response_profile(
-    rule: AuctionRule,
-    values: Sequence[float],
-    opp: Sequence[DiscreteDistribution],
-    h: float,
-    bid_grid: Sequence[float] | None = None,
+    rule: AuctionRule, values: Sequence[float], opp: Sequence[DiscreteDistribution], bid_grid
 ) -> MonotoneStrategy:
-    """Pointwise best-response bids over a value grid, emitted as a strategy.
+    """Pointwise best-response bids on ``bid_grid`` over a value grid, emitted as a strategy.
 
-    When ``bid_grid`` is given the search is restricted to those bids;
-    otherwise the full candidate set (with limit bids realized numerically,
-    capped at ``h``) is used. Bids with zero winning probability are zeroed
-    out, after which the bid sequence must be nondecreasing; a violation
-    raises :class:`NonMonotoneWitness`, since it would contradict the
-    monotone dominance of best responses.
+    Ties break toward the lower bid. Bids with zero winning probability are
+    zeroed out, after which the bid sequence must be nondecreasing; a
+    violation raises :class:`NonMonotoneWitness`, since it would contradict
+    the monotone dominance of best responses.
     """
-    if bid_grid is not None:
-        grid_bids = sorted(set(bid_grid))
-        if not grid_bids:
-            raise EmptyGrid("bid_grid is empty")
-        alloc = allocation_probability(rule.tie, opp, grid_bids).tolist()
-        cands = [(CandidateBid(b), p) for b, p in zip(grid_bids, alloc)]
-    else:
-        cands = candidate_allocations(rule.tie, opp)
+    grid_bids = np.array(sorted(set(bid_grid)), dtype=float)
+    if not grid_bids.size:
+        raise EmptyGrid("bid_grid is empty")
+    alloc = allocation_probability(rule.tie, opp, grid_bids)
     grid = sorted(set(float(v) for v in values))
-    bases = [c.base for c, _ in cands]
-    alloc_of = dict(cands)
-    _, choices = best_response(rule, grid, opp, cands)
-    bids = [0.0 if alloc_of[c] == 0.0 else realize_bid(c, bases, h) for c in choices]
+    _, ks = _argmax_utility(rule.format, np.array(grid), grid_bids, alloc)
+    bids = np.where(alloc == 0.0, 0.0, grid_bids)[ks].tolist()
     if any(b2 < b1 for b1, b2 in zip(bids, bids[1:])):
         raise NonMonotoneWitness(f"best-response bids not monotone: {list(zip(grid, bids))}")
     return MonotoneStrategy(tuple(zip(grid, bids)))

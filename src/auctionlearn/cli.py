@@ -17,7 +17,7 @@ import click
 
 from .auction import AuctionRule, Format, Tie
 from .da import SolverParams, empirical_pipeline
-from .dist import ProductDistribution, load_instance, sample_matrix
+from .dist import ProductDistribution, json_numbers, load_instance, sample_matrix
 from .equilibrium import solve_bne, uniform_bid_grid, verify_bne
 from .errors import AuctionError
 from .estimate import label_vector_count, shade_family, sup_error_sweep
@@ -61,9 +61,10 @@ def _json_text(obj) -> str:
 def _load_costs(path) -> tuple[ProductDistribution, list[float]]:
     with open(path) as fh:
         obj = json.load(fh)
+    f = ProductDistribution.from_json(obj)
     if "costs" not in obj:
         raise AuctionError("instance file needs a 'costs' field for this command")
-    return ProductDistribution.from_json(obj), [float(c) for c in obj["costs"]]
+    return f, json_numbers(obj["costs"], "costs")
 
 
 @click.group()

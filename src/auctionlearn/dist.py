@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,7 +92,23 @@ class DiscreteDistribution:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiscreteDistribution":
-        return make_discrete(obj["atoms"], obj["weights"])
+        if not isinstance(obj, dict):
+            raise ValueError("a distribution must be an object with atoms and weights")
+        return make_discrete(*(json_numbers(obj[k], k) for k in ("atoms", "weights")))
+
+
+def json_number(a, what: str) -> float:
+    """The float of a finite JSON number (not a boolean); ``ValueError`` otherwise."""
+    if type(a) not in (int, float) or not abs(a) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number, got {a!r:.40}")
+    return float(a)
+
+
+def json_numbers(x, what: str) -> list[float]:
+    """The floats of a JSON list of finite numbers; ``ValueError`` otherwise."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list of numbers, got {x!r:.40}")
+    return [json_number(a, what) for a in x]
 
 
 def make_discrete(
@@ -186,9 +203,11 @@ class ProductDistribution:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProductDistribution":
-        marginals = tuple(DiscreteDistribution.from_json(f) for f in obj["marginals"])
+        if not isinstance(obj, dict) or not isinstance(obj.get("marginals"), list):
+            raise ValueError("an instance must be an object with a list of marginals")
         h = obj.get("H")
-        return product_of(marginals, h)
+        marginals = tuple(DiscreteDistribution.from_json(f) for f in obj["marginals"])
+        return product_of(marginals, None if h is None else json_number(h, "H"))
 
     @classmethod
     def iid(cls, f: DiscreteDistribution, n: int, h: float | None = None) -> "ProductDistribution":
@@ -200,7 +219,7 @@ def product_of(
 ) -> ProductDistribution:
     ms = tuple(marginals)
     if h is None:
-        h = max(f.max_atom for f in ms)
+        h = max((f.max_atom for f in ms), default=0.0)
     return ProductDistribution(ms, float(h))
 
 

@@ -158,6 +158,8 @@ def solve_bne(
         raise ValueError(f"bid grid reaches {grid[-1]} above H={f.h}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if not 0.0 <= damping <= 1.0:  # also rejects NaN
+        raise ValueError(f"damping must lie in [0, 1], got {damping}")
     rng = np.random.default_rng(seed)
     starts = [0.0, 0.25, 0.5, 0.75, 1.0]
     best_profile: StrategyProfile | None = None
@@ -183,7 +185,7 @@ def solve_bne(
             for i in range(f.n):
                 opp = pushed[:i] + pushed[i + 1 :]
                 values = f.marginals[i].atoms
-                br = monotone_best_response_profile(rule, values, opp, f.h, bid_grid=grid)
+                br = monotone_best_response_profile(rule, values, opp, grid)
                 br_pushed = push_forward(f.marginals[i], br)
                 consider(profile.replace(i, br), opp[:i] + [br_pushed] + opp[i:])
                 nxt = _damped_mix(profile[i], br, values, damping, rng) if damping > 0 else br

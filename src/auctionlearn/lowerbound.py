@@ -37,6 +37,8 @@ def distinguisher_trials(
     """
     if n < 2:
         raise ValueError(f"the distinguisher needs n >= 2 bidders, got n = {n}")
+    if m < 1 or trials < 0:
+        raise ValueError(f"the distinguisher needs m >= 1 and trials >= 0, got {m} and {trials}")
     if n > 16:
         raise TooLargeToEnumerate("subset argmax limited to n <= 16")
     if not 0.0 < eps < 0.5:

@@ -40,8 +40,8 @@ class SearchInstance:
         if len(self.costs) != self.boxes.n:
             raise DimensionMismatch("one cost per box required")
         for i, c in enumerate(self.costs):
-            if c < 0:
-                raise ValueError(f"cost {c} < 0")
+            if not c >= 0:  # also rejects NaN
+                raise ValueError(f"cost {c} must be nonnegative")
             if c > self.boxes.marginals[i].mean() + _MEAN_TOL:
                 raise CostExceedsMean(f"cost {c} exceeds E[v_{i}]")
 
@@ -82,7 +82,7 @@ def weitzman_index(f: DiscreteDistribution, c: float, h: float | None = None) ->
     atom when not supplied. A cost above the mean gives E[v] - c < 0, the
     solution for sigma <= 0, which an :class:`IndexPolicy` never opens.
     """
-    if c < 0:
+    if not c >= 0:  # also rejects NaN
         raise ValueError("cost must be nonnegative")
     if h is None:
         h = f.max_atom

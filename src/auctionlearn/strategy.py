@@ -9,6 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dist import json_number, json_numbers
 from .errors import DimensionMismatch
 
 
@@ -60,10 +61,12 @@ class MonotoneStrategy:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MonotoneStrategy":
-        return cls(
-            tuple((t, b) for t, b in obj.get("breakpoints", [])),
-            float(obj.get("default_bid", 0.0)),
-        )
+        if not isinstance(obj, dict) or not isinstance(pts := obj.get("breakpoints", []), list):
+            raise ValueError("a strategy must be an object with a list of breakpoints")
+        pairs = [json_numbers(p, "a breakpoint") for p in pts]
+        if any(len(p) != 2 for p in pairs):
+            raise ValueError("a breakpoint must be a [value, bid] pair")
+        return cls(tuple(pairs), json_number(obj.get("default_bid", 0.0), "default_bid"))
 
 
 def constant(bid: float) -> MonotoneStrategy:
@@ -134,4 +137,6 @@ class StrategyProfile:
 
     @classmethod
     def from_json(cls, obj: list) -> "StrategyProfile":
+        if not isinstance(obj, list):
+            raise ValueError("a profile must be a list of strategies")
         return cls(tuple(MonotoneStrategy.from_json(s) for s in obj))

@@ -169,6 +169,22 @@ def utility_reference(fmt, v, base, alloc) -> float:
     return alloc * v - base if fmt is Format.ALL_PAY else alloc * (v - base)
 
 
+def best_response_profile_reference(rule, values, opp, bid_grid) -> list[tuple[float, float]]:
+    """(value, bid) per distinct value: the first best grid bid in a strict-> scan
+    over the sorted grid, or 0.0 if that bid never wins."""
+    grid = sorted(set(bid_grid))
+    allocs = [allocation_probability_reference(rule.tie, opp, CandidateBid(b)) for b in grid]
+    out = []
+    for v in sorted(set(float(x) for x in values)):
+        sup, bid = None, None
+        for b, alloc in zip(grid, allocs):
+            u = utility_reference(rule.format, v, b, alloc)
+            if sup is None or u > sup:
+                sup, bid = u, (0.0 if alloc == 0.0 else b)
+        out.append((v, bid))
+    return out
+
+
 def verify_bne_reference(rule, f, profile) -> BNECertificate:
     """The exact certificate with one strict-> scan over the candidates per value."""
     pushed = [push_forward(m, s) for m, s in zip(f.marginals, profile)]
@@ -225,7 +241,7 @@ def solve_bne_reference(rule, f, bid_grid, max_iters, damping=0.5, seed=0):
             for i in range(f.n):
                 opp = [push_forward(f.marginals[j], profile[j]) for j in range(f.n) if j != i]
                 values = f.marginals[i].atoms
-                br = monotone_best_response_profile(rule, values, opp, f.h, bid_grid=grid)
+                br = monotone_best_response_profile(rule, values, opp, grid)
                 consider(profile.replace(i, br))
                 nxt = _damped_mix(profile[i], br, values, damping, rng) if damping > 0 else br
                 profile = profile.replace(i, nxt)

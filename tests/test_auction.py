@@ -20,15 +20,16 @@ from auctionlearn.auction import (
     interim_utility_exact,
     monotone_best_response_profile,
     push_forward,
-    realize_bid,
 )
 from auctionlearn.dist import DiscreteDistribution, make_discrete, point_mass, uniform_on
-from auctionlearn.errors import EmptyGrid, IndexOutOfRange
+from auctionlearn.equilibrium import uniform_bid_grid
+from auctionlearn.errors import EmptyGrid, IndexOutOfRange, NonMonotoneWitness
 from auctionlearn.strategy import MonotoneStrategy, constant, shade
 
 from conftest import (
     QUARTERS,
     allocation_probability_reference,
+    best_response_profile_reference,
     interim_by_enumeration,
     quarter_distributions,
     random_bid_dist,
@@ -221,42 +222,53 @@ class TestBestResponse:
     def test_allocation_nondecreasing_in_bid(self, rng):
         for _ in range(20):
             opp = [random_bid_dist(rng) for _ in range(rng.integers(1, 4))]
-            allocs = [a for _, a in candidate_allocations(FPA_RANDOM.tie, opp)]
+            allocs = candidate_allocations(FPA_RANDOM.tie, opp)["alloc"].tolist()
             assert all(a2 >= a1 - 1e-12 for a1, a2 in zip(allocs, allocs[1:]))
-
-
-class TestRealizeBid:
-    def test_half_min_gap(self):
-        c = CandidateBid(0.2, limit_above=True)
-        assert realize_bid(c, [0.0, 0.2, 0.6], 1.0) == pytest.approx(0.3)
-
-    def test_capped_at_h(self):
-        c = CandidateBid(1.0, limit_above=True)
-        assert realize_bid(c, [0.0, 1.0], 1.0) == 1.0
-
-    def test_exact_bid_passthrough(self):
-        assert realize_bid(CandidateBid(0.4), [0.0, 0.4], 1.0) == 0.4
 
 
 class TestMonotoneBestResponse:
     def test_spec_grid(self):
         opp = [DiscreteDistribution((0.2, 0.6), (0.5, 0.5))]
-        s = monotone_best_response_profile(FPA_RANDOM, [0.1, 0.5, 1.0], opp, h=1.0)
+        grid = [0.0, 0.2, 0.25, 0.6, 0.65, 1.0]
+        s = monotone_best_response_profile(FPA_RANDOM, [0.1, 0.5, 1.0], opp, grid)
         bids = [s.eval(v) for v in (0.1, 0.5, 1.0)]
         assert bids[0] == 0.0
         assert bids == sorted(bids)
-        assert bids[1] > 0.2 and bids[1] < 0.6  # realized just above 0.2
+        assert bids[1] == 0.25  # the lowest grid bid above 0.2
 
     def test_all_values_below_opponents(self):
         opp = [DiscreteDistribution((0.8,), (1.0,))]
-        s = monotone_best_response_profile(FPA_RANDOM, [0.1, 0.3], opp, h=1.0)
+        # 0.1 and 0.4 never win: the first maximum is 0.1, which becomes 0.0.
+        s = monotone_best_response_profile(FPA_RANDOM, [0.1, 0.3], opp, [0.1, 0.4, 0.8, 1.0])
         assert all(s.eval(v) == 0.0 for v in (0.1, 0.3))
 
     def test_no_opponents_bids_zero(self):
-        s = monotone_best_response_profile(FPA_RANDOM, [0.2, 0.9], [], h=1.0)
+        s = monotone_best_response_profile(FPA_RANDOM, [0.2, 0.9], [], [0.0, 0.5, 1.0])
         assert all(s.eval(v) == 0.0 for v in (0.2, 0.9))
 
     def test_empty_grid(self):
         opp = [DiscreteDistribution((0.2,), (1.0,))]
         with pytest.raises(EmptyGrid):
-            monotone_best_response_profile(FPA_RANDOM, [0.5], opp, 1.0, bid_grid=[])
+            monotone_best_response_profile(FPA_RANDOM, [0.5], opp, [])
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_best_response_profile_matches_reference(data):
+    rule = data.draw(st.sampled_from([FPA_RANDOM, FPA_NONE, ALLPAY_RANDOM, ALLPAY_NONE]))
+    opp = data.draw(st.lists(quarter_distributions(), max_size=4))
+    values = data.draw(st.lists(st.one_of(QUARTERS, st.floats(0.0, 1.0)), max_size=8))
+    # Quarter bids tie with the atoms; grids often reach H = 1.
+    grid = data.draw(
+        st.one_of(
+            st.lists(st.one_of(QUARTERS, st.floats(0.0, 1.0)), min_size=1, max_size=8),
+            st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0]).map(lambda s: uniform_bid_grid(1.0, s)),
+        )
+    )
+    want = best_response_profile_reference(rule, values, opp, grid)
+    if any(b2 < b1 for (_, b1), (_, b2) in zip(want, want[1:])):
+        with pytest.raises(NonMonotoneWitness):
+            monotone_best_response_profile(rule, values, opp, grid)
+    else:
+        s = monotone_best_response_profile(rule, values, opp, grid)
+        assert s.breakpoints == tuple(want)

@@ -1,7 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionlearn.cli import child_seed, main
 
@@ -304,6 +311,142 @@ def test_da_experiment_cost_count_exits_2(tmp_path, capsys):
 def test_lowerbound_single_bidder_exits_2(capsys):
     assert main(["lowerbound", "--n", "1", "--eps", "0.05", "--m", "10"]) == 2
     assert capsys.readouterr().err.startswith("ERROR: validation: the distinguisher needs n >= 2")
+
+
+GOOD_MARGINALS = [{"atoms": [0.0, 0.5, 1.0], "weights": [0.4, 0.3, 0.3]}] * 2
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        {"H": 1, "marginals": 5},
+        {"H": 1, "marginals": [{"atoms": "ab", "weights": [0.5, 0.5]}]},
+        {"H": 1, "marginals": [{"atoms": [[0.5]], "weights": [1.0]}]},
+    ],
+)
+def test_instance_shape_exits_2(inst, zero_profile_file, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    assert main(["verify-bne", "--instance", str(path), "--profile", zero_profile_file]) == 2
+    assert capsys.readouterr().err.startswith("ERROR: validation")
+
+
+@pytest.mark.parametrize("profile", [{"a": 1}, None, [3]])
+def test_profile_shape_exits_2(profile, instance_file, tmp_path, capsys):
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(profile))
+    assert main(["verify-bne", "--instance", instance_file, "--profile", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("ERROR: validation")
+
+
+@pytest.mark.parametrize("costs", [[None], 0.1, [math.nan, 0.05]])
+@pytest.mark.parametrize("sub", ["pandora", "da-experiment"])
+def test_cost_shape_exits_2(sub, costs, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"H": 1.0, "marginals": GOOD_MARGINALS, "costs": costs}))
+    assert main([sub, "--instance", str(path), "--m", "20"]) == 2
+    assert capsys.readouterr().err.startswith("ERROR: validation: costs")
+
+
+@pytest.mark.parametrize("damping", ["nan", "-1", "2"])
+def test_damping_outside_unit_interval_exits_2(damping, instance_file, capsys):
+    argv = ["solve-bne", "--instance", instance_file, f"--damping={damping}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("ERROR: validation: damping must lie in [0, 1]")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--n", "2", "--m", "0"],
+        ["--n", "3", "--m", "0"],
+        ["--n", "3", "--m", "5", "--trials", "-1"],
+    ],
+)
+def test_lowerbound_bad_counts_exit_2(args, capsys):
+    assert main(["lowerbound", "--eps", "0.1"] + args) == 2
+    msg = "ERROR: validation: the distinguisher needs m >= 1 and trials >= 0"
+    assert capsys.readouterr().err.startswith(msg)
+
+
+# Fuzzed instance, profile and cost JSON: well-formed shapes whose parts are
+# replaced by junk one time in twenty, and numbers that are mostly valid.
+NUMBER = st.one_of(
+    st.sampled_from([0, 0.25, 0.5, 1, 1.0]), st.floats(0.0, 1.0), st.floats(), st.integers()
+)
+JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=2), NUMBER),
+    lambda c: st.one_of(st.lists(c, max_size=3), st.dictionaries(st.text(max_size=2), c)),
+    max_leaves=6,
+)
+
+
+def mostly(good):
+    return st.integers(0, 19).flatmap(lambda k: JUNK if k == 19 else good)
+
+
+def marginal(pairs):
+    return {"atoms": [a for a, _ in pairs], "weights": [w for _, w in pairs]}
+
+
+WEIGHT = st.one_of(st.floats(0.05, 1.0), NUMBER)
+PAIRS = st.lists(st.tuples(mostly(NUMBER), mostly(WEIGHT)), min_size=1, max_size=3)
+MARGINAL = PAIRS.map(marginal)
+BREAKPOINT = st.lists(mostly(NUMBER), min_size=2, max_size=2)
+STRATEGY = st.fixed_dictionaries(
+    {},
+    optional={
+        "breakpoints": mostly(st.lists(mostly(BREAKPOINT), max_size=3)),
+        "default_bid": NUMBER,
+    },
+)
+COST = st.one_of(st.floats(0.0, 0.1), NUMBER)
+
+
+@st.composite
+def instance_and_profile(draw):
+    """An instance with costs and a profile, both mostly for the same n bidders."""
+    n = draw(st.integers(1, 3))
+    inst = {
+        "marginals": draw(mostly(st.lists(mostly(MARGINAL), min_size=n, max_size=n))),
+        "costs": draw(mostly(st.lists(mostly(COST), min_size=n, max_size=n))),
+    }
+    if draw(st.booleans()):
+        inst["H"] = draw(mostly(NUMBER))
+    k = draw(st.sampled_from([n, n, n, 1, 2, 3]))
+    profile = draw(mostly(st.lists(mostly(STRATEGY), min_size=k, max_size=k)))
+    return draw(mostly(st.just(inst))), profile
+
+
+@given(
+    case=instance_and_profile(),
+    rule=st.sampled_from([[], ["--auction", "all-pay", "--tie", "no-allocation"]]),
+)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_json_exits_2_or_certifies(case, rule):
+    """verify-bne exits 2 or certifies a finite, nonnegative epsilon; pandora reads
+    the costs and exits 2 or prints finite payoffs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {k: os.path.join(tmp, f"{k}.json") for k in ("inst", "prof", "out")}
+        for path, obj in zip(paths.values(), case):
+            with open(path, "w") as fh:
+                json.dump(obj, fh)
+        verify = ["verify-bne", "--profile", paths["prof"]] + rule
+        for argv in (verify, ["pandora", "--m", "4", "--seeds", "1"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv + ["--instance", paths["inst"], "--out", paths["out"]])
+            if code == 2:
+                assert err.getvalue().startswith(("ERROR: validation", "ERROR: parse"))
+                continue
+            assert code == 0, err.getvalue()
+            with open(paths["out"]) as fh:
+                if argv[0] == "verify-bne":
+                    eps = json.load(fh)["epsilon"]
+                    assert math.isfinite(eps) and eps >= 0.0
+                else:
+                    row = fh.read().splitlines()[1].split(",")
+                    assert all(math.isfinite(float(x)) for x in row)
 
 
 # Outputs recorded before the per-row ex post loops were replaced by the

@@ -225,6 +225,13 @@ class TestTruncation:
         with pytest.raises(ValueError, match="finite and positive"):
             truncation_budget(1.0, eps)
 
+    @pytest.mark.parametrize("cost", [-0.1, math.nan])
+    def test_negative_or_nan_cost_rejected(self, cost):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            SearchInstance(ProductDistribution.iid(BERNOULLI, 2, 1.0), (0.1, cost))
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            weitzman_index(BERNOULLI, cost)
+
     @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan])
     def test_policy_rejects_non_positive_budget(self, budget):
         with pytest.raises(ValueError, match="budget must be positive"):
