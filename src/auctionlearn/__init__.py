@@ -26,9 +26,7 @@ from .da import (
     empirical_pipeline,
     ex_ante_utility_da,
     lambda_map,
-    poa_check,
     simulate_da,
-    smoothness_deviation,
 )
 from .dist import (
     DiscreteDistribution,

@@ -7,10 +7,11 @@ claims, so strategies that claim immediately upon seeing a high value are
 executable. The first claim ends the auction; simultaneous claims follow the
 configured tie rule, with random-allocation outcomes reported in expectation.
 
-Ex ante utilities and welfare are exact. Claims are independent across
-bidders, so a bidder's share is the first-price tie DP run on the opponents'
-claim-price distributions (Kleinberg, Waggoner and Weyl, 2016); the tests
-check this against joint enumeration of :func:`simulate_da` outcomes.
+Ex ante utilities, welfare and the equilibrium gap are exact. Claims are
+independent across bidders, so a bidder's share is the first-price tie DP run
+on the opponents' claim-price distributions (Kleinberg, Waggoner and Weyl,
+2016); the tests check this against joint enumeration of :func:`simulate_da`
+outcomes.
 
 The lambda map turns a monotone first-price strategy on values truncated at
 the index into a descending-auction strategy that claims above the index;
@@ -26,7 +27,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .auction import FPA_RANDOM, Tie, allocation_probability, ex_post_allocation
+from .auction import (
+    FPA_RANDOM,
+    Tie,
+    allocation_probability,
+    candidate_allocations,
+    ex_post_allocation,
+)
 from .dist import (
     DiscreteDistribution,
     ProductDistribution,
@@ -41,10 +48,7 @@ from .equilibrium import solve_bne, uniform_bid_grid, verify_bne
 from .errors import ClaimAboveInspection, DimensionMismatch, OddSampleCount
 from .estimate import shade_family, sup_error
 from .pandora import SearchInstance, opt_welfare, weitzman_index
-from .strategy import MonotoneStrategy, StrategyProfile, shade
-
-# Linear-shading levels of the pipeline's finite deviation class.
-SHADE_ALPHAS = tuple(k / 10 for k in range(11))
+from .strategy import MonotoneStrategy, StrategyProfile
 
 
 @dataclass(frozen=True)
@@ -126,42 +130,40 @@ def simulate_da(
     return DAOutcome(winner, utilities, welfare, inspected)
 
 
-def _claim_distribution(f: DiscreteDistribution, d: DAMixedStrategy) -> DiscreteDistribution:
+def _components(d: DAPureStrategy | DAMixedStrategy):
+    return (d if isinstance(d, DAMixedStrategy) else DAMixedStrategy.pure(d)).components
+
+
+def _claim_distribution(f: DiscreteDistribution, d) -> DiscreteDistribution:
     """Distribution of the claim price beta_c(v) over value v ~ f and component c."""
     claims, weights = [], []
-    for wc, comp in d.components:
+    for wc, comp in _components(d):
         for a, wv in f:
             claims.append(comp.beta.eval(a))
             weights.append(wc * wv)
     return make_discrete(claims, weights)
 
 
-def _bidder_terms(
-    inst: SearchInstance,
-    profile: Sequence[DAPureStrategy | DAMixedStrategy],
-    i: int,
-    tie: Tie,
-) -> tuple[float, float, float]:
-    """(E[share * v], E[share * price], P(inspect)) of bidder i.
+def _claim_distributions(inst: SearchInstance, profile, skip: int | None = None) -> list:
+    """The claim distribution of every bidder but ``skip``."""
+    if len(profile) != inst.n:
+        raise DimensionMismatch("profile must match the instance size")
+    pairs = enumerate(zip(inst.boxes.marginals, profile))
+    return [_claim_distribution(f, d) for j, (f, d) in pairs if j != skip]
+
+
+def _bidder_terms(inst: SearchInstance, i: int, d_i, opp, tie: Tie) -> tuple[float, float]:
+    """(ex ante utility, welfare share) of bidder i playing ``d_i`` against the
+    opponents' claim distributions ``opp``.
 
     Claims are independent across bidders, so bidder i's share at claim b is
     the first-price tie DP against the opponents' claim distributions. Bidder
     i inspects iff no opponent claims above the threshold tau, since the own
     claim never exceeds tau.
     """
-    if len(profile) != inst.n:
-        raise DimensionMismatch("profile must match the instance size")
-    mixed = [
-        d if isinstance(d, DAMixedStrategy) else DAMixedStrategy.pure(d) for d in profile
-    ]
-    opp = [
-        _claim_distribution(f, d)
-        for j, (f, d) in enumerate(zip(inst.boxes.marginals, mixed))
-        if j != i
-    ]
     won = paid = inspect = 0.0
     f_i = inst.boxes.marginals[i]
-    for wc, comp in mixed[i].components:
+    for wc, comp in _components(d_i):
         inspect += wc * cdf_of_max(opp, comp.tau)
         bids = [comp.beta.eval(a) for a in f_i.atoms]
         alloc = allocation_probability(tie, opp, bids).tolist()
@@ -169,7 +171,8 @@ def _bidder_terms(
             share = wc * wv * p
             won += share * a
             paid += share * b
-    return won, paid, inspect
+    cost = inst.costs[i] * inspect
+    return won - paid - cost, won - cost
 
 
 def ex_ante_utility_da(
@@ -179,8 +182,7 @@ def ex_ante_utility_da(
     tie: Tie = Tie.RANDOM_ALLOCATION,
 ) -> float:
     """Exact expected utility of bidder i before anyone learns values."""
-    won, paid, inspect = _bidder_terms(inst, profile, i, tie)
-    return won - paid - inst.costs[i] * inspect
+    return _bidder_terms(inst, i, profile[i], _claim_distributions(inst, profile, i), tie)[0]
 
 
 def da_welfare(
@@ -189,11 +191,39 @@ def da_welfare(
     tie: Tie = Tie.RANDOM_ALLOCATION,
 ) -> float:
     """Exact expected welfare (allocated value minus all inspection costs paid)."""
-    total = 0.0
+    claims = _claim_distributions(inst, profile)
+    return sum(
+        _bidder_terms(inst, i, profile[i], claims[:i] + claims[i + 1 :], tie)[1]
+        for i in range(inst.n)
+    )
+
+
+def _best_deviation(inst: SearchInstance, i: int, opp, tie: Tie) -> float:
+    """Supremum ex ante utility of bidder i over all descending-auction strategies.
+
+    A threshold at or just above base a of the candidates costs
+    c_i * P(max opponent claim <= a) and allows every claim up to a+, so the
+    best claim per value is the running maximum of the values x candidates
+    utility matrix at a+'s column. No mixture beats its best component.
+    """
+    f_i, cands = inst.boxes.marginals[i], candidate_allocations(tie, opp)
+    u = cands["alloc"] * (np.array(f_i.atoms)[:, None] - cands["base"])
+    claim = np.array(f_i.weights) @ np.maximum.accumulate(u, axis=1)[:, 1::2]
+    return float(np.max(claim - inst.costs[i] * cdf_of_max(opp, cands["base"][1::2])))
+
+
+def _deviation_gap(inst: SearchInstance, da_profile, tie: Tie = Tie.RANDOM_ALLOCATION) -> float:
+    """Exact ex ante equilibrium gap: the largest gain of any bidder from any deviation."""
+    claims = _claim_distributions(inst, da_profile)
+    gap = 0.0
     for i in range(inst.n):
-        won, _, inspect = _bidder_terms(inst, profile, i, tie)
-        total += won - inst.costs[i] * inspect
-    return total
+        opp = claims[:i] + claims[i + 1 :]
+        own, _ = _bidder_terms(inst, i, da_profile[i], opp, tie)
+        gain = _best_deviation(inst, i, opp, tie) - own
+        if not gain >= -1e-9:  # also a NaN gain, which `max` would skip
+            raise AssertionError(f"gap {gain} is negative or NaN: deviations not exhaustive")
+        gap = max(gap, gain)
+    return gap
 
 
 def lambda_map(f: MonotoneStrategy, sigma: float) -> DAPureStrategy:
@@ -201,44 +231,6 @@ def lambda_map(f: MonotoneStrategy, sigma: float) -> DAPureStrategy:
     tau = f.eval(sigma)
     bps = [(t, b) for t, b in f.breakpoints if t < sigma] + [(float(sigma), tau)]
     return DAPureStrategy(tau, MonotoneStrategy(tuple(bps), f.default_bid))
-
-
-def smoothness_component(sigma: float, z: float, value_grid: Sequence[float]) -> DAPureStrategy:
-    """One deviation component: inspect at (1-z)*sigma, claim at (1-z)*min(v, sigma)."""
-    pts = sorted(set(float(g) for g in value_grid) | {float(sigma)})
-    bps = tuple((g, (1.0 - z) * min(g, sigma)) for g in pts)
-    return DAPureStrategy((1.0 - z) * sigma, MonotoneStrategy(bps, 0.0))
-
-
-def smoothness_deviation(
-    sigma: float, value_grid: Sequence[float], k_points: int = 64
-) -> DAMixedStrategy:
-    """The welfare-guarantee deviation: Z on [1/e, 1] with density 1/z.
-
-    Z is discretized on k equal-probability quantiles (inverse CDF
-    z = exp(u - 1)); every component claims above sigma.
-    """
-    comps = []
-    for k in range(k_points):
-        u = (k + 0.5) / k_points
-        z = math.exp(u - 1.0)
-        comps.append((1.0 / k_points, smoothness_component(sigma, z, value_grid)))
-    return DAMixedStrategy(tuple(comps))
-
-
-def poa_check(
-    inst: SearchInstance,
-    profile: Sequence[DAPureStrategy | DAMixedStrategy],
-    certified_eps: float,
-    tie: Tie = Tie.RANDOM_ALLOCATION,
-) -> tuple[float, float]:
-    """Welfare of the profile against the (1 - 1/e) * OPT - n * eps bound.
-
-    Returns (welfare, bound); the caller asserts welfare >= bound.
-    """
-    welfare = da_welfare(inst, profile, tie)
-    bound = (1.0 - 1.0 / math.e) * opt_welfare(inst) - inst.n * certified_eps
-    return welfare, bound
 
 
 @dataclass(frozen=True)
@@ -282,34 +274,6 @@ class PipelineReport:
         }
 
 
-def _deviation_gap(
-    inst: SearchInstance,
-    da_profile: Sequence[DAPureStrategy],
-    sigma_hat: Sequence[float],
-) -> float:
-    """Best-deviation lower bound on the ex ante equilibrium gap on the truth.
-
-    Deviations per bidder: lambda-images of a linear-shading grid on the
-    truncated support, plus the 1/z-density deviation. A finite class only
-    lower-bounds the true gap, which the reports document.
-    """
-    gap = 0.0
-    for i in range(inst.n):
-        own = ex_ante_utility_da(inst, da_profile, i)
-        grid = sorted(
-            {min(a, sigma_hat[i]) for a in inst.boxes.marginals[i].atoms} | {sigma_hat[i]}
-        )
-        deviations: list[DAPureStrategy | DAMixedStrategy] = [
-            lambda_map(shade(grid, a), sigma_hat[i]) for a in SHADE_ALPHAS
-        ]
-        deviations.append(smoothness_deviation(sigma_hat[i], grid))
-        for dev in deviations:
-            trial = list(da_profile)
-            trial[i] = dev
-            gap = max(gap, ex_ante_utility_da(inst, trial, i) - own)
-    return gap
-
-
 def _break_bid_ties(
     profile: StrategyProfile, grid_step: float, h: float
 ) -> StrategyProfile:
@@ -341,10 +305,11 @@ def empirical_pipeline(
     and maps the result into the descending auction on the true distribution.
     The emitted profile carries per-bidder tie-breaking bid offsets (see
     :func:`_break_bid_ties`) and is re-certified after the offsets. Reports
-    the certified epsilon, the measured estimator error, the deviation-grid
-    equilibrium gap, welfare against the price-of-anarchy bound, and how far
-    the implied costs drift from the true ones. The deviation gap and welfare
-    are exact expectations on the true distribution, not samples.
+    the certified epsilon, the measured estimator error, the exact equilibrium
+    gap over all descending-auction deviations, welfare against the
+    price-of-anarchy bound, and how far the implied costs drift from the true
+    ones. The gap and welfare are exact expectations on the true distribution,
+    not samples.
     """
     params = params or SolverParams()
     inst = SearchInstance(f_true, costs)
@@ -389,7 +354,7 @@ def empirical_pipeline(
     family = shade_family(f_true_trunc, [k / 4 for k in range(5)]) + [fpa_profile]
     empp_sup = sup_error(s_b_trunc, FPA_RANDOM, family, f_true_trunc, "empp").sup_error
 
-    da_gap = _deviation_gap(inst, da_profile, sigma_hat)
+    da_gap = _deviation_gap(inst, da_profile)
     welfare = da_welfare(inst, da_profile)
     opt = opt_welfare(inst)
     bound = (1.0 - 1.0 / math.e) * opt - inst.n * da_gap

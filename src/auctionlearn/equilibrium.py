@@ -122,11 +122,19 @@ def _shade_on_grid(values, alpha: float, grid: list[float]) -> MonotoneStrategy:
     return MonotoneStrategy(tuple(zip(values, bids)))
 
 
+MAX_GRID_BIDS = 10**6
+
+
 def uniform_bid_grid(h: float, grid_step: float) -> list[float]:
-    """Bids j * grid_step for j < k = floor(h / grid_step + 1e-9), then min(k * grid_step, h)."""
+    """Bids j * grid_step for j < k = floor(h / grid_step + 1e-9), then min(k * grid_step, h).
+
+    A grid of more than ``MAX_GRID_BIDS`` bids raises ``ValueError`` unbuilt."""
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise ValueError(f"grid step must be finite and positive, got {grid_step}")
-    k = math.floor(h / grid_step + 1e-9)
+    k = h / grid_step + 1e-9
+    if not k < MAX_GRID_BIDS:  # also an infinite quotient, which floor rejects
+        raise ValueError(f"H={h} over grid step {grid_step} needs more than {MAX_GRID_BIDS} bids")
+    k = math.floor(k)
     return [j * grid_step for j in range(k)] + [min(k * grid_step, h)]
 
 

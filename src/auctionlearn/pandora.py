@@ -181,10 +181,13 @@ def opt_welfare(inst: SearchInstance) -> float:
 
 
 def truncation_budget(h: float, eps: float) -> float:
-    """Cost budget 2 * H * ln(H / eps) under which truncation loses at most eps."""
+    """Cost budget 2 * H * ln(H / eps) under which truncation loses at most eps.
+
+    For H <= eps no budget is needed (truncation loses at most H), so it is infinite.
+    """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    return 2.0 * h * math.log(h / eps)
+    return 2.0 * h * math.log(h / eps) if h > eps else math.inf
 
 
 def pandora_from_samples(

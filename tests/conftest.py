@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -21,7 +22,13 @@ from auctionlearn.auction import (
     monotone_best_response_profile,
     push_forward,
 )
-from auctionlearn.da import DAMixedStrategy, DAPureStrategy, lambda_map, simulate_da
+from auctionlearn.da import (
+    DAMixedStrategy,
+    DAPureStrategy,
+    ex_ante_utility_da,
+    lambda_map,
+    simulate_da,
+)
 from auctionlearn.dist import (
     DiscreteDistribution,
     ProductDistribution,
@@ -37,7 +44,7 @@ from auctionlearn.errors import DimensionMismatch, EpsTooLarge, TooLargeToEnumer
 from auctionlearn.estimate import empp_estimate
 from auctionlearn.lowerbound import distinguisher_trials
 from auctionlearn.pandora import IndexPolicy, SearchInstance, _effective_prefix, weitzman_index
-from auctionlearn.strategy import MonotoneStrategy, StrategyProfile
+from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, constant, shade
 
 
 # Bids, values and atoms on a quarter grid, so that ties are frequent.
@@ -487,6 +494,96 @@ def roundtrip_check(
         if any(back.beta.eval(p) != strategy.beta.eval(p) for p in probes):
             return False
     return True
+
+
+# --- descending-auction deviations -------------------------------------------
+#
+# The finite deviation class the pipeline's gap used before it became the exact
+# supremum (lambda-images of linear shades and the 1/z smoothness mixture), and
+# a brute-force oracle for that supremum on the quarter grid.
+
+SHADE_ALPHAS = tuple(k / 10 for k in range(11))
+
+
+def smoothness_component(sigma: float, z: float, value_grid: Sequence[float]) -> DAPureStrategy:
+    """One deviation component: inspect at (1-z)*sigma, claim at (1-z)*min(v, sigma)."""
+    pts = sorted(set(float(g) for g in value_grid) | {float(sigma)})
+    bps = tuple((g, (1.0 - z) * min(g, sigma)) for g in pts)
+    return DAPureStrategy((1.0 - z) * sigma, MonotoneStrategy(bps, 0.0))
+
+
+def smoothness_deviation(
+    sigma: float, value_grid: Sequence[float], k_points: int = 64
+) -> DAMixedStrategy:
+    """The welfare-guarantee deviation: Z on [1/e, 1] with density 1/z.
+
+    Z is discretized on k equal-probability quantiles (inverse CDF
+    z = exp(u - 1)); every component claims above sigma.
+    """
+    comps = []
+    for k in range(k_points):
+        u = (k + 0.5) / k_points
+        z = math.exp(u - 1.0)
+        comps.append((1.0 / k_points, smoothness_component(sigma, z, value_grid)))
+    return DAMixedStrategy(tuple(comps))
+
+
+def finite_class_gap(inst: SearchInstance, da_profile, sigmas: Sequence[float]) -> float:
+    """Largest gain over the lambda-images of linear shades on the truncated support
+    and the smoothness mixture, per bidder; a lower bound on the exact gap."""
+    gap = 0.0
+    for i in range(inst.n):
+        own = ex_ante_utility_da(inst, da_profile, i)
+        grid = sorted({min(a, sigmas[i]) for a in inst.boxes.marginals[i].atoms} | {sigmas[i]})
+        deviations = [lambda_map(shade(grid, a), sigmas[i]) for a in SHADE_ALPHAS]
+        deviations.append(smoothness_deviation(sigmas[i], grid))
+        for dev in deviations:
+            trial = list(da_profile)
+            trial[i] = dev
+            gap = max(gap, ex_ante_utility_da(inst, trial, i) - own)
+    return gap
+
+
+# Threshold and claim prices of the brute-force deviation oracle: the quarter
+# grid, and 1e-7 above each point in place of the right limits.
+ORACLE_PRICES = sorted(q + d for q in (0.0, 0.25, 0.5, 0.75, 1.0) for d in (0.0, 1e-7))
+
+
+def best_deviation_by_enumeration(inst: SearchInstance, profile, i: int, tie) -> float:
+    """Best ex ante utility of bidder i over every threshold and every per-value claim
+    on ``ORACLE_PRICES``, from :func:`simulate_da` over every joint opponent draw.
+
+    Given the threshold, each value's claim is chosen on its own: the inspection
+    probability depends only on the threshold, since the own claim never exceeds it.
+    """
+    draws = []
+    for j, (f, d) in enumerate(zip(inst.boxes.marginals, profile)):
+        comps = d.components if isinstance(d, DAMixedStrategy) else ((1.0, d),)
+        draws.append([(1.0, None, None)] if j == i else
+                     [(wv * wc, a, comp) for a, wv in f for wc, comp in comps])
+    joint = list(itertools.product(*draws))
+    # claim_u[v][b]: E[share * (v - b)] at claim b; inspect[b]: P(inspect) at threshold b.
+    claim_u: dict[float, dict[float, float]] = {}
+    inspect: dict[float, float] = {}
+    for b in ORACLE_PRICES:
+        dev = DAPureStrategy(b, constant(b))
+        for v, _ in inst.boxes.marginals[i]:
+            u = p_inspect = 0.0
+            for combo in joint:
+                prob = float(np.prod([w for w, _, _ in combo]))
+                values = [v if j == i else a for j, (_, a, _) in enumerate(combo)]
+                pures = [dev if j == i else c for j, (_, _, c) in enumerate(combo)]
+                out = simulate_da(inst, pures, values, tie)
+                u += prob * out.utilities[i]
+                p_inspect += prob * out.inspected[i]
+            claim_u.setdefault(v, {})[b] = u + inst.costs[i] * p_inspect
+            inspect[b] = p_inspect
+    return max(
+        sum(wv * max(u for b, u in claim_u[v].items() if b <= tau)
+            for v, wv in inst.boxes.marginals[i])
+        - inst.costs[i] * inspect[tau]
+        for tau in ORACLE_PRICES
+    )
 
 
 # --- check-only helpers --------------------------------------------------------

@@ -310,10 +310,21 @@ def test_criterion_09_cost_coupling():
     )
 
 
+# Trials where the exact gap exceeds eps_fpa + 4 * empp_sup_error, the bound
+# criterion 10 put on da_gap before the gap was exact: 0.00837 > 0.00700 and
+# 0.08281 > 0.08136. The pipeline solves at the index costs, not the true ones.
+COST_SHIFT_TRIALS = (0, 2)
+
+
 def test_criterion_10_end_to_end_pipeline():
+    # eps_true certifies the emitted first-price profile on the true marginals
+    # truncated at the learned indices. By amortization its descending image
+    # gains at most eps_true from any deviation at the index costs, and moving
+    # to the true costs shifts each gain by at most cost_err.
     rng = np.random.default_rng(110)
     t0 = time.time()
-    gap_ok = poa_ok = True
+    eps_ok = gap_ok = poa_ok = True
+    old_bound_fails = []
     details = []
     for trial in range(20):
         n = int(rng.integers(2, 4))
@@ -324,17 +335,28 @@ def test_criterion_10_end_to_end_pipeline():
         rep = empirical_pipeline(
             s, costs, f, SolverParams(grid_step=0.05, max_iters=40, seed=trial)
         )
-        gap_bound = rep.eps_fpa + 4 * rep.empp_sup_error
+        f_trunc = product_of(
+            [truncate_at(m, sig) for m, sig in zip(marginals, rep.sigma_hat)], 1.0
+        )
+        eps_true = verify_bne(FPA_RANDOM, f_trunc, rep.fpa_profile).epsilon
+        eps_bound = rep.eps_fpa + 4 * rep.empp_sup_error
+        gap_bound = eps_true + rep.cost_err
         welfare_floor = (1 - 1 / math.e) * rep.opt - n * rep.da_gap
+        eps_ok = eps_ok and eps_true <= eps_bound + 1e-12
         gap_ok = gap_ok and rep.da_gap <= gap_bound + 1e-12
         poa_ok = poa_ok and rep.welfare >= welfare_floor - 1e-12
+        if rep.da_gap > eps_bound + 1e-12:
+            old_bound_fails.append(trial)
         details.append(f"{rep.da_gap:.3f}<={gap_bound:.3f}")
     elapsed = time.time() - t0
+    regressions_ok = set(COST_SHIFT_TRIALS) <= set(old_bound_fails)
     report(
         10,
         "end-to-end learned equilibrium pipeline",
-        gap_ok and poa_ok and elapsed < 300,
-        f"gap bounds {'/'.join(details[:5])}..., welfare floors hold: {poa_ok}, {elapsed:.1f}s",
+        eps_ok and gap_ok and poa_ok and regressions_ok and elapsed < 300,
+        f"gap bounds {'/'.join(details[:5])}..., eps_true within the learned bound: {eps_ok}, "
+        f"welfare floors hold: {poa_ok}, gap above the learned bound on trials "
+        f"{old_bound_fails}, {elapsed:.1f}s",
     )
 
 

@@ -293,6 +293,44 @@ def test_non_finite_h_exits_2(sub, h, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR: validation")
 
 
+@pytest.mark.parametrize("sub", ["solve-bne", "da-experiment"])
+@pytest.mark.parametrize(
+    "h,step", [(1e16, None), (1.0, "1e-12")], ids=["h-1e16", "step-1e-12"]
+)
+def test_oversized_bid_grid_exits_2(sub, h, step, tmp_path, capsys):
+    # One atom at H = 1e16 asks for 2e17 bids at the default step; the grid
+    # must be refused before it is built.
+    path = tmp_path / "inst.json"
+    path.write_text(
+        json.dumps({"marginals": [{"atoms": [0.0, h], "weights": [0.5, 0.5]}], "costs": [0.0]})
+    )
+    argv = [sub, "--instance", str(path)] + (["--m", "20"] if sub == "da-experiment" else [])
+    argv += ["--grid-step", step] if step else []
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("ERROR: validation: H=")
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        {"H": 0, "marginals": [{"atoms": [0], "weights": [1]}], "costs": [0]},
+        {"H": 0.005, "marginals": [{"atoms": [0.0, 0.005], "weights": [0.5, 0.5]}] * 2,
+         "costs": [0.0, 0.001]},
+    ],
+    ids=["h-0", "h-0.005"],
+)
+def test_pandora_h_at_most_trunc_eps(inst, tmp_path):
+    # H <= --trunc-eps (0.01 by default) needs no truncation budget.
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    out = tmp_path / "p.csv"
+    argv = ["pandora", "--instance", str(path), "--m", "10", "--seeds", "3", "--out", str(out)]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(x)) for row in rows for x in row)
+
+
 def test_da_experiment_cost_count_exits_2(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(
@@ -418,21 +456,36 @@ def instance_and_profile(draw):
     return draw(mostly(st.just(inst))), profile
 
 
+def numbers(obj):
+    """Every number in a JSON value."""
+    if isinstance(obj, dict):
+        return [x for v in obj.values() for x in numbers(v)]
+    if isinstance(obj, list):
+        return [x for v in obj for x in numbers(v)]
+    return [obj] if isinstance(obj, (int, float)) and not isinstance(obj, bool) else []
+
+
 @given(
     case=instance_and_profile(),
     rule=st.sampled_from([[], ["--auction", "all-pay", "--tie", "no-allocation"]]),
 )
 @settings(max_examples=200, deadline=None)
 def test_fuzzed_json_exits_2_or_certifies(case, rule):
-    """verify-bne exits 2 or certifies a finite, nonnegative epsilon; pandora reads
-    the costs and exits 2 or prints finite payoffs."""
+    """verify-bne exits 2 or certifies a finite, nonnegative epsilon; solve-bne exits 2
+    or prints a finite certificate and profile; pandora and da-experiment read the
+    costs and exit 2 or print finite numbers."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {k: os.path.join(tmp, f"{k}.json") for k in ("inst", "prof", "out")}
         for path, obj in zip(paths.values(), case):
             with open(path, "w") as fh:
                 json.dump(obj, fh)
-        verify = ["verify-bne", "--profile", paths["prof"]] + rule
-        for argv in (verify, ["pandora", "--m", "4", "--seeds", "1"]):
+        runs = (
+            ["verify-bne", "--profile", paths["prof"]] + rule,
+            ["solve-bne", "--max-iters", "5"] + rule,
+            ["pandora", "--m", "4", "--seeds", "1"],
+            ["da-experiment", "--m", "8", "--grid-step", "0.25"],
+        )
+        for argv in runs:
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = main(argv + ["--instance", paths["inst"], "--out", paths["out"]])
@@ -441,12 +494,15 @@ def test_fuzzed_json_exits_2_or_certifies(case, rule):
                 continue
             assert code == 0, err.getvalue()
             with open(paths["out"]) as fh:
-                if argv[0] == "verify-bne":
-                    eps = json.load(fh)["epsilon"]
-                    assert math.isfinite(eps) and eps >= 0.0
-                else:
+                if argv[0] == "pandora":
                     row = fh.read().splitlines()[1].split(",")
                     assert all(math.isfinite(float(x)) for x in row)
+                    continue
+                blob = json.load(fh)
+            assert all(math.isfinite(x) for x in numbers(blob))
+            if argv[0] != "da-experiment":
+                cert = blob if argv[0] == "verify-bne" else blob["certificate"]
+                assert cert["epsilon"] >= 0.0
 
 
 # Outputs recorded before the per-row ex post loops were replaced by the
@@ -503,6 +559,17 @@ GOLDEN_SHA256 = [
          "--auction", "all-pay"],
         "sha256:96af443b297b03c80447c85648417d5ddff753786faf1a88910a2716d9bbf9fe",
     ),
+    # Recorded when da_gap became the exact supremum over all descending-auction
+    # deviations; the pipeline must reproduce them.
+    (
+        ["da-experiment", "--m", "40", "--seeds", "2", "--seed", "3", "--grid-step", "0.25"],
+        "sha256:000efe56db9cea39931a4480e68fb9dd5858fd0f9533abc90a290db9f12aea63",
+    ),
+    (
+        ["da-experiment", "--m", "40", "--seeds", "2", "--seed", "3", "--grid-step", "0.25",
+         "--format", "csv"],
+        "sha256:5c50399dda96d9dab78094552fc66f7d50031e8a94b5880d08994971f880fab1",
+    ),
 ]
 
 
@@ -511,7 +578,7 @@ GOLDEN_SHA256 = [
 )
 def test_golden_bytes(argv, expected, instance_file, tie_profile_file, tmp_path):
     out = tmp_path / "out"
-    if argv[0] in ("estimate", "verify-bne", "solve-bne"):
+    if argv[0] in ("estimate", "verify-bne", "solve-bne", "da-experiment"):
         argv = argv + ["--instance", instance_file]
     if argv[0] == "verify-bne":
         argv = argv + ["--profile", tie_profile_file]

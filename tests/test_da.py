@@ -2,20 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionlearn.auction import FPA_RANDOM, Tie
 from auctionlearn.da import (
     DAMixedStrategy,
     DAPureStrategy,
     SolverParams,
+    _best_deviation,
+    _claim_distribution,
+    _deviation_gap,
     da_welfare,
     empirical_pipeline,
     ex_ante_utility_da,
     lambda_map,
-    poa_check,
     simulate_da,
-    smoothness_component,
-    smoothness_deviation,
 )
 from auctionlearn.dist import (
     SampleMatrix,
@@ -27,17 +29,23 @@ from auctionlearn.dist import (
     uniform_on,
 )
 from auctionlearn.errors import ClaimAboveInspection, OddSampleCount
-from auctionlearn.pandora import SearchInstance, weitzman_index
+from auctionlearn.pandora import SearchInstance, opt_welfare, weitzman_index
 from auctionlearn.strategy import MonotoneStrategy, constant, shade
 
 from conftest import (
+    QUARTERS,
+    best_deviation_by_enumeration,
     da_outcomes_by_enumeration,
     ex_ante_utility_fpa,
+    finite_class_gap,
     mu_map,
+    quarter_distributions,
     random_discrete,
     random_monotone,
     random_search_instance,
     roundtrip_check,
+    smoothness_component,
+    smoothness_deviation,
 )
 
 
@@ -343,11 +351,15 @@ class TestCostCoupling:
                 assert abs(u1 - u2) <= abs(inst.costs[i] - new_costs[i]) + 1e-12
 
 
+def poa_floor(inst: SearchInstance, eps: float) -> float:
+    return (1 - 1 / math.e) * opt_welfare(inst) - inst.n * eps
+
+
 class TestPoa:
     def test_single_bidder_free_inspection(self):
         inst = SearchInstance(product_of([uniform_on([0.0, 0.5, 1.0])], 1.0), (0.0,))
         d = DAPureStrategy(1.0, constant(0.0))
-        welfare, bound = poa_check(inst, [d], certified_eps=0.0)
+        welfare, bound = da_welfare(inst, [d]), poa_floor(inst, 0.0)
         assert welfare == pytest.approx(0.5)  # E[v], winner always claims at 0
         assert bound == pytest.approx((1 - 1 / math.e) * 0.5)
         assert welfare >= bound
@@ -355,8 +367,59 @@ class TestPoa:
     def test_all_zero_values(self):
         inst = SearchInstance(product_of([point_mass(0.0)] * 2, 1.0), (0.0, 0.0))
         profile = [DAPureStrategy(0.0, constant(0.0))] * 2
-        welfare, bound = poa_check(inst, profile, certified_eps=0.05)
-        assert welfare >= bound  # 0 >= -n * eps
+        assert da_welfare(inst, profile) >= poa_floor(inst, 0.05)  # 0 >= -n * eps
+
+
+def quarter_instance(rng, n_max=3, atoms_max=3) -> SearchInstance:
+    """Values on the quarter grid, so that values, claims and thresholds tie often."""
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    marginals = []
+    for _ in range(int(rng.integers(1, n_max + 1))):
+        atoms = rng.choice(grid, size=int(rng.integers(1, atoms_max + 1)), replace=False)
+        marginals.append(make_discrete(atoms.tolist(), (rng.random(len(atoms)) + 0.1).tolist()))
+    costs = tuple(float(rng.random()) * m.mean() for m in marginals)
+    return SearchInstance(product_of(marginals, 1.0), costs)
+
+
+class TestExactGap:
+    def test_matches_brute_force_oracle(self, rng):
+        # Opponents claim on the quarter grid, where the oracle tries every
+        # threshold and claim exactly and 1e-7 above in place of right limits.
+        for _ in range(25):
+            inst = quarter_instance(rng)
+            profile = [tied_da_mixture(rng, f) for f in inst.boxes.marginals]
+            for tie in Tie:
+                claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
+                gap = 0.0
+                for i in range(inst.n):
+                    exact = _best_deviation(inst, i, claims[:i] + claims[i + 1 :], tie)
+                    oracle = best_deviation_by_enumeration(inst, profile, i, tie)
+                    assert oracle <= exact + 1e-12
+                    assert oracle >= exact - 1e-6
+                    gap = max(gap, exact - ex_ante_utility_da(inst, profile, i, tie))
+                assert _deviation_gap(inst, profile, tie) == pytest.approx(gap, rel=0, abs=1e-12)
+
+    def test_gap_is_zero_when_nobody_can_gain(self):
+        # One bidder, free inspection, claiming 0 at every value: nothing beats E[v].
+        inst = SearchInstance(product_of([uniform_on([0.0, 0.5, 1.0])], 1.0), (0.0,))
+        assert _deviation_gap(inst, [DAPureStrategy(1.0, constant(0.0))]) == 0.0
+
+    @given(
+        marginals=st.lists(quarter_distributions(), min_size=1, max_size=3),
+        cost_fracs=st.lists(st.floats(0.0, 0.9), min_size=3, max_size=3),
+        alphas=st.lists(QUARTERS, min_size=3, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_dominates_finite_deviation_class(self, marginals, cost_fracs, alphas):
+        inst = SearchInstance(
+            product_of(marginals, 1.0), [c * m.mean() for c, m in zip(cost_fracs, marginals)]
+        )
+        sigmas = [weitzman_index(m, c, h=1.0) for m, c in zip(marginals, inst.costs)]
+        profile = [
+            lambda_map(shade(sorted({min(a, s) for a in m.atoms} | {s}), alpha), s)
+            for m, s, alpha in zip(marginals, sigmas, alphas)
+        ]
+        assert _deviation_gap(inst, profile) >= finite_class_gap(inst, profile, sigmas) - 1e-12
 
 
 class TestPipeline:

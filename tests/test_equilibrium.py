@@ -283,6 +283,12 @@ class TestTransfer:
             with pytest.raises(ValueError):
                 uniform_bid_grid(1.0, step)
 
+    def test_uniform_bid_grid_size_is_capped(self):
+        assert len(uniform_bid_grid(1.0, 1e-6 + 1e-15)) == 10**6
+        for h, step in ((1.0, 1e-6), (1e16, 0.05), (1.0, 1e-12), (1e300, 1e-300)):
+            with pytest.raises(ValueError, match="needs more than 1000000 bids"):
+                uniform_bid_grid(h, step)
+
     def test_transfer_bound_with_measured_error(self):
         # eps on truth <= eps on empirical + 2 * (measured product-form sup error)
         f = ProductDistribution.iid(uniform_on([0.0, 0.25, 0.5, 0.75, 1.0]), 2, 1.0)

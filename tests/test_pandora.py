@@ -220,6 +220,12 @@ class TestTruncation:
         assert trunc < full  # the budget actually binds here
         assert full - trunc <= 0.1
 
+    @pytest.mark.parametrize("h", [0.0, 0.005, 0.01])
+    def test_no_budget_when_h_is_at_most_eps(self, h):
+        # Truncation loses at most H <= eps without stopping any search.
+        assert truncation_budget(h, 0.01) == math.inf
+        assert truncation_budget(0.02, 0.01) == pytest.approx(0.04 * math.log(2.0))
+
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
     def test_budget_needs_finite_positive_eps(self, eps):
         with pytest.raises(ValueError, match="finite and positive"):
