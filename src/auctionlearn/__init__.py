@@ -17,7 +17,6 @@ from .auction import (
     push_forward,
 )
 from .da import (
-    DAMixedStrategy,
     DAOutcome,
     DAPureStrategy,
     PipelineReport,

@@ -97,38 +97,32 @@ def push_forward(f_j: DiscreteDistribution, s_j: MonotoneStrategy) -> DiscreteDi
     return DiscreteDistribution(tuple(b for b, _ in pairs), tuple(w for _, w in pairs))
 
 
-def allocation_probability(
-    tie: Tie, opp: Sequence[DiscreteDistribution], bases, limit_above: bool = False
-):
-    """Exact interim allocation probability of every bid in ``bases``.
+def allocation_probability(tie: Tie, opp: Sequence[DiscreteDistribution], bases):
+    """Exact interim allocation probability of every exact bid in ``bases``.
 
-    The bids are all exact or, with ``limit_above``, all right limits
-    ``base+``. A right limit wins when no opponent bids above ``base``: the
-    CDF of the opponents' maximum. An exact bid wins when no opponent bids
-    above it; with t opponents tied, the tie DP tracks q[t] = P(nobody above,
-    exactly t tied) one opponent at a time, and random allocation wins a
-    t-way tie with probability 1 / (t + 1). A scalar ``bases`` gives a float.
+    A bid wins when no opponent bids above it; with t opponents tied, the tie
+    DP tracks q[t] = P(nobody above, exactly t tied) one opponent at a time,
+    and random allocation wins a t-way tie with probability 1 / (t + 1). A
+    scalar ``bases`` gives a float. A right limit ``base+`` wins when no
+    opponent bids above ``base``: :func:`dist.cdf_of_max` of the opponents.
     """
     b = np.asarray(bases, dtype=float)
-    if limit_above:
-        prob = cdf_of_max(opp, b)
-    else:
-        q = [np.ones_like(b)]
-        for d in opp:
-            atoms, weights, cum = d.arrays
-            lo = np.searchsorted(atoms, b, side="left")
-            hi = np.searchsorted(atoms, b, side="right")
-            p_below = cum[lo]
-            p_at = np.where(hi > lo, weights[lo], 0.0)
-            q = (
-                [q[0] * p_below]
-                + [q[t - 1] * p_at + q[t] * p_below for t in range(1, len(q))]
-                + [q[-1] * p_at]
-            )
-        prob = q[0]
-        if tie is Tie.RANDOM_ALLOCATION:
-            for t in range(1, len(q)):
-                prob = prob + q[t] / (t + 1)
+    q = [np.ones_like(b)]
+    for d in opp:
+        atoms, weights, cum = d.arrays
+        lo = np.searchsorted(atoms, b, side="left")
+        hi = np.searchsorted(atoms, b, side="right")
+        p_below = cum[lo]
+        p_at = np.where(hi > lo, weights[lo], 0.0)
+        q = (
+            [q[0] * p_below]
+            + [q[t - 1] * p_at + q[t] * p_below for t in range(1, len(q))]
+            + [q[-1] * p_at]
+        )
+    prob = q[0]
+    if tie is Tie.RANDOM_ALLOCATION:
+        for t in range(1, len(q)):
+            prob = prob + q[t] / (t + 1)
     return float(prob) if b.ndim == 0 else prob
 
 
@@ -157,7 +151,7 @@ def candidate_allocations(tie: Tie, opp: Sequence[DiscreteDistribution]) -> np.n
     out["base"] = np.repeat(bases, 2)
     out["limit_above"] = np.tile([False, True], len(bases))
     out["alloc"][0::2] = allocation_probability(tie, opp, bases)
-    out["alloc"][1::2] = allocation_probability(tie, opp, bases, limit_above=True)
+    out["alloc"][1::2] = cdf_of_max(opp, bases)
     return out
 
 

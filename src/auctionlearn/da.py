@@ -4,8 +4,8 @@ Clock semantics: the price descends from H; a bidder inspects (pays her cost,
 learns her value) when the price reaches her threshold, and may later claim
 at her purchase price. At any single price level inspections happen before
 claims, so strategies that claim immediately upon seeing a high value are
-executable. The first claim ends the auction; simultaneous claims follow the
-configured tie rule, with random-allocation outcomes reported in expectation.
+executable. The first claim ends the auction; simultaneous claims split the
+item at random, with outcomes reported in expectation.
 
 Ex ante utilities, welfare and the equilibrium gap are exact. Claims are
 independent across bidders, so a bidder's share is the first-price tie DP run
@@ -74,30 +74,11 @@ class DAPureStrategy:
 
 
 @dataclass(frozen=True)
-class DAMixedStrategy:
-    """Finite mixture over pure descending-auction strategies."""
-
-    components: tuple[tuple[float, DAPureStrategy], ...]
-
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise DimensionMismatch("mixture needs at least one component")
-        if any(w <= 0 for w, _ in self.components):
-            raise ValueError("mixture weights must be positive")
-        if abs(sum(w for w, _ in self.components) - 1.0) > 1e-9:
-            raise ValueError("mixture weights must sum to 1")
-
-    @classmethod
-    def pure(cls, d: DAPureStrategy) -> "DAMixedStrategy":
-        return cls(((1.0, d),))
-
-
-@dataclass(frozen=True)
 class DAOutcome:
     """One realized descending auction; tie outcomes are in expectation.
 
-    ``winner`` is None when the top claim is tied (under either tie rule);
-    utilities and welfare then average over the uniform tie-break.
+    ``winner`` is None when the top claim is tied; utilities and welfare then
+    average over the uniform tie-break.
     """
 
     winner: int | None
@@ -110,7 +91,6 @@ def simulate_da(
     inst: SearchInstance,
     profile: Sequence[DAPureStrategy],
     values: Sequence[float],
-    tie: Tie = Tie.RANDOM_ALLOCATION,
 ) -> DAOutcome:
     """Run the descending clock on one value vector."""
     n = inst.n
@@ -118,7 +98,7 @@ def simulate_da(
         raise DimensionMismatch("profile and values must match the instance size")
     claims = [profile[j].beta.eval(values[j]) for j in range(n)]
     price = max(claims)
-    shares = ex_post_allocation(tie, claims)
+    shares = ex_post_allocation(Tie.RANDOM_ALLOCATION, claims)
     winner = int(shares.argmax()) if shares.max() == 1.0 else None
     # A bidder inspects iff the clock reaches her threshold before the sale;
     # at the sale price itself inspections still happen (they precede claims).
@@ -130,18 +110,9 @@ def simulate_da(
     return DAOutcome(winner, utilities, welfare, inspected)
 
 
-def _components(d: DAPureStrategy | DAMixedStrategy):
-    return (d if isinstance(d, DAMixedStrategy) else DAMixedStrategy.pure(d)).components
-
-
-def _claim_distribution(f: DiscreteDistribution, d) -> DiscreteDistribution:
-    """Distribution of the claim price beta_c(v) over value v ~ f and component c."""
-    claims, weights = [], []
-    for wc, comp in _components(d):
-        for a, wv in f:
-            claims.append(comp.beta.eval(a))
-            weights.append(wc * wv)
-    return make_discrete(claims, weights)
+def _claim_distribution(f: DiscreteDistribution, d: DAPureStrategy) -> DiscreteDistribution:
+    """Distribution of the claim price beta(v) over value v ~ f."""
+    return make_discrete([d.beta.eval(a) for a in f.atoms], list(f.weights))
 
 
 def _claim_distributions(inst: SearchInstance, profile, skip: int | None = None) -> list:
@@ -152,7 +123,7 @@ def _claim_distributions(inst: SearchInstance, profile, skip: int | None = None)
     return [_claim_distribution(f, d) for j, (f, d) in pairs if j != skip]
 
 
-def _bidder_terms(inst: SearchInstance, i: int, d_i, opp, tie: Tie) -> tuple[float, float]:
+def _bidder_terms(inst: SearchInstance, i: int, d_i: DAPureStrategy, opp) -> tuple[float, float]:
     """(ex ante utility, welfare share) of bidder i playing ``d_i`` against the
     opponents' claim distributions ``opp``.
 
@@ -161,44 +132,33 @@ def _bidder_terms(inst: SearchInstance, i: int, d_i, opp, tie: Tie) -> tuple[flo
     i inspects iff no opponent claims above the threshold tau, since the own
     claim never exceeds tau.
     """
-    won = paid = inspect = 0.0
+    won = paid = 0.0
     f_i = inst.boxes.marginals[i]
-    for wc, comp in _components(d_i):
-        inspect += wc * cdf_of_max(opp, comp.tau)
-        bids = [comp.beta.eval(a) for a in f_i.atoms]
-        alloc = allocation_probability(tie, opp, bids).tolist()
-        for a, wv, b, p in zip(f_i.atoms, f_i.weights, bids, alloc):
-            share = wc * wv * p
-            won += share * a
-            paid += share * b
-    cost = inst.costs[i] * inspect
+    bids = [d_i.beta.eval(a) for a in f_i.atoms]
+    alloc = allocation_probability(Tie.RANDOM_ALLOCATION, opp, bids).tolist()
+    for a, wv, b, p in zip(f_i.atoms, f_i.weights, bids, alloc):
+        share = wv * p
+        won += share * a
+        paid += share * b
+    cost = inst.costs[i] * cdf_of_max(opp, d_i.tau)
     return won - paid - cost, won - cost
 
 
-def ex_ante_utility_da(
-    inst: SearchInstance,
-    profile: Sequence[DAPureStrategy | DAMixedStrategy],
-    i: int,
-    tie: Tie = Tie.RANDOM_ALLOCATION,
-) -> float:
+def ex_ante_utility_da(inst: SearchInstance, profile: Sequence[DAPureStrategy], i: int) -> float:
     """Exact expected utility of bidder i before anyone learns values."""
-    return _bidder_terms(inst, i, profile[i], _claim_distributions(inst, profile, i), tie)[0]
+    return _bidder_terms(inst, i, profile[i], _claim_distributions(inst, profile, i))[0]
 
 
-def da_welfare(
-    inst: SearchInstance,
-    profile: Sequence[DAPureStrategy | DAMixedStrategy],
-    tie: Tie = Tie.RANDOM_ALLOCATION,
-) -> float:
+def da_welfare(inst: SearchInstance, profile: Sequence[DAPureStrategy]) -> float:
     """Exact expected welfare (allocated value minus all inspection costs paid)."""
     claims = _claim_distributions(inst, profile)
     return sum(
-        _bidder_terms(inst, i, profile[i], claims[:i] + claims[i + 1 :], tie)[1]
+        _bidder_terms(inst, i, profile[i], claims[:i] + claims[i + 1 :])[1]
         for i in range(inst.n)
     )
 
 
-def _best_deviation(inst: SearchInstance, i: int, opp, tie: Tie) -> float:
+def _best_deviation(inst: SearchInstance, i: int, opp) -> float:
     """Supremum ex ante utility of bidder i over all descending-auction strategies.
 
     A threshold at or just above base a of the candidates costs
@@ -206,20 +166,20 @@ def _best_deviation(inst: SearchInstance, i: int, opp, tie: Tie) -> float:
     best claim per value is the running maximum of the values x candidates
     utility matrix at a+'s column. No mixture beats its best component.
     """
-    f_i, cands = inst.boxes.marginals[i], candidate_allocations(tie, opp)
+    f_i, cands = inst.boxes.marginals[i], candidate_allocations(Tie.RANDOM_ALLOCATION, opp)
     u = cands["alloc"] * (np.array(f_i.atoms)[:, None] - cands["base"])
     claim = np.array(f_i.weights) @ np.maximum.accumulate(u, axis=1)[:, 1::2]
     return float(np.max(claim - inst.costs[i] * cdf_of_max(opp, cands["base"][1::2])))
 
 
-def _deviation_gap(inst: SearchInstance, da_profile, tie: Tie = Tie.RANDOM_ALLOCATION) -> float:
+def _deviation_gap(inst: SearchInstance, da_profile: Sequence[DAPureStrategy]) -> float:
     """Exact ex ante equilibrium gap: the largest gain of any bidder from any deviation."""
     claims = _claim_distributions(inst, da_profile)
     gap = 0.0
     for i in range(inst.n):
         opp = claims[:i] + claims[i + 1 :]
-        own, _ = _bidder_terms(inst, i, da_profile[i], opp, tie)
-        gain = _best_deviation(inst, i, opp, tie) - own
+        own, _ = _bidder_terms(inst, i, da_profile[i], opp)
+        gain = _best_deviation(inst, i, opp) - own
         if not gain >= -1e-9:  # also a NaN gain, which `max` would skip
             raise AssertionError(f"gap {gain} is negative or NaN: deviations not exhaustive")
         gap = max(gap, gain)
@@ -317,12 +277,14 @@ def empirical_pipeline(
     if s.m % 2 != 0:
         raise OddSampleCount(f"m={s.m} must be even to split into halves")
     half = s.m // 2
-    s_a = SampleMatrix(s.values[:half], seed=s.seed)
-    s_b = SampleMatrix(s.values[half:], seed=s.seed)
+    s_a = SampleMatrix(s.values[:half])
+    s_b = SampleMatrix(s.values[half:])
 
     emp_a = empirical_marginals(s_a, h=f_true.h)
+    # A cost above a box's empirical mean gives the negative index E[v] - c,
+    # at which no truncated auction exists; such a bidder is taken at index 0.
     sigma_hat = tuple(
-        weitzman_index(f, c, h=f_true.h) for f, c in zip(emp_a.marginals, costs)
+        max(weitzman_index(f, c, h=f_true.h), 0.0) for f, c in zip(emp_a.marginals, costs)
     )
 
     emp_b = empirical_marginals(s_b, h=f_true.h)
@@ -350,7 +312,7 @@ def empirical_pipeline(
     f_true_trunc = product_of(
         (truncate_at(f, sig) for f, sig in zip(f_true.marginals, sigma_hat)), f_true.h
     )
-    s_b_trunc = SampleMatrix(np.minimum(s_b.values, np.array(sigma_hat)), seed=s.seed)
+    s_b_trunc = SampleMatrix(np.minimum(s_b.values, np.array(sigma_hat)))
     family = shade_family(f_true_trunc, [k / 4 for k in range(5)]) + [fpa_profile]
     empp_sup = sup_error(s_b_trunc, FPA_RANDOM, family, f_true_trunc, "empp").sup_error
 

@@ -111,13 +111,11 @@ def json_numbers(x, what: str) -> list[float]:
     return [json_number(a, what) for a in x]
 
 
-def make_discrete(
-    atoms: Sequence[float], weights: Sequence[float], h: float | None = None
-) -> DiscreteDistribution:
+def make_discrete(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteDistribution:
     """Build a distribution from raw atom/weight lists.
 
     Sorts atoms, merges duplicates by summing weights, drops zero-weight
-    atoms, and renormalizes. ``h``, when given, bounds the admissible atoms.
+    atoms, and renormalizes.
     """
     if not atoms or len(atoms) != len(weights):
         raise DimensionMismatch("atoms and weights must be nonempty and equal length")
@@ -129,8 +127,8 @@ def make_discrete(
     if total <= WEIGHT_TOL:
         raise WeightSumZero("weights sum to zero")
     for a in atoms:
-        if a < 0 or (h is not None and a > h):
-            raise AtomOutOfRange(f"atom {a} outside [0, {h if h is not None else 'inf'}]")
+        if a < 0:
+            raise AtomOutOfRange(f"atom {a} < 0")
     merged: dict[float, float] = {}
     for a, w in zip(atoms, weights):
         if w > 0:
@@ -151,6 +149,11 @@ def cdf_of_max(dists: Sequence[DiscreteDistribution], x):
         atoms, _, cum = d.arrays
         prob = prob * cum[np.searchsorted(atoms, x, side="right")]
     return float(prob) if x.ndim == 0 else prob
+
+
+def sum_left_to_right(terms: np.ndarray) -> float:
+    """The sum of ``terms`` added in order, as a loop would; a -0.0 sum gives 0.0."""
+    return float(0.0 + np.cumsum(terms)[-1])
 
 
 def point_mass(value: float) -> DiscreteDistribution:
@@ -225,13 +228,9 @@ def product_of(
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """m x n matrix of sampled value profiles; row j is one joint sample.
-
-    ``seed`` records the generator seed (0 when loaded from external data).
-    """
+    """m x n matrix of sampled value profiles; row j is one joint sample."""
 
     values: np.ndarray
-    seed: int = 0
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -253,16 +252,6 @@ class SampleMatrix:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def row(self, j: int) -> tuple[float, ...]:
-        return tuple(self.values[j])
-
-    def to_csv(self, path) -> None:
-        np.savetxt(path, self.values, delimiter=",", fmt="%.17g")
-
-    @classmethod
-    def from_csv(cls, path) -> "SampleMatrix":
-        return cls(np.atleast_2d(np.loadtxt(path, delimiter=",")), seed=0)
-
 
 def sample_matrix(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:
     """Draw m i.i.d. rows from the product distribution, deterministically in seed."""
@@ -273,7 +262,7 @@ def sample_matrix(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:
         rng.choice(np.array(marg.atoms), size=m, p=np.array(marg.weights))
         for marg in f.marginals
     ]
-    return SampleMatrix(np.column_stack(cols), seed=seed)
+    return SampleMatrix(np.column_stack(cols))
 
 
 def empirical_marginals(s: SampleMatrix, h: float | None = None) -> ProductDistribution:

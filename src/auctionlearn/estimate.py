@@ -20,7 +20,13 @@ from .auction import (
     interim_utility_exact,
     push_forward,
 )
-from .dist import ProductDistribution, SampleMatrix, empirical_marginals, sample_matrix
+from .dist import (
+    ProductDistribution,
+    SampleMatrix,
+    empirical_marginals,
+    sample_matrix,
+    sum_left_to_right,
+)
 from .strategy import StrategyProfile, shade
 
 
@@ -34,7 +40,6 @@ class ErrorReport:
 
     sup_error: float
     argmax: tuple[int, int, float]  # (profile index, bidder, value)
-    per_profile: tuple[float, ...]
 
 
 def emp_estimate(
@@ -43,8 +48,7 @@ def emp_estimate(
     """Average ex post utility of bidder i over the sampled opponent rows."""
     bids = profile.bids(s.values)
     bids[:, i] = profile[i].eval(v_i)
-    # Summed left to right, as a loop would; adding 0.0 turns a -0.0 total into 0.0.
-    return float(0.0 + np.cumsum(ex_post_utility(rule, i, v_i, bids))[-1]) / s.m
+    return sum_left_to_right(ex_post_utility(rule, i, v_i, bids)) / s.m
 
 
 def empp_estimate(
@@ -80,9 +84,7 @@ def sup_error(
         raise ValueError(f"unknown estimator {estimator!r}")
     emp_prod = empirical_marginals(s, h=f.h) if estimator == "empp" else None
     sup, arg = -1.0, (0, 0, 0.0)
-    per_profile = []
     for p_idx, profile in enumerate(family):
-        worst = 0.0
         # Every bidder's bid distribution, pushed once per profile.
         pushed_true = [push_forward(m, s_j) for m, s_j in zip(f.marginals, profile)]
         if emp_prod is not None:
@@ -99,11 +101,9 @@ def sup_error(
                 est = [emp_estimate(s, rule, i, v, profile) for v in probes]
             for v, e, x in zip(probes, est, exact):
                 err = abs(e - x)
-                worst = max(worst, err)
                 if err > sup:
                     sup, arg = err, (p_idx, i, v)
-        per_profile.append(worst)
-    return ErrorReport(sup, arg, tuple(per_profile))
+    return ErrorReport(sup, arg)
 
 
 def shade_family(f: ProductDistribution, alphas: Iterable[float]) -> list[StrategyProfile]:

@@ -21,6 +21,7 @@ from .dist import (
     SampleMatrix,
     cdf_of_max,
     empirical_marginals,
+    sum_left_to_right,
     truncate_at,
 )
 from .errors import CostExceedsMean, DimensionMismatch
@@ -54,19 +55,19 @@ class SearchInstance:
 class IndexPolicy:
     """Open boxes in descending index order with threshold stopping.
 
-    ``truncation_budget``, when set, stops the search before any opening that
-    would push the cumulative cost beyond the budget; the truncated run pays
-    out the best opened value so far minus the costs paid.
+    ``truncation_budget`` stops the search before any opening that would push
+    the cumulative cost beyond the budget; the truncated run pays out the best
+    opened value so far minus the costs paid. The default budget never binds.
     """
 
     indices: tuple[float, ...]
     costs: tuple[float, ...]
-    truncation_budget: float | None = None
+    truncation_budget: float = math.inf
 
     def __post_init__(self) -> None:
         if len(self.indices) != len(self.costs):
             raise DimensionMismatch("indices and costs must have equal length")
-        if self.truncation_budget is not None and not self.truncation_budget > 0:
+        if not self.truncation_budget > 0:
             raise ValueError("truncation budget must be positive")
 
     def order(self) -> list[int]:
@@ -107,7 +108,7 @@ def weitzman_index(f: DiscreteDistribution, c: float, h: float | None = None) ->
     return 0.0
 
 
-def weitzman_policy(inst: SearchInstance, truncation_budget: float | None = None) -> IndexPolicy:
+def weitzman_policy(inst: SearchInstance, truncation_budget: float = math.inf) -> IndexPolicy:
     indices = tuple(
         weitzman_index(f, c, h=inst.boxes.h) for f, c in zip(inst.boxes.marginals, inst.costs)
     )
@@ -115,8 +116,6 @@ def weitzman_policy(inst: SearchInstance, truncation_budget: float | None = None
 
 
 def _effective_prefix(p: IndexPolicy, order: Sequence[int]) -> int:
-    if p.truncation_budget is None:
-        return len(order)
     paid = 0.0
     for pos, i in enumerate(order):
         paid += p.costs[i]
@@ -156,14 +155,9 @@ def policy_payoff_exact(inst: SearchInstance, p: IndexPolicy) -> float:
         # and times own the CDF of the new best over those runs.
         mass = np.diff(np.minimum(best, reach) * own)
         total -= inst.costs[i] * reach
-        total += _sum_left_to_right(support * mass * (support >= stop_at))
+        total += sum_left_to_right(support * mass * (support >= stop_at))
         best = best * own
     return total
-
-
-def _sum_left_to_right(terms: np.ndarray) -> float:
-    # Added in order, as a loop would; adding 0.0 turns a -0.0 sum into 0.0.
-    return float(0.0 + np.cumsum(terms)[-1])
 
 
 def opt_welfare(inst: SearchInstance) -> float:
@@ -177,7 +171,7 @@ def opt_welfare(inst: SearchInstance) -> float:
     ]
     truncated = [truncate_at(f, s) for f, s in zip(inst.boxes.marginals, sigmas)]
     support = np.array(sorted({a for f in truncated for a in f.atoms}))
-    return _sum_left_to_right(support * np.diff(cdf_of_max(truncated, support), prepend=0.0))
+    return sum_left_to_right(support * np.diff(cdf_of_max(truncated, support), prepend=0.0))
 
 
 def truncation_budget(h: float, eps: float) -> float:

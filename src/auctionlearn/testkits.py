@@ -16,9 +16,11 @@ def random_monotone_strategy(rng: np.random.Generator, grid, h: float = 1.0) -> 
     return MonotoneStrategy(tuple(zip(grid, bids)))
 
 
-def dense_monotone_hypotheses(
-    n: int, m: int, seed: int, n_strategies: int = 40
-) -> tuple[np.ndarray, np.ndarray]:
+# Random opponent profiles drawn per hypothesis family.
+N_STRATEGIES = 40
+
+
+def dense_monotone_hypotheses(n: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Utility rows of a dense monotone family on m random samples, plus witnesses.
 
     Each hypothesis is (own value, own bid) against a profile of monotone
@@ -36,7 +38,7 @@ def dense_monotone_hypotheses(
     grids = [np.sort(np.unique(samples[:, j])) for j in range(n - 1)]
     v_grid = np.linspace(0.0, 1.0, 41)
     rows = []
-    for _ in range(n_strategies):
+    for _ in range(N_STRATEGIES):
         opp = tuple(random_monotone_strategy(rng, grids[j]) for j in range(n - 1))
         # With no opponents (n = 1) the m x 0 samples are the bid matrix.
         opp_bids = StrategyProfile(opp).bids(samples) if opp else samples

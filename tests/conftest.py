@@ -23,7 +23,6 @@ from auctionlearn.auction import (
     push_forward,
 )
 from auctionlearn.da import (
-    DAMixedStrategy,
     DAPureStrategy,
     ex_ante_utility_da,
     lambda_map,
@@ -329,19 +328,13 @@ def optimal_adaptive_oracle(inst: SearchInstance) -> float:
     return result
 
 
-def da_outcomes_by_enumeration(inst, profile, tie):
-    """Yield (probability, DAOutcome) over every joint value/mixture-component draw."""
-    per_bidder = []
-    for f, d in zip(inst.boxes.marginals, profile):
-        comps = d.components if isinstance(d, DAMixedStrategy) else ((1.0, d),)
-        per_bidder.append([(wv * wc, a, comp) for a, wv in f for wc, comp in comps])
-    for combo in itertools.product(*per_bidder):
+def da_outcomes_by_enumeration(inst, profile):
+    """Yield (probability, DAOutcome) over every joint value draw."""
+    for combo in itertools.product(*inst.boxes.marginals):
         prob = 1.0
-        for w, _, _ in combo:
+        for _, w in combo:
             prob *= w
-        values = [a for _, a, _ in combo]
-        pures = [comp for _, _, comp in combo]
-        yield prob, simulate_da(inst, pures, values, tie)
+        yield prob, simulate_da(inst, profile, [a for a, _ in combo])
 
 
 # --- Pandora's box references -------------------------------------------------
@@ -425,7 +418,7 @@ def simulate_policy(p: IndexPolicy, values: Sequence[float]) -> float:
     best = None
     paid = 0.0
     for pos, i in enumerate(order):
-        if p.truncation_budget is not None and paid + p.costs[i] > p.truncation_budget:
+        if paid + p.costs[i] > p.truncation_budget:
             break
         paid += p.costs[i]
         best = values[i] if best is None else max(best, values[i])
@@ -514,8 +507,9 @@ def smoothness_component(sigma: float, z: float, value_grid: Sequence[float]) ->
 
 def smoothness_deviation(
     sigma: float, value_grid: Sequence[float], k_points: int = 64
-) -> DAMixedStrategy:
-    """The welfare-guarantee deviation: Z on [1/e, 1] with density 1/z.
+) -> list[tuple[float, DAPureStrategy]]:
+    """The welfare-guarantee deviation: Z on [1/e, 1] with density 1/z, as
+    (weight, pure strategy) pairs.
 
     Z is discretized on k equal-probability quantiles (inverse CDF
     z = exp(u - 1)); every component claims above sigma.
@@ -525,22 +519,29 @@ def smoothness_deviation(
         u = (k + 0.5) / k_points
         z = math.exp(u - 1.0)
         comps.append((1.0 / k_points, smoothness_component(sigma, z, value_grid)))
-    return DAMixedStrategy(tuple(comps))
+    return comps
 
 
 def finite_class_gap(inst: SearchInstance, da_profile, sigmas: Sequence[float]) -> float:
     """Largest gain over the lambda-images of linear shades on the truncated support
-    and the smoothness mixture, per bidder; a lower bound on the exact gap."""
+    and the smoothness mixture, per bidder; a lower bound on the exact gap.
+
+    Against fixed opponents utility is linear in the own strategy, so the
+    mixture is priced as the weighted sum of its components' utilities.
+    """
     gap = 0.0
     for i in range(inst.n):
         own = ex_ante_utility_da(inst, da_profile, i)
         grid = sorted({min(a, sigmas[i]) for a in inst.boxes.marginals[i].atoms} | {sigmas[i]})
-        deviations = [lambda_map(shade(grid, a), sigmas[i]) for a in SHADE_ALPHAS]
-        deviations.append(smoothness_deviation(sigmas[i], grid))
-        for dev in deviations:
-            trial = list(da_profile)
-            trial[i] = dev
-            gap = max(gap, ex_ante_utility_da(inst, trial, i) - own)
+        shades = [lambda_map(shade(grid, a), sigmas[i]) for a in SHADE_ALPHAS]
+        mixtures = [[(1.0, d)] for d in shades] + [smoothness_deviation(sigmas[i], grid)]
+        for mixture in mixtures:
+            u = 0.0
+            for w, d in mixture:
+                trial = list(da_profile)
+                trial[i] = d
+                u += w * ex_ante_utility_da(inst, trial, i)
+            gap = max(gap, u - own)
     return gap
 
 
@@ -549,31 +550,28 @@ def finite_class_gap(inst: SearchInstance, da_profile, sigmas: Sequence[float]) 
 ORACLE_PRICES = sorted(q + d for q in (0.0, 0.25, 0.5, 0.75, 1.0) for d in (0.0, 1e-7))
 
 
-def best_deviation_by_enumeration(inst: SearchInstance, profile, i: int, tie) -> float:
+def best_deviation_by_enumeration(inst: SearchInstance, profile, i: int) -> float:
     """Best ex ante utility of bidder i over every threshold and every per-value claim
     on ``ORACLE_PRICES``, from :func:`simulate_da` over every joint opponent draw.
 
     Given the threshold, each value's claim is chosen on its own: the inspection
     probability depends only on the threshold, since the own claim never exceeds it.
     """
-    draws = []
-    for j, (f, d) in enumerate(zip(inst.boxes.marginals, profile)):
-        comps = d.components if isinstance(d, DAMixedStrategy) else ((1.0, d),)
-        draws.append([(1.0, None, None)] if j == i else
-                     [(wv * wc, a, comp) for a, wv in f for wc, comp in comps])
+    draws = [[(1.0, None)] if j == i else [(wv, a) for a, wv in f]
+             for j, f in enumerate(inst.boxes.marginals)]
     joint = list(itertools.product(*draws))
     # claim_u[v][b]: E[share * (v - b)] at claim b; inspect[b]: P(inspect) at threshold b.
     claim_u: dict[float, dict[float, float]] = {}
     inspect: dict[float, float] = {}
     for b in ORACLE_PRICES:
-        dev = DAPureStrategy(b, constant(b))
+        trial = list(profile)
+        trial[i] = DAPureStrategy(b, constant(b))
         for v, _ in inst.boxes.marginals[i]:
             u = p_inspect = 0.0
             for combo in joint:
-                prob = float(np.prod([w for w, _, _ in combo]))
-                values = [v if j == i else a for j, (_, a, _) in enumerate(combo)]
-                pures = [dev if j == i else c for j, (_, _, c) in enumerate(combo)]
-                out = simulate_da(inst, pures, values, tie)
+                prob = float(np.prod([w for w, _ in combo]))
+                values = [v if j == i else a for j, (_, a) in enumerate(combo)]
+                out = simulate_da(inst, trial, values)
                 u += prob * out.utilities[i]
                 p_inspect += prob * out.inspected[i]
             claim_u.setdefault(v, {})[b] = u + inst.costs[i] * p_inspect

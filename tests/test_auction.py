@@ -21,7 +21,13 @@ from auctionlearn.auction import (
     monotone_best_response_profile,
     push_forward,
 )
-from auctionlearn.dist import DiscreteDistribution, make_discrete, point_mass, uniform_on
+from auctionlearn.dist import (
+    DiscreteDistribution,
+    cdf_of_max,
+    make_discrete,
+    point_mass,
+    uniform_on,
+)
 from auctionlearn.equilibrium import uniform_bid_grid
 from auctionlearn.errors import EmptyGrid, IndexOutOfRange, NonMonotoneWitness
 from auctionlearn.strategy import MonotoneStrategy, constant, shade
@@ -110,10 +116,11 @@ def test_tie_dp_matches_scalar_reference(data):
     tie = data.draw(st.sampled_from(list(Tie)))
     opp = data.draw(st.lists(quarter_distributions(), max_size=5))
     bids = data.draw(st.lists(BIDS, min_size=1, max_size=8))
-    for above in (False, True):
+    for above, kernel in ((False, lambda x: allocation_probability(tie, opp, x)),
+                          (True, lambda x: cdf_of_max(opp, x))):
         want = [allocation_probability_reference(tie, opp, CandidateBid(b, above)) for b in bids]
-        assert allocation_probability(tie, opp, bids, limit_above=above).tolist() == want
-        assert [allocation_probability(tie, opp, b, above) for b in bids] == want
+        assert kernel(bids).tolist() == want
+        assert [kernel(b) for b in bids] == want
 
 
 @given(st.data())
@@ -123,10 +130,11 @@ def test_scalar_call_matches_array_element(data):
     opp = data.draw(st.lists(quarter_distributions(), max_size=4))
     bids = data.draw(st.lists(BIDS, min_size=1, max_size=6))
     values = data.draw(st.lists(QUARTERS, min_size=len(bids), max_size=len(bids)))
-    for above in (False, True):
-        alloc = allocation_probability(rule.tie, opp, bids, limit_above=above).tolist()
+    for kernel in (lambda x: allocation_probability(rule.tie, opp, x),
+                   lambda x: cdf_of_max(opp, x)):
+        alloc = kernel(bids).tolist()
         for b, a in zip(bids, alloc):
-            p = allocation_probability(rule.tie, opp, b, above)
+            p = kernel(b)
             assert isinstance(p, float) and p == a
     utils = interim_utility_exact(rule, values, bids, opp).tolist()
     sups, picks = best_response(rule, values, opp)
@@ -181,7 +189,7 @@ class TestInterimExact:
         opp = [DiscreteDistribution((0.2,), (1.0,))]
         # The exact bid ties with the atom; its right limit beats it outright.
         assert allocation_probability(FPA_RANDOM.tie, opp, 0.2) == 0.5
-        alloc = allocation_probability(FPA_RANDOM.tie, opp, 0.2, limit_above=True)
+        alloc = cdf_of_max(opp, 0.2)
         assert alloc * (1.0 - 0.2) == pytest.approx(0.8)
 
 

@@ -241,6 +241,30 @@ def test_da_experiment_json(instance_file, tmp_path):
     assert {"eps_fpa", "da_gap", "welfare", "opt", "poa_bound"} <= set(reports[0])
 
 
+def test_da_experiment_survives_empirical_mean_below_cost(tmp_path):
+    # With 4 samples per half some seed's empirical mean falls below a cost of
+    # 0.2; that box's negative index is taken as 0, and the sweep keeps the row.
+    path = tmp_path / "inst.json"
+    marginal = {"atoms": [0.0, 0.5, 1.0], "weights": [0.4, 0.3, 0.3]}
+    path.write_text(json.dumps({"H": 1.0, "marginals": [marginal] * 3, "costs": [0.2] * 3}))
+    argv = ["da-experiment", "--instance", str(path), "--m", "8", "--seeds", "10",
+            "--grid-step", "0.25"]
+    csv_out, json_out = tmp_path / "da.csv", tmp_path / "da.json"
+    assert main([*argv, "--format", "csv", "--out", str(csv_out)]) == 0
+    rows = csv_out.read_text().strip().splitlines()[1:]
+    assert len(rows) == 10
+    assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+    assert main([*argv, "--out", str(json_out)]) == 0
+    clamped = [
+        (r, i) for r in json.loads(json_out.read_text()) for i, s in enumerate(r["sigma_hat"])
+        if s == 0.0
+    ]
+    assert clamped
+    for r, i in clamped:  # index 0 implies the cost E[v] = 0.45
+        assert r["cost_hat"][i] == pytest.approx(0.45, abs=1e-12)
+        assert r["cost_err"] >= 0.25 - 1e-12
+
+
 def test_lowerbound_rows(tmp_path):
     out = tmp_path / "lb.csv"
     code = main(

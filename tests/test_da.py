@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlearn.auction import FPA_RANDOM, Tie
+from auctionlearn.auction import FPA_RANDOM
 from auctionlearn.da import (
-    DAMixedStrategy,
     DAPureStrategy,
     SolverParams,
     _best_deviation,
@@ -68,15 +67,6 @@ def tied_da_strategy(rng, f) -> DAPureStrategy:
     return DAPureStrategy(tau, MonotoneStrategy(tuple(zip(f.atoms, bids))))
 
 
-def tied_da_mixture(rng, f) -> DAPureStrategy | DAMixedStrategy:
-    k = int(rng.integers(1, 4))
-    if k == 1:
-        return tied_da_strategy(rng, f)
-    weights = rng.random(k) + 0.1
-    weights /= weights.sum()
-    return DAMixedStrategy(tuple((float(w), tied_da_strategy(rng, f)) for w in weights))
-
-
 def instance_with_indices(rng, n, cost_scale=0.9):
     marginals = [random_discrete(rng) for _ in range(n)]
     f = product_of(marginals, 1.0)
@@ -94,13 +84,6 @@ class TestSimulate:
         assert out.winner == 0
         assert out.utilities[0] == pytest.approx(0.3)
         assert out.inspected == (True,)
-
-    def test_no_allocation_tie(self):
-        inst = SearchInstance(product_of([point_mass(1.0)] * 2, 1.0), (0.05, 0.05))
-        profile = [DAPureStrategy(0.5, constant(0.5))] * 2
-        out = simulate_da(inst, profile, [1.0, 1.0], Tie.NO_ALLOCATION)
-        assert out.winner is None
-        assert out.utilities == (-0.05, -0.05)  # both inspected, nobody wins
 
     def test_late_inspector_never_pays(self):
         inst = SearchInstance(product_of([point_mass(1.0)] * 2, 1.0), (0.1, 0.1))
@@ -159,18 +142,17 @@ class TestExAnte:
         assert ex_ante_utility_da(inst, [d], 0) == pytest.approx(0.4)
 
     def test_exact_matches_joint_enumeration(self, rng):
-        # n in 1..4, up to 3 atoms and 3 mixture components, claims on a coarse
-        # price grid so that claims tie across bidders and with thresholds
+        # n in 1..4, up to 3 atoms, claims on a coarse price grid so that
+        # claims tie across bidders and with thresholds
         for _ in range(100):
             inst = random_search_instance(rng, n_max=4, atoms_max=3)
-            profile = [tied_da_mixture(rng, f) for f in inst.boxes.marginals]
-            for tie in Tie:
-                outcomes = list(da_outcomes_by_enumeration(inst, profile, tie))
-                for i in range(inst.n):
-                    oracle = sum(p * out.utilities[i] for p, out in outcomes)
-                    assert abs(ex_ante_utility_da(inst, profile, i, tie) - oracle) <= 1e-12
-                oracle = sum(p * out.welfare for p, out in outcomes)
-                assert abs(da_welfare(inst, profile, tie) - oracle) <= 1e-12
+            profile = [tied_da_strategy(rng, f) for f in inst.boxes.marginals]
+            outcomes = list(da_outcomes_by_enumeration(inst, profile))
+            for i in range(inst.n):
+                oracle = sum(p * out.utilities[i] for p, out in outcomes)
+                assert abs(ex_ante_utility_da(inst, profile, i) - oracle) <= 1e-12
+            oracle = sum(p * out.welfare for p, out in outcomes)
+            assert abs(da_welfare(inst, profile) - oracle) <= 1e-12
 
 
 class TestMappings:
@@ -257,12 +239,12 @@ class TestSmoothness:
 
     def test_quadrature_mean(self):
         dev = smoothness_deviation(1.0, [0.0, 1.0], 64)
-        ez = sum(w * (1.0 - comp.tau) for w, comp in dev.components)
+        ez = sum(w * (1.0 - comp.tau) for w, comp in dev)
         assert ez == pytest.approx(1 - 1 / math.e, abs=1e-3)
 
     def test_components_claim_above(self):
         dev = smoothness_deviation(0.7, [0.0, 0.3, 0.7, 1.0], 16)
-        assert all(comp.claims_above(0.7) for _, comp in dev.components)
+        assert all(comp.claims_above(0.7) for _, comp in dev)
 
     def test_pandora_claim_identity(self, rng):
         # E[alloc * v - inspected * c] == E[alloc * min(v, sigma)] for
@@ -387,17 +369,16 @@ class TestExactGap:
         # threshold and claim exactly and 1e-7 above in place of right limits.
         for _ in range(25):
             inst = quarter_instance(rng)
-            profile = [tied_da_mixture(rng, f) for f in inst.boxes.marginals]
-            for tie in Tie:
-                claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
-                gap = 0.0
-                for i in range(inst.n):
-                    exact = _best_deviation(inst, i, claims[:i] + claims[i + 1 :], tie)
-                    oracle = best_deviation_by_enumeration(inst, profile, i, tie)
-                    assert oracle <= exact + 1e-12
-                    assert oracle >= exact - 1e-6
-                    gap = max(gap, exact - ex_ante_utility_da(inst, profile, i, tie))
-                assert _deviation_gap(inst, profile, tie) == pytest.approx(gap, rel=0, abs=1e-12)
+            profile = [tied_da_strategy(rng, f) for f in inst.boxes.marginals]
+            claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
+            gap = 0.0
+            for i in range(inst.n):
+                exact = _best_deviation(inst, i, claims[:i] + claims[i + 1 :])
+                oracle = best_deviation_by_enumeration(inst, profile, i)
+                assert oracle <= exact + 1e-12
+                assert oracle >= exact - 1e-6
+                gap = max(gap, exact - ex_ante_utility_da(inst, profile, i))
+            assert _deviation_gap(inst, profile) == pytest.approx(gap, rel=0, abs=1e-12)
 
     def test_gap_is_zero_when_nobody_can_gain(self):
         # One bidder, free inspection, claiming 0 at every value: nothing beats E[v].

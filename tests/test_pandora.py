@@ -17,6 +17,7 @@ from auctionlearn.errors import CostExceedsMean, TooLargeToEnumerate
 from auctionlearn.pandora import (
     IndexPolicy,
     SearchInstance,
+    _effective_prefix,
     opt_welfare,
     pandora_from_samples,
     policy_payoff_exact,
@@ -147,7 +148,7 @@ def search_cases(draw):
         draw(st.one_of(QUARTERS, st.just(-0.25), st.just(weitzman_index(f, c, h=1.0))))
         for f, c in zip(marginals, inst.costs)
     )
-    budget = draw(st.one_of(st.none(), st.floats(0.01, 2.0)))
+    budget = draw(st.one_of(st.just(math.inf), st.floats(0.01, 2.0)))
     return inst, IndexPolicy(indices, inst.costs, budget)
 
 
@@ -242,6 +243,13 @@ class TestTruncation:
     def test_policy_rejects_non_positive_budget(self, budget):
         with pytest.raises(ValueError, match="budget must be positive"):
             IndexPolicy((0.5,), (0.1,), budget)
+
+    def test_default_budget_never_binds(self, rng):
+        inst = random_search_instance(rng, n_max=6)
+        assert IndexPolicy((0.5,), (0.1,)).truncation_budget == math.inf
+        assert weitzman_policy(inst).truncation_budget == math.inf
+        policy = weitzman_policy(inst)
+        assert _effective_prefix(policy, policy.order()) == inst.n
 
     def test_huge_budget_identical(self, rng):
         inst = random_search_instance(rng)
