@@ -20,7 +20,6 @@ from .da import (
     DAOutcome,
     DAPureStrategy,
     PipelineReport,
-    SolverParams,
     da_welfare,
     empirical_pipeline,
     ex_ante_utility_da,
@@ -34,7 +33,6 @@ from .dist import (
     cdf_of_max,
     empirical_marginals,
     make_discrete,
-    point_mass,
     product_of,
     sample_matrix,
     truncate_at,
@@ -44,7 +42,6 @@ from .equilibrium import BNECertificate, solve_bne, verify_bne
 from .estimate import (
     ErrorReport,
     emp_estimate,
-    empp_estimate,
     label_vector_count,
     shade_family,
     sup_error,
@@ -58,6 +55,5 @@ from .pandora import (
     pandora_from_samples,
     policy_payoff_exact,
     weitzman_index,
-    weitzman_policy,
 )
-from .strategy import MonotoneStrategy, StrategyProfile, check_monotone, constant, shade
+from .strategy import MonotoneStrategy, StrategyProfile, shade

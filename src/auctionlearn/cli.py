@@ -16,7 +16,7 @@ import sys
 import click
 
 from .auction import AuctionRule, Format, Tie
-from .da import SolverParams, empirical_pipeline
+from .da import empirical_pipeline
 from .dist import ProductDistribution, json_numbers, load_instance, sample_matrix
 from .equilibrium import solve_bne, uniform_bid_grid, verify_bne
 from .errors import AuctionError
@@ -166,11 +166,11 @@ def da_experiment_cmd(instance, m, seeds, seed, grid_step, out_format, out):
     """End-to-end pipeline: samples to a certified descending-auction profile."""
     f, costs = _load_costs(instance)
     base = child_seed(seed, "da-experiment")
-    params = SolverParams(grid_step=grid_step, seed=child_seed(seed, "da-solver"))
+    solver_seed = child_seed(seed, "da-solver")
     reports = []
     for k in range(seeds):
         s = sample_matrix(f, m, base + k)
-        reports.append((base + k, empirical_pipeline(s, costs, f, params)))
+        reports.append((base + k, empirical_pipeline(s, costs, f, grid_step, solver_seed)))
     if out_format == "json":
         _emit(_json_text([dict(seed=sd, **rep.to_json()) for sd, rep in reports]), out)
     else:

@@ -66,12 +66,6 @@ class DAPureStrategy:
                 f"claim price {self.beta.max_bid} exceeds inspection price {self.tau}"
             )
 
-    def claims_above(self, sigma: float) -> bool:
-        """True iff the purchase price equals tau for every value >= sigma."""
-        if self.beta.eval(sigma) != self.tau:
-            return False
-        return all(b == self.tau for t, b in self.beta.breakpoints if t > sigma)
-
 
 @dataclass(frozen=True)
 class DAOutcome:
@@ -193,13 +187,8 @@ def lambda_map(f: MonotoneStrategy, sigma: float) -> DAPureStrategy:
     return DAPureStrategy(tau, MonotoneStrategy(tuple(bps), f.default_bid))
 
 
-@dataclass(frozen=True)
-class SolverParams:
-    """Knobs for the sample-to-equilibrium pipeline."""
-
-    grid_step: float = 0.05
-    max_iters: int = 60
-    seed: int = 0
+# Best-response rounds of the pipeline's first-price solver (see solve_bne).
+PIPELINE_MAX_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -255,14 +244,17 @@ def empirical_pipeline(
     s: SampleMatrix,
     costs: Sequence[float],
     f_true: ProductDistribution,
-    params: SolverParams | None = None,
+    grid_step: float,
+    seed: int,
 ) -> PipelineReport:
     """Samples -> empirical indices -> truncated empirical FPA -> equilibrium -> DA.
 
     Splits the samples into halves (first/second, for reproducibility), fits
     indices on the first, solves a certified approximate equilibrium of the
-    first-price auction on the truncated empirical marginals of the second,
-    and maps the result into the descending auction on the true distribution.
+    first-price auction on the truncated empirical marginals of the second
+    (``solve_bne`` on a bid grid of step ``grid_step``, with
+    ``PIPELINE_MAX_ITERS`` rounds and solver seed ``seed``), and maps the
+    result into the descending auction on the true distribution.
     The emitted profile carries per-bidder tie-breaking bid offsets (see
     :func:`_break_bid_ties`) and is re-certified after the offsets. Reports
     the certified epsilon, the measured estimator error, the exact equilibrium
@@ -271,7 +263,6 @@ def empirical_pipeline(
     ones. The gap and welfare are exact expectations on the true distribution,
     not samples.
     """
-    params = params or SolverParams()
     inst = SearchInstance(f_true, costs)
     costs = inst.costs
     if s.m % 2 != 0:
@@ -291,11 +282,11 @@ def empirical_pipeline(
     fpa_dist = product_of(
         (truncate_at(f, sig) for f, sig in zip(emp_b.marginals, sigma_hat)), f_true.h
     )
-    bid_grid = uniform_bid_grid(f_true.h, params.grid_step)
+    bid_grid = uniform_bid_grid(f_true.h, grid_step)
     solved, _ = solve_bne(
-        FPA_RANDOM, fpa_dist, bid_grid, max_iters=params.max_iters, seed=params.seed
+        FPA_RANDOM, fpa_dist, bid_grid, max_iters=PIPELINE_MAX_ITERS, seed=seed
     )
-    fpa_profile = _break_bid_ties(solved, params.grid_step, f_true.h)
+    fpa_profile = _break_bid_ties(solved, grid_step, f_true.h)
     cert = verify_bne(FPA_RANDOM, fpa_dist, fpa_profile)
     da_profile = tuple(
         lambda_map(fpa_profile[i], sigma_hat[i]) for i in range(f_true.n)

@@ -156,10 +156,6 @@ def sum_left_to_right(terms: np.ndarray) -> float:
     return float(0.0 + np.cumsum(terms)[-1])
 
 
-def point_mass(value: float) -> DiscreteDistribution:
-    return DiscreteDistribution((float(value),), (1.0,))
-
-
 def uniform_on(atoms: Sequence[float]) -> DiscreteDistribution:
     return make_discrete(list(atoms), [1.0] * len(atoms))
 
@@ -265,7 +261,7 @@ def sample_matrix(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:
     return SampleMatrix(np.column_stack(cols))
 
 
-def empirical_marginals(s: SampleMatrix, h: float | None = None) -> ProductDistribution:
+def empirical_marginals(s: SampleMatrix, h: float | None) -> ProductDistribution:
     """Product of per-column uniform distributions over the sampled values."""
     marginals = []
     for col in s.values.T:

@@ -11,6 +11,7 @@ epsilon, never trusting convergence.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,12 +106,14 @@ def _damped_mix(
 
 
 def _snap_to_grid(bid: float, grid: list[float]) -> float:
-    # Nearest grid bid, ties toward the lower one.
-    best = grid[0]
-    for g in grid:
-        if abs(g - bid) < abs(best - bid) - 1e-15:
-            best = g
-    return best
+    # Nearest bid of the sorted grid, ties toward the lower one.
+    k = bisect_left(grid, bid)
+    if k == 0:
+        return grid[0]
+    if k == len(grid):
+        return grid[-1]
+    lo, hi = grid[k - 1], grid[k]
+    return hi if abs(hi - bid) < abs(lo - bid) - 1e-15 else lo
 
 
 def _shade_on_grid(values, alpha: float, grid: list[float]) -> MonotoneStrategy:
@@ -142,9 +145,9 @@ def solve_bne(
     rule: AuctionRule,
     f: ProductDistribution,
     bid_grid,
-    max_iters: int = 500,
+    max_iters: int,
+    seed: int,
     damping: float = 0.5,
-    seed: int = 0,
 ) -> tuple[StrategyProfile, BNECertificate]:
     """Damped best-response dynamics on a bid grid, certified every step.
 

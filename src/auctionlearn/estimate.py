@@ -1,10 +1,11 @@
 """Sample-based interim-utility estimators and their verification harness.
 
-Two estimators are provided: the empirical one, which averages ex post
-utilities over the sampled value rows, and the product-form one, which
-computes the exact interim utility on the product of per-bidder empirical
-marginals. A label-vector counter checks the combinatorial bound that drives
-the sample-complexity analysis.
+The empirical estimator (:func:`emp_estimate`) averages ex post utilities
+over the sampled value rows. The product-form estimator computes the exact
+interim utility on the product of per-bidder empirical marginals; it runs
+only inside :func:`sup_error`, batched over every probe value of a profile.
+A label-vector counter checks the combinatorial bound that drives the
+sample-complexity analysis.
 """
 
 from __future__ import annotations
@@ -51,15 +52,6 @@ def emp_estimate(
     return sum_left_to_right(ex_post_utility(rule, i, v_i, bids)) / s.m
 
 
-def empp_estimate(
-    s: SampleMatrix, rule: AuctionRule, i: int, v_i: float, profile: StrategyProfile
-) -> float:
-    """Exact interim utility on the empirical product distribution."""
-    emp = empirical_marginals(s)
-    opp = [push_forward(emp.marginals[j], profile[j]) for j in range(s.n) if j != i]
-    return interim_utility_exact(rule, v_i, profile[i].eval(v_i), opp)
-
-
 def _probe_values(f: ProductDistribution, profile: StrategyProfile, i: int) -> list[float]:
     # Probes: atoms of the true marginal plus the strategy's own breakpoints.
     pts = set(f.marginals[i].atoms)
@@ -72,7 +64,7 @@ def sup_error(
     rule: AuctionRule,
     family: StrategyFamily,
     f: ProductDistribution,
-    estimator: str = "empp",
+    estimator: str,
 ) -> ErrorReport:
     """Worst estimation error of a finite family against the exact utilities on f.
 
@@ -121,7 +113,7 @@ def sup_error_sweep(
     m_values: Sequence[int],
     n_seeds: int,
     base_seed: int,
-    estimator: str = "empp",
+    estimator: str,
 ) -> list[dict]:
     """Seeded sweep of sup_error over sample sizes; seed schedule is base + k."""
     rows = []

@@ -57,12 +57,12 @@ class IndexPolicy:
 
     ``truncation_budget`` stops the search before any opening that would push
     the cumulative cost beyond the budget; the truncated run pays out the best
-    opened value so far minus the costs paid. The default budget never binds.
+    opened value so far minus the costs paid. An infinite budget never binds.
     """
 
     indices: tuple[float, ...]
     costs: tuple[float, ...]
-    truncation_budget: float = math.inf
+    truncation_budget: float
 
     def __post_init__(self) -> None:
         if len(self.indices) != len(self.costs):
@@ -75,18 +75,16 @@ class IndexPolicy:
         return sorted(range(len(self.indices)), key=lambda i: (-self.indices[i], i))
 
 
-def weitzman_index(f: DiscreteDistribution, c: float, h: float | None = None) -> float:
+def weitzman_index(f: DiscreteDistribution, c: float, h: float) -> float:
     """The reservation price solving E[max(v - sigma, 0)] = c, exactly.
 
     For c = 0 the index is the value bound h (every solution >= max atom is
-    valid there; the convention picks the bound). Defaults h to the largest
-    atom when not supplied. A cost above the mean gives E[v] - c < 0, the
-    solution for sigma <= 0, which an :class:`IndexPolicy` never opens.
+    valid there; the convention picks the bound). A cost above the mean gives
+    E[v] - c < 0, the solution for sigma <= 0, which an :class:`IndexPolicy`
+    never opens.
     """
     if not c >= 0:  # also rejects NaN
         raise ValueError("cost must be nonnegative")
-    if h is None:
-        h = f.max_atom
     mean = f.mean()
     if c > mean + _MEAN_TOL:
         return mean - c
@@ -106,13 +104,6 @@ def weitzman_index(f: DiscreteDistribution, c: float, h: float | None = None) ->
         if sigma >= lower:
             return sigma
     return 0.0
-
-
-def weitzman_policy(inst: SearchInstance, truncation_budget: float = math.inf) -> IndexPolicy:
-    indices = tuple(
-        weitzman_index(f, c, h=inst.boxes.h) for f, c in zip(inst.boxes.marginals, inst.costs)
-    )
-    return IndexPolicy(indices, inst.costs, truncation_budget)
 
 
 def _effective_prefix(p: IndexPolicy, order: Sequence[int]) -> int:

@@ -23,7 +23,7 @@ class MonotoneStrategy:
     lossless on discrete supports and fixes the bid at off-support values.
     """
 
-    breakpoints: tuple[tuple[float, float], ...] = ()
+    breakpoints: tuple[tuple[float, float], ...]
     default_bid: float = 0.0
 
     def __post_init__(self) -> None:
@@ -69,25 +69,12 @@ class MonotoneStrategy:
         return cls(tuple(pairs), json_number(obj.get("default_bid", 0.0), "default_bid"))
 
 
-def constant(bid: float) -> MonotoneStrategy:
-    """Strategy that bids the same amount at every value."""
-    return MonotoneStrategy(((0.0, float(bid)),)) if bid > 0 else MonotoneStrategy()
-
-
 def shade(grid: Sequence[float], alpha: float) -> MonotoneStrategy:
     """The linear-shading strategy b(v) = alpha * v on a value grid."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     pts = sorted(set(float(g) for g in grid))
     return MonotoneStrategy(tuple((g, alpha * g) for g in pts))
-
-
-def check_monotone(breakpoints: Sequence[tuple[float, float]]) -> bool:
-    """True iff a raw breakpoint list describes a monotone strategy."""
-    pts = sorted(breakpoints)
-    if any(t2 <= t1 for (t1, _), (t2, _) in zip(pts, pts[1:])):
-        return False  # duplicate thresholds do not define a function
-    return all(b2 >= b1 for (_, b1), (_, b2) in zip(pts, pts[1:]))
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,11 @@ from .auction import FPA_NONE, FPA_RANDOM, AuctionRule, ex_post_utility
 from .strategy import MonotoneStrategy, StrategyProfile
 
 
-def random_monotone_strategy(rng: np.random.Generator, grid, h: float = 1.0) -> MonotoneStrategy:
-    """Random nondecreasing step function on a sorted value grid, bids in [0, h]."""
+def random_monotone_strategy(rng: np.random.Generator, grid) -> MonotoneStrategy:
+    """Random nondecreasing step function on a sorted value grid, bids in [0, 1]."""
     steps = rng.random(len(grid))
     total = steps.sum()
-    bids = np.cumsum(steps) / total * rng.random() * h if total > 0 else np.zeros(len(grid))
+    bids = np.cumsum(steps) / total * rng.random() if total > 0 else np.zeros(len(grid))
     return MonotoneStrategy(tuple(zip(grid, bids)))
 
 

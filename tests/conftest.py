@@ -19,6 +19,7 @@ from auctionlearn.auction import (
     Format,
     Tie,
     ex_post_utility,
+    interim_utility_exact,
     monotone_best_response_profile,
     push_forward,
 )
@@ -34,16 +35,14 @@ from auctionlearn.dist import (
     SampleMatrix,
     empirical_marginals,
     make_discrete,
-    point_mass,
     product_of,
     truncate_at,
 )
 from auctionlearn.equilibrium import BNECertificate, _damped_mix, _shade_on_grid, verify_bne
 from auctionlearn.errors import DimensionMismatch, EpsTooLarge, TooLargeToEnumerate
-from auctionlearn.estimate import empp_estimate
 from auctionlearn.lowerbound import distinguisher_trials
 from auctionlearn.pandora import IndexPolicy, SearchInstance, _effective_prefix, weitzman_index
-from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, constant, shade
+from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
 
 
 # Bids, values and atoms on a quarter grid, so that ties are frequent.
@@ -95,6 +94,52 @@ def random_search_instance(rng, n_max=4, atoms_max=4, cost_scale=1.0) -> SearchI
     f = random_product(rng, n, atoms_max)
     costs = tuple(float(rng.random()) * m.mean() * cost_scale for m in f.marginals)
     return SearchInstance(f, costs)
+
+
+# --- constructors, policies and predicates that only the tests use -------------
+
+
+def point_mass(value: float) -> DiscreteDistribution:
+    return DiscreteDistribution((float(value),), (1.0,))
+
+
+def constant(bid: float) -> MonotoneStrategy:
+    """Strategy that bids the same amount at every value."""
+    return MonotoneStrategy(((0.0, float(bid)),)) if bid > 0 else MonotoneStrategy(())
+
+
+def weitzman_policy(inst: SearchInstance, truncation_budget: float = math.inf) -> IndexPolicy:
+    """The index policy of the exact reservation prices."""
+    indices = tuple(
+        weitzman_index(f, c, h=inst.boxes.h) for f, c in zip(inst.boxes.marginals, inst.costs)
+    )
+    return IndexPolicy(indices, inst.costs, truncation_budget)
+
+
+def empp_estimate(s, rule, i, v_i, profile) -> float:
+    """Exact interim utility on the empirical product distribution, one value at a time.
+
+    The scalar form of ``sup_error``'s batched product-form estimator.
+    """
+    emp = empirical_marginals(s, None)
+    opp = [push_forward(emp.marginals[j], profile[j]) for j in range(s.n) if j != i]
+    return interim_utility_exact(rule, v_i, profile[i].eval(v_i), opp)
+
+
+def claims_above(d: DAPureStrategy, sigma: float) -> bool:
+    """True iff the purchase price of ``d`` equals tau for every value >= sigma."""
+    if d.beta.eval(sigma) != d.tau:
+        return False
+    return all(b == d.tau for t, b in d.beta.breakpoints if t > sigma)
+
+
+def snap_to_grid_reference(bid: float, grid: list[float]) -> float:
+    """Nearest bid of the sorted grid by a full scan, ties toward the lower one."""
+    best = grid[0]
+    for g in grid:
+        if abs(g - bid) < abs(best - bid) - 1e-15:
+            best = g
+    return best
 
 
 def interim_by_enumeration(rule, v_i, b_i, opp) -> float:

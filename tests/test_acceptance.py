@@ -17,9 +17,9 @@ from auctionlearn.auction import (
     FPA_RANDOM,
     interim_utility_exact,
 )
+from auctionlearn import da
 from auctionlearn.cli import main as cli_main
 from auctionlearn.da import (
-    SolverParams,
     empirical_pipeline,
     ex_ante_utility_da,
     lambda_map,
@@ -45,7 +45,6 @@ from auctionlearn.pandora import (
     policy_payoff_exact,
     truncation_budget,
     weitzman_index,
-    weitzman_policy,
 )
 from auctionlearn.strategy import StrategyProfile, shade
 from auctionlearn.testkits import dense_monotone_hypotheses
@@ -63,6 +62,7 @@ from conftest import (
     random_profile,
     random_search_instance,
     roundtrip_check,
+    weitzman_policy,
 )
 
 RULES = [FPA_RANDOM, FPA_NONE, ALLPAY_RANDOM, ALLPAY_NONE]
@@ -316,11 +316,12 @@ def test_criterion_09_cost_coupling():
 COST_SHIFT_TRIALS = (0, 2)
 
 
-def test_criterion_10_end_to_end_pipeline():
+def test_criterion_10_end_to_end_pipeline(monkeypatch):
     # eps_true certifies the emitted first-price profile on the true marginals
     # truncated at the learned indices. By amortization its descending image
     # gains at most eps_true from any deviation at the index costs, and moving
     # to the true costs shifts each gain by at most cost_err.
+    monkeypatch.setattr(da, "PIPELINE_MAX_ITERS", 40)
     rng = np.random.default_rng(110)
     t0 = time.time()
     eps_ok = gap_ok = poa_ok = True
@@ -332,9 +333,7 @@ def test_criterion_10_end_to_end_pipeline():
         f = product_of(marginals, 1.0)
         costs = tuple(float(rng.random()) * m.mean() * 0.5 for m in marginals)
         s = sample_matrix(f, 400, seed=9000 + trial)
-        rep = empirical_pipeline(
-            s, costs, f, SolverParams(grid_step=0.05, max_iters=40, seed=trial)
-        )
+        rep = empirical_pipeline(s, costs, f, 0.05, trial)
         f_trunc = product_of(
             [truncate_at(m, sig) for m, sig in zip(marginals, rep.sigma_hat)], 1.0
         )

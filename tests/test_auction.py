@@ -25,18 +25,19 @@ from auctionlearn.dist import (
     DiscreteDistribution,
     cdf_of_max,
     make_discrete,
-    point_mass,
     uniform_on,
 )
 from auctionlearn.equilibrium import uniform_bid_grid
 from auctionlearn.errors import EmptyGrid, IndexOutOfRange, NonMonotoneWitness
-from auctionlearn.strategy import MonotoneStrategy, constant, shade
+from auctionlearn.strategy import MonotoneStrategy, shade
 
 from conftest import (
     QUARTERS,
     allocation_probability_reference,
     best_response_profile_reference,
+    constant,
     interim_by_enumeration,
+    point_mass,
     quarter_distributions,
     random_bid_dist,
 )

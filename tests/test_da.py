@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auctionlearn import da
 from auctionlearn.auction import FPA_RANDOM
 from auctionlearn.da import (
     DAPureStrategy,
-    SolverParams,
     _best_deviation,
     _claim_distribution,
     _deviation_gap,
@@ -21,7 +21,6 @@ from auctionlearn.da import (
 from auctionlearn.dist import (
     SampleMatrix,
     make_discrete,
-    point_mass,
     product_of,
     sample_matrix,
     truncate_at,
@@ -29,15 +28,18 @@ from auctionlearn.dist import (
 )
 from auctionlearn.errors import ClaimAboveInspection, OddSampleCount
 from auctionlearn.pandora import SearchInstance, opt_welfare, weitzman_index
-from auctionlearn.strategy import MonotoneStrategy, constant, shade
+from auctionlearn.strategy import MonotoneStrategy, shade
 
 from conftest import (
     QUARTERS,
     best_deviation_by_enumeration,
+    claims_above,
+    constant,
     da_outcomes_by_enumeration,
     ex_ante_utility_fpa,
     finite_class_gap,
     mu_map,
+    point_mass,
     quarter_distributions,
     random_discrete,
     random_monotone,
@@ -179,7 +181,7 @@ class TestMappings:
             m = random_discrete(rng)
             sigma = float(rng.random())
             f = random_monotone(rng, list(m.atoms) + [sigma])
-            assert lambda_map(f, sigma).claims_above(sigma)
+            assert claims_above(lambda_map(f, sigma), sigma)
 
     def test_mu_point_mass_tail(self):
         f = point_mass(1.0)
@@ -223,7 +225,7 @@ class TestRoundtrip:
         m = make_discrete([0.2, 0.9], [0.5, 0.5])
         # claims strictly below tau at high values
         d = DAPureStrategy(0.5, MonotoneStrategy(((0.2, 0.1), (0.9, 0.3)), 0.0))
-        assert not d.claims_above(0.5)
+        assert not claims_above(d, 0.5)
         assert not roundtrip_check(d, m, 0.5)
 
 
@@ -244,7 +246,7 @@ class TestSmoothness:
 
     def test_components_claim_above(self):
         dev = smoothness_deviation(0.7, [0.0, 0.3, 0.7, 1.0], 16)
-        assert all(comp.claims_above(0.7) for _, comp in dev)
+        assert all(claims_above(comp, 0.7) for _, comp in dev)
 
     def test_pandora_claim_identity(self, rng):
         # E[alloc * v - inspected * c] == E[alloc * min(v, sigma)] for
@@ -414,14 +416,15 @@ class TestPipeline:
         )
         return f, (0.05, 0.1)
 
-    def test_exact_support_recovers_indices(self):
+    def test_exact_support_recovers_indices(self, monkeypatch):
+        monkeypatch.setattr(da, "PIPELINE_MAX_ITERS", 10)
         f, costs = self.make_true_instance()
         # both halves enumerate the product support with exact frequencies
         atoms0 = [0.0] * 3 + [0.5] * 4 + [1.0] * 3
         atoms1 = [0.0] * 4 + [0.75] * 6
         rows = [[a, b] for a, b in zip(atoms0, atoms1)]
         s = SampleMatrix(np.array(rows * 2))
-        rep = empirical_pipeline(s, costs, f, SolverParams(max_iters=10))
+        rep = empirical_pipeline(s, costs, f, 0.05, 0)
         for i in range(2):
             sigma_true = weitzman_index(f.marginals[i], costs[i], h=1.0)
             assert rep.sigma_hat[i] == pytest.approx(sigma_true, abs=1e-12)
@@ -432,28 +435,31 @@ class TestPipeline:
         f, costs = self.make_true_instance()
         s = SampleMatrix(np.zeros((5, 2)))
         with pytest.raises(OddSampleCount):
-            empirical_pipeline(s, costs, f)
+            empirical_pipeline(s, costs, f, 0.05, 0)
 
-    def test_zero_costs_reduce_to_plain_fpa(self):
+    def test_zero_costs_reduce_to_plain_fpa(self, monkeypatch):
+        monkeypatch.setattr(da, "PIPELINE_MAX_ITERS", 10)
         f, _ = self.make_true_instance()
         s = sample_matrix(f, 200, seed=3)
-        rep = empirical_pipeline(s, (0.0, 0.0), f, SolverParams(max_iters=10))
+        rep = empirical_pipeline(s, (0.0, 0.0), f, 0.05, 0)
         assert rep.sigma_hat == (1.0, 1.0)
         assert rep.cost_hat == (0.0, 0.0)
 
-    def test_cost_concentration(self):
+    def test_cost_concentration(self, monkeypatch):
+        monkeypatch.setattr(da, "PIPELINE_MAX_ITERS", 4)
         f, costs = self.make_true_instance()
         errs = []
         for k in range(30):
             s = sample_matrix(f, 2 * 10**4, seed=700 + k)
-            rep = empirical_pipeline(s, costs, f, SolverParams(max_iters=4))
+            rep = empirical_pipeline(s, costs, f, 0.05, 0)
             errs.append(rep.cost_err)
         assert float(np.median(errs)) <= 0.02
 
-    def test_report_json_scalars(self):
+    def test_report_json_scalars(self, monkeypatch):
+        monkeypatch.setattr(da, "PIPELINE_MAX_ITERS", 10)
         f, costs = self.make_true_instance()
         s = sample_matrix(f, 200, seed=5)
-        rep = empirical_pipeline(s, costs, f, SolverParams(max_iters=10))
+        rep = empirical_pipeline(s, costs, f, 0.05, 0)
         blob = rep.to_json()
         assert set(blob) >= {
             "sigma_hat", "cost_hat", "cost_err", "eps_fpa", "empp_sup_error",

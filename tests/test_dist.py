@@ -13,7 +13,6 @@ from auctionlearn.dist import (
     cdf_of_max,
     empirical_marginals,
     make_discrete,
-    point_mass,
     product_of,
     sample_matrix,
     sum_left_to_right,
@@ -29,6 +28,7 @@ from auctionlearn.errors import (
 
 from conftest import (
     QUARTERS,
+    point_mass,
     prob_at_most_reference,
     prob_at_reference,
     prob_below_reference,
@@ -155,25 +155,25 @@ class TestSampling:
 class TestEmpiricalMarginals:
     def test_columns(self):
         s = SampleMatrix(np.array([[1.0, 2.0], [1.0, 4.0]]))
-        e = empirical_marginals(s)
+        e = empirical_marginals(s, None)
         assert e.marginals[0].atoms == (1.0,)
         assert e.marginals[1].atoms == (2.0, 4.0)
         assert e.marginals[1].weights == (0.5, 0.5)
 
     def test_single_row(self):
         s = SampleMatrix(np.array([[0.2, 0.9]]))
-        e = empirical_marginals(s)
+        e = empirical_marginals(s, None)
         assert all(len(m.atoms) == 1 for m in e.marginals)
 
     def test_bernoulli_column(self):
         s = SampleMatrix(np.array([[0.0], [0.0], [1.0], [1.0]]))
-        e = empirical_marginals(s)
+        e = empirical_marginals(s, None)
         assert e.marginals[0].weights == (0.5, 0.5)
 
     def test_weak_convergence(self):
         f = product_of([make_discrete([0.0, 0.4, 1.0], [0.2, 0.5, 0.3])], 1.0)
         s = sample_matrix(f, 10**5, seed=3)
-        e = empirical_marginals(s)
+        e = empirical_marginals(s, None)
         for a, w in f.marginals[0]:
             # 6 sigma for a weight estimate at m = 1e5
             tol = 6 * np.sqrt(w * (1 - w) / 10**5)

@@ -18,7 +18,6 @@ from auctionlearn.auction import (
 from auctionlearn.dist import (
     ProductDistribution,
     make_discrete,
-    point_mass,
     product_of,
     sample_matrix,
     uniform_on,
@@ -26,20 +25,24 @@ from auctionlearn.dist import (
 from auctionlearn.equilibrium import (
     _certify,
     _shade_on_grid,
+    _snap_to_grid,
     solve_bne,
     uniform_bid_grid,
     verify_bne,
 )
 from auctionlearn.errors import EmptyGrid
 from auctionlearn.estimate import shade_family, sup_error
-from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, constant, shade
+from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
 
 from conftest import (
     QUARTERS,
+    constant,
     equilibrium_transfer_check,
+    point_mass,
     quarter_distributions,
     random_product,
     random_profile,
+    snap_to_grid_reference,
     solve_bne_reference,
     verify_bne_reference,
 )
@@ -192,10 +195,37 @@ def test_solver_matches_full_verification_reference(data):
     assert got == solve_bne_reference(rule, f, grid, max_iters, damping=damping, seed=seed)
 
 
+@st.composite
+def grid_midpoints(draw):
+    """A ``uniform_bid_grid`` of at least two bids and the midpoint of two neighbours."""
+    step = draw(st.floats(1e-3, 1.0))
+    grid = uniform_bid_grid(draw(st.floats(2 * step, 200 * step)), step)
+    k = draw(st.integers(0, len(grid) - 2))
+    return grid, k, (grid[k] + grid[k + 1]) / 2
+
+
+@given(grid_midpoints())
+@settings(max_examples=300, deadline=None)
+def test_snap_to_grid_matches_full_scan_at_midpoints(case):
+    grid, k, mid = case
+    got = _snap_to_grid(mid, grid)
+    assert got == snap_to_grid_reference(mid, grid)
+    assert got in (grid[k], grid[k + 1])
+
+
+def test_snap_to_grid_ties_and_ends():
+    grid = [0.0, 0.25, 0.5]
+    assert _snap_to_grid(0.375, grid) == 0.25  # an exact tie goes to the lower bid
+    assert _snap_to_grid(0.376, grid) == 0.5
+    assert _snap_to_grid(0.5, grid) == 0.5
+    assert _snap_to_grid(0.7, grid) == 0.5
+    assert _snap_to_grid(0.0, grid) == 0.0
+
+
 class TestSolve:
     def test_single_bidder(self):
         f = product_of([uniform_on([0, 0.5, 1.0])], 1.0)
-        profile, cert = solve_bne(FPA_RANDOM, f, [0.0, 0.1], max_iters=5)
+        profile, cert = solve_bne(FPA_RANDOM, f, [0.0, 0.1], max_iters=5, seed=0)
         assert cert.epsilon == 0.0
         assert profile[0].eval(1.0) == 0.0
 
@@ -220,13 +250,13 @@ class TestSolve:
 
     def test_empty_grid(self):
         with pytest.raises(EmptyGrid):
-            solve_bne(FPA_RANDOM, UNIFORM2, [])
+            solve_bne(FPA_RANDOM, UNIFORM2, [], max_iters=500, seed=0)
 
     def test_invalid_grid_and_max_iters(self):
         with pytest.raises(ValueError, match="above H"):
-            solve_bne(FPA_RANDOM, UNIFORM2, [0.0, 0.5, 1.2])
+            solve_bne(FPA_RANDOM, UNIFORM2, [0.0, 0.5, 1.2], max_iters=500, seed=0)
         with pytest.raises(ValueError, match="max_iters"):
-            solve_bne(FPA_RANDOM, UNIFORM2, GRID, max_iters=-1)
+            solve_bne(FPA_RANDOM, UNIFORM2, GRID, max_iters=-1, seed=0)
 
     @pytest.mark.parametrize("max_iters", [0, 3, 4])
     def test_fewer_than_five_iters_certify_only_the_starts(self, max_iters):
@@ -238,7 +268,7 @@ class TestSolve:
         ]
         certs = [verify_bne(FPA_RANDOM, f, p) for p in starts]
         k = min(range(5), key=lambda j: certs[j].epsilon)  # the first minimum
-        assert solve_bne(FPA_RANDOM, f, GRID, max_iters=max_iters) == (starts[k], certs[k])
+        assert solve_bne(FPA_RANDOM, f, GRID, max_iters=max_iters, seed=0) == (starts[k], certs[k])
 
     def test_bid_distributions_are_pushed_once(self, monkeypatch, rng):
         # n pushes per start, then per bidder step one for the raw best

@@ -7,7 +7,6 @@ from auctionlearn.auction import ALLPAY_NONE, ALLPAY_RANDOM, FPA_NONE, FPA_RANDO
 from auctionlearn.dist import (
     ProductDistribution,
     SampleMatrix,
-    point_mass,
     product_of,
     sample_matrix,
     uniform_on,
@@ -15,7 +14,6 @@ from auctionlearn.dist import (
 from auctionlearn.errors import TooLargeToEnumerate
 from auctionlearn.estimate import (
     emp_estimate,
-    empp_estimate,
     label_vector_count,
     shade_family,
     sup_error,
@@ -24,7 +22,13 @@ from auctionlearn.estimate import (
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
 from auctionlearn.testkits import dense_monotone_hypotheses
 
-from conftest import median_ratio_table, permutation_identity_check, random_profile
+from conftest import (
+    empp_estimate,
+    median_ratio_table,
+    permutation_identity_check,
+    point_mass,
+    random_profile,
+)
 
 TRUTHFUL = lambda grid: shade(list(grid), 1.0)  # noqa: E731
 
@@ -99,7 +103,7 @@ class TestSupError:
         f = product_of([point_mass(0.4), point_mass(0.8)], 1.0)
         fam = [StrategyProfile((TRUTHFUL([0.4]), TRUTHFUL([0.8])))]
         s = sample_matrix(f, 7, seed=0)
-        assert sup_error(s, FPA_RANDOM, fam, f).sup_error == 0.0
+        assert sup_error(s, FPA_RANDOM, fam, f, "empp").sup_error == 0.0
 
     def test_full_support_enumeration_is_zero(self):
         f = ProductDistribution.iid(uniform_on([0.0, 1.0]), 2, 1.0)

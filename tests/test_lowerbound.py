@@ -8,9 +8,14 @@ from auctionlearn.auction import FPA_RANDOM, push_forward
 from auctionlearn.auction import interim_utility_exact
 from auctionlearn.errors import EpsTooLarge, TooLargeToEnumerate
 from auctionlearn.lowerbound import distinguisher_trials
-from auctionlearn.strategy import constant
-
-from conftest import C1, b_plus_strategy, distinguisher_experiment, gap_utility, hard_instance
+from conftest import (
+    C1,
+    b_plus_strategy,
+    constant,
+    distinguisher_experiment,
+    gap_utility,
+    hard_instance,
+)
 
 
 class TestHardInstance:

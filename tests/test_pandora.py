@@ -23,7 +23,6 @@ from auctionlearn.pandora import (
     policy_payoff_exact,
     truncation_budget,
     weitzman_index,
-    weitzman_policy,
 )
 
 from conftest import (
@@ -34,6 +33,7 @@ from conftest import (
     quarter_distributions,
     random_search_instance,
     simulate_policy,
+    weitzman_policy,
 )
 
 BERNOULLI = uniform_on([0.0, 1.0])
@@ -45,14 +45,14 @@ class TestWeitzmanIndex:
 
     def test_bernoulli_closed_form(self):
         # 0.5 * (1 - sigma) = 0.25
-        assert weitzman_index(BERNOULLI, 0.25) == pytest.approx(0.5)
+        assert weitzman_index(BERNOULLI, 0.25, h=1.0) == pytest.approx(0.5)
 
     def test_cost_at_mean_gives_zero(self):
-        assert weitzman_index(BERNOULLI, 0.5) == pytest.approx(0.0)
+        assert weitzman_index(BERNOULLI, 0.5, h=1.0) == pytest.approx(0.0)
 
     def test_cost_exceeds_mean(self):
         # For sigma <= 0, E[max(v - sigma, 0)] = E[v] - sigma, so sigma = 0.5 - 0.6.
-        sigma = weitzman_index(BERNOULLI, 0.6)
+        sigma = weitzman_index(BERNOULLI, 0.6, h=1.0)
         assert sigma == pytest.approx(-0.1, abs=1e-15)
         assert BERNOULLI.expected_excess(sigma) == pytest.approx(0.6, abs=1e-15)
 
@@ -61,7 +61,7 @@ class TestWeitzmanIndex:
             atoms = np.unique(rng.random(4))
             f = make_discrete(atoms.tolist(), (rng.random(len(atoms)) + 0.1).tolist())
             c = float(rng.random()) * f.mean()
-            sigma = weitzman_index(f, c)
+            sigma = weitzman_index(f, c, h=f.max_atom)
             assert f.expected_excess(sigma) == pytest.approx(c, abs=1e-12)
 
     def test_nonincreasing_in_cost(self, rng):
@@ -74,20 +74,20 @@ class TestWeitzmanIndex:
 
 class TestSimulatePolicy:
     def test_all_indices_negative(self):
-        p = IndexPolicy((-0.5, -0.1), (0.1, 0.1))
+        p = IndexPolicy((-0.5, -0.1), (0.1, 0.1), math.inf)
         assert simulate_policy(p, [0.9, 0.9]) == 0.0
 
     def test_single_box(self):
-        p = IndexPolicy((0.5,), (0.1,))
+        p = IndexPolicy((0.5,), (0.1,), math.inf)
         assert simulate_policy(p, [0.7]) == pytest.approx(0.6)
 
     def test_threshold_stop(self):
-        p = IndexPolicy((0.5, 0.3), (0.1, 0.1))
+        p = IndexPolicy((0.5, 0.3), (0.1, 0.1), math.inf)
         # open box 0, see 0.4 >= 0.3, stop with 0.4 - 0.1
         assert simulate_policy(p, [0.4, 0.9]) == pytest.approx(0.3)
 
     def test_continues_below_threshold(self):
-        p = IndexPolicy((0.5, 0.3), (0.1, 0.1))
+        p = IndexPolicy((0.5, 0.3), (0.1, 0.1), math.inf)
         assert simulate_policy(p, [0.2, 0.9]) == pytest.approx(0.9 - 0.2)
 
     def test_budget_stops_opening(self):
@@ -103,7 +103,7 @@ class TestPayoffExact:
 
     def test_negative_indices_zero(self):
         inst = SearchInstance(product_of([BERNOULLI], 1.0), (0.25,))
-        assert policy_payoff_exact(inst, IndexPolicy((-1.0,), (0.25,))) == 0.0
+        assert policy_payoff_exact(inst, IndexPolicy((-1.0,), (0.25,), math.inf)) == 0.0
 
     def test_matches_brute_force(self, rng):
         for _ in range(60):
@@ -237,7 +237,7 @@ class TestTruncation:
         with pytest.raises(ValueError, match="must be nonnegative"):
             SearchInstance(ProductDistribution.iid(BERNOULLI, 2, 1.0), (0.1, cost))
         with pytest.raises(ValueError, match="must be nonnegative"):
-            weitzman_index(BERNOULLI, cost)
+            weitzman_index(BERNOULLI, cost, h=1.0)
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan])
     def test_policy_rejects_non_positive_budget(self, budget):
@@ -246,7 +246,6 @@ class TestTruncation:
 
     def test_default_budget_never_binds(self, rng):
         inst = random_search_instance(rng, n_max=6)
-        assert IndexPolicy((0.5,), (0.1,)).truncation_budget == math.inf
         assert weitzman_policy(inst).truncation_budget == math.inf
         policy = weitzman_policy(inst)
         assert _effective_prefix(policy, policy.order()) == inst.n

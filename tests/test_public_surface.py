@@ -1,16 +1,23 @@
-"""Every function the benchmark tracer wraps must exist on the package.
+"""The package surface that code outside ``src/`` relies on.
 
 ``bench/tracing.py`` patches its ``TARGETS`` by name; a deleted or renamed
-target would only show when the benchmark runs with tracing on.
+target would only show when the benchmark runs with tracing on. The README's
+library example must run as printed, and every settable value in ``src/`` is
+listed here, so adding an option is a visible edit.
 """
 
 import ast
+import contextlib
 import importlib
+import io
+import re
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+SRC = ROOT / "src" / "auctionlearn"
 
 
 def traced_targets() -> list[tuple[str, str]]:
@@ -37,3 +44,72 @@ def test_traced_name_resolves(module, path):
     for part in path.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+# Function parameters and dataclass fields with a default, everywhere in src/.
+SETTABLE_VALUES = [
+    "auction.CandidateBid.limit_above",
+    "cli.main(argv)",
+    "da._claim_distributions(skip)",
+    "dist.ProductDistribution.iid(h)",
+    "dist.product_of(h)",
+    "equilibrium._certify(first)",
+    "equilibrium._certify(stop_at)",
+    "equilibrium.solve_bne(damping)",
+    "strategy.MonotoneStrategy.default_bid",
+]
+
+
+def _is_dataclass(decorator) -> bool:
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(func, ast.Name) and func.id == "dataclass"
+
+
+def _sets_a_default(value) -> bool:
+    """A field's right-hand side gives a default unless it is ``field(...)`` without one."""
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return value is not None
+
+
+def _defaults(node, prefix: str):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = child.args
+            positional = a.posonlyargs + a.args
+            named = positional[len(positional) - len(a.defaults) :]
+            named += [k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            yield from (f"{prefix}{child.name}({arg.arg})" for arg in named)
+            yield from _defaults(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            if any(map(_is_dataclass, child.decorator_list)):
+                yield from (
+                    f"{prefix}{child.name}.{stmt.target.id}"
+                    for stmt in child.body
+                    if isinstance(stmt, ast.AnnAssign) and _sets_a_default(stmt.value)
+                )
+            yield from _defaults(child, f"{prefix}{child.name}.")
+
+
+def settable_values() -> list[str]:
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _defaults(ast.parse(path.read_text()), f"{path.stem}.")
+    return sorted(found)
+
+
+def test_settable_values():
+    assert settable_values() == SETTABLE_VALUES
+
+
+def test_readme_library_example():
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    expected = [float(x) for x in re.findall(r"print\(.*\)\s+# ~([0-9.]+)", code)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    printed = [float(line) for line in out.getvalue().split()]
+    assert len(expected) == len(printed) == 2
+    for got, approx in zip(printed, expected):
+        assert round(got, 4) == approx

@@ -4,13 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlearn.errors import DimensionMismatch
-from auctionlearn.strategy import (
-    MonotoneStrategy,
-    StrategyProfile,
-    check_monotone,
-    constant,
-    shade,
-)
+from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
+
+from conftest import constant
 
 
 class TestEval:
@@ -60,21 +56,6 @@ class TestShade:
     def test_half(self):
         s = shade([0, 1.0], 0.5)
         assert (s.eval(0.0), s.eval(1.0)) == (0.0, 0.5)
-
-
-class TestCheckMonotone:
-    @pytest.mark.parametrize(
-        "bps,expected",
-        [
-            ([(0, 0.1), (1, 0.2)], True),
-            ([(0, 0.3), (1, 0.2)], False),
-            ([(0.5, 0.4)], True),
-            ([(1, 0.2), (0, 0.1)], True),  # unsorted input is sorted first
-            ([(0, 0.1), (0, 0.2)], False),  # duplicate thresholds
-        ],
-    )
-    def test_cases(self, bps, expected):
-        assert check_monotone(bps) is expected
 
 
 @given(st.integers(0, 2**31), st.floats(0, 2), st.floats(0, 2))
