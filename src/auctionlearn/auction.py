@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .dist import DiscreteDistribution, cdf_of_max
-from .errors import EmptyGrid, IndexOutOfRange, NonMonotoneWitness
 from .strategy import MonotoneStrategy
 
 
@@ -83,7 +82,7 @@ def ex_post_utility(rule: AuctionRule, i: int, v_i, bids):
     """
     b = np.asarray(bids, dtype=float)
     if not 0 <= i < b.shape[-1]:
-        raise IndexOutOfRange(f"bidder {i} out of range for {b.shape[-1]} bids")
+        raise ValueError(f"bidder {i} out of range for {b.shape[-1]} bids")
     return _utility(rule.format, v_i, b[..., i], ex_post_allocation(rule.tie, b)[..., i])
 
 
@@ -198,16 +197,16 @@ def monotone_best_response_profile(
 
     Ties break toward the lower bid. Bids with zero winning probability are
     zeroed out, after which the bid sequence must be nondecreasing; a
-    violation raises :class:`NonMonotoneWitness`, since it would contradict
-    the monotone dominance of best responses.
+    violation raises ``ValueError``, since it would contradict the monotone
+    dominance of best responses.
     """
     grid_bids = np.array(sorted(set(bid_grid)), dtype=float)
     if not grid_bids.size:
-        raise EmptyGrid("bid_grid is empty")
+        raise ValueError("bid_grid is empty")
     alloc = allocation_probability(rule.tie, opp, grid_bids)
     grid = sorted(set(float(v) for v in values))
     _, ks = _argmax_utility(rule.format, np.array(grid), grid_bids, alloc)
     bids = np.where(alloc == 0.0, 0.0, grid_bids)[ks].tolist()
     if any(b2 < b1 for b1, b2 in zip(bids, bids[1:])):
-        raise NonMonotoneWitness(f"best-response bids not monotone: {list(zip(grid, bids))}")
+        raise ValueError(f"best-response bids not monotone: {list(zip(grid, bids))}")
     return MonotoneStrategy(tuple(zip(grid, bids)))

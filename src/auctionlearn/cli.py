@@ -19,7 +19,6 @@ from .auction import AuctionRule, Format, Tie
 from .da import empirical_pipeline
 from .dist import ProductDistribution, json_numbers, load_instance, sample_matrix
 from .equilibrium import solve_bne, uniform_bid_grid, verify_bne
-from .errors import AuctionError
 from .estimate import label_vector_count, shade_family, sup_error_sweep
 from .lowerbound import distinguisher_trials
 from .pandora import pandora_from_samples
@@ -63,7 +62,7 @@ def _load_costs(path) -> tuple[ProductDistribution, list[float]]:
         obj = json.load(fh)
     f = ProductDistribution.from_json(obj)
     if "costs" not in obj:
-        raise AuctionError("instance file needs a 'costs' field for this command")
+        raise ValueError("instance file needs a 'costs' field for this command")
     return f, json_numbers(obj["costs"], "costs")
 
 
@@ -229,7 +228,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"ERROR: parse: {exc}", file=sys.stderr)
         return 2
-    except (AuctionError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"ERROR: validation: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

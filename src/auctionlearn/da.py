@@ -45,7 +45,6 @@ from .dist import (
     truncate_at,
 )
 from .equilibrium import solve_bne, uniform_bid_grid, verify_bne
-from .errors import ClaimAboveInspection, DimensionMismatch, OddSampleCount
 from .estimate import shade_family, sup_error
 from .pandora import SearchInstance, opt_welfare, weitzman_index
 from .strategy import MonotoneStrategy, StrategyProfile
@@ -62,9 +61,7 @@ class DAPureStrategy:
         if self.tau < 0:
             raise ValueError("threshold price must be nonnegative")
         if self.beta.max_bid > self.tau:
-            raise ClaimAboveInspection(
-                f"claim price {self.beta.max_bid} exceeds inspection price {self.tau}"
-            )
+            raise ValueError(f"claim price {self.beta.max_bid} exceeds inspection price {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ def simulate_da(
     """Run the descending clock on one value vector."""
     n = inst.n
     if len(profile) != n or len(values) != n:
-        raise DimensionMismatch("profile and values must match the instance size")
+        raise ValueError("profile and values must match the instance size")
     claims = [profile[j].beta.eval(values[j]) for j in range(n)]
     price = max(claims)
     shares = ex_post_allocation(Tie.RANDOM_ALLOCATION, claims)
@@ -109,12 +106,11 @@ def _claim_distribution(f: DiscreteDistribution, d: DAPureStrategy) -> DiscreteD
     return make_discrete([d.beta.eval(a) for a in f.atoms], list(f.weights))
 
 
-def _claim_distributions(inst: SearchInstance, profile, skip: int | None = None) -> list:
-    """The claim distribution of every bidder but ``skip``."""
+def _claim_distributions(inst: SearchInstance, profile) -> list:
+    """The claim distribution of every bidder."""
     if len(profile) != inst.n:
-        raise DimensionMismatch("profile must match the instance size")
-    pairs = enumerate(zip(inst.boxes.marginals, profile))
-    return [_claim_distribution(f, d) for j, (f, d) in pairs if j != skip]
+        raise ValueError("profile must match the instance size")
+    return [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
 
 
 def _bidder_terms(inst: SearchInstance, i: int, d_i: DAPureStrategy, opp) -> tuple[float, float]:
@@ -140,7 +136,8 @@ def _bidder_terms(inst: SearchInstance, i: int, d_i: DAPureStrategy, opp) -> tup
 
 def ex_ante_utility_da(inst: SearchInstance, profile: Sequence[DAPureStrategy], i: int) -> float:
     """Exact expected utility of bidder i before anyone learns values."""
-    return _bidder_terms(inst, i, profile[i], _claim_distributions(inst, profile, i))[0]
+    claims = _claim_distributions(inst, profile)
+    return _bidder_terms(inst, i, profile[i], claims[:i] + claims[i + 1 :])[0]
 
 
 def da_welfare(inst: SearchInstance, profile: Sequence[DAPureStrategy]) -> float:
@@ -266,7 +263,7 @@ def empirical_pipeline(
     inst = SearchInstance(f_true, costs)
     costs = inst.costs
     if s.m % 2 != 0:
-        raise OddSampleCount(f"m={s.m} must be even to split into halves")
+        raise ValueError(f"m={s.m} must be even to split into halves")
     half = s.m // 2
     s_a = SampleMatrix(s.values[:half])
     s_b = SampleMatrix(s.values[half:])

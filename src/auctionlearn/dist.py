@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AtomOutOfRange, DimensionMismatch, NegativeWeight, WeightSumZero
 
 # Tolerance for "weights sum to 1"; inputs are renormalized on construction.
 WEIGHT_TOL = 1e-12
@@ -38,15 +37,15 @@ class DiscreteDistribution:
 
     def __post_init__(self) -> None:
         if not self.atoms or len(self.atoms) != len(self.weights):
-            raise DimensionMismatch("atoms and weights must be nonempty and equal length")
+            raise ValueError("atoms and weights must be nonempty and equal length")
         if not all(map(math.isfinite, self.atoms)):
             raise ValueError("atoms must be finite")
         if any(b <= a for a, b in zip(self.atoms, self.atoms[1:])):
             raise ValueError("atoms must be strictly increasing")
         if self.atoms[0] < 0:
-            raise AtomOutOfRange(f"atom {self.atoms[0]} < 0")
+            raise ValueError(f"atom {self.atoms[0]} < 0")
         if any(w <= 0 for w in self.weights):
-            raise NegativeWeight("all weights must be strictly positive")
+            raise ValueError("all weights must be strictly positive")
         if not abs(sum(self.weights) - 1.0) <= WEIGHT_TOL:  # also rejects NaN
             raise ValueError("weights must sum to 1 within 1e-12")
 
@@ -118,17 +117,17 @@ def make_discrete(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteD
     atoms, and renormalizes.
     """
     if not atoms or len(atoms) != len(weights):
-        raise DimensionMismatch("atoms and weights must be nonempty and equal length")
+        raise ValueError("atoms and weights must be nonempty and equal length")
     if not all(map(math.isfinite, [*atoms, *weights])):
         raise ValueError("atoms and weights must be finite")
     if any(w < 0 for w in weights):
-        raise NegativeWeight("weights must be nonnegative")
+        raise ValueError("weights must be nonnegative")
     total = float(sum(weights))
     if total <= WEIGHT_TOL:
-        raise WeightSumZero("weights sum to zero")
+        raise ValueError("weights sum to zero")
     for a in atoms:
         if a < 0:
-            raise AtomOutOfRange(f"atom {a} < 0")
+            raise ValueError(f"atom {a} < 0")
     merged: dict[float, float] = {}
     for a, w in zip(atoms, weights):
         if w > 0:
@@ -186,12 +185,12 @@ class ProductDistribution:
 
     def __post_init__(self) -> None:
         if not self.marginals:
-            raise DimensionMismatch("need at least one marginal")
+            raise ValueError("need at least one marginal")
         if not math.isfinite(self.h):
             raise ValueError(f"H must be finite, got {self.h}")
         for f in self.marginals:
             if f.max_atom > self.h:
-                raise AtomOutOfRange(f"atom {f.max_atom} exceeds H={self.h}")
+                raise ValueError(f"atom {f.max_atom} exceeds H={self.h}")
 
     @property
     def n(self) -> int:
@@ -231,11 +230,11 @@ class SampleMatrix:
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1:
-            raise DimensionMismatch("values must be a nonempty 2-D array")
+            raise ValueError("values must be a nonempty 2-D array")
         if not np.all(np.isfinite(v)):
             raise ValueError("sample values must be finite")
         if np.any(v < 0):
-            raise AtomOutOfRange("sample values must be nonnegative")
+            raise ValueError("sample values must be nonnegative")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -261,13 +260,13 @@ def sample_matrix(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:
     return SampleMatrix(np.column_stack(cols))
 
 
-def empirical_marginals(s: SampleMatrix, h: float | None) -> ProductDistribution:
+def empirical_marginals(s: SampleMatrix, h: float) -> ProductDistribution:
     """Product of per-column uniform distributions over the sampled values."""
     marginals = []
     for col in s.values.T:
         uniq, counts = np.unique(col, return_counts=True)
         marginals.append(make_discrete(uniq.tolist(), (counts / s.m).tolist()))
-    return product_of(marginals, h)
+    return ProductDistribution(tuple(marginals), float(h))
 
 
 def load_instance(path) -> ProductDistribution:

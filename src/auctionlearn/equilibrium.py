@@ -25,7 +25,6 @@ from .auction import (
     push_forward,
 )
 from .dist import ProductDistribution
-from .errors import DimensionMismatch, EmptyGrid
 from .strategy import MonotoneStrategy, StrategyProfile
 
 
@@ -56,7 +55,7 @@ def verify_bne(
 ) -> BNECertificate:
     """Exact epsilon-BNE certificate: max over (bidder, value) best-response gaps."""
     if len(profile) != f.n:
-        raise DimensionMismatch(f"profile has {len(profile)} strategies for {f.n} bidders")
+        raise ValueError(f"profile has {len(profile)} strategies for {f.n} bidders")
     if any(s.max_bid > f.h for s in profile):
         raise ValueError(f"profile bids above H={f.h}")
     return _certify(rule, f, profile, [push_forward(m, s) for m, s in zip(f.marginals, profile)])
@@ -164,7 +163,7 @@ def solve_bne(
     """
     grid = sorted(set(float(b) for b in bid_grid))
     if not grid:
-        raise EmptyGrid("bid_grid is empty")
+        raise ValueError("bid_grid is empty")
     if grid[-1] > f.h:
         raise ValueError(f"bid grid reaches {grid[-1]} above H={f.h}")
     if max_iters < 0:
@@ -199,7 +198,7 @@ def solve_bne(
                 br = monotone_best_response_profile(rule, values, opp, grid)
                 br_pushed = push_forward(f.marginals[i], br)
                 consider(profile.replace(i, br), opp[:i] + [br_pushed] + opp[i:])
-                nxt = _damped_mix(profile[i], br, values, damping, rng) if damping > 0 else br
+                nxt = _damped_mix(profile[i], br, values, damping, rng)
                 profile = profile.replace(i, nxt)
                 pushed[i] = push_forward(f.marginals[i], nxt)
                 consider(profile, pushed)

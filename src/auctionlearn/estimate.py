@@ -145,5 +145,4 @@ def label_vector_count(hypothesis_values: np.ndarray, witnesses: Sequence[float]
     r = np.asarray(witnesses, dtype=float)
     if hv.ndim != 2 or hv.shape[1] != r.shape[0]:
         raise ValueError("hypothesis_values must be |family| x len(witnesses)")
-    labels = {tuple(1 if x > 0 else -1 for x in row - r) for row in hv}
-    return len(labels)
+    return len(np.unique(hv - r > 0, axis=0))

@@ -14,7 +14,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import EpsTooLarge, TooLargeToEnumerate
 
 
 def _mask_probs(p_one: np.ndarray) -> np.ndarray:
@@ -40,9 +39,9 @@ def distinguisher_trials(
     if m < 1 or trials < 0:
         raise ValueError(f"the distinguisher needs m >= 1 and trials >= 0, got {m} and {trials}")
     if n > 16:
-        raise TooLargeToEnumerate("subset argmax limited to n <= 16")
+        raise ValueError("subset argmax limited to n <= 16")
     if not 0.0 < eps < 0.5:
-        raise EpsTooLarge("experiment bias must lie in (0, 1/2)")
+        raise ValueError("experiment bias must lie in (0, 1/2)")
     rng = np.random.default_rng(seed)
     p_plus = (1.0 + eps) / n
     p_minus = (1.0 - eps) / n

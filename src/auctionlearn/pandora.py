@@ -24,7 +24,6 @@ from .dist import (
     sum_left_to_right,
     truncate_at,
 )
-from .errors import CostExceedsMean, DimensionMismatch
 
 _MEAN_TOL = 1e-9
 
@@ -39,12 +38,12 @@ class SearchInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "costs", tuple(float(c) for c in self.costs))
         if len(self.costs) != self.boxes.n:
-            raise DimensionMismatch("one cost per box required")
+            raise ValueError("one cost per box required")
         for i, c in enumerate(self.costs):
             if not c >= 0:  # also rejects NaN
                 raise ValueError(f"cost {c} must be nonnegative")
             if c > self.boxes.marginals[i].mean() + _MEAN_TOL:
-                raise CostExceedsMean(f"cost {c} exceeds E[v_{i}]")
+                raise ValueError(f"cost {c} exceeds E[v_{i}]")
 
     @property
     def n(self) -> int:
@@ -66,7 +65,7 @@ class IndexPolicy:
 
     def __post_init__(self) -> None:
         if len(self.indices) != len(self.costs):
-            raise DimensionMismatch("indices and costs must have equal length")
+            raise ValueError("indices and costs must have equal length")
         if not self.truncation_budget > 0:
             raise ValueError("truncation budget must be positive")
 
@@ -124,7 +123,7 @@ def policy_payoff_exact(inst: SearchInstance, p: IndexPolicy) -> float:
     boxes: O(n * A) for A support points.
     """
     if len(p.indices) != inst.n:
-        raise DimensionMismatch("policy and instance sizes differ")
+        raise ValueError("policy and instance sizes differ")
     order = p.order()
     if p.indices[order[0]] < 0:
         return 0.0

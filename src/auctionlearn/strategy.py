@@ -10,7 +10,6 @@ from typing import Sequence
 import numpy as np
 
 from .dist import json_number, json_numbers
-from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class StrategyProfile:
 
     def __post_init__(self) -> None:
         if not self.strategies:
-            raise DimensionMismatch("profile needs at least one strategy")
+            raise ValueError("profile needs at least one strategy")
 
     def __iter__(self):
         return iter(self.strategies)
@@ -107,7 +106,7 @@ class StrategyProfile:
         """
         v = np.asarray(values, dtype=float)
         if v.ndim != 2 or v.shape[1] != self.n:
-            raise DimensionMismatch(f"values must be m x {self.n}, got shape {v.shape}")
+            raise ValueError(f"values must be m x {self.n}, got shape {v.shape}")
         out = np.empty_like(v)
         for j, strat in enumerate(self.strategies):
             uniq, inv = np.unique(v[:, j], return_inverse=True)

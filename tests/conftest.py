@@ -39,7 +39,6 @@ from auctionlearn.dist import (
     truncate_at,
 )
 from auctionlearn.equilibrium import BNECertificate, _damped_mix, _shade_on_grid, verify_bne
-from auctionlearn.errors import DimensionMismatch, EpsTooLarge, TooLargeToEnumerate
 from auctionlearn.lowerbound import distinguisher_trials
 from auctionlearn.pandora import IndexPolicy, SearchInstance, _effective_prefix, weitzman_index
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
@@ -121,7 +120,7 @@ def empp_estimate(s, rule, i, v_i, profile) -> float:
 
     The scalar form of ``sup_error``'s batched product-form estimator.
     """
-    emp = empirical_marginals(s, None)
+    emp = empirical_marginals(s, s.values.max())
     opp = [push_forward(emp.marginals[j], profile[j]) for j in range(s.n) if j != i]
     return interim_utility_exact(rule, v_i, profile[i].eval(v_i), opp)
 
@@ -327,7 +326,7 @@ def permutation_identity_check(s, rule, i, v_i, profile) -> tuple[float, float]:
     """
     m, n = s.m, s.n
     if m > 5 or n > 3:
-        raise TooLargeToEnumerate(f"m={m}, n={n} exceeds the (m!)^(n-1) enumeration limit")
+        raise ValueError(f"m={m}, n={n} exceeds the (m!)^(n-1) enumeration limit")
     opp_cols = [j for j in range(n) if j != i]
     # rows[c, k, r]: the sample row that opponent opp_cols[k] reads at
     # position r under joint permutation c.
@@ -351,7 +350,7 @@ def optimal_adaptive_oracle(inst: SearchInstance) -> float:
     instances are admitted.
     """
     if inst.n > 4 or any(len(f.atoms) > 4 for f in inst.boxes.marginals):
-        raise TooLargeToEnumerate("oracle limited to n <= 4 and <= 4 atoms per box")
+        raise ValueError("oracle limited to n <= 4 and <= 4 atoms per box")
     marginals = inst.boxes.marginals
     costs = inst.costs
     n = inst.n
@@ -395,7 +394,7 @@ def policy_payoff_reference(inst: SearchInstance, p: IndexPolicy) -> float:
     runs that are still searching; runtime O(n * (total atoms)^2).
     """
     if len(p.indices) != inst.n:
-        raise DimensionMismatch("policy and instance sizes differ")
+        raise ValueError("policy and instance sizes differ")
     order = p.order()
     if p.indices[order[0]] < 0:
         return 0.0
@@ -456,7 +455,7 @@ def opt_welfare_reference(inst: SearchInstance) -> float:
 def simulate_policy(p: IndexPolicy, values: Sequence[float]) -> float:
     """Run the index procedure on one realized value vector; returns the payoff."""
     if len(values) != len(p.indices):
-        raise DimensionMismatch("values length must match the policy")
+        raise ValueError("values length must match the policy")
     order = p.order()
     if p.indices[order[0]] < 0:
         return 0.0
@@ -666,7 +665,7 @@ def biased_marginal(n: int, bias: float, plus: bool) -> DiscreteDistribution:
     """Two-point marginal with P(v = 1) = (1 +/- bias) / n."""
     p_one = (1.0 + bias) / n if plus else (1.0 - bias) / n
     if not 0.0 < p_one < 1.0:
-        raise EpsTooLarge(f"bias {bias} makes P(v=1) = {p_one} invalid for n = {n}")
+        raise ValueError(f"bias {bias} makes P(v=1) = {p_one} invalid for n = {n}")
     return make_discrete([0.0, 1.0], [1.0 - p_one, p_one])
 
 
@@ -678,7 +677,7 @@ def hard_instance(n: int, eps: float, s: Iterable[int]) -> ProductDistribution:
     """
     s = set(s)
     if not 0 < eps < 1.0 / 4000.0:
-        raise EpsTooLarge(f"eps = {eps} must lie in (0, 1/4000)")
+        raise ValueError(f"eps = {eps} must lie in (0, 1/4000)")
     if not s <= set(range(n - 1)):
         raise ValueError("s must be a subset of the first n-1 bidders")
     marginals = [biased_marginal(n, C1 * eps, plus=(i in s)) for i in range(n - 1)]

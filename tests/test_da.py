@@ -26,7 +26,6 @@ from auctionlearn.dist import (
     truncate_at,
     uniform_on,
 )
-from auctionlearn.errors import ClaimAboveInspection, OddSampleCount
 from auctionlearn.pandora import SearchInstance, opt_welfare, weitzman_index
 from auctionlearn.strategy import MonotoneStrategy, shade
 
@@ -128,7 +127,7 @@ class TestSimulate:
             assert out.welfare == pytest.approx(expect, abs=1e-12)
 
     def test_claim_above_inspection_rejected(self):
-        with pytest.raises(ClaimAboveInspection):
+        with pytest.raises(ValueError, match="claim price 0.5 exceeds inspection price 0.3"):
             DAPureStrategy(0.3, constant(0.5))
 
 
@@ -434,7 +433,7 @@ class TestPipeline:
     def test_odd_sample_count(self):
         f, costs = self.make_true_instance()
         s = SampleMatrix(np.zeros((5, 2)))
-        with pytest.raises(OddSampleCount):
+        with pytest.raises(ValueError, match="m=5 must be even to split into halves"):
             empirical_pipeline(s, costs, f, 0.05, 0)
 
     def test_zero_costs_reduce_to_plain_fpa(self, monkeypatch):

@@ -30,7 +30,6 @@ from auctionlearn.equilibrium import (
     uniform_bid_grid,
     verify_bne,
 )
-from auctionlearn.errors import EmptyGrid
 from auctionlearn.estimate import shade_family, sup_error
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
 
@@ -249,7 +248,7 @@ class TestSolve:
         assert c2.epsilon <= c1.epsilon
 
     def test_empty_grid(self):
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(ValueError, match="bid_grid is empty"):
             solve_bne(FPA_RANDOM, UNIFORM2, [], max_iters=500, seed=0)
 
     def test_invalid_grid_and_max_iters(self):

@@ -11,7 +11,6 @@ from auctionlearn.dist import (
     sample_matrix,
     uniform_on,
 )
-from auctionlearn.errors import TooLargeToEnumerate
 from auctionlearn.estimate import (
     emp_estimate,
     label_vector_count,
@@ -154,7 +153,7 @@ class TestPermutationIdentity:
 
     def test_size_limit(self):
         s = SampleMatrix(np.zeros((6, 2)))
-        with pytest.raises(TooLargeToEnumerate):
+        with pytest.raises(ValueError, match="m=6, n=2 exceeds the"):
             permutation_identity_check(s, FPA_RANDOM, 0, 1.0, two_bidder_profile())
 
 

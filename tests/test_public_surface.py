@@ -3,10 +3,12 @@
 ``bench/tracing.py`` patches its ``TARGETS`` by name; a deleted or renamed
 target would only show when the benchmark runs with tracing on. The README's
 library example must run as printed, and every settable value in ``src/`` is
-listed here, so adding an option is a visible edit.
+listed here, so adding an option is a visible edit. Every ``raise`` in ``src/``
+names ``ValueError`` or ``AssertionError``, so a new exception type is one too.
 """
 
 import ast
+import builtins
 import contextlib
 import importlib
 import io
@@ -50,7 +52,6 @@ def test_traced_name_resolves(module, path):
 SETTABLE_VALUES = [
     "auction.CandidateBid.limit_above",
     "cli.main(argv)",
-    "da._claim_distributions(skip)",
     "dist.ProductDistribution.iid(h)",
     "dist.product_of(h)",
     "equilibrium._certify(first)",
@@ -100,6 +101,42 @@ def settable_values() -> list[str]:
 
 def test_settable_values():
     assert settable_values() == SETTABLE_VALUES
+
+
+ALLOWED_RAISES = {"ValueError", "AssertionError"}
+BUILTIN_EXCEPTIONS = {
+    name
+    for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, BaseException)
+}
+
+
+def _name(node) -> str:
+    """``X`` for ``X``, ``X(...)``, ``m.X`` or ``m.X(...)``; "" for anything else."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def _is_exception(name: str) -> bool:
+    return name in BUILTIN_EXCEPTIONS or name.endswith(("Error", "Exception"))
+
+
+def error_convention_breaches() -> list[str]:
+    """Every ``raise`` in src/ that names no allowed type, and every exception class."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and _name(node.exc) not in ALLOWED_RAISES:
+                found.append(f"{path.stem}:{node.lineno}: raise {_name(node.exc)}")
+            elif isinstance(node, ast.ClassDef) and any(map(_is_exception, map(_name, node.bases))):
+                found.append(f"{path.stem}:{node.lineno}: class {node.name}")
+    return found
+
+
+def test_one_error_convention():
+    """Invalid input raises ValueError and a broken invariant AssertionError; src/
+    defines no exception class of its own."""
+    assert error_convention_breaches() == []
 
 
 def test_readme_library_example():

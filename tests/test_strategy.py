@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlearn.errors import DimensionMismatch
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
 
 from conftest import constant
@@ -89,5 +88,5 @@ class TestProfile:
 
     def test_bids_shape_mismatch(self):
         p = StrategyProfile((constant(0.0), constant(0.1)))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match=r"values must be m x 2, got shape \(3, 3\)"):
             p.bids(np.zeros((3, 3)))
