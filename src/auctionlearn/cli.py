@@ -206,6 +206,10 @@ def pdim_check_cmd(n, m, seed, out):
     """Count label vectors of a dense monotone family against the counting bound."""
     from .testkits import dense_monotone_hypotheses
 
+    if n < 1:
+        raise ValueError(f"pdim-check needs --n >= 1, got {n}")
+    if m < 0:
+        raise ValueError(f"pdim-check needs --m >= 0, got {m}")
     values, witnesses = dense_monotone_hypotheses(n, m, child_seed(seed, "pdim-check"))
     count = label_vector_count(values, witnesses)
     bound = (m + 1) ** 2 if n == 2 else (m + 1) ** (3 * n)

@@ -1,9 +1,10 @@
 """Sample-based interim-utility estimators and their verification harness.
 
 The empirical estimator (:func:`emp_estimate`) averages ex post utilities
-over the sampled value rows. The product-form estimator computes the exact
-interim utility on the product of per-bidder empirical marginals; it runs
-only inside :func:`sup_error`, batched over every probe value of a profile.
+over the sampled value rows, for a list of probe values at a time. The
+product-form estimator computes the exact interim utility on the product of
+per-bidder empirical marginals; it runs only inside :func:`sup_error`,
+batched over every probe value of a profile.
 A label-vector counter checks the combinatorial bound that drives the
 sample-complexity analysis.
 """
@@ -44,12 +45,15 @@ class ErrorReport:
 
 
 def emp_estimate(
-    s: SampleMatrix, rule: AuctionRule, i: int, v_i: float, profile: StrategyProfile
-) -> float:
-    """Average ex post utility of bidder i over the sampled opponent rows."""
-    bids = profile.bids(s.values)
-    bids[:, i] = profile[i].eval(v_i)
-    return sum_left_to_right(ex_post_utility(rule, i, v_i, bids)) / s.m
+    s: SampleMatrix, rule: AuctionRule, i: int, values: Sequence[float], profile: StrategyProfile
+) -> list[float]:
+    """Average ex post utility of bidder i at each value over the sampled opponent rows."""
+    bids = profile.bids(s.values)  # one bid matrix; only column i changes per value
+    out = []
+    for v_i in values:
+        bids[:, i] = profile[i].eval(v_i)
+        out.append(sum_left_to_right(ex_post_utility(rule, i, v_i, bids)) / s.m)
+    return out
 
 
 def _probe_values(f: ProductDistribution, profile: StrategyProfile, i: int) -> list[float]:
@@ -90,7 +94,7 @@ def sup_error(
                 opp_emp = pushed_emp[:i] + pushed_emp[i + 1 :]
                 est = interim_utility_exact(rule, probes, bids, opp_emp).tolist()
             else:
-                est = [emp_estimate(s, rule, i, v, profile) for v in probes]
+                est = emp_estimate(s, rule, i, probes, profile)
             for v, e, x in zip(probes, est, exact):
                 err = abs(e - x)
                 if err > sup:
@@ -145,4 +149,9 @@ def label_vector_count(hypothesis_values: np.ndarray, witnesses: Sequence[float]
     r = np.asarray(witnesses, dtype=float)
     if hv.ndim != 2 or hv.shape[1] != r.shape[0]:
         raise ValueError("hypothesis_values must be |family| x len(witnesses)")
-    return len(np.unique(hv - r > 0, axis=0))
+    if r.shape[0] == 0:
+        return min(len(hv), 1)  # every row has the empty sign vector
+    # Each sign row packed to bytes and viewed as one opaque scalar, so that
+    # np.unique compares whole rows without its slow axis=0 path.
+    packed = np.packbits(hv - r > 0, axis=1)
+    return len(np.unique(packed.view(np.dtype((np.void, packed.shape[1])))))

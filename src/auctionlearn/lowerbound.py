@@ -10,10 +10,10 @@ scarce.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
-
 
 
 def _mask_probs(p_one: np.ndarray) -> np.ndarray:
@@ -38,8 +38,8 @@ def distinguisher_trials(
         raise ValueError(f"the distinguisher needs n >= 2 bidders, got n = {n}")
     if m < 1 or trials < 0:
         raise ValueError(f"the distinguisher needs m >= 1 and trials >= 0, got {m} and {trials}")
-    if n > 16:
-        raise ValueError("subset argmax limited to n <= 16")
+    if n > 22:
+        raise ValueError("subset argmax limited to n <= 22")
     if not 0.0 < eps < 0.5:
         raise ValueError("experiment bias must lie in (0, 1/2)")
     rng = np.random.default_rng(seed)
@@ -59,9 +59,13 @@ def distinguisher_trials(
         return scores
 
     k = (n + 1) // 2  # candidate-set size ceil(n/2)
-    subsets = list(combinations(range(n - 1), k))
-    t_masks = np.array([sum(1 << j for j in t) for t in subsets])
-    all_masks = np.arange(1 << (n - 1))
+    # Rows are the candidate sets in itertools.combinations order, which
+    # fixes the argmax tie-break.
+    subsets = np.fromiter(
+        chain.from_iterable(combinations(range(n - 1), k)), dtype=np.int8, count=comb(n - 1, k) * k
+    ).reshape(-1, k)
+    t_masks = (1 << subsets.astype(np.int64)).sum(axis=1)
+    full = (1 << (n - 1)) - 1
     scores = np.empty(trials)
     sizes = (n // 2, (n + 1) // 2)
     for t in range(trials):
@@ -70,11 +74,14 @@ def distinguisher_trials(
         p_one = np.array([p_plus if j in s else p_minus for j in range(n - 1)])
         counts = rng.multinomial(m, _mask_probs(p_one))
         # Estimated utility of T is proportional to the mass of rows with no
-        # ones among T's coordinates.
-        wins = np.array(
-            [counts[(all_masks & tm) == 0].sum() for tm in t_masks]
-        )
-        best = subsets[int(np.argmax(wins))]
+        # ones among T's coordinates: the sum of counts over the masks inside
+        # T's complement. One in-place subset-sum (zeta) transform gives it
+        # for every T at once.
+        for j in range(n - 1):
+            pairs = counts.reshape(-1, 2, 1 << j)
+            pairs[:, 1] += pairs[:, 0]
+        wins = counts[full ^ t_masks]
+        best = subsets[int(np.argmax(wins))].tolist()
         complement = set(range(n - 1)) - s
         if complement:
             scores[t] = len(set(best) & complement) / len(complement)

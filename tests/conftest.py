@@ -36,10 +36,11 @@ from auctionlearn.dist import (
     empirical_marginals,
     make_discrete,
     product_of,
+    sum_left_to_right,
     truncate_at,
 )
 from auctionlearn.equilibrium import BNECertificate, _damped_mix, _shade_on_grid, verify_bne
-from auctionlearn.lowerbound import distinguisher_trials
+from auctionlearn.lowerbound import _mask_probs, distinguisher_trials
 from auctionlearn.pandora import IndexPolicy, SearchInstance, _effective_prefix, weitzman_index
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
 
@@ -123,6 +124,22 @@ def empp_estimate(s, rule, i, v_i, profile) -> float:
     emp = empirical_marginals(s, s.values.max())
     opp = [push_forward(emp.marginals[j], profile[j]) for j in range(s.n) if j != i]
     return interim_utility_exact(rule, v_i, profile[i].eval(v_i), opp)
+
+
+def emp_estimate_reference(s, rule, i, v_i, profile) -> float:
+    """Scalar emp estimate that rebuilds the whole bid matrix for one value."""
+    bids = profile.bids(s.values)
+    bids[:, i] = profile[i].eval(v_i)
+    return sum_left_to_right(ex_post_utility(rule, i, v_i, bids)) / s.m
+
+
+def label_vector_count_reference(hypothesis_values, witnesses) -> int:
+    """Distinct sign rows by np.unique over bool rows (axis=0)."""
+    hv = np.asarray(hypothesis_values, dtype=float)
+    r = np.asarray(witnesses, dtype=float)
+    if hv.ndim != 2 or hv.shape[1] != r.shape[0]:
+        raise ValueError("hypothesis_values must be |family| x len(witnesses)")
+    return len(np.unique(hv - r > 0, axis=0))
 
 
 def claims_above(d: DAPureStrategy, sigma: float) -> bool:
@@ -703,6 +720,59 @@ def gap_utility(n: int, eps: float, s: Iterable[int], t: Iterable[int]) -> float
 def b_plus_strategy(eta: float = 0.25):
     """Bid 0 at value 0 and 1/2 + eta at value 1 (any eta in (0, 1/2) separates)."""
     return MonotoneStrategy(((1.0, 0.5 + eta),), 0.0)
+
+
+def distinguisher_trials_reference(
+    n: int, eps: float, m: int, trials: int, seed: int
+) -> np.ndarray:
+    """The distinguisher that sums counts over every mask for each candidate set."""
+    if n < 2:
+        raise ValueError(f"the distinguisher needs n >= 2 bidders, got n = {n}")
+    if m < 1 or trials < 0:
+        raise ValueError(f"the distinguisher needs m >= 1 and trials >= 0, got {m} and {trials}")
+    if n > 16:
+        raise ValueError("subset argmax limited to n <= 16")
+    if not 0.0 < eps < 0.5:
+        raise ValueError("experiment bias must lie in (0, 1/2)")
+    rng = np.random.default_rng(seed)
+    p_plus = (1.0 + eps) / n
+    p_minus = (1.0 - eps) / n
+    if n == 2:
+        # Truth is F+ or F- for the single opponent; the estimate of the last
+        # bidder's utility at bid 1/2 is 0.5 * (fraction of zero draws).
+        midpoint = 0.5 * (1.0 - 1.0 / n)
+        scores = np.empty(trials)
+        for t in range(trials):
+            is_plus = rng.random() < 0.5
+            ones = rng.binomial(m, p_plus if is_plus else p_minus)
+            estimate = 0.5 * (m - ones) / m
+            predicted_plus = estimate < midpoint
+            scores[t] = 1.0 if predicted_plus == is_plus else 0.0
+        return scores
+
+    k = (n + 1) // 2  # candidate-set size ceil(n/2)
+    subsets = list(itertools.combinations(range(n - 1), k))
+    t_masks = np.array([sum(1 << j for j in t) for t in subsets])
+    all_masks = np.arange(1 << (n - 1))
+    scores = np.empty(trials)
+    sizes = (n // 2, (n + 1) // 2)
+    for t in range(trials):
+        size = sizes[int(rng.integers(2))]
+        s = set(rng.permutation(n - 1)[:size].tolist())
+        p_one = np.array([p_plus if j in s else p_minus for j in range(n - 1)])
+        counts = rng.multinomial(m, _mask_probs(p_one))
+        # Estimated utility of T is proportional to the mass of rows with no
+        # ones among T's coordinates.
+        wins = np.array(
+            [counts[(all_masks & tm) == 0].sum() for tm in t_masks]
+        )
+        best = subsets[int(np.argmax(wins))]
+        complement = set(range(n - 1)) - s
+        if complement:
+            scores[t] = len(set(best) & complement) / len(complement)
+        else:
+            scores[t] = 1.0  # nothing to recover
+    return scores
 
 
 def distinguisher_experiment(n: int, eps: float, m: int, trials: int, seed: int) -> float:

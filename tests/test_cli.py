@@ -431,6 +431,26 @@ def test_lowerbound_bad_counts_exit_2(args, capsys):
     assert capsys.readouterr().err.startswith(msg)
 
 
+@pytest.mark.parametrize(
+    "args,option",
+    [
+        (["--n", "0"], "--n"),
+        (["--n", "-2"], "--n"),
+        (["--n", "2", "--m", "-1"], "--m"),
+    ],
+)
+def test_pdim_check_bad_sizes_exit_2(args, option, capsys):
+    assert main(["pdim-check"] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR: validation: pdim-check needs {option} >= ")
+
+
+def test_pdim_check_zero_samples_is_one_label_vector(tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["pdim-check", "--n", "2", "--m", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["count"] == 1
+
+
 # Fuzzed instance, profile and cost JSON: well-formed shapes whose parts are
 # replaced by junk one time in twenty, and numbers that are mostly valid.
 NUMBER = st.one_of(
@@ -593,6 +613,13 @@ GOLDEN_SHA256 = [
         ["da-experiment", "--m", "40", "--seeds", "2", "--seed", "3", "--grid-step", "0.25",
          "--format", "csv"],
         "sha256:5c50399dda96d9dab78094552fc66f7d50031e8a94b5880d08994971f880fab1",
+    ),
+    # Recorded before the distinguisher's per-subset scan became one subset-sum
+    # transform per trial.
+    (
+        ["lowerbound", "--n", "12", "--eps", "0.01", "--m", "100000", "--trials", "20",
+         "--seed", "3"],
+        "sha256:8793e806f81b392e0af966dcbe3728b9d3650e92e100c5f36cd563fb0532b4ee",
     ),
 ]
 

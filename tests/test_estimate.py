@@ -2,6 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from auctionlearn.auction import ALLPAY_NONE, ALLPAY_RANDOM, FPA_NONE, FPA_RANDOM
 from auctionlearn.dist import (
@@ -22,7 +25,10 @@ from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
 from auctionlearn.testkits import dense_monotone_hypotheses
 
 from conftest import (
+    QUARTERS,
+    emp_estimate_reference,
     empp_estimate,
+    label_vector_count_reference,
     median_ratio_table,
     permutation_identity_check,
     point_mass,
@@ -41,16 +47,38 @@ def two_bidder_profile(own_bid_at_one=0.4):
 class TestEmpEstimate:
     def test_two_samples(self):
         s = SampleMatrix(np.array([[9.0, 0.2], [9.0, 0.6]]))
-        est = emp_estimate(s, FPA_RANDOM, 0, 1.0, two_bidder_profile())
+        est = emp_estimate(s, FPA_RANDOM, 0, [1.0], two_bidder_profile())[0]
         assert est == pytest.approx(0.3)
 
     def test_opponent_always_above(self):
         s = SampleMatrix(np.array([[9.0, 0.9], [9.0, 0.8]]))
-        assert emp_estimate(s, FPA_RANDOM, 0, 1.0, two_bidder_profile()) == 0.0
+        assert emp_estimate(s, FPA_RANDOM, 0, [1.0], two_bidder_profile())[0] == 0.0
 
     def test_single_row_is_ex_post(self):
         s = SampleMatrix(np.array([[9.0, 0.2]]))
-        assert emp_estimate(s, FPA_RANDOM, 0, 1.0, two_bidder_profile()) == pytest.approx(0.6)
+        assert emp_estimate(s, FPA_RANDOM, 0, [1.0], two_bidder_profile())[0] == pytest.approx(0.6)
+
+
+@st.composite
+def quarter_strategies(draw) -> MonotoneStrategy:
+    """Up to 5 steps with thresholds and bids on the quarter grid."""
+    thresholds = sorted(draw(st.lists(QUARTERS, unique=True, max_size=5)))
+    bids = sorted(draw(st.lists(QUARTERS, min_size=len(thresholds), max_size=len(thresholds))))
+    return MonotoneStrategy(tuple(zip(thresholds, bids)))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_emp_estimate_matches_scalar_reference(data):
+    rule = data.draw(st.sampled_from([FPA_RANDOM, FPA_NONE, ALLPAY_RANDOM, ALLPAY_NONE]))
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 6))
+    s = SampleMatrix(data.draw(hnp.arrays(float, (m, n), elements=QUARTERS)))
+    profile = StrategyProfile(tuple(data.draw(quarter_strategies()) for _ in range(n)))
+    values = data.draw(st.lists(st.one_of(QUARTERS, st.floats(0.0, 1.0)), max_size=6))
+    for i in range(n):
+        want = [emp_estimate_reference(s, rule, i, v, profile) for v in values]
+        assert emp_estimate(s, rule, i, values, profile) == want
 
 
 class TestEmppEstimate:
@@ -58,7 +86,7 @@ class TestEmppEstimate:
         s = SampleMatrix(np.array([[9.0, 0.6]]))
         p = two_bidder_profile()
         assert empp_estimate(s, FPA_RANDOM, 0, 1.0, p) == pytest.approx(
-            emp_estimate(s, FPA_RANDOM, 0, 1.0, p)
+            emp_estimate(s, FPA_RANDOM, 0, [1.0], p)[0]
         )
 
     def test_one_opponent_column_matches_emp(self):
@@ -83,7 +111,7 @@ class TestEmppEstimate:
         p = random_profile(rng, f)
         for i in range(3):
             assert empp_estimate(s, FPA_RANDOM, i, 0.7, p) == pytest.approx(
-                emp_estimate(s, FPA_RANDOM, i, 0.7, p), abs=1e-12
+                emp_estimate(s, FPA_RANDOM, i, [0.7], p)[0], abs=1e-12
             )
 
     def test_range_bound(self, rng):
@@ -94,7 +122,7 @@ class TestEmppEstimate:
             for i in range(2):
                 for v in f.marginals[i].atoms:
                     assert -1.0 <= empp_estimate(s, rule, i, v, p) <= 1.0
-                    assert -1.0 <= emp_estimate(s, rule, i, v, p) <= 1.0
+                    assert -1.0 <= emp_estimate(s, rule, i, [v], p)[0] <= 1.0
 
 
 class TestSupError:
@@ -116,6 +144,20 @@ class TestSupError:
         s = sample_matrix(f, 50, seed=1)
         rep = sup_error(s, FPA_RANDOM, shade_family(f, [0.5]), f, "emp")
         assert rep.sup_error >= 0.0
+
+    def test_emp_builds_one_bid_matrix_per_profile_and_bidder(self, monkeypatch):
+        calls = []
+        bids = StrategyProfile.bids
+
+        def counting(profile, values):
+            calls.append(None)
+            return bids(profile, values)
+
+        monkeypatch.setattr(StrategyProfile, "bids", counting)
+        f = ProductDistribution.iid(uniform_on([0.0, 0.5, 1.0]), 3, 1.0)
+        fam = shade_family(f, [0.0, 0.5, 1.0])
+        sup_error(sample_matrix(f, 20, seed=2), FPA_RANDOM, fam, f, "emp")
+        assert len(calls) == len(fam) * f.n
 
     def test_scaling_halves_per_quadrupling(self):
         f = ProductDistribution.iid(uniform_on([0.0, 0.25, 0.5, 0.75, 1.0]), 2, 1.0)
@@ -165,6 +207,30 @@ class TestLabelVectorCount:
         # hitting the witness exactly labels like falling below it
         assert label_vector_count(np.array([[0.5], [0.3]]), [0.5]) == 1
         assert label_vector_count(np.array([[0.6], [0.5]]), [0.5]) == 2
+
+    def test_empty_rows_and_witnesses(self):
+        assert label_vector_count(np.zeros((0, 3)), [0.1, 0.2, 0.3]) == 0
+        assert label_vector_count(np.zeros((4, 0)), []) == 1
+        assert label_vector_count(np.zeros((0, 0)), []) == 0
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 70])
+    def test_rows_differing_in_the_last_column(self, width):
+        # packed rows keep every column, also past a byte boundary
+        rows = np.zeros((3, width))
+        rows[1, -1] = 1.0
+        assert label_vector_count(rows, np.full(width, 0.5)) == 2
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unpacked_reference(self, data):
+        width = data.draw(st.sampled_from([0, 1, 7, 8, 9, 70]))
+        pool = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 4)), width), elements=QUARTERS))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+        values = pool[picks]  # repeated rows, and values equal to their witness
+        witnesses = data.draw(hnp.arrays(float, (width,), elements=QUARTERS))
+        assert label_vector_count(values, witnesses) == label_vector_count_reference(
+            values, witnesses
+        )
 
     @pytest.mark.parametrize("m", [3, 4, 6])
     def test_two_bidder_quadratic_bound(self, m):

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionlearn.auction import FPA_RANDOM, push_forward
 from auctionlearn.auction import interim_utility_exact
@@ -12,6 +14,7 @@ from conftest import (
     b_plus_strategy,
     constant,
     distinguisher_experiment,
+    distinguisher_trials_reference,
     gap_utility,
     hard_instance,
 )
@@ -97,8 +100,28 @@ class TestDistinguisher:
         assert all(b >= a for a, b in zip(medians, medians[1:]))
 
     def test_size_limit(self):
-        with pytest.raises(ValueError, match="subset argmax limited to n <= 16"):
-            distinguisher_trials(17, 0.01, 10, 1, seed=0)
+        with pytest.raises(ValueError, match="subset argmax limited to n <= 22"):
+            distinguisher_trials(23, 0.01, 10, 1, seed=0)
+
+    @given(
+        n=st.integers(2, 10),
+        eps=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        m=st.integers(1, 10**5),
+        trials=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_subset_reference(self, n, eps, m, trials, seed):
+        assert np.array_equal(
+            distinguisher_trials(n, eps, m, trials, seed),
+            distinguisher_trials_reference(n, eps, m, trials, seed),
+        )
+
+    def test_matches_per_subset_reference_at_n_16(self):
+        assert np.array_equal(
+            distinguisher_trials(16, 0.02, 10**5, 2, seed=16),
+            distinguisher_trials_reference(16, 0.02, 10**5, 2, seed=16),
+        )
 
     def test_needs_two_bidders(self):
         with pytest.raises(ValueError, match="n >= 2"):
