@@ -154,6 +154,21 @@ def candidate_allocations(tie: Tie, opp: Sequence[DiscreteDistribution]) -> np.n
     return out
 
 
+def _table_allocation(cands: np.ndarray, bids) -> np.ndarray:
+    """``allocation_probability`` of every exact bid in ``bids``, read off the
+    :func:`candidate_allocations` table of the same opponents.
+
+    A bid at a base reads its exact row. Any other bid ties with no opponent,
+    so its tie DP multiplies the factors of ``cdf_of_max`` at the largest base
+    below it, in the same order, and adds only +0.0 tied terms: it reads that
+    base's right-limit row, bit for bit. Bids must be nonnegative.
+    """
+    b = np.asarray(bids, dtype=float)
+    bases = cands["base"][0::2]
+    k = np.searchsorted(bases, b, side="right") - 1
+    return cands["alloc"][2 * k + (bases[k] != b)]
+
+
 # Elements per row block of the values x candidates utility matrix; bounds
 # the memory of best responses over many values.
 BEST_RESPONSE_BLOCK = 1 << 12
@@ -175,6 +190,13 @@ def _argmax_utility(fmt: Format, values: np.ndarray, bases, alloc) -> tuple[list
     return sups, picks
 
 
+def _best_response(fmt: Format, values: np.ndarray, cands: np.ndarray) -> tuple[list, list]:
+    """Supremum utility over the candidate table ``cands`` and its first maximizer, per value."""
+    sups, ks = _argmax_utility(fmt, values, cands["base"], cands["alloc"])
+    picked = cands[ks]
+    return sups, list(map(CandidateBid, picked["base"].tolist(), picked["limit_above"].tolist()))
+
+
 def best_response(rule: AuctionRule, values, opp: Sequence[DiscreteDistribution]):
     """Supremum interim utility over all bids in [0, H] and one maximizer, per value.
 
@@ -184,10 +206,20 @@ def best_response(rule: AuctionRule, values, opp: Sequence[DiscreteDistribution]
     """
     cands = candidate_allocations(rule.tie, opp)
     v = np.asarray(values, dtype=float)
-    sups, ks = _argmax_utility(rule.format, np.atleast_1d(v), cands["base"], cands["alloc"])
-    picked = cands[ks]
-    picks = list(map(CandidateBid, picked["base"].tolist(), picked["limit_above"].tolist()))
+    sups, picks = _best_response(rule.format, np.atleast_1d(v), cands)
     return (sups[0], picks[0]) if v.ndim == 0 else (sups, picks)
+
+
+def _grid_best_response(
+    fmt: Format, values: Sequence[float], grid_bids: np.ndarray, alloc
+) -> MonotoneStrategy:
+    """:func:`monotone_best_response_profile` at sorted distinct ``values`` over the sorted
+    distinct ``grid_bids``, whose allocation probabilities are ``alloc``."""
+    _, ks = _argmax_utility(fmt, np.array(values), grid_bids, alloc)
+    bids = np.where(alloc == 0.0, 0.0, grid_bids)[ks].tolist()
+    if any(b2 < b1 for b1, b2 in zip(bids, bids[1:])):
+        raise ValueError(f"best-response bids not monotone: {list(zip(values, bids))}")
+    return MonotoneStrategy(tuple(zip(values, bids)))
 
 
 def monotone_best_response_profile(
@@ -204,9 +236,4 @@ def monotone_best_response_profile(
     if not grid_bids.size:
         raise ValueError("bid_grid is empty")
     alloc = allocation_probability(rule.tie, opp, grid_bids)
-    grid = sorted(set(float(v) for v in values))
-    _, ks = _argmax_utility(rule.format, np.array(grid), grid_bids, alloc)
-    bids = np.where(alloc == 0.0, 0.0, grid_bids)[ks].tolist()
-    if any(b2 < b1 for b1, b2 in zip(bids, bids[1:])):
-        raise ValueError(f"best-response bids not monotone: {list(zip(grid, bids))}")
-    return MonotoneStrategy(tuple(zip(grid, bids)))
+    return _grid_best_response(rule.format, sorted(set(float(v) for v in values)), grid_bids, alloc)

@@ -66,6 +66,11 @@ def _load_costs(path) -> tuple[ProductDistribution, list[float]]:
     return f, json_numbers(obj["costs"], "costs")
 
 
+def _check_seeds(seeds: int) -> None:
+    if seeds < 0:
+        raise ValueError(f"--seeds must be >= 0, got {seeds}")
+
+
 @click.group()
 def cli() -> None:
     """Utility learning and approximate equilibria in auctions with and without search costs."""
@@ -116,6 +121,7 @@ def solve_bne_cmd(instance, grid_step, max_iters, damping, seed, fmt, tie, out):
 @click.option("--out", type=click.Path(), default=None)
 def estimate_cmd(instance, m, seeds, seed, estimator, fmt, tie, out):
     """Sup estimation error of the linear-shading family, one CSV row per seed."""
+    _check_seeds(seeds)
     f = load_instance(instance)
     profiles = shade_family(f, [k / 10 for k in range(11)])
     rows = sup_error_sweep(
@@ -143,6 +149,7 @@ def estimate_cmd(instance, m, seeds, seed, estimator, fmt, tie, out):
 @click.option("--out", type=click.Path(), default=None)
 def pandora_cmd(instance, m, seeds, seed, trunc_eps, out):
     """Learn search indices from samples; report payoff vs. the optimum per seed."""
+    _check_seeds(seeds)
     f, costs = _load_costs(instance)
     base = child_seed(seed, "pandora")
     rows = []
@@ -163,6 +170,7 @@ def pandora_cmd(instance, m, seeds, seed, trunc_eps, out):
 @click.option("--out", type=click.Path(), default=None)
 def da_experiment_cmd(instance, m, seeds, seed, grid_step, out_format, out):
     """End-to-end pipeline: samples to a certified descending-auction profile."""
+    _check_seeds(seeds)
     f, costs = _load_costs(instance)
     base = child_seed(seed, "da-experiment")
     solver_seed = child_seed(seed, "da-solver")

@@ -30,7 +30,7 @@ import numpy as np
 from .auction import (
     FPA_RANDOM,
     Tie,
-    allocation_probability,
+    _table_allocation,
     candidate_allocations,
     ex_post_allocation,
 )
@@ -113,19 +113,21 @@ def _claim_distributions(inst: SearchInstance, profile) -> list:
     return [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
 
 
-def _bidder_terms(inst: SearchInstance, i: int, d_i: DAPureStrategy, opp) -> tuple[float, float]:
+def _bidder_terms(
+    inst: SearchInstance, i: int, d_i: DAPureStrategy, opp, cands
+) -> tuple[float, float]:
     """(ex ante utility, welfare share) of bidder i playing ``d_i`` against the
-    opponents' claim distributions ``opp``.
+    opponents' claim distributions ``opp``, whose candidate table is ``cands``.
 
     Claims are independent across bidders, so bidder i's share at claim b is
-    the first-price tie DP against the opponents' claim distributions. Bidder
-    i inspects iff no opponent claims above the threshold tau, since the own
-    claim never exceeds tau.
+    the first-price tie DP against the opponents' claim distributions, read off
+    their candidate table. Bidder i inspects iff no opponent claims above the
+    threshold tau, since the own claim never exceeds tau.
     """
     won = paid = 0.0
     f_i = inst.boxes.marginals[i]
     bids = [d_i.beta.eval(a) for a in f_i.atoms]
-    alloc = allocation_probability(Tie.RANDOM_ALLOCATION, opp, bids).tolist()
+    alloc = _table_allocation(cands, bids).tolist()
     for a, wv, b, p in zip(f_i.atoms, f_i.weights, bids, alloc):
         share = wv * p
         won += share * a
@@ -134,33 +136,40 @@ def _bidder_terms(inst: SearchInstance, i: int, d_i: DAPureStrategy, opp) -> tup
     return won - paid - cost, won - cost
 
 
+def _opponent_table(claims: list, i: int):
+    """Bidder i's opponents' claim distributions and their candidate table."""
+    opp = claims[:i] + claims[i + 1 :]
+    return opp, candidate_allocations(Tie.RANDOM_ALLOCATION, opp)
+
+
 def ex_ante_utility_da(inst: SearchInstance, profile: Sequence[DAPureStrategy], i: int) -> float:
     """Exact expected utility of bidder i before anyone learns values."""
     claims = _claim_distributions(inst, profile)
-    return _bidder_terms(inst, i, profile[i], claims[:i] + claims[i + 1 :])[0]
+    return _bidder_terms(inst, i, profile[i], *_opponent_table(claims, i))[0]
 
 
 def da_welfare(inst: SearchInstance, profile: Sequence[DAPureStrategy]) -> float:
     """Exact expected welfare (allocated value minus all inspection costs paid)."""
     claims = _claim_distributions(inst, profile)
     return sum(
-        _bidder_terms(inst, i, profile[i], claims[:i] + claims[i + 1 :])[1]
-        for i in range(inst.n)
+        _bidder_terms(inst, i, profile[i], *_opponent_table(claims, i))[1] for i in range(inst.n)
     )
 
 
-def _best_deviation(inst: SearchInstance, i: int, opp) -> float:
-    """Supremum ex ante utility of bidder i over all descending-auction strategies.
+def _best_deviation(inst: SearchInstance, i: int, cands) -> float:
+    """Supremum ex ante utility of bidder i over all descending-auction strategies,
+    given the candidate table ``cands`` of the opponents' claims.
 
     A threshold at or just above base a of the candidates costs
-    c_i * P(max opponent claim <= a) and allows every claim up to a+, so the
-    best claim per value is the running maximum of the values x candidates
-    utility matrix at a+'s column. No mixture beats its best component.
+    c_i * P(max opponent claim <= a), the right-limit allocation of a, and
+    allows every claim up to a+, so the best claim per value is the running
+    maximum of the values x candidates utility matrix at a+'s column. No
+    mixture beats its best component.
     """
-    f_i, cands = inst.boxes.marginals[i], candidate_allocations(Tie.RANDOM_ALLOCATION, opp)
+    f_i = inst.boxes.marginals[i]
     u = cands["alloc"] * (np.array(f_i.atoms)[:, None] - cands["base"])
     claim = np.array(f_i.weights) @ np.maximum.accumulate(u, axis=1)[:, 1::2]
-    return float(np.max(claim - inst.costs[i] * cdf_of_max(opp, cands["base"][1::2])))
+    return float(np.max(claim - inst.costs[i] * cands["alloc"][1::2]))
 
 
 def _deviation_gap(inst: SearchInstance, da_profile: Sequence[DAPureStrategy]) -> float:
@@ -168,9 +177,9 @@ def _deviation_gap(inst: SearchInstance, da_profile: Sequence[DAPureStrategy]) -
     claims = _claim_distributions(inst, da_profile)
     gap = 0.0
     for i in range(inst.n):
-        opp = claims[:i] + claims[i + 1 :]
-        own, _ = _bidder_terms(inst, i, da_profile[i], opp)
-        gain = _best_deviation(inst, i, opp) - own
+        opp, cands = _opponent_table(claims, i)
+        own, _ = _bidder_terms(inst, i, da_profile[i], opp, cands)
+        gain = _best_deviation(inst, i, cands) - own
         if not gain >= -1e-9:  # also a NaN gain, which `max` would skip
             raise AssertionError(f"gap {gain} is negative or NaN: deviations not exhaustive")
         gap = max(gap, gain)

@@ -19,9 +19,11 @@ import numpy as np
 from .auction import (
     AuctionRule,
     CandidateBid,
-    best_response,
-    interim_utility_exact,
-    monotone_best_response_profile,
+    _best_response,
+    _grid_best_response,
+    _table_allocation,
+    _utility,
+    candidate_allocations,
     push_forward,
 )
 from .dist import ProductDistribution
@@ -61,17 +63,39 @@ def verify_bne(
     return _certify(rule, f, profile, [push_forward(m, s) for m, s in zip(f.marginals, profile)])
 
 
+def _bidder_table(tables: dict, tie, i: int, opp: list) -> list:
+    """Slot i of ``tables``: bidder i's opponents, their :func:`candidate_allocations`,
+    and the best response of bidder i's atoms over it once a certificate needs it (else None).
+
+    A slot keeps the last table of its bidder, with the opponents compared by
+    value, so a table is built once per (bidder, opponent set).
+    """
+    key = tuple(opp)
+    slot = tables.get(i)
+    if slot is None or slot[0] != key:
+        slot = tables[i] = [key, candidate_allocations(tie, opp), None]
+    return slot
+
+
 def _certify(rule, f, profile, pushed, stop_at: float = math.inf, first: int = 0):
     """``verify_bne``'s certificate from the bid distributions ``pushed``, or None as
     soon as one bidder's largest gap is >= ``stop_at``. Bidder ``first`` is examined
     first; the certificate is assembled in bidder order, so it does not depend on it.
     """
+    return _certify_with({}, rule, f, profile, pushed, stop_at, first)
+
+
+def _certify_with(tables: dict, rule, f, profile, pushed, stop_at: float, first: int):
+    """:func:`_certify` reading each bidder's candidate table from ``tables``."""
     rows = {}
     for i in [first] + [j for j in range(f.n) if j != first]:
-        opp = pushed[:i] + pushed[i + 1 :]
-        values = f.marginals[i].atoms
-        own = interim_utility_exact(rule, values, [profile[i].eval(v) for v in values], opp)
-        sups, devs = best_response(rule, values, opp)
+        m = f.marginals[i]
+        slot = _bidder_table(tables, rule.tie, i, pushed[:i] + pushed[i + 1 :])
+        if slot[2] is None:
+            slot[2] = _best_response(rule.format, m.arrays[0], slot[1])
+        _, cands, (sups, devs) = slot
+        bids = np.array([profile[i].eval(v) for v in m.atoms])
+        own = _utility(rule.format, m.arrays[0], bids, _table_allocation(cands, bids))
         gaps = []
         for own_u, sup in zip(own.tolist(), sups):
             gap = sup - own_u
@@ -80,7 +104,7 @@ def _certify(rule, f, profile, pushed, stop_at: float = math.inf, first: int = 0
             gaps.append(max(gap, 0.0))
         if max(gaps) >= stop_at:
             return None
-        rows[i] = (values, gaps, devs)
+        rows[i] = (m.atoms, gaps, devs)
     eps, worst = 0.0, (0, 0.0, CandidateBid(0.0))
     for i in range(f.n):
         for v, gap, dev in zip(*rows[i]):
@@ -102,6 +126,14 @@ def _damped_mix(
         prev = max(prev, b)
         bids.append(prev)
     return MonotoneStrategy(tuple(zip(values, bids)))
+
+
+def _bids_key(s: MonotoneStrategy) -> bytes:
+    # Every strategy the solver builds for a bidder has the bidder's atoms as
+    # thresholds and default bid 0, so its bids identify it. As bytes they take
+    # 8 per bid, not the ~100 of a breakpoint, and keep no strategy alive; that
+    # they tell -0.0 from 0.0 costs at most a repeated certification.
+    return np.array([b for _, b in s.breakpoints]).tobytes()
 
 
 def _snap_to_grid(bid: float, grid: list[float]) -> float:
@@ -157,28 +189,39 @@ def solve_bne(
     damped best-response iterate is considered. A profile is kept only if its
     epsilon is below the best so far, so its certification stops at the first
     bidder (the best's worst one first) whose largest gap reaches the best; the
-    returned certificate equals ``verify_bne``'s. Dynamics need not converge in
-    a first-price auction: only a certificate of 0 ends the search early. Grid
-    bids must not exceed ``f.h``.
+    returned certificate equals ``verify_bne``'s. A profile visited again is not
+    certified again: its epsilon is at least the best's. Each bidder's candidate
+    table is built once per set of opponent bid distributions and serves the
+    bidder's grid best response and both rows of the bidder's certificate.
+    Dynamics need not converge in a first-price auction: only a certificate of
+    0 ends the search early. Grid bids must lie in [0, ``f.h``].
     """
     grid = sorted(set(float(b) for b in bid_grid))
     if not grid:
         raise ValueError("bid_grid is empty")
     if grid[-1] > f.h:
         raise ValueError(f"bid grid reaches {grid[-1]} above H={f.h}")
+    if grid[0] < 0:
+        raise ValueError(f"bid grid starts at {grid[0]} below 0")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     if not 0.0 <= damping <= 1.0:  # also rejects NaN
         raise ValueError(f"damping must lie in [0, 1], got {damping}")
     rng = np.random.default_rng(seed)
     starts = [0.0, 0.25, 0.5, 0.75, 1.0]
+    grid_bids = np.array(grid)
     best_profile: StrategyProfile | None = None
     best_cert: BNECertificate | None = None
+    tables: dict = {}  # bidder -> the bidder's last candidate table, see _bidder_table
+    certified: set[tuple[bytes, ...]] = set()  # the bids keys of every certified profile
 
-    def consider(profile: StrategyProfile, pushed: list) -> None:
+    def consider(profile: StrategyProfile, pushed: list, key: tuple[bytes, ...]) -> None:
         nonlocal best_profile, best_cert
+        if key in certified:  # its epsilon is >= the best's, so it is cut off again
+            return
+        certified.add(key)
         bound = (best_cert.epsilon, best_cert.worst[0]) if best_cert else (math.inf, 0)
-        cert = _certify(rule, f, profile, pushed, *bound)
+        cert = _certify_with(tables, rule, f, profile, pushed, *bound)
         if cert is not None:
             best_profile, best_cert = profile, cert
 
@@ -188,18 +231,22 @@ def solve_bne(
         )
         # Bid distributions of the current profile; only the replaced bidder's changes.
         pushed = [push_forward(f.marginals[j], profile[j]) for j in range(f.n)]
-        consider(profile, pushed)
+        keys = [_bids_key(s) for s in profile]
+        consider(profile, pushed, tuple(keys))
         for _ in range(max_iters // len(starts)):
             if best_cert.epsilon == 0.0:
                 return best_profile, best_cert
             for i in range(f.n):
                 opp = pushed[:i] + pushed[i + 1 :]
                 values = f.marginals[i].atoms
-                br = monotone_best_response_profile(rule, values, opp, grid)
+                alloc = _table_allocation(_bidder_table(tables, rule.tie, i, opp)[1], grid_bids)
+                br = _grid_best_response(rule.format, values, grid_bids, alloc)
                 br_pushed = push_forward(f.marginals[i], br)
-                consider(profile.replace(i, br), opp[:i] + [br_pushed] + opp[i:])
+                br_key = (*keys[:i], _bids_key(br), *keys[i + 1 :])
+                consider(profile.replace(i, br), opp[:i] + [br_pushed] + opp[i:], br_key)
                 nxt = _damped_mix(profile[i], br, values, damping, rng)
                 profile = profile.replace(i, nxt)
                 pushed[i] = push_forward(f.marginals[i], nxt)
-                consider(profile, pushed)
+                keys[i] = _bids_key(nxt)
+                consider(profile, pushed, tuple(keys))
     return best_profile, best_cert

@@ -12,6 +12,7 @@ from auctionlearn.auction import (
     CandidateBid,
     Format,
     Tie,
+    _table_allocation,
     allocation_probability,
     best_response,
     candidate_allocations,
@@ -121,6 +122,22 @@ def test_tie_dp_matches_scalar_reference(data):
         want = [allocation_probability_reference(tie, opp, CandidateBid(b, above)) for b in bids]
         assert kernel(bids).tolist() == want
         assert [kernel(b) for b in bids] == want
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_table_lookup_equals_tie_dp(data):
+    # Bids at every base, between neighbouring bases, above the top one, at -0.0
+    # and anywhere in [0, 2]; the lookup must give the tie DP's bits.
+    tie = data.draw(st.sampled_from(list(Tie)))
+    opp = data.draw(st.lists(quarter_distributions(), max_size=4))
+    bases = sorted({0.0} | {a for d in opp for a in d.atoms})
+    special = bases + [(a + b) / 2 for a, b in zip(bases, bases[1:])] + [bases[-1] + 0.5, -0.0]
+    bids = data.draw(st.lists(st.sampled_from(special) | BIDS, min_size=1, max_size=8))
+    got = _table_allocation(candidate_allocations(tie, opp), bids)
+    want = allocation_probability(tie, opp, bids)
+    assert got.tolist() == want.tolist()
+    assert got.tobytes() == want.tobytes()
 
 
 @given(st.data())

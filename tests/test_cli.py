@@ -410,6 +410,27 @@ def test_cost_shape_exits_2(sub, costs, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR: validation: costs")
 
 
+@pytest.mark.parametrize("sub", ["estimate", "pandora", "da-experiment"])
+def test_negative_seeds_exits_2(sub, instance_file, capsys):
+    assert main([sub, "--instance", instance_file, "--m", "20", "--seeds", "-2"]) == 2
+    assert capsys.readouterr().err.startswith("ERROR: validation: --seeds must be >= 0, got -2")
+
+
+@pytest.mark.parametrize(
+    "sub,empty",
+    [
+        ("estimate", "estimator,m,seed,sup_error,argmax_bidder,argmax_value,profile_id\n"),
+        ("pandora", "m,seed,learned_payoff,optimal_payoff,regret\n"),
+        ("da-experiment", "[]\n"),
+    ],
+)
+def test_zero_seeds_emits_no_rows(sub, empty, instance_file, tmp_path):
+    out = tmp_path / "out"
+    argv = [sub, "--instance", instance_file, "--m", "20", "--seeds", "0", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text() == empty
+
+
 @pytest.mark.parametrize("damping", ["nan", "-1", "2"])
 def test_damping_outside_unit_interval_exits_2(damping, instance_file, capsys):
     argv = ["solve-bne", "--instance", instance_file, f"--damping={damping}"]
@@ -602,6 +623,18 @@ GOLDEN_SHA256 = [
         ["solve-bne", "--grid-step", "0.25", "--max-iters", "10", "--seed", "3",
          "--auction", "all-pay"],
         "sha256:96af443b297b03c80447c85648417d5ddff753786faf1a88910a2716d9bbf9fe",
+    ),
+    # Recorded before the solver skipped profiles it had already certified and
+    # shared one candidate table per bidder and opponent set. Undamped, every
+    # damped iterate repeats its raw best response.
+    (
+        ["solve-bne", "--grid-step", "0.1", "--max-iters", "20", "--seed", "3", "--damping", "0"],
+        "sha256:f24b5c077a03b0579f8df27f92accf3ff8d888ed7da9cc15be1993051d0dc81d",
+    ),
+    (
+        ["solve-bne", "--grid-step", "0.1", "--max-iters", "20", "--seed", "3",
+         "--tie", "no-allocation"],
+        "sha256:826e5dcf0da802171a35ffe52d3ac11ea1c9cbda92bbb27593c97d1dc07a5b7b",
     ),
     # Recorded when da_gap became the exact supremum over all descending-auction
     # deviations; the pipeline must reproduce them.

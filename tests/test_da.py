@@ -12,6 +12,7 @@ from auctionlearn.da import (
     _best_deviation,
     _claim_distribution,
     _deviation_gap,
+    _opponent_table,
     da_welfare,
     empirical_pipeline,
     ex_ante_utility_da,
@@ -374,7 +375,7 @@ class TestExactGap:
             claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
             gap = 0.0
             for i in range(inst.n):
-                exact = _best_deviation(inst, i, claims[:i] + claims[i + 1 :])
+                exact = _best_deviation(inst, i, _opponent_table(claims, i)[1])
                 oracle = best_deviation_by_enumeration(inst, profile, i)
                 assert oracle <= exact + 1e-12
                 assert oracle >= exact - 1e-6

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlearn import equilibrium
+from auctionlearn import auction, equilibrium
 from auctionlearn.auction import (
     ALLPAY_NONE,
     ALLPAY_RANDOM,
     BEST_RESPONSE_BLOCK,
     FPA_NONE,
     FPA_RANDOM,
+    allocation_probability,
     candidate_allocations,
     push_forward,
 )
@@ -257,6 +258,11 @@ class TestSolve:
         with pytest.raises(ValueError, match="max_iters"):
             solve_bne(FPA_RANDOM, UNIFORM2, GRID, max_iters=-1, seed=0)
 
+    def test_negative_grid_bid(self):
+        # Bids lie in [0, H]; candidate tables hold no allocation below 0.
+        with pytest.raises(ValueError, match="below 0"):
+            solve_bne(FPA_RANDOM, UNIFORM2, [-0.5, 0.0, 0.5], max_iters=500, seed=0)
+
     @pytest.mark.parametrize("max_iters", [0, 3, 4])
     def test_fewer_than_five_iters_certify_only_the_starts(self, max_iters):
         # On this instance one round of best responses beats every start.
@@ -284,6 +290,41 @@ class TestSolve:
         _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.5, seed=1)
         assert cert.epsilon > 0.0  # no early stop: all 5 x 2 rounds ran
         assert len(calls) == 5 * f.n + 5 * 2 * f.n * 2
+
+    def test_no_profile_is_certified_twice(self, monkeypatch, rng):
+        # Undamped, every damped iterate repeats its raw best response, so at
+        # most one new profile is visited per bidder step.
+        certified = []
+        certify = equilibrium._certify_with
+
+        def recording(tables, rule, f, profile, *args):
+            certified.append(profile)
+            return certify(tables, rule, f, profile, *args)
+
+        monkeypatch.setattr(equilibrium, "_certify_with", recording)
+        f = random_product(rng, 3)
+        _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.0, seed=1)
+        assert cert.epsilon > 0.0  # no early stop: all 5 x 2 rounds ran
+        assert len(set(certified)) == len(certified)
+        assert len(certified) <= 5 + 5 * 2 * f.n
+
+    def test_every_tie_dp_builds_a_candidate_table(self, monkeypatch, rng):
+        # The grid best response and both rows of a certificate read bidder i's
+        # candidate table, built once per (bidder, opponent set). So every tie
+        # DP of a solve is a table build, and an undamped step builds at most
+        # one table for its bidder and one per opponent its new profile meets.
+        builds = []
+
+        def counting(tie, opp, bases):
+            assert list(bases) == sorted({0.0} | {a for d in opp for a in d.atoms})
+            builds.append(None)
+            return allocation_probability(tie, opp, bases)
+
+        monkeypatch.setattr(auction, "allocation_probability", counting)
+        f = random_product(rng, 3)
+        _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.0, seed=1)
+        assert cert.epsilon > 0.0
+        assert len(builds) <= 5 * f.n + 5 * 2 * f.n * f.n
 
 
 class TestTransfer:
