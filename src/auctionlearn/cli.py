@@ -21,7 +21,7 @@ from .dist import ProductDistribution, json_numbers, load_instance, sample_matri
 from .equilibrium import solve_bne, uniform_bid_grid, verify_bne
 from .estimate import label_vector_count, shade_family, sup_error_sweep
 from .lowerbound import distinguisher_trials
-from .pandora import pandora_from_samples
+from .pandora import SearchInstance, opt_welfare, pandora_from_samples
 from .strategy import StrategyProfile
 
 
@@ -152,10 +152,12 @@ def pandora_cmd(instance, m, seeds, seed, trunc_eps, out):
     _check_seeds(seeds)
     f, costs = _load_costs(instance)
     base = child_seed(seed, "pandora")
-    rows = []
+    rows, optimal = [], None
     for k in range(seeds):
         s = sample_matrix(f, m, base + k)
-        learned, optimal = pandora_from_samples(s, costs, f, trunc_eps)
+        learned = pandora_from_samples(s, costs, f, trunc_eps)
+        if optimal is None:  # after the first seed's checks: --seeds 0 accepts any costs
+            optimal = opt_welfare(SearchInstance(f, tuple(costs)))
         rows.append([m, base + k, repr(learned), repr(optimal), repr(optimal - learned)])
     _emit(_csv_text(["m", "seed", "learned_payoff", "optimal_payoff", "regret"], rows), out)
 

@@ -64,16 +64,23 @@ def verify_bne(
 
 
 def _bidder_table(tables: dict, tie, i: int, opp: list) -> list:
-    """Slot i of ``tables``: bidder i's opponents, their :func:`candidate_allocations`,
-    and the best response of bidder i's atoms over it once a certificate needs it (else None).
+    """Bidder i's slot for ``opp`` in ``tables``: the opponents, their
+    :func:`candidate_allocations`, and the best response of bidder i's atoms over
+    it once a certificate needs it (else None).
 
-    A slot keeps the last table of its bidder, with the opponents compared by
-    value, so a table is built once per (bidder, opponent set).
+    ``tables[i]`` keeps the bidder's two most recently used slots, with the
+    opponents compared by value: an opponent set often comes back after one other
+    set has passed (a best response, then a damped step that keeps the old bids),
+    and keeping every set would grow with the solve.
     """
     key = tuple(opp)
-    slot = tables.get(i)
-    if slot is None or slot[0] != key:
-        slot = tables[i] = [key, candidate_allocations(tie, opp), None]
+    slots = tables.setdefault(i, [])
+    slot = next((s for s in slots if s[0] == key), None)
+    if slot is None:
+        slot = [key, candidate_allocations(tie, opp), None]
+    else:
+        slots.remove(slot)
+    slots[:] = [slot, *slots[:1]]
     return slot
 
 
@@ -190,9 +197,10 @@ def solve_bne(
     epsilon is below the best so far, so its certification stops at the first
     bidder (the best's worst one first) whose largest gap reaches the best; the
     returned certificate equals ``verify_bne``'s. A profile visited again is not
-    certified again: its epsilon is at least the best's. Each bidder's candidate
-    table is built once per set of opponent bid distributions and serves the
-    bidder's grid best response and both rows of the bidder's certificate.
+    certified again: its epsilon is at least the best's. A bidder's candidate
+    table for a set of opponent bid distributions is kept while that set is one
+    of the bidder's last two, and serves the bidder's grid best responses and
+    certificate rows against that set.
     Dynamics need not converge in a first-price auction: only a certificate of
     0 ends the search early. Grid bids must lie in [0, ``f.h``].
     """
@@ -212,7 +220,7 @@ def solve_bne(
     grid_bids = np.array(grid)
     best_profile: StrategyProfile | None = None
     best_cert: BNECertificate | None = None
-    tables: dict = {}  # bidder -> the bidder's last candidate table, see _bidder_table
+    tables: dict = {}  # bidder -> the bidder's last two candidate tables, see _bidder_table
     certified: set[tuple[bytes, ...]] = set()  # the bids keys of every certified profile
 
     def consider(profile: StrategyProfile, pushed: list, key: tuple[bytes, ...]) -> None:

@@ -179,11 +179,11 @@ def pandora_from_samples(
     costs: Sequence[float],
     f_true: ProductDistribution,
     trunc_eps: float,
-) -> tuple[float, float]:
+) -> float:
     """Learn indices on the empirical marginals; evaluate the policy on the truth.
 
-    Returns (expected payoff of the learned truncated policy on f_true,
-    optimal payoff on f_true) for regret reporting.
+    Returns the expected payoff of the learned truncated policy on f_true; the
+    optimum it is compared against, :func:`opt_welfare`, does not depend on s.
     """
     inst = SearchInstance(f_true, tuple(costs))
     emp = empirical_marginals(s, h=f_true.h)
@@ -191,4 +191,4 @@ def pandora_from_samples(
         weitzman_index(f, c, h=f_true.h) for f, c in zip(emp.marginals, inst.costs)
     )
     policy = IndexPolicy(indices, inst.costs, truncation_budget(f_true.h, trunc_eps))
-    return policy_payoff_exact(inst, policy), opt_welfare(inst)
+    return policy_payoff_exact(inst, policy)

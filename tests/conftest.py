@@ -103,6 +103,36 @@ def point_mass(value: float) -> DiscreteDistribution:
     return DiscreteDistribution((float(value),), (1.0,))
 
 
+def sample_matrix_reference(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:
+    """``dist.sample_matrix`` by ``Generator.choice(p=)``, one column per marginal."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    rng = np.random.default_rng(seed)
+    cols = [
+        rng.choice(np.array(marg.atoms), size=m, p=np.array(marg.weights))
+        for marg in f.marginals
+    ]
+    return SampleMatrix(np.column_stack(cols))
+
+
+@st.composite
+def sampling_marginals(draw) -> DiscreteDistribution:
+    """One atom; dyadic weights, whose prefix sums are multiples of 1/2**e exactly and so
+    fall on the edges of a sampling guide table of 2**e or more buckets; or random weights."""
+    kind = draw(st.sampled_from(["point", "dyadic", "random"]))
+    if kind == "point":
+        return point_mass(draw(st.floats(0.0, 10.0)))
+    if kind == "dyadic":
+        total = 2 ** draw(st.integers(1, 9))
+        cuts = draw(st.lists(st.integers(1, total - 1), max_size=30, unique=True))
+        weights = (np.diff([0, *sorted(cuts), total]) / total).tolist()
+    else:
+        weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=30))
+    k = len(weights)
+    atoms = draw(st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k, unique=True))
+    return make_discrete(atoms, weights)
+
+
 def constant(bid: float) -> MonotoneStrategy:
     """Strategy that bids the same amount at every value."""
     return MonotoneStrategy(((0.0, float(bid)),)) if bid > 0 else MonotoneStrategy(())

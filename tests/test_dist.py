@@ -27,6 +27,8 @@ from conftest import (
     prob_at_reference,
     prob_below_reference,
     quarter_distributions,
+    sample_matrix_reference,
+    sampling_marginals,
 )
 
 
@@ -127,6 +129,27 @@ class TestSampling:
         assert np.array_equal(a.values, b.values)
         c = sample_matrix(f, 100, seed=43)
         assert not np.array_equal(a.values, c.values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(sampling_marginals(), min_size=1, max_size=4),
+        st.integers(1, 3000),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_same_draws_as_choice(self, marginals, m, seed):
+        f = product_of(marginals)
+        got = sample_matrix(f, m, seed).values
+        assert np.array_equal(got, sample_matrix_reference(f, m, seed).values)
+
+    # K = 3000 and 5000 atoms over m = 500 and 1 draws: the table, capped near m, has
+    # fewer buckets than atoms. m = 1e5 draws fill a table of 16 buckets per atom.
+    @pytest.mark.parametrize("k, m", [(3000, 500), (5000, 1), (100, 10**5), (5000, 10**5)])
+    def test_same_draws_as_choice_large(self, k, m):
+        rng = np.random.default_rng(k + m)
+        skewed = make_discrete(rng.random(k).tolist(), (rng.random(k) ** 4 + 1e-6).tolist())
+        f = product_of([skewed, uniform_on(range(k)), point_mass(0.5)])
+        got = sample_matrix(f, m, seed=k).values
+        assert np.array_equal(got, sample_matrix_reference(f, m, seed=k).values)
 
     def test_law_of_large_numbers(self):
         # column means of Bernoulli(1/2)^n at m = 1e5: 6 sigma is ~0.0095 < 0.01

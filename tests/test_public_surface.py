@@ -5,6 +5,8 @@ target would only show when the benchmark runs with tracing on. The README's
 library example must run as printed, and every settable value in ``src/`` is
 listed here, so adding an option is a visible edit. Every ``raise`` in ``src/``
 names ``ValueError`` or ``AssertionError``, so a new exception type is one too.
+No ``src/`` module calls ``.choice(p=...)``: ``dist.sample_matrix`` is the one
+weighted sampler.
 """
 
 import ast
@@ -137,6 +139,26 @@ def test_one_error_convention():
     """Invalid input raises ValueError and a broken invariant AssertionError; src/
     defines no exception class of its own."""
     assert error_convention_breaches() == []
+
+
+def weighted_choice_calls() -> list[str]:
+    """Every ``.choice(...)`` call in src/ with a ``p=`` keyword."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "choice"
+                and any(k.arg == "p" for k in node.keywords)
+            ):
+                found.append(f"{path.stem}:{node.lineno}: .choice(p=...)")
+    return found
+
+
+def test_one_weighted_sampler():
+    """``dist.sample_matrix``'s guide table is the only weighted sampler in src/."""
+    assert weighted_choice_calls() == []
 
 
 def test_readme_library_example():
