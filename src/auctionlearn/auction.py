@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import DiscreteDistribution, cdf_of_max
+from .dist import DiscreteDistribution
 from .strategy import MonotoneStrategy
 
 
@@ -96,23 +96,12 @@ def push_forward(f_j: DiscreteDistribution, s_j: MonotoneStrategy) -> DiscreteDi
     return DiscreteDistribution(tuple(b for b, _ in pairs), tuple(w for _, w in pairs))
 
 
-def allocation_probability(tie: Tie, opp: Sequence[DiscreteDistribution], bases):
-    """Exact interim allocation probability of every exact bid in ``bases``.
-
-    A bid wins when no opponent bids above it; with t opponents tied, the tie
-    DP tracks q[t] = P(nobody above, exactly t tied) one opponent at a time,
-    and random allocation wins a t-way tie with probability 1 / (t + 1). A
-    scalar ``bases`` gives a float. A right limit ``base+`` wins when no
-    opponent bids above ``base``: :func:`dist.cdf_of_max` of the opponents.
-    """
-    b = np.asarray(bases, dtype=float)
-    q = [np.ones_like(b)]
-    for d in opp:
-        atoms, weights, cum = d.arrays
-        lo = np.searchsorted(atoms, b, side="left")
-        hi = np.searchsorted(atoms, b, side="right")
-        p_below = cum[lo]
-        p_at = np.where(hi > lo, weights[lo], 0.0)
+def _tie_dp(tie: Tie, like: np.ndarray, masses) -> np.ndarray:
+    """Winning probability of exact bids shaped like ``like``, from each opponent's
+    (P(bid below), P(bid at)): q[t] = P(nobody above, t tied), and random allocation
+    wins a t-way tie with probability 1 / (t + 1)."""
+    q = [np.ones_like(like)]
+    for p_below, p_at in masses:
         q = (
             [q[0] * p_below]
             + [q[t - 1] * p_at + q[t] * p_below for t in range(1, len(q))]
@@ -122,6 +111,22 @@ def allocation_probability(tie: Tie, opp: Sequence[DiscreteDistribution], bases)
     if tie is Tie.RANDOM_ALLOCATION:
         for t in range(1, len(q)):
             prob = prob + q[t] / (t + 1)
+    return prob
+
+
+def allocation_probability(tie: Tie, opp: Sequence[DiscreteDistribution], bases):
+    """Exact interim allocation probability of every exact bid in ``bases``.
+
+    A bid wins when no opponent bids above it, ties as the tie DP resolves them.
+    A scalar ``bases`` gives a float. A right limit ``base+`` wins when no
+    opponent bids above ``base``: :func:`dist.cdf_of_max` of the opponents.
+    """
+    b = np.asarray(bases, dtype=float)
+    masses = []
+    for atoms, weights, cum in (d.arrays for d in opp):
+        lo, hi = atoms.searchsorted(b, "left"), atoms.searchsorted(b, "right")
+        masses.append((cum[lo], np.where(hi > lo, weights[lo], 0.0)))
+    prob = _tie_dp(tie, b, masses)
     return float(prob) if b.ndim == 0 else prob
 
 
@@ -144,13 +149,24 @@ def candidate_allocations(tie: Tie, opp: Sequence[DiscreteDistribution]) -> np.n
     A record array with fields ``base``, ``limit_above`` and ``alloc``: 0 and
     every opponent atom, each exact bid followed by its right limit. The
     probabilities are independent of the bidder's value.
+
+    The bases hold every opponent atom, so the running sum of an opponent's
+    weights scattered onto them adds those weights left to right, as its prefix
+    sums do, plus +0.0 terms that change no bit. One pass thus gives the exact
+    P(bid < base) and P(bid <= base) at every base, which the tie DP and the
+    right limits' product in list order read without a binary search.
     """
-    bases = sorted({0.0} | {a for d in opp for a in d.atoms})
+    bases = np.array(sorted({0.0} | {a for d in opp for a in d.atoms}))
+    at = np.zeros((len(opp), len(bases) + 1))  # P(bid == base k) in column k + 1
+    for row, d in zip(at, opp):
+        atoms, weights, _ = d.arrays
+        row[bases.searchsorted(atoms, "right")] = weights[:-1]
+    cum = at.cumsum(axis=1)
     out = np.empty(2 * len(bases), [("base", float), ("limit_above", bool), ("alloc", float)])
-    out["base"] = np.repeat(bases, 2)
-    out["limit_above"] = np.tile([False, True], len(bases))
-    out["alloc"][0::2] = allocation_probability(tie, opp, bases)
-    out["alloc"][1::2] = cdf_of_max(opp, bases)
+    out["base"][0::2] = out["base"][1::2] = bases
+    out["limit_above"][0::2], out["limit_above"][1::2] = False, True
+    out["alloc"][0::2] = _tie_dp(tie, bases, zip(cum[:, :-1], at[:, 1:]))
+    out["alloc"][1::2] = cum[:, 1:].prod(axis=0)
     return out
 
 
@@ -174,27 +190,26 @@ def _table_allocation(cands: np.ndarray, bids) -> np.ndarray:
 BEST_RESPONSE_BLOCK = 1 << 12
 
 
-def _argmax_utility(fmt: Format, values: np.ndarray, bases, alloc) -> tuple[list, list]:
+def _argmax_utility(fmt: Format, values: np.ndarray, bases, alloc):
     """Largest utility over the candidate bids and its first maximizing index, per value.
 
     Row blocks of the values x candidates utility matrix are maximized with
     ``argmax``, which returns the first maximum.
     """
     rows = max(1, BEST_RESPONSE_BLOCK // len(bases))
-    sups, picks = [], []
+    sups = np.empty(len(values))
+    picks = np.empty(len(values), dtype=np.intp)
     for lo in range(0, len(values), rows):
         u = _utility(fmt, values[lo : lo + rows, None], bases, alloc)
-        k = u.argmax(axis=1)
-        sups.extend(u[np.arange(len(k)), k].tolist())
-        picks.extend(k.tolist())
+        picks[lo : lo + rows] = k = u.argmax(axis=1)
+        sups[lo : lo + rows] = u[np.arange(len(k)), k]
     return sups, picks
 
 
-def _best_response(fmt: Format, values: np.ndarray, cands: np.ndarray) -> tuple[list, list]:
-    """Supremum utility over the candidate table ``cands`` and its first maximizer, per value."""
-    sups, ks = _argmax_utility(fmt, values, cands["base"], cands["alloc"])
-    picked = cands[ks]
-    return sups, list(map(CandidateBid, picked["base"].tolist(), picked["limit_above"].tolist()))
+def _best_response(fmt: Format, values: np.ndarray, cands: np.ndarray):
+    """Arrays of the supremum utility over the candidate table ``cands`` and the row
+    of its first maximizer, per value."""
+    return _argmax_utility(fmt, values, cands["base"], cands["alloc"])
 
 
 def best_response(rule: AuctionRule, values, opp: Sequence[DiscreteDistribution]):
@@ -206,8 +221,10 @@ def best_response(rule: AuctionRule, values, opp: Sequence[DiscreteDistribution]
     """
     cands = candidate_allocations(rule.tie, opp)
     v = np.asarray(values, dtype=float)
-    sups, picks = _best_response(rule.format, np.atleast_1d(v), cands)
-    return (sups[0], picks[0]) if v.ndim == 0 else (sups, picks)
+    sups, ks = _best_response(rule.format, np.atleast_1d(v), cands)
+    picked = cands[ks]
+    picks = list(map(CandidateBid, picked["base"].tolist(), picked["limit_above"].tolist()))
+    return (sups[0].item(), picks[0]) if v.ndim == 0 else (sups.tolist(), picks)
 
 
 def _grid_best_response(

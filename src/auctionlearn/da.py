@@ -172,18 +172,20 @@ def _best_deviation(inst: SearchInstance, i: int, cands) -> float:
     return float(np.max(claim - inst.costs[i] * cands["alloc"][1::2]))
 
 
-def _deviation_gap(inst: SearchInstance, da_profile: Sequence[DAPureStrategy]) -> float:
-    """Exact ex ante equilibrium gap: the largest gain of any bidder from any deviation."""
+def _deviation_gap(inst: SearchInstance, da_profile: Sequence[DAPureStrategy]):
+    """Exact ex ante equilibrium gap, the largest gain of any bidder from any deviation,
+    and :func:`da_welfare`, from one candidate table per bidder."""
     claims = _claim_distributions(inst, da_profile)
-    gap = 0.0
+    gap, welfare = 0.0, 0
     for i in range(inst.n):
         opp, cands = _opponent_table(claims, i)
-        own, _ = _bidder_terms(inst, i, da_profile[i], opp, cands)
+        own, share = _bidder_terms(inst, i, da_profile[i], opp, cands)
         gain = _best_deviation(inst, i, cands) - own
         if not gain >= -1e-9:  # also a NaN gain, which `max` would skip
             raise AssertionError(f"gap {gain} is negative or NaN: deviations not exhaustive")
         gap = max(gap, gain)
-    return gap
+        welfare += share  # in bidder order from 0, as da_welfare's sum
+    return gap, welfare
 
 
 def lambda_map(f: MonotoneStrategy, sigma: float) -> DAPureStrategy:
@@ -313,8 +315,7 @@ def empirical_pipeline(
     family = shade_family(f_true_trunc, [k / 4 for k in range(5)]) + [fpa_profile]
     empp_sup = sup_error(s_b_trunc, FPA_RANDOM, family, f_true_trunc, "empp").sup_error
 
-    da_gap = _deviation_gap(inst, da_profile)
-    welfare = da_welfare(inst, da_profile)
+    da_gap, welfare = _deviation_gap(inst, da_profile)
     opt = opt_welfare(inst)
     bound = (1.0 - 1.0 / math.e) * opt - inst.n * da_gap
     return PipelineReport(

@@ -231,12 +231,15 @@ class SampleMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError("values must be a nonempty 2-D array")
-        if not np.all(np.isfinite(v)):
+        lo, hi = v.min(initial=0.0), v.max(initial=0.0)  # a NaN value gives NaN
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("sample values must be finite")
-        if np.any(v < 0):
+        if lo < 0:
             raise ValueError("sample values must be nonnegative")
-        v = v.copy()
-        v.setflags(write=False)
+        # Only a holder of a read-only array that owns its memory can write to it.
+        if v.flags.writeable or not v.flags.owndata:
+            v = v.copy()
+            v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -277,6 +280,7 @@ def sample_matrix(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:
         steps = np.flatnonzero((edges[:-1] != edges[1:]).take(bucket))
         idx[steps] = cdf.searchsorted(u[steps], "right")
         col[:] = np.array(marg.atoms).take(idx)
+    values.setflags(write=False)
     return SampleMatrix(values)
 
 

@@ -93,31 +93,35 @@ def _certify(rule, f, profile, pushed, stop_at: float = math.inf, first: int = 0
 
 
 def _certify_with(tables: dict, rule, f, profile, pushed, stop_at: float, first: int):
-    """:func:`_certify` reading each bidder's candidate table from ``tables``."""
+    """:func:`_certify` reading each bidder's candidate table from ``tables``; only the
+    first largest gap of a row, the one ``worst`` may take, gets a :class:`CandidateBid`."""
     rows = {}
     for i in [first] + [j for j in range(f.n) if j != first]:
         m = f.marginals[i]
         slot = _bidder_table(tables, rule.tie, i, pushed[:i] + pushed[i + 1 :])
         if slot[2] is None:
             slot[2] = _best_response(rule.format, m.arrays[0], slot[1])
-        _, cands, (sups, devs) = slot
+        _, cands, (sups, picks) = slot
         bids = np.array([profile[i].eval(v) for v in m.atoms])
-        own = _utility(rule.format, m.arrays[0], bids, _table_allocation(cands, bids))
-        gaps = []
-        for own_u, sup in zip(own.tolist(), sups):
-            gap = sup - own_u
-            if not gap >= -1e-9:  # also a NaN gap, which `gap > eps` would skip
-                raise AssertionError(f"gap {gap} is negative or NaN: candidates not exhaustive")
-            gaps.append(max(gap, 0.0))
-        if max(gaps) >= stop_at:
+        gaps = sups - _utility(rule.format, m.arrays[0], bids, _table_allocation(cands, bids))
+        bad = ~(gaps >= -1e-9)  # also a NaN gap, which `gap > eps` would skip
+        if bad.any():
+            gap = gaps[bad.argmax()].item()
+            raise AssertionError(f"gap {gap} is negative or NaN: candidates not exhaustive")
+        gaps = np.where(gaps < 0.0, 0.0, gaps)  # as max(gap, 0.0), which keeps a -0.0 gap
+        if gaps.max() >= stop_at:
             return None
-        rows[i] = (m.atoms, gaps, devs)
+        rows[i] = (gaps, picks, cands)
     eps, worst = 0.0, (0, 0.0, CandidateBid(0.0))
     for i in range(f.n):
-        for v, gap, dev in zip(*rows[i]):
-            if gap > eps:
-                eps, worst = gap, (i, v, dev)
-    return BNECertificate(eps, tuple(tuple(zip(*rows[i][:2])) for i in range(f.n)), worst)
+        gaps, picks, cands = rows[i]
+        k = gaps.argmax()
+        if gaps[k] > eps:
+            dev = cands[picks[k]]
+            bid = CandidateBid(dev["base"].item(), dev["limit_above"].item())
+            eps, worst = gaps[k].item(), (i, f.marginals[i].atoms[k], bid)
+    gap_rows = tuple(tuple(zip(f.marginals[i].atoms, rows[i][0].tolist())) for i in range(f.n))
+    return BNECertificate(eps, gap_rows, worst)
 
 
 def _damped_mix(

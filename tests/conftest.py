@@ -18,6 +18,8 @@ from auctionlearn.auction import (
     CandidateBid,
     Format,
     Tie,
+    _utility,
+    allocation_probability,
     ex_post_utility,
     interim_utility_exact,
     monotone_best_response_profile,
@@ -33,6 +35,7 @@ from auctionlearn.dist import (
     DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
+    cdf_of_max,
     empirical_marginals,
     make_discrete,
     product_of,
@@ -309,6 +312,50 @@ def verify_bne_reference(rule, f, profile) -> BNECertificate:
                 eps, worst = gap, (i, v, dev)
         gap_rows.append(tuple(row))
     return BNECertificate(eps, tuple(gap_rows), worst)
+
+
+def candidate_allocations_reference(tie, opp) -> np.ndarray:
+    """The candidate table in two passes: the tie DP at every base, then the right
+    limits from ``cdf_of_max``, each with its own binary searches."""
+    bases = sorted({0.0} | {a for d in opp for a in d.atoms})
+    out = np.empty(2 * len(bases), [("base", float), ("limit_above", bool), ("alloc", float)])
+    out["base"] = np.repeat(bases, 2)
+    out["limit_above"] = np.tile([False, True], len(bases))
+    out["alloc"][0::2] = allocation_probability(tie, opp, bases)
+    out["alloc"][1::2] = cdf_of_max(opp, bases)
+    return out
+
+
+def certify_reference(rule, f, profile, pushed, stop_at=math.inf, first=0):
+    """``equilibrium._certify`` with a CandidateBid per atom and one Python step per gap:
+    None as soon as one bidder's largest gap is >= ``stop_at``, bidder ``first`` first."""
+    rows = {}
+    for i in [first] + [j for j in range(f.n) if j != first]:
+        m = f.marginals[i]
+        opp = pushed[:i] + pushed[i + 1 :]
+        cands = candidate_allocations_reference(rule.tie, opp)
+        u = _utility(rule.format, m.arrays[0][:, None], cands["base"], cands["alloc"])
+        ks = u.argmax(axis=1)
+        sups = u[np.arange(len(ks)), ks].tolist()
+        picked = cands[ks]
+        devs = list(map(CandidateBid, picked["base"].tolist(), picked["limit_above"].tolist()))
+        bids = np.array([profile[i].eval(v) for v in m.atoms])
+        own = _utility(rule.format, m.arrays[0], bids, allocation_probability(rule.tie, opp, bids))
+        gaps = []
+        for own_u, sup in zip(own.tolist(), sups):
+            gap = sup - own_u
+            if not gap >= -1e-9:
+                raise AssertionError(f"gap {gap} is negative or NaN: candidates not exhaustive")
+            gaps.append(max(gap, 0.0))
+        if max(gaps) >= stop_at:
+            return None
+        rows[i] = (m.atoms, gaps, devs)
+    eps, worst = 0.0, (0, 0.0, CandidateBid(0.0))
+    for i in range(f.n):
+        for v, gap, dev in zip(*rows[i]):
+            if gap > eps:
+                eps, worst = gap, (i, v, dev)
+    return BNECertificate(eps, tuple(tuple(zip(*rows[i][:2])) for i in range(f.n)), worst)
 
 
 def solve_bne_reference(rule, f, bid_grid, max_iters, damping=0.5, seed=0):

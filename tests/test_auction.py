@@ -35,6 +35,7 @@ from conftest import (
     QUARTERS,
     allocation_probability_reference,
     best_response_profile_reference,
+    candidate_allocations_reference,
     constant,
     interim_by_enumeration,
     point_mass,
@@ -138,6 +139,26 @@ def test_table_lookup_equals_tie_dp(data):
     want = allocation_probability(tie, opp, bids)
     assert got.tolist() == want.tolist()
     assert got.tobytes() == want.tobytes()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_candidate_table_matches_two_pass_reference(data):
+    # No opponent up to five, sharing quarter-grid atoms and often 0.0; the
+    # one-pass table must give the two-pass table's bytes.
+    tie = data.draw(st.sampled_from(list(Tie)))
+    opp = data.draw(st.lists(quarter_distributions(), max_size=5))
+    want = candidate_allocations_reference(tie, opp)
+    assert candidate_allocations(tie, opp).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tie", list(Tie))
+def test_candidate_table_with_a_negative_zero_atom(tie):
+    # -0.0 equals the base 0.0, which the table keeps as +0.0.
+    opp = [make_discrete([-0.0, 0.5], [0.3, 0.7]), make_discrete([0.0, 0.5, 1.0], [0.2, 0.3, 0.5])]
+    got = candidate_allocations(tie, opp)
+    assert got.tobytes() == candidate_allocations_reference(tie, opp).tobytes()
+    assert np.signbit(got["base"]).sum() == 0
 
 
 @given(st.data())

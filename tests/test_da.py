@@ -380,12 +380,14 @@ class TestExactGap:
                 assert oracle <= exact + 1e-12
                 assert oracle >= exact - 1e-6
                 gap = max(gap, exact - ex_ante_utility_da(inst, profile, i))
-            assert _deviation_gap(inst, profile) == pytest.approx(gap, rel=0, abs=1e-12)
+            got_gap, welfare = _deviation_gap(inst, profile)
+            assert got_gap == pytest.approx(gap, rel=0, abs=1e-12)
+            assert welfare == da_welfare(inst, profile)
 
     def test_gap_is_zero_when_nobody_can_gain(self):
         # One bidder, free inspection, claiming 0 at every value: nothing beats E[v].
         inst = SearchInstance(product_of([uniform_on([0.0, 0.5, 1.0])], 1.0), (0.0,))
-        assert _deviation_gap(inst, [DAPureStrategy(1.0, constant(0.0))]) == 0.0
+        assert _deviation_gap(inst, [DAPureStrategy(1.0, constant(0.0))])[0] == 0.0
 
     @given(
         marginals=st.lists(quarter_distributions(), min_size=1, max_size=3),
@@ -402,7 +404,7 @@ class TestExactGap:
             lambda_map(shade(sorted({min(a, s) for a in m.atoms} | {s}), alpha), s)
             for m, s, alpha in zip(marginals, sigmas, alphas)
         ]
-        assert _deviation_gap(inst, profile) >= finite_class_gap(inst, profile, sigmas) - 1e-12
+        assert _deviation_gap(inst, profile)[0] >= finite_class_gap(inst, profile, sigmas) - 1e-12
 
 
 class TestPipeline:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,19 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlearn import auction, equilibrium
+from auctionlearn import auction, dist, equilibrium
 from auctionlearn.auction import (
     ALLPAY_NONE,
     ALLPAY_RANDOM,
     BEST_RESPONSE_BLOCK,
     FPA_NONE,
     FPA_RANDOM,
-    allocation_probability,
+    CandidateBid,
+    Tie,
     candidate_allocations,
     push_forward,
 )
 from auctionlearn.dist import (
     ProductDistribution,
+    cdf_of_max,
     make_discrete,
     product_of,
     sample_matrix,
@@ -36,10 +39,12 @@ from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
 
 from conftest import (
     QUARTERS,
+    certify_reference,
     constant,
     equilibrium_transfer_check,
     point_mass,
     quarter_distributions,
+    random_bid_dist,
     random_product,
     random_profile,
     snap_to_grid_reference,
@@ -97,8 +102,12 @@ class TestVerify:
         f = product_of(marginals, 1.0)
         object.__setattr__(marginals[0], "atoms", (0.0, math.nan, 1.0))
         profile = StrategyProfile((shade([0.0, 0.5, 1.0], 0.5),) * 2)
-        with pytest.raises(AssertionError, match="NaN"):
+        with pytest.raises(AssertionError, match="NaN") as got:
             verify_bne(FPA_RANDOM, f, profile)
+        pushed = [push_forward(m, s) for m, s in zip(f.marginals, profile)]
+        with pytest.raises(AssertionError) as want:
+            certify_reference(FPA_RANDOM, f, profile, pushed)
+        assert str(got.value) == str(want.value)
 
     def test_bid_above_h_raises(self):
         profile = StrategyProfile((shade(GRID, 0.5), constant(5.0)))
@@ -156,10 +165,10 @@ class TestVerifyReference:
 
 
 @st.composite
-def tie_heavy_instances(draw):
-    """A rule and 1 to 4 marginals of `quarter_distributions`, H = 1."""
+def tie_heavy_instances(draw, max_n=4):
+    """A rule and 1 to ``max_n`` marginals of `quarter_distributions`, H = 1."""
     rule = draw(st.sampled_from(RULES))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_n))
     return rule, product_of([draw(quarter_distributions()) for _ in range(n)], 1.0)
 
 
@@ -181,6 +190,36 @@ def test_bounded_certificate_matches_verify_bne(data):
     stop_at = data.draw(st.sampled_from([cert.epsilon, *gaps]) | st.floats(0.0, 1.0))
     got = _certify(rule, f, profile, pushed, stop_at, first)
     assert got == (None if cert.epsilon >= stop_at else cert)
+
+
+def _dumped(cert) -> str | None:
+    return None if cert is None else json.dumps(cert.to_json())
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_certificate_matches_per_atom_reference(data):
+    # Up to five opponents, bids on the quarter grid and sometimes -0.0; the
+    # JSON strings tell a -0.0 gap from 0.0 and catch a different `worst`.
+    # A -0.0 value bidding -0.0 in an all-pay auction has a -0.0 gap.
+    rule, f = data.draw(tie_heavy_instances(max_n=6))
+    if data.draw(st.booleans()):
+        atoms = [[-0.0 if a == 0.0 else a for a in m.atoms] for m in f.marginals]
+        f = product_of([make_discrete(a, m.weights) for a, m in zip(atoms, f.marginals)], 1.0)
+    strategies = []
+    for m in f.marginals:
+        bid = QUARTERS | st.just(-0.0)
+        bids = data.draw(st.lists(bid, min_size=len(m.atoms), max_size=len(m.atoms)))
+        strategies.append(MonotoneStrategy(tuple(zip(m.atoms, sorted(bids)))))
+    profile = StrategyProfile(tuple(strategies))
+    pushed = [push_forward(m, s) for m, s in zip(f.marginals, profile)]
+    first = data.draw(st.integers(0, f.n - 1))
+    want = certify_reference(rule, f, profile, pushed, first=first)
+    assert _dumped(_certify(rule, f, profile, pushed, first=first)) == _dumped(want)
+    gaps = [g for row in want.gaps for _, g in row]
+    stop_at = data.draw(st.sampled_from([want.epsilon, *gaps]) | st.floats(0.0, 1.0))
+    got = _certify(rule, f, profile, pushed, stop_at, first)
+    assert _dumped(got) == _dumped(certify_reference(rule, f, profile, pushed, stop_at, first))
 
 
 @given(st.data())
@@ -313,18 +352,58 @@ class TestSolve:
         # candidate table, built once per (bidder, opponent set). So every tie
         # DP of a solve is a table build, and an undamped step builds at most
         # one table for its bidder and one per opponent its new profile meets.
-        builds = []
+        dps, tables = [], []
+        tie_dp = auction._tie_dp
 
-        def counting(tie, opp, bases):
-            assert list(bases) == sorted({0.0} | {a for d in opp for a in d.atoms})
-            builds.append(None)
-            return allocation_probability(tie, opp, bases)
+        def counting_dp(tie, like, masses):
+            dps.append(None)
+            return tie_dp(tie, like, masses)
 
-        monkeypatch.setattr(auction, "allocation_probability", counting)
+        def counting_table(tie, opp):
+            tables.append(None)
+            return candidate_allocations(tie, opp)
+
+        monkeypatch.setattr(auction, "_tie_dp", counting_dp)
+        monkeypatch.setattr(equilibrium, "candidate_allocations", counting_table)
         f = random_product(rng, 3)
         _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.0, seed=1)
         assert cert.epsilon > 0.0
-        assert len(builds) <= 5 * f.n + 5 * 2 * f.n * f.n
+        assert 1 <= len(dps) == len(tables) <= 5 * f.n + 5 * 2 * f.n * f.n
+
+
+class TestPerCallWork:
+    """Object and kernel calls per certificate and per table do not grow with the atoms."""
+
+    def test_one_candidate_bid_per_certificate_row(self, monkeypatch):
+        # 200 atoms per bidder: the certificate builds its default worst bid
+        # and at most one bid per bidder, the winner of the bidder's row.
+        made = []
+        init = CandidateBid.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(None)
+            init(self, *args, **kwargs)
+
+        f = ProductDistribution.iid(uniform_on([k / 199 for k in range(200)]), 4, 1.0)
+        profile = StrategyProfile((shade(f.marginals[0].atoms, 0.5),) * f.n)
+        monkeypatch.setattr(CandidateBid, "__init__", counting)
+        cert = verify_bne(FPA_RANDOM, f, profile)
+        assert cert.epsilon > 0.0
+        assert len(made) <= f.n + 1
+
+    def test_candidate_table_never_calls_cdf_of_max(self, monkeypatch, rng):
+        calls = []
+
+        def recording(dists, x):
+            calls.append(None)
+            return cdf_of_max(dists, x)
+
+        monkeypatch.setattr(dist, "cdf_of_max", recording)
+        monkeypatch.setattr(auction, "cdf_of_max", recording, raising=False)
+        for tie in Tie:
+            for n in range(4):
+                candidate_allocations(tie, [random_bid_dist(rng) for _ in range(n)])
+        assert calls == []
 
 
 class TestTransfer:
