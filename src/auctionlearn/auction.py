@@ -87,13 +87,18 @@ def ex_post_utility(rule: AuctionRule, i: int, v_i, bids):
 
 
 def push_forward(f_j: DiscreteDistribution, s_j: MonotoneStrategy) -> DiscreteDistribution:
-    """Distribution of s_j(v) for v ~ f_j, with equal bids merged."""
+    """Distribution of s_j(v) for v ~ f_j, with equal bids merged; one ``eval`` call."""
+    return _push_bids(f_j, s_j.eval(f_j.arrays[0]))
+
+
+def _push_bids(f_j: DiscreteDistribution, bids: np.ndarray) -> DiscreteDistribution:
+    """Distribution of ``bids[k]`` at atom k of f_j, equal bids merged by adding their
+    weights left to right. The bids of a monotone strategy never decrease in atom
+    order, so the merged bids arrive sorted."""
     merged: dict[float, float] = {}
-    for a, w in f_j:
-        bid = s_j.eval(a)
-        merged[bid] = merged.get(bid, 0.0) + w
-    pairs = sorted(merged.items())
-    return DiscreteDistribution(tuple(b for b, _ in pairs), tuple(w for _, w in pairs))
+    for b, w in zip(bids.tolist(), f_j.weights):
+        merged[b] = merged.get(b, 0.0) + w
+    return DiscreteDistribution(tuple(merged), tuple(merged.values()))
 
 
 def _tie_dp(tie: Tie, like: np.ndarray, masses) -> np.ndarray:
@@ -228,15 +233,16 @@ def best_response(rule: AuctionRule, values, opp: Sequence[DiscreteDistribution]
 
 
 def _grid_best_response(
-    fmt: Format, values: Sequence[float], grid_bids: np.ndarray, alloc
-) -> MonotoneStrategy:
-    """:func:`monotone_best_response_profile` at sorted distinct ``values`` over the sorted
-    distinct ``grid_bids``, whose allocation probabilities are ``alloc``."""
-    _, ks = _argmax_utility(fmt, np.array(values), grid_bids, alloc)
-    bids = np.where(alloc == 0.0, 0.0, grid_bids)[ks].tolist()
-    if any(b2 < b1 for b1, b2 in zip(bids, bids[1:])):
-        raise ValueError(f"best-response bids not monotone: {list(zip(values, bids))}")
-    return MonotoneStrategy(tuple(zip(values, bids)))
+    fmt: Format, values: np.ndarray, grid_bids: np.ndarray, alloc
+) -> np.ndarray:
+    """The bids of :func:`monotone_best_response_profile` at sorted distinct ``values``
+    over the sorted distinct ``grid_bids``, whose allocation probabilities are ``alloc``."""
+    _, ks = _argmax_utility(fmt, values, grid_bids, alloc)
+    bids = np.where(alloc == 0.0, 0.0, grid_bids)[ks]
+    if (bids[1:] < bids[:-1]).any():
+        pairs = list(zip(values.tolist(), bids.tolist()))
+        raise ValueError(f"best-response bids not monotone: {pairs}")
+    return bids
 
 
 def monotone_best_response_profile(
@@ -253,4 +259,6 @@ def monotone_best_response_profile(
     if not grid_bids.size:
         raise ValueError("bid_grid is empty")
     alloc = allocation_probability(rule.tie, opp, grid_bids)
-    return _grid_best_response(rule.format, sorted(set(float(v) for v in values)), grid_bids, alloc)
+    values = sorted(set(float(v) for v in values))
+    bids = _grid_best_response(rule.format, np.array(values), grid_bids, alloc)
+    return MonotoneStrategy(tuple(zip(values, bids.tolist())))

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -53,8 +54,40 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+# Compact encoder: with no indent, ``json`` encodes in C.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, for dicts with str keys.
+
+    An indent makes ``json`` encode in pure Python, so a list of numbers or of
+    number lists is encoded by the compact C encoder and then indented.
+    """
+    return _indented(obj, "\n") + "\n"
+
+
+def _is_numbers(obj) -> bool:
+    # A nonempty list of ints, floats and bools: no item holds a comma or a bracket.
+    return type(obj) is list and bool(obj) and set(map(type, obj)) <= {int, float, bool}
+
+
+def _indented(obj, nl: str) -> str:
+    # `nl` is the newline and indent of the line that closes `obj`.
+    inner = nl + "  "
+    if isinstance(obj, dict) and obj:
+        items = [encode_basestring_ascii(k) + ": " + _indented(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if not (isinstance(obj, (list, tuple)) and obj):
+        return _COMPACT.encode(obj)
+    if _is_numbers(obj):
+        return "[" + inner + _COMPACT.encode(obj)[1:-1].replace(",", "," + inner) + nl + "]"
+    if all(map(_is_numbers, obj)):
+        row = inner + "  "
+        text = _COMPACT.encode(obj)[2:-2].replace(",", "," + row)
+        text = text.replace("]," + row + "[", inner + "]," + inner + "[" + row)
+        return "[" + inner + "[" + row + text + inner + "]" + nl + "]"
+    return "[" + inner + ("," + inner).join(_indented(v, inner) for v in obj) + nl + "]"
 
 
 def _load_costs(path) -> tuple[ProductDistribution, list[float]]:

@@ -103,7 +103,7 @@ def simulate_da(
 
 def _claim_distribution(f: DiscreteDistribution, d: DAPureStrategy) -> DiscreteDistribution:
     """Distribution of the claim price beta(v) over value v ~ f."""
-    return make_discrete([d.beta.eval(a) for a in f.atoms], list(f.weights))
+    return make_discrete(d.beta.eval(f.arrays[0]).tolist(), list(f.weights))
 
 
 def _claim_distributions(inst: SearchInstance, profile) -> list:
@@ -126,9 +126,9 @@ def _bidder_terms(
     """
     won = paid = 0.0
     f_i = inst.boxes.marginals[i]
-    bids = [d_i.beta.eval(a) for a in f_i.atoms]
+    bids = d_i.beta.eval(f_i.arrays[0])
     alloc = _table_allocation(cands, bids).tolist()
-    for a, wv, b, p in zip(f_i.atoms, f_i.weights, bids, alloc):
+    for a, wv, b, p in zip(f_i.atoms, f_i.weights, bids.tolist(), alloc):
         share = wv * p
         won += share * a
         paid += share * b

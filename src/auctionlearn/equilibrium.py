@@ -21,10 +21,10 @@ from .auction import (
     CandidateBid,
     _best_response,
     _grid_best_response,
+    _push_bids,
     _table_allocation,
     _utility,
     candidate_allocations,
-    push_forward,
 )
 from .dist import ProductDistribution
 from .strategy import MonotoneStrategy, StrategyProfile
@@ -55,12 +55,16 @@ class BNECertificate:
 def verify_bne(
     rule: AuctionRule, f: ProductDistribution, profile: StrategyProfile
 ) -> BNECertificate:
-    """Exact epsilon-BNE certificate: max over (bidder, value) best-response gaps."""
+    """Exact epsilon-BNE certificate: max over (bidder, value) best-response gaps.
+
+    Each strategy is evaluated once, at every atom of its bidder's marginal."""
     if len(profile) != f.n:
         raise ValueError(f"profile has {len(profile)} strategies for {f.n} bidders")
     if any(s.max_bid > f.h for s in profile):
         raise ValueError(f"profile bids above H={f.h}")
-    return _certify(rule, f, profile, [push_forward(m, s) for m, s in zip(f.marginals, profile)])
+    bids = [s.eval(m.arrays[0]) for m, s in zip(f.marginals, profile)]
+    pushed = [_push_bids(m, b) for m, b in zip(f.marginals, bids)]
+    return _certify_with({}, rule, f, bids, pushed, math.inf, 0)
 
 
 def _bidder_table(tables: dict, tie, i: int, opp: list) -> list:
@@ -89,12 +93,14 @@ def _certify(rule, f, profile, pushed, stop_at: float = math.inf, first: int = 0
     soon as one bidder's largest gap is >= ``stop_at``. Bidder ``first`` is examined
     first; the certificate is assembled in bidder order, so it does not depend on it.
     """
-    return _certify_with({}, rule, f, profile, pushed, stop_at, first)
+    bids = [s.eval(m.arrays[0]) for m, s in zip(f.marginals, profile)]
+    return _certify_with({}, rule, f, bids, pushed, stop_at, first)
 
 
-def _certify_with(tables: dict, rule, f, profile, pushed, stop_at: float, first: int):
-    """:func:`_certify` reading each bidder's candidate table from ``tables``; only the
-    first largest gap of a row, the one ``worst`` may take, gets a :class:`CandidateBid`."""
+def _certify_with(tables: dict, rule, f, bids: list, pushed, stop_at: float, first: int):
+    """:func:`_certify` of the profile whose bids at bidder i's atoms are ``bids[i]``,
+    reading each bidder's candidate table from ``tables``; only the first largest gap
+    of a row, the one ``worst`` may take, gets a :class:`CandidateBid`."""
     rows = {}
     for i in [first] + [j for j in range(f.n) if j != first]:
         m = f.marginals[i]
@@ -102,8 +108,8 @@ def _certify_with(tables: dict, rule, f, profile, pushed, stop_at: float, first:
         if slot[2] is None:
             slot[2] = _best_response(rule.format, m.arrays[0], slot[1])
         _, cands, (sups, picks) = slot
-        bids = np.array([profile[i].eval(v) for v in m.atoms])
-        gaps = sups - _utility(rule.format, m.arrays[0], bids, _table_allocation(cands, bids))
+        own = bids[i]
+        gaps = sups - _utility(rule.format, m.arrays[0], own, _table_allocation(cands, own))
         bad = ~(gaps >= -1e-9)  # also a NaN gap, which `gap > eps` would skip
         if bad.any():
             gap = gaps[bad.argmax()].item()
@@ -124,27 +130,18 @@ def _certify_with(tables: dict, rule, f, profile, pushed, stop_at: float, first:
     return BNECertificate(eps, gap_rows, worst)
 
 
-def _damped_mix(
-    old: MonotoneStrategy, new: MonotoneStrategy, values, damping: float, rng
-) -> MonotoneStrategy:
+def _damped_mix(old: np.ndarray, new: np.ndarray, damping: float, rng) -> np.ndarray:
     # Per value keep the old bid with probability `damping`, then restore
     # monotonicity with a running max (a pointwise mixture of two monotone
-    # step functions need not be monotone).
+    # step functions need not be monotone). One draw per value, in value order.
+    # Python's max, unlike np.maximum, keeps the running bid on a -0.0 / 0.0 tie.
+    mixed = np.where(rng.random(len(old)) < damping, old, new)
     bids = []
     prev = 0.0
-    for v in values:
-        b = old.eval(v) if rng.random() < damping else new.eval(v)
+    for b in mixed.tolist():
         prev = max(prev, b)
         bids.append(prev)
-    return MonotoneStrategy(tuple(zip(values, bids)))
-
-
-def _bids_key(s: MonotoneStrategy) -> bytes:
-    # Every strategy the solver builds for a bidder has the bidder's atoms as
-    # thresholds and default bid 0, so its bids identify it. As bytes they take
-    # 8 per bid, not the ~100 of a breakpoint, and keep no strategy alive; that
-    # they tell -0.0 from 0.0 costs at most a repeated certification.
-    return np.array([b for _, b in s.breakpoints]).tobytes()
+    return np.array(bids)
 
 
 def _snap_to_grid(bid: float, grid: list[float]) -> float:
@@ -158,13 +155,14 @@ def _snap_to_grid(bid: float, grid: list[float]) -> float:
     return hi if abs(hi - bid) < abs(lo - bid) - 1e-15 else lo
 
 
-def _shade_on_grid(values, alpha: float, grid: list[float]) -> MonotoneStrategy:
+def _shade_on_grid(values, alpha: float, grid: list[float]) -> np.ndarray:
+    # The bids at `values` of alpha * v snapped to the grid, made nondecreasing.
     bids = []
     prev = grid[0]
     for v in values:
         prev = max(prev, _snap_to_grid(alpha * v, grid))
         bids.append(prev)
-    return MonotoneStrategy(tuple(zip(values, bids)))
+    return np.array(bids)
 
 
 MAX_GRID_BIDS = 10**6
@@ -204,7 +202,9 @@ def solve_bne(
     certified again: its epsilon is at least the best's. A bidder's candidate
     table for a set of opponent bid distributions is kept while that set is one
     of the bidder's last two, and serves the bidder's grid best responses and
-    certificate rows against that set.
+    certificate rows against that set. Every iterate has the bidder's atoms as
+    thresholds and a default bid of 0, so the solver carries one bid vector per
+    bidder and builds a :class:`MonotoneStrategy` only for the returned profile.
     Dynamics need not converge in a first-price auction: only a certificate of
     0 ends the search early. Grid bids must lie in [0, ``f.h``].
     """
@@ -222,43 +222,43 @@ def solve_bne(
     rng = np.random.default_rng(seed)
     starts = [0.0, 0.25, 0.5, 0.75, 1.0]
     grid_bids = np.array(grid)
-    best_profile: StrategyProfile | None = None
+    best_bids: list | None = None
     best_cert: BNECertificate | None = None
     tables: dict = {}  # bidder -> the bidder's last two candidate tables, see _bidder_table
-    certified: set[tuple[bytes, ...]] = set()  # the bids keys of every certified profile
+    # The bid bytes of every certified profile. They tell -0.0 from 0.0, which
+    # costs at most a repeated certification.
+    certified: set[tuple[bytes, ...]] = set()
 
-    def consider(profile: StrategyProfile, pushed: list, key: tuple[bytes, ...]) -> None:
-        nonlocal best_profile, best_cert
+    def consider(bids: list, pushed: list) -> None:
+        nonlocal best_bids, best_cert
+        key = tuple(b.tobytes() for b in bids)
         if key in certified:  # its epsilon is >= the best's, so it is cut off again
             return
         certified.add(key)
         bound = (best_cert.epsilon, best_cert.worst[0]) if best_cert else (math.inf, 0)
-        cert = _certify_with(tables, rule, f, profile, pushed, *bound)
+        cert = _certify_with(tables, rule, f, bids, pushed, *bound)
         if cert is not None:
-            best_profile, best_cert = profile, cert
+            best_bids, best_cert = list(bids), cert
+
+    def best() -> tuple[StrategyProfile, BNECertificate]:
+        pairs = (zip(m.atoms, b.tolist()) for m, b in zip(f.marginals, best_bids))
+        return StrategyProfile(tuple(MonotoneStrategy(tuple(p)) for p in pairs)), best_cert
 
     for alpha in starts:
-        profile = StrategyProfile(
-            tuple(_shade_on_grid(f.marginals[i].atoms, alpha, grid) for i in range(f.n))
-        )
-        # Bid distributions of the current profile; only the replaced bidder's changes.
-        pushed = [push_forward(f.marginals[j], profile[j]) for j in range(f.n)]
-        keys = [_bids_key(s) for s in profile]
-        consider(profile, pushed, tuple(keys))
+        # One bid vector per bidder, at the bidder's atoms, and its bid distribution;
+        # a step replaces only the stepping bidder's.
+        bids = [_shade_on_grid(m.atoms, alpha, grid) for m in f.marginals]
+        pushed = [_push_bids(m, b) for m, b in zip(f.marginals, bids)]
+        consider(bids, pushed)
         for _ in range(max_iters // len(starts)):
             if best_cert.epsilon == 0.0:
-                return best_profile, best_cert
-            for i in range(f.n):
+                return best()
+            for i, m in enumerate(f.marginals):
                 opp = pushed[:i] + pushed[i + 1 :]
-                values = f.marginals[i].atoms
                 alloc = _table_allocation(_bidder_table(tables, rule.tie, i, opp)[1], grid_bids)
-                br = _grid_best_response(rule.format, values, grid_bids, alloc)
-                br_pushed = push_forward(f.marginals[i], br)
-                br_key = (*keys[:i], _bids_key(br), *keys[i + 1 :])
-                consider(profile.replace(i, br), opp[:i] + [br_pushed] + opp[i:], br_key)
-                nxt = _damped_mix(profile[i], br, values, damping, rng)
-                profile = profile.replace(i, nxt)
-                pushed[i] = push_forward(f.marginals[i], nxt)
-                keys[i] = _bids_key(nxt)
-                consider(profile, pushed, tuple(keys))
-    return best_profile, best_cert
+                br = _grid_best_response(rule.format, m.arrays[0], grid_bids, alloc)
+                consider([*bids[:i], br, *bids[i + 1 :]], opp[:i] + [_push_bids(m, br)] + opp[i:])
+                bids[i] = _damped_mix(bids[i], br, damping, rng)
+                pushed[i] = _push_bids(m, bids[i])
+                consider(bids, pushed)
+    return best()

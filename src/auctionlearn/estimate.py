@@ -50,8 +50,8 @@ def emp_estimate(
     """Average ex post utility of bidder i at each value over the sampled opponent rows."""
     bids = profile.bids(s.values)  # one bid matrix; only column i changes per value
     out = []
-    for v_i in values:
-        bids[:, i] = profile[i].eval(v_i)
+    for v_i, b_i in zip(values, profile[i].eval(values).tolist()):
+        bids[:, i] = b_i
         out.append(sum_left_to_right(ex_post_utility(rule, i, v_i, bids)) / s.m)
     return out
 
@@ -87,7 +87,7 @@ def sup_error(
             pushed_emp = [push_forward(m, s_j) for m, s_j in zip(emp_prod.marginals, profile)]
         for i in range(f.n):
             probes = _probe_values(f, profile, i)
-            bids = [profile[i].eval(v) for v in probes]
+            bids = profile[i].eval(probes)
             opp_true = pushed_true[:i] + pushed_true[i + 1 :]
             exact = interim_utility_exact(rule, probes, bids, opp_true).tolist()
             if emp_prod is not None:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -39,14 +39,22 @@ class MonotoneStrategy:
             raise ValueError("bids must be nondecreasing")
         if self.default_bid < 0 or (bids and bids[0] < self.default_bid):
             raise ValueError("bids must be >= default_bid >= 0")
-        object.__setattr__(self, "_thresholds", tuple(thresholds))
 
-    def eval(self, v: float) -> float:
-        """Bid at value v (right-continuous step lookup)."""
-        if v < 0:
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Numpy thresholds, and the default bid followed by the bids."""
+        thresholds, bids = zip(*self.breakpoints) if self.breakpoints else ((), ())
+        return np.array(thresholds, dtype=float), np.array((self.default_bid, *bids), dtype=float)
+
+    def eval(self, v):
+        """Bid at every value of ``v`` (right-continuous step lookup), with one
+        ``searchsorted`` into :attr:`arrays`. A scalar ``v`` gives a float."""
+        x = np.asarray(v, dtype=float)
+        if (x < 0).any():
             raise ValueError("value must be nonnegative")
-        idx = bisect_right(self._thresholds, v) - 1
-        return self.breakpoints[idx][1] if idx >= 0 else self.default_bid
+        thresholds, bids = self.arrays
+        out = bids[thresholds.searchsorted(x, side="right")]
+        return float(out) if x.ndim == 0 else out
 
     @property
     def max_bid(self) -> float:
@@ -100,18 +108,11 @@ class StrategyProfile:
         return len(self.strategies)
 
     def bids(self, values) -> np.ndarray:
-        """The m x n bid matrix of an m x n value matrix.
-
-        Each strategy is evaluated once per distinct value in its column.
-        """
+        """The m x n bid matrix of an m x n value matrix: one ``eval`` per column."""
         v = np.asarray(values, dtype=float)
         if v.ndim != 2 or v.shape[1] != self.n:
             raise ValueError(f"values must be m x {self.n}, got shape {v.shape}")
-        out = np.empty_like(v)
-        for j, strat in enumerate(self.strategies):
-            uniq, inv = np.unique(v[:, j], return_inverse=True)
-            out[:, j] = np.array([strat.eval(x) for x in uniq])[inv]
-        return out
+        return np.stack([s.eval(v[:, j]) for j, s in enumerate(self.strategies)], axis=1)
 
     def replace(self, i: int, s: MonotoneStrategy) -> "StrategyProfile":
         parts = list(self.strategies)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -42,7 +43,7 @@ from auctionlearn.dist import (
     sum_left_to_right,
     truncate_at,
 )
-from auctionlearn.equilibrium import BNECertificate, _damped_mix, _shade_on_grid, verify_bne
+from auctionlearn.equilibrium import BNECertificate, _snap_to_grid, verify_bne
 from auctionlearn.lowerbound import _mask_probs, distinguisher_trials
 from auctionlearn.pandora import IndexPolicy, SearchInstance, _effective_prefix, weitzman_index
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
@@ -180,6 +181,62 @@ def claims_above(d: DAPureStrategy, sigma: float) -> bool:
     if d.beta.eval(sigma) != d.tau:
         return False
     return all(b == d.tau for t, b in d.beta.breakpoints if t > sigma)
+
+
+def eval_reference(s: MonotoneStrategy, v: float) -> float:
+    """``MonotoneStrategy.eval`` at one value, by bisection over the thresholds."""
+    if v < 0:
+        raise ValueError("value must be nonnegative")
+    idx = bisect_right([t for t, _ in s.breakpoints], v) - 1
+    return s.breakpoints[idx][1] if idx >= 0 else s.default_bid
+
+
+def push_forward_reference(f_j: DiscreteDistribution, s_j: MonotoneStrategy):
+    """``push_forward`` one atom at a time, merging equal bids in a dict, then sorting."""
+    merged: dict[float, float] = {}
+    for a, w in f_j:
+        bid = eval_reference(s_j, a)
+        merged[bid] = merged.get(bid, 0.0) + w
+    pairs = sorted(merged.items())
+    return DiscreteDistribution(tuple(b for b, _ in pairs), tuple(w for _, w in pairs))
+
+
+def damped_mix_reference(
+    old: MonotoneStrategy, new: MonotoneStrategy, values, damping: float, rng
+) -> MonotoneStrategy:
+    """The solver's damped step as a strategy, with one ``rng.random()`` per value."""
+    bids = []
+    prev = 0.0
+    for v in values:
+        b = eval_reference(old, v) if rng.random() < damping else eval_reference(new, v)
+        prev = max(prev, b)
+        bids.append(prev)
+    return MonotoneStrategy(tuple(zip(values, bids)))
+
+
+def shade_on_grid_reference(values, alpha: float, grid: list[float]) -> MonotoneStrategy:
+    """The solver's start at shade ``alpha`` as a strategy on ``values``."""
+    bids = []
+    prev = grid[0]
+    for v in values:
+        prev = max(prev, _snap_to_grid(alpha * v, grid))
+        bids.append(prev)
+    return MonotoneStrategy(tuple(zip(values, bids)))
+
+
+@st.composite
+def quarter_strategies(draw, max_size=40) -> MonotoneStrategy:
+    """Monotone strategies with long runs of equal bids, -0.0 among the bids and as
+    the default bid, and thresholds on and off the quarter grid; some have no
+    breakpoints at all."""
+    threshold = st.one_of(QUARTERS, st.floats(0.0, 1.0), st.just(-0.0))
+    thresholds = sorted(draw(st.lists(threshold, max_size=max_size, unique=True)))
+    bid = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])
+    bids = sorted(draw(st.lists(bid, min_size=len(thresholds), max_size=len(thresholds))))
+    default = draw(st.sampled_from([-0.0, 0.0, 0.25]))
+    if bids and bids[0] < default:
+        default = -0.0
+    return MonotoneStrategy(tuple(zip(thresholds, bids)), default)
 
 
 def snap_to_grid_reference(bid: float, grid: list[float]) -> float:
@@ -377,7 +434,9 @@ def solve_bne_reference(rule, f, bid_grid, max_iters, damping=0.5, seed=0):
             best = (profile, cert)
 
     for alpha in starts:
-        profile = StrategyProfile(tuple(_shade_on_grid(m.atoms, alpha, grid) for m in f.marginals))
+        profile = StrategyProfile(
+            tuple(shade_on_grid_reference(m.atoms, alpha, grid) for m in f.marginals)
+        )
         consider(profile)
         for _ in range(max_iters // len(starts)):
             if best[1].epsilon == 0.0:
@@ -387,7 +446,9 @@ def solve_bne_reference(rule, f, bid_grid, max_iters, damping=0.5, seed=0):
                 values = f.marginals[i].atoms
                 br = monotone_best_response_profile(rule, values, opp, grid)
                 consider(profile.replace(i, br))
-                nxt = _damped_mix(profile[i], br, values, damping, rng) if damping > 0 else br
+                nxt = br
+                if damping > 0:
+                    nxt = damped_mix_reference(profile[i], br, values, damping, rng)
                 profile = profile.replace(i, nxt)
                 consider(profile)
     return best

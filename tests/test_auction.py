@@ -33,6 +33,8 @@ from auctionlearn.strategy import MonotoneStrategy, shade
 
 from conftest import (
     QUARTERS,
+    push_forward_reference,
+    quarter_strategies,
     allocation_probability_reference,
     best_response_profile_reference,
     candidate_allocations_reference,
@@ -181,6 +183,26 @@ def test_scalar_call_matches_array_element(data):
         assert isinstance(u, float) and u == utils[k]
         sup, pick = best_response(rule, v, opp)
         assert isinstance(sup, float) and sup == sups[k] and pick == picks[k]
+
+
+@st.composite
+def long_distributions(draw) -> DiscreteDistribution:
+    """Up to 40 atoms, -0.0 among them, so that many atoms share one bid."""
+    atom = st.one_of(QUARTERS, st.floats(0.0, 1.0), st.just(-0.0))
+    atoms = draw(st.lists(atom, min_size=1, max_size=40, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(atoms), max_size=len(atoms)))
+    return make_discrete(atoms, weights)
+
+
+@given(long_distributions(), quarter_strategies(max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_push_forward_matches_dict_reference(f_j, s_j):
+    # Runs of equal bids longer than 8 atoms, where a pairwise sum would differ,
+    # and -0.0 bids merged with 0.0 ones; the bytes tell -0.0 from 0.0.
+    got, want = push_forward(f_j, s_j), push_forward_reference(f_j, s_j)
+    assert got == want
+    assert np.array(got.atoms).tobytes() == np.array(want.atoms).tobytes()
+    assert np.array(got.weights).tobytes() == np.array(want.weights).tobytes()
 
 
 class TestPushForward:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlearn.cli import child_seed, main
+from auctionlearn.cli import _json_text, child_seed, main
 
 
 @pytest.fixture
@@ -296,6 +296,34 @@ def test_byte_identical_reruns(instance_file, tmp_path):
         )
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+_NUMBERS = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 0.25]),
+    st.booleans(),
+)
+_JSON = st.recursive(
+    st.one_of(
+        st.none(), _NUMBERS, st.text(max_size=8),
+        st.lists(_NUMBERS, max_size=6), st.lists(st.lists(_NUMBERS, max_size=4), max_size=4),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(_JSON)
+@settings(max_examples=200, deadline=None)
+def test_json_text_matches_indented_dumps(obj):
+    # Empty and nested empty containers, -0.0, NaN and infinities, bools among the
+    # numbers and keys that need escaping, in number lists and number-list lists.
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def test_child_seed_stable():

@@ -15,6 +15,7 @@ from auctionlearn.auction import (
     FPA_RANDOM,
     CandidateBid,
     Tie,
+    _push_bids,
     candidate_allocations,
     push_forward,
 )
@@ -28,6 +29,7 @@ from auctionlearn.dist import (
 )
 from auctionlearn.equilibrium import (
     _certify,
+    _damped_mix,
     _shade_on_grid,
     _snap_to_grid,
     solve_bne,
@@ -41,12 +43,14 @@ from conftest import (
     QUARTERS,
     certify_reference,
     constant,
+    damped_mix_reference,
     equilibrium_transfer_check,
     point_mass,
     quarter_distributions,
     random_bid_dist,
     random_product,
     random_profile,
+    shade_on_grid_reference,
     snap_to_grid_reference,
     solve_bne_reference,
     verify_bne_reference,
@@ -261,6 +265,38 @@ def test_snap_to_grid_ties_and_ends():
     assert _snap_to_grid(0.0, grid) == 0.0
 
 
+_ATOMS = st.lists(QUARTERS | st.floats(0.0, 1.0) | st.just(-0.0), max_size=40, unique=True)
+_BIDS = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])
+
+
+@given(_ATOMS.map(sorted), st.data())
+@settings(max_examples=200, deadline=None)
+def test_damped_mix_matches_per_value_reference(values, data):
+    # Bid vectors with long runs and -0.0 bids at -0.0 values; the vector draw
+    # takes the same doubles and leaves the stream where the per-value draws do.
+    old, new = (
+        sorted(data.draw(st.lists(_BIDS, min_size=len(values), max_size=len(values))))
+        for _ in range(2)
+    )
+    damping = data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _damped_mix(np.array(old, dtype=float), np.array(new, dtype=float), damping, rng)
+    as_strategy = [MonotoneStrategy(tuple(zip(values, bids))) for bids in (old, new)]
+    want = damped_mix_reference(*as_strategy, values, damping, ref_rng)
+    assert got.tobytes() == np.array([b for _, b in want.breakpoints], dtype=float).tobytes()
+    assert rng.random() == ref_rng.random()
+
+
+@given(_ATOMS.map(sorted), QUARTERS | st.floats(0.0, 1.0), st.data())
+@settings(max_examples=200, deadline=None)
+def test_shade_on_grid_matches_strategy_reference(values, alpha, data):
+    grid = sorted(data.draw(st.lists(QUARTERS | st.just(-0.0), min_size=1, unique=True)))
+    got = _shade_on_grid(values, alpha, grid)
+    want = shade_on_grid_reference(values, alpha, grid)
+    assert got.tobytes() == np.array([b for _, b in want.breakpoints], dtype=float).tobytes()
+
+
 class TestSolve:
     def test_single_bidder(self):
         f = product_of([uniform_on([0, 0.5, 1.0])], 1.0)
@@ -307,8 +343,8 @@ class TestSolve:
         # On this instance one round of best responses beats every start.
         f = random_product(np.random.default_rng(1), 3)
         starts = [
-            StrategyProfile(tuple(_shade_on_grid(m.atoms, alpha, GRID) for m in f.marginals))
-            for alpha in (0.0, 0.25, 0.5, 0.75, 1.0)
+            StrategyProfile(tuple(shade_on_grid_reference(m.atoms, a, GRID) for m in f.marginals))
+            for a in (0.0, 0.25, 0.5, 0.75, 1.0)
         ]
         certs = [verify_bne(FPA_RANDOM, f, p) for p in starts]
         k = min(range(5), key=lambda j: certs[j].epsilon)  # the first minimum
@@ -320,11 +356,11 @@ class TestSolve:
         # reuses them instead of pushing every bidder again.
         calls = []
 
-        def counting(f_j, s_j):
+        def counting(f_j, bids):
             calls.append(None)
-            return push_forward(f_j, s_j)
+            return _push_bids(f_j, bids)
 
-        monkeypatch.setattr(equilibrium, "push_forward", counting)
+        monkeypatch.setattr(equilibrium, "_push_bids", counting)
         f = random_product(rng, 3)
         _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.5, seed=1)
         assert cert.epsilon > 0.0  # no early stop: all 5 x 2 rounds ran
@@ -336,9 +372,9 @@ class TestSolve:
         certified = []
         certify = equilibrium._certify_with
 
-        def recording(tables, rule, f, profile, *args):
-            certified.append(profile)
-            return certify(tables, rule, f, profile, *args)
+        def recording(tables, rule, f, bids, *args):
+            certified.append(tuple(tuple(b.tolist()) for b in bids))  # by value, as profiles
+            return certify(tables, rule, f, bids, *args)
 
         monkeypatch.setattr(equilibrium, "_certify_with", recording)
         f = random_product(rng, 3)
@@ -390,6 +426,41 @@ class TestPerCallWork:
         cert = verify_bne(FPA_RANDOM, f, profile)
         assert cert.epsilon > 0.0
         assert len(made) <= f.n + 1
+
+    def test_solve_builds_only_the_returned_strategies(self, monkeypatch, rng):
+        # The solver carries one bid vector per bidder: it evaluates no strategy
+        # and builds only the n it returns.
+        built, evals = [], []
+        init, evaluate = MonotoneStrategy.__post_init__, MonotoneStrategy.eval
+
+        def counting_init(self):
+            built.append(None)
+            init(self)
+
+        def counting_eval(self, v):
+            evals.append(None)
+            return evaluate(self, v)
+
+        monkeypatch.setattr(MonotoneStrategy, "__post_init__", counting_init)
+        monkeypatch.setattr(MonotoneStrategy, "eval", counting_eval)
+        f = random_product(rng, 3)
+        _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, seed=1)
+        assert cert.epsilon > 0.0  # no early stop
+        assert len(built) == f.n and evals == []
+
+    def test_verify_evaluates_each_strategy_once(self, monkeypatch):
+        evals = []
+        evaluate = MonotoneStrategy.eval
+
+        def counting_eval(self, v):
+            evals.append(None)
+            return evaluate(self, v)
+
+        f = ProductDistribution.iid(uniform_on([k / 199 for k in range(200)]), 4, 1.0)
+        profile = StrategyProfile((shade(f.marginals[0].atoms, 0.5),) * f.n)
+        monkeypatch.setattr(MonotoneStrategy, "eval", counting_eval)
+        assert verify_bne(FPA_RANDOM, f, profile).epsilon > 0.0
+        assert len(evals) == f.n
 
     def test_candidate_table_never_calls_cdf_of_max(self, monkeypatch, rng):
         calls = []

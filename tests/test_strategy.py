@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
 
-from conftest import constant
+from conftest import QUARTERS, constant, eval_reference, quarter_strategies
 
 
 class TestEval:
@@ -69,6 +69,30 @@ def test_eval_monotone_and_bounded(seed, v1, v2):
     assert 0.0 <= s.eval(v1) <= 1.0
 
 
+@given(quarter_strategies(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_eval_matches_bisect_reference(s, data):
+    # Long runs of equal bids, -0.0 among bids, values and default bids, values at,
+    # between and off the thresholds, and strategies with no breakpoints; the bytes
+    # tell -0.0 from 0.0.
+    at = st.sampled_from([t for t, _ in s.breakpoints]) if s.breakpoints else QUARTERS
+    value = st.one_of(QUARTERS, st.floats(0.0, 2.0), st.just(-0.0), at)
+    values = data.draw(st.lists(value, max_size=20))
+    want = np.array([eval_reference(s, v) for v in values], dtype=float).tobytes()
+    assert s.eval(values).tobytes() == want
+    assert s.eval(np.array(values).reshape(-1, 1)).tobytes() == want
+    scalars = [s.eval(v) for v in values]
+    assert all(type(b) is float for b in scalars)
+    assert np.array(scalars, dtype=float).tobytes() == want
+
+
+def test_eval_rejects_a_negative_value():
+    s = shade([0.0, 1.0], 0.5)
+    for v in (-0.5, [0.5, -1e-300], np.array([[0.0], [-1.0]])):
+        with pytest.raises(ValueError, match="value must be nonnegative"):
+            s.eval(v)
+
+
 class TestProfile:
     def test_json_roundtrip(self):
         p = StrategyProfile((shade([0, 1], 0.5), constant(0.2)))
@@ -85,6 +109,15 @@ class TestProfile:
         values = np.round(rng.random((7, 3)), 1)
         expected = [[p[j].eval(v) for j, v in enumerate(row)] for row in values]
         assert p.bids(values).tolist() == expected
+
+    @given(st.lists(quarter_strategies(max_size=8), min_size=1, max_size=3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bids_matrix_matches_reference(self, strategies, data):
+        p = StrategyProfile(tuple(strategies))
+        row = st.lists(QUARTERS | st.just(-0.0), min_size=p.n, max_size=p.n)
+        values = np.array(data.draw(st.lists(row, max_size=6)), dtype=float).reshape(-1, p.n)
+        want = np.array([[eval_reference(s, v) for s, v in zip(p, r)] for r in values.tolist()])
+        assert p.bids(values).tobytes() == want.reshape(-1, p.n).tobytes()
 
     def test_bids_shape_mismatch(self):
         p = StrategyProfile((constant(0.0), constant(0.1)))
