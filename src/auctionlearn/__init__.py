@@ -13,7 +13,6 @@ from .auction import (
     ex_post_allocation,
     ex_post_utility,
     interim_utility_exact,
-    monotone_best_response_profile,
     push_forward,
 )
 from .da import (

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import DiscreteDistribution
+from .dist import DiscreteDistribution, _push_values
 from .strategy import MonotoneStrategy
 
 
@@ -46,7 +46,7 @@ class CandidateBid:
     """A bid that is either exactly ``base`` or the right limit ``base+``."""
 
     base: float
-    limit_above: bool = False
+    limit_above: bool
 
     def to_json(self) -> dict:
         return {"base": self.base, "limit_above": self.limit_above}
@@ -88,17 +88,7 @@ def ex_post_utility(rule: AuctionRule, i: int, v_i, bids):
 
 def push_forward(f_j: DiscreteDistribution, s_j: MonotoneStrategy) -> DiscreteDistribution:
     """Distribution of s_j(v) for v ~ f_j, with equal bids merged; one ``eval`` call."""
-    return _push_bids(f_j, s_j.eval(f_j.arrays[0]))
-
-
-def _push_bids(f_j: DiscreteDistribution, bids: np.ndarray) -> DiscreteDistribution:
-    """Distribution of ``bids[k]`` at atom k of f_j, equal bids merged by adding their
-    weights left to right. The bids of a monotone strategy never decrease in atom
-    order, so the merged bids arrive sorted."""
-    merged: dict[float, float] = {}
-    for b, w in zip(bids.tolist(), f_j.weights):
-        merged[b] = merged.get(b, 0.0) + w
-    return DiscreteDistribution(tuple(merged), tuple(merged.values()))
+    return _push_values(f_j, s_j.eval(f_j.arrays[0]))
 
 
 def _tie_dp(tie: Tie, like: np.ndarray, masses) -> np.ndarray:
@@ -211,12 +201,6 @@ def _argmax_utility(fmt: Format, values: np.ndarray, bases, alloc):
     return sups, picks
 
 
-def _best_response(fmt: Format, values: np.ndarray, cands: np.ndarray):
-    """Arrays of the supremum utility over the candidate table ``cands`` and the row
-    of its first maximizer, per value."""
-    return _argmax_utility(fmt, values, cands["base"], cands["alloc"])
-
-
 def best_response(rule: AuctionRule, values, opp: Sequence[DiscreteDistribution]):
     """Supremum interim utility over all bids in [0, H] and one maximizer, per value.
 
@@ -226,7 +210,7 @@ def best_response(rule: AuctionRule, values, opp: Sequence[DiscreteDistribution]
     """
     cands = candidate_allocations(rule.tie, opp)
     v = np.asarray(values, dtype=float)
-    sups, ks = _best_response(rule.format, np.atleast_1d(v), cands)
+    sups, ks = _argmax_utility(rule.format, np.atleast_1d(v), cands["base"], cands["alloc"])
     picked = cands[ks]
     picks = list(map(CandidateBid, picked["base"].tolist(), picked["limit_above"].tolist()))
     return (sups[0].item(), picks[0]) if v.ndim == 0 else (sups.tolist(), picks)
@@ -235,30 +219,17 @@ def best_response(rule: AuctionRule, values, opp: Sequence[DiscreteDistribution]
 def _grid_best_response(
     fmt: Format, values: np.ndarray, grid_bids: np.ndarray, alloc
 ) -> np.ndarray:
-    """The bids of :func:`monotone_best_response_profile` at sorted distinct ``values``
-    over the sorted distinct ``grid_bids``, whose allocation probabilities are ``alloc``."""
-    _, ks = _argmax_utility(fmt, values, grid_bids, alloc)
-    bids = np.where(alloc == 0.0, 0.0, grid_bids)[ks]
-    if (bids[1:] < bids[:-1]).any():
-        pairs = list(zip(values.tolist(), bids.tolist()))
-        raise ValueError(f"best-response bids not monotone: {pairs}")
-    return bids
-
-
-def monotone_best_response_profile(
-    rule: AuctionRule, values: Sequence[float], opp: Sequence[DiscreteDistribution], bid_grid
-) -> MonotoneStrategy:
-    """Pointwise best-response bids on ``bid_grid`` over a value grid, emitted as a strategy.
+    """Pointwise best-response bids at sorted distinct ``values`` over the sorted
+    distinct ``grid_bids``, whose allocation probabilities are ``alloc``.
 
     Ties break toward the lower bid. Bids with zero winning probability are
     zeroed out, after which the bid sequence must be nondecreasing; a
     violation raises ``ValueError``, since it would contradict the monotone
     dominance of best responses.
     """
-    grid_bids = np.array(sorted(set(bid_grid)), dtype=float)
-    if not grid_bids.size:
-        raise ValueError("bid_grid is empty")
-    alloc = allocation_probability(rule.tie, opp, grid_bids)
-    values = sorted(set(float(v) for v in values))
-    bids = _grid_best_response(rule.format, np.array(values), grid_bids, alloc)
-    return MonotoneStrategy(tuple(zip(values, bids.tolist())))
+    _, ks = _argmax_utility(fmt, values, grid_bids, alloc)
+    bids = np.where(alloc == 0.0, 0.0, grid_bids)[ks]
+    if (bids[1:] < bids[:-1]).any():
+        pairs = list(zip(values.tolist(), bids.tolist()))
+        raise ValueError(f"best-response bids not monotone: {pairs}")
+    return bids

@@ -42,6 +42,7 @@ from .dist import (
     empirical_marginals,
     make_discrete,
     product_of,
+    sum_left_to_right,
     truncate_at,
 )
 from .equilibrium import solve_bne, uniform_bid_grid, verify_bne
@@ -106,54 +107,37 @@ def _claim_distribution(f: DiscreteDistribution, d: DAPureStrategy) -> DiscreteD
     return make_discrete(d.beta.eval(f.arrays[0]).tolist(), list(f.weights))
 
 
-def _claim_distributions(inst: SearchInstance, profile) -> list:
-    """The claim distribution of every bidder."""
-    if len(profile) != inst.n:
-        raise ValueError("profile must match the instance size")
-    return [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
-
-
-def _bidder_terms(
-    inst: SearchInstance, i: int, d_i: DAPureStrategy, opp, cands
-) -> tuple[float, float]:
-    """(ex ante utility, welfare share) of bidder i playing ``d_i`` against the
-    opponents' claim distributions ``opp``, whose candidate table is ``cands``.
+def _bidders(inst: SearchInstance, profile: Sequence[DAPureStrategy]):
+    """(ex ante utility, welfare share, the opponents' candidate table) of every
+    bidder in bidder order, from one claim distribution per bidder.
 
     Claims are independent across bidders, so bidder i's share at claim b is
     the first-price tie DP against the opponents' claim distributions, read off
     their candidate table. Bidder i inspects iff no opponent claims above the
     threshold tau, since the own claim never exceeds tau.
     """
-    won = paid = 0.0
-    f_i = inst.boxes.marginals[i]
-    bids = d_i.beta.eval(f_i.arrays[0])
-    alloc = _table_allocation(cands, bids).tolist()
-    for a, wv, b, p in zip(f_i.atoms, f_i.weights, bids.tolist(), alloc):
-        share = wv * p
-        won += share * a
-        paid += share * b
-    cost = inst.costs[i] * cdf_of_max(opp, d_i.tau)
-    return won - paid - cost, won - cost
-
-
-def _opponent_table(claims: list, i: int):
-    """Bidder i's opponents' claim distributions and their candidate table."""
-    opp = claims[:i] + claims[i + 1 :]
-    return opp, candidate_allocations(Tie.RANDOM_ALLOCATION, opp)
+    if len(profile) != inst.n:
+        raise ValueError("profile must match the instance size")
+    claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
+    for i, (f_i, d_i) in enumerate(zip(inst.boxes.marginals, profile)):
+        opp = claims[:i] + claims[i + 1 :]
+        cands = candidate_allocations(Tie.RANDOM_ALLOCATION, opp)
+        atoms, weights, _ = f_i.arrays
+        bids = d_i.beta.eval(atoms)
+        share = weights[:-1] * _table_allocation(cands, bids)
+        won, paid = sum_left_to_right(share * atoms), sum_left_to_right(share * bids)
+        cost = inst.costs[i] * cdf_of_max(opp, d_i.tau)
+        yield won - paid - cost, won - cost, cands
 
 
 def ex_ante_utility_da(inst: SearchInstance, profile: Sequence[DAPureStrategy], i: int) -> float:
     """Exact expected utility of bidder i before anyone learns values."""
-    claims = _claim_distributions(inst, profile)
-    return _bidder_terms(inst, i, profile[i], *_opponent_table(claims, i))[0]
+    return [u for u, _, _ in _bidders(inst, profile)][i]
 
 
 def da_welfare(inst: SearchInstance, profile: Sequence[DAPureStrategy]) -> float:
     """Exact expected welfare (allocated value minus all inspection costs paid)."""
-    claims = _claim_distributions(inst, profile)
-    return sum(
-        _bidder_terms(inst, i, profile[i], *_opponent_table(claims, i))[1] for i in range(inst.n)
-    )
+    return sum(share for _, share, _ in _bidders(inst, profile))
 
 
 def _best_deviation(inst: SearchInstance, i: int, cands) -> float:
@@ -175,11 +159,8 @@ def _best_deviation(inst: SearchInstance, i: int, cands) -> float:
 def _deviation_gap(inst: SearchInstance, da_profile: Sequence[DAPureStrategy]):
     """Exact ex ante equilibrium gap, the largest gain of any bidder from any deviation,
     and :func:`da_welfare`, from one candidate table per bidder."""
-    claims = _claim_distributions(inst, da_profile)
     gap, welfare = 0.0, 0
-    for i in range(inst.n):
-        opp, cands = _opponent_table(claims, i)
-        own, share = _bidder_terms(inst, i, da_profile[i], opp, cands)
+    for i, (own, share, cands) in enumerate(_bidders(inst, da_profile)):
         gain = _best_deviation(inst, i, cands) - own
         if not gain >= -1e-9:  # also a NaN gain, which `max` would skip
             raise AssertionError(f"gap {gain} is negative or NaN: deviations not exhaustive")

@@ -159,17 +159,24 @@ def uniform_on(atoms: Sequence[float]) -> DiscreteDistribution:
     return make_discrete(list(atoms), [1.0] * len(atoms))
 
 
+def _push_values(f: DiscreteDistribution, values: np.ndarray) -> DiscreteDistribution:
+    """Distribution of ``values[k]`` at atom k of f, equal values merged by adding
+    their weights left to right. ``values`` must not decrease in atom order (a
+    monotone map of the atoms), so the merged values arrive sorted."""
+    merged: dict[float, float] = {}
+    for x, w in zip(values.tolist(), f.weights):
+        merged[x] = merged.get(x, 0.0) + w
+    return DiscreteDistribution(tuple(merged), tuple(merged.values()))
+
+
 def truncate_at(f: DiscreteDistribution, sigma: float) -> DiscreteDistribution:
     """Distribution of min(v, sigma): mass above sigma collapses onto sigma."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma >= f.max_atom:
         return f
-    below = [(a, w) for a, w in f if a < sigma]
-    tail = sum(w for a, w in f if a >= sigma)
-    atoms = tuple(a for a, _ in below) + (float(sigma),)
-    weights = tuple(w for _, w in below) + (tail,)
-    return DiscreteDistribution(atoms, weights)
+    atoms = np.array(f.atoms)
+    return _push_values(f, np.where(atoms < sigma, atoms, float(sigma)))
 
 
 @dataclass(frozen=True)
@@ -208,7 +215,7 @@ class ProductDistribution:
         return product_of(marginals, None if h is None else json_number(h, "H"))
 
     @classmethod
-    def iid(cls, f: DiscreteDistribution, n: int, h: float | None = None) -> "ProductDistribution":
+    def iid(cls, f: DiscreteDistribution, n: int, h: float | None) -> "ProductDistribution":
         return product_of((f,) * n, h)
 
 

@@ -19,14 +19,13 @@ import numpy as np
 from .auction import (
     AuctionRule,
     CandidateBid,
-    _best_response,
+    _argmax_utility,
     _grid_best_response,
-    _push_bids,
     _table_allocation,
     _utility,
     candidate_allocations,
 )
-from .dist import ProductDistribution
+from .dist import ProductDistribution, _push_values
 from .strategy import MonotoneStrategy, StrategyProfile
 
 
@@ -63,8 +62,8 @@ def verify_bne(
     if any(s.max_bid > f.h for s in profile):
         raise ValueError(f"profile bids above H={f.h}")
     bids = [s.eval(m.arrays[0]) for m, s in zip(f.marginals, profile)]
-    pushed = [_push_bids(m, b) for m, b in zip(f.marginals, bids)]
-    return _certify_with({}, rule, f, bids, pushed, math.inf, 0)
+    pushed = [_push_values(m, b) for m, b in zip(f.marginals, bids)]
+    return _certify({}, rule, f, bids, pushed, math.inf, 0)
 
 
 def _bidder_table(tables: dict, tie, i: int, opp: list) -> list:
@@ -88,28 +87,24 @@ def _bidder_table(tables: dict, tie, i: int, opp: list) -> list:
     return slot
 
 
-def _certify(rule, f, profile, pushed, stop_at: float = math.inf, first: int = 0):
-    """``verify_bne``'s certificate from the bid distributions ``pushed``, or None as
-    soon as one bidder's largest gap is >= ``stop_at``. Bidder ``first`` is examined
-    first; the certificate is assembled in bidder order, so it does not depend on it.
+def _certify(tables: dict, rule, f, bids: list, pushed, stop_at: float, first: int):
+    """``verify_bne``'s certificate of the profile whose bids at bidder i's atoms are
+    ``bids[i]`` and whose bid distributions are ``pushed``, or None as soon as one
+    bidder's largest gap is >= ``stop_at``. Bidder ``first`` is examined first; the
+    certificate is assembled in bidder order, so it does not depend on it. Each
+    bidder's candidate table is read from ``tables``; only the first largest gap of a
+    row, the one ``worst`` may take, gets a :class:`CandidateBid`.
     """
-    bids = [s.eval(m.arrays[0]) for m, s in zip(f.marginals, profile)]
-    return _certify_with({}, rule, f, bids, pushed, stop_at, first)
-
-
-def _certify_with(tables: dict, rule, f, bids: list, pushed, stop_at: float, first: int):
-    """:func:`_certify` of the profile whose bids at bidder i's atoms are ``bids[i]``,
-    reading each bidder's candidate table from ``tables``; only the first largest gap
-    of a row, the one ``worst`` may take, gets a :class:`CandidateBid`."""
     rows = {}
     for i in [first] + [j for j in range(f.n) if j != first]:
-        m = f.marginals[i]
+        values = f.marginals[i].arrays[0]
         slot = _bidder_table(tables, rule.tie, i, pushed[:i] + pushed[i + 1 :])
+        cands = slot[1]
         if slot[2] is None:
-            slot[2] = _best_response(rule.format, m.arrays[0], slot[1])
-        _, cands, (sups, picks) = slot
+            slot[2] = _argmax_utility(rule.format, values, cands["base"], cands["alloc"])
+        sups, picks = slot[2]
         own = bids[i]
-        gaps = sups - _utility(rule.format, m.arrays[0], own, _table_allocation(cands, own))
+        gaps = sups - _utility(rule.format, values, own, _table_allocation(cands, own))
         bad = ~(gaps >= -1e-9)  # also a NaN gap, which `gap > eps` would skip
         if bad.any():
             gap = gaps[bad.argmax()].item()
@@ -118,7 +113,7 @@ def _certify_with(tables: dict, rule, f, bids: list, pushed, stop_at: float, fir
         if gaps.max() >= stop_at:
             return None
         rows[i] = (gaps, picks, cands)
-    eps, worst = 0.0, (0, 0.0, CandidateBid(0.0))
+    eps, worst = 0.0, (0, 0.0, CandidateBid(0.0, False))
     for i in range(f.n):
         gaps, picks, cands = rows[i]
         k = gaps.argmax()
@@ -236,7 +231,7 @@ def solve_bne(
             return
         certified.add(key)
         bound = (best_cert.epsilon, best_cert.worst[0]) if best_cert else (math.inf, 0)
-        cert = _certify_with(tables, rule, f, bids, pushed, *bound)
+        cert = _certify(tables, rule, f, bids, pushed, *bound)
         if cert is not None:
             best_bids, best_cert = list(bids), cert
 
@@ -248,7 +243,7 @@ def solve_bne(
         # One bid vector per bidder, at the bidder's atoms, and its bid distribution;
         # a step replaces only the stepping bidder's.
         bids = [_shade_on_grid(m.atoms, alpha, grid) for m in f.marginals]
-        pushed = [_push_bids(m, b) for m, b in zip(f.marginals, bids)]
+        pushed = [_push_values(m, b) for m, b in zip(f.marginals, bids)]
         consider(bids, pushed)
         for _ in range(max_iters // len(starts)):
             if best_cert.epsilon == 0.0:
@@ -257,8 +252,8 @@ def solve_bne(
                 opp = pushed[:i] + pushed[i + 1 :]
                 alloc = _table_allocation(_bidder_table(tables, rule.tie, i, opp)[1], grid_bids)
                 br = _grid_best_response(rule.format, m.arrays[0], grid_bids, alloc)
-                consider([*bids[:i], br, *bids[i + 1 :]], opp[:i] + [_push_bids(m, br)] + opp[i:])
+                consider([*bids[:i], br, *bids[i + 1 :]], opp[:i] + [_push_values(m, br)] + opp[i:])
                 bids[i] = _damped_mix(bids[i], br, damping, rng)
-                pushed[i] = _push_bids(m, bids[i])
+                pushed[i] = _push_values(m, bids[i])
                 consider(bids, pushed)
     return best()

@@ -78,6 +78,8 @@ def sup_error(
     """
     if estimator not in ("emp", "empp"):
         raise ValueError(f"unknown estimator {estimator!r}")
+    if not family:
+        raise ValueError("strategy family is empty")
     emp_prod = empirical_marginals(s, h=f.h) if estimator == "empp" else None
     sup, arg = -1.0, (0, 0, 0.0)
     for p_idx, profile in enumerate(family):

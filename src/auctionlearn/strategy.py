@@ -50,7 +50,7 @@ class MonotoneStrategy:
         """Bid at every value of ``v`` (right-continuous step lookup), with one
         ``searchsorted`` into :attr:`arrays`. A scalar ``v`` gives a float."""
         x = np.asarray(v, dtype=float)
-        if (x < 0).any():
+        if not (x >= 0).all():  # also a NaN value
             raise ValueError("value must be nonnegative")
         thresholds, bids = self.arrays
         out = bids[thresholds.searchsorted(x, side="right")]
@@ -113,11 +113,6 @@ class StrategyProfile:
         if v.ndim != 2 or v.shape[1] != self.n:
             raise ValueError(f"values must be m x {self.n}, got shape {v.shape}")
         return np.stack([s.eval(v[:, j]) for j, s in enumerate(self.strategies)], axis=1)
-
-    def replace(self, i: int, s: MonotoneStrategy) -> "StrategyProfile":
-        parts = list(self.strategies)
-        parts[i] = s
-        return StrategyProfile(tuple(parts))
 
     def to_json(self) -> list:
         return [s.to_json() for s in self.strategies]

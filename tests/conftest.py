@@ -19,15 +19,18 @@ from auctionlearn.auction import (
     CandidateBid,
     Format,
     Tie,
+    _grid_best_response,
+    _table_allocation,
     _utility,
     allocation_probability,
+    candidate_allocations,
     ex_post_utility,
     interim_utility_exact,
-    monotone_best_response_profile,
     push_forward,
 )
 from auctionlearn.da import (
     DAPureStrategy,
+    _claim_distribution,
     ex_ante_utility_da,
     lambda_map,
     simulate_da,
@@ -330,7 +333,7 @@ def best_response_profile_reference(rule, values, opp, bid_grid) -> list[tuple[f
     """(value, bid) per distinct value: the first best grid bid in a strict-> scan
     over the sorted grid, or 0.0 if that bid never wins."""
     grid = sorted(set(bid_grid))
-    allocs = [allocation_probability_reference(rule.tie, opp, CandidateBid(b)) for b in grid]
+    allocs = [allocation_probability_reference(rule.tie, opp, CandidateBid(b, False)) for b in grid]
     out = []
     for v in sorted(set(float(x) for x in values)):
         sup, bid = None, None
@@ -345,7 +348,7 @@ def best_response_profile_reference(rule, values, opp, bid_grid) -> list[tuple[f
 def verify_bne_reference(rule, f, profile) -> BNECertificate:
     """The exact certificate with one strict-> scan over the candidates per value."""
     pushed = [push_forward(m, s) for m, s in zip(f.marginals, profile)]
-    eps, worst, gap_rows = 0.0, (0, 0.0, CandidateBid(0.0)), []
+    eps, worst, gap_rows = 0.0, (0, 0.0, CandidateBid(0.0, False)), []
     for i in range(f.n):
         opp = pushed[:i] + pushed[i + 1 :]
         bases = sorted({0.0} | {a for d in opp for a in d.atoms})
@@ -353,7 +356,7 @@ def verify_bne_reference(rule, f, profile) -> BNECertificate:
         allocs = [allocation_probability_reference(rule.tie, opp, c) for c in cands]
         row = []
         for v in f.marginals[i].atoms:
-            own_bid = CandidateBid(profile[i].eval(v))
+            own_bid = CandidateBid(profile[i].eval(v), False)
             own_alloc = allocation_probability_reference(rule.tie, opp, own_bid)
             own = utility_reference(rule.format, v, own_bid.base, own_alloc)
             sup, dev = None, None
@@ -407,12 +410,31 @@ def certify_reference(rule, f, profile, pushed, stop_at=math.inf, first=0):
         if max(gaps) >= stop_at:
             return None
         rows[i] = (m.atoms, gaps, devs)
-    eps, worst = 0.0, (0, 0.0, CandidateBid(0.0))
+    eps, worst = 0.0, (0, 0.0, CandidateBid(0.0, False))
     for i in range(f.n):
         for v, gap, dev in zip(*rows[i]):
             if gap > eps:
                 eps, worst = gap, (i, v, dev)
     return BNECertificate(eps, tuple(tuple(zip(*rows[i][:2])) for i in range(f.n)), worst)
+
+
+def monotone_best_response_profile(
+    rule: AuctionRule, values: Sequence[float], opp: Sequence[DiscreteDistribution], bid_grid
+) -> MonotoneStrategy:
+    """Pointwise best-response bids on ``bid_grid`` over a value grid, emitted as a
+    strategy: the solver's grid best response, with the tie DP on every grid bid."""
+    grid_bids = np.array(sorted(set(bid_grid)), dtype=float)
+    if not grid_bids.size:
+        raise ValueError("bid_grid is empty")
+    alloc = allocation_probability(rule.tie, opp, grid_bids)
+    values = sorted(set(float(v) for v in values))
+    bids = _grid_best_response(rule.format, np.array(values), grid_bids, alloc)
+    return MonotoneStrategy(tuple(zip(values, bids.tolist())))
+
+
+def replace_strategy(profile: StrategyProfile, i: int, s: MonotoneStrategy) -> StrategyProfile:
+    """``profile`` with bidder i's strategy replaced by ``s``."""
+    return StrategyProfile(profile.strategies[:i] + (s,) + profile.strategies[i + 1 :])
 
 
 def solve_bne_reference(rule, f, bid_grid, max_iters, damping=0.5, seed=0):
@@ -445,13 +467,46 @@ def solve_bne_reference(rule, f, bid_grid, max_iters, damping=0.5, seed=0):
                 opp = [push_forward(f.marginals[j], profile[j]) for j in range(f.n) if j != i]
                 values = f.marginals[i].atoms
                 br = monotone_best_response_profile(rule, values, opp, grid)
-                consider(profile.replace(i, br))
+                consider(replace_strategy(profile, i, br))
                 nxt = br
                 if damping > 0:
                     nxt = damped_mix_reference(profile[i], br, values, damping, rng)
-                profile = profile.replace(i, nxt)
+                profile = replace_strategy(profile, i, nxt)
                 consider(profile)
     return best
+
+
+def truncate_at_reference(f: DiscreteDistribution, sigma: float) -> DiscreteDistribution:
+    """``dist.truncate_at`` with one list pass per part: the atoms below sigma, then
+    sigma carrying the weights of the others, summed left to right."""
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    if sigma >= f.max_atom:
+        return f
+    below = [(a, w) for a, w in f if a < sigma]
+    tail = sum(w for a, w in f if a >= sigma)
+    atoms = tuple(a for a, _ in below) + (float(sigma),)
+    weights = tuple(w for _, w in below) + (tail,)
+    return DiscreteDistribution(atoms, weights)
+
+
+def da_bidder_terms_reference(inst, profile, i) -> tuple[float, float]:
+    """(ex ante utility, welfare share) of bidder i in the descending auction with
+    one Python step per atom: the atom's share of the item times its value and its
+    claim, each added in atom order from 0.0."""
+    claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
+    opp = claims[:i] + claims[i + 1 :]
+    cands = candidate_allocations(Tie.RANDOM_ALLOCATION, opp)
+    f_i, d_i = inst.boxes.marginals[i], profile[i]
+    bids = d_i.beta.eval(f_i.arrays[0])
+    alloc = _table_allocation(cands, bids).tolist()
+    won = paid = 0.0
+    for a, wv, b, p in zip(f_i.atoms, f_i.weights, bids.tolist(), alloc):
+        share = wv * p
+        won += share * a
+        paid += share * b
+    cost = inst.costs[i] * cdf_of_max(opp, d_i.tau)
+    return won - paid - cost, won - cost
 
 
 def ex_ante_utility_fpa(f, profile, i, rule=FPA_RANDOM) -> float:

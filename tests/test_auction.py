@@ -19,7 +19,6 @@ from auctionlearn.auction import (
     ex_post_allocation,
     ex_post_utility,
     interim_utility_exact,
-    monotone_best_response_profile,
     push_forward,
 )
 from auctionlearn.dist import (
@@ -40,6 +39,7 @@ from conftest import (
     candidate_allocations_reference,
     constant,
     interim_by_enumeration,
+    monotone_best_response_profile,
     point_mass,
     quarter_distributions,
     random_bid_dist,
@@ -264,11 +264,11 @@ class TestBestResponse:
         opp = [DiscreteDistribution((0.9,), (1.0,))]
         sup, arg = best_response(FPA_RANDOM, 0.5, opp)
         assert sup == 0.0
-        assert arg == CandidateBid(0.0)
+        assert arg == CandidateBid(0.0, False)
 
     def test_no_opponents(self):
         sup, arg = best_response(FPA_RANDOM, 0.7, [])
-        assert (sup, arg) == (0.7, CandidateBid(0.0))
+        assert (sup, arg) == (0.7, CandidateBid(0.0, False))
 
     def test_dominates_probed_bids(self, rng):
         for _ in range(50):

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlearn import da
-from auctionlearn.auction import FPA_RANDOM
+from auctionlearn.auction import FPA_RANDOM, Tie, candidate_allocations
 from auctionlearn.da import (
     DAPureStrategy,
     _best_deviation,
     _claim_distribution,
     _deviation_gap,
-    _opponent_table,
     da_welfare,
     empirical_pipeline,
     ex_ante_utility_da,
@@ -35,6 +34,7 @@ from conftest import (
     best_deviation_by_enumeration,
     claims_above,
     constant,
+    da_bidder_terms_reference,
     da_outcomes_by_enumeration,
     ex_ante_utility_fpa,
     finite_class_gap,
@@ -155,6 +155,26 @@ class TestExAnte:
                 assert abs(ex_ante_utility_da(inst, profile, i) - oracle) <= 1e-12
             oracle = sum(p * out.welfare for p, out in outcomes)
             assert abs(da_welfare(inst, profile) - oracle) <= 1e-12
+
+
+    def test_equals_per_atom_reference(self, rng):
+        # Values, claims and thresholds on the quarter grid tie often, and a claim
+        # of 0 is sometimes -0.0; the sums must keep every bit of the atom loop.
+        for _ in range(60):
+            inst = quarter_instance(rng)
+            profile = []
+            for f in inst.boxes.marginals:
+                d = tied_da_strategy(rng, f)
+                if rng.random() < 0.5:
+                    bps = tuple((t, -0.0 if b == 0.0 else b) for t, b in d.beta.breakpoints)
+                    d = DAPureStrategy(d.tau, MonotoneStrategy(bps))
+                profile.append(d)
+            terms = [da_bidder_terms_reference(inst, profile, i) for i in range(inst.n)]
+            for i, (u, _) in enumerate(terms):
+                assert ex_ante_utility_da(inst, profile, i).hex() == u.hex()
+            welfare = sum(share for _, share in terms)
+            assert da_welfare(inst, profile) == welfare
+            assert _deviation_gap(inst, profile)[1] == welfare
 
 
 class TestMappings:
@@ -375,7 +395,8 @@ class TestExactGap:
             claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
             gap = 0.0
             for i in range(inst.n):
-                exact = _best_deviation(inst, i, _opponent_table(claims, i)[1])
+                cands = candidate_allocations(Tie.RANDOM_ALLOCATION, claims[:i] + claims[i + 1 :])
+                exact = _best_deviation(inst, i, cands)
                 oracle = best_deviation_by_enumeration(inst, profile, i)
                 assert oracle <= exact + 1e-12
                 assert oracle >= exact - 1e-6

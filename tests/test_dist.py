@@ -29,6 +29,7 @@ from conftest import (
     quarter_distributions,
     sample_matrix_reference,
     sampling_marginals,
+    truncate_at_reference,
 )
 
 
@@ -114,6 +115,51 @@ class TestTruncate:
         t = truncate_at(d, sigma)
         assert sum(t.weights) == pytest.approx(1.0, abs=1e-12)
         assert all(a <= sigma or sigma >= d.max_atom for a in t.atoms)
+
+
+@st.composite
+def truncations(draw):
+    """A distribution, sometimes with a -0.0 atom, and a sigma at an atom, at 0.0,
+    below every atom, above every atom or anywhere in [0, 1.5]."""
+    d = draw(quarter_distributions())
+    sigma = draw(
+        st.sampled_from(d.atoms)
+        | st.sampled_from([0.0, -0.0])
+        | st.floats(0.0, d.atoms[0])
+        | st.floats(d.max_atom, 2.0)
+        | st.floats(0.0, 1.5)
+    )
+    if d.atoms[0] == 0.0 and draw(st.booleans()):
+        d = DiscreteDistribution((-0.0, *d.atoms[1:]), d.weights)
+    return d, sigma
+
+
+def assert_same_bits(got: DiscreteDistribution, want: DiscreteDistribution) -> None:
+    for name in ("atoms", "weights"):
+        assert np.array(getattr(got, name)).tobytes() == np.array(getattr(want, name)).tobytes()
+
+
+class TestTruncateMatchesReference:
+    @given(truncations())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_for_bit(self, case):
+        d, sigma = case
+        assert_same_bits(truncate_at(d, sigma), truncate_at_reference(d, sigma))
+
+    @pytest.mark.parametrize(
+        "atoms, sigma",
+        [
+            ([0.0, 0.25, 0.5, 1.0], 0.5),  # sigma at an atom
+            ([-0.0, 0.25, 0.5], 0.0),  # sigma 0.0 onto a -0.0 atom
+            ([-0.0, 0.25, 0.5], -0.0),
+            ([0.25, 0.5], 0.1),  # below every atom
+            ([0.25, 0.5], 0.0),
+            ([0.25, 0.5], 0.75),  # above every atom
+        ],
+    )
+    def test_edge_cases(self, atoms, sigma):
+        d = make_discrete(atoms, [0.3, 0.1, 0.2, 0.4][: len(atoms)])
+        assert_same_bits(truncate_at(d, sigma), truncate_at_reference(d, sigma))
 
 
 class TestSampling:

@@ -15,12 +15,12 @@ from auctionlearn.auction import (
     FPA_RANDOM,
     CandidateBid,
     Tie,
-    _push_bids,
     candidate_allocations,
     push_forward,
 )
 from auctionlearn.dist import (
     ProductDistribution,
+    _push_values,
     cdf_of_max,
     make_discrete,
     product_of,
@@ -102,16 +102,19 @@ class TestVerify:
     def test_nan_gap_raises(self):
         # A NaN value forged past the constructor makes one gap NaN; the
         # certificate must refuse it rather than report the other gaps' max.
+        # verify_bne already refuses the NaN value when it evaluates the
+        # strategy, so the certifier gets the bids a strategy gave a NaN
+        # value before that check: the top bid.
         marginals = [uniform_on([0.0, 0.5, 1.0]) for _ in range(2)]
         f = product_of(marginals, 1.0)
         object.__setattr__(marginals[0], "atoms", (0.0, math.nan, 1.0))
         profile = StrategyProfile((shade([0.0, 0.5, 1.0], 0.5),) * 2)
-        with pytest.raises(AssertionError, match="NaN") as got:
+        with pytest.raises(ValueError, match="value must be nonnegative"):
             verify_bne(FPA_RANDOM, f, profile)
-        pushed = [push_forward(m, s) for m, s in zip(f.marginals, profile)]
-        with pytest.raises(AssertionError) as want:
-            certify_reference(FPA_RANDOM, f, profile, pushed)
-        assert str(got.value) == str(want.value)
+        bids = [np.array([0.0, 0.5, 0.5]), np.array([0.0, 0.25, 0.5])]
+        pushed = [_push_values(m, b) for m, b in zip(f.marginals, bids)]
+        with pytest.raises(AssertionError, match="^gap nan is negative or NaN: candidates not"):
+            _certify({}, FPA_RANDOM, f, bids, pushed, math.inf, 0)
 
     def test_bid_above_h_raises(self):
         profile = StrategyProfile((shade(GRID, 0.5), constant(5.0)))
@@ -176,6 +179,12 @@ def tie_heavy_instances(draw, max_n=4):
     return rule, product_of([draw(quarter_distributions()) for _ in range(n)], 1.0)
 
 
+def certify_profile(rule, f, profile, pushed, stop_at=math.inf, first=0):
+    """``_certify`` of a profile, from its bids at every bidder's atoms."""
+    bids = [s.eval(m.arrays[0]) for m, s in zip(f.marginals, profile)]
+    return _certify({}, rule, f, bids, pushed, stop_at, first)
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_bounded_certificate_matches_verify_bne(data):
@@ -188,11 +197,11 @@ def test_bounded_certificate_matches_verify_bne(data):
     pushed = [push_forward(m, s) for m, s in zip(f.marginals, profile)]
     first = data.draw(st.integers(0, f.n - 1))
     cert = verify_bne(rule, f, profile)
-    assert _certify(rule, f, profile, pushed, first=first) == cert
+    assert certify_profile(rule, f, profile, pushed, first=first) == cert
     # The bound hits epsilon itself and other gaps exactly, as solve_bne's does.
     gaps = [g for row in cert.gaps for _, g in row]
     stop_at = data.draw(st.sampled_from([cert.epsilon, *gaps]) | st.floats(0.0, 1.0))
-    got = _certify(rule, f, profile, pushed, stop_at, first)
+    got = certify_profile(rule, f, profile, pushed, stop_at, first)
     assert got == (None if cert.epsilon >= stop_at else cert)
 
 
@@ -219,10 +228,10 @@ def test_certificate_matches_per_atom_reference(data):
     pushed = [push_forward(m, s) for m, s in zip(f.marginals, profile)]
     first = data.draw(st.integers(0, f.n - 1))
     want = certify_reference(rule, f, profile, pushed, first=first)
-    assert _dumped(_certify(rule, f, profile, pushed, first=first)) == _dumped(want)
+    assert _dumped(certify_profile(rule, f, profile, pushed, first=first)) == _dumped(want)
     gaps = [g for row in want.gaps for _, g in row]
     stop_at = data.draw(st.sampled_from([want.epsilon, *gaps]) | st.floats(0.0, 1.0))
-    got = _certify(rule, f, profile, pushed, stop_at, first)
+    got = certify_profile(rule, f, profile, pushed, stop_at, first)
     assert _dumped(got) == _dumped(certify_reference(rule, f, profile, pushed, stop_at, first))
 
 
@@ -358,9 +367,9 @@ class TestSolve:
 
         def counting(f_j, bids):
             calls.append(None)
-            return _push_bids(f_j, bids)
+            return _push_values(f_j, bids)
 
-        monkeypatch.setattr(equilibrium, "_push_bids", counting)
+        monkeypatch.setattr(equilibrium, "_push_values", counting)
         f = random_product(rng, 3)
         _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.5, seed=1)
         assert cert.epsilon > 0.0  # no early stop: all 5 x 2 rounds ran
@@ -370,13 +379,13 @@ class TestSolve:
         # Undamped, every damped iterate repeats its raw best response, so at
         # most one new profile is visited per bidder step.
         certified = []
-        certify = equilibrium._certify_with
+        certify = equilibrium._certify
 
         def recording(tables, rule, f, bids, *args):
             certified.append(tuple(tuple(b.tolist()) for b in bids))  # by value, as profiles
             return certify(tables, rule, f, bids, *args)
 
-        monkeypatch.setattr(equilibrium, "_certify_with", recording)
+        monkeypatch.setattr(equilibrium, "_certify", recording)
         f = random_product(rng, 3)
         _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.0, seed=1)
         assert cert.epsilon > 0.0  # no early stop: all 5 x 2 rounds ran

@@ -145,6 +145,14 @@ class TestSupError:
         rep = sup_error(s, FPA_RANDOM, shade_family(f, [0.5]), f, "emp")
         assert rep.sup_error >= 0.0
 
+    @pytest.mark.parametrize("estimator", ["emp", "empp"])
+    def test_empty_family_raises(self, estimator):
+        f = ProductDistribution.iid(uniform_on([0.0, 1.0]), 2, 1.0)
+        with pytest.raises(ValueError, match="strategy family is empty"):
+            sup_error(sample_matrix(f, 4, seed=0), FPA_RANDOM, [], f, estimator)
+        with pytest.raises(ValueError, match="strategy family is empty"):
+            sup_error_sweep(f, FPA_RANDOM, [], [4], 2, 0, estimator)
+
     def test_emp_builds_one_bid_matrix_per_profile_and_bidder(self, monkeypatch):
         calls = []
         bids = StrategyProfile.bids

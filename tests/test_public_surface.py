@@ -6,7 +6,8 @@ library example must run as printed, and every settable value in ``src/`` is
 listed here, so adding an option is a visible edit. Every ``raise`` in ``src/``
 names ``ValueError`` or ``AssertionError``, so a new exception type is one too.
 No ``src/`` module calls ``.choice(p=...)``: ``dist.sample_matrix`` is the one
-weighted sampler.
+weighted sampler. Every private module-level function in ``src/`` has a caller
+there.
 """
 
 import ast
@@ -52,12 +53,8 @@ def test_traced_name_resolves(module, path):
 
 # Function parameters and dataclass fields with a default, everywhere in src/.
 SETTABLE_VALUES = [
-    "auction.CandidateBid.limit_above",
     "cli.main(argv)",
-    "dist.ProductDistribution.iid(h)",
     "dist.product_of(h)",
-    "equilibrium._certify(first)",
-    "equilibrium._certify(stop_at)",
     "equilibrium.solve_bne(damping)",
     "strategy.MonotoneStrategy.default_bid",
 ]
@@ -159,6 +156,32 @@ def weighted_choice_calls() -> list[str]:
 def test_one_weighted_sampler():
     """``dist.sample_matrix``'s guide table is the only weighted sampler in src/."""
     assert weighted_choice_calls() == []
+
+
+def dead_private_functions() -> list[str]:
+    """Every module-level ``_`` function in src/ that no ``Name`` or ``Attribute``
+    node of src/ outside the function's own body refers to. An import or a mention
+    in a docstring is no reference."""
+    trees = [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
+    refs = [
+        (node.id if isinstance(node, ast.Name) else node.attr, node)
+        for _, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    found = []
+    for stem, tree in trees:
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_"):
+                own = set(map(id, ast.walk(fn)))
+                if not any(name == fn.name and id(node) not in own for name, node in refs):
+                    found.append(f"{stem}.{fn.name}")
+    return found
+
+
+def test_no_dead_private_helpers():
+    """A private helper that only tests call belongs in tests/, or nowhere."""
+    assert dead_private_functions() == []
 
 
 def test_readme_library_example():
