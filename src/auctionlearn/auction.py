@@ -143,46 +143,77 @@ def candidate_allocations(tie: Tie, opp: Sequence[DiscreteDistribution]) -> np.n
 
     A record array with fields ``base``, ``limit_above`` and ``alloc``: 0 and
     every opponent atom, each exact bid followed by its right limit. The
-    probabilities are independent of the bidder's value.
-
-    The bases hold every opponent atom, so the running sum of an opponent's
-    weights scattered onto them adds those weights left to right, as its prefix
-    sums do, plus +0.0 terms that change no bit. One pass thus gives the exact
-    P(bid < base) and P(bid <= base) at every base, which the tie DP and the
-    right limits' product in list order read without a binary search.
+    probabilities are independent of the bidder's value. It is the last row of
+    :func:`_leave_one_out_allocations` for the opponents and one bidder with
+    no mass.
     """
     bases = np.array(sorted({0.0} | {a for d in opp for a in d.atoms}))
-    at = np.zeros((len(opp), len(bases) + 1))  # P(bid == base k) in column k + 1
-    for row, d in zip(at, opp):
+    masses = np.zeros((len(opp) + 1, len(bases)))
+    for row, d in zip(masses, opp):
         atoms, weights, _ = d.arrays
-        row[bases.searchsorted(atoms, "right")] = weights[:-1]
-    cum = at.cumsum(axis=1)
+        row[:] = _bid_masses(bases, atoms, weights[:-1])
     out = np.empty(2 * len(bases), [("base", float), ("limit_above", bool), ("alloc", float)])
     out["base"][0::2] = out["base"][1::2] = bases
     out["limit_above"][0::2], out["limit_above"][1::2] = False, True
-    out["alloc"][0::2] = _tie_dp(tie, bases, zip(cum[:, :-1], at[:, 1:]))
-    out["alloc"][1::2] = cum[:, 1:].prod(axis=0)
+    out["alloc"] = _leave_one_out_allocations(tie, masses)[-1]
     return out
 
 
-def _table_allocation(cands: np.ndarray, bids) -> np.ndarray:
-    """``allocation_probability`` of every exact bid in ``bids``, read off the
-    :func:`candidate_allocations` table of the same opponents.
-
-    A bid at a base reads its exact row. Any other bid ties with no opponent,
-    so its tie DP multiplies the factors of ``cdf_of_max`` at the largest base
-    below it, in the same order, and adds only +0.0 tied terms: it reads that
-    base's right-limit row, bit for bit. Bids must be nonnegative.
-    """
-    b = np.asarray(bids, dtype=float)
-    bases = cands["base"][0::2]
-    k = np.searchsorted(bases, b, side="right") - 1
-    return cands["alloc"][2 * k + (bases[k] != b)]
+def _bid_masses(axis: np.ndarray, bids: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """P(bid == axis[k]) for every k, when bid ``bids[k]`` has weight ``weights[k]``:
+    the weights of equal bids are added left to right from 0.0. Every bid must be
+    on the sorted ``axis`` (-0.0 is found at 0.0)."""
+    return np.bincount(axis.searchsorted(bids), weights, minlength=len(axis))
 
 
-# Elements per row block of the values x candidates utility matrix; bounds
-# the memory of best responses over many values.
+# Elements per row block of the values x candidates utility matrix, and per
+# block of bidder rows x bidders x bases in the leave-one-out tie DP; bounds
+# the memory of best responses over many values and of tables over many bidders.
 BEST_RESPONSE_BLOCK = 1 << 12
+
+
+def _leave_one_out_allocations(tie: Tie, masses: np.ndarray) -> np.ndarray:
+    """Every bidder's allocation probabilities on a shared bid axis, against all the
+    other bidders: row i of the (n, 2G) result holds base k's exact bid in column
+    2k and its right limit in column 2k + 1.
+
+    ``masses[j, k]`` is P(bidder j bids axis[k]), on one sorted axis that holds 0.0
+    and every bid. The tie DP runs over the bidders in order, on blocks of bidder
+    rows with rows x n x G <= ``BEST_RESPONSE_BLOCK`` (one row at least, so no
+    (n, n, G) tensor), with bidder i's own factor (P(below), P(at)) = (1.0, 0.0);
+    the right limits multiply P(bid <= base) in bidder order, 1.0 at the own row.
+
+    Row i has the bits of the table of bidder i's opponents alone, because
+    (a) a base where an opponent has no mass adds +0.0 to its prefix sums;
+    (b) the own factor leaves every DP coefficient as it was and appends a +0.0
+        one, whose random-allocation share adds +0.0 (and 1.0 changes no product);
+    (c) at a base that is no opponent's atom, the exact and the right-limit
+        allocation equal the right limit of the opponent base (or 0) below it. Its
+        base is higher, so its utility never strictly beats that earlier candidate,
+        and a first-maximum ``argmax`` or ``np.maximum.accumulate`` keeps the same
+        pick; an exact bid read at its own base has the bits of
+        :func:`allocation_probability`;
+    (d) :func:`_bid_masses` adds the weights of equal consecutive bids left to
+        right from 0.0, as the merge of :func:`dist._push_values` does.
+    """
+    n, g = masses.shape
+    cum = np.zeros((n, g + 1))  # P(bid < base k) in column k, P(bid <= base k) in k + 1
+    np.cumsum(masses, axis=1, out=cum[:, 1:])
+    out = np.empty((n, 2 * g))
+    rows = max(1, BEST_RESPONSE_BLOCK // (n * g))
+    for lo in range(0, n, rows):
+        block = out[lo : lo + rows]
+        own = np.arange(lo, lo + len(block))[:, None]
+        factors = (
+            (np.where(own == j, 1.0, cum[j, :-1]), np.where(own == j, 0.0, masses[j]))
+            for j in range(n)
+        )
+        block[:, 0::2] = _tie_dp(tie, block[:, 0::2], factors)
+        limit = 1.0
+        for j in range(n):
+            limit = limit * np.where(own == j, 1.0, cum[j, 1:])
+        block[:, 1::2] = limit
+    return out
 
 
 def _argmax_utility(fmt: Format, values: np.ndarray, bases, alloc):

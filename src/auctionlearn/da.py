@@ -30,8 +30,8 @@ import numpy as np
 from .auction import (
     FPA_RANDOM,
     Tie,
-    _table_allocation,
-    candidate_allocations,
+    _bid_masses,
+    _leave_one_out_allocations,
     ex_post_allocation,
 )
 from .dist import (
@@ -108,41 +108,51 @@ def _claim_distribution(f: DiscreteDistribution, d: DAPureStrategy) -> DiscreteD
 
 
 def _bidders(inst: SearchInstance, profile: Sequence[DAPureStrategy]):
-    """(ex ante utility, welfare share, the opponents' candidate table) of every
+    """(ex ante utility, welfare share, candidate bases, their allocations) of every
     bidder in bidder order, from one claim distribution per bidder.
 
     Claims are independent across bidders, so bidder i's share at claim b is
-    the first-price tie DP against the opponents' claim distributions, read off
-    their candidate table. Bidder i inspects iff no opponent claims above the
-    threshold tau, since the own claim never exceeds tau.
+    the first-price tie DP against the opponents' claim distributions: row i of
+    :func:`auction._leave_one_out_allocations` of every claim distribution on the
+    axis of 0.0 and all claims. The candidates are 0 and the opponents' claims,
+    each exact claim followed by its right limit: the row at other bases picks
+    the same deviations, but the matrix product of :func:`_best_deviation`
+    rounds by the number of candidates. Bidder i inspects iff no opponent claims
+    above the threshold tau, since the own claim never exceeds tau.
     """
     if len(profile) != inst.n:
         raise ValueError("profile must match the instance size")
     claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
+    axis = np.array(sorted({0.0}.union(*(c.atoms for c in claims))))
+    masses = np.array([_bid_masses(axis, c.arrays[0], c.arrays[1][:-1]) for c in claims])
+    alloc = _leave_one_out_allocations(Tie.RANDOM_ALLOCATION, masses)
+    claimed = (masses > 0.0).sum(axis=0)  # how many bidders claim each base
     for i, (f_i, d_i) in enumerate(zip(inst.boxes.marginals, profile)):
-        opp = claims[:i] + claims[i + 1 :]
-        cands = candidate_allocations(Tie.RANDOM_ALLOCATION, opp)
         atoms, weights, _ = f_i.arrays
         bids = d_i.beta.eval(atoms)
-        share = weights[:-1] * _table_allocation(cands, bids)
+        share = weights[:-1] * alloc[i, 2 * axis.searchsorted(bids)]
         won, paid = sum_left_to_right(share * atoms), sum_left_to_right(share * bids)
-        cost = inst.costs[i] * cdf_of_max(opp, d_i.tau)
-        yield won - paid - cost, won - cost, cands
+        cost = inst.costs[i] * cdf_of_max(claims[:i] + claims[i + 1 :], d_i.tau)
+        keep = claimed > (masses[i] > 0.0)
+        keep[0] = True
+        cols = (2 * np.flatnonzero(keep)[:, None] + [0, 1]).ravel()
+        yield won - paid - cost, won - cost, axis[cols // 2], alloc[i, cols]
 
 
 def ex_ante_utility_da(inst: SearchInstance, profile: Sequence[DAPureStrategy], i: int) -> float:
     """Exact expected utility of bidder i before anyone learns values."""
-    return [u for u, _, _ in _bidders(inst, profile)][i]
+    return [u for u, *_ in _bidders(inst, profile)][i]
 
 
 def da_welfare(inst: SearchInstance, profile: Sequence[DAPureStrategy]) -> float:
     """Exact expected welfare (allocated value minus all inspection costs paid)."""
-    return sum(share for _, share, _ in _bidders(inst, profile))
+    return sum(share for _, share, *_ in _bidders(inst, profile))
 
 
-def _best_deviation(inst: SearchInstance, i: int, cands) -> float:
+def _best_deviation(inst: SearchInstance, i: int, bases, alloc) -> float:
     """Supremum ex ante utility of bidder i over all descending-auction strategies,
-    given the candidate table ``cands`` of the opponents' claims.
+    given the allocations ``alloc`` of the candidate claims ``bases`` against the
+    opponents' claims, each exact claim followed by its right limit.
 
     A threshold at or just above base a of the candidates costs
     c_i * P(max opponent claim <= a), the right-limit allocation of a, and
@@ -151,17 +161,17 @@ def _best_deviation(inst: SearchInstance, i: int, cands) -> float:
     mixture beats its best component.
     """
     f_i = inst.boxes.marginals[i]
-    u = cands["alloc"] * (np.array(f_i.atoms)[:, None] - cands["base"])
+    u = alloc * (np.array(f_i.atoms)[:, None] - bases)
     claim = np.array(f_i.weights) @ np.maximum.accumulate(u, axis=1)[:, 1::2]
-    return float(np.max(claim - inst.costs[i] * cands["alloc"][1::2]))
+    return float(np.max(claim - inst.costs[i] * alloc[1::2]))
 
 
 def _deviation_gap(inst: SearchInstance, da_profile: Sequence[DAPureStrategy]):
     """Exact ex ante equilibrium gap, the largest gain of any bidder from any deviation,
-    and :func:`da_welfare`, from one candidate table per bidder."""
+    and :func:`da_welfare`, from one leave-one-out table of the claims."""
     gap, welfare = 0.0, 0
-    for i, (own, share, cands) in enumerate(_bidders(inst, da_profile)):
-        gain = _best_deviation(inst, i, cands) - own
+    for i, (own, share, bases, alloc) in enumerate(_bidders(inst, da_profile)):
+        gain = _best_deviation(inst, i, bases, alloc) - own
         if not gain >= -1e-9:  # also a NaN gain, which `max` would skip
             raise AssertionError(f"gap {gain} is negative or NaN: deviations not exhaustive")
         gap = max(gap, gain)

@@ -104,9 +104,14 @@ def json_number(a, what: str) -> float:
 
 
 def json_numbers(x, what: str) -> list[float]:
-    """The floats of a JSON list of finite numbers; ``ValueError`` otherwise."""
+    """The floats of a JSON list of finite numbers; ``ValueError`` otherwise.
+
+    A list of finite floats is returned as a copy at once; any other list is
+    checked number by number, so the first bad one is named."""
     if not isinstance(x, list):
         raise ValueError(f"{what} must be a list of numbers, got {x!r:.40}")
+    if set(map(type, x)) <= {float} and all(map(math.isfinite, x)):
+        return list(x)
     return [json_number(a, what) for a in x]
 
 

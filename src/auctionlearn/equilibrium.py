@@ -20,12 +20,12 @@ from .auction import (
     AuctionRule,
     CandidateBid,
     _argmax_utility,
+    _bid_masses,
     _grid_best_response,
-    _table_allocation,
+    _leave_one_out_allocations,
     _utility,
-    candidate_allocations,
 )
-from .dist import ProductDistribution, _push_values
+from .dist import ProductDistribution
 from .strategy import MonotoneStrategy, StrategyProfile
 
 
@@ -62,49 +62,27 @@ def verify_bne(
     if any(s.max_bid > f.h for s in profile):
         raise ValueError(f"profile bids above H={f.h}")
     bids = [s.eval(m.arrays[0]) for m, s in zip(f.marginals, profile)]
-    pushed = [_push_values(m, b) for m, b in zip(f.marginals, bids)]
-    return _certify({}, rule, f, bids, pushed, math.inf, 0)
+    axis = np.array(sorted({0.0}.union(*(b.tolist() for b in bids))))
+    masses = np.array([_bid_masses(axis, b, m.arrays[1][:-1]) for m, b in zip(f.marginals, bids)])
+    return _certify(rule, f, bids, axis, _leave_one_out_allocations(rule.tie, masses), math.inf, 0)
 
 
-def _bidder_table(tables: dict, tie, i: int, opp: list) -> list:
-    """Bidder i's slot for ``opp`` in ``tables``: the opponents, their
-    :func:`candidate_allocations`, and the best response of bidder i's atoms over
-    it once a certificate needs it (else None).
-
-    ``tables[i]`` keeps the bidder's two most recently used slots, with the
-    opponents compared by value: an opponent set often comes back after one other
-    set has passed (a best response, then a damped step that keeps the old bids),
-    and keeping every set would grow with the solve.
-    """
-    key = tuple(opp)
-    slots = tables.setdefault(i, [])
-    slot = next((s for s in slots if s[0] == key), None)
-    if slot is None:
-        slot = [key, candidate_allocations(tie, opp), None]
-    else:
-        slots.remove(slot)
-    slots[:] = [slot, *slots[:1]]
-    return slot
-
-
-def _certify(tables: dict, rule, f, bids: list, pushed, stop_at: float, first: int):
+def _certify(rule, f, bids: list, axis: np.ndarray, alloc: np.ndarray, stop_at: float, first: int):
     """``verify_bne``'s certificate of the profile whose bids at bidder i's atoms are
-    ``bids[i]`` and whose bid distributions are ``pushed``, or None as soon as one
-    bidder's largest gap is >= ``stop_at``. Bidder ``first`` is examined first; the
-    certificate is assembled in bidder order, so it does not depend on it. Each
-    bidder's candidate table is read from ``tables``; only the first largest gap of a
-    row, the one ``worst`` may take, gets a :class:`CandidateBid`.
+    ``bids[i]``, or None as soon as one bidder's largest gap is >= ``stop_at``.
+    ``alloc`` is the profile's :func:`auction._leave_one_out_allocations` on
+    ``axis``; a bidder's candidates are every base and its right limit. Bidder
+    ``first`` is examined first; the certificate is assembled in bidder order, so it
+    does not depend on it. Only the first largest gap of a row, the one ``worst``
+    may take, gets a :class:`CandidateBid`.
     """
+    bases = np.repeat(axis, 2)
     rows = {}
     for i in [first] + [j for j in range(f.n) if j != first]:
         values = f.marginals[i].arrays[0]
-        slot = _bidder_table(tables, rule.tie, i, pushed[:i] + pushed[i + 1 :])
-        cands = slot[1]
-        if slot[2] is None:
-            slot[2] = _argmax_utility(rule.format, values, cands["base"], cands["alloc"])
-        sups, picks = slot[2]
+        sups, picks = _argmax_utility(rule.format, values, bases, alloc[i])
         own = bids[i]
-        gaps = sups - _utility(rule.format, values, own, _table_allocation(cands, own))
+        gaps = sups - _utility(rule.format, values, own, alloc[i, 2 * axis.searchsorted(own)])
         bad = ~(gaps >= -1e-9)  # also a NaN gap, which `gap > eps` would skip
         if bad.any():
             gap = gaps[bad.argmax()].item()
@@ -112,14 +90,13 @@ def _certify(tables: dict, rule, f, bids: list, pushed, stop_at: float, first: i
         gaps = np.where(gaps < 0.0, 0.0, gaps)  # as max(gap, 0.0), which keeps a -0.0 gap
         if gaps.max() >= stop_at:
             return None
-        rows[i] = (gaps, picks, cands)
+        rows[i] = (gaps, picks)
     eps, worst = 0.0, (0, 0.0, CandidateBid(0.0, False))
     for i in range(f.n):
-        gaps, picks, cands = rows[i]
+        gaps, picks = rows[i]
         k = gaps.argmax()
         if gaps[k] > eps:
-            dev = cands[picks[k]]
-            bid = CandidateBid(dev["base"].item(), dev["limit_above"].item())
+            bid = CandidateBid(bases[picks[k]].item(), bool(picks[k] % 2))
             eps, worst = gaps[k].item(), (i, f.marginals[i].atoms[k], bid)
     gap_rows = tuple(tuple(zip(f.marginals[i].atoms, rows[i][0].tolist())) for i in range(f.n))
     return BNECertificate(eps, gap_rows, worst)
@@ -194,16 +171,20 @@ def solve_bne(
     epsilon is below the best so far, so its certification stops at the first
     bidder (the best's worst one first) whose largest gap reaches the best; the
     returned certificate equals ``verify_bne``'s. A profile visited again is not
-    certified again: its epsilon is at least the best's. A bidder's candidate
-    table for a set of opponent bid distributions is kept while that set is one
-    of the bidder's last two, and serves the bidder's grid best responses and
-    certificate rows against that set. Every iterate has the bidder's atoms as
-    thresholds and a default bid of 0, so the solver carries one bid vector per
-    bidder and builds a :class:`MonotoneStrategy` only for the returned profile.
+    certified again: its epsilon is at least the best's. Every iterate bids a
+    grid bid or 0.0 at each of the bidder's atoms, with a default bid of 0, so
+    the solver carries one bid vector per bidder, pushes it onto the fixed axis
+    of 0.0 and the grid with one ``bincount``, and builds a
+    :class:`MonotoneStrategy` only for the returned profile. One leave-one-out
+    table per profile serves every bidder's grid best response and certificate
+    row; the last two profiles' tables are kept.
     Dynamics need not converge in a first-price auction: only a certificate of
     0 ends the search early. Grid bids must lie in [0, ``f.h``].
     """
-    grid = sorted(set(float(b) for b in bid_grid))
+    grid = [float(b) for b in bid_grid]
+    if any(map(math.isnan, grid)):
+        raise ValueError("bid grid holds NaN")
+    grid = sorted(set(grid))
     if not grid:
         raise ValueError("bid_grid is empty")
     if grid[-1] > f.h:
@@ -217,21 +198,34 @@ def solve_bne(
     rng = np.random.default_rng(seed)
     starts = [0.0, 0.25, 0.5, 0.75, 1.0]
     grid_bids = np.array(grid)
+    axis = np.array(sorted({0.0} | set(grid)))
+    grid_pos = 2 * axis.searchsorted(grid_bids)
+    weights = [m.arrays[1][:-1] for m in f.marginals]
     best_bids: list | None = None
     best_cert: BNECertificate | None = None
-    tables: dict = {}  # bidder -> the bidder's last two candidate tables, see _bidder_table
+    tables: dict[bytes, np.ndarray] = {}  # the last two profiles' tables, newest last
     # The bid bytes of every certified profile. They tell -0.0 from 0.0, which
     # costs at most a repeated certification.
     certified: set[tuple[bytes, ...]] = set()
 
-    def consider(bids: list, pushed: list) -> None:
+    def table(masses: np.ndarray) -> np.ndarray:
+        key = masses.tobytes()
+        alloc = tables.pop(key, None)
+        if alloc is None:
+            alloc = _leave_one_out_allocations(rule.tie, masses)
+        tables[key] = alloc
+        if len(tables) > 2:
+            del tables[next(iter(tables))]
+        return alloc
+
+    def consider(bids: list, masses: np.ndarray) -> None:
         nonlocal best_bids, best_cert
         key = tuple(b.tobytes() for b in bids)
         if key in certified:  # its epsilon is >= the best's, so it is cut off again
             return
         certified.add(key)
         bound = (best_cert.epsilon, best_cert.worst[0]) if best_cert else (math.inf, 0)
-        cert = _certify(tables, rule, f, bids, pushed, *bound)
+        cert = _certify(rule, f, bids, axis, table(masses), *bound)
         if cert is not None:
             best_bids, best_cert = list(bids), cert
 
@@ -240,20 +234,21 @@ def solve_bne(
         return StrategyProfile(tuple(MonotoneStrategy(tuple(p)) for p in pairs)), best_cert
 
     for alpha in starts:
-        # One bid vector per bidder, at the bidder's atoms, and its bid distribution;
-        # a step replaces only the stepping bidder's.
+        # One bid vector per bidder, at the bidder's atoms, and the matrix of the
+        # bidders' bid masses on the axis; a step replaces only the stepping bidder's.
         bids = [_shade_on_grid(m.atoms, alpha, grid) for m in f.marginals]
-        pushed = [_push_values(m, b) for m, b in zip(f.marginals, bids)]
-        consider(bids, pushed)
+        masses = np.array([_bid_masses(axis, b, w) for b, w in zip(bids, weights)])
+        consider(bids, masses)
         for _ in range(max_iters // len(starts)):
             if best_cert.epsilon == 0.0:
                 return best()
             for i, m in enumerate(f.marginals):
-                opp = pushed[:i] + pushed[i + 1 :]
-                alloc = _table_allocation(_bidder_table(tables, rule.tie, i, opp)[1], grid_bids)
+                alloc = table(masses)[i, grid_pos]
                 br = _grid_best_response(rule.format, m.arrays[0], grid_bids, alloc)
-                consider([*bids[:i], br, *bids[i + 1 :]], opp[:i] + [_push_values(m, br)] + opp[i:])
+                stepped = masses.copy()
+                stepped[i] = _bid_masses(axis, br, weights[i])
+                consider([*bids[:i], br, *bids[i + 1 :]], stepped)
                 bids[i] = _damped_mix(bids[i], br, damping, rng)
-                pushed[i] = _push_values(m, bids[i])
-                consider(bids, pushed)
+                masses[i] = _bid_masses(axis, bids[i], weights[i])
+                consider(bids, masses)
     return best()

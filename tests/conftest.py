@@ -20,10 +20,8 @@ from auctionlearn.auction import (
     Format,
     Tie,
     _grid_best_response,
-    _table_allocation,
     _utility,
     allocation_probability,
-    candidate_allocations,
     ex_post_utility,
     interim_utility_exact,
     push_forward,
@@ -496,10 +494,9 @@ def da_bidder_terms_reference(inst, profile, i) -> tuple[float, float]:
     claim, each added in atom order from 0.0."""
     claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
     opp = claims[:i] + claims[i + 1 :]
-    cands = candidate_allocations(Tie.RANDOM_ALLOCATION, opp)
     f_i, d_i = inst.boxes.marginals[i], profile[i]
     bids = d_i.beta.eval(f_i.arrays[0])
-    alloc = _table_allocation(cands, bids).tolist()
+    alloc = allocation_probability(Tie.RANDOM_ALLOCATION, opp, bids).tolist()
     won = paid = 0.0
     for a, wv, b, p in zip(f_i.atoms, f_i.weights, bids.tolist(), alloc):
         share = wv * p

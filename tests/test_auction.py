@@ -12,7 +12,8 @@ from auctionlearn.auction import (
     CandidateBid,
     Format,
     Tie,
-    _table_allocation,
+    _bid_masses,
+    _leave_one_out_allocations,
     allocation_probability,
     best_response,
     candidate_allocations,
@@ -131,16 +132,53 @@ def test_tie_dp_matches_scalar_reference(data):
 @settings(max_examples=300, deadline=None)
 def test_table_lookup_equals_tie_dp(data):
     # Bids at every base, between neighbouring bases, above the top one, at -0.0
-    # and anywhere in [0, 2]; the lookup must give the tie DP's bits.
+    # and anywhere in [0, 2], pushed onto the axis with the opponents' atoms as a
+    # bidder's bids are; the exact read at a bid's base must give the tie DP's bits.
     tie = data.draw(st.sampled_from(list(Tie)))
     opp = data.draw(st.lists(quarter_distributions(), max_size=4))
     bases = sorted({0.0} | {a for d in opp for a in d.atoms})
     special = bases + [(a + b) / 2 for a, b in zip(bases, bases[1:])] + [bases[-1] + 0.5, -0.0]
-    bids = data.draw(st.lists(st.sampled_from(special) | BIDS, min_size=1, max_size=8))
-    got = _table_allocation(candidate_allocations(tie, opp), bids)
+    bids = np.array(data.draw(st.lists(st.sampled_from(special) | BIDS, min_size=1, max_size=8)))
+    axis = np.array(sorted({0.0}.union(bases, bids.tolist())))
+    masses = [_bid_masses(axis, np.array(d.atoms), np.array(d.weights)) for d in opp]
+    masses.append(_bid_masses(axis, np.sort(bids), np.full(len(bids), 1 / len(bids))))
+    got = _leave_one_out_allocations(tie, np.array(masses))[-1, 2 * axis.searchsorted(bids)]
     want = allocation_probability(tie, opp, bids)
     assert got.tolist() == want.tolist()
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def bid_distributions(draw) -> DiscreteDistribution:
+    """A quarter-grid distribution or a ``random_bid_dist`` (2-decimal atoms)."""
+    if draw(st.booleans()):
+        return draw(quarter_distributions())
+    return random_bid_dist(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_leave_one_out_rows_match_each_opponents_table(data):
+    # One to six bidders on a shared axis. Row i, at 0 and the other bidders'
+    # atoms, must give the bytes of the two-pass table of bidder i's opponents;
+    # at every other base, both of its entries read the right limit of the
+    # table's base below it.
+    tie = data.draw(st.sampled_from(list(Tie)))
+    dists = data.draw(st.lists(bid_distributions(), min_size=1, max_size=6))
+    axis = np.array(sorted({0.0} | {a for d in dists for a in d.atoms}))
+    masses = [_bid_masses(axis, np.array(d.atoms), np.array(d.weights)) for d in dists]
+    alloc = _leave_one_out_allocations(tie, np.array(masses))
+    for i, row in enumerate(alloc):
+        want = candidate_allocations_reference(tie, dists[:i] + dists[i + 1 :])
+        keep = axis.searchsorted(want["base"][0::2])
+        assert axis[keep].tobytes() == want["base"][0::2].tobytes()
+        got = want.copy()
+        got["alloc"] = row[(2 * keep[:, None] + [0, 1]).ravel()]
+        assert got.tobytes() == want.tobytes()
+        other = np.setdiff1d(np.arange(len(axis)), keep)
+        below = 2 * keep[keep.searchsorted(other) - 1] + 1
+        assert row[2 * other].tobytes() == row[below].tobytes()
+        assert row[2 * other + 1].tobytes() == row[below].tobytes()
 
 
 @given(st.data())

@@ -174,7 +174,15 @@ class TestExAnte:
                 assert ex_ante_utility_da(inst, profile, i).hex() == u.hex()
             welfare = sum(share for _, share in terms)
             assert da_welfare(inst, profile) == welfare
-            assert _deviation_gap(inst, profile)[1] == welfare
+            # The gap's matrix product rounds by the shape of the candidate table,
+            # so the deviations must be taken over the opponents' table itself.
+            claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
+            gap = 0.0
+            for i, (u, _) in enumerate(terms):
+                cands = candidate_allocations(Tie.RANDOM_ALLOCATION, claims[:i] + claims[i + 1 :])
+                gap = max(gap, _best_deviation(inst, i, cands["base"], cands["alloc"]) - u)
+            got_gap, got_welfare = _deviation_gap(inst, profile)
+            assert got_gap.hex() == gap.hex() and got_welfare == welfare
 
 
 class TestMappings:
@@ -396,7 +404,7 @@ class TestExactGap:
             gap = 0.0
             for i in range(inst.n):
                 cands = candidate_allocations(Tie.RANDOM_ALLOCATION, claims[:i] + claims[i + 1 :])
-                exact = _best_deviation(inst, i, cands)
+                exact = _best_deviation(inst, i, cands["base"], cands["alloc"])
                 oracle = best_deviation_by_enumeration(inst, profile, i)
                 assert oracle <= exact + 1e-12
                 assert oracle >= exact - 1e-6

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from auctionlearn.auction import (
     push_forward,
 )
 from auctionlearn.dist import (
+    DiscreteDistribution,
     ProductDistribution,
     _push_values,
     cdf_of_max,
@@ -114,7 +116,7 @@ class TestVerify:
         bids = [np.array([0.0, 0.5, 0.5]), np.array([0.0, 0.25, 0.5])]
         pushed = [_push_values(m, b) for m, b in zip(f.marginals, bids)]
         with pytest.raises(AssertionError, match="^gap nan is negative or NaN: candidates not"):
-            _certify({}, FPA_RANDOM, f, bids, pushed, math.inf, 0)
+            certify_bids(FPA_RANDOM, f, bids, pushed, math.inf, 0)
 
     def test_bid_above_h_raises(self):
         profile = StrategyProfile((shade(GRID, 0.5), constant(5.0)))
@@ -179,10 +181,21 @@ def tie_heavy_instances(draw, max_n=4):
     return rule, product_of([draw(quarter_distributions()) for _ in range(n)], 1.0)
 
 
+def certify_bids(rule, f, bids, pushed, stop_at, first):
+    """``_certify`` of the bids at every bidder's atoms, whose bid distributions are
+    ``pushed``: their masses are placed on the axis of 0.0 and every bid."""
+    axis = np.array(sorted({0.0}.union(*(b.tolist() for b in bids))))
+    masses = np.zeros((f.n, len(axis)))
+    for row, d in zip(masses, pushed):
+        row[axis.searchsorted(d.atoms)] = d.weights
+    alloc = auction._leave_one_out_allocations(rule.tie, masses)
+    return _certify(rule, f, bids, axis, alloc, stop_at, first)
+
+
 def certify_profile(rule, f, profile, pushed, stop_at=math.inf, first=0):
     """``_certify`` of a profile, from its bids at every bidder's atoms."""
     bids = [s.eval(m.arrays[0]) for m, s in zip(f.marginals, profile)]
-    return _certify({}, rule, f, bids, pushed, stop_at, first)
+    return certify_bids(rule, f, bids, pushed, stop_at, first)
 
 
 @given(st.data())
@@ -245,6 +258,29 @@ def test_solver_matches_full_verification_reference(data):
     grid = uniform_bid_grid(1.0, 0.25)
     got = solve_bne(rule, f, grid, max_iters=max_iters, damping=damping, seed=seed)
     assert got == solve_bne_reference(rule, f, grid, max_iters, damping=damping, seed=seed)
+
+
+ODD_GRIDS = {
+    "no-zero-3": [0.1, 0.5, 0.9],
+    "no-zero-2": [0.25, 0.75],
+    "one-bid": [0.5],
+    "negative-zero": [-0.0, 0.5, 1.0],
+    "step-0.3": uniform_bid_grid(1.0, 0.3),
+}
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("grid", ODD_GRIDS.values(), ids=ODD_GRIDS)
+def test_solver_matches_reference_on_odd_grids(grid, damping, rng):
+    # Grids without 0.0, where zeroed bids leave the grid; a -0.0 grid bid, which
+    # the returned strategies keep; a step that does not divide H; one to four
+    # bidders under every rule. repr tells -0.0 from 0.0, which == does not.
+    for k in range(8):
+        rule, n = RULES[rng.integers(4)], int(rng.integers(1, 5))
+        f = quarter_product(rng, n) if k % 2 else random_product(rng, n)
+        got = solve_bne(rule, f, grid, max_iters=10, damping=damping, seed=k)
+        want = solve_bne_reference(rule, f, grid, 10, damping=damping, seed=k)
+        assert repr(got) == repr(want)
 
 
 @st.composite
@@ -347,6 +383,15 @@ class TestSolve:
         with pytest.raises(ValueError, match="below 0"):
             solve_bne(FPA_RANDOM, UNIFORM2, [-0.5, 0.0, 0.5], max_iters=500, seed=0)
 
+    def test_nan_or_infinite_grid_bid(self):
+        # A NaN bid is refused before the grid is sorted, which would leave it anywhere.
+        with pytest.raises(ValueError, match="^bid grid holds NaN$"):
+            solve_bne(FPA_RANDOM, UNIFORM2, [0.0, math.nan, 0.5, 1.0], max_iters=10, seed=0)
+        with pytest.raises(ValueError, match="^bid grid reaches inf above H=1.0$"):
+            solve_bne(FPA_RANDOM, UNIFORM2, [0.0, 0.5, math.inf], max_iters=10, seed=0)
+        with pytest.raises(ValueError, match="^bid grid starts at -inf below 0$"):
+            solve_bne(FPA_RANDOM, UNIFORM2, [-math.inf, 0.0, 0.5], max_iters=10, seed=0)
+
     @pytest.mark.parametrize("max_iters", [0, 3, 4])
     def test_fewer_than_five_iters_certify_only_the_starts(self, max_iters):
         # On this instance one round of best responses beats every start.
@@ -359,21 +404,29 @@ class TestSolve:
         k = min(range(5), key=lambda j: certs[j].epsilon)  # the first minimum
         assert solve_bne(FPA_RANDOM, f, GRID, max_iters=max_iters, seed=0) == (starts[k], certs[k])
 
-    def test_bid_distributions_are_pushed_once(self, monkeypatch, rng):
+    def test_bid_vectors_are_pushed_once_without_distributions(self, monkeypatch, rng):
         # n pushes per start, then per bidder step one for the raw best
         # response and one for the damped iterate; a considered profile
-        # reuses them instead of pushing every bidder again.
-        calls = []
+        # reuses them instead of pushing every bidder again. A push is a
+        # bincount onto the solver's axis: no distribution is built.
+        pushes, built = [], []
+        bid_masses, init = equilibrium._bid_masses, DiscreteDistribution.__post_init__
 
-        def counting(f_j, bids):
-            calls.append(None)
-            return _push_values(f_j, bids)
+        def counting_push(axis, bids, weights):
+            pushes.append(None)
+            return bid_masses(axis, bids, weights)
 
-        monkeypatch.setattr(equilibrium, "_push_values", counting)
+        def counting_init(self):
+            built.append(None)
+            init(self)
+
         f = random_product(rng, 3)
+        monkeypatch.setattr(equilibrium, "_bid_masses", counting_push)
+        monkeypatch.setattr(DiscreteDistribution, "__post_init__", counting_init)
         _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.5, seed=1)
         assert cert.epsilon > 0.0  # no early stop: all 5 x 2 rounds ran
-        assert len(calls) == 5 * f.n + 5 * 2 * f.n * 2
+        assert built == []
+        assert len(pushes) == 5 * f.n + 5 * 2 * f.n * 2
 
     def test_no_profile_is_certified_twice(self, monkeypatch, rng):
         # Undamped, every damped iterate repeats its raw best response, so at
@@ -381,9 +434,9 @@ class TestSolve:
         certified = []
         certify = equilibrium._certify
 
-        def recording(tables, rule, f, bids, *args):
+        def recording(rule, f, bids, *args):
             certified.append(tuple(tuple(b.tolist()) for b in bids))  # by value, as profiles
-            return certify(tables, rule, f, bids, *args)
+            return certify(rule, f, bids, *args)
 
         monkeypatch.setattr(equilibrium, "_certify", recording)
         f = random_product(rng, 3)
@@ -392,28 +445,41 @@ class TestSolve:
         assert len(set(certified)) == len(certified)
         assert len(certified) <= 5 + 5 * 2 * f.n
 
-    def test_every_tie_dp_builds_a_candidate_table(self, monkeypatch, rng):
-        # The grid best response and both rows of a certificate read bidder i's
-        # candidate table, built once per (bidder, opponent set). So every tie
-        # DP of a solve is a table build, and an undamped step builds at most
-        # one table for its bidder and one per opponent its new profile meets.
-        dps, tables = [], []
+    def test_every_tie_dp_is_in_one_profile_table(self, monkeypatch, rng):
+        # The grid best responses and the certificate rows of a profile read one
+        # leave-one-out table, kept while the profile is one of the last two. So
+        # every tie DP of a solve runs inside a table call (one DP per table here,
+        # where a table is one block of rows), and a solve makes at most one table
+        # call per certified profile and one per best-response step.
+        dps, tables, certified, inside = [], [], [], []
         tie_dp = auction._tie_dp
+        table, certify = equilibrium._leave_one_out_allocations, equilibrium._certify
 
         def counting_dp(tie, like, masses):
-            dps.append(None)
+            dps.append(bool(inside))
             return tie_dp(tie, like, masses)
 
-        def counting_table(tie, opp):
+        def counting_table(tie, masses):
             tables.append(None)
-            return candidate_allocations(tie, opp)
+            inside.append(None)
+            try:
+                return table(tie, masses)
+            finally:
+                inside.pop()
+
+        def counting_certify(*args):
+            certified.append(None)
+            return certify(*args)
 
         monkeypatch.setattr(auction, "_tie_dp", counting_dp)
-        monkeypatch.setattr(equilibrium, "candidate_allocations", counting_table)
+        monkeypatch.setattr(equilibrium, "_leave_one_out_allocations", counting_table)
+        monkeypatch.setattr(equilibrium, "_certify", counting_certify)
         f = random_product(rng, 3)
         _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.0, seed=1)
         assert cert.epsilon > 0.0
-        assert 1 <= len(dps) == len(tables) <= 5 * f.n + 5 * 2 * f.n * f.n
+        assert all(dps)
+        best_response_steps = 5 * 2 * f.n
+        assert 1 <= len(dps) == len(tables) <= len(certified) + best_response_steps
 
 
 class TestPerCallWork:
@@ -484,6 +550,26 @@ class TestPerCallWork:
             for n in range(4):
                 candidate_allocations(tie, [random_bid_dist(rng) for _ in range(n)])
         assert calls == []
+
+
+def test_verify_memory_is_bounded_at_many_bidders():
+    # 64 bidders with 50 atoms each share an axis of about 3,200 bids. The
+    # leave-one-out table is built in blocks of bidder rows: a 64 x 64 x 3,200
+    # tensor would take 105 MB.
+    rng = np.random.default_rng(5)
+    marginals = []
+    for _ in range(64):
+        atoms = np.unique(np.round(rng.random(50), 5))
+        marginals.append(make_discrete(atoms.tolist(), (rng.random(len(atoms)) + 0.05).tolist()))
+    f = product_of(marginals, 1.0)
+    profile = StrategyProfile(tuple(shade(m.atoms, 0.6) for m in marginals))
+    tracemalloc.start()
+    try:
+        assert verify_bne(FPA_RANDOM, f, profile).epsilon > 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 class TestTransfer:
