@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -63,10 +64,15 @@ def ex_post_allocation(tie: Tie, bids) -> np.ndarray:
 
     The top bid wins; a k-way top tie gives each tied bidder 1/k under random
     allocation (the expectation over the uniform tie-break) and 0 otherwise.
+    The top bid and the tie count are reduced column by column, since numpy
+    reduces a short last axis slowly; an array without bidders raises ``ValueError``.
     """
     b = np.asarray(bids, dtype=float)
-    top = b == b.max(axis=-1, keepdims=True)
-    k = top.sum(axis=-1, keepdims=True)
+    n = b.shape[-1] if b.ndim else 0
+    if n == 0:
+        raise ValueError("a bid array needs at least one bidder on its last axis")
+    top = b == reduce(np.maximum, (b[..., j : j + 1] for j in range(n)))
+    k = reduce(np.add, (top[..., j : j + 1] for j in range(1, n)), top[..., :1].astype(int))
     if tie is Tie.NO_ALLOCATION:
         return (top & (k == 1)).astype(float)
     return top / k
@@ -81,9 +87,10 @@ def ex_post_utility(rule: AuctionRule, i: int, v_i, bids):
     first-price auction.
     """
     b = np.asarray(bids, dtype=float)
+    alloc = ex_post_allocation(rule.tie, b)
     if not 0 <= i < b.shape[-1]:
         raise ValueError(f"bidder {i} out of range for {b.shape[-1]} bids")
-    return _utility(rule.format, v_i, b[..., i], ex_post_allocation(rule.tie, b)[..., i])
+    return _utility(rule.format, v_i, b[..., i], alloc[..., i])
 
 
 def push_forward(f_j: DiscreteDistribution, s_j: MonotoneStrategy) -> DiscreteDistribution:
@@ -143,19 +150,23 @@ def candidate_allocations(tie: Tie, opp: Sequence[DiscreteDistribution]) -> np.n
 
     A record array with fields ``base``, ``limit_above`` and ``alloc``: 0 and
     every opponent atom, each exact bid followed by its right limit. The
-    probabilities are independent of the bidder's value. It is the last row of
-    :func:`_leave_one_out_allocations` for the opponents and one bidder with
-    no mass.
+    probabilities are independent of the bidder's value. It is the row of
+    :func:`_leave_one_out_allocations` of one bidder with no mass against the
+    opponents, computed alone: by facts (a) and (b) there, the opponents'
+    factors fed straight to the tie DP give its bits.
     """
     bases = np.array(sorted({0.0} | {a for d in opp for a in d.atoms}))
-    masses = np.zeros((len(opp) + 1, len(bases)))
+    masses = np.zeros((len(opp), len(bases)))
     for row, d in zip(masses, opp):
         atoms, weights, _ = d.arrays
         row[:] = _bid_masses(bases, atoms, weights[:-1])
+    cum = np.zeros((len(opp), len(bases) + 1))  # P(bid < base k) in column k, <= in k + 1
+    np.cumsum(masses, axis=1, out=cum[:, 1:])
     out = np.empty(2 * len(bases), [("base", float), ("limit_above", bool), ("alloc", float)])
     out["base"][0::2] = out["base"][1::2] = bases
     out["limit_above"][0::2], out["limit_above"][1::2] = False, True
-    out["alloc"] = _leave_one_out_allocations(tie, masses)[-1]
+    out["alloc"][0::2] = _tie_dp(tie, bases, zip(cum[:, :-1], masses))
+    out["alloc"][1::2] = reduce(np.multiply, cum[:, 1:], 1.0)
     return out
 
 
@@ -166,9 +177,11 @@ def _bid_masses(axis: np.ndarray, bids: np.ndarray, weights: np.ndarray) -> np.n
     return np.bincount(axis.searchsorted(bids), weights, minlength=len(axis))
 
 
-# Elements per row block of the values x candidates utility matrix, and per
-# block of bidder rows x bidders x bases in the leave-one-out tie DP; bounds
-# the memory of best responses over many values and of tables over many bidders.
+# Elements per row block of the values x candidates utility matrix, per block
+# of bidder rows x bidders x bases in the leave-one-out tie DP, and per block of
+# probes x samples x bidders in the empirical estimator; bounds the memory of
+# best responses over many values, of tables over many bidders and of
+# estimates over many probes.
 BEST_RESPONSE_BLOCK = 1 << 12
 
 

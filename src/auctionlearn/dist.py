@@ -297,11 +297,17 @@ def sample_matrix(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:
 
 
 def empirical_marginals(s: SampleMatrix, h: float) -> ProductDistribution:
-    """Product of per-column uniform distributions over the sampled values."""
+    """Product of per-column uniform distributions over the sampled values.
+
+    A column's atoms are its distinct values, with weights count / m divided by
+    their left-to-right sum: the bits :func:`make_discrete` gives, without its merge.
+    """
     marginals = []
     for col in s.values.T:
-        uniq, counts = np.unique(col, return_counts=True)
-        marginals.append(make_discrete(uniq.tolist(), (counts / s.m).tolist()))
+        atoms, counts = np.unique(col, return_counts=True)
+        w = counts / s.m
+        w /= w.cumsum()[-1]
+        marginals.append(DiscreteDistribution(tuple(atoms.tolist()), tuple(w.tolist())))
     return ProductDistribution(tuple(marginals), float(h))
 
 

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .auction import (
+    BEST_RESPONSE_BLOCK,
     AuctionRule,
     ex_post_utility,
     interim_utility_exact,
@@ -27,7 +28,6 @@ from .dist import (
     SampleMatrix,
     empirical_marginals,
     sample_matrix,
-    sum_left_to_right,
 )
 from .strategy import StrategyProfile, shade
 
@@ -47,13 +47,27 @@ class ErrorReport:
 def emp_estimate(
     s: SampleMatrix, rule: AuctionRule, i: int, values: Sequence[float], profile: StrategyProfile
 ) -> list[float]:
-    """Average ex post utility of bidder i at each value over the sampled opponent rows."""
-    bids = profile.bids(s.values)  # one bid matrix; only column i changes per value
-    out = []
-    for v_i, b_i in zip(values, profile[i].eval(values).tolist()):
-        bids[:, i] = b_i
-        out.append(sum_left_to_right(ex_post_utility(rule, i, v_i, bids)) / s.m)
-    return out
+    """Average ex post utility of bidder i at each value over the sampled opponent rows.
+
+    The probes run in blocks of ``BEST_RESPONSE_BLOCK // (m * n)`` (one at least):
+    one ex post kernel call per block, on a stack of the bid matrix with bidder i's
+    column set to each probe's bid. A mean adds its row left to right from 0.0,
+    as :func:`dist.sum_left_to_right` does.
+    """
+    v = np.asarray(values, dtype=float)
+    own = profile[i].eval(v)
+    rows = max(1, BEST_RESPONSE_BLOCK // s.values.size)
+    # The bid matrix once per probe of a block; only column i changes per probe.
+    stack = np.repeat(profile.bids(s.values)[None], min(rows, len(v)), axis=0)
+    sums = np.empty(len(v))
+    for lo in range(0, len(v), rows):
+        block = stack[: min(rows, len(v) - lo)]
+        block[:, :, i] = own[lo : lo + rows, None]
+        # The utilities stay unnamed, so none outlive their block's kernel call.
+        sums[lo : lo + rows] = np.cumsum(
+            ex_post_utility(rule, i, v[lo : lo + rows, None], block), axis=1
+        )[:, -1]
+    return ((0.0 + sums) / s.m).tolist()
 
 
 def _probe_values(f: ProductDistribution, profile: StrategyProfile, i: int) -> list[float]:

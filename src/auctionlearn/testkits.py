@@ -37,13 +37,18 @@ def dense_monotone_hypotheses(n: int, m: int, seed: int) -> tuple[np.ndarray, np
     witnesses = rng.uniform(-0.5, 0.5, size=m)
     grids = [np.sort(np.unique(samples[:, j])) for j in range(n - 1)]
     v_grid = np.linspace(0.0, 1.0, 41)
-    rows = []
+    stacks = []
     for _ in range(N_STRATEGIES):
         opp = tuple(random_monotone_strategy(rng, grids[j]) for j in range(n - 1))
         # With no opponents (n = 1) the m x 0 samples are the bid matrix.
         opp_bids = StrategyProfile(opp).bids(samples) if opp else samples
         realized = np.unique(opp_bids)
-        for b in np.concatenate(([0.0], realized, realized + 1e-9)):
-            bids = np.column_stack([np.full(m, b), opp_bids])
-            rows.append(ex_post_utility(rule, 0, v_grid[:, None], bids))
-    return np.concatenate(rows), witnesses
+        own = np.concatenate(([0.0], realized, realized + 1e-9))
+        stack = np.empty((len(own), m, n))
+        stack[:, :, 0] = own[:, None]
+        stack[:, :, 1:] = opp_bids
+        stacks.append(stack)
+    bids = np.concatenate(stacks)
+    # One kernel call over (own bid, value, sample); explicit sizes, since m may be 0.
+    u = ex_post_utility(rule, 0, v_grid[:, None], bids[:, None])
+    return u.reshape(len(bids) * len(v_grid), m), witnesses

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from auctionlearn.auction import (
+    FPA_NONE,
     FPA_RANDOM,
     AuctionRule,
     CandidateBid,
@@ -48,6 +49,7 @@ from auctionlearn.equilibrium import BNECertificate, _snap_to_grid, verify_bne
 from auctionlearn.lowerbound import _mask_probs, distinguisher_trials
 from auctionlearn.pandora import IndexPolicy, SearchInstance, _effective_prefix, weitzman_index
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
+from auctionlearn.testkits import N_STRATEGIES, random_monotone_strategy
 
 
 # Bids, values and atoms on a quarter grid, so that ties are frequent.
@@ -166,6 +168,44 @@ def emp_estimate_reference(s, rule, i, v_i, profile) -> float:
     bids = profile.bids(s.values)
     bids[:, i] = profile[i].eval(v_i)
     return sum_left_to_right(ex_post_utility(rule, i, v_i, bids)) / s.m
+
+
+def ex_post_allocation_reference(tie: Tie, bids) -> np.ndarray:
+    """``auction.ex_post_allocation`` by reductions over the last axis."""
+    b = np.asarray(bids, dtype=float)
+    top = b == b.max(axis=-1, keepdims=True)
+    k = top.sum(axis=-1, keepdims=True)
+    if tie is Tie.NO_ALLOCATION:
+        return (top & (k == 1)).astype(float)
+    return top / k
+
+
+def dense_monotone_hypotheses_reference(n: int, m: int, seed: int):
+    """``testkits.dense_monotone_hypotheses`` with one ex post kernel call per own bid."""
+    rng = np.random.default_rng(seed)
+    rule = FPA_NONE if n == 2 else FPA_RANDOM
+    samples = rng.random((m, n - 1))
+    witnesses = rng.uniform(-0.5, 0.5, size=m)
+    grids = [np.sort(np.unique(samples[:, j])) for j in range(n - 1)]
+    v_grid = np.linspace(0.0, 1.0, 41)
+    rows = []
+    for _ in range(N_STRATEGIES):
+        opp = tuple(random_monotone_strategy(rng, grids[j]) for j in range(n - 1))
+        opp_bids = StrategyProfile(opp).bids(samples) if opp else samples
+        realized = np.unique(opp_bids)
+        for b in np.concatenate(([0.0], realized, realized + 1e-9)):
+            bids = np.column_stack([np.full(m, b), opp_bids])
+            rows.append(ex_post_utility(rule, 0, v_grid[:, None], bids))
+    return np.concatenate(rows), witnesses
+
+
+def empirical_marginals_reference(s: SampleMatrix, h: float) -> ProductDistribution:
+    """``dist.empirical_marginals`` through ``make_discrete``."""
+    marginals = []
+    for col in s.values.T:
+        uniq, counts = np.unique(col, return_counts=True)
+        marginals.append(make_discrete(uniq.tolist(), (counts / s.m).tolist()))
+    return ProductDistribution(tuple(marginals), float(h))
 
 
 def label_vector_count_reference(hypothesis_values, witnesses) -> int:
@@ -968,6 +1008,20 @@ def distinguisher_trials_reference(
 def distinguisher_experiment(n: int, eps: float, m: int, trials: int, seed: int) -> float:
     """Mean recovery fraction over trials."""
     return float(np.mean(distinguisher_trials(n, eps, m, trials, seed)))
+
+
+def count_calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """Wrap ``owner.name``, a module's function or a class's method, for one test;
+    each call appends its positional arguments to the returned list."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
 
 
 @pytest.fixture

@@ -39,6 +39,7 @@ from conftest import (
     best_response_profile_reference,
     candidate_allocations_reference,
     constant,
+    ex_post_allocation_reference,
     interim_by_enumeration,
     monotone_best_response_profile,
     point_mass,
@@ -108,6 +109,34 @@ def test_batched_kernel_matches_scalar_reference(data):
             share, u = ex_post_reference(rule, i, float(values[idx]), bids[idx].tolist())
             assert alloc[idx + (i,)] == share
             assert util[idx] == u
+
+
+# Ties, signed zeros, infinities and NaN.
+EX_POST_BIDS = st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, -np.inf, np.nan]) | st.floats()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_column_wise_allocation_matches_last_axis_reference(data):
+    # One bid vector, zero rows, one bidder (..., 1) and stacks of rows.
+    tie = data.draw(st.sampled_from(list(Tie)))
+    lead = data.draw(st.sampled_from([(), (0,), (4,), (2, 3), (3, 0)]))
+    n = data.draw(st.integers(1, 5))
+    bids = data.draw(hnp.arrays(float, lead + (n,), elements=EX_POST_BIDS))
+    with np.errstate(invalid="ignore"):  # a NaN row has no top bid: 0 / 0
+        got, want = ex_post_allocation(tie, bids), ex_post_allocation_reference(tie, bids)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0,), (0, 0), ()])
+def test_allocation_without_bidders_raises_value_error(shape):
+    # A scalar has no bidder axis either.
+    for tie in Tie:
+        with pytest.raises(ValueError):
+            ex_post_allocation(tie, np.zeros(shape))
+    with pytest.raises(ValueError):
+        ex_post_utility(FPA_RANDOM, 0, 1.0, np.zeros(shape))
 
 
 # Quarter-grid bids tie with the atoms; off-grid bids fall between them, and

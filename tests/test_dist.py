@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auctionlearn import dist
 from auctionlearn.dist import (
     DiscreteDistribution,
     ProductDistribution,
@@ -22,6 +23,8 @@ from auctionlearn.dist import (
 
 from conftest import (
     QUARTERS,
+    count_calls,
+    empirical_marginals_reference,
     point_mass,
     prob_at_most_reference,
     prob_at_reference,
@@ -246,6 +249,28 @@ class TestEmpiricalMarginals:
             # 6 sigma for a weight estimate at m = 1e5
             tol = 6 * np.sqrt(w * (1 - w) / 10**5)
             assert abs(e.marginals[0].prob_at(a) - w) < tol
+
+    @pytest.mark.parametrize("m", [1, 3, 7, 10**4])
+    @given(k=st.integers(0, 40), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_make_discrete_reference(self, m, k, n, seed):
+        # Columns drawn from -0.0, 0.0 and k 2-decimal values: np.unique keeps one
+        # of the zeros, and both builds must keep the same one. More than 8 atoms
+        # tell a left-to-right weight sum from numpy's unrolled ``sum``.
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate(([0.0, -0.0], np.round(rng.random(k), 2)))
+        s = SampleMatrix(rng.choice(pool, size=(m, n)))
+        got, want = empirical_marginals(s, 1.0), empirical_marginals_reference(s, 1.0)
+        assert got == want
+        for g, w in zip(got.marginals, want.marginals):
+            assert np.array(g.atoms).tobytes() == np.array(w.atoms).tobytes()
+            assert np.array(g.weights).tobytes() == np.array(w.weights).tobytes()
+
+    def test_builds_without_make_discrete(self, monkeypatch):
+        s = sample_matrix(ProductDistribution.iid(uniform_on([0.0, 0.5, 1.0]), 3, 1.0), 50, 0)
+        calls = count_calls(monkeypatch, dist, "make_discrete")
+        assert len(empirical_marginals(s, 1.0).marginals) == 3
+        assert calls == []
 
 
 @given(quarter_distributions(), st.lists(st.one_of(QUARTERS, st.floats(-1.0, 2.0)), max_size=8))

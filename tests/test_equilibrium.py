@@ -45,6 +45,7 @@ from conftest import (
     QUARTERS,
     certify_reference,
     constant,
+    count_calls,
     damped_mix_reference,
     equilibrium_transfer_check,
     point_mass,
@@ -409,20 +410,9 @@ class TestSolve:
         # response and one for the damped iterate; a considered profile
         # reuses them instead of pushing every bidder again. A push is a
         # bincount onto the solver's axis: no distribution is built.
-        pushes, built = [], []
-        bid_masses, init = equilibrium._bid_masses, DiscreteDistribution.__post_init__
-
-        def counting_push(axis, bids, weights):
-            pushes.append(None)
-            return bid_masses(axis, bids, weights)
-
-        def counting_init(self):
-            built.append(None)
-            init(self)
-
         f = random_product(rng, 3)
-        monkeypatch.setattr(equilibrium, "_bid_masses", counting_push)
-        monkeypatch.setattr(DiscreteDistribution, "__post_init__", counting_init)
+        pushes = count_calls(monkeypatch, equilibrium, "_bid_masses")
+        built = count_calls(monkeypatch, DiscreteDistribution, "__post_init__")
         _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.5, seed=1)
         assert cert.epsilon > 0.0  # no early stop: all 5 x 2 rounds ran
         assert built == []
@@ -488,16 +478,9 @@ class TestPerCallWork:
     def test_one_candidate_bid_per_certificate_row(self, monkeypatch):
         # 200 atoms per bidder: the certificate builds its default worst bid
         # and at most one bid per bidder, the winner of the bidder's row.
-        made = []
-        init = CandidateBid.__init__
-
-        def counting(self, *args, **kwargs):
-            made.append(None)
-            init(self, *args, **kwargs)
-
         f = ProductDistribution.iid(uniform_on([k / 199 for k in range(200)]), 4, 1.0)
         profile = StrategyProfile((shade(f.marginals[0].atoms, 0.5),) * f.n)
-        monkeypatch.setattr(CandidateBid, "__init__", counting)
+        made = count_calls(monkeypatch, CandidateBid, "__init__")
         cert = verify_bne(FPA_RANDOM, f, profile)
         assert cert.epsilon > 0.0
         assert len(made) <= f.n + 1
@@ -505,35 +488,17 @@ class TestPerCallWork:
     def test_solve_builds_only_the_returned_strategies(self, monkeypatch, rng):
         # The solver carries one bid vector per bidder: it evaluates no strategy
         # and builds only the n it returns.
-        built, evals = [], []
-        init, evaluate = MonotoneStrategy.__post_init__, MonotoneStrategy.eval
-
-        def counting_init(self):
-            built.append(None)
-            init(self)
-
-        def counting_eval(self, v):
-            evals.append(None)
-            return evaluate(self, v)
-
-        monkeypatch.setattr(MonotoneStrategy, "__post_init__", counting_init)
-        monkeypatch.setattr(MonotoneStrategy, "eval", counting_eval)
+        built = count_calls(monkeypatch, MonotoneStrategy, "__post_init__")
+        evals = count_calls(monkeypatch, MonotoneStrategy, "eval")
         f = random_product(rng, 3)
         _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, seed=1)
         assert cert.epsilon > 0.0  # no early stop
         assert len(built) == f.n and evals == []
 
     def test_verify_evaluates_each_strategy_once(self, monkeypatch):
-        evals = []
-        evaluate = MonotoneStrategy.eval
-
-        def counting_eval(self, v):
-            evals.append(None)
-            return evaluate(self, v)
-
         f = ProductDistribution.iid(uniform_on([k / 199 for k in range(200)]), 4, 1.0)
         profile = StrategyProfile((shade(f.marginals[0].atoms, 0.5),) * f.n)
-        monkeypatch.setattr(MonotoneStrategy, "eval", counting_eval)
+        evals = count_calls(monkeypatch, MonotoneStrategy, "eval")
         assert verify_bne(FPA_RANDOM, f, profile).epsilon > 0.0
         assert len(evals) == f.n
 
@@ -550,6 +515,16 @@ class TestPerCallWork:
             for n in range(4):
                 candidate_allocations(tie, [random_bid_dist(rng) for _ in range(n)])
         assert calls == []
+
+    def test_candidate_table_runs_the_tie_dp_on_one_row(self, monkeypatch, rng):
+        # The table is the row of a bidder with no mass against the opponents:
+        # the tie DP runs once, on that row alone, not on every bidder's row.
+        dps = count_calls(monkeypatch, auction, "_tie_dp")
+        for tie in Tie:
+            for n in (0, 1, 3, 31):
+                dps.clear()
+                table = candidate_allocations(tie, [random_bid_dist(rng) for _ in range(n)])
+                assert [np.shape(like) for _, like, _ in dps] == [(len(table) // 2,)]
 
 
 def test_verify_memory_is_bounded_at_many_bidders():

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from auctionlearn.auction import ALLPAY_NONE, ALLPAY_RANDOM, FPA_NONE, FPA_RANDOM
+from auctionlearn import auction, estimate, testkits
+from auctionlearn.auction import (
+    ALLPAY_NONE,
+    ALLPAY_RANDOM,
+    BEST_RESPONSE_BLOCK,
+    FPA_NONE,
+    FPA_RANDOM,
+)
 from auctionlearn.dist import (
     ProductDistribution,
     SampleMatrix,
@@ -26,8 +35,11 @@ from auctionlearn.testkits import dense_monotone_hypotheses
 
 from conftest import (
     QUARTERS,
+    count_calls,
+    dense_monotone_hypotheses_reference,
     emp_estimate_reference,
     empp_estimate,
+    ex_post_allocation_reference,
     label_vector_count_reference,
     median_ratio_table,
     permutation_identity_check,
@@ -154,14 +166,7 @@ class TestSupError:
             sup_error_sweep(f, FPA_RANDOM, [], [4], 2, 0, estimator)
 
     def test_emp_builds_one_bid_matrix_per_profile_and_bidder(self, monkeypatch):
-        calls = []
-        bids = StrategyProfile.bids
-
-        def counting(profile, values):
-            calls.append(None)
-            return bids(profile, values)
-
-        monkeypatch.setattr(StrategyProfile, "bids", counting)
+        calls = count_calls(monkeypatch, StrategyProfile, "bids")
         f = ProductDistribution.iid(uniform_on([0.0, 0.5, 1.0]), 3, 1.0)
         fam = shade_family(f, [0.0, 0.5, 1.0])
         sup_error(sample_matrix(f, 20, seed=2), FPA_RANDOM, fam, f, "emp")
@@ -174,6 +179,75 @@ class TestSupError:
         med = median_ratio_table(rows)
         ratio = med[0][1] / med[1][1]
         assert 1.4 <= ratio <= 2.9  # 1/sqrt(m) trend, loose gate at 20 seeds
+
+
+class TestEmpProbeBlocks:
+    """``emp_estimate`` runs its probes in blocks of BEST_RESPONSE_BLOCK // (m * n)."""
+
+    @pytest.mark.parametrize("rule", [FPA_RANDOM, FPA_NONE, ALLPAY_RANDOM, ALLPAY_NONE])
+    def test_several_blocks_match_scalar_reference(self, rule):
+        # m x n = 1,200 gives blocks of three probes: 40 probes take 14 blocks, the
+        # last one short. A symmetric shade on a quarter grid ties often.
+        rng = np.random.default_rng(20)
+        f = ProductDistribution.iid(uniform_on([0.0, 0.25, 0.5, 0.75, 1.0]), 4, 1.0)
+        s = sample_matrix(f, 300, seed=3)
+        probes = sorted([0.0, 0.25, 0.5, 1.0] + rng.random(36).tolist())
+        for profile in (shade_family(f, [0.5])[0], random_profile(rng, f)):
+            for i in range(f.n):
+                want = [emp_estimate_reference(s, rule, i, v, profile) for v in probes]
+                assert emp_estimate(s, rule, i, probes, profile) == want
+
+    @pytest.mark.parametrize("m,n,probes", [(200, 4, 20), (300, 4, 40), (5000, 2, 7), (1, 1, 5000)])
+    def test_one_kernel_call_per_block(self, monkeypatch, m, n, probes):
+        # 200 x 4 samples and 20 probes: 4 calls, where one call per probe made 20.
+        f = ProductDistribution.iid(uniform_on([0.0, 0.5, 1.0]), n, 1.0)
+        s = sample_matrix(f, m, seed=1)
+        values = [k / probes for k in range(probes)]
+        calls = count_calls(monkeypatch, estimate, "ex_post_utility")
+        emp_estimate(s, FPA_RANDOM, 0, values, shade_family(f, [0.5])[0])
+        assert len(calls) == math.ceil(probes / max(1, BEST_RESPONSE_BLOCK // (m * n)))
+
+    def test_peak_memory_is_one_probe_of_the_scalar_loop(self, monkeypatch):
+        # 10^5 x 4 samples take one probe per block.
+        # The scalar loop with the last-axis kernel held one bid matrix and one
+        # kernel call; the slack is for the probe-length vectors, far below one
+        # 0.8 MB column of samples.
+        f = ProductDistribution.iid(uniform_on([k / 20 for k in range(21)]), 4, 1.0)
+        s = sample_matrix(f, 10**5, seed=1)
+        profile = shade_family(f, [0.5])[0]
+        probes = [k / 99 for k in range(100)]
+
+        def peak(run) -> int:
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        batched = peak(lambda: emp_estimate(s, FPA_RANDOM, 1, probes, profile))
+        monkeypatch.setattr(auction, "ex_post_allocation", ex_post_allocation_reference)
+        scalar = peak(lambda: emp_estimate_reference(s, FPA_RANDOM, 1, probes[-1], profile))
+        assert batched <= scalar + 2**16
+
+
+class TestDenseHypotheses:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", range(7))
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=3, deadline=None)
+    def test_matches_per_bid_reference(self, n, m, seed):
+        values, witnesses = dense_monotone_hypotheses(n, m, seed)
+        want_values, want_witnesses = dense_monotone_hypotheses_reference(n, m, seed)
+        assert values.shape == want_values.shape
+        assert values.tobytes() == want_values.tobytes()
+        assert witnesses.tobytes() == want_witnesses.tobytes()
+
+    def test_one_kernel_call(self, monkeypatch):
+        # n = 3, m = 5: one call per own bid made 840.
+        calls = count_calls(monkeypatch, testkits, "ex_post_utility")
+        values, _ = dense_monotone_hypotheses(3, 5, seed=0)
+        assert len(calls) == 1 and values.shape[1] == 5
 
 
 class TestPermutationIdentity:
