@@ -64,15 +64,19 @@ def ex_post_allocation(tie: Tie, bids) -> np.ndarray:
 
     The top bid wins; a k-way top tie gives each tied bidder 1/k under random
     allocation (the expectation over the uniform tie-break) and 0 otherwise.
-    The top bid and the tie count are reduced column by column, since numpy
-    reduces a short last axis slowly; an array without bidders raises ``ValueError``.
+    Many rows of few bidders (at most 16, and at least 64 rows per bidder) take
+    the top bid and the tie count column by column, since numpy reduces a short
+    last axis row by row, slowly; other arrays reduce the last axis. Both give
+    the same bits.
     """
     b = np.asarray(bids, dtype=float)
-    n = b.shape[-1] if b.ndim else 0
-    if n == 0:
-        raise ValueError("a bid array needs at least one bidder on its last axis")
-    top = b == reduce(np.maximum, (b[..., j : j + 1] for j in range(n)))
-    k = reduce(np.add, (top[..., j : j + 1] for j in range(1, n)), top[..., :1].astype(int))
+    n = b.shape[-1] if b.ndim else 1
+    if 0 < n <= 16 and b.size >= 64 * n * n:
+        top = b == reduce(np.maximum, (b[..., j : j + 1] for j in range(n)))
+        k = reduce(np.add, (top[..., j : j + 1] for j in range(1, n)), top[..., :1].astype(int))
+    else:
+        top = b == b.max(axis=-1, keepdims=True)
+        k = top.sum(axis=-1, keepdims=True)
     if tie is Tie.NO_ALLOCATION:
         return (top & (k == 1)).astype(float)
     return top / k
@@ -87,10 +91,9 @@ def ex_post_utility(rule: AuctionRule, i: int, v_i, bids):
     first-price auction.
     """
     b = np.asarray(bids, dtype=float)
-    alloc = ex_post_allocation(rule.tie, b)
     if not 0 <= i < b.shape[-1]:
         raise ValueError(f"bidder {i} out of range for {b.shape[-1]} bids")
-    return _utility(rule.format, v_i, b[..., i], alloc[..., i])
+    return _utility(rule.format, v_i, b[..., i], ex_post_allocation(rule.tie, b)[..., i])
 
 
 def push_forward(f_j: DiscreteDistribution, s_j: MonotoneStrategy) -> DiscreteDistribution:

@@ -118,25 +118,33 @@ EX_POST_BIDS = st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, -np.inf, np.nan]) |
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_column_wise_allocation_matches_last_axis_reference(data):
-    # One bid vector, zero rows, one bidder (..., 1) and stacks of rows.
+    # One bid vector, zero rows, one bidder (..., 1) and stacks of rows, few or many.
     tie = data.draw(st.sampled_from(list(Tie)))
     lead = data.draw(st.sampled_from([(), (0,), (4,), (2, 3), (3, 0)]))
     n = data.draw(st.integers(1, 5))
     bids = data.draw(hnp.arrays(float, lead + (n,), elements=EX_POST_BIDS))
+    if bids.size and data.draw(st.booleans()):
+        # 64 copies of every row per bidder: the column-wise branch.
+        bids = np.tile(bids.reshape(-1, n), (64 * n, 1)).reshape(2, -1, n)
     with np.errstate(invalid="ignore"):  # a NaN row has no top bid: 0 / 0
         got, want = ex_post_allocation(tie, bids), ex_post_allocation_reference(tie, bids)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("shape", [(3, 0), (0,), (0, 0), ()])
+@pytest.mark.parametrize("shape", [(3, 0), (0,), (0, 0)])
 def test_allocation_without_bidders_raises_value_error(shape):
-    # A scalar has no bidder axis either.
     for tie in Tie:
         with pytest.raises(ValueError):
             ex_post_allocation(tie, np.zeros(shape))
     with pytest.raises(ValueError):
         ex_post_utility(FPA_RANDOM, 0, 1.0, np.zeros(shape))
+
+
+def test_scalar_bid_is_one_bidder_alone():
+    for tie in Tie:
+        got = ex_post_allocation(tie, 0.5)
+        assert got.shape == () and got == 1.0
 
 
 # Quarter-grid bids tie with the atoms; off-grid bids fall between them, and
