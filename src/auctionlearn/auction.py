@@ -153,23 +153,19 @@ def candidate_allocations(tie: Tie, opp: Sequence[DiscreteDistribution]) -> np.n
 
     A record array with fields ``base``, ``limit_above`` and ``alloc``: 0 and
     every opponent atom, each exact bid followed by its right limit. The
-    probabilities are independent of the bidder's value. It is the row of
-    :func:`_leave_one_out_allocations` of one bidder with no mass against the
-    opponents, computed alone: by facts (a) and (b) there, the opponents'
-    factors fed straight to the tie DP give its bits.
+    probabilities are independent of the bidder's value. It is the
+    :func:`_leave_one_out_row` of one bidder after the opponents, who leaves none
+    of them out, on the axis of 0 and their atoms.
     """
     bases = np.array(sorted({0.0} | {a for d in opp for a in d.atoms}))
     masses = np.zeros((len(opp), len(bases)))
     for row, d in zip(masses, opp):
         atoms, weights, _ = d.arrays
         row[:] = _bid_masses(bases, atoms, weights[:-1])
-    cum = np.zeros((len(opp), len(bases) + 1))  # P(bid < base k) in column k, <= in k + 1
-    np.cumsum(masses, axis=1, out=cum[:, 1:])
     out = np.empty(2 * len(bases), [("base", float), ("limit_above", bool), ("alloc", float)])
     out["base"][0::2] = out["base"][1::2] = bases
     out["limit_above"][0::2], out["limit_above"][1::2] = False, True
-    out["alloc"][0::2] = _tie_dp(tie, bases, zip(cum[:, :-1], masses))
-    out["alloc"][1::2] = reduce(np.multiply, cum[:, 1:], 1.0)
+    out["alloc"] = _leave_one_out_row(tie, masses, _prefix_masses(masses), len(opp))
     return out
 
 
@@ -180,29 +176,36 @@ def _bid_masses(axis: np.ndarray, bids: np.ndarray, weights: np.ndarray) -> np.n
     return np.bincount(axis.searchsorted(bids), weights, minlength=len(axis))
 
 
-# Elements per row block of the values x candidates utility matrix, per block
-# of bidder rows x bidders x bases in the leave-one-out tie DP, and per block of
-# probes x samples x bidders in the empirical estimator; bounds the memory of
-# best responses over many values, of tables over many bidders and of
-# estimates over many probes.
+# Elements per row block of the values x candidates utility matrix and per block
+# of probes x samples x bidders in the empirical estimator; bounds the memory of
+# best responses over many values and of estimates over many probes.
 BEST_RESPONSE_BLOCK = 1 << 12
 
 
-def _leave_one_out_allocations(tie: Tie, masses: np.ndarray) -> np.ndarray:
-    """Every bidder's allocation probabilities on a shared bid axis, against all the
-    other bidders: row i of the (n, 2G) result holds base k's exact bid in column
-    2k and its right limit in column 2k + 1.
+def _prefix_masses(masses: np.ndarray) -> np.ndarray:
+    """P(bid < base k) in column k and P(bid <= base k) in column k + 1, per row of
+    bid masses on a sorted axis: prefix sums left to right from 0.0."""
+    cum = np.zeros((len(masses), masses.shape[1] + 1))
+    np.cumsum(masses, axis=1, out=cum[:, 1:])
+    return cum
+
+
+def _leave_one_out_row(tie: Tie, masses: np.ndarray, cum: np.ndarray, i: int) -> np.ndarray:
+    """Bidder i's allocation probabilities on a shared bid axis, against all the other
+    bidders: base k's exact bid in column 2k and its right limit in column 2k + 1.
 
     ``masses[j, k]`` is P(bidder j bids axis[k]), on one sorted axis that holds 0.0
-    and every bid. The tie DP runs over the bidders in order, on blocks of bidder
-    rows with rows x n x G <= ``BEST_RESPONSE_BLOCK`` (one row at least, so no
-    (n, n, G) tensor), with bidder i's own factor (P(below), P(at)) = (1.0, 0.0);
-    the right limits multiply P(bid <= base) in bidder order, 1.0 at the own row.
+    and every bid, and ``cum`` is its :func:`_prefix_masses`. The tie DP runs over the
+    bidders j != i in bidder order, fed (P(below), P(at)) = (cum[j, k], masses[j, k]);
+    the right limits multiply P(bid <= base) = cum[j, k + 1] in the same order, from
+    1.0. An ``i`` of ``len(masses)`` leaves nobody out.
 
-    Row i has the bits of the table of bidder i's opponents alone, because
+    The row has the bits of the table of bidder i's opponents alone, because
     (a) a base where an opponent has no mass adds +0.0 to its prefix sums;
-    (b) the own factor leaves every DP coefficient as it was and appends a +0.0
-        one, whose random-allocation share adds +0.0 (and 1.0 changes no product);
+    (b) the own factor (P(below), P(at)) = (1.0, 0.0), fed to the DP at its place,
+        would leave every DP coefficient as it was and append a +0.0 one, whose
+        random-allocation share adds +0.0 (and 1.0 changes no product): a DP over
+        every bidder with that factor gives the same bits as the row;
     (c) at a base that is no opponent's atom, the exact and the right-limit
         allocation equal the right limit of the opponent base (or 0) below it. Its
         base is higher, so its utility never strictly beats that earlier candidate,
@@ -212,24 +215,18 @@ def _leave_one_out_allocations(tie: Tie, masses: np.ndarray) -> np.ndarray:
     (d) :func:`_bid_masses` adds the weights of equal consecutive bids left to
         right from 0.0, as the merge of :func:`dist._push_values` does.
     """
-    n, g = masses.shape
-    cum = np.zeros((n, g + 1))  # P(bid < base k) in column k, P(bid <= base k) in k + 1
-    np.cumsum(masses, axis=1, out=cum[:, 1:])
-    out = np.empty((n, 2 * g))
-    rows = max(1, BEST_RESPONSE_BLOCK // (n * g))
-    for lo in range(0, n, rows):
-        block = out[lo : lo + rows]
-        own = np.arange(lo, lo + len(block))[:, None]
-        factors = (
-            (np.where(own == j, 1.0, cum[j, :-1]), np.where(own == j, 0.0, masses[j]))
-            for j in range(n)
-        )
-        block[:, 0::2] = _tie_dp(tie, block[:, 0::2], factors)
-        limit = 1.0
-        for j in range(n):
-            limit = limit * np.where(own == j, 1.0, cum[j, 1:])
-        block[:, 1::2] = limit
+    opp = [j for j in range(len(masses)) if j != i]
+    out = np.empty(2 * masses.shape[1])
+    out[0::2] = _tie_dp(tie, out[0::2], ((cum[j, :-1], masses[j]) for j in opp))
+    out[1::2] = reduce(np.multiply, (cum[j, 1:] for j in opp), 1.0)
     return out
+
+
+def _leave_one_out_allocations(tie: Tie, masses: np.ndarray) -> np.ndarray:
+    """Every bidder's :func:`_leave_one_out_row`, stacked: an (n, 2G) array for n
+    bidders' bid masses on an axis of G bases."""
+    cum = _prefix_masses(masses)
+    return np.array([_leave_one_out_row(tie, masses, cum, i) for i in range(len(masses))])
 
 
 def _argmax_utility(fmt: Format, values: np.ndarray, bases, alloc):

@@ -23,6 +23,8 @@ from .auction import (
     _bid_masses,
     _grid_best_response,
     _leave_one_out_allocations,
+    _leave_one_out_row,
+    _prefix_masses,
     _utility,
 )
 from .dist import ProductDistribution
@@ -64,25 +66,27 @@ def verify_bne(
     bids = [s.eval(m.arrays[0]) for m, s in zip(f.marginals, profile)]
     axis = np.array(sorted({0.0}.union(*(b.tolist() for b in bids))))
     masses = np.array([_bid_masses(axis, b, m.arrays[1][:-1]) for m, b in zip(f.marginals, bids)])
-    return _certify(rule, f, bids, axis, _leave_one_out_allocations(rule.tie, masses), math.inf, 0)
+    table = _leave_one_out_allocations(rule.tie, masses)
+    return _certify(rule, f, bids, axis, table.__getitem__, math.inf, 0)
 
 
-def _certify(rule, f, bids: list, axis: np.ndarray, alloc: np.ndarray, stop_at: float, first: int):
+def _certify(rule, f, bids: list, axis: np.ndarray, row, stop_at: float, first: int):
     """``verify_bne``'s certificate of the profile whose bids at bidder i's atoms are
     ``bids[i]``, or None as soon as one bidder's largest gap is >= ``stop_at``.
-    ``alloc`` is the profile's :func:`auction._leave_one_out_allocations` on
-    ``axis``; a bidder's candidates are every base and its right limit. Bidder
-    ``first`` is examined first; the certificate is assembled in bidder order, so it
-    does not depend on it. Only the first largest gap of a row, the one ``worst``
-    may take, gets a :class:`CandidateBid`.
+    ``row(i)`` is bidder i's :func:`auction._leave_one_out_row` of the profile on
+    ``axis``, read once per examined bidder; a bidder's candidates are every base
+    and its right limit. Bidder ``first`` is examined first; the certificate is
+    assembled in bidder order, so it does not depend on it. Only the first largest
+    gap of a row, the one ``worst`` may take, gets a :class:`CandidateBid`.
     """
     bases = np.repeat(axis, 2)
     rows = {}
     for i in [first] + [j for j in range(f.n) if j != first]:
         values = f.marginals[i].arrays[0]
-        sups, picks = _argmax_utility(rule.format, values, bases, alloc[i])
+        alloc = row(i)
+        sups, picks = _argmax_utility(rule.format, values, bases, alloc)
         own = bids[i]
-        gaps = sups - _utility(rule.format, values, own, alloc[i, 2 * axis.searchsorted(own)])
+        gaps = sups - _utility(rule.format, values, own, alloc[2 * axis.searchsorted(own)])
         bad = ~(gaps >= -1e-9)  # also a NaN gap, which `gap > eps` would skip
         if bad.any():
             gap = gaps[bad.argmax()].item()
@@ -175,9 +179,13 @@ def solve_bne(
     grid bid or 0.0 at each of the bidder's atoms, with a default bid of 0, so
     the solver carries one bid vector per bidder, pushes it onto the fixed axis
     of 0.0 and the grid with one ``bincount``, and builds a
-    :class:`MonotoneStrategy` only for the returned profile. One leave-one-out
-    table per profile serves every bidder's grid best response and certificate
-    row; the last two profiles' tables are kept.
+    :class:`MonotoneStrategy` only for the returned profile. A bidder's
+    leave-one-out row is computed only when a grid best response or a
+    certificate reads it, and cached by the bidder and the opponents' bid masses,
+    the newest 2n rows kept: a step replaces only the stepping bidder's masses,
+    so the row of its best response also serves the stepped and the damped
+    profile. The prefix sums of a profile's masses are taken once, when the first
+    missing row of it is read.
     Dynamics need not converge in a first-price auction: only a certificate of
     0 ends the search early. Grid bids must lie in [0, ``f.h``].
     """
@@ -203,29 +211,39 @@ def solve_bne(
     weights = [m.arrays[1][:-1] for m in f.marginals]
     best_bids: list | None = None
     best_cert: BNECertificate | None = None
-    tables: dict[bytes, np.ndarray] = {}  # the last two profiles' tables, newest last
+    cache: dict[tuple, np.ndarray] = {}  # the newest 2n rows, newest last
     # The bid bytes of every certified profile. They tell -0.0 from 0.0, which
     # costs at most a repeated certification.
     certified: set[tuple[bytes, ...]] = set()
 
-    def table(masses: np.ndarray) -> np.ndarray:
-        key = masses.tobytes()
-        alloc = tables.pop(key, None)
-        if alloc is None:
-            alloc = _leave_one_out_allocations(rule.tie, masses)
-        tables[key] = alloc
-        if len(tables) > 2:
-            del tables[next(iter(tables))]
-        return alloc
+    def rows_of(masses: np.ndarray):
+        # The row getter of the profile whose bid masses are `masses`, which must
+        # not change while the getter is in use.
+        cum = None
 
-    def consider(bids: list, masses: np.ndarray) -> None:
+        def row(i: int) -> np.ndarray:
+            nonlocal cum
+            key = (i, masses[:i].tobytes(), masses[i + 1 :].tobytes())
+            alloc = cache.pop(key, None)
+            if alloc is None:
+                if cum is None:
+                    cum = _prefix_masses(masses)
+                alloc = _leave_one_out_row(rule.tie, masses, cum, i)
+            cache[key] = alloc
+            if len(cache) > 2 * f.n:
+                del cache[next(iter(cache))]
+            return alloc
+
+        return row
+
+    def consider(bids: list, row) -> None:
         nonlocal best_bids, best_cert
         key = tuple(b.tobytes() for b in bids)
         if key in certified:  # its epsilon is >= the best's, so it is cut off again
             return
         certified.add(key)
         bound = (best_cert.epsilon, best_cert.worst[0]) if best_cert else (math.inf, 0)
-        cert = _certify(rule, f, bids, axis, table(masses), *bound)
+        cert = _certify(rule, f, bids, axis, row, *bound)
         if cert is not None:
             best_bids, best_cert = list(bids), cert
 
@@ -238,17 +256,19 @@ def solve_bne(
         # bidders' bid masses on the axis; a step replaces only the stepping bidder's.
         bids = [_shade_on_grid(m.atoms, alpha, grid) for m in f.marginals]
         masses = np.array([_bid_masses(axis, b, w) for b, w in zip(bids, weights)])
-        consider(bids, masses)
+        row = rows_of(masses)
+        consider(bids, row)
         for _ in range(max_iters // len(starts)):
             if best_cert.epsilon == 0.0:
                 return best()
             for i, m in enumerate(f.marginals):
-                alloc = table(masses)[i, grid_pos]
+                alloc = row(i)[grid_pos]
                 br = _grid_best_response(rule.format, m.arrays[0], grid_bids, alloc)
                 stepped = masses.copy()
                 stepped[i] = _bid_masses(axis, br, weights[i])
-                consider([*bids[:i], br, *bids[i + 1 :]], stepped)
+                consider([*bids[:i], br, *bids[i + 1 :]], rows_of(stepped))
                 bids[i] = _damped_mix(bids[i], br, damping, rng)
                 masses[i] = _bid_masses(axis, bids[i], weights[i])
-                consider(bids, masses)
+                row = rows_of(masses)
+                consider(bids, row)
     return best()

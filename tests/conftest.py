@@ -14,6 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from auctionlearn.auction import (
+    BEST_RESPONSE_BLOCK,
     FPA_NONE,
     FPA_RANDOM,
     AuctionRule,
@@ -21,6 +22,7 @@ from auctionlearn.auction import (
     Format,
     Tie,
     _grid_best_response,
+    _tie_dp,
     _utility,
     allocation_probability,
     ex_post_utility,
@@ -421,6 +423,50 @@ def candidate_allocations_reference(tie, opp) -> np.ndarray:
     out["limit_above"] = np.tile([False, True], len(bases))
     out["alloc"][0::2] = allocation_probability(tie, opp, bases)
     out["alloc"][1::2] = cdf_of_max(opp, bases)
+    return out
+
+
+def leave_one_out_allocations_reference(tie: Tie, masses: np.ndarray) -> np.ndarray:
+    """Every bidder's allocation probabilities on a shared bid axis, against all the
+    other bidders: row i of the (n, 2G) result holds base k's exact bid in column
+    2k and its right limit in column 2k + 1.
+
+    ``masses[j, k]`` is P(bidder j bids axis[k]), on one sorted axis that holds 0.0
+    and every bid. The tie DP runs over the bidders in order, on blocks of bidder
+    rows with rows x n x G <= ``BEST_RESPONSE_BLOCK`` (one row at least, so no
+    (n, n, G) tensor), with bidder i's own factor (P(below), P(at)) = (1.0, 0.0);
+    the right limits multiply P(bid <= base) in bidder order, 1.0 at the own row.
+
+    Row i has the bits of the table of bidder i's opponents alone, because
+    (a) a base where an opponent has no mass adds +0.0 to its prefix sums;
+    (b) the own factor leaves every DP coefficient as it was and appends a +0.0
+        one, whose random-allocation share adds +0.0 (and 1.0 changes no product);
+    (c) at a base that is no opponent's atom, the exact and the right-limit
+        allocation equal the right limit of the opponent base (or 0) below it. Its
+        base is higher, so its utility never strictly beats that earlier candidate,
+        and a first-maximum ``argmax`` or ``np.maximum.accumulate`` keeps the same
+        pick; an exact bid read at its own base has the bits of
+        :func:`allocation_probability`;
+    (d) :func:`_bid_masses` adds the weights of equal consecutive bids left to
+        right from 0.0, as the merge of :func:`dist._push_values` does.
+    """
+    n, g = masses.shape
+    cum = np.zeros((n, g + 1))  # P(bid < base k) in column k, P(bid <= base k) in k + 1
+    np.cumsum(masses, axis=1, out=cum[:, 1:])
+    out = np.empty((n, 2 * g))
+    rows = max(1, BEST_RESPONSE_BLOCK // (n * g))
+    for lo in range(0, n, rows):
+        block = out[lo : lo + rows]
+        own = np.arange(lo, lo + len(block))[:, None]
+        factors = (
+            (np.where(own == j, 1.0, cum[j, :-1]), np.where(own == j, 0.0, masses[j]))
+            for j in range(n)
+        )
+        block[:, 0::2] = _tie_dp(tie, block[:, 0::2], factors)
+        limit = 1.0
+        for j in range(n):
+            limit = limit * np.where(own == j, 1.0, cum[j, 1:])
+        block[:, 1::2] = limit
     return out
 
 

@@ -14,6 +14,8 @@ from auctionlearn.auction import (
     Tie,
     _bid_masses,
     _leave_one_out_allocations,
+    _leave_one_out_row,
+    _prefix_masses,
     allocation_probability,
     best_response,
     candidate_allocations,
@@ -38,6 +40,7 @@ from conftest import (
     allocation_probability_reference,
     best_response_profile_reference,
     candidate_allocations_reference,
+    leave_one_out_allocations_reference,
     constant,
     ex_post_allocation_reference,
     interim_by_enumeration,
@@ -216,6 +219,35 @@ def test_leave_one_out_rows_match_each_opponents_table(data):
         below = 2 * keep[keep.searchsorted(other) - 1] + 1
         assert row[2 * other].tobytes() == row[below].tobytes()
         assert row[2 * other + 1].tobytes() == row[below].tobytes()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_leave_one_out_rows_match_block_reference(data):
+    # One to six bidders, often sharing quarter-grid atoms, on an axis that may
+    # also hold bases nobody bids on (zero-mass columns); a lone bidder has no
+    # opponents. Every row computed alone, and their stack, must give the bytes
+    # of the block kernel that feeds each bidder's own factor (1, 0).
+    tie = data.draw(st.sampled_from(list(Tie)))
+    dists = data.draw(st.lists(bid_distributions(), min_size=1, max_size=6))
+    idle = data.draw(st.lists(BIDS, max_size=4))
+    axis = np.array(sorted({0.0}.union(idle, *(d.atoms for d in dists))))
+    masses = np.array([_bid_masses(axis, np.array(d.atoms), np.array(d.weights)) for d in dists])
+    want = leave_one_out_allocations_reference(tie, masses)
+    cum = _prefix_masses(masses)
+    for i, row in enumerate(want):
+        assert _leave_one_out_row(tie, masses, cum, i).tobytes() == row.tobytes()
+    assert _leave_one_out_allocations(tie, masses).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tie", list(Tie))
+def test_lone_bidder_row_wins_every_bid(tie):
+    # No opponent: the tie DP runs over no factor and the right limits multiply
+    # none, on an axis whose bases 0.0 and 0.5 carry no mass.
+    masses = np.array([[0.0, 0.25, 0.0, 0.75]])
+    row = _leave_one_out_row(tie, masses, _prefix_masses(masses), 0)
+    assert row.tobytes() == np.ones(8).tobytes()
+    assert row.tobytes() == leave_one_out_allocations_reference(tie, masses)[0].tobytes()
 
 
 @given(st.data())

@@ -184,13 +184,18 @@ def tie_heavy_instances(draw, max_n=4):
 
 def certify_bids(rule, f, bids, pushed, stop_at, first):
     """``_certify`` of the bids at every bidder's atoms, whose bid distributions are
-    ``pushed``: their masses are placed on the axis of 0.0 and every bid."""
+    ``pushed``: their masses are placed on the axis of 0.0 and every bid, and a
+    bidder's leave-one-out row is computed when the certifier reads it."""
     axis = np.array(sorted({0.0}.union(*(b.tolist() for b in bids))))
     masses = np.zeros((f.n, len(axis)))
     for row, d in zip(masses, pushed):
         row[axis.searchsorted(d.atoms)] = d.weights
-    alloc = auction._leave_one_out_allocations(rule.tie, masses)
-    return _certify(rule, f, bids, axis, alloc, stop_at, first)
+    cum = auction._prefix_masses(masses)
+
+    def alloc_row(i):
+        return auction._leave_one_out_row(rule.tie, masses, cum, i)
+
+    return _certify(rule, f, bids, axis, alloc_row, stop_at, first)
 
 
 def certify_profile(rule, f, profile, pushed, stop_at=math.inf, first=0):
@@ -435,25 +440,24 @@ class TestSolve:
         assert len(set(certified)) == len(certified)
         assert len(certified) <= 5 + 5 * 2 * f.n
 
-    def test_every_tie_dp_is_in_one_profile_table(self, monkeypatch, rng):
-        # The grid best responses and the certificate rows of a profile read one
-        # leave-one-out table, kept while the profile is one of the last two. So
-        # every tie DP of a solve runs inside a table call (one DP per table here,
-        # where a table is one block of rows), and a solve makes at most one table
-        # call per certified profile and one per best-response step.
-        dps, tables, certified, inside = [], [], [], []
-        tie_dp = auction._tie_dp
-        table, certify = equilibrium._leave_one_out_allocations, equilibrium._certify
+    def test_every_tie_dp_is_in_one_leave_one_out_row(self, monkeypatch, rng):
+        # Grid best responses and certificates compute only the leave-one-out
+        # rows they read, one tie DP on one row each, and a row is kept by the
+        # bidder and the opponents' masses. Most certifications stop at their
+        # first bidder, and a step's row also serves the stepped and the damped
+        # profile, so a solve computes fewer rows than n per certified profile.
+        dps, rows, certified, inside = [], [], [], []
+        tie_dp, row, certify = auction._tie_dp, equilibrium._leave_one_out_row, equilibrium._certify
 
         def counting_dp(tie, like, masses):
-            dps.append(bool(inside))
+            dps.append(bool(inside) and np.ndim(like) == 1)
             return tie_dp(tie, like, masses)
 
-        def counting_table(tie, masses):
-            tables.append(None)
+        def counting_row(*args):
+            rows.append(None)
             inside.append(None)
             try:
-                return table(tie, masses)
+                return row(*args)
             finally:
                 inside.pop()
 
@@ -462,14 +466,13 @@ class TestSolve:
             return certify(*args)
 
         monkeypatch.setattr(auction, "_tie_dp", counting_dp)
-        monkeypatch.setattr(equilibrium, "_leave_one_out_allocations", counting_table)
+        monkeypatch.setattr(equilibrium, "_leave_one_out_row", counting_row)
         monkeypatch.setattr(equilibrium, "_certify", counting_certify)
         f = random_product(rng, 3)
-        _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.0, seed=1)
+        _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.5, seed=1)
         assert cert.epsilon > 0.0
         assert all(dps)
-        best_response_steps = 5 * 2 * f.n
-        assert 1 <= len(dps) == len(tables) <= len(certified) + best_response_steps
+        assert 1 <= len(dps) == len(rows) < f.n * len(certified)
 
 
 class TestPerCallWork:
@@ -529,8 +532,8 @@ class TestPerCallWork:
 
 def test_verify_memory_is_bounded_at_many_bidders():
     # 64 bidders with 50 atoms each share an axis of about 3,200 bids. The
-    # leave-one-out table is built in blocks of bidder rows: a 64 x 64 x 3,200
-    # tensor would take 105 MB.
+    # leave-one-out table is built row by row: a 64 x 64 x 3,200 tensor would
+    # take 105 MB.
     rng = np.random.default_rng(5)
     marginals = []
     for _ in range(64):
