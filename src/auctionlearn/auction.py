@@ -120,18 +120,15 @@ def _tie_dp(tie: Tie, like: np.ndarray, masses) -> np.ndarray:
 
 
 def allocation_probability(tie: Tie, opp: Sequence[DiscreteDistribution], bases):
-    """Exact interim allocation probability of every exact bid in ``bases``.
-
-    A bid wins when no opponent bids above it, ties as the tie DP resolves them.
-    A scalar ``bases`` gives a float. A right limit ``base+`` wins when no
-    opponent bids above ``base``: :func:`dist.cdf_of_max` of the opponents.
+    """Exact interim allocation probability of every exact bid in ``bases``, in its
+    shape (a float for a scalar; a NaN bid raises ``ValueError``): the
+    :func:`_leave_one_out_row` of one more bidder, with no mass, against the
+    opponents, read at each bid. A right limit ``base+`` wins when no opponent bids
+    above ``base``: :func:`dist.cdf_of_max` of the opponents.
     """
     b = np.asarray(bases, dtype=float)
-    masses = []
-    for atoms, weights, cum in (d.arrays for d in opp):
-        lo, hi = atoms.searchsorted(b, "left"), atoms.searchsorted(b, "right")
-        masses.append((cum[lo], np.where(hi > lo, weights[lo], 0.0)))
-    prob = _tie_dp(tie, b, masses)
+    axis, masses, cum = _bid_axis([d.arrays[:2] for d in opp], b)
+    prob = _leave_one_out_row(tie, masses, cum, len(opp))[2 * axis.searchsorted(b)]
     return float(prob) if b.ndim == 0 else prob
 
 
@@ -154,18 +151,14 @@ def candidate_allocations(tie: Tie, opp: Sequence[DiscreteDistribution]) -> np.n
     A record array with fields ``base``, ``limit_above`` and ``alloc``: 0 and
     every opponent atom, each exact bid followed by its right limit. The
     probabilities are independent of the bidder's value. It is the
-    :func:`_leave_one_out_row` of one bidder after the opponents, who leaves none
-    of them out, on the axis of 0 and their atoms.
+    :func:`_leave_one_out_row` of one more bidder, with no mass, against the
+    opponents, on their :func:`_bid_axis`.
     """
-    bases = np.array(sorted({0.0} | {a for d in opp for a in d.atoms}))
-    masses = np.zeros((len(opp), len(bases)))
-    for row, d in zip(masses, opp):
-        atoms, weights, _ = d.arrays
-        row[:] = _bid_masses(bases, atoms, weights[:-1])
-    out = np.empty(2 * len(bases), [("base", float), ("limit_above", bool), ("alloc", float)])
-    out["base"][0::2] = out["base"][1::2] = bases
+    axis, masses, cum = _bid_axis([d.arrays[:2] for d in opp], ())
+    out = np.empty(2 * len(axis), [("base", float), ("limit_above", bool), ("alloc", float)])
+    out["base"][0::2] = out["base"][1::2] = axis
     out["limit_above"][0::2], out["limit_above"][1::2] = False, True
-    out["alloc"] = _leave_one_out_row(tie, masses, _prefix_masses(masses), len(opp))
+    out["alloc"] = _leave_one_out_row(tie, masses, cum, len(opp))
     return out
 
 
@@ -174,6 +167,21 @@ def _bid_masses(axis: np.ndarray, bids: np.ndarray, weights: np.ndarray) -> np.n
     the weights of equal bids are added left to right from 0.0. Every bid must be
     on the sorted ``axis`` (-0.0 is found at 0.0)."""
     return np.bincount(axis.searchsorted(bids), weights, minlength=len(axis))
+
+
+def _bid_axis(bids: Sequence[tuple[np.ndarray, np.ndarray]], bases):
+    """The sorted axis of 0.0, every bid and every one of ``bases`` (a NaN base, which
+    would scramble the sort, raises ``ValueError``), the (n, G) :func:`_bid_masses` on
+    it of the n (bids, weights) pairs ``bids`` (no pair gives a (0, G) matrix), and
+    their :func:`_prefix_masses`."""
+    b = np.asarray(bases, dtype=float).ravel()
+    if np.isnan(b).any():
+        raise ValueError("a bid must not be NaN")
+    axis = np.array(sorted({0.0}.union(b.tolist(), *(x.tolist() for x, _ in bids))))
+    masses = np.zeros((len(bids), len(axis)))
+    for row, (x, w) in zip(masses, bids):
+        row[:] = _bid_masses(axis, x, w)
+    return axis, masses, _prefix_masses(masses)
 
 
 # Elements per row block of the values x candidates utility matrix and per block
@@ -193,40 +201,29 @@ def _prefix_masses(masses: np.ndarray) -> np.ndarray:
 def _leave_one_out_row(tie: Tie, masses: np.ndarray, cum: np.ndarray, i: int) -> np.ndarray:
     """Bidder i's allocation probabilities on a shared bid axis, against all the other
     bidders: base k's exact bid in column 2k and its right limit in column 2k + 1.
+    It is the one kernel of every exact interim allocation.
 
-    ``masses[j, k]`` is P(bidder j bids axis[k]), on one sorted axis that holds 0.0
-    and every bid, and ``cum`` is its :func:`_prefix_masses`. The tie DP runs over the
-    bidders j != i in bidder order, fed (P(below), P(at)) = (cum[j, k], masses[j, k]);
-    the right limits multiply P(bid <= base) = cum[j, k + 1] in the same order, from
-    1.0. An ``i`` of ``len(masses)`` leaves nobody out.
+    ``masses[j, k]`` is P(bidder j bids axis[k]) and ``cum`` its prefix sums, as
+    :func:`_bid_axis` gives them. The tie DP runs over the bidders j != i in bidder
+    order, fed (P(below), P(at)) = (cum[j, k], masses[j, k]); the right limits
+    multiply P(bid <= base) = cum[j, k + 1] in the same order, from 1.0. An ``i`` of
+    ``len(masses)`` leaves nobody out.
 
-    The row has the bits of the table of bidder i's opponents alone, because
-    (a) a base where an opponent has no mass adds +0.0 to its prefix sums;
-    (b) the own factor (P(below), P(at)) = (1.0, 0.0), fed to the DP at its place,
-        would leave every DP coefficient as it was and append a +0.0 one, whose
-        random-allocation share adds +0.0 (and 1.0 changes no product): a DP over
-        every bidder with that factor gives the same bits as the row;
-    (c) at a base that is no opponent's atom, the exact and the right-limit
-        allocation equal the right limit of the opponent base (or 0) below it. Its
-        base is higher, so its utility never strictly beats that earlier candidate,
-        and a first-maximum ``argmax`` or ``np.maximum.accumulate`` keeps the same
-        pick; an exact bid read at its own base has the bits of
-        :func:`allocation_probability`;
-    (d) :func:`_bid_masses` adds the weights of equal consecutive bids left to
-        right from 0.0, as the merge of :func:`dist._push_values` does.
+    A base where an opponent has no mass adds +0.0 to its prefix sums, and
+    :func:`_bid_masses` adds the weights of equal bids left to right from 0.0, as
+    the merge of :func:`dist._push_values` does; so every entry has the bits of the
+    same DP fed each opponent's own weights and prefix sums. At a base that is no
+    opponent's bid, the exact and the right-limit allocation equal the right limit
+    of the opponent base (or 0) below it. Its base is higher, so its utility never
+    strictly beats that earlier candidate, and a first-maximum ``argmax`` or
+    ``np.maximum.accumulate`` over a whole row keeps the pick of the opponents'
+    bases alone.
     """
     opp = [j for j in range(len(masses)) if j != i]
     out = np.empty(2 * masses.shape[1])
     out[0::2] = _tie_dp(tie, out[0::2], ((cum[j, :-1], masses[j]) for j in opp))
     out[1::2] = reduce(np.multiply, (cum[j, 1:] for j in opp), 1.0)
     return out
-
-
-def _leave_one_out_allocations(tie: Tie, masses: np.ndarray) -> np.ndarray:
-    """Every bidder's :func:`_leave_one_out_row`, stacked: an (n, 2G) array for n
-    bidders' bid masses on an axis of G bases."""
-    cum = _prefix_masses(masses)
-    return np.array([_leave_one_out_row(tie, masses, cum, i) for i in range(len(masses))])
 
 
 def _argmax_utility(fmt: Format, values: np.ndarray, bases, alloc):

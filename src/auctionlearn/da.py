@@ -30,8 +30,8 @@ import numpy as np
 from .auction import (
     FPA_RANDOM,
     Tie,
-    _bid_masses,
-    _leave_one_out_allocations,
+    _bid_axis,
+    _leave_one_out_row,
     ex_post_allocation,
 )
 from .dist import (
@@ -59,7 +59,7 @@ class DAPureStrategy:
     beta: MonotoneStrategy
 
     def __post_init__(self) -> None:
-        if self.tau < 0:
+        if not self.tau >= 0:  # also rejects NaN
             raise ValueError("threshold price must be nonnegative")
         if self.beta.max_bid > self.tau:
             raise ValueError(f"claim price {self.beta.max_bid} exceeds inspection price {self.tau}")
@@ -112,9 +112,9 @@ def _bidders(inst: SearchInstance, profile: Sequence[DAPureStrategy]):
     bidder in bidder order, from one claim distribution per bidder.
 
     Claims are independent across bidders, so bidder i's share at claim b is
-    the first-price tie DP against the opponents' claim distributions: row i of
-    :func:`auction._leave_one_out_allocations` of every claim distribution on the
-    axis of 0.0 and all claims. The candidates are 0 and the opponents' claims,
+    the first-price tie DP against the opponents' claim distributions: bidder i's
+    :func:`auction._leave_one_out_row` of every claim distribution on the axis of
+    0.0 and all claims. The candidates are 0 and the opponents' claims,
     each exact claim followed by its right limit: the row at other bases picks
     the same deviations, but the matrix product of :func:`_best_deviation`
     rounds by the number of candidates. Bidder i inspects iff no opponent claims
@@ -123,20 +123,19 @@ def _bidders(inst: SearchInstance, profile: Sequence[DAPureStrategy]):
     if len(profile) != inst.n:
         raise ValueError("profile must match the instance size")
     claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
-    axis = np.array(sorted({0.0}.union(*(c.atoms for c in claims))))
-    masses = np.array([_bid_masses(axis, c.arrays[0], c.arrays[1][:-1]) for c in claims])
-    alloc = _leave_one_out_allocations(Tie.RANDOM_ALLOCATION, masses)
+    axis, masses, cum = _bid_axis([c.arrays[:2] for c in claims], ())
     claimed = (masses > 0.0).sum(axis=0)  # how many bidders claim each base
     for i, (f_i, d_i) in enumerate(zip(inst.boxes.marginals, profile)):
+        alloc = _leave_one_out_row(Tie.RANDOM_ALLOCATION, masses, cum, i)
         atoms, weights, _ = f_i.arrays
         bids = d_i.beta.eval(atoms)
-        share = weights[:-1] * alloc[i, 2 * axis.searchsorted(bids)]
+        share = weights * alloc[2 * axis.searchsorted(bids)]
         won, paid = sum_left_to_right(share * atoms), sum_left_to_right(share * bids)
         cost = inst.costs[i] * cdf_of_max(claims[:i] + claims[i + 1 :], d_i.tau)
         keep = claimed > (masses[i] > 0.0)
         keep[0] = True
         cols = (2 * np.flatnonzero(keep)[:, None] + [0, 1]).ravel()
-        yield won - paid - cost, won - cost, axis[cols // 2], alloc[i, cols]
+        yield won - paid - cost, won - cost, axis[cols // 2], alloc[cols]
 
 
 def ex_ante_utility_da(inst: SearchInstance, profile: Sequence[DAPureStrategy], i: int) -> float:
@@ -168,7 +167,7 @@ def _best_deviation(inst: SearchInstance, i: int, bases, alloc) -> float:
 
 def _deviation_gap(inst: SearchInstance, da_profile: Sequence[DAPureStrategy]):
     """Exact ex ante equilibrium gap, the largest gain of any bidder from any deviation,
-    and :func:`da_welfare`, from one leave-one-out table of the claims."""
+    and :func:`da_welfare`, from one pass over the claims' leave-one-out rows."""
     gap, welfare = 0.0, 0
     for i, (own, share, bases, alloc) in enumerate(_bidders(inst, da_profile)):
         gain = _best_deviation(inst, i, bases, alloc) - own

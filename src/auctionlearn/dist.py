@@ -66,8 +66,8 @@ class DiscreteDistribution:
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Numpy atoms, weights followed by 0.0 (no atom), and prefix sums."""
-        return np.array(self.atoms), np.array((*self.weights, 0.0)), np.array(self.cumulative)
+        """Numpy atoms, weights and prefix sums."""
+        return np.array(self.atoms), np.array(self.weights), np.array(self.cumulative)
 
     def prob_at(self, x: float) -> float:
         """P(v == x), exact float comparison."""

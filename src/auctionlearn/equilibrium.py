@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,9 +21,9 @@ from .auction import (
     AuctionRule,
     CandidateBid,
     _argmax_utility,
+    _bid_axis,
     _bid_masses,
     _grid_best_response,
-    _leave_one_out_allocations,
     _leave_one_out_row,
     _prefix_masses,
     _utility,
@@ -64,10 +65,9 @@ def verify_bne(
     if any(s.max_bid > f.h for s in profile):
         raise ValueError(f"profile bids above H={f.h}")
     bids = [s.eval(m.arrays[0]) for m, s in zip(f.marginals, profile)]
-    axis = np.array(sorted({0.0}.union(*(b.tolist() for b in bids))))
-    masses = np.array([_bid_masses(axis, b, m.arrays[1][:-1]) for m, b in zip(f.marginals, bids)])
-    table = _leave_one_out_allocations(rule.tie, masses)
-    return _certify(rule, f, bids, axis, table.__getitem__, math.inf, 0)
+    axis, masses, cum = _bid_axis([(b, m.arrays[1]) for m, b in zip(f.marginals, bids)], ())
+    row = partial(_leave_one_out_row, rule.tie, masses, cum)
+    return _certify(rule, f, bids, axis, row, math.inf, 0)
 
 
 def _certify(rule, f, bids: list, axis: np.ndarray, row, stop_at: float, first: int):
@@ -208,7 +208,7 @@ def solve_bne(
     grid_bids = np.array(grid)
     axis = np.array(sorted({0.0} | set(grid)))
     grid_pos = 2 * axis.searchsorted(grid_bids)
-    weights = [m.arrays[1][:-1] for m in f.marginals]
+    weights = [m.arrays[1] for m in f.marginals]
     best_bids: list | None = None
     best_cert: BNECertificate | None = None
     cache: dict[tuple, np.ndarray] = {}  # the newest 2n rows, newest last

@@ -3,8 +3,9 @@
 The empirical estimator (:func:`emp_estimate`) averages ex post utilities
 over the sampled value rows, for a list of probe values at a time. The
 product-form estimator computes the exact interim utility on the product of
-per-bidder empirical marginals; it runs only inside :func:`sup_error`,
-batched over every probe value of a profile.
+per-bidder empirical marginals; it runs only inside :func:`sup_error`, as
+leave-one-out rows of the empirical bid masses, on one axis per profile with
+the true ones.
 A label-vector counter checks the combinatorial bound that drives the
 sample-complexity analysis.
 """
@@ -19,9 +20,10 @@ import numpy as np
 from .auction import (
     BEST_RESPONSE_BLOCK,
     AuctionRule,
+    _bid_axis,
+    _leave_one_out_row,
+    _utility,
     ex_post_utility,
-    interim_utility_exact,
-    push_forward,
 )
 from .dist import (
     ProductDistribution,
@@ -95,23 +97,24 @@ def sup_error(
     if not family:
         raise ValueError("strategy family is empty")
     emp_prod = empirical_marginals(s, h=f.h) if estimator == "empp" else None
+    marginals = f.marginals + (emp_prod.marginals if emp_prod is not None else ())
     sup, arg = -1.0, (0, 0, 0.0)
     for p_idx, profile in enumerate(family):
-        # Every bidder's bid distribution, pushed once per profile.
-        pushed_true = [push_forward(m, s_j) for m, s_j in zip(f.marginals, profile)]
-        if emp_prod is not None:
-            pushed_emp = [push_forward(m, s_j) for m, s_j in zip(emp_prod.marginals, profile)]
+        probes = [_probe_values(f, profile, i) for i in range(f.n)]
+        bids = [profile[i].eval(v) for i, v in enumerate(probes)]
+        # Every bidder's bid masses under the true marginals, then under the
+        # empirical ones, on one axis that also holds every probe's bid.
+        strategies = profile.strategies * 2
+        pairs = [(s_j.eval(m.arrays[0]), m.arrays[1]) for m, s_j in zip(marginals, strategies)]
+        axis, masses, cum = _bid_axis(pairs, np.concatenate(bids))
+        groups = [(masses[k : k + f.n], cum[k : k + f.n]) for k in range(0, len(masses), f.n)]
         for i in range(f.n):
-            probes = _probe_values(f, profile, i)
-            bids = profile[i].eval(probes)
-            opp_true = pushed_true[:i] + pushed_true[i + 1 :]
-            exact = interim_utility_exact(rule, probes, bids, opp_true).tolist()
-            if emp_prod is not None:
-                opp_emp = pushed_emp[:i] + pushed_emp[i + 1 :]
-                est = interim_utility_exact(rule, probes, bids, opp_emp).tolist()
-            else:
-                est = emp_estimate(s, rule, i, probes, profile)
-            for v, e, x in zip(probes, est, exact):
+            at, values = 2 * axis.searchsorted(bids[i]), np.array(probes[i])
+            # Bidder i's exact utilities at the probes, then any product-form ones.
+            allocs = [_leave_one_out_row(rule.tie, *group, i)[at] for group in groups]
+            exact, *est = [_utility(rule.format, values, bids[i], a).tolist() for a in allocs]
+            est = est[0] if est else emp_estimate(s, rule, i, probes[i], profile)
+            for v, e, x in zip(probes[i], est, exact):
                 err = abs(e - x)
                 if err > sup:
                     sup, arg = err, (p_idx, i, v)

@@ -66,6 +66,8 @@ class IndexPolicy:
     def __post_init__(self) -> None:
         if len(self.indices) != len(self.costs):
             raise ValueError("indices and costs must have equal length")
+        if any(map(math.isnan, self.indices)):  # `order` would sort on NaN keys
+            raise ValueError("indices must not be NaN")
         if not self.truncation_budget > 0:
             raise ValueError("truncation budget must be positive")
 

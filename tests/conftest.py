@@ -24,9 +24,7 @@ from auctionlearn.auction import (
     _grid_best_response,
     _tie_dp,
     _utility,
-    allocation_probability,
     ex_post_utility,
-    interim_utility_exact,
     push_forward,
 )
 from auctionlearn.da import (
@@ -48,6 +46,7 @@ from auctionlearn.dist import (
     truncate_at,
 )
 from auctionlearn.equilibrium import BNECertificate, _snap_to_grid, verify_bne
+from auctionlearn.estimate import ErrorReport, _probe_values, emp_estimate
 from auctionlearn.lowerbound import _mask_probs, distinguisher_trials
 from auctionlearn.pandora import IndexPolicy, SearchInstance, _effective_prefix, weitzman_index
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
@@ -162,7 +161,7 @@ def empp_estimate(s, rule, i, v_i, profile) -> float:
     """
     emp = empirical_marginals(s, s.values.max())
     opp = [push_forward(emp.marginals[j], profile[j]) for j in range(s.n) if j != i]
-    return interim_utility_exact(rule, v_i, profile[i].eval(v_i), opp)
+    return interim_utility_by_search(rule, v_i, profile[i].eval(v_i), opp)
 
 
 def emp_estimate_reference(s, rule, i, v_i, profile) -> float:
@@ -349,6 +348,61 @@ def tie_profile_reference(opp, b) -> list[float]:
     return q
 
 
+def allocation_probability_by_search(tie: Tie, opp: Sequence[DiscreteDistribution], bases):
+    """``auction.allocation_probability`` without the leave-one-out row kernel: the tie
+    DP fed each opponent's (P(bid below), P(bid at)) at every bid from two binary
+    searches into its atoms. A scalar ``bases`` gives a float."""
+    b = np.asarray(bases, dtype=float)
+    masses = []
+    for d in opp:
+        atoms, _, cum = d.arrays
+        weights = np.array((*d.weights, 0.0))  # 0.0 at index len(atoms): no atom
+        lo, hi = atoms.searchsorted(b, "left"), atoms.searchsorted(b, "right")
+        masses.append((cum[lo], np.where(hi > lo, weights[lo], 0.0)))
+    prob = _tie_dp(tie, b, masses)
+    return float(prob) if b.ndim == 0 else prob
+
+
+def interim_utility_by_search(rule, values, bids, opp):
+    """``auction.interim_utility_exact`` on :func:`allocation_probability_by_search`."""
+    b = np.asarray(bids, dtype=float)
+    alloc = allocation_probability_by_search(rule.tie, opp, b)
+    u = _utility(rule.format, np.asarray(values, dtype=float), b, alloc)
+    return float(u) if b.ndim == 0 else u
+
+
+def sup_error_reference(s, rule, family, f, estimator) -> ErrorReport:
+    """``estimate.sup_error`` with every bidder's bid distribution pushed once per
+    profile and each bidder's exact utilities from :func:`interim_utility_by_search`
+    against the opponents' pushed distributions."""
+    if estimator not in ("emp", "empp"):
+        raise ValueError(f"unknown estimator {estimator!r}")
+    if not family:
+        raise ValueError("strategy family is empty")
+    emp_prod = empirical_marginals(s, h=f.h) if estimator == "empp" else None
+    sup, arg = -1.0, (0, 0, 0.0)
+    for p_idx, profile in enumerate(family):
+        # Every bidder's bid distribution, pushed once per profile.
+        pushed_true = [push_forward(m, s_j) for m, s_j in zip(f.marginals, profile)]
+        if emp_prod is not None:
+            pushed_emp = [push_forward(m, s_j) for m, s_j in zip(emp_prod.marginals, profile)]
+        for i in range(f.n):
+            probes = _probe_values(f, profile, i)
+            bids = profile[i].eval(probes)
+            opp_true = pushed_true[:i] + pushed_true[i + 1 :]
+            exact = interim_utility_by_search(rule, probes, bids, opp_true).tolist()
+            if emp_prod is not None:
+                opp_emp = pushed_emp[:i] + pushed_emp[i + 1 :]
+                est = interim_utility_by_search(rule, probes, bids, opp_emp).tolist()
+            else:
+                est = emp_estimate(s, rule, i, probes, profile)
+            for v, e, x in zip(probes, est, exact):
+                err = abs(e - x)
+                if err > sup:
+                    sup, arg = err, (p_idx, i, v)
+    return ErrorReport(sup, arg)
+
+
 def allocation_probability_reference(tie, opp, bid) -> float:
     """Allocation probability of an exact or right-limit bid, one opponent at a time."""
     if bid.limit_above:
@@ -421,7 +475,7 @@ def candidate_allocations_reference(tie, opp) -> np.ndarray:
     out = np.empty(2 * len(bases), [("base", float), ("limit_above", bool), ("alloc", float)])
     out["base"] = np.repeat(bases, 2)
     out["limit_above"] = np.tile([False, True], len(bases))
-    out["alloc"][0::2] = allocation_probability(tie, opp, bases)
+    out["alloc"][0::2] = allocation_probability_by_search(tie, opp, bases)
     out["alloc"][1::2] = cdf_of_max(opp, bases)
     return out
 
@@ -446,7 +500,7 @@ def leave_one_out_allocations_reference(tie: Tie, masses: np.ndarray) -> np.ndar
         base is higher, so its utility never strictly beats that earlier candidate,
         and a first-maximum ``argmax`` or ``np.maximum.accumulate`` keeps the same
         pick; an exact bid read at its own base has the bits of
-        :func:`allocation_probability`;
+        :func:`allocation_probability_by_search`;
     (d) :func:`_bid_masses` adds the weights of equal consecutive bids left to
         right from 0.0, as the merge of :func:`dist._push_values` does.
     """
@@ -484,7 +538,8 @@ def certify_reference(rule, f, profile, pushed, stop_at=math.inf, first=0):
         picked = cands[ks]
         devs = list(map(CandidateBid, picked["base"].tolist(), picked["limit_above"].tolist()))
         bids = np.array([profile[i].eval(v) for v in m.atoms])
-        own = _utility(rule.format, m.arrays[0], bids, allocation_probability(rule.tie, opp, bids))
+        alloc = allocation_probability_by_search(rule.tie, opp, bids)
+        own = _utility(rule.format, m.arrays[0], bids, alloc)
         gaps = []
         for own_u, sup in zip(own.tolist(), sups):
             gap = sup - own_u
@@ -510,7 +565,7 @@ def monotone_best_response_profile(
     grid_bids = np.array(sorted(set(bid_grid)), dtype=float)
     if not grid_bids.size:
         raise ValueError("bid_grid is empty")
-    alloc = allocation_probability(rule.tie, opp, grid_bids)
+    alloc = allocation_probability_by_search(rule.tie, opp, grid_bids)
     values = sorted(set(float(v) for v in values))
     bids = _grid_best_response(rule.format, np.array(values), grid_bids, alloc)
     return MonotoneStrategy(tuple(zip(values, bids.tolist())))
@@ -582,7 +637,7 @@ def da_bidder_terms_reference(inst, profile, i) -> tuple[float, float]:
     opp = claims[:i] + claims[i + 1 :]
     f_i, d_i = inst.boxes.marginals[i], profile[i]
     bids = d_i.beta.eval(f_i.arrays[0])
-    alloc = allocation_probability(Tie.RANDOM_ALLOCATION, opp, bids).tolist()
+    alloc = allocation_probability_by_search(Tie.RANDOM_ALLOCATION, opp, bids).tolist()
     won = paid = 0.0
     for a, wv, b, p in zip(f_i.atoms, f_i.weights, bids.tolist(), alloc):
         share = wv * p

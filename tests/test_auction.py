@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,8 @@ from auctionlearn.auction import (
     CandidateBid,
     Format,
     Tie,
+    _bid_axis,
     _bid_masses,
-    _leave_one_out_allocations,
     _leave_one_out_row,
     _prefix_masses,
     allocation_probability,
@@ -37,6 +39,7 @@ from conftest import (
     QUARTERS,
     push_forward_reference,
     quarter_strategies,
+    allocation_probability_by_search,
     allocation_probability_reference,
     best_response_profile_reference,
     candidate_allocations_reference,
@@ -173,7 +176,8 @@ def test_tie_dp_matches_scalar_reference(data):
 def test_table_lookup_equals_tie_dp(data):
     # Bids at every base, between neighbouring bases, above the top one, at -0.0
     # and anywhere in [0, 2], pushed onto the axis with the opponents' atoms as a
-    # bidder's bids are; the exact read at a bid's base must give the tie DP's bits.
+    # bidder's bids are; the exact read at a bid's base must give the bits of the
+    # tie DP fed by binary searches, and so must ``allocation_probability``.
     tie = data.draw(st.sampled_from(list(Tie)))
     opp = data.draw(st.lists(quarter_distributions(), max_size=4))
     bases = sorted({0.0} | {a for d in opp for a in d.atoms})
@@ -182,10 +186,12 @@ def test_table_lookup_equals_tie_dp(data):
     axis = np.array(sorted({0.0}.union(bases, bids.tolist())))
     masses = [_bid_masses(axis, np.array(d.atoms), np.array(d.weights)) for d in opp]
     masses.append(_bid_masses(axis, np.sort(bids), np.full(len(bids), 1 / len(bids))))
-    got = _leave_one_out_allocations(tie, np.array(masses))[-1, 2 * axis.searchsorted(bids)]
-    want = allocation_probability(tie, opp, bids)
+    table = leave_one_out_allocations_reference(tie, np.array(masses))
+    got = table[-1, 2 * axis.searchsorted(bids)]
+    want = allocation_probability_by_search(tie, opp, bids)
     assert got.tolist() == want.tolist()
     assert got.tobytes() == want.tobytes()
+    assert allocation_probability(tie, opp, bids).tobytes() == want.tobytes()
 
 
 @st.composite
@@ -207,7 +213,7 @@ def test_leave_one_out_rows_match_each_opponents_table(data):
     dists = data.draw(st.lists(bid_distributions(), min_size=1, max_size=6))
     axis = np.array(sorted({0.0} | {a for d in dists for a in d.atoms}))
     masses = [_bid_masses(axis, np.array(d.atoms), np.array(d.weights)) for d in dists]
-    alloc = _leave_one_out_allocations(tie, np.array(masses))
+    alloc = leave_one_out_allocations_reference(tie, np.array(masses))
     for i, row in enumerate(alloc):
         want = candidate_allocations_reference(tie, dists[:i] + dists[i + 1 :])
         keep = axis.searchsorted(want["base"][0::2])
@@ -226,8 +232,8 @@ def test_leave_one_out_rows_match_each_opponents_table(data):
 def test_leave_one_out_rows_match_block_reference(data):
     # One to six bidders, often sharing quarter-grid atoms, on an axis that may
     # also hold bases nobody bids on (zero-mass columns); a lone bidder has no
-    # opponents. Every row computed alone, and their stack, must give the bytes
-    # of the block kernel that feeds each bidder's own factor (1, 0).
+    # opponents. Every row must give the bytes of the block kernel that feeds
+    # each bidder's own factor (1, 0).
     tie = data.draw(st.sampled_from(list(Tie)))
     dists = data.draw(st.lists(bid_distributions(), min_size=1, max_size=6))
     idle = data.draw(st.lists(BIDS, max_size=4))
@@ -237,7 +243,6 @@ def test_leave_one_out_rows_match_block_reference(data):
     cum = _prefix_masses(masses)
     for i, row in enumerate(want):
         assert _leave_one_out_row(tie, masses, cum, i).tobytes() == row.tobytes()
-    assert _leave_one_out_allocations(tie, masses).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("tie", list(Tie))
@@ -351,6 +356,33 @@ class TestInterimExact:
             for b in probes:
                 dp = interim_utility_exact(rule, v, b, opp)
                 assert dp == pytest.approx(interim_by_enumeration(rule, v, b, opp), abs=1e-10)
+
+    def test_nan_bid_raises(self):
+        # A NaN bid won outright under random allocation and gave a NaN utility.
+        f = DiscreteDistribution((0.2, 0.6), (0.5, 0.5))
+        for opp in ([], [f, f]):
+            for bases in (math.nan, [0.2, math.nan], [[math.nan], [0.6]]):
+                with pytest.raises(ValueError, match="^a bid must not be NaN$"):
+                    allocation_probability(Tie.RANDOM_ALLOCATION, opp, bases)
+        with pytest.raises(ValueError, match="^a bid must not be NaN$"):
+            interim_utility_exact(FPA_RANDOM, 0.5, math.nan, [f])
+
+    @pytest.mark.parametrize("tie", list(Tie))
+    def test_bid_shapes_and_a_lone_bidder(self, tie):
+        # A scalar bid gives a float and an array keeps its shape; no opponent
+        # puts a (0, G) mass matrix on the axis, and every bid wins, -0.0 and
+        # bids above every atom among them.
+        bases = np.array([[0.0, 0.2], [-0.0, 2.0]])
+        opp = [DiscreteDistribution((0.2, 0.6), (0.5, 0.5)), make_discrete([0.0, 0.2], [1, 3])]
+        axis, masses, cum = _bid_axis([], bases)
+        assert axis.tolist() == [0.0, 0.2, 2.0] and masses.shape == (0, 3) and cum.shape == (0, 4)
+        got = allocation_probability(tie, [], bases)
+        assert got.shape == (2, 2) and got.tobytes() == np.ones((2, 2)).tobytes()
+        got = allocation_probability(tie, opp, bases)
+        assert got.tobytes() == allocation_probability_by_search(tie, opp, bases).tobytes()
+        for o in ([], opp):
+            p = allocation_probability(tie, o, 0.2)
+            assert type(p) is float and p == allocation_probability_by_search(tie, o, 0.2)
 
     def test_limit_bid_wins_weak_inequality(self):
         opp = [DiscreteDistribution((0.2,), (1.0,))]

@@ -131,6 +131,13 @@ class TestSimulate:
         with pytest.raises(ValueError, match="claim price 0.5 exceeds inspection price 0.3"):
             DAPureStrategy(0.3, constant(0.5))
 
+    @pytest.mark.parametrize("tau", [-0.1, math.nan])
+    def test_threshold_must_be_nonnegative(self, tau):
+        # A NaN threshold would charge the inspection cost in the ex ante utility,
+        # while the clock never reaches it in a simulation.
+        with pytest.raises(ValueError, match="^threshold price must be nonnegative$"):
+            DAPureStrategy(tau, constant(0.0))
+
 
 class TestExAnte:
     def test_deterministic_exact(self):

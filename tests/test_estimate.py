@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from auctionlearn import auction, estimate, testkits
+from auctionlearn import auction, dist, estimate, testkits
 from auctionlearn.auction import (
     ALLPAY_NONE,
     ALLPAY_RANDOM,
@@ -17,6 +17,7 @@ from auctionlearn.auction import (
     FPA_RANDOM,
 )
 from auctionlearn.dist import (
+    DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
     product_of,
@@ -44,8 +45,11 @@ from conftest import (
     median_ratio_table,
     permutation_identity_check,
     point_mass,
+    quarter_distributions,
     random_profile,
+    sup_error_reference,
 )
+from conftest import quarter_strategies as tie_heavy_strategies
 
 TRUTHFUL = lambda grid: shade(list(grid), 1.0)  # noqa: E731
 
@@ -172,6 +176,22 @@ class TestSupError:
         sup_error(sample_matrix(f, 20, seed=2), FPA_RANDOM, fam, f, "emp")
         assert len(calls) == len(fam) * f.n
 
+    @pytest.mark.parametrize("estimator", ["emp", "empp"])
+    def test_no_bid_distribution_is_pushed(self, monkeypatch, estimator):
+        # The exact and the product-form utilities are leave-one-out rows of bid
+        # masses on one axis per profile: the only distributions built are the
+        # empirical marginals of the product-form estimator.
+        pushes = count_calls(monkeypatch, auction, "push_forward")
+        merges = count_calls(monkeypatch, auction, "_push_values")
+        merges += count_calls(monkeypatch, dist, "_push_values")
+        built = count_calls(monkeypatch, DiscreteDistribution, "__post_init__")
+        f = ProductDistribution.iid(uniform_on([0.0, 0.25, 0.5, 1.0]), 3, 1.0)
+        s = sample_matrix(f, 40, seed=4)
+        built.clear()
+        sup_error(s, FPA_RANDOM, shade_family(f, [0.25, 0.5, 1.0]), f, estimator)
+        assert pushes == merges == []
+        assert len(built) == (f.n if estimator == "empp" else 0)
+
     def test_scaling_halves_per_quadrupling(self):
         f = ProductDistribution.iid(uniform_on([0.0, 0.25, 0.5, 0.75, 1.0]), 2, 1.0)
         fam = shade_family(f, [k / 10 for k in range(11)])
@@ -179,6 +199,25 @@ class TestSupError:
         med = median_ratio_table(rows)
         ratio = med[0][1] / med[1][1]
         assert 1.4 <= ratio <= 2.9  # 1/sqrt(m) trend, loose gate at 20 seeds
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_sup_error_matches_pushed_reference(data):
+    # One to three bidders (a lone bidder has no opponent), one to three profiles
+    # with breakpoints on and off the support and -0.0 bids, both estimators,
+    # formats and ties: the rows on one axis give the pushed distributions' report.
+    rule = data.draw(st.sampled_from([FPA_RANDOM, FPA_NONE, ALLPAY_RANDOM, ALLPAY_NONE]))
+    estimator = data.draw(st.sampled_from(["emp", "empp"]))
+    n = data.draw(st.integers(1, 3))
+    f = product_of([data.draw(quarter_distributions()) for _ in range(n)], 1.0)
+    family = [
+        StrategyProfile(tuple(data.draw(tie_heavy_strategies(max_size=8)) for _ in range(n)))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    s = sample_matrix(f, data.draw(st.integers(1, 30)), data.draw(st.integers(0, 2**16)))
+    want = sup_error_reference(s, rule, family, f, estimator)
+    assert sup_error(s, rule, family, f, estimator) == want
 
 
 class TestEmpProbeBlocks:

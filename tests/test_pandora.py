@@ -243,6 +243,15 @@ class TestTruncation:
         with pytest.raises(ValueError, match="budget must be positive"):
             IndexPolicy((0.5,), (0.1,), budget)
 
+    @pytest.mark.parametrize("indices", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_policy_rejects_nan_indices(self, indices):
+        # Sorting on a NaN key gave this pair of iid boxes the payoffs 0.6667 and
+        # 0.6778, depending on the position of the NaN.
+        boxes = ProductDistribution.iid(uniform_on([0.2, 0.6, 1.0]), 2, 1.0)
+        inst = SearchInstance(boxes, (0.05, 0.05))
+        with pytest.raises(ValueError, match="^indices must not be NaN$"):
+            policy_payoff_exact(inst, IndexPolicy(indices, inst.costs, math.inf))
+
     def test_default_budget_never_binds(self, rng):
         inst = random_search_instance(rng, n_max=6)
         assert weitzman_policy(inst).truncation_budget == math.inf

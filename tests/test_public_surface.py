@@ -6,8 +6,9 @@ library example must run as printed, and every settable value in ``src/`` is
 listed here, so adding an option is a visible edit. Every ``raise`` in ``src/``
 names ``ValueError`` or ``AssertionError``, so a new exception type is one too.
 No ``src/`` module calls ``.choice(p=...)``: ``dist.sample_matrix`` is the one
-weighted sampler. Every private module-level function in ``src/`` has a caller
-there.
+weighted sampler. ``auction._leave_one_out_row`` is the one caller of the tie DP,
+so a second allocation kernel is a visible edit. Every private module-level
+function in ``src/`` has a caller there.
 """
 
 import ast
@@ -156,6 +157,23 @@ def weighted_choice_calls() -> list[str]:
 def test_one_weighted_sampler():
     """``dist.sample_matrix``'s guide table is the only weighted sampler in src/."""
     assert weighted_choice_calls() == []
+
+
+def tie_dp_callers() -> list[str]:
+    """Every module-level statement of src/ that calls ``_tie_dp``, by name."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if any(
+                isinstance(node, ast.Call) and _name(node) == "_tie_dp" for node in ast.walk(stmt)
+            ):
+                found.append(f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}")
+    return found
+
+
+def test_one_allocation_kernel():
+    """Every exact interim allocation is a leave-one-out row: the tie DP has one caller."""
+    assert tie_dp_callers() == ["auction._leave_one_out_row"]
 
 
 def dead_private_functions() -> list[str]:
