@@ -192,9 +192,9 @@ BEST_RESPONSE_BLOCK = 1 << 12
 
 def _prefix_masses(masses: np.ndarray) -> np.ndarray:
     """P(bid < base k) in column k and P(bid <= base k) in column k + 1, per row of
-    bid masses on a sorted axis: prefix sums left to right from 0.0."""
-    cum = np.zeros((len(masses), masses.shape[1] + 1))
-    np.cumsum(masses, axis=1, out=cum[:, 1:])
+    bid masses on a sorted axis (the last axis): prefix sums left to right from 0.0."""
+    cum = np.zeros(masses.shape[:-1] + (masses.shape[-1] + 1,))
+    np.cumsum(masses, axis=-1, out=cum[..., 1:])
     return cum
 
 
@@ -203,11 +203,12 @@ def _leave_one_out_row(tie: Tie, masses: np.ndarray, cum: np.ndarray, i: int) ->
     bidders: base k's exact bid in column 2k and its right limit in column 2k + 1.
     It is the one kernel of every exact interim allocation.
 
-    ``masses[j, k]`` is P(bidder j bids axis[k]) and ``cum`` its prefix sums, as
-    :func:`_bid_axis` gives them. The tie DP runs over the bidders j != i in bidder
-    order, fed (P(below), P(at)) = (cum[j, k], masses[j, k]); the right limits
-    multiply P(bid <= base) = cum[j, k + 1] in the same order, from 1.0. An ``i`` of
-    ``len(masses)`` leaves nobody out.
+    ``masses[..., j, k]`` is P(bidder j bids axis[k]) and ``cum`` its prefix sums, as
+    :func:`_bid_axis` gives them; leading axes stack profiles on the same axis, each
+    with its own row. The tie DP runs over the bidders j != i in bidder order, fed
+    (P(below), P(at)) = (cum[..., j, k], masses[..., j, k]); the right limits multiply
+    P(bid <= base) = cum[..., j, k + 1] in the same order, from 1.0. An ``i`` of n
+    leaves nobody out. A stacked profile's row has the bits of its own.
 
     A base where an opponent has no mass adds +0.0 to its prefix sums, and
     :func:`_bid_masses` adds the weights of equal bids left to right from 0.0, as
@@ -219,27 +220,43 @@ def _leave_one_out_row(tie: Tie, masses: np.ndarray, cum: np.ndarray, i: int) ->
     ``np.maximum.accumulate`` over a whole row keeps the pick of the opponents'
     bases alone.
     """
-    opp = [j for j in range(len(masses)) if j != i]
-    out = np.empty(2 * masses.shape[1])
-    out[0::2] = _tie_dp(tie, out[0::2], ((cum[j, :-1], masses[j]) for j in opp))
-    out[1::2] = reduce(np.multiply, (cum[j, 1:] for j in opp), 1.0)
+    opp = [j for j in range(masses.shape[-2]) if j != i]
+    out = np.empty(masses.shape[:-2] + (2 * masses.shape[-1],))
+    at = ((cum[..., j, :-1], masses[..., j, :]) for j in opp)
+    out[..., 0::2] = _tie_dp(tie, out[..., 0::2], at)
+    out[..., 1::2] = reduce(np.multiply, (cum[..., j, 1:] for j in opp), 1.0)
     return out
 
 
 def _argmax_utility(fmt: Format, values: np.ndarray, bases, alloc):
-    """Largest utility over the candidate bids and its first maximizing index, per value.
+    """Largest utility over the candidate bids and its first maximizing index, per value
+    and per allocation row: arrays shaped ``alloc.shape[:-1] + values.shape``.
 
-    Row blocks of the values x candidates utility matrix are maximized with
-    ``argmax``, which returns the first maximum.
+    Blocks of at most ``BEST_RESPONSE_BLOCK`` values x candidates elements per
+    allocation row, whole rows or values of one row, are maximized with ``argmax``,
+    which returns the first maximum. A block reads its allocation rows uncopied.
     """
+    k = len(values)
+    allocs = alloc.reshape(-1, alloc.shape[-1])
     rows = max(1, BEST_RESPONSE_BLOCK // len(bases))
-    sups = np.empty(len(values))
-    picks = np.empty(len(values), dtype=np.intp)
-    for lo in range(0, len(values), rows):
-        u = _utility(fmt, values[lo : lo + rows, None], bases, alloc)
-        picks[lo : lo + rows] = k = u.argmax(axis=1)
-        sups[lo : lo + rows] = u[np.arange(len(k)), k]
-    return sups, picks
+    sups = np.empty((len(allocs), k))
+    picks = np.empty((len(allocs), k), dtype=np.intp)
+    per = rows // max(k, 1)
+    if per < 2 or not k:  # one allocation row per block
+        for a, s, q in zip(allocs, sups, picks):
+            for lo in range(0, k, rows):
+                u = _utility(fmt, values[lo : lo + rows, None], bases, a)
+                q[lo : lo + rows] = best = u.argmax(axis=1)
+                s[lo : lo + rows] = u[np.arange(len(best)), best]
+    else:
+        for p in range(0, len(allocs), per):
+            u = _utility(fmt, values[:, None], bases, allocs[p : p + per, None])
+            u = u.reshape(-1, len(bases))
+            best = u.argmax(axis=1)
+            picks[p : p + per] = best.reshape(-1, k)
+            sups[p : p + per] = u[np.arange(len(best)), best].reshape(-1, k)
+    shape = alloc.shape[:-1] + (k,)
+    return sups.reshape(shape), picks.reshape(shape)
 
 
 def best_response(rule: AuctionRule, values, opp: Sequence[DiscreteDistribution]):
@@ -261,16 +278,12 @@ def _grid_best_response(
     fmt: Format, values: np.ndarray, grid_bids: np.ndarray, alloc
 ) -> np.ndarray:
     """Pointwise best-response bids at sorted distinct ``values`` over the sorted
-    distinct ``grid_bids``, whose allocation probabilities are ``alloc``.
+    distinct ``grid_bids``, whose allocation probabilities are the last axis of
+    ``alloc``: one bid vector per row of ``alloc``.
 
     Ties break toward the lower bid. Bids with zero winning probability are
-    zeroed out, after which the bid sequence must be nondecreasing; a
-    violation raises ``ValueError``, since it would contradict the monotone
-    dominance of best responses.
+    zeroed out, after which every bid vector should be nondecreasing, by the
+    monotone dominance of best responses; the caller checks it.
     """
     _, ks = _argmax_utility(fmt, values, grid_bids, alloc)
-    bids = np.where(alloc == 0.0, 0.0, grid_bids)[ks]
-    if (bids[1:] < bids[:-1]).any():
-        pairs = list(zip(values.tolist(), bids.tolist()))
-        raise ValueError(f"best-response bids not monotone: {pairs}")
-    return bids
+    return np.take_along_axis(np.where(alloc == 0.0, 0.0, grid_bids), ks, axis=-1)

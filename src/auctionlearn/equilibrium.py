@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .auction import (
+    BEST_RESPONSE_BLOCK,
     AuctionRule,
     CandidateBid,
     _argmax_utility,
@@ -66,44 +66,77 @@ def verify_bne(
         raise ValueError(f"profile bids above H={f.h}")
     bids = [s.eval(m.arrays[0]) for m, s in zip(f.marginals, profile)]
     axis, masses, cum = _bid_axis([(b, m.arrays[1]) for m, b in zip(f.marginals, bids)], ())
-    row = partial(_leave_one_out_row, rule.tie, masses, cum)
-    return _certify(rule, f, bids, axis, row, math.inf, 0)
+    return _certify(rule, f, bids, axis, masses, cum)
 
 
-def _certify(rule, f, bids: list, axis: np.ndarray, row, stop_at: float, first: int):
+def _gaps(fmt, values: np.ndarray, axis: np.ndarray, own, alloc):
+    """The deviation gaps at ``values`` of the bids ``own`` against the leave-one-out
+    rows ``alloc`` on ``axis`` (one row per leading index of ``own``), and the first
+    maximizing candidate of each: every base and its right limit. A gap below -1e-9
+    or NaN raises ``AssertionError``; a negative gap is returned as 0.0."""
+    sups, picks = _argmax_utility(fmt, values, np.repeat(axis, 2), alloc)
+    own_alloc = np.take_along_axis(alloc, 2 * axis.searchsorted(own), axis=-1)
+    gaps = sups - _utility(fmt, values, own, own_alloc)
+    bad = ~(gaps >= -1e-9)  # also a NaN gap, which `gap > eps` would skip
+    if bad.any():
+        gap = gaps[bad][0].item()
+        raise AssertionError(f"gap {gap} is negative or NaN: candidates not exhaustive")
+    return np.where(gaps < 0.0, 0.0, gaps), picks  # as max(gap, 0.0), which keeps a -0.0 gap
+
+
+def _certify(rule, f, bids: list, axis: np.ndarray, masses: np.ndarray, cum: np.ndarray):
     """``verify_bne``'s certificate of the profile whose bids at bidder i's atoms are
-    ``bids[i]``, or None as soon as one bidder's largest gap is >= ``stop_at``.
-    ``row(i)`` is bidder i's :func:`auction._leave_one_out_row` of the profile on
-    ``axis``, read once per examined bidder; a bidder's candidates are every base
-    and its right limit. Bidder ``first`` is examined first; the certificate is
-    assembled in bidder order, so it does not depend on it. Only the first largest
-    gap of a row, the one ``worst`` may take, gets a :class:`CandidateBid`.
+    ``bids[i]``, whose bid masses on ``axis`` are ``masses`` and their prefix sums
+    ``cum``. Only the first largest gap of a row, the one ``worst`` may take, gets a
+    :class:`CandidateBid`.
     """
-    bases = np.repeat(axis, 2)
-    rows = {}
-    for i in [first] + [j for j in range(f.n) if j != first]:
-        values = f.marginals[i].arrays[0]
-        alloc = row(i)
-        sups, picks = _argmax_utility(rule.format, values, bases, alloc)
-        own = bids[i]
-        gaps = sups - _utility(rule.format, values, own, alloc[2 * axis.searchsorted(own)])
-        bad = ~(gaps >= -1e-9)  # also a NaN gap, which `gap > eps` would skip
-        if bad.any():
-            gap = gaps[bad.argmax()].item()
-            raise AssertionError(f"gap {gap} is negative or NaN: candidates not exhaustive")
-        gaps = np.where(gaps < 0.0, 0.0, gaps)  # as max(gap, 0.0), which keeps a -0.0 gap
-        if gaps.max() >= stop_at:
-            return None
-        rows[i] = (gaps, picks)
-    eps, worst = 0.0, (0, 0.0, CandidateBid(0.0, False))
-    for i in range(f.n):
-        gaps, picks = rows[i]
+    eps, worst, rows = 0.0, (0, 0.0, CandidateBid(0.0, False)), []
+    for i, m in enumerate(f.marginals):
+        alloc = _leave_one_out_row(rule.tie, masses, cum, i)
+        gaps, picks = _gaps(rule.format, m.arrays[0], axis, bids[i], alloc)
         k = gaps.argmax()
         if gaps[k] > eps:
-            bid = CandidateBid(bases[picks[k]].item(), bool(picks[k] % 2))
-            eps, worst = gaps[k].item(), (i, f.marginals[i].atoms[k], bid)
-    gap_rows = tuple(tuple(zip(f.marginals[i].atoms, rows[i][0].tolist())) for i in range(f.n))
-    return BNECertificate(eps, gap_rows, worst)
+            bid = CandidateBid(axis[picks[k] // 2].item(), bool(picks[k] % 2))
+            eps, worst = gaps[k].item(), (i, m.atoms[k], bid)
+        rows.append(tuple(zip(m.atoms, gaps.tolist())))
+    return BNECertificate(eps, tuple(rows), worst)
+
+
+def _certify_batch(rule, f, axis: np.ndarray, bids: list, masses: np.ndarray, known: list, bound):
+    """The epsilon of every profile of a batch, as :func:`_certify` finds it, or inf once
+    one bidder's largest gap is above ``bound``; and the bidder of each epsilon.
+
+    Profile p bids ``bids[p][i]`` at bidder i's atoms, its bid masses on ``axis`` are
+    ``masses[p]``, and ``known[p]`` maps bidders to their leave-one-out rows of it,
+    already computed. The batch is examined bidder by bidder, from ``bound``'s bidder
+    on (``bound`` is a pair (epsilon, bidder)): the surviving profiles share one
+    stacked row DP, for the rows not known, and one blocked argmax.
+    """
+    eps, bidder = [0.0] * len(masses), [0] * len(masses)
+    given = {(p, i): row for p, rows in enumerate(known) for i, row in rows.items()}
+    alive, cum = list(range(len(masses))), None
+    first = bound[1]
+    for i in [first, *range(first), *range(first + 1, f.n)]:
+        need = [p for p in alive if (p, i) not in given]
+        alloc = ()
+        if need:
+            cum = _prefix_masses(masses) if cum is None else cum
+            part = slice(None) if len(need) == len(masses) else need
+            alloc = _leave_one_out_row(rule.tie, masses[part], cum[part], i)
+        if len(need) < len(alive):
+            rows = iter(alloc)
+            alloc = np.array([given[p, i] if (p, i) in given else next(rows) for p in alive])
+        own = np.array([bids[p][i] for p in alive])
+        tops = _gaps(rule.format, f.marginals[i].arrays[0], axis, own, alloc)[0].max(axis=1)
+        for p, top in zip(alive, tops.tolist()):
+            if top > eps[p]:
+                eps[p], bidder[p] = top, i
+            if top > bound[0]:
+                eps[p] = math.inf
+        alive = [p for p in alive if eps[p] != math.inf]
+        if not alive:
+            break
+    return eps, bidder
 
 
 def _damped_mix(old: np.ndarray, new: np.ndarray, damping: float, rng) -> np.ndarray:
@@ -118,6 +151,16 @@ def _damped_mix(old: np.ndarray, new: np.ndarray, damping: float, rng) -> np.nda
         prev = max(prev, b)
         bids.append(prev)
     return np.array(bids)
+
+
+def _restart_streams(seed: int, restarts: int, draws: int) -> list:
+    """One generator per restart on the stream of ``seed``, restart r's advanced past
+    the ``r * draws`` uniforms that the restarts before it draw in a sequential run.
+    A uniform double takes one 64-bit word of the stream."""
+    rngs = [np.random.default_rng(seed) for _ in range(restarts)]
+    for r, rng in enumerate(rngs):
+        rng.bit_generator.advance(r * draws)
+    return rngs
 
 
 def _snap_to_grid(bid: float, grid: list[float]) -> float:
@@ -171,23 +214,31 @@ def solve_bne(
     (best-response cycling rarely discovers graded strategies from a flat
     start) and runs ``max_iters // 5`` rounds from each, so ``max_iters`` caps
     the total rounds and 0 to 4 certify only the starts. Every raw and every
-    damped best-response iterate is considered. A profile is kept only if its
-    epsilon is below the best so far, so its certification stops at the first
-    bidder (the best's worst one first) whose largest gap reaches the best; the
-    returned certificate equals ``verify_bne``'s. A profile visited again is not
-    certified again: its epsilon is at least the best's. Every iterate bids a
-    grid bid or 0.0 at each of the bidder's atoms, with a default bid of 0, so
-    the solver carries one bid vector per bidder, pushes it onto the fixed axis
-    of 0.0 and the grid with one ``bincount``, and builds a
-    :class:`MonotoneStrategy` only for the returned profile. A bidder's
-    leave-one-out row is computed only when a grid best response or a
-    certificate reads it, and cached by the bidder and the opponents' bid masses,
-    the newest 2n rows kept: a step replaces only the stepping bidder's masses,
-    so the row of its best response also serves the stepped and the damped
-    profile. The prefix sums of a profile's masses are taken once, when the first
-    missing row of it is read.
-    Dynamics need not converge in a first-price auction: only a certificate of
-    0 ends the search early. Grid bids must lie in [0, ``f.h``].
+    damped best-response iterate is considered, and the result is the first
+    visited profile with the smallest epsilon in sequential order (restart,
+    round, bidder, raw before damped), with ``verify_bne``'s certificate. The
+    solver carries one bid vector per bidder at its atoms (a grid bid or 0.0),
+    pushes it onto the fixed axis of 0.0 and the grid with one ``bincount``,
+    and builds a :class:`MonotoneStrategy` only for the returned profile.
+
+    The restarts run in lockstep. Restart r draws from its own generator, on
+    the seed's stream advanced past the K_i uniforms per bidder step of the r
+    restarts before it, where a sequential run draws. One stacked leave-one-out
+    row DP gives every live restart's best response for the stepping bidder; its
+    row serves that bidder in the raw and the damped iterate, and the next
+    bidder's row serves the next bidder in the damped iterate, which waits for it
+    within a round. Visited profiles wait for a batch certificate, at every round
+    end or sooner when the waiting bid masses would exceed ``BEST_RESPONSE_BLOCK``
+    elements, which drops a profile once one bidder's gap is above the best
+    epsilon so far. A profile visited again is not certified again, but keeps its
+    earliest rank.
+
+    Dynamics need not converge in a first-price auction: a certificate of 0 ends
+    its restart and every later one at the next round start, as a sequential run
+    exits there, while earlier restarts run on. A non-monotone best response
+    stops its restart and every later one, and raises ``ValueError`` unless a
+    certificate of 0 came before it in sequential order. Grid bids must lie in
+    [0, ``f.h``].
     """
     grid = [float(b) for b in bid_grid]
     if any(map(math.isnan, grid)):
@@ -203,72 +254,98 @@ def solve_bne(
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     if not 0.0 <= damping <= 1.0:  # also rejects NaN
         raise ValueError(f"damping must lie in [0, 1], got {damping}")
-    rng = np.random.default_rng(seed)
     starts = [0.0, 0.25, 0.5, 0.75, 1.0]
+    rounds = max_iters // len(starts)
     grid_bids = np.array(grid)
     axis = np.array(sorted({0.0} | set(grid)))
     grid_pos = 2 * axis.searchsorted(grid_bids)
+    values = [m.arrays[0] for m in f.marginals]
     weights = [m.arrays[1] for m in f.marginals]
-    best_bids: list | None = None
-    best_cert: BNECertificate | None = None
-    cache: dict[tuple, np.ndarray] = {}  # the newest 2n rows, newest last
-    # The bid bytes of every certified profile. They tell -0.0 from 0.0, which
-    # costs at most a repeated certification.
-    certified: set[tuple[bytes, ...]] = set()
+    rngs = _restart_streams(seed, len(starts), rounds * sum(map(len, values)))
+    # Every restart's bid vectors, one per bidder, its bid masses on the axis and
+    # their prefix sums; a step replaces only the stepping bidder's.
+    bids = [[_shade_on_grid(m.atoms, alpha, grid) for m in f.marginals] for alpha in starts]
+    masses = np.array([[_bid_masses(axis, b, w) for b, w in zip(bs, weights)] for bs in bids])
+    cums = _prefix_masses(masses)
+    # A visit is [epsilon (None while it waits), first rank, bids, bidder of the
+    # epsilon], keyed by bid bytes (which tell -0.0 from 0.0). A rank is (restart, 0)
+    # for a start and (restart, 1 + 2 * (t * n + i)) for the raw iterate of bidder
+    # i's step in round t, plus 1 for the damped one.
+    visited: dict[tuple[bytes, ...], list] = {}
+    # The waiting profiles' bid masses, as many as a batch may hold, and their visits.
+    pending = np.empty((max(1, BEST_RESPONSE_BLOCK // masses[0].size), *masses.shape[1:]))
+    waiting: list[tuple[list, dict]] = []  # (visit, known rows)
+    held: dict[int, tuple] = {}  # each restart's damped iterate: (rank, bids, known rows)
+    best = (math.inf, (), None, 0, None)  # a visit's fields, then its bid masses
+    error = None  # (rank of the first failing step's round, message)
 
-    def rows_of(masses: np.ndarray):
-        # The row getter of the profile whose bid masses are `masses`, which must
-        # not change while the getter is in use.
-        cum = None
+    def keep(visit: list, profile_masses: np.ndarray) -> None:
+        nonlocal best
+        if (visit[0], visit[1]) < best[:2]:
+            best = (*visit, profile_masses.copy())
 
-        def row(i: int) -> np.ndarray:
-            nonlocal cum
-            key = (i, masses[:i].tobytes(), masses[i + 1 :].tobytes())
-            alloc = cache.pop(key, None)
-            if alloc is None:
-                if cum is None:
-                    cum = _prefix_masses(masses)
-                alloc = _leave_one_out_row(rule.tie, masses, cum, i)
-            cache[key] = alloc
-            if len(cache) > 2 * f.n:
-                del cache[next(iter(cache))]
-            return alloc
+    def certify_waiting() -> None:
+        visits, known = zip(*waiting)
+        batch = pending[: len(waiting)]
+        bound = (best[0], best[3])
+        eps, bidders = _certify_batch(rule, f, axis, [v[2] for v in visits], batch, known, bound)
+        for visit, profile_masses, e, i in zip(visits, batch, eps, bidders):
+            visit[0], visit[3] = e, i
+            keep(visit, profile_masses)
+        waiting.clear()
 
-        return row
-
-    def consider(bids: list, row) -> None:
-        nonlocal best_bids, best_cert
-        key = tuple(b.tobytes() for b in bids)
-        if key in certified:  # its epsilon is >= the best's, so it is cut off again
+    def consider(rank: tuple, profile_bids: list, profile_masses: np.ndarray, known) -> None:
+        key = tuple(b.tobytes() for b in profile_bids)
+        visit = visited.get(key)
+        if visit is not None:
+            visit[1] = min(visit[1], rank)
+            if visit[0] is not None:
+                keep(visit, profile_masses)
             return
-        certified.add(key)
-        bound = (best_cert.epsilon, best_cert.worst[0]) if best_cert else (math.inf, 0)
-        cert = _certify(rule, f, bids, axis, row, *bound)
-        if cert is not None:
-            best_bids, best_cert = list(bids), cert
+        if len(waiting) == len(pending):
+            certify_waiting()
+        pending[len(waiting)] = profile_masses
+        visited[key] = visit = [None, rank, profile_bids, 0]
+        waiting.append((visit, known))
 
-    def best() -> tuple[StrategyProfile, BNECertificate]:
-        pairs = (zip(m.atoms, b.tolist()) for m, b in zip(f.marginals, best_bids))
-        return StrategyProfile(tuple(MonotoneStrategy(tuple(p)) for p in pairs)), best_cert
-
-    for alpha in starts:
-        # One bid vector per bidder, at the bidder's atoms, and the matrix of the
-        # bidders' bid masses on the axis; a step replaces only the stepping bidder's.
-        bids = [_shade_on_grid(m.atoms, alpha, grid) for m in f.marginals]
-        masses = np.array([_bid_masses(axis, b, w) for b, w in zip(bids, weights)])
-        row = rows_of(masses)
-        consider(bids, row)
-        for _ in range(max_iters // len(starts)):
-            if best_cert.epsilon == 0.0:
-                return best()
-            for i, m in enumerate(f.marginals):
-                alloc = row(i)[grid_pos]
-                br = _grid_best_response(rule.format, m.arrays[0], grid_bids, alloc)
-                stepped = masses.copy()
-                stepped[i] = _bid_masses(axis, br, weights[i])
-                consider([*bids[:i], br, *bids[i + 1 :]], rows_of(stepped))
-                bids[i] = _damped_mix(bids[i], br, damping, rng)
-                masses[i] = _bid_masses(axis, bids[i], weights[i])
-                row = rows_of(masses)
-                consider(bids, row)
-    return best()
+    for r in range(len(starts)):
+        consider((r, 0), list(bids[r]), masses[r], {})
+    certify_waiting()
+    live = list(range(len(starts)))
+    for t in range(rounds):
+        if best[0] == 0.0:
+            live = [r for r in live if r < best[1][0]]
+        if not live:
+            break
+        for i in range(f.n):
+            part = slice(None) if len(live) == len(starts) else live
+            rows = _leave_one_out_row(rule.tie, masses[part], cums[part], i)
+            responses = _grid_best_response(rule.format, values[i], grid_bids, rows[:, grid_pos])
+            for r, row, br in zip(live, rows, responses):
+                if r in held:
+                    rank, profile_bids, known = held.pop(r)
+                    consider(rank, profile_bids, masses[r], {**known, i: row})
+                if (br[1:] < br[:-1]).any():
+                    pairs = list(zip(values[i].tolist(), br.tolist()))
+                    error = ((r, 1 + 2 * t * f.n), f"best-response bids not monotone: {pairs}")
+                    live = live[: live.index(r)]
+                    break
+                # Restart r's masses hold the raw iterate, then the damped one.
+                rank = 1 + 2 * (t * f.n + i)
+                masses[r, i] = _bid_masses(axis, br, weights[i])
+                consider((r, rank), [*bids[r][:i], br, *bids[r][i + 1 :]], masses[r], {i: row})
+                bids[r][i] = _damped_mix(bids[r][i], br, damping, rngs[r])
+                masses[r, i] = _bid_masses(axis, bids[r][i], weights[i])
+                cums[r, i] = _prefix_masses(masses[r, i])
+                held[r] = ((r, rank + 1), list(bids[r]), {i: row})
+        for r, (rank, profile_bids, known) in held.items():
+            consider(rank, profile_bids, masses[r], known)
+        held.clear()
+        if waiting:
+            certify_waiting()
+    if error is not None and not (best[0] == 0.0 and best[1] < error[0]):
+        raise ValueError(error[1])
+    _, _, best_bids, _, best_masses = best
+    pairs = (zip(m.atoms, b.tolist()) for m, b in zip(f.marginals, best_bids))
+    profile = StrategyProfile(tuple(MonotoneStrategy(tuple(p)) for p in pairs))
+    return profile, _certify(rule, f, best_bids, axis, best_masses, _prefix_masses(best_masses))

@@ -524,11 +524,10 @@ def leave_one_out_allocations_reference(tie: Tie, masses: np.ndarray) -> np.ndar
     return out
 
 
-def certify_reference(rule, f, profile, pushed, stop_at=math.inf, first=0):
-    """``equilibrium._certify`` with a CandidateBid per atom and one Python step per gap:
-    None as soon as one bidder's largest gap is >= ``stop_at``, bidder ``first`` first."""
+def certify_reference(rule, f, profile, pushed):
+    """``equilibrium._certify`` with a CandidateBid per atom and one Python step per gap."""
     rows = {}
-    for i in [first] + [j for j in range(f.n) if j != first]:
+    for i in range(f.n):
         m = f.marginals[i]
         opp = pushed[:i] + pushed[i + 1 :]
         cands = candidate_allocations_reference(rule.tie, opp)
@@ -546,8 +545,6 @@ def certify_reference(rule, f, profile, pushed, stop_at=math.inf, first=0):
             if not gap >= -1e-9:
                 raise AssertionError(f"gap {gap} is negative or NaN: candidates not exhaustive")
             gaps.append(max(gap, 0.0))
-        if max(gaps) >= stop_at:
-            return None
         rows[i] = (m.atoms, gaps, devs)
     eps, worst = 0.0, (0, 0.0, CandidateBid(0.0, False))
     for i in range(f.n):
@@ -561,14 +558,17 @@ def monotone_best_response_profile(
     rule: AuctionRule, values: Sequence[float], opp: Sequence[DiscreteDistribution], bid_grid
 ) -> MonotoneStrategy:
     """Pointwise best-response bids on ``bid_grid`` over a value grid, emitted as a
-    strategy: the solver's grid best response, with the tie DP on every grid bid."""
+    strategy: the solver's grid best response, with the tie DP on every grid bid. Bids
+    that are not nondecreasing raise the solver's ``ValueError``."""
     grid_bids = np.array(sorted(set(bid_grid)), dtype=float)
     if not grid_bids.size:
         raise ValueError("bid_grid is empty")
     alloc = allocation_probability_by_search(rule.tie, opp, grid_bids)
     values = sorted(set(float(v) for v in values))
-    bids = _grid_best_response(rule.format, np.array(values), grid_bids, alloc)
-    return MonotoneStrategy(tuple(zip(values, bids.tolist())))
+    bids = _grid_best_response(rule.format, np.array(values), grid_bids, alloc).tolist()
+    if any(b2 < b1 for b1, b2 in zip(bids, bids[1:])):
+        raise ValueError(f"best-response bids not monotone: {list(zip(values, bids))}")
+    return MonotoneStrategy(tuple(zip(values, bids)))
 
 
 def replace_strategy(profile: StrategyProfile, i: int, s: MonotoneStrategy) -> StrategyProfile:
@@ -576,12 +576,14 @@ def replace_strategy(profile: StrategyProfile, i: int, s: MonotoneStrategy) -> S
     return StrategyProfile(profile.strategies[:i] + (s,) + profile.strategies[i + 1 :])
 
 
-def solve_bne_reference(rule, f, bid_grid, max_iters, damping=0.5, seed=0):
-    """The certified best-response solver with a full ``verify_bne`` per considered profile.
+def solve_bne_reference(rule, f, bid_grid, max_iters, damping=0.5, seed=0, trace=None):
+    """The certified best-response solver with a full ``verify_bne`` per considered
+    profile, run sequentially: restart after restart, from one random stream.
 
-    Same dynamics, random stream and acceptance rule (strictly smaller
-    epsilon) as ``solve_bne``, without bounded certification or reuse of the
-    pushed-forward bid distributions.
+    Same dynamics, random stream and acceptance rule (strictly smaller epsilon) as
+    ``solve_bne``, without batches, lockstep restarts or reuse of the pushed-forward
+    bid distributions. A ``trace`` list receives (restart, profile, epsilon) for
+    every considered profile, in order.
     """
     grid = sorted(set(float(b) for b in bid_grid))
     rng = np.random.default_rng(seed)
@@ -591,10 +593,12 @@ def solve_bne_reference(rule, f, bid_grid, max_iters, damping=0.5, seed=0):
     def consider(profile):
         nonlocal best
         cert = verify_bne(rule, f, profile)
+        if trace is not None:
+            trace.append((restart, profile, cert.epsilon))
         if best is None or cert.epsilon < best[1].epsilon:
             best = (profile, cert)
 
-    for alpha in starts:
+    for restart, alpha in enumerate(starts):
         profile = StrategyProfile(
             tuple(shade_on_grid_reference(m.atoms, alpha, grid) for m in f.marginals)
         )

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlearn.cli import _json_text, child_seed, main
+from test_bench_bytes import workloads
 
 
 @pytest.fixture
@@ -683,6 +684,23 @@ GOLDEN_SHA256 = [
         "sha256:8793e806f81b392e0af966dcbe3728b9d3650e92e100c5f36cd563fb0532b4ee",
     ),
 ]
+
+
+# sha256 of solve-bne outputs at more bidders than any bench op (n <= 6), on
+# bench instances, recorded before the five restarts ran in lockstep.
+GOLDEN_MANY_BIDDERS = [
+    (8, 30, "15", "9c7a005dce0a6c5614900906002c54bf6c5b3129290992e1839be6caeb47028c"),
+    (16, 20, "10", "fc161a9e4d65f78ae235a1b34c7fdeeebcdd4bae7dd115c0e3e97eaa48213ae5"),
+]
+
+
+@pytest.mark.parametrize("n, k, max_iters, expected", GOLDEN_MANY_BIDDERS)
+def test_solve_bytes_at_many_bidders(n, k, max_iters, expected, tmp_path):
+    instance, out = tmp_path / "instance.json", tmp_path / "out"
+    instance.write_text(json.dumps(workloads.make_instance(11, n, k)))
+    argv = ["solve-bne", "--instance", str(instance), "--grid-step", "0.05"]
+    assert main(argv + ["--max-iters", max_iters, "--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
 @pytest.mark.parametrize(

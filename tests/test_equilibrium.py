@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,8 +31,10 @@ from auctionlearn.dist import (
     sample_matrix,
     uniform_on,
 )
+import conftest
 from auctionlearn.equilibrium import (
     _certify,
+    _certify_batch,
     _damped_mix,
     _shade_on_grid,
     _snap_to_grid,
@@ -40,6 +44,8 @@ from auctionlearn.equilibrium import (
 )
 from auctionlearn.estimate import shade_family, sup_error
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
+
+from test_bench_bytes import workloads
 
 from conftest import (
     QUARTERS,
@@ -58,6 +64,11 @@ from conftest import (
     solve_bne_reference,
     verify_bne_reference,
 )
+
+
+def profile_bids(profile) -> tuple:
+    """A profile's bids at its strategies' thresholds, by value."""
+    return tuple(tuple(b for _, b in s.breakpoints) for s in profile)
 
 K = 20
 GRID = [k / K for k in range(K + 1)]
@@ -117,7 +128,12 @@ class TestVerify:
         bids = [np.array([0.0, 0.5, 0.5]), np.array([0.0, 0.25, 0.5])]
         pushed = [_push_values(m, b) for m, b in zip(f.marginals, bids)]
         with pytest.raises(AssertionError, match="^gap nan is negative or NaN: candidates not"):
-            certify_bids(FPA_RANDOM, f, bids, pushed, math.inf, 0)
+            certify_bids(FPA_RANDOM, f, bids, pushed)
+        axis = np.array([0.0, 0.25, 0.5])
+        masses = pushed_masses(axis, pushed)[None]
+        for bound in ((math.inf, 0), (math.inf, 1), (0.0, 0)):
+            with pytest.raises(AssertionError, match="^gap nan is negative or NaN: candidates"):
+                equilibrium._certify_batch(FPA_RANDOM, f, axis, [bids], masses, [{}], bound)
 
     def test_bid_above_h_raises(self):
         profile = StrategyProfile((shade(GRID, 0.5), constant(5.0)))
@@ -182,50 +198,75 @@ def tie_heavy_instances(draw, max_n=4):
     return rule, product_of([draw(quarter_distributions()) for _ in range(n)], 1.0)
 
 
-def certify_bids(rule, f, bids, pushed, stop_at, first):
-    """``_certify`` of the bids at every bidder's atoms, whose bid distributions are
-    ``pushed``: their masses are placed on the axis of 0.0 and every bid, and a
-    bidder's leave-one-out row is computed when the certifier reads it."""
-    axis = np.array(sorted({0.0}.union(*(b.tolist() for b in bids))))
-    masses = np.zeros((f.n, len(axis)))
+def pushed_masses(axis, pushed):
+    """The bid masses on ``axis`` of the bid distributions ``pushed``, one row each."""
+    masses = np.zeros((len(pushed), len(axis)))
     for row, d in zip(masses, pushed):
         row[axis.searchsorted(d.atoms)] = d.weights
-    cum = auction._prefix_masses(masses)
-
-    def alloc_row(i):
-        return auction._leave_one_out_row(rule.tie, masses, cum, i)
-
-    return _certify(rule, f, bids, axis, alloc_row, stop_at, first)
+    return masses
 
 
-def certify_profile(rule, f, profile, pushed, stop_at=math.inf, first=0):
+def certify_bids(rule, f, bids, pushed):
+    """``_certify`` of the bids at every bidder's atoms, whose bid distributions are
+    ``pushed``: their masses are placed on the axis of 0.0 and every bid."""
+    axis = np.array(sorted({0.0}.union(*(b.tolist() for b in bids))))
+    masses = pushed_masses(axis, pushed)
+    return _certify(rule, f, bids, axis, masses, auction._prefix_masses(masses))
+
+
+def certify_profile(rule, f, profile, pushed):
     """``_certify`` of a profile, from its bids at every bidder's atoms."""
     bids = [s.eval(m.arrays[0]) for m, s in zip(f.marginals, profile)]
-    return certify_bids(rule, f, bids, pushed, stop_at, first)
+    return certify_bids(rule, f, bids, pushed)
+
+
+def certify_batch(rule, f, profiles, bound, known):
+    """``_certify_batch`` of the profiles on one axis of 0.0 and every bid of every
+    profile, with bidder ``known[p]``'s leave-one-out row of profile p given
+    precomputed (none for None)."""
+    bids = [[s.eval(m.arrays[0]) for m, s in zip(f.marginals, p)] for p in profiles]
+    axis = np.array(sorted({0.0}.union(*(b.tolist() for bs in bids for b in bs))))
+    pushed = [[push_forward(m, s) for m, s in zip(f.marginals, p)] for p in profiles]
+    masses = np.array([pushed_masses(axis, d) for d in pushed])
+    row, prefix = partial(auction._leave_one_out_row, rule.tie), auction._prefix_masses
+    rows = [{} if i is None else {i: row(m, prefix(m), i)} for m, i in zip(masses, known)]
+    return equilibrium._certify_batch(rule, f, axis, bids, masses, rows, bound)
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_bounded_certificate_matches_verify_bne(data):
+    # One to three profiles in one batch, some with a row given; the bound hits an
+    # epsilon itself and other gaps exactly, as solve_bne's does, and examination
+    # starts at any bidder.
     rule, f = data.draw(tie_heavy_instances())
-    strategies = []
-    for m in f.marginals:
-        bids = data.draw(st.lists(QUARTERS, min_size=len(m.atoms), max_size=len(m.atoms)))
-        strategies.append(MonotoneStrategy(tuple(zip(m.atoms, sorted(bids)))))
-    profile = StrategyProfile(tuple(strategies))
-    pushed = [push_forward(m, s) for m, s in zip(f.marginals, profile)]
+    profiles = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        strategies = []
+        for m in f.marginals:
+            bids = data.draw(st.lists(QUARTERS, min_size=len(m.atoms), max_size=len(m.atoms)))
+            strategies.append(MonotoneStrategy(tuple(zip(m.atoms, sorted(bids)))))
+        profiles.append(StrategyProfile(tuple(strategies)))
+    certs = [verify_bne(rule, f, p) for p in profiles]
+    for profile, cert in zip(profiles, certs):
+        pushed = [push_forward(m, s) for m, s in zip(f.marginals, profile)]
+        assert certify_profile(rule, f, profile, pushed) == cert
+    gaps = [g for cert in certs for row in cert.gaps for _, g in row]
+    eps = [cert.epsilon for cert in certs]
+    stop_at = data.draw(st.sampled_from([*eps, *gaps]) | st.floats(0.0, 1.0) | st.just(math.inf))
     first = data.draw(st.integers(0, f.n - 1))
-    cert = verify_bne(rule, f, profile)
-    assert certify_profile(rule, f, profile, pushed, first=first) == cert
-    # The bound hits epsilon itself and other gaps exactly, as solve_bne's does.
-    gaps = [g for row in cert.gaps for _, g in row]
-    stop_at = data.draw(st.sampled_from([cert.epsilon, *gaps]) | st.floats(0.0, 1.0))
-    got = certify_profile(rule, f, profile, pushed, stop_at, first)
-    assert got == (None if cert.epsilon >= stop_at else cert)
+    known = [data.draw(st.none() | st.integers(0, f.n - 1)) for _ in profiles]
+    got, bidders = certify_batch(rule, f, profiles, (stop_at, first), known)
+    for cert, e, i in zip(certs, got, bidders):
+        if cert.epsilon > stop_at:
+            assert e == math.inf
+        else:
+            assert e == cert.epsilon
+            assert max(g for _, g in cert.gaps[i]) == e
 
 
-def _dumped(cert) -> str | None:
-    return None if cert is None else json.dumps(cert.to_json())
+def _dumped(cert) -> str:
+    return json.dumps(cert.to_json())
 
 
 @given(st.data())
@@ -245,13 +286,13 @@ def test_certificate_matches_per_atom_reference(data):
         strategies.append(MonotoneStrategy(tuple(zip(m.atoms, sorted(bids)))))
     profile = StrategyProfile(tuple(strategies))
     pushed = [push_forward(m, s) for m, s in zip(f.marginals, profile)]
-    first = data.draw(st.integers(0, f.n - 1))
-    want = certify_reference(rule, f, profile, pushed, first=first)
-    assert _dumped(certify_profile(rule, f, profile, pushed, first=first)) == _dumped(want)
+    want = certify_reference(rule, f, profile, pushed)
+    assert _dumped(certify_profile(rule, f, profile, pushed)) == _dumped(want)
     gaps = [g for row in want.gaps for _, g in row]
     stop_at = data.draw(st.sampled_from([want.epsilon, *gaps]) | st.floats(0.0, 1.0))
-    got = certify_profile(rule, f, profile, pushed, stop_at, first)
-    assert _dumped(got) == _dumped(certify_reference(rule, f, profile, pushed, stop_at, first))
+    first = data.draw(st.integers(0, f.n - 1))
+    (got,), _ = certify_batch(rule, f, [profile], (stop_at, first), [None])
+    assert got == (math.inf if want.epsilon > stop_at else want.epsilon)
 
 
 @given(st.data())
@@ -287,6 +328,221 @@ def test_solver_matches_reference_on_odd_grids(grid, damping, rng):
         got = solve_bne(rule, f, grid, max_iters=10, damping=damping, seed=k)
         want = solve_bne_reference(rule, f, grid, 10, damping=damping, seed=k)
         assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 47, 2**32 + 5, 2**62 + 11])
+def test_restart_streams_partition_the_sequential_stream(seed):
+    # A sequential run draws K_i uniforms per bidder step, restart after restart;
+    # each restart's generator must reproduce its own slice of that sequence. It
+    # fails if a uniform double ever stops taking one 64-bit word of the stream.
+    sizes_rng = np.random.default_rng(seed % 1000)
+    for rounds in range(5):
+        for _ in range(3):
+            sizes = sizes_rng.integers(1, 8, size=sizes_rng.integers(1, 6)).tolist()
+            sequential = np.random.default_rng(seed)
+            streams = equilibrium._restart_streams(seed, 5, rounds * sum(sizes))
+            for stream in streams:
+                want = [sequential.random(k) for _ in range(rounds) for k in sizes]
+                got = [stream.random(k) for _ in range(rounds) for k in sizes]
+                got, want = np.concatenate([[], *got]), np.concatenate([[], *want])
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("max_iters", range(5))
+def test_solver_certifies_only_the_starts_below_five_iters(max_iters, rng):
+    # No round runs, so the five starts form the only batch.
+    for k in range(12):
+        rule, n = RULES[k % 4], int(rng.integers(1, 5))
+        f = quarter_product(rng, n) if k % 2 else random_product(rng, n)
+        grid = uniform_bid_grid(1.0, [0.1, 0.25, 0.3][k % 3])
+        got = solve_bne(rule, f, grid, max_iters=max_iters, damping=0.5, seed=k)
+        assert repr(got) == repr(solve_bne_reference(rule, f, grid, max_iters, 0.5, seed=k))
+
+
+@pytest.mark.parametrize("damping", [0.0, 1.0])
+def test_solver_matches_reference_undamped_and_fully_damped(damping, rng):
+    # Undamped, every damped iterate repeats its raw best response; fully damped,
+    # no bid moves, so every restart revisits its start at every step.
+    for k in range(12):
+        rule, n = RULES[k % 4], int(rng.integers(1, 5))
+        f = quarter_product(rng, n) if k % 2 else random_product(rng, n, decimals=2)
+        grid = uniform_bid_grid(1.0, [0.05, 0.2, 0.25][k % 3])
+        iters = int(rng.integers(5, 31))
+        got = solve_bne(rule, f, grid, max_iters=iters, damping=damping, seed=k)
+        assert repr(got) == repr(solve_bne_reference(rule, f, grid, iters, damping, seed=k))
+
+
+def _rank_order(trace, n):
+    """Every (restart, sequential rank, bids, epsilon) of a reference trace, and the
+    key of each in lockstep order: round, bidder, restart, then raw before damped."""
+    visits, last, seq = [], None, 0
+    for restart, profile, eps in trace:
+        seq = seq + 1 if restart == last else 0
+        last = restart
+        t, rest = divmod(seq - 1, 2 * n)
+        key = (-1, 0, restart, 0) if seq == 0 else (t, rest // 2, restart, rest % 2)
+        visits.append(((restart, seq), profile_bids(profile), eps, key))
+    return visits
+
+
+def _quarter_case(case):
+    """The instance, rule, grid, damping and max_iters of one seed: one to three
+    bidders on random quarter-grid or 1-decimal supports."""
+    rng = np.random.default_rng(case)
+    n, rule = int(rng.integers(1, 4)), RULES[rng.integers(4)]
+    f = quarter_product(rng, n) if case % 2 else random_product(rng, n, 3, decimals=1)
+    damping = [0.0, 0.5, 1.0][rng.integers(3)]
+    iters = int(rng.integers(10, 31))
+    grid = uniform_bid_grid(1.0, [0.25, 0.5, 0.1][rng.integers(3)])
+    return f, rule, grid, damping, iters
+
+
+def _point_mass_case(case):
+    """As :func:`_quarter_case`, with two or three bidders of one to three atoms on
+    the quarter grid, and grids without 0.0 among them."""
+    rng = np.random.default_rng(case)
+    n, rule = int(rng.integers(2, 4)), RULES[rng.integers(4)]
+    marginals = []
+    for _ in range(n):
+        k = int(rng.integers(1, 4))
+        atoms = sorted(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=k, replace=False).tolist())
+        marginals.append(make_discrete(atoms, (rng.random(k) + 0.05).tolist()))
+    damping = [0.0, 0.5, 1.0][rng.integers(3)]
+    iters = int(rng.integers(10, 31))
+    grids = [uniform_bid_grid(1.0, 0.25), uniform_bid_grid(1.0, 0.5), [0.25, 0.75]]
+    grid = [*grids, [0.1, 0.5, 0.9]][rng.integers(4)]
+    return product_of(marginals, 1.0), rule, grid, damping, iters
+
+
+def _traced_case(case, make):
+    f, rule, grid, damping, iters = make(case)
+    trace = []
+    want = solve_bne_reference(rule, f, grid, iters, damping, seed=case, trace=trace)
+    got = solve_bne(rule, f, grid, max_iters=iters, damping=damping, seed=case)
+    return repr(got), repr(want), _rank_order(trace, f.n), iters // 5, f.n
+
+
+@pytest.mark.parametrize("case", [22, 1181])
+def test_zero_in_a_later_restart_lets_earlier_restarts_run_on(case):
+    # A start of restart 3 or 4 certifies 0 and restart 0 has no zero: the zero
+    # stops its restart and every later one, and restart 0 runs all its rounds.
+    got, want, visits, rounds, n = _traced_case(case, _point_mass_case)
+    first = min(visits, key=lambda v: v[2])
+    assert first[2] == 0.0 and first[0][0] >= 3 and rounds >= 2
+    assert sum(v[0][0] == 0 for v in visits) == 1 + 2 * n * rounds
+    assert got == want
+
+
+@pytest.mark.parametrize("case", [0, 5, 9, 12, 18])
+def test_equal_epsilon_in_two_restarts_keeps_the_first(case):
+    # The smallest epsilon is reached by two different profiles in two restarts;
+    # the first in sequential order wins.
+    got, want, visits, _, _ = _traced_case(case, _quarter_case)
+    eps = min(v[2] for v in visits)
+    winners = [v for v in visits if v[2] == eps]
+    assert len({v[1] for v in winners}) >= 2 and len({v[0][0] for v in winners}) >= 2
+    assert got == want
+
+
+@pytest.mark.parametrize("case", [85, 234, 491, 531, 532])
+def test_revisit_at_an_earlier_rank_wins(case):
+    # The winning profile is first visited, in lockstep order, at a later rank, and
+    # another profile of the same epsilon has a rank between the two: the earlier
+    # visit must lower the winner's rank.
+    got, want, visits, _, _ = _traced_case(case, _quarter_case)
+    first = min(visits, key=lambda v: v[2])
+    same = min((v for v in visits if v[1] == first[1]), key=lambda v: v[3])
+    assert any(v[2] == first[2] and first[0] < v[0] < same[0] for v in visits)
+    assert got == want
+
+
+def _force(monkeypatch, zero=frozenset(), broken=frozenset()):
+    """Patch the solver and its sequential reference alike: every profile whose bids
+    are in ``zero`` certifies 0, and every best response at an allocation row whose
+    bytes are in ``broken`` is reversed, so that it is not monotone."""
+    real_br, real_batch, real_verify = conftest._grid_best_response, _certify_batch, verify_bne
+
+    def reversed_br(fmt, values, grid_bids, alloc):
+        bids = real_br(fmt, values, grid_bids, alloc)
+        rows = bids.reshape(-1, bids.shape[-1]).copy()
+        for k, row in enumerate(np.reshape(alloc, (len(rows), -1))):
+            if row.tobytes() in broken:
+                rows[k] = rows[k][::-1].copy()
+        return rows.reshape(bids.shape)
+
+    def batch(rule, f, axis, bids, *args):
+        eps, bidders = real_batch(rule, f, axis, bids, *args)
+        keys = [tuple(tuple(b.tolist()) for b in p) for p in bids]
+        return [0.0 if key in zero else e for key, e in zip(keys, eps)], bidders
+
+    def verify(rule, f, profile):
+        cert = real_verify(rule, f, profile)
+        return dataclasses.replace(cert, epsilon=0.0) if profile_bids(profile) in zero else cert
+
+    for module in (conftest, equilibrium):
+        monkeypatch.setattr(module, "_grid_best_response", reversed_br)
+    monkeypatch.setattr(equilibrium, "_certify_batch", batch)
+    monkeypatch.setattr(conftest, "verify_bne", verify)
+
+
+def _outcome(solve, f):
+    try:
+        profile, _ = solve(FPA_RANDOM, f, GRID, 20, damping=0.5, seed=7)
+    except ValueError as e:
+        return f"ValueError: {e}"
+    return repr(profile)
+
+
+# (restart, round, bidder) of a forced zero (its damped iterate) and of forced
+# non-monotone best responses, and whether the sequential run raises.
+FORCED = {
+    "zero-mid-round": ((2, 1, 0), [], False),
+    "two-errors": (None, [(1, 1, 0), (3, 0, 1)], True),
+    "error-after-the-zero-restart": ((2, 1, 0), [(3, 0, 1)], False),
+    "error-later-in-the-zero-round": ((2, 1, 0), [(2, 1, 1)], True),
+    "error-in-the-round-after-the-zero": ((2, 1, 0), [(2, 2, 0)], False),
+    "error-before-the-zero": ((2, 1, 0), [(1, 3, 2)], True),
+    "an-earlier-restart-fails-first": (None, [(1, 0, 0), (3, 2, 1)], True),
+    "the-first-restart-fails": (None, [(0, 0, 2)], True),
+}
+
+
+@pytest.mark.parametrize("zero, errors, raises", FORCED.values(), ids=FORCED)
+def test_forced_zeros_and_errors_match_the_sequential_run(monkeypatch, zero, errors, raises):
+    # A zero certificate and non-monotone best responses placed by hand, since
+    # neither arises on small instances: a zero ends its restart and every later
+    # one at the next round start, earlier restarts run on, and a non-monotone best
+    # response raises unless a zero came before it in sequential order.
+    f = random_product(np.random.default_rng(4), 3)
+    trace, calls = [], []
+    real_br = conftest._grid_best_response
+
+    def recording(fmt, values, grid_bids, alloc):
+        bids = real_br(fmt, values, grid_bids, alloc)
+        calls.append((alloc.tobytes(), len(set(bids.tolist()))))
+        return bids
+
+    monkeypatch.setattr(conftest, "_grid_best_response", recording)
+    solve_bne_reference(FPA_RANDOM, f, GRID, 20, damping=0.5, seed=7, trace=trace)
+    monkeypatch.undo()
+    steps = 20 // 5 * f.n
+    assert len(calls) == 5 * steps  # no early exit, no error
+    visits = _rank_order(trace, f.n)
+    zeros = set()
+    if zero is not None:
+        r, t, i = zero
+        (key,) = [v[1] for v in visits if v[0] == (r, 2 + 2 * (t * f.n + i))]
+        assert sum(v[1] == key for v in visits) == 1
+        zeros.add(key)
+    broken = set()
+    for r, t, i in errors:
+        alloc, distinct = calls[r * steps + t * f.n + i]
+        assert distinct > 1 and sum(c[0] == alloc for c in calls) == 1
+        broken.add(alloc)
+    _force(monkeypatch, frozenset(zeros), frozenset(broken))
+    got, want = _outcome(solve_bne, f), _outcome(solve_bne_reference, f)
+    assert want.startswith("ValueError") == raises
+    assert got == want
 
 
 @st.composite
@@ -425,32 +681,37 @@ class TestSolve:
 
     def test_no_profile_is_certified_twice(self, monkeypatch, rng):
         # Undamped, every damped iterate repeats its raw best response, so at
-        # most one new profile is visited per bidder step.
+        # most one new profile is visited per bidder step. Every distinct profile
+        # the sequential reference visits enters the batch certifier exactly once.
         certified = []
-        certify = equilibrium._certify
+        certify = equilibrium._certify_batch
 
-        def recording(rule, f, bids, *args):
-            certified.append(tuple(tuple(b.tolist()) for b in bids))  # by value, as profiles
-            return certify(rule, f, bids, *args)
+        def recording(rule, f, axis, bids, *args):
+            certified.extend(tuple(tuple(b.tolist()) for b in p) for p in bids)  # by value
+            return certify(rule, f, axis, bids, *args)
 
-        monkeypatch.setattr(equilibrium, "_certify", recording)
+        monkeypatch.setattr(equilibrium, "_certify_batch", recording)
         f = random_product(rng, 3)
         _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.0, seed=1)
+        trace = []
+        solve_bne_reference(FPA_RANDOM, f, GRID, 10, damping=0.0, seed=1, trace=trace)
         assert cert.epsilon > 0.0  # no early stop: all 5 x 2 rounds ran
         assert len(set(certified)) == len(certified)
+        assert set(certified) == {profile_bids(p) for _, p, _ in trace}
         assert len(certified) <= 5 + 5 * 2 * f.n
 
     def test_every_tie_dp_is_in_one_leave_one_out_row(self, monkeypatch, rng):
-        # Grid best responses and certificates compute only the leave-one-out
-        # rows they read, one tie DP on one row each, and a row is kept by the
-        # bidder and the opponents' masses. Most certifications stop at their
-        # first bidder, and a step's row also serves the stepped and the damped
-        # profile, so a solve computes fewer rows than n per certified profile.
-        dps, rows, certified, inside = [], [], [], []
-        tie_dp, row, certify = auction._tie_dp, equilibrium._leave_one_out_row, equilibrium._certify
+        # Every tie DP runs inside a leave-one-out row. A lockstep step takes all
+        # five restarts' best responses from one stacked DP, and a certification
+        # batch runs one stacked DP per bidder, so a solve runs at most n DPs per
+        # round, n per batch and n for the returned certificate; certifying profile
+        # by profile runs about n per profile.
+        dps, rows, batches, inside = [], [], [], []
+        tie_dp, row = auction._tie_dp, equilibrium._leave_one_out_row
+        certify = equilibrium._certify_batch
 
         def counting_dp(tie, like, masses):
-            dps.append(bool(inside) and np.ndim(like) == 1)
+            dps.append(bool(inside))
             return tie_dp(tie, like, masses)
 
         def counting_row(*args):
@@ -461,18 +722,20 @@ class TestSolve:
             finally:
                 inside.pop()
 
-        def counting_certify(*args):
-            certified.append(None)
+        def counting_batch(*args):
+            batches.append(None)
             return certify(*args)
 
         monkeypatch.setattr(auction, "_tie_dp", counting_dp)
         monkeypatch.setattr(equilibrium, "_leave_one_out_row", counting_row)
-        monkeypatch.setattr(equilibrium, "_certify", counting_certify)
+        monkeypatch.setattr(equilibrium, "_certify_batch", counting_batch)
         f = random_product(rng, 3)
         _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.5, seed=1)
         assert cert.epsilon > 0.0
         assert all(dps)
-        assert 1 <= len(dps) == len(rows) < f.n * len(certified)
+        rounds = 10 // 5
+        assert 1 <= len(dps) == len(rows) <= f.n * rounds + f.n * (len(batches) + 1)
+        assert len(batches) == rounds + 1  # the starts, then one batch per round
 
 
 class TestPerCallWork:
@@ -548,6 +811,22 @@ def test_verify_memory_is_bounded_at_many_bidders():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_solve_memory_is_bounded_on_a_fine_grid():
+    # A 1e-4 grid puts 10,001 bids on the axis, so one profile's bid masses take
+    # 40,004 elements, more than a certification batch may hold: every visited
+    # profile is certified alone, and the five restarts share one stacked row DP
+    # per step. Certifying a whole round at once would peak near 90 MB.
+    f = ProductDistribution.from_json(workloads.make_instance(11, 4, 40))
+    grid = uniform_bid_grid(f.h, 1e-4)
+    tracemalloc.start()
+    try:
+        assert solve_bne(FPA_RANDOM, f, grid, max_iters=15, seed=3)[1].epsilon > 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 class TestTransfer:
