@@ -232,29 +232,21 @@ def _argmax_utility(fmt: Format, values: np.ndarray, bases, alloc):
     """Largest utility over the candidate bids and its first maximizing index, per value
     and per allocation row: arrays shaped ``alloc.shape[:-1] + values.shape``.
 
-    Blocks of at most ``BEST_RESPONSE_BLOCK`` values x candidates elements per
-    allocation row, whole rows or values of one row, are maximized with ``argmax``,
-    which returns the first maximum. A block reads its allocation rows uncopied.
+    Blocks of at most ``BEST_RESPONSE_BLOCK`` values x candidates elements, whole
+    allocation rows or values of one row, are maximized with ``argmax``, which
+    returns the first maximum. A block reads its allocation rows uncopied. The
+    largest utility is then computed again at each pick, with the same bits.
     """
     k = len(values)
     allocs = alloc.reshape(-1, alloc.shape[-1])
     rows = max(1, BEST_RESPONSE_BLOCK // len(bases))
-    sups = np.empty((len(allocs), k))
+    per = max(1, rows // max(k, 1))
     picks = np.empty((len(allocs), k), dtype=np.intp)
-    per = rows // max(k, 1)
-    if per < 2 or not k:  # one allocation row per block
-        for a, s, q in zip(allocs, sups, picks):
-            for lo in range(0, k, rows):
-                u = _utility(fmt, values[lo : lo + rows, None], bases, a)
-                q[lo : lo + rows] = best = u.argmax(axis=1)
-                s[lo : lo + rows] = u[np.arange(len(best)), best]
-    else:
-        for p in range(0, len(allocs), per):
-            u = _utility(fmt, values[:, None], bases, allocs[p : p + per, None])
-            u = u.reshape(-1, len(bases))
-            best = u.argmax(axis=1)
-            picks[p : p + per] = best.reshape(-1, k)
-            sups[p : p + per] = u[np.arange(len(best)), best].reshape(-1, k)
+    for p in range(0, len(allocs), per):
+        for lo in range(0, k, rows):
+            u = _utility(fmt, values[lo : lo + rows, None], bases, allocs[p : p + per, None])
+            picks[p : p + per, lo : lo + rows] = u.argmax(axis=-1)
+    sups = _utility(fmt, values, bases[picks], allocs[np.arange(len(allocs))[:, None], picks])
     shape = alloc.shape[:-1] + (k,)
     return sups.reshape(shape), picks.reshape(shape)
 

@@ -102,30 +102,21 @@ def _certify(rule, f, bids: list, axis: np.ndarray, masses: np.ndarray, cum: np.
     return BNECertificate(eps, tuple(rows), worst)
 
 
-def _certify_batch(rule, f, axis: np.ndarray, bids: list, masses: np.ndarray, known: list, bound):
+def _certify_batch(rule, f, axis: np.ndarray, bids: list, masses: np.ndarray, bound):
     """The epsilon of every profile of a batch, as :func:`_certify` finds it, or inf once
     one bidder's largest gap is above ``bound``; and the bidder of each epsilon.
 
-    Profile p bids ``bids[p][i]`` at bidder i's atoms, its bid masses on ``axis`` are
-    ``masses[p]``, and ``known[p]`` maps bidders to their leave-one-out rows of it,
-    already computed. The batch is examined bidder by bidder, from ``bound``'s bidder
+    Profile p bids ``bids[p][i]`` at bidder i's atoms and its bid masses on ``axis``
+    are ``masses[p]``. The batch is examined bidder by bidder, from ``bound``'s bidder
     on (``bound`` is a pair (epsilon, bidder)): the surviving profiles share one
-    stacked row DP, for the rows not known, and one blocked argmax.
+    stacked row DP and one blocked argmax.
     """
     eps, bidder = [0.0] * len(masses), [0] * len(masses)
-    given = {(p, i): row for p, rows in enumerate(known) for i, row in rows.items()}
-    alive, cum = list(range(len(masses))), None
+    alive, cum = list(range(len(masses))), _prefix_masses(masses)
     first = bound[1]
     for i in [first, *range(first), *range(first + 1, f.n)]:
-        need = [p for p in alive if (p, i) not in given]
-        alloc = ()
-        if need:
-            cum = _prefix_masses(masses) if cum is None else cum
-            part = slice(None) if len(need) == len(masses) else need
-            alloc = _leave_one_out_row(rule.tie, masses[part], cum[part], i)
-        if len(need) < len(alive):
-            rows = iter(alloc)
-            alloc = np.array([given[p, i] if (p, i) in given else next(rows) for p in alive])
+        part = slice(None) if len(alive) == len(masses) else alive
+        alloc = _leave_one_out_row(rule.tie, masses[part], cum[part], i)
         own = np.array([bids[p][i] for p in alive])
         tops = _gaps(rule.format, f.marginals[i].arrays[0], axis, own, alloc)[0].max(axis=1)
         for p, top in zip(alive, tops.tolist()):
@@ -224,14 +215,11 @@ def solve_bne(
     The restarts run in lockstep. Restart r draws from its own generator, on
     the seed's stream advanced past the K_i uniforms per bidder step of the r
     restarts before it, where a sequential run draws. One stacked leave-one-out
-    row DP gives every live restart's best response for the stepping bidder; its
-    row serves that bidder in the raw and the damped iterate, and the next
-    bidder's row serves the next bidder in the damped iterate, which waits for it
-    within a round. Visited profiles wait for a batch certificate, at every round
-    end or sooner when the waiting bid masses would exceed ``BEST_RESPONSE_BLOCK``
-    elements, which drops a profile once one bidder's gap is above the best
-    epsilon so far. A profile visited again is not certified again, but keeps its
-    earliest rank.
+    row DP gives every live restart's best response for the stepping bidder.
+    Visited profiles wait for a batch certificate, at every round end or sooner
+    when the waiting bid masses would exceed ``BEST_RESPONSE_BLOCK`` elements,
+    which drops a profile once one bidder's gap is above the best epsilon so far.
+    A profile visited again is not certified again, but keeps its earliest rank.
 
     Dynamics need not converge in a first-price auction: a certificate of 0 ends
     its restart and every later one at the next round start, as a sequential run
@@ -262,11 +250,10 @@ def solve_bne(
     values = [m.arrays[0] for m in f.marginals]
     weights = [m.arrays[1] for m in f.marginals]
     rngs = _restart_streams(seed, len(starts), rounds * sum(map(len, values)))
-    # Every restart's bid vectors, one per bidder, its bid masses on the axis and
-    # their prefix sums; a step replaces only the stepping bidder's.
+    # Every restart's bid vectors, one per bidder, and its bid masses on the axis; a
+    # step replaces only the stepping bidder's.
     bids = [[_shade_on_grid(m.atoms, alpha, grid) for m in f.marginals] for alpha in starts]
     masses = np.array([[_bid_masses(axis, b, w) for b, w in zip(bs, weights)] for bs in bids])
-    cums = _prefix_masses(masses)
     # A visit is [epsilon (None while it waits), first rank, bids, bidder of the
     # epsilon], keyed by bid bytes (which tell -0.0 from 0.0). A rank is (restart, 0)
     # for a start and (restart, 1 + 2 * (t * n + i)) for the raw iterate of bidder
@@ -274,8 +261,7 @@ def solve_bne(
     visited: dict[tuple[bytes, ...], list] = {}
     # The waiting profiles' bid masses, as many as a batch may hold, and their visits.
     pending = np.empty((max(1, BEST_RESPONSE_BLOCK // masses[0].size), *masses.shape[1:]))
-    waiting: list[tuple[list, dict]] = []  # (visit, known rows)
-    held: dict[int, tuple] = {}  # each restart's damped iterate: (rank, bids, known rows)
+    waiting: list[list] = []
     best = (math.inf, (), None, 0, None)  # a visit's fields, then its bid masses
     error = None  # (rank of the first failing step's round, message)
 
@@ -285,16 +271,15 @@ def solve_bne(
             best = (*visit, profile_masses.copy())
 
     def certify_waiting() -> None:
-        visits, known = zip(*waiting)
         batch = pending[: len(waiting)]
         bound = (best[0], best[3])
-        eps, bidders = _certify_batch(rule, f, axis, [v[2] for v in visits], batch, known, bound)
-        for visit, profile_masses, e, i in zip(visits, batch, eps, bidders):
+        eps, bidders = _certify_batch(rule, f, axis, [v[2] for v in waiting], batch, bound)
+        for visit, profile_masses, e, i in zip(waiting, batch, eps, bidders):
             visit[0], visit[3] = e, i
             keep(visit, profile_masses)
         waiting.clear()
 
-    def consider(rank: tuple, profile_bids: list, profile_masses: np.ndarray, known) -> None:
+    def consider(rank: tuple, profile_bids: list, profile_masses: np.ndarray) -> None:
         key = tuple(b.tobytes() for b in profile_bids)
         visit = visited.get(key)
         if visit is not None:
@@ -306,10 +291,10 @@ def solve_bne(
             certify_waiting()
         pending[len(waiting)] = profile_masses
         visited[key] = visit = [None, rank, profile_bids, 0]
-        waiting.append((visit, known))
+        waiting.append(visit)
 
     for r in range(len(starts)):
-        consider((r, 0), list(bids[r]), masses[r], {})
+        consider((r, 0), list(bids[r]), masses[r])
     certify_waiting()
     live = list(range(len(starts)))
     for t in range(rounds):
@@ -319,12 +304,9 @@ def solve_bne(
             break
         for i in range(f.n):
             part = slice(None) if len(live) == len(starts) else live
-            rows = _leave_one_out_row(rule.tie, masses[part], cums[part], i)
+            rows = _leave_one_out_row(rule.tie, masses[part], _prefix_masses(masses[part]), i)
             responses = _grid_best_response(rule.format, values[i], grid_bids, rows[:, grid_pos])
-            for r, row, br in zip(live, rows, responses):
-                if r in held:
-                    rank, profile_bids, known = held.pop(r)
-                    consider(rank, profile_bids, masses[r], {**known, i: row})
+            for r, br in zip(live, responses):
                 if (br[1:] < br[:-1]).any():
                     pairs = list(zip(values[i].tolist(), br.tolist()))
                     error = ((r, 1 + 2 * t * f.n), f"best-response bids not monotone: {pairs}")
@@ -333,14 +315,10 @@ def solve_bne(
                 # Restart r's masses hold the raw iterate, then the damped one.
                 rank = 1 + 2 * (t * f.n + i)
                 masses[r, i] = _bid_masses(axis, br, weights[i])
-                consider((r, rank), [*bids[r][:i], br, *bids[r][i + 1 :]], masses[r], {i: row})
+                consider((r, rank), [*bids[r][:i], br, *bids[r][i + 1 :]], masses[r])
                 bids[r][i] = _damped_mix(bids[r][i], br, damping, rngs[r])
                 masses[r, i] = _bid_masses(axis, bids[r][i], weights[i])
-                cums[r, i] = _prefix_masses(masses[r, i])
-                held[r] = ((r, rank + 1), list(bids[r]), {i: row})
-        for r, (rank, profile_bids, known) in held.items():
-            consider(rank, profile_bids, masses[r], known)
-        held.clear()
+                consider((r, rank + 1), list(bids[r]), masses[r])
         if waiting:
             certify_waiting()
     if error is not None and not (best[0] == 0.0 and best[1] < error[0]):

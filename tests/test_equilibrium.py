@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -133,7 +132,7 @@ class TestVerify:
         masses = pushed_masses(axis, pushed)[None]
         for bound in ((math.inf, 0), (math.inf, 1), (0.0, 0)):
             with pytest.raises(AssertionError, match="^gap nan is negative or NaN: candidates"):
-                equilibrium._certify_batch(FPA_RANDOM, f, axis, [bids], masses, [{}], bound)
+                equilibrium._certify_batch(FPA_RANDOM, f, axis, [bids], masses, bound)
 
     def test_bid_above_h_raises(self):
         profile = StrategyProfile((shade(GRID, 0.5), constant(5.0)))
@@ -220,25 +219,21 @@ def certify_profile(rule, f, profile, pushed):
     return certify_bids(rule, f, bids, pushed)
 
 
-def certify_batch(rule, f, profiles, bound, known):
+def certify_batch(rule, f, profiles, bound):
     """``_certify_batch`` of the profiles on one axis of 0.0 and every bid of every
-    profile, with bidder ``known[p]``'s leave-one-out row of profile p given
-    precomputed (none for None)."""
+    profile."""
     bids = [[s.eval(m.arrays[0]) for m, s in zip(f.marginals, p)] for p in profiles]
     axis = np.array(sorted({0.0}.union(*(b.tolist() for bs in bids for b in bs))))
     pushed = [[push_forward(m, s) for m, s in zip(f.marginals, p)] for p in profiles]
     masses = np.array([pushed_masses(axis, d) for d in pushed])
-    row, prefix = partial(auction._leave_one_out_row, rule.tie), auction._prefix_masses
-    rows = [{} if i is None else {i: row(m, prefix(m), i)} for m, i in zip(masses, known)]
-    return equilibrium._certify_batch(rule, f, axis, bids, masses, rows, bound)
+    return equilibrium._certify_batch(rule, f, axis, bids, masses, bound)
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_bounded_certificate_matches_verify_bne(data):
-    # One to three profiles in one batch, some with a row given; the bound hits an
-    # epsilon itself and other gaps exactly, as solve_bne's does, and examination
-    # starts at any bidder.
+    # One to three profiles in one batch; the bound hits an epsilon itself and
+    # other gaps exactly, as solve_bne's does, and examination starts at any bidder.
     rule, f = data.draw(tie_heavy_instances())
     profiles = []
     for _ in range(data.draw(st.integers(1, 3))):
@@ -255,8 +250,7 @@ def test_bounded_certificate_matches_verify_bne(data):
     eps = [cert.epsilon for cert in certs]
     stop_at = data.draw(st.sampled_from([*eps, *gaps]) | st.floats(0.0, 1.0) | st.just(math.inf))
     first = data.draw(st.integers(0, f.n - 1))
-    known = [data.draw(st.none() | st.integers(0, f.n - 1)) for _ in profiles]
-    got, bidders = certify_batch(rule, f, profiles, (stop_at, first), known)
+    got, bidders = certify_batch(rule, f, profiles, (stop_at, first))
     for cert, e, i in zip(certs, got, bidders):
         if cert.epsilon > stop_at:
             assert e == math.inf
@@ -291,7 +285,7 @@ def test_certificate_matches_per_atom_reference(data):
     gaps = [g for row in want.gaps for _, g in row]
     stop_at = data.draw(st.sampled_from([want.epsilon, *gaps]) | st.floats(0.0, 1.0))
     first = data.draw(st.integers(0, f.n - 1))
-    (got,), _ = certify_batch(rule, f, [profile], (stop_at, first), [None])
+    (got,), _ = certify_batch(rule, f, [profile], (stop_at, first))
     assert got == (math.inf if want.epsilon > stop_at else want.epsilon)
 
 
