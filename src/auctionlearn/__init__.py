@@ -12,7 +12,6 @@ from .auction import (
     best_response,
     ex_post_allocation,
     ex_post_utility,
-    interim_utility_exact,
     push_forward,
 )
 from .da import (

@@ -132,19 +132,6 @@ def allocation_probability(tie: Tie, opp: Sequence[DiscreteDistribution], bases)
     return float(prob) if b.ndim == 0 else prob
 
 
-def interim_utility_exact(
-    rule: AuctionRule, values, bids, opp: Sequence[DiscreteDistribution]
-):
-    """Exact expected utility of bidding ``bids`` at ``values`` against independent opponents.
-
-    Takes equal-length arrays of values and exact bids, or two scalars for one float.
-    """
-    b = np.asarray(bids, dtype=float)
-    alloc = allocation_probability(rule.tie, opp, b)
-    u = _utility(rule.format, np.asarray(values, dtype=float), b, alloc)
-    return float(u) if b.ndim == 0 else u
-
-
 def candidate_allocations(tie: Tie, opp: Sequence[DiscreteDistribution]) -> np.ndarray:
     """Allocation probability of every bid sufficient for best responses.
 

@@ -5,7 +5,8 @@ the profile's own interim utility against the true supremum over all bids
 (including right limits at opponent atoms). The solver runs damped
 best-response dynamics on a bid grid, but its output guarantee comes solely
 from the verifier: it returns the visited profile with the smallest certified
-epsilon, never trusting convergence.
+epsilon, never trusting convergence. Every gap, the verifier's and the solver's,
+comes from one certifier, ``_certify``.
 """
 
 from __future__ import annotations
@@ -65,61 +66,37 @@ def verify_bne(
     if any(s.max_bid > f.h for s in profile):
         raise ValueError(f"profile bids above H={f.h}")
     bids = [s.eval(m.arrays[0]) for m, s in zip(f.marginals, profile)]
-    axis, masses, cum = _bid_axis([(b, m.arrays[1]) for m, b in zip(f.marginals, bids)], ())
-    return _certify(rule, f, bids, axis, masses, cum)
+    axis, masses, _ = _bid_axis([(b, m.arrays[1]) for m, b in zip(f.marginals, bids)], ())
+    return _certificate(rule, f, axis, bids, masses)
 
 
-def _gaps(fmt, values: np.ndarray, axis: np.ndarray, own, alloc):
-    """The deviation gaps at ``values`` of the bids ``own`` against the leave-one-out
-    rows ``alloc`` on ``axis`` (one row per leading index of ``own``), and the first
-    maximizing candidate of each: every base and its right limit. A gap below -1e-9
-    or NaN raises ``AssertionError``; a negative gap is returned as 0.0."""
-    sups, picks = _argmax_utility(fmt, values, np.repeat(axis, 2), alloc)
-    own_alloc = np.take_along_axis(alloc, 2 * axis.searchsorted(own), axis=-1)
-    gaps = sups - _utility(fmt, values, own, own_alloc)
-    bad = ~(gaps >= -1e-9)  # also a NaN gap, which `gap > eps` would skip
-    if bad.any():
-        gap = gaps[bad][0].item()
-        raise AssertionError(f"gap {gap} is negative or NaN: candidates not exhaustive")
-    return np.where(gaps < 0.0, 0.0, gaps), picks  # as max(gap, 0.0), which keeps a -0.0 gap
-
-
-def _certify(rule, f, bids: list, axis: np.ndarray, masses: np.ndarray, cum: np.ndarray):
-    """``verify_bne``'s certificate of the profile whose bids at bidder i's atoms are
-    ``bids[i]``, whose bid masses on ``axis`` are ``masses`` and their prefix sums
-    ``cum``. Only the first largest gap of a row, the one ``worst`` may take, gets a
-    :class:`CandidateBid`.
+def _certify(rule, f, axis: np.ndarray, bids: list, masses: np.ndarray, bound):
+    """Every profile of a stack: its epsilon, or inf once one of its gaps is above
+    ``bound[0]``; the bidder of the epsilon, the first examined whose largest gap it
+    is; and per bidder, the stacked (gaps, picks) of the profiles alive there (else
+    None). Profile p bids ``bids[p][i]`` at bidder i's atoms, with bid masses
+    ``masses[p]`` on ``axis``. Bidders are examined from ``bound[1]`` on, with one
+    stacked row DP and one blocked argmax over every base and its right limit (the
+    pick is the first maximum); a stacked row has its own bits. A gap below -1e-9 or
+    NaN raises ``AssertionError``; a negative gap is returned as 0.0.
     """
-    eps, worst, rows = 0.0, (0, 0.0, CandidateBid(0.0, False)), []
-    for i, m in enumerate(f.marginals):
-        alloc = _leave_one_out_row(rule.tie, masses, cum, i)
-        gaps, picks = _gaps(rule.format, m.arrays[0], axis, bids[i], alloc)
-        k = gaps.argmax()
-        if gaps[k] > eps:
-            bid = CandidateBid(axis[picks[k] // 2].item(), bool(picks[k] % 2))
-            eps, worst = gaps[k].item(), (i, m.atoms[k], bid)
-        rows.append(tuple(zip(m.atoms, gaps.tolist())))
-    return BNECertificate(eps, tuple(rows), worst)
-
-
-def _certify_batch(rule, f, axis: np.ndarray, bids: list, masses: np.ndarray, bound):
-    """The epsilon of every profile of a batch, as :func:`_certify` finds it, or inf once
-    one bidder's largest gap is above ``bound``; and the bidder of each epsilon.
-
-    Profile p bids ``bids[p][i]`` at bidder i's atoms and its bid masses on ``axis``
-    are ``masses[p]``. The batch is examined bidder by bidder, from ``bound``'s bidder
-    on (``bound`` is a pair (epsilon, bidder)): the surviving profiles share one
-    stacked row DP and one blocked argmax.
-    """
-    eps, bidder = [0.0] * len(masses), [0] * len(masses)
-    alive, cum = list(range(len(masses))), _prefix_masses(masses)
+    eps, bidder, rows = [0.0] * len(masses), [0] * len(masses), [None] * f.n
+    alive, cum, bases = list(range(len(masses))), _prefix_masses(masses), np.repeat(axis, 2)
     first = bound[1]
     for i in [first, *range(first), *range(first + 1, f.n)]:
         part = slice(None) if len(alive) == len(masses) else alive
         alloc = _leave_one_out_row(rule.tie, masses[part], cum[part], i)
-        own = np.array([bids[p][i] for p in alive])
-        tops = _gaps(rule.format, f.marginals[i].arrays[0], axis, own, alloc)[0].max(axis=1)
-        for p, top in zip(alive, tops.tolist()):
+        values, own = f.marginals[i].arrays[0], np.array([bids[p][i] for p in alive])
+        sups, picks = _argmax_utility(rule.format, values, bases, alloc)
+        own_alloc = np.take_along_axis(alloc, 2 * axis.searchsorted(own), axis=-1)
+        gaps = sups - _utility(rule.format, values, own, own_alloc)
+        bad = ~(gaps >= -1e-9)  # also a NaN gap, which `gap > eps` would skip
+        if bad.any():
+            gap = gaps[bad][0].item()
+            raise AssertionError(f"gap {gap} is negative or NaN: candidates not exhaustive")
+        gaps = np.where(gaps < 0.0, 0.0, gaps)  # as max(gap, 0.0), which keeps a -0.0 gap
+        rows[i] = gaps, picks
+        for p, top in zip(alive, gaps.max(axis=1).tolist()):
             if top > eps[p]:
                 eps[p], bidder[p] = top, i
             if top > bound[0]:
@@ -127,7 +104,22 @@ def _certify_batch(rule, f, axis: np.ndarray, bids: list, masses: np.ndarray, bo
         alive = [p for p in alive if eps[p] != math.inf]
         if not alive:
             break
-    return eps, bidder
+    return eps, bidder, rows
+
+
+def _certificate(rule, f, axis: np.ndarray, bids: list, masses: np.ndarray) -> BNECertificate:
+    """The :class:`BNECertificate` of one profile, from its unbounded :func:`_certify`.
+    ``worst``, the first largest gap in bidder and value order, is the first largest
+    of the epsilon's bidder; only it gets a :class:`CandidateBid`."""
+    (eps,), (i,), rows = _certify(rule, f, axis, [bids], masses[None], (math.inf, 0))
+    gaps, picks = zip(*rows)  # per bidder, a stack of one profile's row
+    worst = (0, 0.0, CandidateBid(0.0, False))
+    if eps > 0.0:
+        k = gaps[i][0].argmax()
+        pick = picks[i][0, k]
+        worst = (i, f.marginals[i].atoms[k], CandidateBid(axis[pick // 2].item(), bool(pick % 2)))
+    gap_rows = (tuple(zip(m.atoms, g[0].tolist())) for m, g in zip(f.marginals, gaps))
+    return BNECertificate(eps, tuple(gap_rows), worst)
 
 
 def _damped_mix(old: np.ndarray, new: np.ndarray, damping: float, rng) -> np.ndarray:
@@ -216,8 +208,8 @@ def solve_bne(
     the seed's stream advanced past the K_i uniforms per bidder step of the r
     restarts before it, where a sequential run draws. One stacked leave-one-out
     row DP gives every live restart's best response for the stepping bidder.
-    Visited profiles wait for a batch certificate, at every round end or sooner
-    when the waiting bid masses would exceed ``BEST_RESPONSE_BLOCK`` elements,
+    Visited profiles wait for one stacked ``_certify`` call, at every round end or
+    sooner when the waiting bid masses would exceed ``BEST_RESPONSE_BLOCK`` elements,
     which drops a profile once one bidder's gap is above the best epsilon so far.
     A profile visited again is not certified again, but keeps its earliest rank.
 
@@ -273,7 +265,7 @@ def solve_bne(
     def certify_waiting() -> None:
         batch = pending[: len(waiting)]
         bound = (best[0], best[3])
-        eps, bidders = _certify_batch(rule, f, axis, [v[2] for v in waiting], batch, bound)
+        eps, bidders, _ = _certify(rule, f, axis, [v[2] for v in waiting], batch, bound)
         for visit, profile_masses, e, i in zip(waiting, batch, eps, bidders):
             visit[0], visit[3] = e, i
             keep(visit, profile_masses)
@@ -326,4 +318,4 @@ def solve_bne(
     _, _, best_bids, _, best_masses = best
     pairs = (zip(m.atoms, b.tolist()) for m, b in zip(f.marginals, best_bids))
     profile = StrategyProfile(tuple(MonotoneStrategy(tuple(p)) for p in pairs))
-    return profile, _certify(rule, f, best_bids, axis, best_masses, _prefix_masses(best_masses))
+    return profile, _certificate(rule, f, axis, best_bids, best_masses)

@@ -24,6 +24,7 @@ from auctionlearn.auction import (
     _grid_best_response,
     _tie_dp,
     _utility,
+    allocation_probability,
     ex_post_utility,
     push_forward,
 )
@@ -363,8 +364,21 @@ def allocation_probability_by_search(tie: Tie, opp: Sequence[DiscreteDistributio
     return float(prob) if b.ndim == 0 else prob
 
 
+def interim_utility_exact(
+    rule: AuctionRule, values, bids, opp: Sequence[DiscreteDistribution]
+):
+    """Exact expected utility of bidding ``bids`` at ``values`` against independent opponents.
+
+    Takes equal-length arrays of values and exact bids, or two scalars for one float.
+    """
+    b = np.asarray(bids, dtype=float)
+    alloc = allocation_probability(rule.tie, opp, b)
+    u = _utility(rule.format, np.asarray(values, dtype=float), b, alloc)
+    return float(u) if b.ndim == 0 else u
+
+
 def interim_utility_by_search(rule, values, bids, opp):
-    """``auction.interim_utility_exact`` on :func:`allocation_probability_by_search`."""
+    """:func:`interim_utility_exact` on :func:`allocation_probability_by_search`."""
     b = np.asarray(bids, dtype=float)
     alloc = allocation_probability_by_search(rule.tie, opp, b)
     u = _utility(rule.format, np.asarray(values, dtype=float), b, alloc)
@@ -525,7 +539,7 @@ def leave_one_out_allocations_reference(tie: Tie, masses: np.ndarray) -> np.ndar
 
 
 def certify_reference(rule, f, profile, pushed):
-    """``equilibrium._certify`` with a CandidateBid per atom and one Python step per gap."""
+    """``equilibrium._certificate`` with a CandidateBid per atom and one Python step per gap."""
     rows = {}
     for i in range(f.n):
         m = f.marginals[i]

@@ -15,7 +15,6 @@ from auctionlearn.auction import (
     ALLPAY_RANDOM,
     FPA_NONE,
     FPA_RANDOM,
-    interim_utility_exact,
 )
 from auctionlearn import da
 from auctionlearn.cli import main as cli_main
@@ -52,6 +51,7 @@ from auctionlearn.testkits import dense_monotone_hypotheses
 from conftest import (
     ex_ante_utility_fpa,
     interim_by_enumeration,
+    interim_utility_exact,
     median_ratio_table,
     mu_map,
     optimal_adaptive_oracle,

@@ -23,7 +23,6 @@ from auctionlearn.auction import (
     candidate_allocations,
     ex_post_allocation,
     ex_post_utility,
-    interim_utility_exact,
     push_forward,
 )
 from auctionlearn.dist import (
@@ -47,6 +46,7 @@ from conftest import (
     constant,
     ex_post_allocation_reference,
     interim_by_enumeration,
+    interim_utility_exact,
     monotone_best_response_profile,
     point_mass,
     quarter_distributions,

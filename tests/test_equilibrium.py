@@ -32,8 +32,8 @@ from auctionlearn.dist import (
 )
 import conftest
 from auctionlearn.equilibrium import (
+    _certificate,
     _certify,
-    _certify_batch,
     _damped_mix,
     _shade_on_grid,
     _snap_to_grid,
@@ -132,7 +132,7 @@ class TestVerify:
         masses = pushed_masses(axis, pushed)[None]
         for bound in ((math.inf, 0), (math.inf, 1), (0.0, 0)):
             with pytest.raises(AssertionError, match="^gap nan is negative or NaN: candidates"):
-                equilibrium._certify_batch(FPA_RANDOM, f, axis, [bids], masses, bound)
+                _certify(FPA_RANDOM, f, axis, [bids], masses, bound)
 
     def test_bid_above_h_raises(self):
         profile = StrategyProfile((shade(GRID, 0.5), constant(5.0)))
@@ -206,27 +206,63 @@ def pushed_masses(axis, pushed):
 
 
 def certify_bids(rule, f, bids, pushed):
-    """``_certify`` of the bids at every bidder's atoms, whose bid distributions are
+    """``_certificate`` of the bids at every bidder's atoms, whose bid distributions are
     ``pushed``: their masses are placed on the axis of 0.0 and every bid."""
     axis = np.array(sorted({0.0}.union(*(b.tolist() for b in bids))))
-    masses = pushed_masses(axis, pushed)
-    return _certify(rule, f, bids, axis, masses, auction._prefix_masses(masses))
+    return _certificate(rule, f, axis, bids, pushed_masses(axis, pushed))
 
 
 def certify_profile(rule, f, profile, pushed):
-    """``_certify`` of a profile, from its bids at every bidder's atoms."""
+    """``_certificate`` of a profile, from its bids at every bidder's atoms."""
     bids = [s.eval(m.arrays[0]) for m, s in zip(f.marginals, profile)]
     return certify_bids(rule, f, bids, pushed)
 
 
-def certify_batch(rule, f, profiles, bound):
-    """``_certify_batch`` of the profiles on one axis of 0.0 and every bid of every
-    profile."""
+def stacked(f, profiles):
+    """The axis of 0.0 and every bid of every profile, each profile's bids at every
+    bidder's atoms, and its bid masses on the axis, stacked."""
     bids = [[s.eval(m.arrays[0]) for m, s in zip(f.marginals, p)] for p in profiles]
     axis = np.array(sorted({0.0}.union(*(b.tolist() for bs in bids for b in bs))))
     pushed = [[push_forward(m, s) for m, s in zip(f.marginals, p)] for p in profiles]
-    masses = np.array([pushed_masses(axis, d) for d in pushed])
-    return equilibrium._certify_batch(rule, f, axis, bids, masses, bound)
+    return axis, bids, np.array([pushed_masses(axis, d) for d in pushed])
+
+
+def certify_batch(rule, f, profiles, bound):
+    """``_certify`` of the profiles in one stack on one axis of 0.0 and every bid of
+    every profile."""
+    return _certify(rule, f, *stacked(f, profiles), bound)
+
+
+def draw_profile(data, f, bid=QUARTERS):
+    """Nondecreasing bids drawn from ``bid`` at every bidder's atoms."""
+    strategies = []
+    for m in f.marginals:
+        bids = data.draw(st.lists(bid, min_size=len(m.atoms), max_size=len(m.atoms)))
+        strategies.append(MonotoneStrategy(tuple(zip(m.atoms, sorted(bids)))))
+    return StrategyProfile(tuple(strategies))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_stacked_rows_have_the_bits_of_each_profile_alone(data):
+    # One certifier serves the solver's stacks and every single-profile certificate:
+    # unbounded, from any start bidder, a profile's gap and pick rows in a stack of
+    # one to three are those of the profile certified alone on the same axis.
+    rule, f = data.draw(tie_heavy_instances())
+    bid = QUARTERS | st.just(-0.0)
+    profiles = [draw_profile(data, f, bid) for _ in range(data.draw(st.integers(1, 3)))]
+    axis, bids, masses = stacked(f, profiles)
+    first = data.draw(st.integers(0, f.n - 1))
+    eps, bidders, rows = _certify(rule, f, axis, bids, masses, (math.inf, first))
+    for p in range(len(profiles)):
+        (one_eps,), (one_bidder,), alone = _certify(
+            rule, f, axis, [bids[p]], masses[p : p + 1], (math.inf, 0)
+        )
+        assert eps[p] == one_eps
+        assert first != 0 or bidders[p] == one_bidder
+        for (gaps, picks), (one_gaps, one_picks) in zip(rows, alone, strict=True):
+            assert gaps[p].tobytes() == one_gaps[0].tobytes()
+            assert picks[p].tobytes() == one_picks[0].tobytes()
 
 
 @given(st.data())
@@ -235,13 +271,7 @@ def test_bounded_certificate_matches_verify_bne(data):
     # One to three profiles in one batch; the bound hits an epsilon itself and
     # other gaps exactly, as solve_bne's does, and examination starts at any bidder.
     rule, f = data.draw(tie_heavy_instances())
-    profiles = []
-    for _ in range(data.draw(st.integers(1, 3))):
-        strategies = []
-        for m in f.marginals:
-            bids = data.draw(st.lists(QUARTERS, min_size=len(m.atoms), max_size=len(m.atoms)))
-            strategies.append(MonotoneStrategy(tuple(zip(m.atoms, sorted(bids)))))
-        profiles.append(StrategyProfile(tuple(strategies)))
+    profiles = [draw_profile(data, f) for _ in range(data.draw(st.integers(1, 3)))]
     certs = [verify_bne(rule, f, p) for p in profiles]
     for profile, cert in zip(profiles, certs):
         pushed = [push_forward(m, s) for m, s in zip(f.marginals, profile)]
@@ -250,7 +280,7 @@ def test_bounded_certificate_matches_verify_bne(data):
     eps = [cert.epsilon for cert in certs]
     stop_at = data.draw(st.sampled_from([*eps, *gaps]) | st.floats(0.0, 1.0) | st.just(math.inf))
     first = data.draw(st.integers(0, f.n - 1))
-    got, bidders = certify_batch(rule, f, profiles, (stop_at, first))
+    got, bidders, _ = certify_batch(rule, f, profiles, (stop_at, first))
     for cert, e, i in zip(certs, got, bidders):
         if cert.epsilon > stop_at:
             assert e == math.inf
@@ -285,7 +315,7 @@ def test_certificate_matches_per_atom_reference(data):
     gaps = [g for row in want.gaps for _, g in row]
     stop_at = data.draw(st.sampled_from([want.epsilon, *gaps]) | st.floats(0.0, 1.0))
     first = data.draw(st.integers(0, f.n - 1))
-    (got,), _ = certify_batch(rule, f, [profile], (stop_at, first))
+    (got,), _, _ = certify_batch(rule, f, [profile], (stop_at, first))
     assert got == (math.inf if want.epsilon > stop_at else want.epsilon)
 
 
@@ -454,7 +484,7 @@ def _force(monkeypatch, zero=frozenset(), broken=frozenset()):
     """Patch the solver and its sequential reference alike: every profile whose bids
     are in ``zero`` certifies 0, and every best response at an allocation row whose
     bytes are in ``broken`` is reversed, so that it is not monotone."""
-    real_br, real_batch, real_verify = conftest._grid_best_response, _certify_batch, verify_bne
+    real_br, real_certify, real_verify = conftest._grid_best_response, _certify, verify_bne
 
     def reversed_br(fmt, values, grid_bids, alloc):
         bids = real_br(fmt, values, grid_bids, alloc)
@@ -464,10 +494,10 @@ def _force(monkeypatch, zero=frozenset(), broken=frozenset()):
                 rows[k] = rows[k][::-1].copy()
         return rows.reshape(bids.shape)
 
-    def batch(rule, f, axis, bids, *args):
-        eps, bidders = real_batch(rule, f, axis, bids, *args)
+    def certify(rule, f, axis, bids, *args):
+        eps, bidders, rows = real_certify(rule, f, axis, bids, *args)
         keys = [tuple(tuple(b.tolist()) for b in p) for p in bids]
-        return [0.0 if key in zero else e for key, e in zip(keys, eps)], bidders
+        return [0.0 if key in zero else e for key, e in zip(keys, eps)], bidders, rows
 
     def verify(rule, f, profile):
         cert = real_verify(rule, f, profile)
@@ -475,7 +505,7 @@ def _force(monkeypatch, zero=frozenset(), broken=frozenset()):
 
     for module in (conftest, equilibrium):
         monkeypatch.setattr(module, "_grid_best_response", reversed_br)
-    monkeypatch.setattr(equilibrium, "_certify_batch", batch)
+    monkeypatch.setattr(equilibrium, "_certify", certify)
     monkeypatch.setattr(conftest, "verify_bne", verify)
 
 
@@ -676,20 +706,25 @@ class TestSolve:
     def test_no_profile_is_certified_twice(self, monkeypatch, rng):
         # Undamped, every damped iterate repeats its raw best response, so at
         # most one new profile is visited per bidder step. Every distinct profile
-        # the sequential reference visits enters the batch certifier exactly once.
-        certified = []
-        certify = equilibrium._certify_batch
+        # the sequential reference visits enters a batch exactly once; the last
+        # certification, alone and unbounded, is the returned certificate's.
+        calls = []
+        certify = equilibrium._certify
 
-        def recording(rule, f, axis, bids, *args):
-            certified.extend(tuple(tuple(b.tolist()) for b in p) for p in bids)  # by value
-            return certify(rule, f, axis, bids, *args)
+        def recording(rule, f, axis, bids, masses, bound):
+            calls.append(([tuple(tuple(b.tolist()) for b in p) for p in bids], bound))  # by value
+            return certify(rule, f, axis, bids, masses, bound)
 
-        monkeypatch.setattr(equilibrium, "_certify_batch", recording)
         f = random_product(rng, 3)
-        _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.0, seed=1)
         trace = []
         solve_bne_reference(FPA_RANDOM, f, GRID, 10, damping=0.0, seed=1, trace=trace)
+        # Patched after the reference, whose verify_bne calls would be recorded too.
+        monkeypatch.setattr(equilibrium, "_certify", recording)
+        profile, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.0, seed=1)
         assert cert.epsilon > 0.0  # no early stop: all 5 x 2 rounds ran
+        *batches, returned = calls
+        assert returned == ([profile_bids(profile)], (math.inf, 0))
+        certified = [p for bids, _ in batches for p in bids]
         assert len(set(certified)) == len(certified)
         assert set(certified) == {profile_bids(p) for _, p, _ in trace}
         assert len(certified) <= 5 + 5 * 2 * f.n
@@ -698,11 +733,12 @@ class TestSolve:
         # Every tie DP runs inside a leave-one-out row. A lockstep step takes all
         # five restarts' best responses from one stacked DP, and a certification
         # batch runs one stacked DP per bidder, so a solve runs at most n DPs per
-        # round, n per batch and n for the returned certificate; certifying profile
-        # by profile runs about n per profile.
-        dps, rows, batches, inside = [], [], [], []
+        # round, n per batch and n for the returned certificate, the last `_certify`
+        # call, on one profile; certifying profile by profile runs about n per
+        # profile.
+        dps, rows, calls, inside = [], [], [], []
         tie_dp, row = auction._tie_dp, equilibrium._leave_one_out_row
-        certify = equilibrium._certify_batch
+        certify = equilibrium._certify
 
         def counting_dp(tie, like, masses):
             dps.append(bool(inside))
@@ -716,17 +752,19 @@ class TestSolve:
             finally:
                 inside.pop()
 
-        def counting_batch(*args):
-            batches.append(None)
-            return certify(*args)
+        def counting_certify(rule, f, axis, bids, masses, bound):
+            calls.append((len(bids), bound))
+            return certify(rule, f, axis, bids, masses, bound)
 
         monkeypatch.setattr(auction, "_tie_dp", counting_dp)
         monkeypatch.setattr(equilibrium, "_leave_one_out_row", counting_row)
-        monkeypatch.setattr(equilibrium, "_certify_batch", counting_batch)
+        monkeypatch.setattr(equilibrium, "_certify", counting_certify)
         f = random_product(rng, 3)
         _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.5, seed=1)
         assert cert.epsilon > 0.0
         assert all(dps)
+        *batches, returned = calls
+        assert returned == (1, (math.inf, 0))
         rounds = 10 // 5
         assert 1 <= len(dps) == len(rows) <= f.n * rounds + f.n * (len(batches) + 1)
         assert len(batches) == rounds + 1  # the starts, then one batch per round

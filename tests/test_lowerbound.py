@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlearn.auction import FPA_RANDOM, push_forward
-from auctionlearn.auction import interim_utility_exact
 from auctionlearn.lowerbound import distinguisher_trials
 from conftest import (
     C1,
@@ -17,6 +16,7 @@ from conftest import (
     distinguisher_trials_reference,
     gap_utility,
     hard_instance,
+    interim_utility_exact,
 )
 
 

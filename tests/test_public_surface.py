@@ -7,8 +7,9 @@ listed here, so adding an option is a visible edit. Every ``raise`` in ``src/``
 names ``ValueError`` or ``AssertionError``, so a new exception type is one too.
 No ``src/`` module calls ``.choice(p=...)``: ``dist.sample_matrix`` is the one
 weighted sampler. ``auction._leave_one_out_row`` is the one caller of the tie DP,
-so a second allocation kernel is a visible edit. Every private module-level
-function in ``src/`` has a caller there.
+so a second allocation kernel is a visible edit, and ``equilibrium._certify`` is
+the one gap computation. Every private module-level function in ``src/`` has a
+caller there.
 """
 
 import ast
@@ -159,21 +160,30 @@ def test_one_weighted_sampler():
     assert weighted_choice_calls() == []
 
 
-def tie_dp_callers() -> list[str]:
-    """Every module-level statement of src/ that calls ``_tie_dp``, by name."""
+def callers(name: str, module: str = "*") -> list[str]:
+    """Every module-level statement of src/ (of ``module`` alone if given) that calls
+    ``name``, by name."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob(f"{module}.py")):
         for stmt in ast.parse(path.read_text()).body:
-            if any(
-                isinstance(node, ast.Call) and _name(node) == "_tie_dp" for node in ast.walk(stmt)
-            ):
+            if any(isinstance(node, ast.Call) and _name(node) == name for node in ast.walk(stmt)):
                 found.append(f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}")
     return found
 
 
 def test_one_allocation_kernel():
     """Every exact interim allocation is a leave-one-out row: the tie DP has one caller."""
-    assert tie_dp_callers() == ["auction._leave_one_out_row"]
+    assert callers("_tie_dp") == ["auction._leave_one_out_row"]
+
+
+def test_one_certifier():
+    """Every gap in ``equilibrium`` comes from ``_certify`` and every certificate from
+    ``_certificate``; the solver's best responses read the only other leave-one-out
+    rows."""
+    assert callers("_argmax_utility", "equilibrium") == ["equilibrium._certify"]
+    rows = ["equilibrium._certify", "equilibrium.solve_bne"]
+    assert callers("_leave_one_out_row", "equilibrium") == rows
+    assert callers("BNECertificate", "equilibrium") == ["equilibrium._certificate"]
 
 
 def dead_private_functions() -> list[str]:
