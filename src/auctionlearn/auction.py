@@ -127,8 +127,8 @@ def allocation_probability(tie: Tie, opp: Sequence[DiscreteDistribution], bases)
     above ``base``: :func:`dist.cdf_of_max` of the opponents.
     """
     b = np.asarray(bases, dtype=float)
-    axis, masses, cum = _bid_axis([d.arrays[:2] for d in opp], b)
-    prob = _leave_one_out_row(tie, masses, cum, len(opp))[2 * axis.searchsorted(b)]
+    axis, masses = _bid_axis([d.arrays[:2] for d in opp], b)
+    prob = _leave_one_out_row(tie, masses, len(opp))[2 * axis.searchsorted(b)]
     return float(prob) if b.ndim == 0 else prob
 
 
@@ -141,11 +141,11 @@ def candidate_allocations(tie: Tie, opp: Sequence[DiscreteDistribution]) -> np.n
     :func:`_leave_one_out_row` of one more bidder, with no mass, against the
     opponents, on their :func:`_bid_axis`.
     """
-    axis, masses, cum = _bid_axis([d.arrays[:2] for d in opp], ())
+    axis, masses = _bid_axis([d.arrays[:2] for d in opp], ())
     out = np.empty(2 * len(axis), [("base", float), ("limit_above", bool), ("alloc", float)])
     out["base"][0::2] = out["base"][1::2] = axis
     out["limit_above"][0::2], out["limit_above"][1::2] = False, True
-    out["alloc"] = _leave_one_out_row(tie, masses, cum, len(opp))
+    out["alloc"] = _leave_one_out_row(tie, masses, len(opp))
     return out
 
 
@@ -158,9 +158,8 @@ def _bid_masses(axis: np.ndarray, bids: np.ndarray, weights: np.ndarray) -> np.n
 
 def _bid_axis(bids: Sequence[tuple[np.ndarray, np.ndarray]], bases):
     """The sorted axis of 0.0, every bid and every one of ``bases`` (a NaN base, which
-    would scramble the sort, raises ``ValueError``), the (n, G) :func:`_bid_masses` on
-    it of the n (bids, weights) pairs ``bids`` (no pair gives a (0, G) matrix), and
-    their :func:`_prefix_masses`."""
+    would scramble the sort, raises ``ValueError``), and the (n, G) :func:`_bid_masses`
+    on it of the n (bids, weights) pairs ``bids`` (no pair gives a (0, G) matrix)."""
     b = np.asarray(bases, dtype=float).ravel()
     if np.isnan(b).any():
         raise ValueError("a bid must not be NaN")
@@ -168,7 +167,7 @@ def _bid_axis(bids: Sequence[tuple[np.ndarray, np.ndarray]], bases):
     masses = np.zeros((len(bids), len(axis)))
     for row, (x, w) in zip(masses, bids):
         row[:] = _bid_masses(axis, x, w)
-    return axis, masses, _prefix_masses(masses)
+    return axis, masses
 
 
 # Elements per row block of the values x candidates utility matrix and per block
@@ -177,25 +176,19 @@ def _bid_axis(bids: Sequence[tuple[np.ndarray, np.ndarray]], bases):
 BEST_RESPONSE_BLOCK = 1 << 12
 
 
-def _prefix_masses(masses: np.ndarray) -> np.ndarray:
-    """P(bid < base k) in column k and P(bid <= base k) in column k + 1, per row of
-    bid masses on a sorted axis (the last axis): prefix sums left to right from 0.0."""
-    cum = np.zeros(masses.shape[:-1] + (masses.shape[-1] + 1,))
-    np.cumsum(masses, axis=-1, out=cum[..., 1:])
-    return cum
-
-
-def _leave_one_out_row(tie: Tie, masses: np.ndarray, cum: np.ndarray, i: int) -> np.ndarray:
+def _leave_one_out_row(tie: Tie, masses: np.ndarray, i: int) -> np.ndarray:
     """Bidder i's allocation probabilities on a shared bid axis, against all the other
     bidders: base k's exact bid in column 2k and its right limit in column 2k + 1.
     It is the one kernel of every exact interim allocation.
 
-    ``masses[..., j, k]`` is P(bidder j bids axis[k]) and ``cum`` its prefix sums, as
-    :func:`_bid_axis` gives them; leading axes stack profiles on the same axis, each
-    with its own row. The tie DP runs over the bidders j != i in bidder order, fed
-    (P(below), P(at)) = (cum[..., j, k], masses[..., j, k]); the right limits multiply
-    P(bid <= base) = cum[..., j, k + 1] in the same order, from 1.0. An ``i`` of n
-    leaves nobody out. A stacked profile's row has the bits of its own.
+    ``masses[..., j, k]`` is P(bidder j bids axis[k]), as :func:`_bid_axis` gives it;
+    leading axes stack profiles on the same axis, each with its own row. Its prefix
+    sums left to right from 0.0 give P(bid < base k) in ``cum[..., j, k]`` and
+    P(bid <= base k) in ``cum[..., j, k + 1]``. The tie DP runs over the bidders
+    j != i in bidder order, fed (P(below), P(at)) = (cum[..., j, k], masses[..., j, k]);
+    the right limits multiply P(bid <= base) = cum[..., j, k + 1] in the same order,
+    from 1.0. An ``i`` of n leaves nobody out. A stacked profile's row has the bits of
+    its own.
 
     A base where an opponent has no mass adds +0.0 to its prefix sums, and
     :func:`_bid_masses` adds the weights of equal bids left to right from 0.0, as
@@ -208,6 +201,8 @@ def _leave_one_out_row(tie: Tie, masses: np.ndarray, cum: np.ndarray, i: int) ->
     bases alone.
     """
     opp = [j for j in range(masses.shape[-2]) if j != i]
+    cum = np.zeros(masses.shape[:-1] + (masses.shape[-1] + 1,))
+    np.cumsum(masses, axis=-1, out=cum[..., 1:])
     out = np.empty(masses.shape[:-2] + (2 * masses.shape[-1],))
     at = ((cum[..., j, :-1], masses[..., j, :]) for j in opp)
     out[..., 0::2] = _tie_dp(tie, out[..., 0::2], at)

@@ -123,10 +123,10 @@ def _bidders(inst: SearchInstance, profile: Sequence[DAPureStrategy]):
     if len(profile) != inst.n:
         raise ValueError("profile must match the instance size")
     claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
-    axis, masses, cum = _bid_axis([c.arrays[:2] for c in claims], ())
+    axis, masses = _bid_axis([c.arrays[:2] for c in claims], ())
     claimed = (masses > 0.0).sum(axis=0)  # how many bidders claim each base
     for i, (f_i, d_i) in enumerate(zip(inst.boxes.marginals, profile)):
-        alloc = _leave_one_out_row(Tie.RANDOM_ALLOCATION, masses, cum, i)
+        alloc = _leave_one_out_row(Tie.RANDOM_ALLOCATION, masses, i)
         atoms, weights, _ = f_i.arrays
         bids = d_i.beta.eval(atoms)
         share = weights * alloc[2 * axis.searchsorted(bids)]

@@ -91,7 +91,7 @@ class DiscreteDistribution:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiscreteDistribution":
-        if not isinstance(obj, dict):
+        if not (isinstance(obj, dict) and "atoms" in obj and "weights" in obj):
             raise ValueError("a distribution must be an object with atoms and weights")
         return make_discrete(*(json_numbers(obj[k], k) for k in ("atoms", "weights")))
 

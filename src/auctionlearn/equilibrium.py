@@ -26,7 +26,6 @@ from .auction import (
     _bid_masses,
     _grid_best_response,
     _leave_one_out_row,
-    _prefix_masses,
     _utility,
 )
 from .dist import ProductDistribution
@@ -66,7 +65,7 @@ def verify_bne(
     if any(s.max_bid > f.h for s in profile):
         raise ValueError(f"profile bids above H={f.h}")
     bids = [s.eval(m.arrays[0]) for m, s in zip(f.marginals, profile)]
-    axis, masses, _ = _bid_axis([(b, m.arrays[1]) for m, b in zip(f.marginals, bids)], ())
+    axis, masses = _bid_axis([(b, m.arrays[1]) for m, b in zip(f.marginals, bids)], ())
     return _certificate(rule, f, axis, bids, masses)
 
 
@@ -81,11 +80,11 @@ def _certify(rule, f, axis: np.ndarray, bids: list, masses: np.ndarray, bound):
     NaN raises ``AssertionError``; a negative gap is returned as 0.0.
     """
     eps, bidder, rows = [0.0] * len(masses), [0] * len(masses), [None] * f.n
-    alive, cum, bases = list(range(len(masses))), _prefix_masses(masses), np.repeat(axis, 2)
+    alive, bases = list(range(len(masses))), np.repeat(axis, 2)
     first = bound[1]
     for i in [first, *range(first), *range(first + 1, f.n)]:
         part = slice(None) if len(alive) == len(masses) else alive
-        alloc = _leave_one_out_row(rule.tie, masses[part], cum[part], i)
+        alloc = _leave_one_out_row(rule.tie, masses[part], i)
         values, own = f.marginals[i].arrays[0], np.array([bids[p][i] for p in alive])
         sups, picks = _argmax_utility(rule.format, values, bases, alloc)
         own_alloc = np.take_along_axis(alloc, 2 * axis.searchsorted(own), axis=-1)
@@ -199,10 +198,11 @@ def solve_bne(
     the total rounds and 0 to 4 certify only the starts. Every raw and every
     damped best-response iterate is considered, and the result is the first
     visited profile with the smallest epsilon in sequential order (restart,
-    round, bidder, raw before damped), with ``verify_bne``'s certificate. The
-    solver carries one bid vector per bidder at its atoms (a grid bid or 0.0),
-    pushes it onto the fixed axis of 0.0 and the grid with one ``bincount``,
-    and builds a :class:`MonotoneStrategy` only for the returned profile.
+    round, bidder, raw before damped), with ``verify_bne``'s certificate, made on
+    the axis of its own bids. The solver carries one bid vector per bidder at its
+    atoms (a grid bid or 0.0), pushes it onto the fixed axis of 0.0 and the grid
+    with one ``bincount``, and builds a :class:`MonotoneStrategy` only for the
+    returned profile.
 
     The restarts run in lockstep. Restart r draws from its own generator, on
     the seed's stream advanced past the K_i uniforms per bidder step of the r
@@ -237,15 +237,15 @@ def solve_bne(
     starts = [0.0, 0.25, 0.5, 0.75, 1.0]
     rounds = max_iters // len(starts)
     grid_bids = np.array(grid)
-    axis = np.array(sorted({0.0} | set(grid)))
-    grid_pos = 2 * axis.searchsorted(grid_bids)
     values = [m.arrays[0] for m in f.marginals]
     weights = [m.arrays[1] for m in f.marginals]
     rngs = _restart_streams(seed, len(starts), rounds * sum(map(len, values)))
-    # Every restart's bid vectors, one per bidder, and its bid masses on the axis; a
-    # step replaces only the stepping bidder's.
+    # Every restart's bid vectors, one per bidder, and its bid masses on the axis of 0.0
+    # and the grid, which holds every start bid; a step replaces only the stepping one's.
     bids = [[_shade_on_grid(m.atoms, alpha, grid) for m in f.marginals] for alpha in starts]
-    masses = np.array([[_bid_masses(axis, b, w) for b, w in zip(bs, weights)] for bs in bids])
+    axis, masses = _bid_axis([(b, w) for bs in bids for b, w in zip(bs, weights)], grid_bids)
+    masses = masses.reshape(len(starts), f.n, -1)
+    grid_pos = 2 * axis.searchsorted(grid_bids)
     # A visit is [epsilon (None while it waits), first rank, bids, bidder of the
     # epsilon], keyed by bid bytes (which tell -0.0 from 0.0). A rank is (restart, 0)
     # for a start and (restart, 1 + 2 * (t * n + i)) for the raw iterate of bidder
@@ -254,21 +254,21 @@ def solve_bne(
     # The waiting profiles' bid masses, as many as a batch may hold, and their visits.
     pending = np.empty((max(1, BEST_RESPONSE_BLOCK // masses[0].size), *masses.shape[1:]))
     waiting: list[list] = []
-    best = (math.inf, (), None, 0, None)  # a visit's fields, then its bid masses
+    best = (math.inf, (), None, 0)  # a visit's fields
     error = None  # (rank of the first failing step's round, message)
 
-    def keep(visit: list, profile_masses: np.ndarray) -> None:
+    def keep(visit: list) -> None:
         nonlocal best
         if (visit[0], visit[1]) < best[:2]:
-            best = (*visit, profile_masses.copy())
+            best = tuple(visit)
 
     def certify_waiting() -> None:
         batch = pending[: len(waiting)]
         bound = (best[0], best[3])
         eps, bidders, _ = _certify(rule, f, axis, [v[2] for v in waiting], batch, bound)
-        for visit, profile_masses, e, i in zip(waiting, batch, eps, bidders):
+        for visit, e, i in zip(waiting, eps, bidders):
             visit[0], visit[3] = e, i
-            keep(visit, profile_masses)
+            keep(visit)
         waiting.clear()
 
     def consider(rank: tuple, profile_bids: list, profile_masses: np.ndarray) -> None:
@@ -277,7 +277,7 @@ def solve_bne(
         if visit is not None:
             visit[1] = min(visit[1], rank)
             if visit[0] is not None:
-                keep(visit, profile_masses)
+                keep(visit)
             return
         if len(waiting) == len(pending):
             certify_waiting()
@@ -296,7 +296,7 @@ def solve_bne(
             break
         for i in range(f.n):
             part = slice(None) if len(live) == len(starts) else live
-            rows = _leave_one_out_row(rule.tie, masses[part], _prefix_masses(masses[part]), i)
+            rows = _leave_one_out_row(rule.tie, masses[part], i)
             responses = _grid_best_response(rule.format, values[i], grid_bids, rows[:, grid_pos])
             for r, br in zip(live, responses):
                 if (br[1:] < br[:-1]).any():
@@ -315,7 +315,8 @@ def solve_bne(
             certify_waiting()
     if error is not None and not (best[0] == 0.0 and best[1] < error[0]):
         raise ValueError(error[1])
-    _, _, best_bids, _, best_masses = best
+    best_bids = best[2]
     pairs = (zip(m.atoms, b.tolist()) for m, b in zip(f.marginals, best_bids))
     profile = StrategyProfile(tuple(MonotoneStrategy(tuple(p)) for p in pairs))
-    return profile, _certificate(rule, f, axis, best_bids, best_masses)
+    axis, masses = _bid_axis(list(zip(best_bids, weights)), ())
+    return profile, _certificate(rule, f, axis, best_bids, masses)

@@ -102,16 +102,16 @@ def sup_error(
     for p_idx, profile in enumerate(family):
         probes = [_probe_values(f, profile, i) for i in range(f.n)]
         bids = [profile[i].eval(v) for i, v in enumerate(probes)]
-        # Every bidder's bid masses under the true marginals, then under the
-        # empirical ones, on one axis that also holds every probe's bid.
+        # Every bidder's bid masses under the true marginals, then under the empirical
+        # ones, on one axis that also holds every probe's bid: one or two stacked profiles.
         strategies = profile.strategies * 2
         pairs = [(s_j.eval(m.arrays[0]), m.arrays[1]) for m, s_j in zip(marginals, strategies)]
-        axis, masses, cum = _bid_axis(pairs, np.concatenate(bids))
-        groups = [(masses[k : k + f.n], cum[k : k + f.n]) for k in range(0, len(masses), f.n)]
+        axis, masses = _bid_axis(pairs, np.concatenate(bids))
+        masses = masses.reshape(-1, f.n, len(axis))
         for i in range(f.n):
             at, values = 2 * axis.searchsorted(bids[i]), np.array(probes[i])
             # Bidder i's exact utilities at the probes, then any product-form ones.
-            allocs = [_leave_one_out_row(rule.tie, *group, i)[at] for group in groups]
+            allocs = _leave_one_out_row(rule.tie, masses, i)[:, at]
             exact, *est = [_utility(rule.format, values, bids[i], a).tolist() for a in allocs]
             est = est[0] if est else emp_estimate(s, rule, i, probes[i], profile)
             for v, e, x in zip(probes[i], est, exact):

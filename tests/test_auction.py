@@ -17,7 +17,6 @@ from auctionlearn.auction import (
     _bid_axis,
     _bid_masses,
     _leave_one_out_row,
-    _prefix_masses,
     allocation_probability,
     best_response,
     candidate_allocations,
@@ -240,9 +239,35 @@ def test_leave_one_out_rows_match_block_reference(data):
     axis = np.array(sorted({0.0}.union(idle, *(d.atoms for d in dists))))
     masses = np.array([_bid_masses(axis, np.array(d.atoms), np.array(d.weights)) for d in dists])
     want = leave_one_out_allocations_reference(tie, masses)
-    cum = _prefix_masses(masses)
     for i, row in enumerate(want):
-        assert _leave_one_out_row(tie, masses, cum, i).tobytes() == row.tobytes()
+        assert _leave_one_out_row(tie, masses, i).tobytes() == row.tobytes()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_stacked_rows_have_the_bits_of_each_profile_alone(data):
+    # One to four profiles of the same one to five bidders, stacked on one axis
+    # that also holds bases nobody bids on. The kernel takes the prefix sums of
+    # whatever stack it gets: every profile's row, for every i up to n (nobody
+    # left out), must have the same bytes from the whole stack, from a
+    # fancy-indexed sub-stack of the profiles still alive, and from its own masses.
+    tie = data.draw(st.sampled_from(list(Tie)))
+    n = data.draw(st.integers(1, 5))
+    bidders = st.lists(bid_distributions(), min_size=n, max_size=n)
+    profiles = data.draw(st.lists(bidders, min_size=1, max_size=4))
+    idle = data.draw(st.lists(BIDS, max_size=4))
+    axis = np.array(sorted({0.0}.union(idle, *(d.atoms for p in profiles for d in p))))
+    stack = np.array(
+        [[_bid_masses(axis, np.array(d.atoms), np.array(d.weights)) for d in p] for p in profiles]
+    )
+    alive = sorted(data.draw(st.sets(st.integers(0, len(profiles) - 1), min_size=1)))
+    for i in range(n + 1):
+        whole, sub = _leave_one_out_row(tie, stack, i), _leave_one_out_row(tie, stack[alive], i)
+        for p, masses in enumerate(stack):
+            own = _leave_one_out_row(tie, masses, i).tobytes()
+            assert whole[p].tobytes() == own
+            if p in alive:
+                assert sub[alive.index(p)].tobytes() == own
 
 
 @pytest.mark.parametrize("tie", list(Tie))
@@ -250,7 +275,7 @@ def test_lone_bidder_row_wins_every_bid(tie):
     # No opponent: the tie DP runs over no factor and the right limits multiply
     # none, on an axis whose bases 0.0 and 0.5 carry no mass.
     masses = np.array([[0.0, 0.25, 0.0, 0.75]])
-    row = _leave_one_out_row(tie, masses, _prefix_masses(masses), 0)
+    row = _leave_one_out_row(tie, masses, 0)
     assert row.tobytes() == np.ones(8).tobytes()
     assert row.tobytes() == leave_one_out_allocations_reference(tie, masses)[0].tobytes()
 
@@ -374,8 +399,8 @@ class TestInterimExact:
         # bids above every atom among them.
         bases = np.array([[0.0, 0.2], [-0.0, 2.0]])
         opp = [DiscreteDistribution((0.2, 0.6), (0.5, 0.5)), make_discrete([0.0, 0.2], [1, 3])]
-        axis, masses, cum = _bid_axis([], bases)
-        assert axis.tolist() == [0.0, 0.2, 2.0] and masses.shape == (0, 3) and cum.shape == (0, 4)
+        axis, masses = _bid_axis([], bases)
+        assert axis.tolist() == [0.0, 0.2, 2.0] and masses.shape == (0, 3)
         got = allocation_probability(tie, [], bases)
         assert got.shape == (2, 2) and got.tobytes() == np.ones((2, 2)).tobytes()
         got = allocation_probability(tie, opp, bases)

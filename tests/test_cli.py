@@ -131,6 +131,19 @@ def test_nan_profile_exits_2(instance_file, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR: validation")
 
 
+@pytest.mark.parametrize("missing", ["atoms", "weights"])
+def test_marginal_missing_a_key_exits_2(missing, zero_profile_file, tmp_path, capsys):
+    # A marginal without atoms or without weights is named as such, not by the
+    # bare text of a KeyError.
+    marginal = {"atoms": [0.5], "weights": [1.0]}
+    del marginal[missing]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"marginals": [marginal]}))
+    assert main(["verify-bne", "--instance", str(inst), "--profile", zero_profile_file]) == 2
+    err = capsys.readouterr().err
+    assert err == "ERROR: validation: a distribution must be an object with atoms and weights\n"
+
+
 def test_bid_above_h_exits_2(instance_file, tmp_path, capsys):
     prof = tmp_path / "high.json"
     prof.write_text(json.dumps([{"breakpoints": [[0.0, 5.0]]}] * 2))

@@ -691,17 +691,21 @@ class TestSolve:
         assert solve_bne(FPA_RANDOM, f, GRID, max_iters=max_iters, seed=0) == (starts[k], certs[k])
 
     def test_bid_vectors_are_pushed_once_without_distributions(self, monkeypatch, rng):
-        # n pushes per start, then per bidder step one for the raw best
-        # response and one for the damped iterate; a considered profile
-        # reuses them instead of pushing every bidder again. A push is a
-        # bincount onto the solver's axis: no distribution is built.
+        # n pushes per start, all in the `_bid_axis` call that builds the
+        # solver's axis, then per bidder step one for the raw best response and
+        # one for the damped iterate; a considered profile reuses them instead
+        # of pushing every bidder again. The returned certificate's `_bid_axis`
+        # pushes its n bid vectors once more. A push is a bincount onto an axis:
+        # no distribution is built.
         f = random_product(rng, 3)
-        pushes = count_calls(monkeypatch, equilibrium, "_bid_masses")
+        on_axis = count_calls(monkeypatch, auction, "_bid_masses")
+        steps = count_calls(monkeypatch, equilibrium, "_bid_masses")
         built = count_calls(monkeypatch, DiscreteDistribution, "__post_init__")
         _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, damping=0.5, seed=1)
         assert cert.epsilon > 0.0  # no early stop: all 5 x 2 rounds ran
         assert built == []
-        assert len(pushes) == 5 * f.n + 5 * 2 * f.n * 2
+        assert len(on_axis) == 5 * f.n + f.n
+        assert len(steps) == 5 * 2 * f.n * 2
 
     def test_no_profile_is_certified_twice(self, monkeypatch, rng):
         # Undamped, every damped iterate repeats its raw best response, so at

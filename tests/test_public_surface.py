@@ -7,9 +7,10 @@ listed here, so adding an option is a visible edit. Every ``raise`` in ``src/``
 names ``ValueError`` or ``AssertionError``, so a new exception type is one too.
 No ``src/`` module calls ``.choice(p=...)``: ``dist.sample_matrix`` is the one
 weighted sampler. ``auction._leave_one_out_row`` is the one caller of the tie DP,
-so a second allocation kernel is a visible edit, and ``equilibrium._certify`` is
-the one gap computation. Every private module-level function in ``src/`` has a
-caller there.
+so a second allocation kernel is a visible edit, ``equilibrium._certify`` is
+the one gap computation, and ``auction._bid_axis`` is the one builder of a bid
+axis (``test_one_bid_axis_builder``). Every private module-level function in
+``src/`` has a caller there.
 """
 
 import ast
@@ -160,20 +161,40 @@ def test_one_weighted_sampler():
     assert weighted_choice_calls() == []
 
 
-def callers(name: str, module: str = "*") -> list[str]:
-    """Every module-level statement of src/ (of ``module`` alone if given) that calls
-    ``name``, by name."""
+def statements(holds, module: str = "*") -> list[str]:
+    """Every module-level statement of src/ (of ``module`` alone if given) with an
+    AST node for which ``holds`` is true."""
     found = []
     for path in sorted(SRC.glob(f"{module}.py")):
         for stmt in ast.parse(path.read_text()).body:
-            if any(isinstance(node, ast.Call) and _name(node) == name for node in ast.walk(stmt)):
+            if any(map(holds, ast.walk(stmt))):
                 found.append(f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}")
     return found
+
+
+def callers(name: str, module: str = "*") -> list[str]:
+    """Every module-level statement of src/ (of ``module`` alone if given) that calls
+    ``name``, by name."""
+    return statements(lambda node: isinstance(node, ast.Call) and _name(node) == name, module)
 
 
 def test_one_allocation_kernel():
     """Every exact interim allocation is a leave-one-out row: the tie DP has one caller."""
     assert callers("_tie_dp") == ["auction._leave_one_out_row"]
+
+
+def _is_zero_set(node) -> bool:
+    """A set display that holds the float 0.0, as the seed of a bid axis."""
+    return isinstance(node, ast.Set) and any(
+        isinstance(e, ast.Constant) and type(e.value) is float and e.value == 0.0
+        for e in node.elts
+    )
+
+
+def test_one_bid_axis_builder():
+    """Every bid axis of src/, the solver's too, is built by ``auction._bid_axis``:
+    it alone seeds a set with 0.0."""
+    assert statements(_is_zero_set) == ["auction._bid_axis"]
 
 
 def test_one_certifier():
