@@ -12,7 +12,6 @@ comes from one certifier, ``_certify``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +75,10 @@ def _certify(rule, f, axis: np.ndarray, bids: list, masses: np.ndarray, bound):
     None). Profile p bids ``bids[p][i]`` at bidder i's atoms, with bid masses
     ``masses[p]`` on ``axis``. Bidders are examined from ``bound[1]`` on, with one
     stacked row DP and one blocked argmax over every base and its right limit (the
-    pick is the first maximum); a stacked row has its own bits. A gap below -1e-9 or
-    NaN raises ``AssertionError``; a negative gap is returned as 0.0.
+    pick is the first maximum); a stacked row has its own bits. The own bid is on the
+    axis, so its exact column is a candidate, whose utility is the same ``_utility``
+    expression on the same floats as the own utility: every gap is >= 0 or -0.0, and
+    a negative or NaN gap (a broken candidate set) raises ``AssertionError``.
     """
     eps, bidder, rows = [0.0] * len(masses), [0] * len(masses), [None] * f.n
     alive, bases = list(range(len(masses))), np.repeat(axis, 2)
@@ -89,11 +90,10 @@ def _certify(rule, f, axis: np.ndarray, bids: list, masses: np.ndarray, bound):
         sups, picks = _argmax_utility(rule.format, values, bases, alloc)
         own_alloc = np.take_along_axis(alloc, 2 * axis.searchsorted(own), axis=-1)
         gaps = sups - _utility(rule.format, values, own, own_alloc)
-        bad = ~(gaps >= -1e-9)  # also a NaN gap, which `gap > eps` would skip
+        bad = ~(gaps >= 0.0)  # also a NaN gap, which `gap > eps` would skip
         if bad.any():
             gap = gaps[bad][0].item()
             raise AssertionError(f"gap {gap} is negative or NaN: candidates not exhaustive")
-        gaps = np.where(gaps < 0.0, 0.0, gaps)  # as max(gap, 0.0), which keeps a -0.0 gap
         rows[i] = gaps, picks
         for p, top in zip(alive, gaps.max(axis=1).tolist()):
             if top > eps[p]:
@@ -121,18 +121,14 @@ def _certificate(rule, f, axis: np.ndarray, bids: list, masses: np.ndarray) -> B
     return BNECertificate(eps, tuple(gap_rows), worst)
 
 
-def _damped_mix(old: np.ndarray, new: np.ndarray, damping: float, rng) -> np.ndarray:
-    # Per value keep the old bid with probability `damping`, then restore
-    # monotonicity with a running max (a pointwise mixture of two monotone
-    # step functions need not be monotone). One draw per value, in value order.
-    # Python's max, unlike np.maximum, keeps the running bid on a -0.0 / 0.0 tie.
-    mixed = np.where(rng.random(len(old)) < damping, old, new)
-    bids = []
-    prev = 0.0
-    for b in mixed.tolist():
-        prev = max(prev, b)
-        bids.append(prev)
-    return np.array(bids)
+def _damped_mix(old: np.ndarray, new: np.ndarray, damping: float, rngs) -> np.ndarray:
+    # Per restart row and value keep the old bid with probability `damping`, then
+    # restore monotonicity with a running max (a pointwise mixture of two monotone
+    # step functions need not be monotone). One draw per value, in value order, from
+    # each row's generator. The max runs from +0.0 over bids >= 0, so adding 0.0
+    # gives the bits of Python's max, which keeps the running +0.0 on a -0.0 tie.
+    draws = np.array([rng.random(old.shape[-1]) for rng in rngs]).reshape(old.shape)
+    return 0.0 + np.maximum.accumulate(np.where(draws < damping, old, new), axis=-1)
 
 
 def _restart_streams(seed: int, restarts: int, draws: int) -> list:
@@ -145,25 +141,14 @@ def _restart_streams(seed: int, restarts: int, draws: int) -> list:
     return rngs
 
 
-def _snap_to_grid(bid: float, grid: list[float]) -> float:
-    # Nearest bid of the sorted grid, ties toward the lower one.
-    k = bisect_left(grid, bid)
-    if k == 0:
-        return grid[0]
-    if k == len(grid):
-        return grid[-1]
-    lo, hi = grid[k - 1], grid[k]
-    return hi if abs(hi - bid) < abs(lo - bid) - 1e-15 else lo
-
-
-def _shade_on_grid(values, alpha: float, grid: list[float]) -> np.ndarray:
-    # The bids at `values` of alpha * v snapped to the grid, made nondecreasing.
-    bids = []
-    prev = grid[0]
-    for v in values:
-        prev = max(prev, _snap_to_grid(alpha * v, grid))
-        bids.append(prev)
-    return np.array(bids)
+def _shade_on_grid(values, alphas, grid: np.ndarray) -> np.ndarray:
+    # Per alpha, the bids at `values` of alpha * v snapped to the nearest bid of the
+    # sorted grid (ties toward the lower one), made nondecreasing. Equal grid bids
+    # have equal bits, so the running max may keep either.
+    x = np.multiply.outer(alphas, values)
+    k = grid.searchsorted(x)
+    lo, hi = grid[np.maximum(k - 1, 0)], grid[np.minimum(k, len(grid) - 1)]
+    return np.maximum.accumulate(np.where(abs(hi - x) < abs(lo - x) - 1e-15, hi, lo), axis=-1)
 
 
 MAX_GRID_BIDS = 10**6
@@ -199,15 +184,15 @@ def solve_bne(
     damped best-response iterate is considered, and the result is the first
     visited profile with the smallest epsilon in sequential order (restart,
     round, bidder, raw before damped), with ``verify_bne``'s certificate, made on
-    the axis of its own bids. The solver carries one bid vector per bidder at its
-    atoms (a grid bid or 0.0), pushes it onto the fixed axis of 0.0 and the grid
-    with one ``bincount``, and builds a :class:`MonotoneStrategy` only for the
-    returned profile.
+    the axis of its own bids. Per bidder, one (restarts, K_i) array holds every
+    restart's bids at the atoms (grid bids or 0.0); a row is pushed onto the fixed
+    axis of 0.0 and the grid with one ``bincount``. Only the returned profile
+    becomes :class:`MonotoneStrategy` objects.
 
     The restarts run in lockstep. Restart r draws from its own generator, on
     the seed's stream advanced past the K_i uniforms per bidder step of the r
     restarts before it, where a sequential run draws. One stacked leave-one-out
-    row DP gives every live restart's best response for the stepping bidder.
+    row DP gives the stepping bidder's best responses, checked and damped as one array.
     Visited profiles wait for one stacked ``_certify`` call, at every round end or
     sooner when the waiting bid masses would exceed ``BEST_RESPONSE_BLOCK`` elements,
     which drops a profile once one bidder's gap is above the best epsilon so far.
@@ -240,10 +225,11 @@ def solve_bne(
     values = [m.arrays[0] for m in f.marginals]
     weights = [m.arrays[1] for m in f.marginals]
     rngs = _restart_streams(seed, len(starts), rounds * sum(map(len, values)))
-    # Every restart's bid vectors, one per bidder, and its bid masses on the axis of 0.0
-    # and the grid, which holds every start bid; a step replaces only the stepping one's.
-    bids = [[_shade_on_grid(m.atoms, alpha, grid) for m in f.marginals] for alpha in starts]
-    axis, masses = _bid_axis([(b, w) for bs in bids for b, w in zip(bs, weights)], grid_bids)
+    # Per bidder, every restart's bid vector, one row each; per restart, its bid masses
+    # on the axis of 0.0 and the grid, which holds every start bid. A step replaces
+    # the stepping bidder's array, whose rows visits hold, and that bidder's masses.
+    bids = [_shade_on_grid(v, starts, grid_bids) for v in values]
+    axis, masses = _bid_axis([(b, w) for bs in zip(*bids) for b, w in zip(bs, weights)], grid_bids)
     masses = masses.reshape(len(starts), f.n, -1)
     grid_pos = 2 * axis.searchsorted(grid_bids)
     # A visit is [epsilon (None while it waits), first rank, bids, bidder of the
@@ -286,7 +272,7 @@ def solve_bne(
         waiting.append(visit)
 
     for r in range(len(starts)):
-        consider((r, 0), list(bids[r]), masses[r])
+        consider((r, 0), [b[r] for b in bids], masses[r])
     certify_waiting()
     live = list(range(len(starts)))
     for t in range(rounds):
@@ -298,19 +284,21 @@ def solve_bne(
             part = slice(None) if len(live) == len(starts) else live
             rows = _leave_one_out_row(rule.tie, masses[part], i)
             responses = _grid_best_response(rule.format, values[i], grid_bids, rows[:, grid_pos])
+            stuck = (responses[:, 1:] < responses[:, :-1]).any(axis=1)
+            if stuck.any():
+                j = stuck.argmax()  # the first restart that stops
+                pairs = list(zip(values[i].tolist(), responses[j].tolist()))
+                error = ((live[j], 1 + 2 * t * f.n), f"best-response bids not monotone: {pairs}")
+                live, responses = live[:j], responses[:j]
+            stepped = bids[i].copy()
+            stepped[live] = _damped_mix(bids[i][live], responses, damping, [rngs[r] for r in live])
+            bids[i] = stepped
             for r, br in zip(live, responses):
-                if (br[1:] < br[:-1]).any():
-                    pairs = list(zip(values[i].tolist(), br.tolist()))
-                    error = ((r, 1 + 2 * t * f.n), f"best-response bids not monotone: {pairs}")
-                    live = live[: live.index(r)]
-                    break
                 # Restart r's masses hold the raw iterate, then the damped one.
-                rank = 1 + 2 * (t * f.n + i)
-                masses[r, i] = _bid_masses(axis, br, weights[i])
-                consider((r, rank), [*bids[r][:i], br, *bids[r][i + 1 :]], masses[r])
-                bids[r][i] = _damped_mix(bids[r][i], br, damping, rngs[r])
-                masses[r, i] = _bid_masses(axis, bids[r][i], weights[i])
-                consider((r, rank + 1), list(bids[r]), masses[r])
+                rank, profile = 1 + 2 * (t * f.n + i), [b[r] for b in bids]
+                for step, own in enumerate((br, stepped[r])):
+                    masses[r, i] = _bid_masses(axis, own, weights[i])
+                    consider((r, rank + step), [*profile[:i], own, *profile[i + 1 :]], masses[r])
         if waiting:
             certify_waiting()
     if error is not None and not (best[0] == 0.0 and best[1] < error[0]):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -46,7 +46,7 @@ from auctionlearn.dist import (
     sum_left_to_right,
     truncate_at,
 )
-from auctionlearn.equilibrium import BNECertificate, _snap_to_grid, verify_bne
+from auctionlearn.equilibrium import BNECertificate, verify_bne
 from auctionlearn.estimate import ErrorReport, _probe_values, emp_estimate
 from auctionlearn.lowerbound import _mask_probs, distinguisher_trials
 from auctionlearn.pandora import IndexPolicy, SearchInstance, _effective_prefix, weitzman_index
@@ -255,6 +255,17 @@ def damped_mix_reference(
         prev = max(prev, b)
         bids.append(prev)
     return MonotoneStrategy(tuple(zip(values, bids)))
+
+
+def _snap_to_grid(bid: float, grid: list[float]) -> float:
+    # Nearest bid of the sorted grid, ties toward the lower one.
+    k = bisect_left(grid, bid)
+    if k == 0:
+        return grid[0]
+    if k == len(grid):
+        return grid[-1]
+    lo, hi = grid[k - 1], grid[k]
+    return hi if abs(hi - bid) < abs(lo - bid) - 1e-15 else lo
 
 
 def shade_on_grid_reference(values, alpha: float, grid: list[float]) -> MonotoneStrategy:

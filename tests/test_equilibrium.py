@@ -36,7 +36,6 @@ from auctionlearn.equilibrium import (
     _certify,
     _damped_mix,
     _shade_on_grid,
-    _snap_to_grid,
     solve_bne,
     uniform_bid_grid,
     verify_bne,
@@ -133,6 +132,22 @@ class TestVerify:
         for bound in ((math.inf, 0), (math.inf, 1), (0.0, 0)):
             with pytest.raises(AssertionError, match="^gap nan is negative or NaN: candidates"):
                 _certify(FPA_RANDOM, f, axis, [bids], masses, bound)
+
+    def test_negative_gap_raises(self, monkeypatch):
+        # The own bid's exact column is a candidate with the own utility's bits, so
+        # no gap is below 0; a supremum forged 1e-12 short must raise. At value 0
+        # the supremum and the own utility are both 0.0, so the gap is -1e-12.
+        argmax = equilibrium._argmax_utility
+
+        def short(*args):
+            sups, picks = argmax(*args)
+            return sups - 1e-12, picks
+
+        monkeypatch.setattr(equilibrium, "_argmax_utility", short)
+        f = product_of([uniform_on([0.0, 0.5, 1.0])] * 2, 1.0)
+        profile = StrategyProfile((shade([0.0, 0.5, 1.0], 0.5),) * 2)
+        with pytest.raises(AssertionError, match="^gap -1e-12 is negative or NaN: candidates"):
+            verify_bne(FPA_RANDOM, f, profile)
 
     def test_bid_above_h_raises(self):
         profile = StrategyProfile((shade(GRID, 0.5), constant(5.0)))
@@ -581,51 +596,85 @@ def grid_midpoints(draw):
 @given(grid_midpoints())
 @settings(max_examples=300, deadline=None)
 def test_snap_to_grid_matches_full_scan_at_midpoints(case):
-    grid, k, mid = case
-    got = _snap_to_grid(mid, grid)
-    assert got == snap_to_grid_reference(mid, grid)
-    assert got in (grid[k], grid[k + 1])
+    # A row at shade 1 snaps the midpoints of all neighbours, which are increasing.
+    grid, k, _ = case
+    mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+    got = _shade_on_grid(mids, [1.0], np.array(grid))[0].tolist()
+    assert got == [snap_to_grid_reference(mid, grid) for mid in mids]
+    assert got == [conftest._snap_to_grid(mid, grid) for mid in mids]
+    assert got[k] in (grid[k], grid[k + 1])
 
 
 def test_snap_to_grid_ties_and_ends():
-    grid = [0.0, 0.25, 0.5]
-    assert _snap_to_grid(0.375, grid) == 0.25  # an exact tie goes to the lower bid
-    assert _snap_to_grid(0.376, grid) == 0.5
-    assert _snap_to_grid(0.5, grid) == 0.5
-    assert _snap_to_grid(0.7, grid) == 0.5
-    assert _snap_to_grid(0.0, grid) == 0.0
+    # One row per shade at the value 1.0 snaps the shade itself.
+    for grid, bids, want in [
+        # an exact tie goes to the lower bid
+        ([0.0, 0.25, 0.5], [0.375, 0.376, 0.5, 0.7, 0.0], [0.25, 0.5, 0.5, 0.5, 0.0]),
+        ([0.25, 0.5], [0.1, 0.0, 0.6, 2.0], [0.25, 0.25, 0.5, 0.5]),  # beyond both ends
+        ([0.3], [0.0, 0.3, 0.31, 1.0], [0.3, 0.3, 0.3, 0.3]),  # a one-bid grid
+    ]:
+        got = _shade_on_grid([1.0], bids, np.array(grid))[:, 0].tolist()
+        assert got == want == [conftest._snap_to_grid(b, grid) for b in bids]
 
 
 _ATOMS = st.lists(QUARTERS | st.floats(0.0, 1.0) | st.just(-0.0), max_size=40, unique=True)
 _BIDS = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])
+_SHADES = st.lists(QUARTERS | st.floats(0.0, 1.0), min_size=1, max_size=5)
 
 
 @given(_ATOMS.map(sorted), st.data())
 @settings(max_examples=200, deadline=None)
 def test_damped_mix_matches_per_value_reference(values, data):
-    # Bid vectors with long runs and -0.0 bids at -0.0 values; the vector draw
-    # takes the same doubles and leaves the stream where the per-value draws do.
-    old, new = (
-        sorted(data.draw(st.lists(_BIDS, min_size=len(values), max_size=len(values))))
-        for _ in range(2)
-    )
+    # A stack of restart rows, each with its own generator. Bid vectors with long
+    # runs and -0.0 bids at -0.0 values; the vector draw takes the same doubles and
+    # leaves each stream where the per-value draws do.
+    rows = data.draw(st.integers(1, 3))
+    vector = st.lists(_BIDS, min_size=len(values), max_size=len(values))
+    old, new = ([sorted(data.draw(vector)) for _ in range(rows)] for _ in range(2))
     damping = data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _damped_mix(np.array(old, dtype=float), np.array(new, dtype=float), damping, rng)
-    as_strategy = [MonotoneStrategy(tuple(zip(values, bids))) for bids in (old, new)]
-    want = damped_mix_reference(*as_strategy, values, damping, ref_rng)
-    assert got.tobytes() == np.array([b for _, b in want.breakpoints], dtype=float).tobytes()
-    assert rng.random() == ref_rng.random()
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=rows, max_size=rows))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    ref_rngs = [np.random.default_rng(seed) for seed in seeds]
+    got = _damped_mix(np.array(old, dtype=float), np.array(new, dtype=float), damping, rngs)
+    assert got.shape == (rows, len(values))
+    for row, o, n, rng, ref_rng in zip(got, old, new, rngs, ref_rngs):
+        as_strategy = [MonotoneStrategy(tuple(zip(values, bids))) for bids in (o, n)]
+        want = damped_mix_reference(*as_strategy, values, damping, ref_rng)
+        assert row.tobytes() == np.array([b for _, b in want.breakpoints], dtype=float).tobytes()
+        assert rng.random() == ref_rng.random()
 
 
-@given(_ATOMS.map(sorted), QUARTERS | st.floats(0.0, 1.0), st.data())
+@pytest.mark.parametrize("k", [3, 16])
+def test_damped_mix_turns_every_zero_positive(k):
+    # Python's max from +0.0 keeps +0.0 on a -0.0 tie, while np.maximum may return
+    # -0.0, and so may np.fmax on 8 or more elements. Damping 1 keeps the old rows,
+    # damping 0 takes the new ones; every zero must come out as +0.0.
+    zeros = np.array([np.full(k, -0.0), np.resize([-0.0, 0.0, -0.0], k)])
+    for damping, old, new in ((1.0, zeros, zeros[::-1]), (0.0, zeros[::-1], zeros)):
+        rngs = [np.random.default_rng(0) for _ in zeros]
+        got = _damped_mix(old, new, damping, rngs)
+        assert got.tobytes() == np.zeros((2, k)).tobytes()
+
+
+@given(_ATOMS.map(sorted), _SHADES, st.data())
 @settings(max_examples=200, deadline=None)
-def test_shade_on_grid_matches_strategy_reference(values, alpha, data):
+def test_shade_on_grid_matches_strategy_reference(values, alphas, data):
     grid = sorted(data.draw(st.lists(QUARTERS | st.just(-0.0), min_size=1, unique=True)))
-    got = _shade_on_grid(values, alpha, grid)
-    want = shade_on_grid_reference(values, alpha, grid)
-    assert got.tobytes() == np.array([b for _, b in want.breakpoints], dtype=float).tobytes()
+    got = _shade_on_grid(values, alphas, np.array(grid))
+    assert got.shape == (len(alphas), len(values))
+    for row, alpha in zip(got, alphas):
+        want = shade_on_grid_reference(values, alpha, grid)
+        assert row.tobytes() == np.array([b for _, b in want.breakpoints], dtype=float).tobytes()
+
+
+def test_shade_on_grid_keeps_a_negative_zero_grid_bid():
+    # A grid whose zero is -0.0 gives -0.0 starts, as the scalar snap does.
+    values, grid = [0.0, 0.5, 1.0], [-0.0, 0.5]
+    got = _shade_on_grid(values, [0.0, 0.5], np.array(grid))
+    assert got.tobytes() == np.array([[-0.0, -0.0, -0.0], [-0.0, -0.0, 0.5]]).tobytes()
+    for row, alpha in zip(got, [0.0, 0.5]):
+        want = shade_on_grid_reference(values, alpha, grid)
+        assert row.tobytes() == np.array([b for _, b in want.breakpoints]).tobytes()
 
 
 class TestSolve:
