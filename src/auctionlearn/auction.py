@@ -104,8 +104,11 @@ def push_forward(f_j: DiscreteDistribution, s_j: MonotoneStrategy) -> DiscreteDi
 def _tie_dp(tie: Tie, like: np.ndarray, masses) -> np.ndarray:
     """Winning probability of exact bids shaped like ``like``, from each opponent's
     (P(bid below), P(bid at)): q[t] = P(nobody above, t tied), and random allocation
-    wins a t-way tie with probability 1 / (t + 1)."""
-    q = [np.ones_like(like)]
+    wins a t-way tie with probability 1 / (t + 1). Every pair has the shape of
+    ``like``; the polynomial starts from the first (from ones without opponents)."""
+    masses = iter(masses)
+    first = next(masses, None)
+    q = [np.ones_like(like)] if first is None else list(first)
     for p_below, p_at in masses:
         q = (
             [q[0] * p_below]
@@ -150,10 +153,16 @@ def candidate_allocations(tie: Tie, opp: Sequence[DiscreteDistribution]) -> np.n
 
 
 def _bid_masses(axis: np.ndarray, bids: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """P(bid == axis[k]) for every k, when bid ``bids[k]`` has weight ``weights[k]``:
-    the weights of equal bids are added left to right from 0.0. Every bid must be
-    on the sorted ``axis`` (-0.0 is found at 0.0)."""
-    return np.bincount(axis.searchsorted(bids), weights, minlength=len(axis))
+    """P(bid == axis[k]) for every k, when bid ``bids[..., k]`` has weight
+    ``weights[..., k]``: the weights of equal bids are added left to right from 0.0.
+    Every bid must be on the sorted ``axis`` (-0.0 is found at 0.0). Rows of a 2-D
+    ``bids`` give rows of masses from one ``bincount``, each row on bins of its own."""
+    k = axis.searchsorted(bids)
+    if k.ndim == 1:
+        return np.bincount(k, weights, minlength=len(axis))
+    k += len(axis) * np.arange(len(k))[:, None]
+    pushed = np.bincount(k.ravel(), weights.ravel(), minlength=len(k) * len(axis))
+    return pushed.reshape(len(k), len(axis))
 
 
 def _bid_axis(bids: Sequence[tuple[np.ndarray, np.ndarray]], bases):
@@ -210,17 +219,15 @@ def _leave_one_out_row(tie: Tie, masses: np.ndarray, i: int) -> np.ndarray:
     return out
 
 
-def _argmax_utility(fmt: Format, values: np.ndarray, bases, alloc):
-    """Largest utility over the candidate bids and its first maximizing index, per value
-    and per allocation row: arrays shaped ``alloc.shape[:-1] + values.shape``.
+def _argmax_picks(fmt: Format, values: np.ndarray, bases, allocs: np.ndarray) -> np.ndarray:
+    """First maximizing candidate index per allocation row of the 2-D ``allocs`` and
+    per value: a (len(allocs), len(values)) array.
 
     Blocks of at most ``BEST_RESPONSE_BLOCK`` values x candidates elements, whole
     allocation rows or values of one row, are maximized with ``argmax``, which
-    returns the first maximum. A block reads its allocation rows uncopied. The
-    largest utility is then computed again at each pick, with the same bits.
+    returns the first maximum. A block reads its allocation rows uncopied.
     """
     k = len(values)
-    allocs = alloc.reshape(-1, alloc.shape[-1])
     rows = max(1, BEST_RESPONSE_BLOCK // len(bases))
     per = max(1, rows // max(k, 1))
     picks = np.empty((len(allocs), k), dtype=np.intp)
@@ -228,8 +235,19 @@ def _argmax_utility(fmt: Format, values: np.ndarray, bases, alloc):
         for lo in range(0, k, rows):
             u = _utility(fmt, values[lo : lo + rows, None], bases, allocs[p : p + per, None])
             picks[p : p + per, lo : lo + rows] = u.argmax(axis=-1)
+    return picks
+
+
+def _argmax_utility(fmt: Format, values: np.ndarray, bases, alloc):
+    """Largest utility over the candidate bids and its first maximizing index, per value
+    and per allocation row: arrays shaped ``alloc.shape[:-1] + values.shape``. The
+    largest utility is computed again at each :func:`_argmax_picks` pick, with the
+    same bits.
+    """
+    allocs = alloc.reshape(-1, alloc.shape[-1])
+    picks = _argmax_picks(fmt, values, bases, allocs)
     sups = _utility(fmt, values, bases[picks], allocs[np.arange(len(allocs))[:, None], picks])
-    shape = alloc.shape[:-1] + (k,)
+    shape = alloc.shape[:-1] + (len(values),)
     return sups.reshape(shape), picks.reshape(shape)
 
 
@@ -259,5 +277,7 @@ def _grid_best_response(
     zeroed out, after which every bid vector should be nondecreasing, by the
     monotone dominance of best responses; the caller checks it.
     """
-    _, ks = _argmax_utility(fmt, values, grid_bids, alloc)
-    return np.take_along_axis(np.where(alloc == 0.0, 0.0, grid_bids), ks, axis=-1)
+    allocs = alloc.reshape(-1, alloc.shape[-1])
+    ks = _argmax_picks(fmt, values, grid_bids, allocs)
+    won = allocs[np.arange(len(allocs))[:, None], ks]
+    return np.where(won == 0.0, 0.0, grid_bids[ks]).reshape(alloc.shape[:-1] + (len(values),))

@@ -45,7 +45,7 @@ from .dist import (
     sum_left_to_right,
     truncate_at,
 )
-from .equilibrium import solve_bne, uniform_bid_grid, verify_bne
+from .equilibrium import _search_bne, uniform_bid_grid, verify_bne
 from .estimate import shade_family, sup_error
 from .pandora import SearchInstance, opt_welfare, weitzman_index
 from .strategy import MonotoneStrategy, StrategyProfile
@@ -250,11 +250,11 @@ def empirical_pipeline(
     Splits the samples into halves (first/second, for reproducibility), fits
     indices on the first, solves a certified approximate equilibrium of the
     first-price auction on the truncated empirical marginals of the second
-    (``solve_bne`` on a bid grid of step ``grid_step``, with
+    (the search of ``solve_bne`` on a bid grid of step ``grid_step``, with
     ``PIPELINE_MAX_ITERS`` rounds and solver seed ``seed``), and maps the
     result into the descending auction on the true distribution.
     The emitted profile carries per-bidder tie-breaking bid offsets (see
-    :func:`_break_bid_ties`) and is re-certified after the offsets. Reports
+    :func:`_break_bid_ties`) and is certified after the offsets, once. Reports
     the certified epsilon, the measured estimator error, the exact equilibrium
     gap over all descending-auction deviations, welfare against the
     price-of-anarchy bound, and how far the implied costs drift from the true
@@ -281,9 +281,8 @@ def empirical_pipeline(
         (truncate_at(f, sig) for f, sig in zip(emp_b.marginals, sigma_hat)), f_true.h
     )
     bid_grid = uniform_bid_grid(f_true.h, grid_step)
-    solved, _ = solve_bne(
-        FPA_RANDOM, fpa_dist, bid_grid, max_iters=PIPELINE_MAX_ITERS, seed=seed
-    )
+    # solve_bne's search at its default damping; the emitted profile is certified below.
+    solved, _ = _search_bne(FPA_RANDOM, fpa_dist, bid_grid, PIPELINE_MAX_ITERS, seed, 0.5)
     fpa_profile = _break_bid_ties(solved, grid_step, f_true.h)
     cert = verify_bne(FPA_RANDOM, fpa_dist, fpa_profile)
     da_profile = tuple(

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,11 +41,11 @@ class DiscreteDistribution:
             raise ValueError("atoms and weights must be nonempty and equal length")
         if not all(map(math.isfinite, self.atoms)):
             raise ValueError("atoms must be finite")
-        if any(b <= a for a, b in zip(self.atoms, self.atoms[1:])):
+        if any(map(operator.le, self.atoms[1:], self.atoms)):
             raise ValueError("atoms must be strictly increasing")
         if self.atoms[0] < 0:
             raise ValueError(f"atom {self.atoms[0]} < 0")
-        if any(w <= 0 for w in self.weights):
+        if any(map(operator.le, self.weights, repeat(0))):
             raise ValueError("all weights must be strictly positive")
         if not abs(sum(self.weights) - 1.0) <= WEIGHT_TOL:  # also rejects NaN
             raise ValueError("weights must sum to 1 within 1e-12")
@@ -57,7 +58,7 @@ class DiscreteDistribution:
         return self.atoms[-1]
 
     def mean(self) -> float:
-        return sum(a * w for a, w in self)
+        return sum(map(operator.mul, self.atoms, self.weights))
 
     @cached_property
     def cumulative(self) -> tuple[float, ...]:
@@ -125,14 +126,13 @@ def make_discrete(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteD
         raise ValueError("atoms and weights must be nonempty and equal length")
     if not all(map(math.isfinite, [*atoms, *weights])):
         raise ValueError("atoms and weights must be finite")
-    if any(w < 0 for w in weights):
+    if any(map(operator.lt, weights, repeat(0))):
         raise ValueError("weights must be nonnegative")
     total = float(sum(weights))
     if total <= WEIGHT_TOL:
         raise ValueError("weights sum to zero")
-    for a in atoms:
-        if a < 0:
-            raise ValueError(f"atom {a} < 0")
+    for a in compress(atoms, map(operator.lt, atoms, repeat(0))):
+        raise ValueError(f"atom {a} < 0")
     merged: dict[float, float] = {}
     for a, w in zip(atoms, weights):
         if w > 0:
@@ -291,7 +291,7 @@ def sample_matrix(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:
         idx = edges.take(bucket)
         steps = np.flatnonzero((edges[:-1] != edges[1:]).take(bucket))
         idx[steps] = cdf.searchsorted(u[steps], "right")
-        col[:] = np.array(marg.atoms).take(idx)
+        col[:] = np.array(marg.atoms)[idx]
     values.setflags(write=False)
     return SampleMatrix(values)
 

@@ -88,7 +88,7 @@ def _certify(rule, f, axis: np.ndarray, bids: list, masses: np.ndarray, bound):
         alloc = _leave_one_out_row(rule.tie, masses[part], i)
         values, own = f.marginals[i].arrays[0], np.array([bids[p][i] for p in alive])
         sups, picks = _argmax_utility(rule.format, values, bases, alloc)
-        own_alloc = np.take_along_axis(alloc, 2 * axis.searchsorted(own), axis=-1)
+        own_alloc = alloc[np.arange(len(alloc))[:, None], 2 * axis.searchsorted(own)]
         gaps = sups - _utility(rule.format, values, own, own_alloc)
         bad = ~(gaps >= 0.0)  # also a NaN gap, which `gap > eps` would skip
         if bad.any():
@@ -184,10 +184,11 @@ def solve_bne(
     damped best-response iterate is considered, and the result is the first
     visited profile with the smallest epsilon in sequential order (restart,
     round, bidder, raw before damped), with ``verify_bne``'s certificate, made on
-    the axis of its own bids. Per bidder, one (restarts, K_i) array holds every
-    restart's bids at the atoms (grid bids or 0.0); a row is pushed onto the fixed
-    axis of 0.0 and the grid with one ``bincount``. Only the returned profile
-    becomes :class:`MonotoneStrategy` objects.
+    the axis of its own bids from its bid vectors. Per bidder, one (restarts, K_i)
+    array holds every restart's bids at the atoms (grid bids or 0.0); a bidder step
+    pushes the raw and the damped rows of every live restart onto the fixed axis of
+    0.0 and the grid with one ``bincount``. No strategy is evaluated, and only the
+    returned profile becomes :class:`MonotoneStrategy` objects.
 
     The restarts run in lockstep. Restart r draws from its own generator, on
     the seed's stream advanced past the K_i uniforms per bidder step of the r
@@ -205,6 +206,14 @@ def solve_bne(
     certificate of 0 came before it in sequential order. Grid bids must lie in
     [0, ``f.h``].
     """
+    profile, bids = _search_bne(rule, f, bid_grid, max_iters, seed, damping)
+    axis, masses = _bid_axis([(b, m.arrays[1]) for m, b in zip(f.marginals, bids)], ())
+    return profile, _certificate(rule, f, axis, bids, masses)
+
+
+def _search_bne(rule, f, bid_grid, max_iters: int, seed: int, damping: float):
+    """:func:`solve_bne` without its certificate: the returned profile and its bid
+    vectors at the atoms."""
     grid = [float(b) for b in bid_grid]
     if any(map(math.isnan, grid)):
         raise ValueError("bid grid holds NaN")
@@ -224,6 +233,8 @@ def solve_bne(
     grid_bids = np.array(grid)
     values = [m.arrays[0] for m in f.marginals]
     weights = [m.arrays[1] for m in f.marginals]
+    # Per bidder, its weights in as many rows as a step pushes at most.
+    stacked_weights = [np.tile(w, (2 * len(starts), 1)) for w in weights]
     rngs = _restart_streams(seed, len(starts), rounds * sum(map(len, values)))
     # Per bidder, every restart's bid vector, one row each; per restart, its bid masses
     # on the axis of 0.0 and the grid, which holds every start bid. A step replaces
@@ -233,10 +244,12 @@ def solve_bne(
     masses = masses.reshape(len(starts), f.n, -1)
     grid_pos = 2 * axis.searchsorted(grid_bids)
     # A visit is [epsilon (None while it waits), first rank, bids, bidder of the
-    # epsilon], keyed by bid bytes (which tell -0.0 from 0.0). A rank is (restart, 0)
-    # for a start and (restart, 1 + 2 * (t * n + i)) for the raw iterate of bidder
-    # i's step in round t, plus 1 for the damped one.
+    # epsilon], keyed by its bidders' bid bytes (which tell -0.0 from 0.0), kept per
+    # restart in `keys`. A rank is (restart, 0) for a start and (restart, 1 + 2 *
+    # (t * n + i)) for the raw iterate of bidder i's step in round t, plus 1 for the
+    # damped one.
     visited: dict[tuple[bytes, ...], list] = {}
+    keys = [[b.tobytes() for b in bs] for bs in zip(*bids)]
     # The waiting profiles' bid masses, as many as a batch may hold, and their visits.
     pending = np.empty((max(1, BEST_RESPONSE_BLOCK // masses[0].size), *masses.shape[1:]))
     waiting: list[list] = []
@@ -257,8 +270,7 @@ def solve_bne(
             keep(visit)
         waiting.clear()
 
-    def consider(rank: tuple, profile_bids: list, profile_masses: np.ndarray) -> None:
-        key = tuple(b.tobytes() for b in profile_bids)
+    def consider(rank: tuple, key: tuple, profile_bids: list, profile_masses: np.ndarray) -> None:
         visit = visited.get(key)
         if visit is not None:
             visit[1] = min(visit[1], rank)
@@ -272,7 +284,7 @@ def solve_bne(
         waiting.append(visit)
 
     for r in range(len(starts)):
-        consider((r, 0), [b[r] for b in bids], masses[r])
+        consider((r, 0), tuple(keys[r]), [b[r] for b in bids], masses[r])
     certify_waiting()
     live = list(range(len(starts)))
     for t in range(rounds):
@@ -290,21 +302,22 @@ def solve_bne(
                 pairs = list(zip(values[i].tolist(), responses[j].tolist()))
                 error = ((live[j], 1 + 2 * t * f.n), f"best-response bids not monotone: {pairs}")
                 live, responses = live[:j], responses[:j]
+            damped = _damped_mix(bids[i][live], responses, damping, [rngs[r] for r in live])
             stepped = bids[i].copy()
-            stepped[live] = _damped_mix(bids[i][live], responses, damping, [rngs[r] for r in live])
+            stepped[live] = damped
             bids[i] = stepped
-            for r, br in zip(live, responses):
+            iterates = np.concatenate((responses, damped))  # every raw row, then every damped
+            pushed = _bid_masses(axis, iterates, stacked_weights[i][: len(iterates)])
+            for j, r in enumerate(live):
                 # Restart r's masses hold the raw iterate, then the damped one.
                 rank, profile = 1 + 2 * (t * f.n + i), [b[r] for b in bids]
-                for step, own in enumerate((br, stepped[r])):
-                    masses[r, i] = _bid_masses(axis, own, weights[i])
-                    consider((r, rank + step), [*profile[:i], own, *profile[i + 1 :]], masses[r])
+                for step, k in enumerate((j, j + len(live))):
+                    own, masses[r, i], keys[r][i] = iterates[k], pushed[k], iterates[k].tobytes()
+                    profile_bids = [*profile[:i], own, *profile[i + 1 :]]
+                    consider((r, rank + step), tuple(keys[r]), profile_bids, masses[r])
         if waiting:
             certify_waiting()
     if error is not None and not (best[0] == 0.0 and best[1] < error[0]):
         raise ValueError(error[1])
-    best_bids = best[2]
-    pairs = (zip(m.atoms, b.tolist()) for m, b in zip(f.marginals, best_bids))
-    profile = StrategyProfile(tuple(MonotoneStrategy(tuple(p)) for p in pairs))
-    axis, masses = _bid_axis(list(zip(best_bids, weights)), ())
-    return profile, _certificate(rule, f, axis, best_bids, masses)
+    pairs = (zip(m.atoms, b.tolist()) for m, b in zip(f.marginals, best[2]))
+    return StrategyProfile(tuple(MonotoneStrategy(tuple(p)) for p in pairs)), best[2]

@@ -170,7 +170,11 @@ def label_vector_count(hypothesis_values: np.ndarray, witnesses: Sequence[float]
         raise ValueError("hypothesis_values must be |family| x len(witnesses)")
     if r.shape[0] == 0:
         return min(len(hv), 1)  # every row has the empty sign vector
-    # Each sign row packed to bytes and viewed as one opaque scalar, so that
-    # np.unique compares whole rows without its slow axis=0 path.
+    # Each sign row packed to bytes, padded to whole 8-byte words and read as
+    # integers; sorted, a row is new where it differs from the one before it.
     packed = np.packbits(hv - r > 0, axis=1)
-    return len(np.unique(packed.view(np.dtype((np.void, packed.shape[1])))))
+    words = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), np.uint8)
+    words[:, : packed.shape[1]] = packed
+    rows = words.view(np.uint64)
+    rows = rows[np.lexsort(rows.T)]
+    return min(len(rows), 1) + int((rows[1:] != rows[:-1]).any(axis=1).sum())

@@ -17,10 +17,15 @@ import numpy as np
 
 
 def _mask_probs(p_one: np.ndarray) -> np.ndarray:
-    """Probability of every 0/1 pattern of the first n-1 coordinates (bit j = coord j)."""
-    probs = np.array([1.0])
-    for p in p_one:
-        probs = np.concatenate([probs * (1.0 - p), probs * p])
+    """Probability of every 0/1 pattern of the first n-1 coordinates (bit j = coord j),
+    filled in place: the 2^j patterns below bit j times p give those with bit j set,
+    then they are scaled by 1 - p."""
+    probs = np.empty(1 << len(p_one))
+    probs[0] = 1.0
+    for j, p in enumerate(p_one.tolist()):
+        low = probs[: 1 << j]
+        np.multiply(low, p, out=probs[1 << j : 2 << j])
+        low *= 1.0 - p
     return probs
 
 

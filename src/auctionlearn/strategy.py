@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -33,9 +34,9 @@ class MonotoneStrategy:
         bids = [b for _, b in self.breakpoints]
         if not all(map(math.isfinite, thresholds + bids + [self.default_bid])):
             raise ValueError("thresholds and bids must be finite")
-        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        if any(map(operator.le, thresholds[1:], thresholds)):
             raise ValueError("thresholds must be strictly increasing")
-        if any(y < x for x, y in zip(bids, bids[1:])):
+        if any(map(operator.lt, bids[1:], bids)):
             raise ValueError("bids must be nondecreasing")
         if self.default_bid < 0 or (bids and bids[0] < self.default_bid):
             raise ValueError("bids must be >= default_bid >= 0")

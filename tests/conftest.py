@@ -36,6 +36,7 @@ from auctionlearn.da import (
     simulate_da,
 )
 from auctionlearn.dist import (
+    WEIGHT_TOL,
     DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
@@ -123,6 +124,156 @@ def sample_matrix_reference(f: ProductDistribution, m: int, seed: int) -> Sample
     ]
     return SampleMatrix(np.column_stack(cols))
 
+
+# --- the input checks and small kernels as they were before their rewrites -----------
+
+
+@dataclass(frozen=True)
+class DiscreteDistributionReference:
+    """``dist.DiscreteDistribution``'s checks and ``mean`` with per-atom generator
+    expressions."""
+
+    atoms: tuple[float, ...]
+    weights: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not self.atoms or len(self.atoms) != len(self.weights):
+            raise ValueError("atoms and weights must be nonempty and equal length")
+        if not all(map(math.isfinite, self.atoms)):
+            raise ValueError("atoms must be finite")
+        if any(b <= a for a, b in zip(self.atoms, self.atoms[1:])):
+            raise ValueError("atoms must be strictly increasing")
+        if self.atoms[0] < 0:
+            raise ValueError(f"atom {self.atoms[0]} < 0")
+        if any(w <= 0 for w in self.weights):
+            raise ValueError("all weights must be strictly positive")
+        if not abs(sum(self.weights) - 1.0) <= WEIGHT_TOL:  # also rejects NaN
+            raise ValueError("weights must sum to 1 within 1e-12")
+
+    def __iter__(self):
+        return iter(zip(self.atoms, self.weights))
+
+    def mean(self) -> float:
+        return sum(a * w for a, w in self)
+
+
+def make_discrete_reference(
+    atoms: Sequence[float], weights: Sequence[float]
+) -> DiscreteDistributionReference:
+    """``dist.make_discrete`` with its checks as per-atom generator expressions."""
+    if not atoms or len(atoms) != len(weights):
+        raise ValueError("atoms and weights must be nonempty and equal length")
+    if not all(map(math.isfinite, [*atoms, *weights])):
+        raise ValueError("atoms and weights must be finite")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    total = float(sum(weights))
+    if total <= WEIGHT_TOL:
+        raise ValueError("weights sum to zero")
+    for a in atoms:
+        if a < 0:
+            raise ValueError(f"atom {a} < 0")
+    merged: dict[float, float] = {}
+    for a, w in zip(atoms, weights):
+        if w > 0:
+            merged[float(a)] = merged.get(float(a), 0.0) + w / total
+    pairs = sorted(merged.items())
+    return DiscreteDistributionReference(tuple(a for a, _ in pairs), tuple(w for _, w in pairs))
+
+
+@dataclass(frozen=True)
+class MonotoneStrategyReference:
+    """``strategy.MonotoneStrategy``'s checks with per-breakpoint generator expressions."""
+
+    breakpoints: tuple[tuple[float, float], ...]
+    default_bid: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "breakpoints", tuple((float(t), float(b)) for t, b in self.breakpoints)
+        )
+        thresholds = [t for t, _ in self.breakpoints]
+        bids = [b for _, b in self.breakpoints]
+        if not all(map(math.isfinite, thresholds + bids + [self.default_bid])):
+            raise ValueError("thresholds and bids must be finite")
+        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+            raise ValueError("thresholds must be strictly increasing")
+        if any(y < x for x, y in zip(bids, bids[1:])):
+            raise ValueError("bids must be nondecreasing")
+        if self.default_bid < 0 or (bids and bids[0] < self.default_bid):
+            raise ValueError("bids must be >= default_bid >= 0")
+
+
+def sample_matrix_take_reference(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:
+    """``dist.sample_matrix`` gathering atoms with ``.take`` on the int32 indices."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    rng = np.random.default_rng(seed)
+    values = np.empty((m, f.n))
+    for col, marg in zip(values.T, f.marginals):
+        cdf = np.array(marg.weights).cumsum()
+        cdf /= cdf[-1]
+        # About 16 buckets per atom, so that few hold a step, and not many more than draws.
+        scale = 1 << (min(max(16 * len(cdf), 256), m) - 1).bit_length()
+        cdf *= scale
+        edges = cdf.searchsorted(np.arange(scale + 1.0), "right").astype(np.int32)
+        u = rng.random(m)
+        u *= scale
+        bucket = u.astype(np.int32)
+        idx = edges.take(bucket)
+        steps = np.flatnonzero((edges[:-1] != edges[1:]).take(bucket))
+        idx[steps] = cdf.searchsorted(u[steps], "right")
+        col[:] = np.array(marg.atoms).take(idx)
+    values.setflags(write=False)
+    return SampleMatrix(values)
+
+
+def tie_dp_ones_start_reference(tie: Tie, like: np.ndarray, masses) -> np.ndarray:
+    """``auction._tie_dp`` with its polynomial started from ones shaped like ``like``."""
+    q = [np.ones_like(like)]
+    for p_below, p_at in masses:
+        q = (
+            [q[0] * p_below]
+            + [q[t - 1] * p_at + q[t] * p_below for t in range(1, len(q))]
+            + [q[-1] * p_at]
+        )
+    prob = q[0]
+    if tie is Tie.RANDOM_ALLOCATION:
+        for t in range(1, len(q)):
+            prob = prob + q[t] / (t + 1)
+    return prob
+
+
+def mask_probs_reference(p_one: np.ndarray) -> np.ndarray:
+    """``lowerbound._mask_probs`` by concatenating the two halves per coordinate."""
+    probs = np.array([1.0])
+    for p in p_one:
+        probs = np.concatenate([probs * (1.0 - p), probs * p])
+    return probs
+
+
+
+# Numbers that reach every input check: duplicates, signed zeros, negatives,
+# non-finite values and ints, with valid ones often enough that whole lists pass.
+RAW_NUMBERS = st.one_of(
+    QUARTERS,
+    QUARTERS,
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 2.0),
+    st.sampled_from([-0.0, -0.25, 0, 1, math.nan, math.inf, -math.inf]),
+    st.floats(-1.0, 2.0),
+)
+
+
+def construction_outcome(build, fields):
+    """The (type, message) of the exception ``build()`` raises, or the repr and
+    float64 bytes of each of ``fields(built)``: repr tells ints from floats and
+    -0.0 from 0.0."""
+    try:
+        built = build()
+    except Exception as e:  # every exception type and message is compared
+        return type(e), str(e)
+    return [(repr(x), np.asarray(x, dtype=float).tobytes()) for x in fields(built)]
 
 @st.composite
 def sampling_marginals(draw) -> DiscreteDistribution:

@@ -17,6 +17,7 @@ from auctionlearn.auction import (
     _bid_axis,
     _bid_masses,
     _leave_one_out_row,
+    _tie_dp,
     allocation_probability,
     best_response,
     candidate_allocations,
@@ -50,6 +51,7 @@ from conftest import (
     point_mass,
     quarter_distributions,
     random_bid_dist,
+    tie_dp_ones_start_reference,
 )
 
 
@@ -168,6 +170,22 @@ def test_tie_dp_matches_scalar_reference(data):
         want = [allocation_probability_reference(tie, opp, CandidateBid(b, above)) for b in bids]
         assert kernel(bids).tolist() == want
         assert [kernel(b) for b in bids] == want
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_tie_dp_from_the_first_factor_has_the_bits_of_the_ones_start(data):
+    # Zero to three opponents, both tie rules, bids on one axis or on a stack of
+    # axes: the polynomial started from the first opponent's (P(below), P(at))
+    # has the shape and the bits of the one started from ones, as 1.0 * x == x.
+    tie = data.draw(st.sampled_from(list(Tie)))
+    like = np.empty(data.draw(st.sampled_from([(1,), (6,), (3, 6)])))
+    elements = st.one_of(QUARTERS, st.just(-0.0), st.floats(0.0, 1.0))
+    probs = hnp.arrays(float, like.shape, elements=elements)
+    masses = [(data.draw(probs), data.draw(probs)) for _ in range(data.draw(st.integers(0, 3)))]
+    got, want = _tie_dp(tie, like, masses), tie_dp_ones_start_reference(tie, like, masses)
+    assert got.shape == want.shape == like.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @given(st.data())

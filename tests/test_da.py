@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlearn import da
+from auctionlearn import da, equilibrium
 from auctionlearn.auction import FPA_RANDOM, Tie, candidate_allocations
 from auctionlearn.da import (
     DAPureStrategy,
@@ -468,6 +468,33 @@ class TestPipeline:
             assert rep.sigma_hat[i] == pytest.approx(sigma_true, abs=1e-12)
             assert rep.cost_hat[i] == pytest.approx(costs[i], abs=1e-12)
         assert rep.cost_err == pytest.approx(0.0, abs=1e-12)
+
+    def test_a_seed_certifies_only_the_profile_it_emits(self, monkeypatch):
+        # The solver's search certifies its visits in batches and returns no
+        # certificate; after it, the pipeline makes one unbounded `_certify` call,
+        # on the tie-broken profile it emits (the parent made two: the solver's
+        # certificate of the profile before the offsets, then this one).
+        monkeypatch.setattr(da, "PIPELINE_MAX_ITERS", 10)
+        certify, search = equilibrium._certify, da._search_bne
+        calls = []
+
+        def recording_certify(rule, f, axis, bids, masses, bound):
+            calls.append((bound, [[b.tolist() for b in p] for p in bids]))
+            return certify(rule, f, axis, bids, masses, bound)
+
+        def recording_search(rule, f, *args):
+            found = search(rule, f, *args)
+            calls.append(f)  # the truncated empirical distribution it solved
+            return found
+
+        monkeypatch.setattr(equilibrium, "_certify", recording_certify)
+        monkeypatch.setattr(da, "_search_bne", recording_search)
+        f, costs = self.make_true_instance()
+        rep = empirical_pipeline(sample_matrix(f, 200, seed=5), costs, f, 0.05, 0)
+        *batches, fpa_dist, certified = calls
+        assert batches and all(isinstance(c, tuple) for c in batches)
+        bids = [s.eval(m.arrays[0]).tolist() for m, s in zip(fpa_dist.marginals, rep.fpa_profile)]
+        assert certified == ((math.inf, 0), [bids])
 
     def test_odd_sample_count(self):
         f, costs = self.make_true_instance()

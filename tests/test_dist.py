@@ -23,14 +23,19 @@ from auctionlearn.dist import (
 
 from conftest import (
     QUARTERS,
+    RAW_NUMBERS,
+    DiscreteDistributionReference,
+    construction_outcome,
     count_calls,
     empirical_marginals_reference,
+    make_discrete_reference,
     point_mass,
     prob_at_most_reference,
     prob_at_reference,
     prob_below_reference,
     quarter_distributions,
     sample_matrix_reference,
+    sample_matrix_take_reference,
     sampling_marginals,
     truncate_at_reference,
 )
@@ -92,6 +97,55 @@ class TestDiscreteDistribution:
             DiscreteDistribution((0.0, float("inf")), (0.5, 0.5))
         with pytest.raises(ValueError):
             DiscreteDistribution((0.0, 1.0), (0.5, float("nan")))
+
+
+def _distribution_fields(d):
+    return d.atoms, d.weights, d.mean()
+
+
+class TestInputChecks:
+    """The checks of ``DiscreteDistribution``, ``make_discrete`` and ``mean`` match
+    their per-atom generator versions: the same error, raised first, or the same
+    bits."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_make_discrete_matches_generator_checks(self, data):
+        k = data.draw(st.integers(0, 6))
+        atoms = data.draw(st.lists(RAW_NUMBERS, min_size=k, max_size=k))
+        weights = data.draw(st.lists(st.one_of(RAW_NUMBERS, st.just(0.0)), min_size=k, max_size=k))
+        if data.draw(st.booleans()):
+            weights = weights[: data.draw(st.integers(0, k))]
+        got = construction_outcome(lambda: make_discrete(atoms, weights), _distribution_fields)
+        want = construction_outcome(
+            lambda: make_discrete_reference(atoms, weights), _distribution_fields
+        )
+        assert got == want
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_constructor_matches_generator_checks(self, data):
+        k = data.draw(st.integers(0, 6))
+        atoms = data.draw(st.lists(RAW_NUMBERS, min_size=k, max_size=k))
+        if data.draw(st.booleans()):
+            atoms = sorted(set(atoms))  # strictly increasing unless a NaN is among them
+        weights = data.draw(st.lists(RAW_NUMBERS, min_size=len(atoms), max_size=len(atoms)))
+        if data.draw(st.booleans()) and weights and all(map(math.isfinite, weights)):
+            total = sum(weights)
+            weights = [w / total for w in weights] if total else weights
+        args = tuple(atoms), tuple(weights)
+        got = construction_outcome(lambda: DiscreteDistribution(*args), _distribution_fields)
+        want = construction_outcome(
+            lambda: DiscreteDistributionReference(*args), _distribution_fields
+        )
+        assert got == want
+
+
+@given(sampling_marginals())
+@settings(max_examples=200, deadline=None)
+def test_mean_adds_the_products_left_to_right(d):
+    want = DiscreteDistributionReference(d.atoms, d.weights).mean()
+    assert d.mean().hex() == want.hex()
 
 
 class TestTruncate:
@@ -189,6 +243,17 @@ class TestSampling:
         f = product_of(marginals)
         got = sample_matrix(f, m, seed).values
         assert np.array_equal(got, sample_matrix_reference(f, m, seed).values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(sampling_marginals(), min_size=1, max_size=4),
+        st.integers(1, 3000),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_indexing_gathers_the_bits_of_take(self, marginals, m, seed):
+        f = product_of(marginals)
+        got = sample_matrix(f, m, seed).values
+        assert got.tobytes() == sample_matrix_take_reference(f, m, seed).values.tobytes()
 
     # K = 3000 and 5000 atoms over m = 500 and 1 draws: the table, capped near m, has
     # fewer buckets than atoms. m = 1e5 draws fill a table of 16 buckets per atom.

@@ -741,11 +741,11 @@ class TestSolve:
 
     def test_bid_vectors_are_pushed_once_without_distributions(self, monkeypatch, rng):
         # n pushes per start, all in the `_bid_axis` call that builds the
-        # solver's axis, then per bidder step one for the raw best response and
-        # one for the damped iterate; a considered profile reuses them instead
-        # of pushing every bidder again. The returned certificate's `_bid_axis`
-        # pushes its n bid vectors once more. A push is a bincount onto an axis:
-        # no distribution is built.
+        # solver's axis, then per bidder step one stacked push of every live
+        # restart's raw best response and damped iterate; a considered profile
+        # reuses them instead of pushing every bidder again. The returned
+        # certificate's `_bid_axis` pushes its n bid vectors once more. A push is
+        # a bincount onto an axis: no distribution is built.
         f = random_product(rng, 3)
         on_axis = count_calls(monkeypatch, auction, "_bid_masses")
         steps = count_calls(monkeypatch, equilibrium, "_bid_masses")
@@ -754,7 +754,8 @@ class TestSolve:
         assert cert.epsilon > 0.0  # no early stop: all 5 x 2 rounds ran
         assert built == []
         assert len(on_axis) == 5 * f.n + f.n
-        assert len(steps) == 5 * 2 * f.n * 2
+        assert len(steps) == 2 * f.n
+        assert [bids.shape for _, bids, _ in steps] == [(5 * 2, len(m.atoms)) for m in f.marginals] * 2
 
     def test_no_profile_is_certified_twice(self, monkeypatch, rng):
         # Undamped, every damped iterate repeats its raw best response, so at

@@ -353,6 +353,24 @@ class TestLabelVectorCount:
             values, witnesses
         )
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_the_set_of_sign_tuples(self, data):
+        # Sign rows that span one to three 8-byte words, or none, and no rows at
+        # all: sorted as integers, the distinct rows are the set of sign tuples.
+        # The rows are one row with a few entries changed, so two rows may differ
+        # in one word alone.
+        width = data.draw(st.sampled_from([0, 1, 5, 8, 9, 64, 65, 130]))
+        pool = np.tile(data.draw(hnp.arrays(float, (width,), elements=QUARTERS)), (4, 1))
+        for row in pool if width else ():
+            for col in data.draw(st.lists(st.integers(0, width - 1), max_size=2)):
+                row[col] = data.draw(QUARTERS)
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+        values = pool[picks].reshape(len(picks), width)
+        witnesses = data.draw(hnp.arrays(float, (width,), elements=QUARTERS))
+        signs = {tuple(v > r for v, r in zip(row, witnesses.tolist())) for row in values.tolist()}
+        assert label_vector_count(values, witnesses) == len(signs)
+
     @pytest.mark.parametrize("m", [3, 4, 6])
     def test_two_bidder_quadratic_bound(self, m):
         values, witnesses = dense_monotone_hypotheses(2, m, seed=m)

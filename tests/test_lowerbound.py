@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlearn.auction import FPA_RANDOM, push_forward
-from auctionlearn.lowerbound import distinguisher_trials
+from auctionlearn.lowerbound import _mask_probs, distinguisher_trials
 from conftest import (
     C1,
     b_plus_strategy,
@@ -17,6 +17,7 @@ from conftest import (
     gap_utility,
     hard_instance,
     interim_utility_exact,
+    mask_probs_reference,
 )
 
 
@@ -77,6 +78,13 @@ class TestGapUtility:
                         lhs = gap_utility(n, eps, s, t1) - gap_utility(n, eps, s, t2)
                         rhs = (d1 - d2) * (2 * C1 * eps / (n - 1)) * (1 / (8 * math.e**2))
                         assert lhs >= rhs - 1e-15
+
+
+@given(st.lists(st.floats(0.0, 1.0), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_mask_probs_filled_in_place_has_the_bits_of_concatenation(p):
+    p_one = np.array(p, dtype=float)
+    assert _mask_probs(p_one).tobytes() == mask_probs_reference(p_one).tobytes()
 
 
 class TestDistinguisher:

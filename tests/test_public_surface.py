@@ -202,7 +202,7 @@ def test_one_certifier():
     ``_certificate``; the solver's best responses read the only other leave-one-out
     rows."""
     assert callers("_argmax_utility", "equilibrium") == ["equilibrium._certify"]
-    rows = ["equilibrium._certify", "equilibrium.solve_bne"]
+    rows = ["equilibrium._certify", "equilibrium._search_bne"]
     assert callers("_leave_one_out_row", "equilibrium") == rows
     assert callers("BNECertificate", "equilibrium") == ["equilibrium._certificate"]
 

@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 
 from auctionlearn.strategy import MonotoneStrategy, StrategyProfile, shade
 
-from conftest import QUARTERS, constant, eval_reference, quarter_strategies
+from conftest import (
+    QUARTERS,
+    RAW_NUMBERS,
+    MonotoneStrategyReference,
+    constant,
+    construction_outcome,
+    eval_reference,
+    quarter_strategies,
+)
 
 
 class TestEval:
@@ -125,3 +133,22 @@ class TestProfile:
         p = StrategyProfile((constant(0.0), constant(0.1)))
         with pytest.raises(ValueError, match=r"values must be m x 2, got shape \(3, 3\)"):
             p.bids(np.zeros((3, 3)))
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_checks_match_generator_checks(data):
+    # The same error, raised first, or the same breakpoints, over unsorted and
+    # repeated thresholds, decreasing bids, signed zeros and non-finite numbers.
+    k = data.draw(st.integers(0, 5))
+    thresholds = data.draw(st.lists(RAW_NUMBERS, min_size=k, max_size=k))
+    bids = data.draw(st.lists(RAW_NUMBERS, min_size=k, max_size=k))
+    if data.draw(st.booleans()):
+        thresholds, bids = sorted(set(thresholds)), sorted(bids)[: len(set(thresholds))]
+    args = tuple(zip(thresholds, bids)), data.draw(RAW_NUMBERS)
+
+    def fields(s):
+        return s.breakpoints, s.default_bid
+
+    got = construction_outcome(lambda: MonotoneStrategy(*args), fields)
+    assert got == construction_outcome(lambda: MonotoneStrategyReference(*args), fields)
