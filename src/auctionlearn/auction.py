@@ -127,7 +127,7 @@ def allocation_probability(tie: Tie, opp: Sequence[DiscreteDistribution], bases)
     shape (a float for a scalar; a NaN bid raises ``ValueError``): the
     :func:`_leave_one_out_row` of one more bidder, with no mass, against the
     opponents, read at each bid. A right limit ``base+`` wins when no opponent bids
-    above ``base``: :func:`dist.cdf_of_max` of the opponents.
+    above ``base``: the row's product of the opponents' P(bid <= base) prefix sums.
     """
     b = np.asarray(bases, dtype=float)
     axis, masses = _bid_axis([d.arrays[:2] for d in opp], b)
@@ -219,9 +219,10 @@ def _leave_one_out_row(tie: Tie, masses: np.ndarray, i: int) -> np.ndarray:
     return out
 
 
-def _argmax_picks(fmt: Format, values: np.ndarray, bases, allocs: np.ndarray) -> np.ndarray:
+def _argmax_picks(fmt: Format, values: np.ndarray, bases, allocs: np.ndarray):
     """First maximizing candidate index per allocation row of the 2-D ``allocs`` and
-    per value: a (len(allocs), len(values)) array.
+    per value, and the allocation at that pick: two (len(allocs), len(values)) arrays.
+    It is the one argmax of every best response and every certificate.
 
     Blocks of at most ``BEST_RESPONSE_BLOCK`` values x candidates elements, whole
     allocation rows or values of one row, are maximized with ``argmax``, which
@@ -235,20 +236,7 @@ def _argmax_picks(fmt: Format, values: np.ndarray, bases, allocs: np.ndarray) ->
         for lo in range(0, k, rows):
             u = _utility(fmt, values[lo : lo + rows, None], bases, allocs[p : p + per, None])
             picks[p : p + per, lo : lo + rows] = u.argmax(axis=-1)
-    return picks
-
-
-def _argmax_utility(fmt: Format, values: np.ndarray, bases, alloc):
-    """Largest utility over the candidate bids and its first maximizing index, per value
-    and per allocation row: arrays shaped ``alloc.shape[:-1] + values.shape``. The
-    largest utility is computed again at each :func:`_argmax_picks` pick, with the
-    same bits.
-    """
-    allocs = alloc.reshape(-1, alloc.shape[-1])
-    picks = _argmax_picks(fmt, values, bases, allocs)
-    sups = _utility(fmt, values, bases[picks], allocs[np.arange(len(allocs))[:, None], picks])
-    shape = alloc.shape[:-1] + (len(values),)
-    return sups.reshape(shape), picks.reshape(shape)
+    return picks, allocs[np.arange(len(allocs))[:, None], picks]
 
 
 def best_response(rule: AuctionRule, values, opp: Sequence[DiscreteDistribution]):
@@ -260,24 +248,9 @@ def best_response(rule: AuctionRule, values, opp: Sequence[DiscreteDistribution]
     """
     cands = candidate_allocations(rule.tie, opp)
     v = np.asarray(values, dtype=float)
-    sups, ks = _argmax_utility(rule.format, np.atleast_1d(v), cands["base"], cands["alloc"])
+    vs, bases = np.atleast_1d(v), cands["base"]
+    (ks,), (won,) = _argmax_picks(rule.format, vs, bases, cands["alloc"][None])
+    sups = _utility(rule.format, vs, bases[ks], won)
     picked = cands[ks]
     picks = list(map(CandidateBid, picked["base"].tolist(), picked["limit_above"].tolist()))
     return (sups[0].item(), picks[0]) if v.ndim == 0 else (sups.tolist(), picks)
-
-
-def _grid_best_response(
-    fmt: Format, values: np.ndarray, grid_bids: np.ndarray, alloc
-) -> np.ndarray:
-    """Pointwise best-response bids at sorted distinct ``values`` over the sorted
-    distinct ``grid_bids``, whose allocation probabilities are the last axis of
-    ``alloc``: one bid vector per row of ``alloc``.
-
-    Ties break toward the lower bid. Bids with zero winning probability are
-    zeroed out, after which every bid vector should be nondecreasing, by the
-    monotone dominance of best responses; the caller checks it.
-    """
-    allocs = alloc.reshape(-1, alloc.shape[-1])
-    ks = _argmax_picks(fmt, values, grid_bids, allocs)
-    won = allocs[np.arange(len(allocs))[:, None], ks]
-    return np.where(won == 0.0, 0.0, grid_bids[ks]).reshape(alloc.shape[:-1] + (len(values),))

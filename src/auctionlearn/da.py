@@ -38,7 +38,6 @@ from .dist import (
     DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
-    cdf_of_max,
     empirical_marginals,
     make_discrete,
     product_of,
@@ -118,7 +117,8 @@ def _bidders(inst: SearchInstance, profile: Sequence[DAPureStrategy]):
     each exact claim followed by its right limit: the row at other bases picks
     the same deviations, but the matrix product of :func:`_best_deviation`
     rounds by the number of candidates. Bidder i inspects iff no opponent claims
-    above the threshold tau, since the own claim never exceeds tau.
+    above the threshold tau, since the own claim never exceeds tau: the row's right
+    limit at the largest base <= tau, as no claim lies between them.
     """
     if len(profile) != inst.n:
         raise ValueError("profile must match the instance size")
@@ -131,7 +131,7 @@ def _bidders(inst: SearchInstance, profile: Sequence[DAPureStrategy]):
         bids = d_i.beta.eval(atoms)
         share = weights * alloc[2 * axis.searchsorted(bids)]
         won, paid = sum_left_to_right(share * atoms), sum_left_to_right(share * bids)
-        cost = inst.costs[i] * cdf_of_max(claims[:i] + claims[i + 1 :], d_i.tau)
+        cost = inst.costs[i] * alloc[2 * axis.searchsorted(d_i.tau, "right") - 1].item()
         keep = claimed > (masses[i] > 0.0)
         keep[0] = True
         cols = (2 * np.flatnonzero(keep)[:, None] + [0, 1]).ravel()

@@ -20,10 +20,9 @@ from .auction import (
     BEST_RESPONSE_BLOCK,
     AuctionRule,
     CandidateBid,
-    _argmax_utility,
+    _argmax_picks,
     _bid_axis,
     _bid_masses,
-    _grid_best_response,
     _leave_one_out_row,
     _utility,
 )
@@ -87,8 +86,9 @@ def _certify(rule, f, axis: np.ndarray, bids: list, masses: np.ndarray, bound):
         part = slice(None) if len(alive) == len(masses) else alive
         alloc = _leave_one_out_row(rule.tie, masses[part], i)
         values, own = f.marginals[i].arrays[0], np.array([bids[p][i] for p in alive])
-        sups, picks = _argmax_utility(rule.format, values, bases, alloc)
+        picks, won = _argmax_picks(rule.format, values, bases, alloc)
         own_alloc = alloc[np.arange(len(alloc))[:, None], 2 * axis.searchsorted(own)]
+        sups = _utility(rule.format, values, bases[picks], won)
         gaps = sups - _utility(rule.format, values, own, own_alloc)
         bad = ~(gaps >= 0.0)  # also a NaN gap, which `gap > eps` would skip
         if bad.any():
@@ -295,7 +295,9 @@ def _search_bne(rule, f, bid_grid, max_iters: int, seed: int, damping: float):
         for i in range(f.n):
             part = slice(None) if len(live) == len(starts) else live
             rows = _leave_one_out_row(rule.tie, masses[part], i)
-            responses = _grid_best_response(rule.format, values[i], grid_bids, rows[:, grid_pos])
+            # Ties to the lower bid; a bid that never wins is zeroed.
+            picks, won = _argmax_picks(rule.format, values[i], grid_bids, rows[:, grid_pos])
+            responses = np.where(won == 0.0, 0.0, grid_bids[picks])
             stuck = (responses[:, 1:] < responses[:, :-1]).any(axis=1)
             if stuck.any():
                 j = stuck.argmax()  # the first restart that stops

@@ -18,6 +18,9 @@ def random_monotone_strategy(rng: np.random.Generator, grid) -> MonotoneStrategy
 
 # Random opponent profiles drawn per hypothesis family.
 N_STRATEGIES = 40
+# Utilities a family may hold: N_STRATEGIES profiles x 41 values x m samples x at
+# most 1 + 2(n - 1)m own bids; n = 3, m = 25 holds 4,141,000.
+MAX_UTILITIES = 1 << 22
 
 
 def dense_monotone_hypotheses(n: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -29,14 +32,18 @@ def dense_monotone_hypotheses(n: int, m: int, seed: int) -> tuple[np.ndarray, np
     family sweeps all win/tie prefixes, and witnesses take both signs so
     winning and losing samples are distinguishable. For n = 2 the
     no-allocation rule applies (the regime of the quadratic counting bound);
-    larger n uses random allocation.
+    larger n uses random allocation. A family of more than ``MAX_UTILITIES``
+    utilities raises ``ValueError`` unbuilt.
     """
+    v_grid = np.linspace(0.0, 1.0, 41)
+    size = N_STRATEGIES * len(v_grid) * m * (1 + 2 * (n - 1) * m)
+    if size > MAX_UTILITIES:
+        raise ValueError(f"pdim-check at n={n}, m={m} needs {size} > {MAX_UTILITIES} utilities")
     rng = np.random.default_rng(seed)
     rule: AuctionRule = FPA_NONE if n == 2 else FPA_RANDOM
     samples = rng.random((m, n - 1))
     witnesses = rng.uniform(-0.5, 0.5, size=m)
     grids = [np.sort(np.unique(samples[:, j])) for j in range(n - 1)]
-    v_grid = np.linspace(0.0, 1.0, 41)
     stacks = []
     for _ in range(N_STRATEGIES):
         opp = tuple(random_monotone_strategy(rng, grids[j]) for j in range(n - 1))

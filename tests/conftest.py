@@ -21,7 +21,7 @@ from auctionlearn.auction import (
     CandidateBid,
     Format,
     Tie,
-    _grid_best_response,
+    _argmax_picks,
     _tie_dp,
     _utility,
     allocation_probability,
@@ -734,14 +734,16 @@ def monotone_best_response_profile(
     rule: AuctionRule, values: Sequence[float], opp: Sequence[DiscreteDistribution], bid_grid
 ) -> MonotoneStrategy:
     """Pointwise best-response bids on ``bid_grid`` over a value grid, emitted as a
-    strategy: the solver's grid best response, with the tie DP on every grid bid. Bids
-    that are not nondecreasing raise the solver's ``ValueError``."""
+    strategy: the solver's grid best response, the ``_argmax_picks`` bid or 0.0 where
+    it never wins, with the tie DP on every grid bid. Bids that are not nondecreasing
+    raise the solver's ``ValueError``."""
     grid_bids = np.array(sorted(set(bid_grid)), dtype=float)
     if not grid_bids.size:
         raise ValueError("bid_grid is empty")
     alloc = allocation_probability_by_search(rule.tie, opp, grid_bids)
     values = sorted(set(float(v) for v in values))
-    bids = _grid_best_response(rule.format, np.array(values), grid_bids, alloc).tolist()
+    (picks,), (won,) = _argmax_picks(rule.format, np.array(values), grid_bids, alloc[None])
+    bids = np.where(won == 0.0, 0.0, grid_bids[picks]).tolist()
     if any(b2 < b1 for b1, b2 in zip(bids, bids[1:])):
         raise ValueError(f"best-response bids not monotone: {list(zip(values, bids))}")
     return MonotoneStrategy(tuple(zip(values, bids)))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -506,6 +507,18 @@ def test_pdim_check_bad_sizes_exit_2(args, option, capsys):
     assert main(["pdim-check"] + args) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"ERROR: validation: pdim-check needs {option} >= ")
+
+
+def test_pdim_check_caps_the_family_size(tmp_path, capsys):
+    # n = 3, m = 130 would hold 111M utilities; it must fail unbuilt.
+    start = time.perf_counter()
+    assert main(["pdim-check", "--n", "3", "--m", "130"]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: validation: pdim-check at n=3, m=130 needs 111077200 > 4194304 ")
+    out = tmp_path / "pd.json"
+    assert main(["pdim-check", "--n", "3", "--m", "25", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["m"] == 25
 
 
 def test_pdim_check_zero_samples_is_one_label_vector(tmp_path):

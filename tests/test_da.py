@@ -178,9 +178,12 @@ class TestExAnte:
                 profile.append(d)
             terms = [da_bidder_terms_reference(inst, profile, i) for i in range(inst.n)]
             for i, (u, _) in enumerate(terms):
-                assert ex_ante_utility_da(inst, profile, i).hex() == u.hex()
+                got = ex_ante_utility_da(inst, profile, i)
+                # `.hex()` and `==` also take np.float64, whose repr differs.
+                assert type(got) is float and got.hex() == u.hex()
             welfare = sum(share for _, share in terms)
-            assert da_welfare(inst, profile) == welfare
+            got_welfare = da_welfare(inst, profile)
+            assert type(got_welfare) is float and got_welfare == welfare
             # The gap's matrix product rounds by the shape of the candidate table,
             # so the deviations must be taken over the opponents' table itself.
             claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
@@ -189,6 +192,7 @@ class TestExAnte:
                 cands = candidate_allocations(Tie.RANDOM_ALLOCATION, claims[:i] + claims[i + 1 :])
                 gap = max(gap, _best_deviation(inst, i, cands["base"], cands["alloc"]) - u)
             got_gap, got_welfare = _deviation_gap(inst, profile)
+            assert type(got_gap) is float and type(got_welfare) is float
             assert got_gap.hex() == gap.hex() and got_welfare == welfare
 
 
@@ -530,3 +534,7 @@ class TestPipeline:
             "sigma_hat", "cost_hat", "cost_err", "eps_fpa", "empp_sup_error",
             "da_gap", "welfare", "opt", "poa_bound",
         }
+        # An np.float64 would print its type into the CSV report's repr.
+        numbers = [x for v in blob.values() for x in (v if isinstance(v, list) else [v])]
+        assert len(numbers) > len(blob)
+        assert all(type(x) is float for x in numbers), [type(x) for x in numbers]

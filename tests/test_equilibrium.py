@@ -135,18 +135,22 @@ class TestVerify:
 
     def test_negative_gap_raises(self, monkeypatch):
         # The own bid's exact column is a candidate with the own utility's bits, so
-        # no gap is below 0; a supremum forged 1e-12 short must raise. At value 0
-        # the supremum and the own utility are both 0.0, so the gap is -1e-12.
-        argmax = equilibrium._argmax_utility
+        # no gap is below 0; a forged pick must raise. At value 0 the pick is bid 0.0,
+        # which wins a tie with the opponent's bid 0.0 (1/3) half the time, and the
+        # own utility is 0.0. Forged to the next base, 0.25, with the allocation
+        # kept, the supremum is 1/6 * (0 - 0.25), so the gap is -1/24.
+        argmax = auction._argmax_picks
 
-        def short(*args):
-            sups, picks = argmax(*args)
-            return sups - 1e-12, picks
+        def forged(*args):
+            picks, won = argmax(*args)
+            picks[:, 0] += 2
+            return picks, won
 
-        monkeypatch.setattr(equilibrium, "_argmax_utility", short)
+        monkeypatch.setattr(equilibrium, "_argmax_picks", forged)
         f = product_of([uniform_on([0.0, 0.5, 1.0])] * 2, 1.0)
         profile = StrategyProfile((shade([0.0, 0.5, 1.0], 0.5),) * 2)
-        with pytest.raises(AssertionError, match="^gap -1e-12 is negative or NaN: candidates"):
+        gap = "-0.041666666666666664"
+        with pytest.raises(AssertionError, match=f"^gap {gap} is negative or NaN: candidates"):
             verify_bne(FPA_RANDOM, f, profile)
 
     def test_bid_above_h_raises(self):
@@ -497,17 +501,18 @@ def test_revisit_at_an_earlier_rank_wins(case):
 
 def _force(monkeypatch, zero=frozenset(), broken=frozenset()):
     """Patch the solver and its sequential reference alike: every profile whose bids
-    are in ``zero`` certifies 0, and every best response at an allocation row whose
-    bytes are in ``broken`` is reversed, so that it is not monotone."""
-    real_br, real_certify, real_verify = conftest._grid_best_response, _certify, verify_bne
+    are in ``zero`` certifies 0, and every argmax at a grid allocation row whose
+    bytes are in ``broken`` has its picks and picked allocations reversed, so that
+    the best response is not monotone. A certifier row is 2G wide, with right
+    limits, and never matches a grid row."""
+    real_picks, real_certify, real_verify = auction._argmax_picks, _certify, verify_bne
 
-    def reversed_br(fmt, values, grid_bids, alloc):
-        bids = real_br(fmt, values, grid_bids, alloc)
-        rows = bids.reshape(-1, bids.shape[-1]).copy()
-        for k, row in enumerate(np.reshape(alloc, (len(rows), -1))):
+    def reversed_picks(fmt, values, bases, allocs):
+        picks, won = (a.copy() for a in real_picks(fmt, values, bases, allocs))
+        for k, row in enumerate(allocs):
             if row.tobytes() in broken:
-                rows[k] = rows[k][::-1].copy()
-        return rows.reshape(bids.shape)
+                picks[k], won[k] = picks[k][::-1].copy(), won[k][::-1].copy()
+        return picks, won
 
     def certify(rule, f, axis, bids, *args):
         eps, bidders, rows = real_certify(rule, f, axis, bids, *args)
@@ -519,7 +524,7 @@ def _force(monkeypatch, zero=frozenset(), broken=frozenset()):
         return dataclasses.replace(cert, epsilon=0.0) if profile_bids(profile) in zero else cert
 
     for module in (conftest, equilibrium):
-        monkeypatch.setattr(module, "_grid_best_response", reversed_br)
+        monkeypatch.setattr(module, "_argmax_picks", reversed_picks)
     monkeypatch.setattr(equilibrium, "_certify", certify)
     monkeypatch.setattr(conftest, "verify_bne", verify)
 
@@ -554,14 +559,15 @@ def test_forced_zeros_and_errors_match_the_sequential_run(monkeypatch, zero, err
     # response raises unless a zero came before it in sequential order.
     f = random_product(np.random.default_rng(4), 3)
     trace, calls = [], []
-    real_br = conftest._grid_best_response
+    real_picks = auction._argmax_picks
 
-    def recording(fmt, values, grid_bids, alloc):
-        bids = real_br(fmt, values, grid_bids, alloc)
-        calls.append((alloc.tobytes(), len(set(bids.tolist()))))
-        return bids
+    def recording(fmt, values, grid_bids, allocs):
+        (picks,), (won,) = out = real_picks(fmt, values, grid_bids, allocs)
+        bids = np.where(won == 0.0, 0.0, grid_bids[picks])
+        calls.append((allocs[0].tobytes(), len(set(bids.tolist()))))
+        return out
 
-    monkeypatch.setattr(conftest, "_grid_best_response", recording)
+    monkeypatch.setattr(conftest, "_argmax_picks", recording)
     solve_bne_reference(FPA_RANDOM, f, GRID, 20, damping=0.5, seed=7, trace=trace)
     monkeypatch.undo()
     steps = 20 // 5 * f.n

@@ -9,8 +9,10 @@ No ``src/`` module calls ``.choice(p=...)``: ``dist.sample_matrix`` is the one
 weighted sampler. ``auction._leave_one_out_row`` is the one caller of the tie DP,
 so a second allocation kernel is a visible edit, ``equilibrium._certify`` is
 the one gap computation, and ``auction._bid_axis`` is the one builder of a bid
-axis (``test_one_bid_axis_builder``). Every private module-level function in
-``src/`` has a caller there.
+axis (``test_one_bid_axis_builder``). ``auction._argmax_picks`` is the one argmax,
+called only by ``best_response``, ``_certify`` and the solver's search, and
+``dist.cdf_of_max`` serves only the Pandora search. Every private module-level
+function in ``src/`` has a caller there.
 """
 
 import ast
@@ -197,11 +199,23 @@ def test_one_bid_axis_builder():
     assert statements(_is_zero_set) == ["auction._bid_axis"]
 
 
+def test_one_argmax_kernel():
+    """Every best response and every supremum of a gap is read from
+    ``auction._argmax_picks``, where it is used."""
+    users = ["auction.best_response", "equilibrium._certify", "equilibrium._search_bne"]
+    assert callers("_argmax_picks") == users
+
+
+def test_one_product_of_cdfs_for_search():
+    """``dist.cdf_of_max`` serves only the Pandora search; right limits and the DA's
+    inspection probabilities are read from leave-one-out rows."""
+    assert callers("cdf_of_max") == ["pandora.policy_payoff_exact", "pandora.opt_welfare"]
+
+
 def test_one_certifier():
     """Every gap in ``equilibrium`` comes from ``_certify`` and every certificate from
     ``_certificate``; the solver's best responses read the only other leave-one-out
     rows."""
-    assert callers("_argmax_utility", "equilibrium") == ["equilibrium._certify"]
     rows = ["equilibrium._certify", "equilibrium._search_bne"]
     assert callers("_leave_one_out_row", "equilibrium") == rows
     assert callers("BNECertificate", "equilibrium") == ["equilibrium._certificate"]
