@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import click
@@ -82,7 +83,9 @@ def _indented(obj, nl: str) -> str:
         return _COMPACT.encode(obj)
     if _is_numbers(obj):
         return "[" + inner + _COMPACT.encode(obj)[1:-1].replace(",", "," + inner) + nl + "]"
-    if all(map(_is_numbers, obj)):
+    # A list of nonempty number lists: rows that are lists, none empty, of numbers alone.
+    rows = set(map(type, obj)) <= {list} and all(obj)
+    if rows and set(map(type, chain.from_iterable(obj))) <= {int, float, bool}:
         row = inner + "  "
         text = _COMPACT.encode(obj)[2:-2].replace(",", "," + row)
         text = text.replace("]," + row + "[", inner + "]," + inner + "[" + row)

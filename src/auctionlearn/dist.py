@@ -233,14 +233,22 @@ def product_of(
     return ProductDistribution(ms, float(h))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SampleMatrix:
-    """m x n matrix of sampled value profiles; row j is one joint sample."""
+    """m x n matrix of sampled value profiles; row j is one joint sample.
 
-    values: np.ndarray
+    A sample is held as what it is on a discrete prior: per column, sorted distinct
+    atoms and the int32 index of every row's value among them (:attr:`columns`).
+    The value matrix :attr:`values` is gathered from them on first read, once, into
+    a read-only array that owns its memory. A matrix built from values keeps the
+    array it was given and indexes a column by its distinct values on first use.
+    """
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+    m: int
+    n: int
+
+    def __init__(self, values) -> None:
+        v = np.asarray(values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError("values must be a nonempty 2-D array")
         lo, hi = v.min(initial=0.0), v.max(initial=0.0)  # a NaN value gives NaN
@@ -252,15 +260,42 @@ class SampleMatrix:
         if v.flags.writeable or not v.flags.owndata:
             v = v.copy()
             v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        self.__dict__.update(values=v, m=v.shape[0], n=v.shape[1])
 
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
+    @classmethod
+    def _of_columns(cls, columns: tuple[tuple[np.ndarray, np.ndarray], ...]) -> "SampleMatrix":
+        s = cls.__new__(cls)
+        s.__dict__.update(columns=columns, m=len(columns[0][1]), n=len(columns))
+        return s
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
+    @cached_property
+    def columns(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per column, its sorted distinct values and each row's int32 index among them.
+
+        Each is the first of a run of equal sorted values, as ``np.unique`` keeps it,
+        so a -0.0/0.0 pair keeps the zero ``np.unique(col, return_counts=True)`` does.
+        """
+        columns = []
+        for col in self.values.T:
+            aux = np.sort(col)
+            atoms = aux[np.concatenate(([True], aux[1:] != aux[:-1]))]
+            columns.append((atoms, atoms.searchsorted(col).astype(np.int32)))
+        return tuple(columns)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The m x n value matrix (read-only), gathered from :attr:`columns`."""
+        values = self.gather([atoms for atoms, _ in self.columns])
+        values.setflags(write=False)
+        return values
+
+    def gather(self, per_atom: Sequence[np.ndarray]) -> np.ndarray:
+        """The m x n matrix whose column j is ``per_atom[j]``, given at column j's atoms,
+        read at every row's atom: a map of the values that is evaluated once per atom."""
+        out = np.empty((self.m, self.n))
+        for col, at_atoms, (_, index) in zip(out.T, per_atom, self.columns):
+            col[:] = at_atoms[index]
+        return out
 
 
 def sample_matrix(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:
@@ -273,12 +308,13 @@ def sample_matrix(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:
     #{c <= u} unchanged, and that index is nondecreasing in u. Hence on a bucket
     [k, k + 1) of u * B whose two ends have the same index, that index is the
     draw's, and only draws in a bucket across a step of c * B are searched.
+    The sample keeps the marginal's atoms and the int32 draw indices.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
-    values = np.empty((m, f.n))
-    for col, marg in zip(values.T, f.marginals):
+    columns = []
+    for marg in f.marginals:
         cdf = np.array(marg.weights).cumsum()
         cdf /= cdf[-1]
         # About 16 buckets per atom, so that few hold a step, and not many more than draws.
@@ -291,9 +327,8 @@ def sample_matrix(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:
         idx = edges.take(bucket)
         steps = np.flatnonzero((edges[:-1] != edges[1:]).take(bucket))
         idx[steps] = cdf.searchsorted(u[steps], "right")
-        col[:] = np.array(marg.atoms)[idx]
-    values.setflags(write=False)
-    return SampleMatrix(values)
+        columns.append((marg.arrays[0], idx))
+    return SampleMatrix._of_columns(tuple(columns))
 
 
 def empirical_marginals(s: SampleMatrix, h: float) -> ProductDistribution:
@@ -301,13 +336,15 @@ def empirical_marginals(s: SampleMatrix, h: float) -> ProductDistribution:
 
     A column's atoms are its distinct values, with weights count / m divided by
     their left-to-right sum: the bits :func:`make_discrete` gives, without its merge.
+    The counts are one ``bincount`` of the column's index; atoms never drawn drop out.
     """
     marginals = []
-    for col in s.values.T:
-        atoms, counts = np.unique(col, return_counts=True)
-        w = counts / s.m
+    for atoms, index in s.columns:
+        counts = np.bincount(index, minlength=len(atoms))
+        drawn = counts > 0
+        w = counts[drawn] / s.m
         w /= w.cumsum()[-1]
-        marginals.append(DiscreteDistribution(tuple(atoms.tolist()), tuple(w.tolist())))
+        marginals.append(DiscreteDistribution(tuple(atoms[drawn].tolist()), tuple(w.tolist())))
     return ProductDistribution(tuple(marginals), float(h))
 
 

@@ -12,6 +12,7 @@ sample-complexity analysis.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -53,14 +54,18 @@ def emp_estimate(
 
     The probes run in blocks of ``BEST_RESPONSE_BLOCK // (m * n)`` (one at least):
     one ex post kernel call per block, on a stack of the bid matrix with bidder i's
-    column set to each probe's bid. A mean adds its row left to right from 0.0,
-    as :func:`dist.sum_left_to_right` does.
+    column set to each probe's bid. A bid column is its strategy at the column's
+    atoms, gathered by the sample's index. A mean adds its row left to right from
+    0.0, as :func:`dist.sum_left_to_right` does.
     """
     v = np.asarray(values, dtype=float)
     own = profile[i].eval(v)
-    rows = max(1, BEST_RESPONSE_BLOCK // s.values.size)
+    rows = max(1, BEST_RESPONSE_BLOCK // (s.m * s.n))
+    if profile.n != s.n:
+        raise ValueError(f"values must be m x {profile.n}, got shape {(s.m, s.n)}")
+    at_atoms = [strategy.eval(atoms) for strategy, (atoms, _) in zip(profile, s.columns)]
     # The bid matrix once per probe of a block; only column i changes per probe.
-    stack = np.repeat(profile.bids(s.values)[None], min(rows, len(v)), axis=0)
+    stack = np.repeat(s.gather(at_atoms)[None], min(rows, len(v)), axis=0)
     sums = np.empty(len(v))
     for lo in range(0, len(v), rows):
         block = stack[: min(rows, len(v) - lo)]
@@ -75,7 +80,9 @@ def emp_estimate(
 def _probe_values(f: ProductDistribution, profile: StrategyProfile, i: int) -> list[float]:
     # Probes: atoms of the true marginal plus the strategy's own breakpoints.
     pts = set(f.marginals[i].atoms)
-    pts.update(t for t, _ in profile[i].breakpoints if 0 <= t <= f.h)
+    # Thresholds increase strictly, so those in [0, H] are one slice.
+    thresholds = profile[i].arrays[0].tolist()
+    pts.update(thresholds[bisect_left(thresholds, 0.0) : bisect_right(thresholds, f.h)])
     return sorted(pts)
 
 

@@ -6,6 +6,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -71,9 +72,15 @@ class MonotoneStrategy:
     def from_json(cls, obj: dict) -> "MonotoneStrategy":
         if not isinstance(obj, dict) or not isinstance(pts := obj.get("breakpoints", []), list):
             raise ValueError("a strategy must be an object with a list of breakpoints")
-        pairs = [json_numbers(p, "a breakpoint") for p in pts]
-        if any(len(p) != 2 for p in pairs):
-            raise ValueError("a breakpoint must be a [value, bid] pair")
+        if set(map(type, pts)) <= {list} and set(map(len, pts)) <= {2}:
+            # Two-element lists alone: their numbers in one list, checked at once if all
+            # are finite floats and otherwise one by one, so the first bad one is named.
+            flat = json_numbers(list(chain.from_iterable(pts)), "a breakpoint")
+            pairs = list(zip(flat[::2], flat[1::2]))
+        else:
+            pairs = [json_numbers(p, "a breakpoint") for p in pts]
+            if any(len(p) != 2 for p in pairs):
+                raise ValueError("a breakpoint must be a [value, bid] pair")
         return cls(tuple(pairs), json_number(obj.get("default_bid", 0.0), "default_bid"))
 
 
@@ -81,8 +88,8 @@ def shade(grid: Sequence[float], alpha: float) -> MonotoneStrategy:
     """The linear-shading strategy b(v) = alpha * v on a value grid."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    pts = sorted(set(float(g) for g in grid))
-    return MonotoneStrategy(tuple((g, alpha * g) for g in pts))
+    pts = sorted(set(map(float, grid)))
+    return MonotoneStrategy(tuple(zip(pts, map(operator.mul, repeat(alpha), pts))))
 
 
 @dataclass(frozen=True)

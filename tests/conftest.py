@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,6 +44,8 @@ from auctionlearn.dist import (
     SampleMatrix,
     cdf_of_max,
     empirical_marginals,
+    json_number,
+    json_numbers,
     make_discrete,
     product_of,
     sum_left_to_right,
@@ -202,6 +206,60 @@ class MonotoneStrategyReference:
             raise ValueError("bids must be nondecreasing")
         if self.default_bid < 0 or (bids and bids[0] < self.default_bid):
             raise ValueError("bids must be >= default_bid >= 0")
+
+
+def monotone_from_json_reference(obj: dict) -> MonotoneStrategy:
+    """``strategy.MonotoneStrategy.from_json`` checking every breakpoint with ``json_numbers``."""
+    if not isinstance(obj, dict) or not isinstance(pts := obj.get("breakpoints", []), list):
+        raise ValueError("a strategy must be an object with a list of breakpoints")
+    pairs = [json_numbers(p, "a breakpoint") for p in pts]
+    if any(len(p) != 2 for p in pairs):
+        raise ValueError("a breakpoint must be a [value, bid] pair")
+    return MonotoneStrategy(tuple(pairs), json_number(obj.get("default_bid", 0.0), "default_bid"))
+
+
+def shade_reference(grid: Sequence[float], alpha: float) -> MonotoneStrategy:
+    """``strategy.shade`` with a generator per grid point."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    pts = sorted(set(float(g) for g in grid))
+    return MonotoneStrategy(tuple((g, alpha * g) for g in pts))
+
+
+def probe_values_reference(f: ProductDistribution, profile: StrategyProfile, i: int) -> list[float]:
+    """``estimate._probe_values`` reading thresholds from the breakpoint pairs."""
+    pts = set(f.marginals[i].atoms)
+    pts.update(t for t, _ in profile[i].breakpoints if 0 <= t <= f.h)
+    return sorted(pts)
+
+
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def _is_numbers_reference(obj) -> bool:
+    # A nonempty list of ints, floats and bools: no item holds a comma or a bracket.
+    return type(obj) is list and bool(obj) and set(map(type, obj)) <= {int, float, bool}
+
+
+def indented_reference(obj, nl: str) -> str:
+    """``cli._indented`` with one ``_is_numbers`` call per row of a list of lists."""
+    inner = nl + "  "
+    if isinstance(obj, dict) and obj:
+        items = [
+            encode_basestring_ascii(k) + ": " + indented_reference(obj[k], inner)
+            for k in sorted(obj)
+        ]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if not (isinstance(obj, (list, tuple)) and obj):
+        return _COMPACT.encode(obj)
+    if _is_numbers_reference(obj):
+        return "[" + inner + _COMPACT.encode(obj)[1:-1].replace(",", "," + inner) + nl + "]"
+    if all(map(_is_numbers_reference, obj)):
+        row = inner + "  "
+        text = _COMPACT.encode(obj)[2:-2].replace(",", "," + row)
+        text = text.replace("]," + row + "[", inner + "]," + inner + "[" + row)
+        return "[" + inner + "[" + row + text + inner + "]" + nl + "]"
+    return "[" + inner + ("," + inner).join(indented_reference(v, inner) for v in obj) + nl + "]"
 
 
 def sample_matrix_take_reference(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:

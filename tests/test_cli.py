@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionlearn.cli import _json_text, child_seed, main
+from auctionlearn.cli import _indented, _json_text, child_seed, main
+from conftest import indented_reference
 from test_bench_bytes import workloads
 
 
@@ -339,6 +340,14 @@ def test_json_text_matches_indented_dumps(obj):
     # Empty and nested empty containers, -0.0, NaN and infinities, bools among the
     # numbers and keys that need escaping, in number lists and number-list lists.
     assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@given(st.one_of(_JSON, st.lists(st.lists(_NUMBERS, max_size=3), min_size=1, max_size=5)))
+@settings(max_examples=300, deadline=None)
+def test_indented_matches_the_per_row_scan(obj):
+    # Lists of number lists with an empty row, a tuple row or a row that holds a
+    # non-number, beside ones that take the compact path.
+    assert _indented(obj, "\n") == indented_reference(obj, "\n")
 
 
 def test_child_seed_stable():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,6 +282,84 @@ class TestSampling:
         s = sample_matrix(f, 3, seed=0)
         with pytest.raises(ValueError):
             s.values[0, 0] = 9.9
+
+
+@st.composite
+def signed_zero_marginals(draw) -> DiscreteDistribution:
+    """A sampling marginal with a 0.0 or -0.0 atom, which stands for any zero it had."""
+    d = draw(sampling_marginals())
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    return make_discrete([zero, *d.atoms], [draw(st.floats(1e-3, 1.0)), *d.weights])
+
+
+class TestSampleIndex:
+    """A sample is, per column, sorted atoms and an int32 index for every row;
+    ``values`` is gathered from them once, on first read."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.one_of(sampling_marginals(), signed_zero_marginals()), min_size=1, max_size=4),
+        st.one_of(st.just(1), st.integers(1, 400)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_counts_match_unique_of_the_values(self, marginals, m, seed):
+        # Up to 31 atoms over as few as one draw: many atoms are never drawn.
+        s = sample_matrix(product_of(marginals), m, seed)
+        for (atoms, index), col in zip(s.columns, s.values.T):
+            assert index.dtype == np.int32
+            counts = np.bincount(index, minlength=len(atoms))
+            want_atoms, want_counts = np.unique(col, return_counts=True)
+            assert atoms[counts > 0].tobytes() == want_atoms.tobytes()
+            assert counts[counts > 0].tolist() == want_counts.tolist()
+        got = empirical_marginals(s, 10.0)
+        want = empirical_marginals(SampleMatrix(s.values), 10.0)
+        assert got == want
+        for g, w in zip(got.marginals, want.marginals):
+            assert np.array(g.atoms).tobytes() == np.array(w.atoms).tobytes()
+            assert np.array(g.weights).tobytes() == np.array(w.weights).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 5, 33, 3000])
+    @given(k=st.integers(0, 20), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_columns_of_values_keep_the_atoms_of_unique(self, m, k, n, seed):
+        # -0.0 and 0.0 in either order: np.unique(col, return_inverse=True) sorts
+        # otherwise and may keep the other zero; the columns keep return_counts' one.
+        rng = np.random.default_rng(seed)
+        zeros = [0.0, -0.0] if rng.random() < 0.5 else [-0.0, 0.0]
+        pool = np.concatenate((zeros, np.round(rng.random(k), 2)))
+        s = SampleMatrix(rng.choice(pool, size=(m, n)))
+        for (atoms, index), col in zip(s.columns, s.values.T):
+            want_atoms, want_counts = np.unique(col, return_counts=True)
+            assert atoms.tobytes() == want_atoms.tobytes()
+            assert np.bincount(index, minlength=len(atoms)).tolist() == want_counts.tolist()
+            assert (atoms[index] == col).all()
+
+    def test_values_are_one_read_only_array_with_the_reference_bits(self):
+        f = product_of([make_discrete([-0.0, 0.3, 0.9], [0.2, 0.5, 0.3]), uniform_on(range(7))])
+        s = sample_matrix(f, 500, seed=11)
+        values = s.values
+        assert values is s.values
+        assert not values.flags.writeable and values.flags.owndata
+        assert values.tobytes() == sample_matrix_reference(f, 500, seed=11).values.tobytes()
+
+    def test_a_matrix_built_from_values_keeps_its_array(self):
+        given_values = np.array([[0.5, 1.0], [0.0, 2.0]])
+        given_values.setflags(write=False)
+        s = SampleMatrix(given_values)
+        assert s.values is given_values and (s.m, s.n) == (2, 2)
+
+    def test_a_drawn_sample_holds_under_five_bytes_per_value(self):
+        # 10^5 x 4 draws: an int32 index is 4 bytes a value, a float matrix 8.
+        f = ProductDistribution.iid(uniform_on([k / 20 for k in range(21)]), 4, 1.0)
+        empirical_marginals(sample_matrix(f, 1, seed=0), 1.0)  # numpy's one-time setup
+        tracemalloc.start()
+        try:
+            s = sample_matrix(f, 10**5, seed=1)
+            empirical_marginals(s, 1.0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 5 * s.m * s.n
 
 
 class TestEmpiricalMarginals:

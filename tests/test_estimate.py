@@ -25,6 +25,7 @@ from auctionlearn.dist import (
     uniform_on,
 )
 from auctionlearn.estimate import (
+    _probe_values,
     emp_estimate,
     label_vector_count,
     shade_family,
@@ -45,6 +46,7 @@ from conftest import (
     median_ratio_table,
     permutation_identity_check,
     point_mass,
+    probe_values_reference,
     quarter_distributions,
     random_profile,
     sup_error_reference,
@@ -170,7 +172,8 @@ class TestSupError:
             sup_error_sweep(f, FPA_RANDOM, [], [4], 2, 0, estimator)
 
     def test_emp_builds_one_bid_matrix_per_profile_and_bidder(self, monkeypatch):
-        calls = count_calls(monkeypatch, StrategyProfile, "bids")
+        # A bid matrix is the strategies at each column's atoms, gathered by the index.
+        calls = count_calls(monkeypatch, SampleMatrix, "gather")
         f = ProductDistribution.iid(uniform_on([0.0, 0.5, 1.0]), 3, 1.0)
         fam = shade_family(f, [0.0, 0.5, 1.0])
         sup_error(sample_matrix(f, 20, seed=2), FPA_RANDOM, fam, f, "emp")
@@ -253,6 +256,7 @@ class TestEmpProbeBlocks:
         # 0.8 MB column of samples.
         f = ProductDistribution.iid(uniform_on([k / 20 for k in range(21)]), 4, 1.0)
         s = sample_matrix(f, 10**5, seed=1)
+        s.values  # the sample's one-time gather, outside both measured calls
         profile = shade_family(f, [0.5])[0]
         probes = [k / 99 for k in range(100)]
 
@@ -394,3 +398,18 @@ class TestLabelVectorCount:
         values, witnesses = dense_monotone_hypotheses(n, m, seed=11)
         assert hashlib.sha256(values.tobytes() + witnesses.tobytes()).hexdigest() == digest
 
+
+@given(st.data(), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_probe_values_match_the_per_breakpoint_scan(data, n):
+    # Thresholds below 0, above H and at -0.0, beside atoms at 0.0.
+    f = product_of([data.draw(quarter_distributions()) for _ in range(n)], 1.0)
+    threshold = st.one_of(QUARTERS, st.sampled_from([-0.5, -0.0, 1.5]), st.floats(-1.0, 2.0))
+    strategies = []
+    for _ in range(n):
+        ts = sorted(set(data.draw(st.lists(threshold, max_size=6))))
+        strategies.append(MonotoneStrategy(tuple((t, 0.5) for t in ts)))
+    profile = StrategyProfile(tuple(strategies))
+    for i in range(n):
+        got, want = _probe_values(f, profile, i), probe_values_reference(f, profile, i)
+        assert np.array(got).tobytes() == np.array(want).tobytes()

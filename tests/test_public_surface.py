@@ -221,6 +221,46 @@ def test_one_certifier():
     assert callers("BNECertificate", "equilibrium") == ["equilibrium._certificate"]
 
 
+def test_empirical_marginals_count_without_unique():
+    """Empirical marginals count a sample's atom index with ``bincount``; no column is
+    sorted back into counts."""
+    assert "dist.empirical_marginals" not in callers("unique", "dist")
+
+
+def value_reads(root: str) -> list[str]:
+    """Every read of an attribute ``values`` (a ``.values()`` call is none) in the
+    module-level src/ function ``root`` and in every one it calls by name, in turn."""
+    functions: dict[str, list] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                functions.setdefault(node.name, []).append((path.stem, node))
+    found, seen, todo = [], set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for stem, fn in functions.get(name, []):
+            calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)]
+            todo += map(_name, calls)
+            called = set(map(id, (c.func for c in calls)))
+            found += [
+                f"{stem}.{fn.name}:{node.lineno}"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Attribute) and node.attr == "values"
+                and id(node) not in called
+            ]
+    return found
+
+
+@pytest.mark.parametrize("root", ["pandora_from_samples", "sup_error"])
+def test_count_only_learn_paths_build_no_value_matrix(root):
+    """The Pandora and estimation learners read a sample through its atoms and index
+    alone, so no (m, n) value matrix is gathered on their paths."""
+    assert value_reads(root) == []
+
+
 def dead_private_functions() -> list[str]:
     """Every module-level ``_`` function in src/ that no ``Name`` or ``Attribute``
     node of src/ outside the function's own body refers to. An import or a mention

@@ -12,7 +12,9 @@ from conftest import (
     constant,
     construction_outcome,
     eval_reference,
+    monotone_from_json_reference,
     quarter_strategies,
+    shade_reference,
 )
 
 
@@ -152,3 +154,49 @@ def test_checks_match_generator_checks(data):
 
     got = construction_outcome(lambda: MonotoneStrategy(*args), fields)
     assert got == construction_outcome(lambda: MonotoneStrategyReference(*args), fields)
+
+
+def _strategy_fields(s):
+    return s.breakpoints, s.default_bid
+
+
+JSON_NUMBERS = st.one_of(
+    RAW_NUMBERS, st.booleans(), st.integers(-(10**20), 10**20), st.sampled_from([0.0, -0.0])
+)
+
+
+@st.composite
+def breakpoint_lists(draw) -> list:
+    """Valid [value, bid] float lists most often; otherwise pairs of any length, ints,
+    bools, NaN and infinities, and items that are no list."""
+    if draw(st.booleans()):
+        thresholds = sorted(set(draw(st.lists(st.floats(0.0, 2.0), max_size=6))))
+        k = len(thresholds)
+        bids = sorted(draw(st.lists(st.floats(0.0, 2.0), min_size=k, max_size=k)))
+        return [[t, b] for t, b in zip(thresholds, bids)]
+    item = st.one_of(
+        st.lists(JSON_NUMBERS, min_size=2, max_size=2),
+        st.lists(JSON_NUMBERS, max_size=3),
+        st.sampled_from([None, "ab", 0.5, {"a": 1}]),
+    )
+    return draw(st.lists(item, max_size=5))
+
+
+@given(breakpoint_lists(), st.one_of(st.just(0.0), JSON_NUMBERS))
+@settings(max_examples=400, deadline=None)
+def test_from_json_matches_the_per_pair_checks(points, default_bid):
+    obj = {"breakpoints": points, "default_bid": default_bid}
+    got = construction_outcome(lambda: MonotoneStrategy.from_json(obj), _strategy_fields)
+    want = construction_outcome(lambda: monotone_from_json_reference(obj), _strategy_fields)
+    assert got == want
+
+
+@given(
+    st.lists(st.one_of(QUARTERS, st.sampled_from([-0.0, 0, 1, True]), st.floats(0.0, 2.0)),
+             max_size=8),
+    st.one_of(QUARTERS, st.floats(-0.5, 1.5)),
+)
+@settings(max_examples=300, deadline=None)
+def test_shade_matches_the_per_point_build(grid, alpha):
+    got = construction_outcome(lambda: shade(grid, alpha), _strategy_fields)
+    assert got == construction_outcome(lambda: shade_reference(grid, alpha), _strategy_fields)
