@@ -22,7 +22,7 @@ by independent enumeration on both sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -207,18 +207,8 @@ class PipelineReport:
     da_profile: tuple[DAPureStrategy, ...] = field(repr=False)
 
     def to_json(self) -> dict:
-        return {
-            "sigma_hat": list(self.sigma_hat),
-            "cost_true": list(self.cost_true),
-            "cost_hat": list(self.cost_hat),
-            "cost_err": self.cost_err,
-            "eps_fpa": self.eps_fpa,
-            "empp_sup_error": self.empp_sup_error,
-            "da_gap": self.da_gap,
-            "welfare": self.welfare,
-            "opt": self.opt,
-            "poa_bound": self.poa_bound,
-        }
+        report = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in report.items()}
 
 
 def _break_bid_ties(
@@ -261,13 +251,13 @@ def empirical_pipeline(
     ones. The gap and welfare are exact expectations on the true distribution,
     not samples.
     """
+    if s.n != f_true.n:
+        raise ValueError(f"a sample of {s.n} columns for {f_true.n} boxes")
     inst = SearchInstance(f_true, costs)
     costs = inst.costs
     if s.m % 2 != 0:
         raise ValueError(f"m={s.m} must be even to split into halves")
-    half = s.m // 2
-    s_a = SampleMatrix(s.values[:half])
-    s_b = SampleMatrix(s.values[half:])
+    s_a, s_b = s.rows(0, s.m // 2), s.rows(s.m // 2, s.m)
 
     emp_a = empirical_marginals(s_a, h=f_true.h)
     # A cost above a box's empirical mean gives the negative index E[v] - c,
@@ -300,9 +290,8 @@ def empirical_pipeline(
     f_true_trunc = product_of(
         (truncate_at(f, sig) for f, sig in zip(f_true.marginals, sigma_hat)), f_true.h
     )
-    s_b_trunc = SampleMatrix(np.minimum(s_b.values, np.array(sigma_hat)))
     family = shade_family(f_true_trunc, [k / 4 for k in range(5)]) + [fpa_profile]
-    empp_sup = sup_error(s_b_trunc, FPA_RANDOM, family, f_true_trunc, "empp").sup_error
+    empp = sup_error(s_b.truncated(sigma_hat), FPA_RANDOM, family, f_true_trunc, "empp")
 
     da_gap, welfare = _deviation_gap(inst, da_profile)
     opt = opt_welfare(inst)
@@ -313,7 +302,7 @@ def empirical_pipeline(
         cost_hat=cost_hat,
         cost_err=cost_err,
         eps_fpa=cert.epsilon,
-        empp_sup_error=empp_sup,
+        empp_sup_error=empp.sup_error,
         da_gap=da_gap,
         welfare=welfare,
         opt=opt,

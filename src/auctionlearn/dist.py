@@ -11,7 +11,7 @@ import math
 import operator
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, repeat
 from typing import Iterable, Sequence
@@ -233,19 +233,26 @@ def product_of(
     return ProductDistribution(ms, float(h))
 
 
+def _index(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A column's sorted distinct values, each the first of its run as ``np.unique`` keeps it
+    (so of a -0.0/0.0 pair, ``np.unique``'s zero), and every row's int32 index among them."""
+    aux = np.sort(col)
+    atoms = aux[np.concatenate(([True], aux[1:] != aux[:-1]))]
+    return atoms, atoms.searchsorted(col).astype(np.int32)
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class SampleMatrix:
     """m x n matrix of sampled value profiles; row j is one joint sample.
 
-    A sample is held as what it is on a discrete prior: per column, sorted distinct
-    atoms and the int32 index of every row's value among them (:attr:`columns`).
-    The value matrix :attr:`values` is gathered from them on first read, once, into
-    a read-only array that owns its memory. A matrix built from values keeps the
-    array it was given and indexes a column by its distinct values on first use.
+    A sample is, per column, sorted atoms (the distinct given values, or a draw's marginal's
+    atoms) and every row's int32 index among them (:attr:`columns`). :attr:`values` is gathered
+    from them on first read, once, into a read-only array that owns its memory.
     """
 
     m: int
     n: int
+    columns: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
     def __init__(self, values) -> None:
         v = np.asarray(values, dtype=float)
@@ -256,31 +263,13 @@ class SampleMatrix:
             raise ValueError("sample values must be finite")
         if lo < 0:
             raise ValueError("sample values must be nonnegative")
-        # Only a holder of a read-only array that owns its memory can write to it.
-        if v.flags.writeable or not v.flags.owndata:
-            v = v.copy()
-            v.setflags(write=False)
-        self.__dict__.update(values=v, m=v.shape[0], n=v.shape[1])
+        self.__dict__.update(columns=tuple(map(_index, v.T)), m=v.shape[0], n=v.shape[1])
 
     @classmethod
     def _of_columns(cls, columns: tuple[tuple[np.ndarray, np.ndarray], ...]) -> "SampleMatrix":
         s = cls.__new__(cls)
         s.__dict__.update(columns=columns, m=len(columns[0][1]), n=len(columns))
         return s
-
-    @cached_property
-    def columns(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per column, its sorted distinct values and each row's int32 index among them.
-
-        Each is the first of a run of equal sorted values, as ``np.unique`` keeps it,
-        so a -0.0/0.0 pair keeps the zero ``np.unique(col, return_counts=True)`` does.
-        """
-        columns = []
-        for col in self.values.T:
-            aux = np.sort(col)
-            atoms = aux[np.concatenate(([True], aux[1:] != aux[:-1]))]
-            columns.append((atoms, atoms.searchsorted(col).astype(np.int32)))
-        return tuple(columns)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -296,6 +285,22 @@ class SampleMatrix:
         for col, at_atoms, (_, index) in zip(out.T, per_atom, self.columns):
             col[:] = at_atoms[index]
         return out
+
+    def rows(self, start: int, stop: int) -> "SampleMatrix":
+        """Rows ``start:stop``: every column keeps its atoms, and its index is sliced."""
+        if not 0 <= start < stop <= self.m:
+            raise ValueError(f"rows {start}:{stop} out of range for m={self.m}")
+        return SampleMatrix._of_columns(tuple((a, index[start:stop]) for a, index in self.columns))
+
+    def truncated(self, sigmas: Sequence[float]) -> "SampleMatrix":
+        """Column j of min(v, sigmas[j]): its atoms capped and indexed anew, its index remapped."""
+        if len(sigmas) != self.n or not all(map(operator.le, repeat(0.0), sigmas)):
+            raise ValueError(f"need {self.n} nonnegative sigmas, got {sigmas!r:.40}")
+        columns = []
+        for (atoms, index), sigma in zip(self.columns, sigmas):
+            capped, remap = _index(np.minimum(atoms, sigma))
+            columns.append((capped, remap[index]))
+        return SampleMatrix._of_columns(tuple(columns))
 
 
 def sample_matrix(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:

@@ -58,11 +58,13 @@ def emp_estimate(
     atoms, gathered by the sample's index. A mean adds its row left to right from
     0.0, as :func:`dist.sum_left_to_right` does.
     """
+    if not 0 <= i < s.n:
+        raise ValueError(f"bidder {i} out of range for {s.n} bids")
+    if profile.n != s.n:
+        raise ValueError(f"values must be m x {profile.n}, got shape {(s.m, s.n)}")
     v = np.asarray(values, dtype=float)
     own = profile[i].eval(v)
     rows = max(1, BEST_RESPONSE_BLOCK // (s.m * s.n))
-    if profile.n != s.n:
-        raise ValueError(f"values must be m x {profile.n}, got shape {(s.m, s.n)}")
     at_atoms = [strategy.eval(atoms) for strategy, (atoms, _) in zip(profile, s.columns)]
     # The bid matrix once per probe of a block; only column i changes per probe.
     stack = np.repeat(s.gather(at_atoms)[None], min(rows, len(v)), axis=0)
@@ -103,6 +105,8 @@ def sup_error(
         raise ValueError(f"unknown estimator {estimator!r}")
     if not family:
         raise ValueError("strategy family is empty")
+    if s.n != f.n:
+        raise ValueError(f"a sample of {s.n} columns for {f.n} marginals")
     emp_prod = empirical_marginals(s, h=f.h) if estimator == "empp" else None
     marginals = f.marginals + (emp_prod.marginals if emp_prod is not None else ())
     sup, arg = -1.0, (0, 0, 0.0)

@@ -187,6 +187,8 @@ def pandora_from_samples(
     Returns the expected payoff of the learned truncated policy on f_true; the
     optimum it is compared against, :func:`opt_welfare`, does not depend on s.
     """
+    if s.n != f_true.n:
+        raise ValueError(f"a sample of {s.n} columns for {f_true.n} boxes")
     inst = SearchInstance(f_true, tuple(costs))
     emp = empirical_marginals(s, h=f_true.h)
     indices = tuple(

@@ -506,6 +506,13 @@ class TestPipeline:
         with pytest.raises(ValueError, match="m=5 must be even to split into halves"):
             empirical_pipeline(s, costs, f, 0.05, 0)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_a_sample_of_another_width_raises(self, width):
+        f, costs = self.make_true_instance()
+        s = SampleMatrix(np.zeros((4, width)))
+        with pytest.raises(ValueError, match=f"a sample of {width} columns for 2 boxes"):
+            empirical_pipeline(s, costs, f, 0.05, 0)
+
     def test_zero_costs_reduce_to_plain_fpa(self, monkeypatch):
         monkeypatch.setattr(da, "PIPELINE_MAX_ITERS", 10)
         f, _ = self.make_true_instance()
@@ -530,10 +537,10 @@ class TestPipeline:
         s = sample_matrix(f, 200, seed=5)
         rep = empirical_pipeline(s, costs, f, 0.05, 0)
         blob = rep.to_json()
-        assert set(blob) >= {
-            "sigma_hat", "cost_hat", "cost_err", "eps_fpa", "empp_sup_error",
+        assert list(blob) == [
+            "sigma_hat", "cost_true", "cost_hat", "cost_err", "eps_fpa", "empp_sup_error",
             "da_gap", "welfare", "opt", "poa_bound",
-        }
+        ]
         # An np.float64 would print its type into the CSV report's repr.
         numbers = [x for v in blob.values() for x in (v if isinstance(v, list) else [v])]
         assert len(numbers) > len(blob)

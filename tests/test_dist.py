@@ -327,8 +327,9 @@ class TestSampleIndex:
         rng = np.random.default_rng(seed)
         zeros = [0.0, -0.0] if rng.random() < 0.5 else [-0.0, 0.0]
         pool = np.concatenate((zeros, np.round(rng.random(k), 2)))
-        s = SampleMatrix(rng.choice(pool, size=(m, n)))
-        for (atoms, index), col in zip(s.columns, s.values.T):
+        given_values = rng.choice(pool, size=(m, n))
+        s = SampleMatrix(given_values)
+        for (atoms, index), col in zip(s.columns, given_values.T):
             want_atoms, want_counts = np.unique(col, return_counts=True)
             assert atoms.tobytes() == want_atoms.tobytes()
             assert np.bincount(index, minlength=len(atoms)).tolist() == want_counts.tolist()
@@ -342,11 +343,53 @@ class TestSampleIndex:
         assert not values.flags.writeable and values.flags.owndata
         assert values.tobytes() == sample_matrix_reference(f, 500, seed=11).values.tobytes()
 
-    def test_a_matrix_built_from_values_keeps_its_array(self):
-        given_values = np.array([[0.5, 1.0], [0.0, 2.0]])
-        given_values.setflags(write=False)
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_values_of_a_matrix_built_from_values_are_gathered_once(self, writeable):
+        given_values = np.array([[0.5, 1.0], [0.0, 2.0], [0.5, 0.0]])
+        given_values.setflags(write=writeable)
         s = SampleMatrix(given_values)
-        assert s.values is given_values and (s.m, s.n) == (2, 2)
+        values = s.values
+        assert values is s.values and values is not given_values
+        assert not values.flags.writeable and values.flags.owndata
+        assert (values == given_values).all() and (s.m, s.n) == (3, 2)
+        assert repr(s) == "SampleMatrix(m=3, n=2)"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.one_of(sampling_marginals(), signed_zero_marginals()), min_size=1, max_size=3),
+        st.integers(2, 120),
+        st.data(),
+    )
+    def test_rows_and_truncated_match_a_matrix_built_from_values(self, marginals, m, data):
+        # Sigma at 0.0 caps every atom onto a zero that may be -0.0 in the same column,
+        # and at an atom merges the atoms above it into one; the weight bits must hold.
+        s = sample_matrix(product_of(marginals), m, data.draw(st.integers(0, 2**32 - 1)))
+        start = data.draw(st.integers(0, m - 1))
+        stop = data.draw(st.integers(start + 1, m))
+        atoms = sorted({a for f in marginals for a in f.atoms})
+        sigma = st.one_of(st.just(0.0), st.sampled_from(atoms), st.floats(0.0, 11.0))
+        sigmas = data.draw(st.lists(sigma, min_size=s.n, max_size=s.n))
+        cases = [
+            (s.rows(start, stop), s.values[start:stop]),
+            (s.truncated(sigmas), np.minimum(s.values, sigmas)),
+            (s.rows(start, stop).truncated(sigmas), np.minimum(s.values[start:stop], sigmas)),
+        ]
+        for got, values in cases:
+            assert (got.values == values).all()
+            want = empirical_marginals(SampleMatrix(values), 11.0)
+            got = empirical_marginals(got, 11.0)
+            assert got == want
+            for g, w in zip(got.marginals, want.marginals):
+                assert np.array(g.weights).tobytes() == np.array(w.weights).tobytes()
+
+    def test_rows_and_truncated_reject_what_is_no_sample(self):
+        s = SampleMatrix(np.array([[0.5, 1.0], [0.0, 2.0]]))
+        for start, stop in [(0, 0), (1, 1), (-1, 2), (0, 3), (2, 1)]:
+            with pytest.raises(ValueError, match=f"rows {start}:{stop} out of range for m=2"):
+                s.rows(start, stop)
+        for sigmas in [(1.0,), (1.0, 1.0, 1.0), (1.0, -0.5), (math.nan, 1.0)]:
+            with pytest.raises(ValueError, match="need 2 nonnegative sigmas"):
+                s.truncated(sigmas)
 
     def test_a_drawn_sample_holds_under_five_bytes_per_value(self):
         # 10^5 x 4 draws: an int32 index is 4 bytes a value, a float matrix 8.

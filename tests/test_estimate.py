@@ -76,6 +76,14 @@ class TestEmpEstimate:
         s = SampleMatrix(np.array([[9.0, 0.2]]))
         assert emp_estimate(s, FPA_RANDOM, 0, [1.0], two_bidder_profile())[0] == pytest.approx(0.6)
 
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_bidder_out_of_range_raises_before_any_eval(self, monkeypatch, i):
+        s = SampleMatrix(np.array([[9.0, 0.2], [9.0, 0.6]]))
+        evals = count_calls(monkeypatch, MonotoneStrategy, "eval")
+        with pytest.raises(ValueError, match=f"bidder {i} out of range for 2 bids"):
+            emp_estimate(s, FPA_RANDOM, i, [1.0], two_bidder_profile())
+        assert evals == []
+
 
 @st.composite
 def quarter_strategies(draw) -> MonotoneStrategy:
@@ -170,6 +178,18 @@ class TestSupError:
             sup_error(sample_matrix(f, 4, seed=0), FPA_RANDOM, [], f, estimator)
         with pytest.raises(ValueError, match="strategy family is empty"):
             sup_error_sweep(f, FPA_RANDOM, [], [4], 2, 0, estimator)
+
+    @pytest.mark.parametrize("estimator", ["emp", "empp"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_a_sample_of_another_width_raises_first(self, monkeypatch, estimator, width):
+        # Zipped with the true marginals, extra columns were ignored and too few
+        # failed inside numpy.
+        f = ProductDistribution.iid(uniform_on([0.0, 1.0]), 2, 1.0)
+        s = sample_matrix(ProductDistribution.iid(uniform_on([0.0, 1.0]), width, 1.0), 8, 0)
+        counted = count_calls(monkeypatch, estimate, "empirical_marginals")
+        with pytest.raises(ValueError, match=f"a sample of {width} columns for 2 marginals"):
+            sup_error(s, FPA_RANDOM, shade_family(f, [0.5]), f, estimator)
+        assert counted == []
 
     def test_emp_builds_one_bid_matrix_per_profile_and_bidder(self, monkeypatch):
         # A bid matrix is the strategies at each column's atoms, gathered by the index.

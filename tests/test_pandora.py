@@ -291,6 +291,15 @@ class TestLearning:
         assert pandora_from_samples(SampleMatrix(rows), (0.3,), f, 0.01) == 0.0
         assert opt_welfare(SearchInstance(f, (0.3,))) > 0.0
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_a_sample_of_another_width_raises(self, width):
+        # Zipped with the costs, extra columns were ignored and too few made an
+        # index policy of the wrong length.
+        f = ProductDistribution.iid(BERNOULLI, 2, 1.0)
+        s = sample_matrix(ProductDistribution.iid(BERNOULLI, width, 1.0), 8, seed=0)
+        with pytest.raises(ValueError, match=f"a sample of {width} columns for 2 boxes"):
+            pandora_from_samples(s, (0.1, 0.1), f, 0.01)
+
     def test_true_cost_above_mean_rejected(self):
         with pytest.raises(ValueError, match=r"cost 0\.6 exceeds E\[v_0\]"):
             SearchInstance(product_of([BERNOULLI], 1.0), (0.6,))

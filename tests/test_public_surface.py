@@ -254,10 +254,10 @@ def value_reads(root: str) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("root", ["pandora_from_samples", "sup_error"])
+@pytest.mark.parametrize("root", ["empirical_pipeline", "pandora_from_samples", "sup_error"])
 def test_count_only_learn_paths_build_no_value_matrix(root):
-    """The Pandora and estimation learners read a sample through its atoms and index
-    alone, so no (m, n) value matrix is gathered on their paths."""
+    """The pipeline and the Pandora and estimation learners read a sample through its
+    atoms and index alone, so no (m, n) value matrix is gathered on their paths."""
     assert value_reads(root) == []
 
 
