@@ -64,22 +64,27 @@ def ex_post_allocation(tie: Tie, bids) -> np.ndarray:
 
     The top bid wins; a k-way top tie gives each tied bidder 1/k under random
     allocation (the expectation over the uniform tie-break) and 0 otherwise.
-    Many rows of few bidders (at most 16, and at least 64 rows per bidder) take
-    the top bid and the tie count column by column, since numpy reduces a short
-    last axis row by row, slowly; other arrays reduce the last axis. Both give
-    the same bits.
     """
     b = np.asarray(bids, dtype=float)
-    n = b.shape[-1] if b.ndim else 1
-    if 0 < n <= 16 and b.size >= 64 * n * n:
-        top = b == reduce(np.maximum, (b[..., j : j + 1] for j in range(n)))
-        k = reduce(np.add, (top[..., j : j + 1] for j in range(1, n)), top[..., :1].astype(int))
-    else:
-        top = b == b.max(axis=-1, keepdims=True)
-        k = top.sum(axis=-1, keepdims=True)
+    top = b == b.max(axis=-1, keepdims=True)
+    k = top.sum(axis=-1, keepdims=True)
     if tie is Tie.NO_ALLOCATION:
         return (top & (k == 1)).astype(float)
     return top / k
+
+
+def _top_bids(tie: Tie, opp: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """Each row's top bid over the opponent columns of ``opp`` (-inf without any), and
+    the share a bid equal to it wins: 1 / (1 + ties) under random allocation, else 0."""
+    top = opp.max(axis=-1, initial=-np.inf)
+    tied = 0.0 if tie is Tie.NO_ALLOCATION else 1.0 / (1 + (opp == top[..., None]).sum(axis=-1))
+    return top, tied
+
+
+def _share(own, top: np.ndarray, tied) -> np.ndarray:
+    """The share of the item that each finite bid in ``own`` wins against the rows of
+    :func:`_top_bids`, broadcast: the bits of its column of :func:`ex_post_allocation`."""
+    return np.where(own > top, 1.0, np.where(own == top, tied, 0.0))
 
 
 def ex_post_utility(rule: AuctionRule, i: int, v_i, bids):

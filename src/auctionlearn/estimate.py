@@ -23,8 +23,9 @@ from .auction import (
     AuctionRule,
     _bid_axis,
     _leave_one_out_row,
+    _share,
+    _top_bids,
     _utility,
-    ex_post_utility,
 )
 from .dist import (
     ProductDistribution,
@@ -52,30 +53,25 @@ def emp_estimate(
 ) -> list[float]:
     """Average ex post utility of bidder i at each value over the sampled opponent rows.
 
-    The probes run in blocks of ``BEST_RESPONSE_BLOCK // (m * n)`` (one at least):
-    one ex post kernel call per block, on a stack of the bid matrix with bidder i's
-    column set to each probe's bid. A bid column is its strategy at the column's
-    atoms, gathered by the sample's index. A mean adds its row left to right from
-    0.0, as :func:`dist.sum_left_to_right` does.
+    Each row's top opponent bid is read once, then the probes run in blocks of
+    ``BEST_RESPONSE_BLOCK // m`` (one at least). A bid column is its strategy at the
+    column's atoms, gathered by the sample's index. A mean adds its row left to right
+    from 0.0, as :func:`dist.sum_left_to_right` does.
     """
     if not 0 <= i < s.n:
         raise ValueError(f"bidder {i} out of range for {s.n} bids")
     if profile.n != s.n:
-        raise ValueError(f"values must be m x {profile.n}, got shape {(s.m, s.n)}")
+        raise ValueError(f"a profile of {profile.n} strategies for a sample of {s.n} columns")
     v = np.asarray(values, dtype=float)
     own = profile[i].eval(v)
-    rows = max(1, BEST_RESPONSE_BLOCK // (s.m * s.n))
+    rows = max(1, BEST_RESPONSE_BLOCK // s.m)
     at_atoms = [strategy.eval(atoms) for strategy, (atoms, _) in zip(profile, s.columns)]
-    # The bid matrix once per probe of a block; only column i changes per probe.
-    stack = np.repeat(s.gather(at_atoms)[None], min(rows, len(v)), axis=0)
+    top, tied = _top_bids(rule.tie, np.delete(s.gather(at_atoms), i, axis=1))
     sums = np.empty(len(v))
     for lo in range(0, len(v), rows):
-        block = stack[: min(rows, len(v) - lo)]
-        block[:, :, i] = own[lo : lo + rows, None]
-        # The utilities stay unnamed, so none outlive their block's kernel call.
-        sums[lo : lo + rows] = np.cumsum(
-            ex_post_utility(rule, i, v[lo : lo + rows, None], block), axis=1
-        )[:, -1]
+        b = own[lo : lo + rows, None]
+        u = _utility(rule.format, v[lo : lo + rows, None], b, _share(b, top, tied))
+        sums[lo : lo + rows] = np.cumsum(u, axis=1)[:, -1]
     return ((0.0 + sums) / s.m).tolist()
 
 
@@ -107,6 +103,8 @@ def sup_error(
         raise ValueError("strategy family is empty")
     if s.n != f.n:
         raise ValueError(f"a sample of {s.n} columns for {f.n} marginals")
+    if widths := {profile.n for profile in family} - {f.n}:
+        raise ValueError(f"a profile of {min(widths)} strategies for {f.n} marginals")
     emp_prod = empirical_marginals(s, h=f.h) if estimator == "empp" else None
     marginals = f.marginals + (emp_prod.marginals if emp_prod is not None else ())
     sup, arg = -1.0, (0, 0, 0.0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .auction import FPA_NONE, FPA_RANDOM, AuctionRule, ex_post_utility
+from .auction import FPA_NONE, FPA_RANDOM, AuctionRule, _share, _top_bids, _utility
 from .strategy import MonotoneStrategy, StrategyProfile
 
 
@@ -44,18 +44,15 @@ def dense_monotone_hypotheses(n: int, m: int, seed: int) -> tuple[np.ndarray, np
     samples = rng.random((m, n - 1))
     witnesses = rng.uniform(-0.5, 0.5, size=m)
     grids = [np.sort(np.unique(samples[:, j])) for j in range(n - 1)]
-    stacks = []
+    owns, shares = [], []
     for _ in range(N_STRATEGIES):
         opp = tuple(random_monotone_strategy(rng, grids[j]) for j in range(n - 1))
-        # With no opponents (n = 1) the m x 0 samples are the bid matrix.
+        # With no opponents (n = 1) the m x 0 samples are the opponent bids.
         opp_bids = StrategyProfile(opp).bids(samples) if opp else samples
         realized = np.unique(opp_bids)
-        own = np.concatenate(([0.0], realized, realized + 1e-9))
-        stack = np.empty((len(own), m, n))
-        stack[:, :, 0] = own[:, None]
-        stack[:, :, 1:] = opp_bids
-        stacks.append(stack)
-    bids = np.concatenate(stacks)
-    # One kernel call over (own bid, value, sample); explicit sizes, since m may be 0.
-    u = ex_post_utility(rule, 0, v_grid[:, None], bids[:, None])
-    return u.reshape(len(bids) * len(v_grid), m), witnesses
+        owns.append(np.concatenate(([0.0], realized, realized + 1e-9)))
+        shares.append(_share(owns[-1][:, None], *_top_bids(rule.tie, opp_bids)))
+    own, share = np.concatenate(owns), np.concatenate(shares)
+    # One utility call over (own bid, value, sample); explicit sizes, since m may be 0.
+    u = _utility(rule.format, v_grid[:, None], own[:, None, None], share[:, None])
+    return u.reshape(len(own) * len(v_grid), m), witnesses

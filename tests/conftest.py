@@ -381,16 +381,6 @@ def emp_estimate_reference(s, rule, i, v_i, profile) -> float:
     return sum_left_to_right(ex_post_utility(rule, i, v_i, bids)) / s.m
 
 
-def ex_post_allocation_reference(tie: Tie, bids) -> np.ndarray:
-    """``auction.ex_post_allocation`` by reductions over the last axis."""
-    b = np.asarray(bids, dtype=float)
-    top = b == b.max(axis=-1, keepdims=True)
-    k = top.sum(axis=-1, keepdims=True)
-    if tie is Tie.NO_ALLOCATION:
-        return (top & (k == 1)).astype(float)
-    return top / k
-
-
 def dense_monotone_hypotheses_reference(n: int, m: int, seed: int):
     """``testkits.dense_monotone_hypotheses`` with one ex post kernel call per own bid."""
     rng = np.random.default_rng(seed)

@@ -17,7 +17,9 @@ from auctionlearn.auction import (
     _bid_axis,
     _bid_masses,
     _leave_one_out_row,
+    _share,
     _tie_dp,
+    _top_bids,
     allocation_probability,
     best_response,
     candidate_allocations,
@@ -44,7 +46,6 @@ from conftest import (
     candidate_allocations_reference,
     leave_one_out_allocations_reference,
     constant,
-    ex_post_allocation_reference,
     interim_by_enumeration,
     interim_utility_exact,
     monotone_best_response_profile,
@@ -118,23 +119,24 @@ def test_batched_kernel_matches_scalar_reference(data):
             assert util[idx] == u
 
 
-# Ties, signed zeros, infinities and NaN.
-EX_POST_BIDS = st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, -np.inf, np.nan]) | st.floats()
+# Finite, nonnegative bids that tie often, -0.0 among them: what strategies bid.
+SHARE_BIDS = st.one_of(QUARTERS, st.just(-0.0), st.floats(0.0, 1.0))
 
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
-def test_column_wise_allocation_matches_last_axis_reference(data):
-    # One bid vector, zero rows, one bidder (..., 1) and stacks of rows, few or many.
+def test_share_of_top_bids_matches_ex_post_allocation(data):
+    # Zero rows, a bidder without opponents, stacks of rows, and own bids that
+    # broadcast a probe axis against the rows.
     tie = data.draw(st.sampled_from(list(Tie)))
-    lead = data.draw(st.sampled_from([(), (0,), (4,), (2, 3), (3, 0)]))
+    lead = data.draw(st.sampled_from([(0,), (4,), (2, 3), (3, 0)]))
     n = data.draw(st.integers(1, 5))
-    bids = data.draw(hnp.arrays(float, lead + (n,), elements=EX_POST_BIDS))
-    if bids.size and data.draw(st.booleans()):
-        # 64 copies of every row per bidder: the column-wise branch.
-        bids = np.tile(bids.reshape(-1, n), (64 * n, 1)).reshape(2, -1, n)
-    with np.errstate(invalid="ignore"):  # a NaN row has no top bid: 0 / 0
-        got, want = ex_post_allocation(tie, bids), ex_post_allocation_reference(tie, bids)
+    probes = data.draw(st.sampled_from([(), (3,)]))
+    own = data.draw(hnp.arrays(float, probes + lead, elements=SHARE_BIDS))
+    opp = data.draw(hnp.arrays(float, lead + (n - 1,), elements=SHARE_BIDS))
+    got = _share(own, *_top_bids(tie, opp))
+    bids = np.concatenate([own[..., None], np.broadcast_to(opp, probes + opp.shape)], axis=-1)
+    want = ex_post_allocation(tie, bids)[..., 0]
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 

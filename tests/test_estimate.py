@@ -41,7 +41,6 @@ from conftest import (
     dense_monotone_hypotheses_reference,
     emp_estimate_reference,
     empp_estimate,
-    ex_post_allocation_reference,
     label_vector_count_reference,
     median_ratio_table,
     permutation_identity_check,
@@ -191,6 +190,21 @@ class TestSupError:
             sup_error(s, FPA_RANDOM, shade_family(f, [0.5]), f, estimator)
         assert counted == []
 
+    @pytest.mark.parametrize("estimator", ["emp", "empp"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_a_profile_of_another_width_raises_first(self, monkeypatch, estimator, width):
+        # Zipped with the marginals, "empp" ignored an extra strategy and paired the
+        # rest with the wrong empirical marginals; too few failed inside numpy.
+        f = ProductDistribution.iid(uniform_on([0.0, 1.0]), 2, 1.0)
+        other = ProductDistribution.iid(uniform_on([0.0, 1.0]), width, 1.0)
+        family = shade_family(f, [0.5]) + shade_family(other, [0.5])
+        s = sample_matrix(f, 8, 0)
+        evals = count_calls(monkeypatch, MonotoneStrategy, "eval")
+        counted = count_calls(monkeypatch, estimate, "empirical_marginals")
+        with pytest.raises(ValueError, match=f"a profile of {width} strategies for 2 marginals"):
+            sup_error(s, FPA_RANDOM, family, f, estimator)
+        assert evals == counted == []
+
     def test_emp_builds_one_bid_matrix_per_profile_and_bidder(self, monkeypatch):
         # A bid matrix is the strategies at each column's atoms, gathered by the index.
         calls = count_calls(monkeypatch, SampleMatrix, "gather")
@@ -244,7 +258,7 @@ def test_sup_error_matches_pushed_reference(data):
 
 
 class TestEmpProbeBlocks:
-    """``emp_estimate`` runs its probes in blocks of BEST_RESPONSE_BLOCK // (m * n)."""
+    """``emp_estimate`` runs its probes in blocks of BEST_RESPONSE_BLOCK // m."""
 
     @pytest.mark.parametrize("rule", [FPA_RANDOM, FPA_NONE, ALLPAY_RANDOM, ALLPAY_NONE])
     def test_several_blocks_match_scalar_reference(self, rule):
@@ -261,15 +275,15 @@ class TestEmpProbeBlocks:
 
     @pytest.mark.parametrize("m,n,probes", [(200, 4, 20), (300, 4, 40), (5000, 2, 7), (1, 1, 5000)])
     def test_one_kernel_call_per_block(self, monkeypatch, m, n, probes):
-        # 200 x 4 samples and 20 probes: 4 calls, where one call per probe made 20.
+        # 300 samples and 40 probes: 4 share calls, where one call per probe made 40.
         f = ProductDistribution.iid(uniform_on([0.0, 0.5, 1.0]), n, 1.0)
         s = sample_matrix(f, m, seed=1)
         values = [k / probes for k in range(probes)]
-        calls = count_calls(monkeypatch, estimate, "ex_post_utility")
+        calls = count_calls(monkeypatch, estimate, "_share")
         emp_estimate(s, FPA_RANDOM, 0, values, shade_family(f, [0.5])[0])
-        assert len(calls) == math.ceil(probes / max(1, BEST_RESPONSE_BLOCK // (m * n)))
+        assert len(calls) == math.ceil(probes / max(1, BEST_RESPONSE_BLOCK // m))
 
-    def test_peak_memory_is_one_probe_of_the_scalar_loop(self, monkeypatch):
+    def test_peak_memory_is_one_probe_of_the_scalar_loop(self):
         # 10^5 x 4 samples take one probe per block.
         # The scalar loop with the last-axis kernel held one bid matrix and one
         # kernel call; the slack is for the probe-length vectors, far below one
@@ -289,7 +303,6 @@ class TestEmpProbeBlocks:
                 tracemalloc.stop()
 
         batched = peak(lambda: emp_estimate(s, FPA_RANDOM, 1, probes, profile))
-        monkeypatch.setattr(auction, "ex_post_allocation", ex_post_allocation_reference)
         scalar = peak(lambda: emp_estimate_reference(s, FPA_RANDOM, 1, probes[-1], profile))
         assert batched <= scalar + 2**16
 
@@ -308,7 +321,7 @@ class TestDenseHypotheses:
 
     def test_one_kernel_call(self, monkeypatch):
         # n = 3, m = 5: one call per own bid made 840.
-        calls = count_calls(monkeypatch, testkits, "ex_post_utility")
+        calls = count_calls(monkeypatch, testkits, "_utility")
         values, _ = dense_monotone_hypotheses(3, 5, seed=0)
         assert len(calls) == 1 and values.shape[1] == 5
 

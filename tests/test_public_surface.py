@@ -185,6 +185,13 @@ def test_one_allocation_kernel():
     assert callers("_tie_dp") == ["auction._leave_one_out_row"]
 
 
+def test_one_opponent_top_per_sample_loop():
+    """Every per-sample loop reads each row's top opponent bid once; the ex post
+    kernel serves only the descending auction and its own utility."""
+    assert callers("_top_bids") == ["estimate.emp_estimate", "testkits.dense_monotone_hypotheses"]
+    assert callers("ex_post_allocation") == ["auction.ex_post_utility", "da.simulate_da"]
+
+
 def _is_zero_set(node) -> bool:
     """A set display that holds the float 0.0, as the seed of a bid axis."""
     return isinstance(node, ast.Set) and any(
