@@ -10,7 +10,6 @@ from .auction import (
     Format,
     Tie,
     best_response,
-    ex_post_allocation,
     ex_post_utility,
     push_forward,
 )

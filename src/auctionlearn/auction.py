@@ -59,20 +59,6 @@ def _utility(fmt: Format, v_i: float, base: float, alloc: float) -> float:
     return alloc * (v_i - base)
 
 
-def ex_post_allocation(tie: Tie, bids) -> np.ndarray:
-    """Every bidder's share of the item at each row of a bid array of shape (..., n).
-
-    The top bid wins; a k-way top tie gives each tied bidder 1/k under random
-    allocation (the expectation over the uniform tie-break) and 0 otherwise.
-    """
-    b = np.asarray(bids, dtype=float)
-    top = b == b.max(axis=-1, keepdims=True)
-    k = top.sum(axis=-1, keepdims=True)
-    if tie is Tie.NO_ALLOCATION:
-        return (top & (k == 1)).astype(float)
-    return top / k
-
-
 def _top_bids(tie: Tie, opp: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """Each row's top bid over the opponent columns of ``opp`` (-inf without any), and
     the share a bid equal to it wins: 1 / (1 + ties) under random allocation, else 0."""
@@ -83,7 +69,7 @@ def _top_bids(tie: Tie, opp: np.ndarray) -> tuple[np.ndarray, np.ndarray | float
 
 def _share(own, top: np.ndarray, tied) -> np.ndarray:
     """The share of the item that each finite bid in ``own`` wins against the rows of
-    :func:`_top_bids`, broadcast: the bits of its column of :func:`ex_post_allocation`."""
+    :func:`_top_bids`, broadcast: 1.0 above the top bid, the tie share at it, 0.0 below."""
     return np.where(own > top, 1.0, np.where(own == top, tied, 0.0))
 
 
@@ -93,12 +79,19 @@ def ex_post_utility(rule: AuctionRule, i: int, v_i, bids):
     ``v_i`` broadcasts against the rows; a 1-D bid vector gives one float.
     Random-allocation ties are returned in expectation over the uniform
     tie-break, i.e. the utility is (v - b) / k for a k-way top tie in a
-    first-price auction.
+    first-price auction. A bid array without a bidder axis, or with a NaN bid,
+    raises ``ValueError``.
     """
     b = np.asarray(bids, dtype=float)
+    if b.ndim == 0:
+        raise ValueError("bids must have a bidder axis")
     if not 0 <= i < b.shape[-1]:
         raise ValueError(f"bidder {i} out of range for {b.shape[-1]} bids")
-    return _utility(rule.format, v_i, b[..., i], ex_post_allocation(rule.tie, b)[..., i])
+    if np.isnan(b).any():
+        raise ValueError("a bid must not be NaN")
+    own = b[..., i]
+    share = _share(own, *_top_bids(rule.tie, np.delete(b, i, axis=-1)))
+    return _utility(rule.format, v_i, own, share)
 
 
 def push_forward(f_j: DiscreteDistribution, s_j: MonotoneStrategy) -> DiscreteDistribution:

@@ -29,10 +29,13 @@ import numpy as np
 
 from .auction import (
     FPA_RANDOM,
+    Format,
     Tie,
     _bid_axis,
     _leave_one_out_row,
-    ex_post_allocation,
+    _share,
+    _top_bids,
+    _utility,
 )
 from .dist import (
     DiscreteDistribution,
@@ -89,7 +92,8 @@ def simulate_da(
         raise ValueError("profile and values must match the instance size")
     claims = [profile[j].beta.eval(values[j]) for j in range(n)]
     price = max(claims)
-    shares = ex_post_allocation(Tie.RANDOM_ALLOCATION, claims)
+    rivals = np.broadcast_to(claims, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    shares = _share(np.array(claims), *_top_bids(Tie.RANDOM_ALLOCATION, rivals))
     winner = int(shares.argmax()) if shares.max() == 1.0 else None
     # A bidder inspects iff the clock reaches her threshold before the sale;
     # at the sale price itself inspections still happen (they precede claims).
@@ -159,9 +163,9 @@ def _best_deviation(inst: SearchInstance, i: int, bases, alloc) -> float:
     maximum of the values x candidates utility matrix at a+'s column. No
     mixture beats its best component.
     """
-    f_i = inst.boxes.marginals[i]
-    u = alloc * (np.array(f_i.atoms)[:, None] - bases)
-    claim = np.array(f_i.weights) @ np.maximum.accumulate(u, axis=1)[:, 1::2]
+    atoms, weights, _ = inst.boxes.marginals[i].arrays
+    u = _utility(Format.FIRST_PRICE, atoms[:, None], bases, alloc)
+    claim = weights @ np.maximum.accumulate(u, axis=1)[:, 1::2]
     return float(np.max(claim - inst.costs[i] * alloc[1::2]))
 
 

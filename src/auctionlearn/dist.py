@@ -256,7 +256,7 @@ class SampleMatrix:
 
     def __init__(self, values) -> None:
         v = np.asarray(values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 1:
+        if v.ndim != 2 or 0 in v.shape:
             raise ValueError("values must be a nonempty 2-D array")
         lo, hi = v.min(initial=0.0), v.max(initial=0.0)  # a NaN value gives NaN
         if not (math.isfinite(lo) and math.isfinite(hi)):

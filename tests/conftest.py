@@ -27,7 +27,6 @@ from auctionlearn.auction import (
     _tie_dp,
     _utility,
     allocation_probability,
-    ex_post_utility,
     push_forward,
 )
 from auctionlearn.da import (
@@ -127,6 +126,31 @@ def sample_matrix_reference(f: ProductDistribution, m: int, seed: int) -> Sample
         for marg in f.marginals
     ]
     return SampleMatrix(np.column_stack(cols))
+
+
+# --- the ex post oracle: every bidder's share from the whole bid row ---------------
+
+
+def ex_post_allocation(tie: Tie, bids) -> np.ndarray:
+    """Every bidder's share of the item at each row of a bid array of shape (..., n).
+
+    The top bid wins; a k-way top tie gives each tied bidder 1/k under random
+    allocation (the expectation over the uniform tie-break) and 0 otherwise.
+    """
+    b = np.asarray(bids, dtype=float)
+    top = b == b.max(axis=-1, keepdims=True)
+    k = top.sum(axis=-1, keepdims=True)
+    if tie is Tie.NO_ALLOCATION:
+        return (top & (k == 1)).astype(float)
+    return top / k
+
+
+def ex_post_utility_reference(rule: AuctionRule, i: int, v_i, bids):
+    """``auction.ex_post_utility`` read from bidder i's column of :func:`ex_post_allocation`."""
+    b = np.asarray(bids, dtype=float)
+    if not 0 <= i < b.shape[-1]:
+        raise ValueError(f"bidder {i} out of range for {b.shape[-1]} bids")
+    return _utility(rule.format, v_i, b[..., i], ex_post_allocation(rule.tie, b)[..., i])
 
 
 # --- the input checks and small kernels as they were before their rewrites -----------
@@ -378,11 +402,11 @@ def emp_estimate_reference(s, rule, i, v_i, profile) -> float:
     """Scalar emp estimate that rebuilds the whole bid matrix for one value."""
     bids = profile.bids(s.values)
     bids[:, i] = profile[i].eval(v_i)
-    return sum_left_to_right(ex_post_utility(rule, i, v_i, bids)) / s.m
+    return sum_left_to_right(ex_post_utility_reference(rule, i, v_i, bids)) / s.m
 
 
 def dense_monotone_hypotheses_reference(n: int, m: int, seed: int):
-    """``testkits.dense_monotone_hypotheses`` with one ex post kernel call per own bid."""
+    """``testkits.dense_monotone_hypotheses`` with one ex post oracle call per own bid."""
     rng = np.random.default_rng(seed)
     rule = FPA_NONE if n == 2 else FPA_RANDOM
     samples = rng.random((m, n - 1))
@@ -396,7 +420,7 @@ def dense_monotone_hypotheses_reference(n: int, m: int, seed: int):
         realized = np.unique(opp_bids)
         for b in np.concatenate(([0.0], realized, realized + 1e-9)):
             bids = np.column_stack([np.full(m, b), opp_bids])
-            rows.append(ex_post_utility(rule, 0, v_grid[:, None], bids))
+            rows.append(ex_post_utility_reference(rule, 0, v_grid[:, None], bids))
     return np.concatenate(rows), witnesses
 
 
@@ -510,7 +534,7 @@ def interim_by_enumeration(rule, v_i, b_i, opp) -> float:
         for atom, weight in combo:
             prob *= weight
             bids.append(atom)
-        total += prob * ex_post_utility(rule, 0, v_i, bids)
+        total += prob * ex_post_utility_reference(rule, 0, v_i, bids)
     return total
 
 
@@ -881,7 +905,7 @@ def ex_ante_utility_fpa(f, profile, i, rule=FPA_RANDOM) -> float:
     """Exact ex ante first-price utility of bidder i under mixed monotone strategies.
 
     Enumerates every joint (value, mixture component) draw and prices each
-    with the batched ex post kernel; this is the oracle side of the
+    with the ex post oracle; this is the oracle side of the
     utility-transfer checks, independent of the interim machinery.
     """
     per_bidder = []
@@ -892,7 +916,7 @@ def ex_ante_utility_fpa(f, profile, i, rule=FPA_RANDOM) -> float:
         )
     draws = np.array(list(itertools.product(*per_bidder)))  # (draw, bidder, field)
     prob = np.prod(draws[:, :, 0], axis=1)
-    return float(prob @ ex_post_utility(rule, i, draws[:, i, 1], draws[:, :, 2]))
+    return float(prob @ ex_post_utility_reference(rule, i, draws[:, i, 1], draws[:, :, 2]))
 
 
 def permutation_identity_check(s, rule, i, v_i, profile) -> tuple[float, float]:
@@ -917,7 +941,7 @@ def permutation_identity_check(s, rule, i, v_i, profile) -> tuple[float, float]:
         bids[..., col] = base[rows[:, k], col]
     # Every permutation averages over the same m rows, so the mean of the
     # per-permutation averages is the mean over all of them.
-    emp = float(np.mean(ex_post_utility(rule, i, v_i, bids)))
+    emp = float(np.mean(ex_post_utility_reference(rule, i, v_i, bids)))
     return emp, empp_estimate(s, rule, i, v_i, profile)
 
 

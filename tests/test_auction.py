@@ -23,17 +23,19 @@ from auctionlearn.auction import (
     allocation_probability,
     best_response,
     candidate_allocations,
-    ex_post_allocation,
     ex_post_utility,
     push_forward,
 )
+from auctionlearn.da import DAPureStrategy, simulate_da
 from auctionlearn.dist import (
     DiscreteDistribution,
     cdf_of_max,
     make_discrete,
+    product_of,
     uniform_on,
 )
 from auctionlearn.equilibrium import uniform_bid_grid
+from auctionlearn.pandora import SearchInstance
 from auctionlearn.strategy import MonotoneStrategy, shade
 
 from conftest import (
@@ -46,6 +48,7 @@ from conftest import (
     candidate_allocations_reference,
     leave_one_out_allocations_reference,
     constant,
+    ex_post_allocation,
     interim_by_enumeration,
     interim_utility_exact,
     monotone_best_response_profile,
@@ -72,6 +75,14 @@ class TestExPost:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="bidder 2 out of range for 2 bids"):
             ex_post_utility(FPA_RANDOM, 2, 1.0, [0.1, 0.2])
+
+    @pytest.mark.parametrize("bids", [0.5, [0.3, math.nan], [[math.nan, 0.3], [0.1, 0.2]]])
+    def test_scalar_and_nan_bids_raise_value_error(self, bids):
+        # A NaN rival bid would otherwise compare below every own bid, a silent 0.0.
+        match = "a bid must not be NaN" if np.ndim(bids) else "bids must have a bidder axis"
+        for rule in (FPA_RANDOM, ALLPAY_NONE):
+            with pytest.raises(ValueError, match=match):
+                ex_post_utility(rule, 0, 1.0, bids)
 
     def test_one_float_per_bid_vector(self):
         u = ex_post_utility(FPA_RANDOM, 1, 0.8, [0.1, 0.2])
@@ -139,15 +150,34 @@ def test_share_of_top_bids_matches_ex_post_allocation(data):
     want = ex_post_allocation(tie, bids)[..., 0]
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    # simulate_da reads its shares from the same two kernels, one claims row per
+    # call: without costs, and with every value 1.0 above the price, its
+    # utilities are its shares.
+    claims = data.draw(st.lists(st.one_of(QUARTERS, st.just(-0.0)), min_size=n, max_size=n))
+    price = max(claims)
+    inst = SearchInstance(product_of([point_mass(1.0)] * n, 2.0), (0.0,) * n)
+    profile = [DAPureStrategy(1.0, MonotoneStrategy(((0.0, c),))) for c in claims]
+    out = simulate_da(inst, profile, [price + 1.0] * n)
+    want = ex_post_allocation(Tie.RANDOM_ALLOCATION, claims)
+    assert np.array(out.utilities).tobytes() == want.tobytes()
+    assert out.winner == (None if claims.count(price) > 1 else claims.index(price))
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0,), (0, 0)])
 def test_allocation_without_bidders_raises_value_error(shape):
+    with pytest.raises(ValueError, match="bidder 0 out of range for 0 bids"):
+        ex_post_utility(FPA_RANDOM, 0, 1.0, np.zeros(shape))
+
+
+# The ex post oracle of tests/conftest.py on the shapes at its edges: a bid
+# array without bidders, and a scalar bid, one bidder alone.
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0,), (0, 0)])
+def test_ex_post_oracle_without_bidders_raises_value_error(shape):
     for tie in Tie:
         with pytest.raises(ValueError):
             ex_post_allocation(tie, np.zeros(shape))
-    with pytest.raises(ValueError):
-        ex_post_utility(FPA_RANDOM, 0, 1.0, np.zeros(shape))
 
 
 def test_scalar_bid_is_one_bidder_alone():

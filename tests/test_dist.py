@@ -277,6 +277,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="finite"):
             SampleMatrix(np.array([[bad, 0.5], [0.2, 0.5]]))
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0), (3,)])
+    def test_an_empty_or_flat_matrix_is_no_sample(self, shape):
+        # Zero columns would construct, and then fail in rows() and truncated().
+        with pytest.raises(ValueError, match="values must be a nonempty 2-D array"):
+            SampleMatrix(np.zeros(shape))
+
     def test_immutable(self):
         f = ProductDistribution.iid(uniform_on([0.0, 1.0]), 1, 1.0)
         s = sample_matrix(f, 3, seed=0)

@@ -11,8 +11,11 @@ so a second allocation kernel is a visible edit, ``equilibrium._certify`` is
 the one gap computation, and ``auction._bid_axis`` is the one builder of a bid
 axis (``test_one_bid_axis_builder``). ``auction._argmax_picks`` is the one argmax,
 called only by ``best_response``, ``_certify`` and the solver's search, and
-``dist.cdf_of_max`` serves only the Pandora search. Every private module-level
-function in ``src/`` has a caller there.
+``dist.cdf_of_max`` serves only the Pandora search. ``auction._top_bids`` with
+``auction._share`` is the one ex post share, of ``ex_post_utility``, ``simulate_da``
+and both per-sample loops; the whole-row ``ex_post_allocation`` is an oracle in
+``tests/conftest.py`` (``test_one_opponent_top_per_sample_loop``). Every private
+module-level function in ``src/`` has a caller there.
 """
 
 import ast
@@ -186,10 +189,16 @@ def test_one_allocation_kernel():
 
 
 def test_one_opponent_top_per_sample_loop():
-    """Every per-sample loop reads each row's top opponent bid once; the ex post
-    kernel serves only the descending auction and its own utility."""
-    assert callers("_top_bids") == ["estimate.emp_estimate", "testkits.dense_monotone_hypotheses"]
-    assert callers("ex_post_allocation") == ["auction.ex_post_utility", "da.simulate_da"]
+    """Every ex post share in src/ is read from each row's top opponent bid; no src/
+    module defines or imports the whole-row ex post kernel, the tests' oracle."""
+    users = [
+        "auction.ex_post_utility",
+        "da.simulate_da",
+        "estimate.emp_estimate",
+        "testkits.dense_monotone_hypotheses",
+    ]
+    assert callers("_top_bids") == users
+    assert statements(lambda node: getattr(node, "name", None) == "ex_post_allocation") == []
 
 
 def _is_zero_set(node) -> bool:
