@@ -22,6 +22,9 @@ import numpy as np
 # Tolerance for "weights sum to 1"; inputs are renormalized on construction.
 WEIGHT_TOL = 1e-12
 
+# Rows per block when drawing and counting a sample: every m-sized temporary is one block.
+SAMPLE_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
@@ -235,10 +238,11 @@ def product_of(
 
 def _index(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A column's sorted distinct values, each the first of its run as ``np.unique`` keeps it
-    (so of a -0.0/0.0 pair, ``np.unique``'s zero), and every row's int32 index among them."""
+    (so of a -0.0/0.0 pair, ``np.unique``'s zero), and every row's index among them in the
+    narrowest unsigned type that holds it."""
     aux = np.sort(col)
     atoms = aux[np.concatenate(([True], aux[1:] != aux[:-1]))]
-    return atoms, atoms.searchsorted(col).astype(np.int32)
+    return atoms, atoms.searchsorted(col).astype(np.min_scalar_type(len(atoms) - 1))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -246,8 +250,9 @@ class SampleMatrix:
     """m x n matrix of sampled value profiles; row j is one joint sample.
 
     A sample is, per column, sorted atoms (the distinct given values, or a draw's marginal's
-    atoms) and every row's int32 index among them (:attr:`columns`). :attr:`values` is gathered
-    from them on first read, once, into a read-only array that owns its memory.
+    atoms) and every row's index among them (:attr:`columns`), in the narrowest unsigned type
+    that holds it: one byte a value up to 256 atoms. :attr:`values` is gathered from them on
+    first read, once, into a read-only array that owns its memory.
     """
 
     m: int
@@ -313,8 +318,14 @@ def sample_matrix(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:
     #{c <= u} unchanged, and that index is nondecreasing in u. Hence on a bucket
     [k, k + 1) of u * B whose two ends have the same index, that index is the
     draw's, and only draws in a bucket across a step of c * B are searched.
-    The sample keeps the marginal's atoms and the int32 draw indices.
+    The uniforms come in blocks of :data:`SAMPLE_BLOCK` rows, which continue one
+    ``Generator.random`` stream, into the column's preallocated index of the
+    narrowest unsigned type; the sample keeps the marginal's atoms and that index.
+    ``m`` is any integer >= 1 (not a bool); anything else raises ``ValueError``.
     """
+    if isinstance(m, bool) or not hasattr(type(m), "__index__"):
+        raise ValueError(f"m must be an integer, got {m!r:.40}")
+    m = operator.index(m)
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
@@ -325,14 +336,19 @@ def sample_matrix(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:
         # About 16 buckets per atom, so that few hold a step, and not many more than draws.
         scale = 1 << (min(max(16 * len(cdf), 256), m) - 1).bit_length()
         cdf *= scale
-        edges = cdf.searchsorted(np.arange(scale + 1.0), "right").astype(np.int32)
-        u = rng.random(m)
-        u *= scale
-        bucket = u.astype(np.int32)
-        idx = edges.take(bucket)
-        steps = np.flatnonzero((edges[:-1] != edges[1:]).take(bucket))
-        idx[steps] = cdf.searchsorted(u[steps], "right")
-        columns.append((marg.arrays[0], idx))
+        # Bucket k < B of u * B starts at index #{c <= k} < len(cdf), as c[-1] == B.
+        edges = cdf.searchsorted(np.arange(scale + 1.0), "right")
+        index = np.empty(m, np.min_scalar_type(len(cdf) - 1))
+        starts, steps = edges[:-1].astype(index.dtype), edges[:-1] != edges[1:]
+        for lo in range(0, m, SAMPLE_BLOCK):
+            u = rng.random(min(SAMPLE_BLOCK, m - lo))
+            u *= scale
+            bucket = u.astype(np.int32)
+            block = index[lo : lo + len(u)]
+            starts.take(bucket, out=block)
+            at = np.flatnonzero(steps.take(bucket))
+            block[at] = cdf.searchsorted(u[at], "right")
+        columns.append((marg.arrays[0], index))
     return SampleMatrix._of_columns(tuple(columns))
 
 
@@ -341,11 +357,14 @@ def empirical_marginals(s: SampleMatrix, h: float) -> ProductDistribution:
 
     A column's atoms are its distinct values, with weights count / m divided by
     their left-to-right sum: the bits :func:`make_discrete` gives, without its merge.
-    The counts are one ``bincount`` of the column's index; atoms never drawn drop out.
+    The counts add one ``bincount`` per :data:`SAMPLE_BLOCK` rows of the column's
+    index (exact integer sums); atoms never drawn drop out.
     """
     marginals = []
     for atoms, index in s.columns:
-        counts = np.bincount(index, minlength=len(atoms))
+        counts = np.zeros(len(atoms), np.intp)
+        for lo in range(0, s.m, SAMPLE_BLOCK):
+            counts += np.bincount(index[lo : lo + SAMPLE_BLOCK], minlength=len(atoms))
         drawn = counts > 0
         w = counts[drawn] / s.m
         w /= w.cumsum()[-1]

@@ -171,7 +171,9 @@ def label_vector_count(hypothesis_values: np.ndarray, witnesses: Sequence[float]
     """Number of distinct sign vectors sgn(h(x_j) - r_j) over the hypothesis rows.
 
     sgn(0) counts as -1 (the closed lower branch), so the count is well
-    defined even when a hypothesis value hits its witness exactly.
+    defined even when a hypothesis value hits its witness exactly. The signs
+    are packed from ``h > r``, which is ``h - r > 0`` for every pair of doubles
+    (infinities and NaN too) without a float copy of the rows.
     """
     hv = np.asarray(hypothesis_values, dtype=float)
     r = np.asarray(witnesses, dtype=float)
@@ -179,11 +181,14 @@ def label_vector_count(hypothesis_values: np.ndarray, witnesses: Sequence[float]
         raise ValueError("hypothesis_values must be |family| x len(witnesses)")
     if r.shape[0] == 0:
         return min(len(hv), 1)  # every row has the empty sign vector
-    # Each sign row packed to bytes, padded to whole 8-byte words and read as
-    # integers; sorted, a row is new where it differs from the one before it.
-    packed = np.packbits(hv - r > 0, axis=1)
-    words = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), np.uint8)
-    words[:, : packed.shape[1]] = packed
-    rows = words.view(np.uint64)
-    rows = rows[np.lexsort(rows.T)]
+    # Each sign row packed to bytes, padded to one 1-, 2-, 4- or 8-byte word, or to
+    # whole 8-byte words past that, and read as integers; sorted (lexsorted for many
+    # words), a row is new where it differs from the one before it.
+    packed = np.packbits(hv > r, axis=1)
+    size = packed.shape[1]
+    word = 1 << (size - 1).bit_length() if size <= 8 else 8
+    if size % word:
+        packed = np.pad(packed, ((0, 0), (0, word - size % word)))
+    rows = packed.view(f"u{word}")
+    rows = np.sort(rows, axis=0) if rows.shape[1] == 1 else rows[np.lexsort(rows.T)]
     return min(len(rows), 1) + int((rows[1:] != rows[:-1]).any(axis=1).sum())

@@ -287,7 +287,7 @@ def indented_reference(obj, nl: str) -> str:
 
 
 def sample_matrix_take_reference(f: ProductDistribution, m: int, seed: int) -> SampleMatrix:
-    """``dist.sample_matrix`` gathering atoms with ``.take`` on the int32 indices."""
+    """``dist.sample_matrix`` gathering atoms with ``.take`` on the indices."""
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)

@@ -266,6 +266,42 @@ class TestSampling:
         got = sample_matrix(f, m, seed=k).values
         assert np.array_equal(got, sample_matrix_reference(f, m, seed=k).values)
 
+    def test_any_integer_m_draws_and_anything_else_is_refused(self):
+        # A numpy integer, as a sweep over np.geomspace(...).astype(int) gives, is an m.
+        f = ProductDistribution.iid(uniform_on([0.0, 0.5, 1.0]), 2, 1.0)
+        want = sample_matrix(f, 3, seed=0).values
+        for m in (np.int64(3), np.uint8(3)):
+            assert sample_matrix(f, m, seed=0).values.tobytes() == want.tobytes()
+        for bad in (3.0, np.float64(3.0), True, np.True_, "3", None):
+            with pytest.raises(ValueError, match="m must be an integer"):
+                sample_matrix(f, bad, seed=0)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            sample_matrix(f, np.int64(0), seed=0)
+
+    # m = B - 1, B, B + 1 and 2B + 7 rows of B = SAMPLE_BLOCK; 256 atoms are the most a
+    # one-byte index holds, and 257 take two bytes.
+    @pytest.mark.parametrize(
+        "blocks, offset", [(1, -1), (1, 0), (1, 1), (2, 7)], ids=["B-1", "B", "B+1", "2B+7"]
+    )
+    def test_same_draws_as_choice_across_blocks(self, blocks, offset):
+        m = blocks * dist.SAMPLE_BLOCK + offset
+        rng = np.random.default_rng(m)
+        marginals = [
+            point_mass(0.5),
+            make_discrete(rng.random(100).tolist(), (rng.random(100) + 0.01).tolist()),
+            uniform_on(range(256)),
+            make_discrete(list(range(257)), (rng.random(257) ** 4 + 1e-6).tolist()),
+        ]
+        s = sample_matrix(product_of(marginals), m, seed=m)
+        want = sample_matrix_reference(product_of(marginals), m, seed=m)
+        assert s.values.tobytes() == want.values.tobytes()
+        dtypes = [index.dtype for _, index in s.columns]
+        assert dtypes == [np.uint8, np.uint8, np.uint8, np.uint16]
+        got, want = empirical_marginals(s, 256.0), empirical_marginals_reference(s, 256.0)
+        assert got == want
+        for g, w in zip(got.marginals, want.marginals):
+            assert np.array(g.weights).tobytes() == np.array(w.weights).tobytes()
+
     def test_law_of_large_numbers(self):
         # column means of Bernoulli(1/2)^n at m = 1e5: 6 sigma is ~0.0095 < 0.01
         f = ProductDistribution.iid(uniform_on([0.0, 1.0]), 3, 1.0)
@@ -299,8 +335,8 @@ def signed_zero_marginals(draw) -> DiscreteDistribution:
 
 
 class TestSampleIndex:
-    """A sample is, per column, sorted atoms and an int32 index for every row;
-    ``values`` is gathered from them once, on first read."""
+    """A sample is, per column, sorted atoms and an index for every row, of the
+    narrowest unsigned type; ``values`` is gathered from them once, on first read."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -312,7 +348,7 @@ class TestSampleIndex:
         # Up to 31 atoms over as few as one draw: many atoms are never drawn.
         s = sample_matrix(product_of(marginals), m, seed)
         for (atoms, index), col in zip(s.columns, s.values.T):
-            assert index.dtype == np.int32
+            assert index.dtype == np.min_scalar_type(len(atoms) - 1)
             counts = np.bincount(index, minlength=len(atoms))
             want_atoms, want_counts = np.unique(col, return_counts=True)
             assert atoms[counts > 0].tobytes() == want_atoms.tobytes()
@@ -409,6 +445,32 @@ class TestSampleIndex:
         finally:
             tracemalloc.stop()
         assert held < 5 * s.m * s.n
+
+    def test_a_drawn_sample_of_few_atoms_holds_under_two_bytes_per_value(self):
+        # 10^5 x 4 draws over 256 atoms: a one-byte index a value.
+        f = ProductDistribution.iid(uniform_on(range(256)), 4, 255.0)
+        empirical_marginals(sample_matrix(f, 1, seed=0), 255.0)  # numpy's one-time setup
+        tracemalloc.start()
+        try:
+            s = sample_matrix(f, 10**5, seed=1)
+            empirical_marginals(s, 255.0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * s.m * s.n
+
+    def test_drawing_and_counting_peak_near_what_the_sample_holds(self):
+        # 10^6 x 2 draws: the float uniforms, buckets and counts live one block at a time.
+        f = ProductDistribution.iid(uniform_on([k / 99 for k in range(100)]), 2, 1.0)
+        empirical_marginals(sample_matrix(f, 1, seed=0), 1.0)  # numpy's one-time setup
+        tracemalloc.start()
+        try:
+            s = sample_matrix(f, 10**6, seed=1)
+            empirical_marginals(s, 1.0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < held + 2 * 2**20
 
 
 class TestEmpiricalMarginals:

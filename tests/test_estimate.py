@@ -381,7 +381,7 @@ class TestLabelVectorCount:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_unpacked_reference(self, data):
-        width = data.draw(st.sampled_from([0, 1, 7, 8, 9, 70]))
+        width = data.draw(st.sampled_from([0, 1, 7, 8, 9, 16, 17, 32, 33, 70]))
         pool = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 4)), width), elements=QUARTERS))
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
         values = pool[picks]  # repeated rows, and values equal to their witness
@@ -397,7 +397,7 @@ class TestLabelVectorCount:
         # all: sorted as integers, the distinct rows are the set of sign tuples.
         # The rows are one row with a few entries changed, so two rows may differ
         # in one word alone.
-        width = data.draw(st.sampled_from([0, 1, 5, 8, 9, 64, 65, 130]))
+        width = data.draw(st.sampled_from([0, 1, 5, 8, 9, 16, 17, 32, 33, 64, 65, 130]))
         pool = np.tile(data.draw(hnp.arrays(float, (width,), elements=QUARTERS)), (4, 1))
         for row in pool if width else ():
             for col in data.draw(st.lists(st.integers(0, width - 1), max_size=2)):
@@ -407,6 +407,21 @@ class TestLabelVectorCount:
         witnesses = data.draw(hnp.arrays(float, (width,), elements=QUARTERS))
         signs = {tuple(v > r for v, r in zip(row, witnesses.tolist())) for row in values.tolist()}
         assert label_vector_count(values, witnesses) == len(signs)
+
+    def test_peak_memory_is_under_a_quarter_of_the_rows(self):
+        # 2^16 rows of 5 values: the signs take a byte each before packing, and no
+        # float copy of the rows is made.
+        values = np.random.default_rng(0).random((2**16, 5))
+        witnesses = [0.5] * 5
+        label_vector_count(values[:2], witnesses)  # numpy's one-time setup
+        tracemalloc.start()
+        try:
+            count = label_vector_count(values, witnesses)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 32
+        assert peak < values.nbytes / 4
 
     @pytest.mark.parametrize("m", [3, 4, 6])
     def test_two_bidder_quadratic_bound(self, m):
