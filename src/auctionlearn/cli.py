@@ -14,14 +14,15 @@ import json
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import click
 
 from .auction import AuctionRule, Format, Tie
 from .da import empirical_pipeline
-from .dist import ProductDistribution, json_numbers, load_instance, sample_matrix
+from .dist import ProductDistribution, json_numbers, sample_matrix
 from .equilibrium import solve_bne, uniform_bid_grid, verify_bne
-from .estimate import label_vector_count, shade_family, sup_error_sweep
+from .estimate import SWEEP_COLUMNS, label_vector_count, shade_family, sup_error_sweep
 from .lowerbound import distinguisher_trials
 from .pandora import SearchInstance, opt_welfare, pandora_from_samples
 from .strategy import StrategyProfile
@@ -48,6 +49,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _csv_text(header, rows) -> str:
+    """The header and rows as CSV; ``csv`` writes a Python float as its shortest ``repr``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -93,9 +95,14 @@ def _indented(obj, nl: str) -> str:
     return "[" + inner + ("," + inner).join(_indented(v, inner) for v in obj) + nl + "]"
 
 
-def _load_costs(path) -> tuple[ProductDistribution, list[float]]:
+def _read_json(path):
+    """The JSON value in the file at ``path``: the one way the CLI reads a file."""
     with open(path) as fh:
-        obj = json.load(fh)
+        return json.load(fh)
+
+
+def _load_costs(path) -> tuple[ProductDistribution, list[float]]:
+    obj = _read_json(path)
     f = ProductDistribution.from_json(obj)
     if "costs" not in obj:
         raise ValueError("instance file needs a 'costs' field for this command")
@@ -120,9 +127,8 @@ def cli() -> None:
 @click.option("--out", type=click.Path(), default=None)
 def verify_bne_cmd(instance, profile_path, fmt, tie, out):
     """Exactly certify the epsilon of a strategy profile."""
-    f = load_instance(instance)
-    with open(profile_path) as fh:
-        profile = StrategyProfile.from_json(json.load(fh))
+    f = ProductDistribution.from_json(_read_json(instance))
+    profile = StrategyProfile.from_json(_read_json(profile_path))
     cert = verify_bne(_rule(fmt, tie), f, profile)
     _emit(_json_text(cert.to_json()), out)
 
@@ -138,7 +144,7 @@ def verify_bne_cmd(instance, profile_path, fmt, tie, out):
 @click.option("--out", type=click.Path(), default=None)
 def solve_bne_cmd(instance, grid_step, max_iters, damping, seed, fmt, tie, out):
     """Search for an approximate equilibrium; output the best certified profile."""
-    f = load_instance(instance)
+    f = ProductDistribution.from_json(_read_json(instance))
     profile, cert = solve_bne(
         _rule(fmt, tie), f, uniform_bid_grid(f.h, grid_step), max_iters=max_iters,
         damping=damping, seed=child_seed(seed, "solve-bne"),
@@ -158,22 +164,12 @@ def solve_bne_cmd(instance, grid_step, max_iters, damping, seed, fmt, tie, out):
 def estimate_cmd(instance, m, seeds, seed, estimator, fmt, tie, out):
     """Sup estimation error of the linear-shading family, one CSV row per seed."""
     _check_seeds(seeds)
-    f = load_instance(instance)
+    f = ProductDistribution.from_json(_read_json(instance))
     profiles = shade_family(f, [k / 10 for k in range(11)])
     rows = sup_error_sweep(
         f, _rule(fmt, tie), profiles, [m], seeds, child_seed(seed, "estimate"), estimator
     )
-    _emit(
-        _csv_text(
-            ["estimator", "m", "seed", "sup_error", "argmax_bidder", "argmax_value", "profile_id"],
-            [
-                [r["estimator"], r["m"], r["seed"], repr(r["sup_error"]),
-                 r["argmax_bidder"], repr(r["argmax_value"]), r["profile_id"]]
-                for r in rows
-            ],
-        ),
-        out,
-    )
+    _emit(_csv_text(SWEEP_COLUMNS, map(itemgetter(*SWEEP_COLUMNS), rows)), out)
 
 
 @cli.command("pandora")
@@ -194,7 +190,7 @@ def pandora_cmd(instance, m, seeds, seed, trunc_eps, out):
         learned = pandora_from_samples(s, costs, f, trunc_eps)
         if optimal is None:  # after the first seed's checks: --seeds 0 accepts any costs
             optimal = opt_welfare(SearchInstance(f, tuple(costs)))
-        rows.append([m, base + k, repr(learned), repr(optimal), repr(optimal - learned)])
+        rows.append([m, base + k, learned, optimal, optimal - learned])
     _emit(_csv_text(["m", "seed", "learned_payoff", "optimal_payoff", "regret"], rows), out)
 
 
@@ -212,21 +208,16 @@ def da_experiment_cmd(instance, m, seeds, seed, grid_step, out_format, out):
     f, costs = _load_costs(instance)
     base = child_seed(seed, "da-experiment")
     solver_seed = child_seed(seed, "da-solver")
-    reports = []
+    records = []
     for k in range(seeds):
-        s = sample_matrix(f, m, base + k)
-        reports.append((base + k, empirical_pipeline(s, costs, f, grid_step, solver_seed)))
+        rep = empirical_pipeline(sample_matrix(f, m, base + k), costs, f, grid_step, solver_seed)
+        records.append(dict(seed=base + k, **rep.to_json()))
     if out_format == "json":
-        _emit(_json_text([dict(seed=sd, **rep.to_json()) for sd, rep in reports]), out)
+        _emit(_json_text(records), out)
     else:
-        header = ["seed", "eps_fpa", "empp_sup_error", "da_gap", "welfare", "opt",
-                  "poa_bound", "cost_err"]
-        rows = [
-            [sd, repr(r.eps_fpa), repr(r.empp_sup_error), repr(r.da_gap), repr(r.welfare),
-             repr(r.opt), repr(r.poa_bound), repr(r.cost_err)]
-            for sd, r in reports
-        ]
-        _emit(_csv_text(header, rows), out)
+        header = ("seed", "eps_fpa", "empp_sup_error", "da_gap", "welfare", "opt", "poa_bound",
+                  "cost_err")
+        _emit(_csv_text(header, map(itemgetter(*header), records)), out)
 
 
 @cli.command("lowerbound")
@@ -239,7 +230,7 @@ def da_experiment_cmd(instance, m, seeds, seed, grid_step, out_format, out):
 def lowerbound_cmd(n, eps, m, trials, seed, out):
     """Recovery fractions of the distinguisher, one CSV row per trial."""
     scores = distinguisher_trials(n, eps, m, trials, child_seed(seed, "lowerbound"))
-    rows = [[n, repr(eps), m, t, repr(float(sc))] for t, sc in enumerate(scores)]
+    rows = [[n, eps, m, t, sc] for t, sc in enumerate(scores.tolist())]
     _emit(_csv_text(["n", "eps", "m", "trial", "recovery_fraction"], rows), out)
 
 

@@ -6,7 +6,6 @@ expectations are finite sums, and sampling is a pure function of a seed.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import sys
@@ -370,8 +369,3 @@ def empirical_marginals(s: SampleMatrix, h: float) -> ProductDistribution:
         w /= w.cumsum()[-1]
         marginals.append(DiscreteDistribution(tuple(atoms[drawn].tolist()), tuple(w.tolist())))
     return ProductDistribution(tuple(marginals), float(h))
-
-
-def load_instance(path) -> ProductDistribution:
-    with open(path) as fh:
-        return ProductDistribution.from_json(json.load(fh))

@@ -39,6 +39,11 @@ from .strategy import StrategyProfile, shade
 # A strategy family is just a finite list of profiles.
 StrategyFamily = Sequence[StrategyProfile]
 
+# The keys of a :func:`sup_error_sweep` record, in the order of the ``estimate`` CSV.
+SWEEP_COLUMNS = (
+    "estimator", "m", "seed", "sup_error", "argmax_bidder", "argmax_value", "profile_id",
+)
+
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -153,17 +158,9 @@ def sup_error_sweep(
         for k in range(n_seeds):
             seed = base_seed + k
             rep = sup_error(sample_matrix(f, m, seed), rule, family, f, estimator)
-            rows.append(
-                {
-                    "estimator": estimator,
-                    "m": m,
-                    "seed": seed,
-                    "sup_error": rep.sup_error,
-                    "argmax_bidder": rep.argmax[1],
-                    "argmax_value": rep.argmax[2],
-                    "profile_id": rep.argmax[0],
-                }
-            )
+            p_idx, bidder, value = rep.argmax
+            row = (estimator, m, seed, rep.sup_error, bidder, value, p_idx)
+            rows.append(dict(zip(SWEEP_COLUMNS, row)))
     return rows
 
 

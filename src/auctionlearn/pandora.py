@@ -130,8 +130,6 @@ def policy_payoff_exact(inst: SearchInstance, p: IndexPolicy) -> float:
     if p.indices[order[0]] < 0:
         return 0.0
     opened = order[: _effective_prefix(p, order)]
-    if not opened:
-        return 0.0
     support = np.array(sorted({a for i in opened for a in inst.boxes.marginals[i].atoms}))
     # With -inf in front, best[j] is P(best so far < support[j]).
     points = np.concatenate(([-np.inf], support))

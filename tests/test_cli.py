@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlearn.cli import _indented, _json_text, child_seed, main
+from auctionlearn.estimate import SWEEP_COLUMNS
 from conftest import indented_reference
 from test_bench_bytes import workloads
 
@@ -289,6 +290,62 @@ def test_lowerbound_rows(tmp_path):
     )
     assert code == 0
     assert len(out.read_text().strip().splitlines()) == 8
+
+
+def _plain_cell(cell: str) -> bool:
+    """An int, the estimator's name, or a float written as its shortest round-trip repr."""
+    if cell in ("emp", "empp"):
+        return True
+    with contextlib.suppress(ValueError):
+        return str(int(cell)) == cell
+    with contextlib.suppress(ValueError):
+        return repr(float(cell)) == cell
+    return False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--m", "40", "--seeds", "2", "--estimator", "emp"],
+        ["estimate", "--m", "40", "--seeds", "2", "--auction", "all-pay"],
+        ["pandora", "--m", "40", "--seeds", "2"],
+        ["da-experiment", "--m", "20", "--seeds", "2", "--grid-step", "0.25", "--format", "csv"],
+        ["lowerbound", "--n", "2", "--eps", "0.1", "--m", "20", "--trials", "3"],
+        ["lowerbound", "--n", "4", "--eps", "0.05", "--m", "20", "--trials", "3"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_csv_cells_are_plain_python_scalars(argv, instance_file, tmp_path):
+    """Every cell is the text ``csv`` writes for a Python int or float, or a name:
+    no numpy repr such as ``np.float64(...)`` and no fixed-width number format."""
+    if argv[0] != "lowerbound":
+        argv = [argv[0], "--instance", instance_file, *argv[1:]]
+    out = tmp_path / "table.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert len(rows) >= 2
+    cells = [cell for row in rows for cell in row.split(",")]
+    assert len(cells) == len(rows) * len(header.split(","))
+    assert [cell for cell in cells if not _plain_cell(cell)] == []
+
+
+def test_da_experiment_csv_cells_are_its_json_records(instance_file, tmp_path):
+    # Both formats read one list of records; a CSV float keeps every bit of its value.
+    argv = ["da-experiment", "--instance", instance_file, "--m", "20", "--seeds", "2",
+            "--grid-step", "0.25"]
+    csv_out, json_out = tmp_path / "da.csv", tmp_path / "da.json"
+    assert main([*argv, "--format", "csv", "--out", str(csv_out)]) == 0
+    assert main([*argv, "--out", str(json_out)]) == 0
+    header, *rows = [line.split(",") for line in csv_out.read_text().splitlines()]
+    records = json.loads(json_out.read_text())
+    assert rows == [[repr(r[k]) for k in header] for r in records]
+
+
+def test_estimate_header_is_the_sweep_columns(instance_file, tmp_path):
+    out = tmp_path / "est.csv"
+    assert main(["estimate", "--instance", instance_file, "--m", "40", "--seeds", "0",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == ",".join(SWEEP_COLUMNS) + "\n"
 
 
 def test_pdim_check(tmp_path):

@@ -25,6 +25,7 @@ from auctionlearn.dist import (
     uniform_on,
 )
 from auctionlearn.estimate import (
+    SWEEP_COLUMNS,
     _probe_values,
     emp_estimate,
     label_vector_count,
@@ -177,6 +178,17 @@ class TestSupError:
             sup_error(sample_matrix(f, 4, seed=0), FPA_RANDOM, [], f, estimator)
         with pytest.raises(ValueError, match="strategy family is empty"):
             sup_error_sweep(f, FPA_RANDOM, [], [4], 2, 0, estimator)
+
+    @pytest.mark.parametrize("estimator", ["emp", "empp"])
+    def test_sweep_records_are_the_columns_of_python_scalars(self, estimator):
+        # The ``estimate`` CSV writes these values as they are, in this key order.
+        f = ProductDistribution.iid(uniform_on([0.0, 0.25, 0.5, 1.0]), 2, 1.0)
+        fam = shade_family(f, [0.5, 1.0])
+        rows = sup_error_sweep(f, FPA_RANDOM, fam, [8, 30], 2, 5, estimator)
+        assert [tuple(r) for r in rows] == [SWEEP_COLUMNS] * 4
+        types = [str, int, int, float, int, float, int]
+        assert [list(map(type, r.values())) for r in rows] == [types] * 4
+        assert [(r["m"], r["seed"]) for r in rows] == [(8, 5), (8, 6), (30, 5), (30, 6)]
 
     @pytest.mark.parametrize("estimator", ["emp", "empp"])
     @pytest.mark.parametrize("width", [1, 3])

@@ -104,6 +104,14 @@ class TestPayoffExact:
         inst = SearchInstance(product_of([BERNOULLI], 1.0), (0.25,))
         assert policy_payoff_exact(inst, IndexPolicy((-1.0,), (0.25,), math.inf)) == 0.0
 
+    def test_budget_below_first_cost_opens_nothing(self):
+        # The budget stops the run before its first box: no stage, a payoff of exactly 0.0.
+        inst = SearchInstance(product_of([BERNOULLI, BERNOULLI], 1.0), (0.25, 0.1))
+        policy = IndexPolicy((0.75, 0.5), inst.costs, 0.2)
+        assert _effective_prefix(policy, policy.order()) == 0
+        payoff = policy_payoff_exact(inst, policy)
+        assert type(payoff) is float and payoff == 0.0 and math.copysign(1.0, payoff) == 1.0
+
     def test_matches_brute_force(self, rng):
         for _ in range(60):
             inst = random_search_instance(rng)

@@ -15,7 +15,8 @@ called only by ``best_response``, ``_certify`` and the solver's search, and
 ``auction._share`` is the one ex post share, of ``ex_post_utility``, ``simulate_da``
 and both per-sample loops; the whole-row ``ex_post_allocation`` is an oracle in
 ``tests/conftest.py`` (``test_one_opponent_top_per_sample_loop``). Every private
-module-level function in ``src/`` has a caller there.
+module-level function in ``src/`` has a caller there. ``cli._read_json`` is the one
+file reader of ``src/``, and ``dist`` opens no file (``test_one_file_reader``).
 """
 
 import ast
@@ -235,6 +236,24 @@ def test_one_certifier():
     rows = ["equilibrium._certify", "equilibrium._search_bne"]
     assert callers("_leave_one_out_row", "equilibrium") == rows
     assert callers("BNECertificate", "equilibrium") == ["equilibrium._certificate"]
+
+
+def _opens_to_read(node) -> bool:
+    """An ``open(...)`` call that may read: it gives no mode, a mode with ``r`` or
+    ``+``, or a mode that is no literal."""
+    if not (isinstance(node, ast.Call) and _name(node) == "open"):
+        return False
+    modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+    if not modes or not isinstance(modes[0], ast.Constant):
+        return True
+    return bool(set(modes[0].value) & set("r+"))
+
+
+def test_one_file_reader():
+    """Every input file of the CLI is read by ``cli._read_json``; the library takes
+    parsed JSON values, so ``dist`` calls no ``open`` at all."""
+    assert statements(_opens_to_read) == ["cli._read_json"]
+    assert callers("open", "dist") == []
 
 
 def test_empirical_marginals_count_without_unique():
