@@ -177,9 +177,9 @@ def _bid_axis(bids: Sequence[tuple[np.ndarray, np.ndarray]], bases):
     return axis, masses
 
 
-# Elements per row block of the values x candidates utility matrix and per block
-# of probes x samples x bidders in the empirical estimator; bounds the memory of
-# best responses over many values and of estimates over many probes.
+# Elements per row block of the values x candidates utility matrix, per block of
+# probes x samples in the empirical estimator and per certification batch of the
+# solver (profiles x bidders x axis bids): the memory bound of all three.
 BEST_RESPONSE_BLOCK = 1 << 12
 
 

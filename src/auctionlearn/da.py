@@ -276,7 +276,7 @@ def empirical_pipeline(
     )
     bid_grid = uniform_bid_grid(f_true.h, grid_step)
     # solve_bne's search at its default damping; the emitted profile is certified below.
-    solved, _ = _search_bne(FPA_RANDOM, fpa_dist, bid_grid, PIPELINE_MAX_ITERS, seed, 0.5)
+    solved = _search_bne(FPA_RANDOM, fpa_dist, bid_grid, PIPELINE_MAX_ITERS, seed, 0.5)
     fpa_profile = _break_bid_ties(solved, grid_step, f_true.h)
     cert = verify_bne(FPA_RANDOM, fpa_dist, fpa_profile)
     da_profile = tuple(

@@ -5,8 +5,8 @@ the profile's own interim utility against the true supremum over all bids
 (including right limits at opponent atoms). The solver runs damped
 best-response dynamics on a bid grid, but its output guarantee comes solely
 from the verifier: it returns the visited profile with the smallest certified
-epsilon, never trusting convergence. Every gap, the verifier's and the solver's,
-comes from one certifier, ``_certify``.
+epsilon, never trusting convergence, with ``verify_bne``'s certificate of it.
+Every gap, the verifier's and the solver's, comes from one certifier, ``_certify``.
 """
 
 from __future__ import annotations
@@ -183,12 +183,25 @@ def solve_bne(
     the total rounds and 0 to 4 certify only the starts. Every raw and every
     damped best-response iterate is considered, and the result is the first
     visited profile with the smallest epsilon in sequential order (restart,
-    round, bidder, raw before damped), with ``verify_bne``'s certificate, made on
-    the axis of its own bids from its bid vectors. Per bidder, one (restarts, K_i)
-    array holds every restart's bids at the atoms (grid bids or 0.0); a bidder step
-    pushes the raw and the damped rows of every live restart onto the fixed axis of
-    0.0 and the grid with one ``bincount``. No strategy is evaluated, and only the
-    returned profile becomes :class:`MonotoneStrategy` objects.
+    round, bidder, raw before damped), with its :func:`verify_bne` certificate.
+
+    Dynamics need not converge in a first-price auction: a certificate of 0 ends
+    its restart and every later one at the next round start, as a sequential run
+    exits there, while earlier restarts run on. A non-monotone best response
+    stops its restart and every later one, and raises ``ValueError`` unless a
+    certificate of 0 came before it in sequential order. Grid bids must lie in
+    [0, ``f.h``].
+    """
+    profile = _search_bne(rule, f, bid_grid, max_iters, seed, damping)
+    return profile, verify_bne(rule, f, profile)
+
+
+def _search_bne(rule, f, bid_grid, max_iters: int, seed: int, damping: float) -> StrategyProfile:
+    """:func:`solve_bne` without its certificate: the profile it returns. Per bidder,
+    one (restarts, K_i) array holds every restart's bids at the atoms (grid bids or
+    0.0); a bidder step pushes the raw and the damped rows of every live restart onto
+    the fixed axis of 0.0 and the grid with one ``bincount``. No strategy is
+    evaluated, and only the returned profile becomes :class:`MonotoneStrategy` objects.
 
     The restarts run in lockstep. Restart r draws from its own generator, on
     the seed's stream advanced past the K_i uniforms per bidder step of the r
@@ -198,22 +211,7 @@ def solve_bne(
     sooner when the waiting bid masses would exceed ``BEST_RESPONSE_BLOCK`` elements,
     which drops a profile once one bidder's gap is above the best epsilon so far.
     A profile visited again is not certified again, but keeps its earliest rank.
-
-    Dynamics need not converge in a first-price auction: a certificate of 0 ends
-    its restart and every later one at the next round start, as a sequential run
-    exits there, while earlier restarts run on. A non-monotone best response
-    stops its restart and every later one, and raises ``ValueError`` unless a
-    certificate of 0 came before it in sequential order. Grid bids must lie in
-    [0, ``f.h``].
     """
-    profile, bids = _search_bne(rule, f, bid_grid, max_iters, seed, damping)
-    axis, masses = _bid_axis([(b, m.arrays[1]) for m, b in zip(f.marginals, bids)], ())
-    return profile, _certificate(rule, f, axis, bids, masses)
-
-
-def _search_bne(rule, f, bid_grid, max_iters: int, seed: int, damping: float):
-    """:func:`solve_bne` without its certificate: the returned profile and its bid
-    vectors at the atoms."""
     grid = [float(b) for b in bid_grid]
     if any(map(math.isnan, grid)):
         raise ValueError("bid grid holds NaN")
@@ -322,4 +320,4 @@ def _search_bne(rule, f, bid_grid, max_iters: int, seed: int, damping: float):
     if error is not None and not (best[0] == 0.0 and best[1] < error[0]):
         raise ValueError(error[1])
     pairs = (zip(m.atoms, b.tolist()) for m, b in zip(f.marginals, best[2]))
-    return StrategyProfile(tuple(MonotoneStrategy(tuple(p)) for p in pairs)), best[2]
+    return StrategyProfile(tuple(MonotoneStrategy(tuple(p)) for p in pairs))

@@ -5,14 +5,17 @@ The certify, pipeline and learn op lists of ``bench/workloads.py`` run through
 op's name, exit code, output bytes and stderr must equal the digest recorded
 when the test was written, so a speed change that alters any output fails
 here. ``bench/`` is only read: its module is loaded from the file, without
-writing bytecode next to it.
+writing bytecode next to it. A failure names the Python, numpy and click
+versions the digests were recorded on and those of the failing run.
 """
 
 import contextlib
 import hashlib
 import importlib.util
 import io
+import platform
 import sys
+from importlib import metadata
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,20 @@ def load_workloads():
 
 
 workloads = load_workloads()
+
+# The versions every recorded digest and golden output of tests/ was made on.
+RECORDED_ON = "Python 3.11.7, numpy 2.4.6, click 8.4.0"
+
+
+def versions() -> str:
+    """The failure message of a byte check: another Python, numpy or click may
+    change a float's last bit or a line of output."""
+    run = ", ".join(
+        [f"Python {platform.python_version()}"]
+        + [f"{name} {metadata.version(name)}" for name in ("numpy", "click")]
+    )
+    return f"bytes recorded on {RECORDED_ON}; this run has {run}"
+
 
 DIGESTS = {
     ("certify", 3): "885a14e7448078bc5952686e4d280bdb2ceb9118ba192a88c05052851ceb5161",
@@ -64,4 +81,4 @@ def test_ops_keep_their_bytes(workload, seed, tmp_path):
         digest.update(f"{op.name} {code} {len(data)}\n".encode())
         digest.update(data)
         digest.update(err.getvalue().encode())
-    assert digest.hexdigest() == DIGESTS[workload, seed]
+    assert digest.hexdigest() == DIGESTS[workload, seed], versions()

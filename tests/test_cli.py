@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from auctionlearn.cli import _indented, _json_text, child_seed, main
 from auctionlearn.estimate import SWEEP_COLUMNS
 from conftest import indented_reference
-from test_bench_bytes import workloads
+from test_bench_bytes import versions, workloads
 
 
 @pytest.fixture
@@ -808,4 +808,4 @@ def test_golden_bytes(argv, expected, instance_file, tie_profile_file, tmp_path)
     data = out.read_bytes()
     if expected.startswith("sha256:"):
         data = f"sha256:{hashlib.sha256(data).hexdigest()}".encode()
-    assert data == expected.encode()
+    assert data == expected.encode(), versions()

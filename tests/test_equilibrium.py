@@ -844,14 +844,16 @@ class TestPerCallWork:
         assert len(made) <= f.n + 1
 
     def test_solve_builds_only_the_returned_strategies(self, monkeypatch, rng):
-        # The solver carries one bid vector per bidder: it evaluates no strategy
-        # and builds only the n it returns.
+        # The search carries one bid vector per bidder: it evaluates no strategy
+        # and builds only the n it returns. The n evaluations are verify_bne's, one
+        # per returned strategy at its bidder's atoms.
         built = count_calls(monkeypatch, MonotoneStrategy, "__post_init__")
         evals = count_calls(monkeypatch, MonotoneStrategy, "eval")
         f = random_product(rng, 3)
-        _, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, seed=1)
+        profile, cert = solve_bne(FPA_RANDOM, f, GRID, max_iters=10, seed=1)
         assert cert.epsilon > 0.0  # no early stop
-        assert len(built) == f.n and evals == []
+        assert len(built) == f.n and [s for s, _ in evals] == list(profile)
+        assert all(np.array_equal(x, m.arrays[0]) for (_, x), m in zip(evals, f.marginals))
 
     def test_verify_evaluates_each_strategy_once(self, monkeypatch):
         f = ProductDistribution.iid(uniform_on([k / 199 for k in range(200)]), 4, 1.0)

@@ -8,7 +8,8 @@ names ``ValueError`` or ``AssertionError``, so a new exception type is one too.
 No ``src/`` module calls ``.choice(p=...)``: ``dist.sample_matrix`` is the one
 weighted sampler. ``auction._leave_one_out_row`` is the one caller of the tie DP,
 so a second allocation kernel is a visible edit, ``equilibrium._certify`` is
-the one gap computation, and ``auction._bid_axis`` is the one builder of a bid
+the one gap computation, every certificate ``src/`` returns is ``verify_bne``'s
+(``test_one_certifier``), and ``auction._bid_axis`` is the one builder of a bid
 axis (``test_one_bid_axis_builder``). ``auction._argmax_picks`` is the one argmax,
 called only by ``best_response``, ``_certify`` and the solver's search, and
 ``dist.cdf_of_max`` serves only the Pandora search. ``auction._top_bids`` with
@@ -231,11 +232,14 @@ def test_one_product_of_cdfs_for_search():
 
 def test_one_certifier():
     """Every gap in ``equilibrium`` comes from ``_certify`` and every certificate from
-    ``_certificate``; the solver's best responses read the only other leave-one-out
+    ``_certificate``, which only ``verify_bne`` calls, and ``solve_bne`` returns
+    ``verify_bne``'s; the solver's best responses read the only other leave-one-out
     rows."""
     rows = ["equilibrium._certify", "equilibrium._search_bne"]
     assert callers("_leave_one_out_row", "equilibrium") == rows
     assert callers("BNECertificate", "equilibrium") == ["equilibrium._certificate"]
+    assert callers("_certificate") == ["equilibrium.verify_bne"]
+    assert callers("verify_bne", "equilibrium") == ["equilibrium.solve_bne"]
 
 
 def _opens_to_read(node) -> bool:
