@@ -34,10 +34,7 @@ def child_seed(base: int, label: str) -> int:
 
 
 def _rule(fmt: str, tie: str) -> AuctionRule:
-    return AuctionRule(
-        Format.ALL_PAY if fmt == "all-pay" else Format.FIRST_PRICE,
-        Tie.NO_ALLOCATION if tie == "no-allocation" else Tie.RANDOM_ALLOCATION,
-    )
+    return AuctionRule(Format(fmt.replace("-", "_")), Tie(tie.replace("-", "_")))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -269,10 +266,10 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"ERROR: parse: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"ERROR: validation: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"ERROR: internal: {exc}", file=sys.stderr)
         return 1
 

@@ -38,11 +38,9 @@ from .auction import (
     _utility,
 )
 from .dist import (
-    DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
     empirical_marginals,
-    make_discrete,
     product_of,
     sum_left_to_right,
     truncate_at,
@@ -105,34 +103,30 @@ def simulate_da(
     return DAOutcome(winner, utilities, welfare, inspected)
 
 
-def _claim_distribution(f: DiscreteDistribution, d: DAPureStrategy) -> DiscreteDistribution:
-    """Distribution of the claim price beta(v) over value v ~ f."""
-    return make_discrete(d.beta.eval(f.arrays[0]).tolist(), list(f.weights))
-
-
 def _bidders(inst: SearchInstance, profile: Sequence[DAPureStrategy]):
     """(ex ante utility, welfare share, candidate bases, their allocations) of every
-    bidder in bidder order, from one claim distribution per bidder.
+    bidder in bidder order, from one evaluation of each claim strategy at its atoms.
 
-    Claims are independent across bidders, so bidder i's share at claim b is
-    the first-price tie DP against the opponents' claim distributions: bidder i's
-    :func:`auction._leave_one_out_row` of every claim distribution on the axis of
-    0.0 and all claims. The candidates are 0 and the opponents' claims,
-    each exact claim followed by its right limit: the row at other bases picks
-    the same deviations, but the matrix product of :func:`_best_deviation`
-    rounds by the number of candidates. Bidder i inspects iff no opponent claims
-    above the threshold tau, since the own claim never exceeds tau: the row's right
-    limit at the largest base <= tau, as no claim lies between them.
+    Claims are independent across bidders, so bidder i's share at claim b is the
+    first-price tie DP against the opponents' claims: bidder i's
+    :func:`auction._leave_one_out_row` of every bidder's claims at its atoms, pushed
+    with their weights by :func:`auction._bid_axis`, not built into a distribution.
+    The candidates are 0 and the opponents' claims, each exact claim followed by its
+    right limit: the row at other bases picks the same deviations, but the matrix
+    product of :func:`_best_deviation` rounds by the number of candidates. Bidder i
+    inspects iff no opponent claims above the threshold tau, as the own claim never
+    exceeds tau: the row's right limit at the largest base <= tau (no claim between).
     """
     if len(profile) != inst.n:
         raise ValueError("profile must match the instance size")
-    claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
-    axis, masses = _bid_axis([c.arrays[:2] for c in claims], ())
+    claims = [d.beta.eval(f.arrays[0]) for f, d in zip(inst.boxes.marginals, profile)]
+    # The division is make_discrete's renormalisation: the claim masses keep its bits.
+    pushed = [(c, f.arrays[1] / sum(f.weights)) for c, f in zip(claims, inst.boxes.marginals)]
+    axis, masses = _bid_axis(pushed, ())
     claimed = (masses > 0.0).sum(axis=0)  # how many bidders claim each base
-    for i, (f_i, d_i) in enumerate(zip(inst.boxes.marginals, profile)):
+    for i, (f_i, d_i, bids) in enumerate(zip(inst.boxes.marginals, profile, claims)):
         alloc = _leave_one_out_row(Tie.RANDOM_ALLOCATION, masses, i)
         atoms, weights, _ = f_i.arrays
-        bids = d_i.beta.eval(atoms)
         share = weights * alloc[2 * axis.searchsorted(bids)]
         won, paid = sum_left_to_right(share * atoms), sum_left_to_right(share * bids)
         cost = inst.costs[i] * alloc[2 * axis.searchsorted(d_i.tau, "right") - 1].item()

@@ -63,14 +63,10 @@ class DiscreteDistribution:
         return sum(map(operator.mul, self.atoms, self.weights))
 
     @cached_property
-    def cumulative(self) -> tuple[float, ...]:
-        """(0.0, w0, w0 + w1, ...): weight prefix sums, accumulated left to right."""
-        return (0.0, *accumulate(self.weights))
-
-    @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Numpy atoms, weights and prefix sums."""
-        return np.array(self.atoms), np.array(self.weights), np.array(self.cumulative)
+        """Numpy atoms, weights and weight prefix sums (0.0, w0, w0 + w1, ...), added in order."""
+        prefix = np.array((0.0, *accumulate(self.weights)))
+        return np.array(self.atoms), np.array(self.weights), prefix
 
     def prob_at(self, x: float) -> float:
         """P(v == x), exact float comparison."""
@@ -79,11 +75,11 @@ class DiscreteDistribution:
 
     def prob_below(self, x: float) -> float:
         """P(v < x)."""
-        return self.cumulative[bisect_left(self.atoms, x)]
+        return float(self.arrays[2][bisect_left(self.atoms, x)])
 
     def prob_at_most(self, x: float) -> float:
         """P(v <= x)."""
-        return self.cumulative[bisect_right(self.atoms, x)]
+        return float(self.arrays[2][bisect_right(self.atoms, x)])
 
     def expected_excess(self, sigma: float) -> float:
         """E[max(v - sigma, 0)]."""

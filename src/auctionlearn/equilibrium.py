@@ -231,8 +231,6 @@ def _search_bne(rule, f, bid_grid, max_iters: int, seed: int, damping: float) ->
     grid_bids = np.array(grid)
     values = [m.arrays[0] for m in f.marginals]
     weights = [m.arrays[1] for m in f.marginals]
-    # Per bidder, its weights in as many rows as a step pushes at most.
-    stacked_weights = [np.tile(w, (2 * len(starts), 1)) for w in weights]
     rngs = _restart_streams(seed, len(starts), rounds * sum(map(len, values)))
     # Per bidder, every restart's bid vector, one row each; per restart, its bid masses
     # on the axis of 0.0 and the grid, which holds every start bid. A step replaces
@@ -307,7 +305,7 @@ def _search_bne(rule, f, bid_grid, max_iters: int, seed: int, damping: float) ->
             stepped[live] = damped
             bids[i] = stepped
             iterates = np.concatenate((responses, damped))  # every raw row, then every damped
-            pushed = _bid_masses(axis, iterates, stacked_weights[i][: len(iterates)])
+            pushed = _bid_masses(axis, iterates, weights[i][None].repeat(len(iterates), 0))
             for j, r in enumerate(live):
                 # Restart r's masses hold the raw iterate, then the damped one.
                 rank, profile = 1 + 2 * (t * f.n + i), [b[r] for b in bids]

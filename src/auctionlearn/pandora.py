@@ -4,7 +4,8 @@ Indices solve E[max(v - sigma, 0)] = c exactly: the left side is piecewise
 linear in sigma with kinks at the atoms, so each segment is inverted in
 closed form and no iterative tolerance enters. The expected payoff of an
 index policy and the optimum are both computed from the CDF of a maximum of
-independent values (:func:`dist.cdf_of_max`).
+independent values (:func:`dist.cdf_of_max`). The test oracles (backward induction,
+one simulated run, the earlier dict DP) and ``weitzman_policy`` are in tests/conftest.py.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Monotone bidding strategies as right-continuous step functions."""
+"""Monotone bidding strategies as right-continuous step functions; their test helpers
+(a constant strategy, a bisection ``eval``, one strategy replaced) are in tests/conftest.py."""
 
 from __future__ import annotations
 
@@ -50,7 +51,8 @@ class MonotoneStrategy:
 
     def eval(self, v):
         """Bid at every value of ``v`` (right-continuous step lookup), with one
-        ``searchsorted`` into :attr:`arrays`. A scalar ``v`` gives a float."""
+        ``searchsorted`` into :attr:`arrays`. A scalar ``v`` gives a float; a negative
+        or NaN value raises ``ValueError``."""
         x = np.asarray(v, dtype=float)
         if not (x >= 0).all():  # also a NaN value
             raise ValueError("value must be nonnegative")

@@ -43,7 +43,7 @@ def dense_monotone_hypotheses(n: int, m: int, seed: int) -> tuple[np.ndarray, np
     rule: AuctionRule = FPA_NONE if n == 2 else FPA_RANDOM
     samples = rng.random((m, n - 1))
     witnesses = rng.uniform(-0.5, 0.5, size=m)
-    grids = [np.sort(np.unique(samples[:, j])) for j in range(n - 1)]
+    grids = [np.unique(samples[:, j]) for j in range(n - 1)]
     owns, shares = [], []
     for _ in range(N_STRATEGIES):
         opp = tuple(random_monotone_strategy(rng, grids[j]) for j in range(n - 1))

@@ -31,7 +31,6 @@ from auctionlearn.auction import (
 )
 from auctionlearn.da import (
     DAPureStrategy,
-    _claim_distribution,
     ex_ante_utility_da,
     lambda_map,
     simulate_da,
@@ -883,11 +882,16 @@ def truncate_at_reference(f: DiscreteDistribution, sigma: float) -> DiscreteDist
     return DiscreteDistribution(atoms, weights)
 
 
+def claim_distribution(f: DiscreteDistribution, d: DAPureStrategy) -> DiscreteDistribution:
+    """Distribution of the claim price beta(v) over value v ~ f, through ``make_discrete``."""
+    return make_discrete(d.beta.eval(f.arrays[0]).tolist(), list(f.weights))
+
+
 def da_bidder_terms_reference(inst, profile, i) -> tuple[float, float]:
     """(ex ante utility, welfare share) of bidder i in the descending auction with
     one Python step per atom: the atom's share of the item times its value and its
     claim, each added in atom order from 0.0."""
-    claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
+    claims = [claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
     opp = claims[:i] + claims[i + 1 :]
     f_i, d_i = inst.boxes.marginals[i], profile[i]
     bids = d_i.beta.eval(f_i.arrays[0])

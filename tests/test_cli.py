@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auctionlearn import cli
 from auctionlearn.cli import _indented, _json_text, child_seed, main
 from auctionlearn.estimate import SWEEP_COLUMNS
 from conftest import indented_reference
@@ -88,6 +89,17 @@ def test_malformed_json_exits_2(tmp_path, zero_profile_file, capsys):
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     assert capsys.readouterr().err.startswith("ERROR:")
+
+
+def test_key_error_is_internal(instance_file, zero_profile_file, monkeypatch, capsys):
+    # Every reader checks a key before it reads it, so a KeyError is a bug, not bad input.
+    def lookup(*args):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "verify_bne", lookup)
+    argv = ["verify-bne", "--instance", instance_file, "--profile", zero_profile_file]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "ERROR: internal: 'missing'\n"
 
 
 def test_estimate_row_count(instance_file, tmp_path):

@@ -10,7 +10,6 @@ from auctionlearn.auction import FPA_RANDOM, Tie, candidate_allocations
 from auctionlearn.da import (
     DAPureStrategy,
     _best_deviation,
-    _claim_distribution,
     _deviation_gap,
     da_welfare,
     empirical_pipeline,
@@ -32,6 +31,7 @@ from auctionlearn.strategy import MonotoneStrategy, shade
 from conftest import (
     QUARTERS,
     best_deviation_by_enumeration,
+    claim_distribution,
     claims_above,
     constant,
     da_bidder_terms_reference,
@@ -186,7 +186,7 @@ class TestExAnte:
             assert type(got_welfare) is float and got_welfare == welfare
             # The gap's matrix product rounds by the shape of the candidate table,
             # so the deviations must be taken over the opponents' table itself.
-            claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
+            claims = [claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
             gap = 0.0
             for i, (u, _) in enumerate(terms):
                 cands = candidate_allocations(Tie.RANDOM_ALLOCATION, claims[:i] + claims[i + 1 :])
@@ -411,7 +411,7 @@ class TestExactGap:
         for _ in range(25):
             inst = quarter_instance(rng)
             profile = [tied_da_strategy(rng, f) for f in inst.boxes.marginals]
-            claims = [_claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
+            claims = [claim_distribution(f, d) for f, d in zip(inst.boxes.marginals, profile)]
             gap = 0.0
             for i in range(inst.n):
                 cands = candidate_allocations(Tie.RANDOM_ALLOCATION, claims[:i] + claims[i + 1 :])

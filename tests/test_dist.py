@@ -535,6 +535,8 @@ def test_queries_match_linear_scan(d, xs):
         assert d.prob_below(x) == prob_below_reference(d, x)
         assert d.prob_at(x) == prob_at_reference(d, x)
         assert d.prob_at_most(x) == prob_at_most_reference(d, x)
+        queries = (d.prob_at(x), d.prob_below(x), d.prob_at_most(x))
+        assert all(type(q) is float for q in queries)
 
 
 @given(

@@ -230,6 +230,12 @@ def test_one_product_of_cdfs_for_search():
     assert callers("cdf_of_max") == ["pandora.policy_payoff_exact", "pandora.opt_welfare"]
 
 
+def test_make_discrete_only_at_the_boundary():
+    """Raw atom/weight lists are merged and renormalised only where they enter: a JSON
+    distribution and ``uniform_on``. The DA pushes its claims onto the bid axis."""
+    assert callers("make_discrete") == ["dist.DiscreteDistribution", "dist.uniform_on"]
+
+
 def test_one_certifier():
     """Every gap in ``equilibrium`` comes from ``_certify`` and every certificate from
     ``_certificate``, which only ``verify_bne`` calls, and ``solve_bne`` returns
