@@ -270,7 +270,7 @@ def main(argv=None) -> int:
         print(f"ERROR: validation: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"ERROR: internal: {exc}", file=sys.stderr)
+        print(f"ERROR: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

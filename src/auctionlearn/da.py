@@ -42,6 +42,7 @@ from .dist import (
     SampleMatrix,
     empirical_marginals,
     product_of,
+    sum_floats,
     sum_left_to_right,
     truncate_at,
 )
@@ -121,7 +122,9 @@ def _bidders(inst: SearchInstance, profile: Sequence[DAPureStrategy]):
         raise ValueError("profile must match the instance size")
     claims = [d.beta.eval(f.arrays[0]) for f, d in zip(inst.boxes.marginals, profile)]
     # The division is make_discrete's renormalisation: the claim masses keep its bits.
-    pushed = [(c, f.arrays[1] / sum(f.weights)) for c, f in zip(claims, inst.boxes.marginals)]
+    pushed = [
+        (c, f.arrays[1] / sum_floats(f.weights)) for c, f in zip(claims, inst.boxes.marginals)
+    ]
     axis, masses = _bid_axis(pushed, ())
     claimed = (masses > 0.0).sum(axis=0)  # how many bidders claim each base
     for i, (f_i, d_i, bids) in enumerate(zip(inst.boxes.marginals, profile, claims)):
@@ -143,7 +146,7 @@ def ex_ante_utility_da(inst: SearchInstance, profile: Sequence[DAPureStrategy], 
 
 def da_welfare(inst: SearchInstance, profile: Sequence[DAPureStrategy]) -> float:
     """Exact expected welfare (allocated value minus all inspection costs paid)."""
-    return sum(share for _, share, *_ in _bidders(inst, profile))
+    return sum_floats(share for _, share, *_ in _bidders(inst, profile))
 
 
 def _best_deviation(inst: SearchInstance, i: int, bases, alloc) -> float:

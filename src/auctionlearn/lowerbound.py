@@ -15,6 +15,8 @@ from math import comb
 
 import numpy as np
 
+from .dist import SAMPLE_BLOCK
+
 
 def _mask_probs(p_one: np.ndarray) -> np.ndarray:
     """Probability of every 0/1 pattern of the first n-1 coordinates (bit j = coord j),
@@ -38,6 +40,12 @@ def distinguisher_trials(
     draws m samples, and asks the empirical estimator's argmax over
     ceil(n/2)-subsets which coordinates lie outside S. For n = 2 this reduces
     to a single-coordinate two-point test scored 0/1.
+
+    Trials draw in trial order (``integers``, ``permutation``, then
+    ``multinomial``) into a block of at most max(:data:`dist.SAMPLE_BLOCK`,
+    2^(n-1)) int64 counts, 256 KB up to n = 16; the subset-sum transform, the
+    argmax and the scoring then run once per block. Integer sums are exact and
+    every row keeps its own argmax, so each trial scores as it would alone.
     """
     if n < 2:
         raise ValueError(f"the distinguisher needs n >= 2 bidders, got n = {n}")
@@ -70,26 +78,30 @@ def distinguisher_trials(
         chain.from_iterable(combinations(range(n - 1), k)), dtype=np.int8, count=comb(n - 1, k) * k
     ).reshape(-1, k)
     t_masks = (1 << subsets.astype(np.int64)).sum(axis=1)
+    members = (t_masks[:, None] >> np.arange(n - 1)) & 1 == 1
     full = (1 << (n - 1)) - 1
     scores = np.empty(trials)
     sizes = (n // 2, (n + 1) // 2)
-    for t in range(trials):
-        size = sizes[int(rng.integers(2))]
-        s = set(rng.permutation(n - 1)[:size].tolist())
-        p_one = np.array([p_plus if j in s else p_minus for j in range(n - 1)])
-        counts = rng.multinomial(m, _mask_probs(p_one))
+    block = max(1, SAMPLE_BLOCK >> (n - 1))  # trials per block of counts
+    for lo in range(0, trials, block):
+        in_s = np.zeros((min(block, trials - lo), n - 1), bool)
+        counts = np.empty((len(in_s), full + 1), np.int64)
+        for row, trial_counts in zip(in_s, counts):
+            size = sizes[int(rng.integers(2))]
+            row[rng.permutation(n - 1)[:size]] = True
+            trial_counts[:] = rng.multinomial(m, _mask_probs(np.where(row, p_plus, p_minus)))
         # Estimated utility of T is proportional to the mass of rows with no
         # ones among T's coordinates: the sum of counts over the masks inside
-        # T's complement. One in-place subset-sum (zeta) transform gives it
-        # for every T at once.
+        # T's complement. One in-place subset-sum (zeta) transform of the
+        # block gives it for every trial and every T at once; a row's length is
+        # a multiple of every pair span, so no pair crosses two trials.
         for j in range(n - 1):
             pairs = counts.reshape(-1, 2, 1 << j)
             pairs[:, 1] += pairs[:, 0]
-        wins = counts[full ^ t_masks]
-        best = subsets[int(np.argmax(wins))].tolist()
-        complement = set(range(n - 1)) - s
-        if complement:
-            scores[t] = len(set(best) & complement) / len(complement)
-        else:
-            scores[t] = 1.0  # nothing to recover
+        best = members[counts[:, full ^ t_masks].argmax(axis=1)]
+        complement = ~in_s
+        n_out = complement.sum(axis=1)
+        out = scores[lo : lo + len(in_s)]
+        out[:] = 1.0  # nothing to recover
+        np.divide((best & complement).sum(axis=1), n_out, out=out, where=n_out > 0)
     return scores

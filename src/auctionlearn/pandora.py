@@ -4,8 +4,9 @@ Indices solve E[max(v - sigma, 0)] = c exactly: the left side is piecewise
 linear in sigma with kinks at the atoms, so each segment is inverted in
 closed form and no iterative tolerance enters. The expected payoff of an
 index policy and the optimum are both computed from the CDF of a maximum of
-independent values (:func:`dist.cdf_of_max`). The test oracles (backward induction,
-one simulated run, the earlier dict DP) and ``weitzman_policy`` are in tests/conftest.py.
+independent values: a product of the boxes' kept CDF rows, and :func:`dist.cdf_of_max`.
+The test oracles (backward induction, one simulated run, the earlier dict DP and the
+opened-support payoff) and ``weitzman_policy`` are in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -122,8 +123,13 @@ def policy_payoff_exact(inst: SearchInstance, p: IndexPolicy) -> float:
 
     Indices descend along the opening order, so a run still searches after
     position k iff the best of the first k + 1 values is below the next index.
-    Each stage is then a product of CDFs on the merged support of the opened
-    boxes: O(n * A) for A support points.
+    Each stage is then a product of CDFs on the merged support of all boxes,
+    read from the boxes' kept CDF table (``ProductDistribution._cdf_table``):
+    O(n * A) for A support points, and a sweep over seeds builds the table once.
+    A support point that is no opened box's atom leaves ``best`` at the bits of
+    the point before it, so it adds a +0.0 mass term, and a +0.0 term or a
+    +-0.0 support point cannot change the left-to-right sum: the payoff has the
+    bits of the sum over the opened boxes' support alone.
     """
     if len(p.indices) != inst.n:
         raise ValueError("policy and instance sizes differ")
@@ -131,16 +137,15 @@ def policy_payoff_exact(inst: SearchInstance, p: IndexPolicy) -> float:
     if p.indices[order[0]] < 0:
         return 0.0
     opened = order[: _effective_prefix(p, order)]
-    support = np.array(sorted({a for i in opened for a in inst.boxes.marginals[i].atoms}))
+    support, cdfs = inst.boxes._cdf_table
     # With -inf in front, best[j] is P(best so far < support[j]).
-    points = np.concatenate(([-np.inf], support))
-    best = np.ones_like(points)  # P(best value opened so far <= t)
+    best = np.ones(len(support) + 1)  # P(best value opened so far <= t)
     # A run stops once its best reaches the next index, and after the last box.
     next_index = [p.indices[i] for i in opened[1:]] + [-np.inf]
     total = 0.0
     for i, stop_at in zip(opened, next_index):
         reach = float(best[np.searchsorted(support, p.indices[i], side="left")])
-        own = cdf_of_max([inst.boxes.marginals[i]], points)
+        own = cdfs[i]
         # A run opens box i iff its best so far is below sigma_i; as best is
         # nondecreasing in t, min(best, reach) is P(best <= t, run opens box i),
         # and times own the CDF of the new best over those runs.

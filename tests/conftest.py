@@ -46,6 +46,7 @@ from auctionlearn.dist import (
     json_numbers,
     make_discrete,
     product_of,
+    sum_floats,
     sum_left_to_right,
     truncate_at,
 )
@@ -174,14 +175,14 @@ class DiscreteDistributionReference:
             raise ValueError(f"atom {self.atoms[0]} < 0")
         if any(w <= 0 for w in self.weights):
             raise ValueError("all weights must be strictly positive")
-        if not abs(sum(self.weights) - 1.0) <= WEIGHT_TOL:  # also rejects NaN
+        if not abs(sum_floats(self.weights) - 1.0) <= WEIGHT_TOL:  # also rejects NaN
             raise ValueError("weights must sum to 1 within 1e-12")
 
     def __iter__(self):
         return iter(zip(self.atoms, self.weights))
 
     def mean(self) -> float:
-        return sum(a * w for a, w in self)
+        return sum_floats(a * w for a, w in self)
 
 
 def make_discrete_reference(
@@ -194,7 +195,7 @@ def make_discrete_reference(
         raise ValueError("atoms and weights must be finite")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
-    total = float(sum(weights))
+    total = float(sum_floats(weights))
     if total <= WEIGHT_TOL:
         raise ValueError("weights sum to zero")
     for a in atoms:
@@ -876,7 +877,7 @@ def truncate_at_reference(f: DiscreteDistribution, sigma: float) -> DiscreteDist
     if sigma >= f.max_atom:
         return f
     below = [(a, w) for a, w in f if a < sigma]
-    tail = sum(w for a, w in f if a >= sigma)
+    tail = sum_floats(w for a, w in f if a >= sigma)
     atoms = tuple(a for a, _ in below) + (float(sigma),)
     weights = tuple(w for _, w in below) + (tail,)
     return DiscreteDistribution(atoms, weights)
@@ -989,8 +990,9 @@ def da_outcomes_by_enumeration(inst, profile):
 
 # --- Pandora's box references -------------------------------------------------
 #
-# The dict DP that ``policy_payoff_exact`` replaced, the per-point CDF loop
-# that ``opt_welfare`` replaced, and a one-run simulation of an index policy.
+# The dict DP that ``policy_payoff_exact`` replaced, its form on the opened boxes'
+# support, the per-point CDF loop that ``opt_welfare`` replaced, and a one-run
+# simulation of an index policy.
 
 
 def policy_payoff_reference(inst: SearchInstance, p: IndexPolicy) -> float:
@@ -1037,6 +1039,30 @@ def policy_payoff_reference(inst: SearchInstance, p: IndexPolicy) -> float:
         reach = sum(best.values())
         if reach == 0.0:
             break
+    return total
+
+
+def policy_payoff_opened_support(inst: SearchInstance, p: IndexPolicy) -> float:
+    """``pandora.policy_payoff_exact`` on the merged support of the opened boxes alone,
+    with one ``cdf_of_max`` per opened box per call, as before the boxes kept a CDF table."""
+    if len(p.indices) != inst.n:
+        raise ValueError("policy and instance sizes differ")
+    order = p.order()
+    if p.indices[order[0]] < 0:
+        return 0.0
+    opened = order[: _effective_prefix(p, order)]
+    support = np.array(sorted({a for i in opened for a in inst.boxes.marginals[i].atoms}))
+    points = np.concatenate(([-np.inf], support))
+    best = np.ones_like(points)
+    next_index = [p.indices[i] for i in opened[1:]] + [-np.inf]
+    total = 0.0
+    for i, stop_at in zip(opened, next_index):
+        reach = float(best[np.searchsorted(support, p.indices[i], side="left")])
+        own = cdf_of_max([inst.boxes.marginals[i]], points)
+        mass = np.diff(np.minimum(best, reach) * own)
+        total -= inst.costs[i] * reach
+        total += sum_left_to_right(support * mass * (support >= stop_at))
+        best = best * own
     return total
 
 

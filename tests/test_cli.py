@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from auctionlearn import cli
 from auctionlearn.cli import _indented, _json_text, child_seed, main
+from auctionlearn.dist import DiscreteDistribution, ProductDistribution
 from auctionlearn.estimate import SWEEP_COLUMNS
-from conftest import indented_reference
+from conftest import count_calls, indented_reference
 from test_bench_bytes import versions, workloads
 
 
@@ -99,7 +100,7 @@ def test_key_error_is_internal(instance_file, zero_profile_file, monkeypatch, ca
     monkeypatch.setattr(cli, "verify_bne", lookup)
     argv = ["verify-bne", "--instance", instance_file, "--profile", zero_profile_file]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "ERROR: internal: 'missing'\n"
+    assert capsys.readouterr().err == "ERROR: internal: KeyError: 'missing'\n"
 
 
 def test_estimate_row_count(instance_file, tmp_path):
@@ -194,6 +195,33 @@ def test_pandora_rows(instance_file, tmp_path):
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 4
+
+
+def test_pandora_seeds_share_the_instance_tables(instance_file, tmp_path, monkeypatch):
+    """A 10-seed run builds each marginal's guide table and the boxes' CDF table once,
+    and the next run reads the file anew and builds tables of its own."""
+    guides = []
+    guide_table = DiscreteDistribution._guide_table
+
+    def recording(self, scale):
+        guides.append((self, guide_table(self, scale)))
+        return guides[-1][1]
+
+    monkeypatch.setattr(DiscreteDistribution, "_guide_table", recording)
+    cdf_builds = count_calls(monkeypatch, ProductDistribution.__dict__["_cdf_table"], "func")
+    argv = ["pandora", "--instance", instance_file, "--m", "300", "--seeds", "10",
+            "--out", str(tmp_path / "p.csv")]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        runs.append(guides[:])
+        guides.clear()
+    for run in runs:
+        assert len(run) == 20 and len({id(marg) for marg, _ in run}) == 2
+        for marg, table in run:
+            assert all(t is table for m, t in run if m is marg)
+    assert not {id(t) for _, t in runs[0]} & {id(t) for _, t in runs[1]}
+    assert len(cdf_builds) == 2 and cdf_builds[0][0] is not cdf_builds[1][0]
 
 
 def test_pandora_sweep_survives_empirical_mean_below_cost(tmp_path):

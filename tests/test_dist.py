@@ -12,11 +12,13 @@ from auctionlearn.dist import (
     DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
+    _sum_in_order,
     cdf_of_max,
     empirical_marginals,
     make_discrete,
     product_of,
     sample_matrix,
+    sum_floats,
     sum_left_to_right,
     truncate_at,
     uniform_on,
@@ -265,6 +267,21 @@ class TestSampling:
         f = product_of([skewed, uniform_on(range(k)), point_mass(0.5)])
         got = sample_matrix(f, m, seed=k).values
         assert np.array_equal(got, sample_matrix_reference(f, m, seed=k).values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(sampling_marginals(), min_size=1, max_size=3),
+        st.lists(
+            st.tuples(st.integers(1, 3000), st.integers(0, 2**32 - 1)), min_size=2, max_size=3
+        ),
+    )
+    def test_kept_guide_tables_draw_as_fresh_ones(self, marginals, draws):
+        """Later draws from the same product, at the same or another table size, read
+        the tables the first one kept; a marginal shared by two columns keeps one."""
+        f = product_of(marginals + marginals[:1])
+        for m, seed in draws:
+            got = sample_matrix(f, m, seed).values
+            assert got.tobytes() == sample_matrix_take_reference(f, m, seed).values.tobytes()
 
     def test_any_integer_m_draws_and_anything_else_is_refused(self):
         # A numpy integer, as a sweep over np.geomspace(...).astype(int) gives, is an m.
@@ -554,6 +571,35 @@ def test_cdf_of_max_is_the_product_of_cdfs(dists, xs):
 def test_cdf_of_max_of_no_distributions_is_one():
     assert cdf_of_max([], 0.3) == 1.0
     assert cdf_of_max([], [-1.0, 0.0, 2.0]).tolist() == [1.0, 1.0, 1.0]
+
+
+@given(st.lists(quarter_distributions(), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_cdf_table_has_the_bits_of_cdf_of_max(dists):
+    f = product_of(dists, 1.0)
+    support, cdfs = f._cdf_table
+    assert support.tolist() == sorted({a for d in dists for a in d.atoms})
+    points = np.concatenate(([-np.inf], support))
+    for d, row in zip(dists, cdfs):
+        assert row.tobytes() == cdf_of_max([d], points).tobytes()
+    assert f._cdf_table is f._cdf_table
+
+
+def _loop_sum(values) -> float:
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+@pytest.mark.parametrize("add", [sum_floats, _sum_in_order])
+@given(st.lists(st.one_of(st.floats(-1e300, 1e300), st.sampled_from([1e16, -1e16, -0.0]))))
+@settings(max_examples=300, deadline=None)
+def test_sum_floats_adds_left_to_right_from_zero(add, values):
+    """The built-in ``sum`` of floats compensates from Python 3.12 on; the helper does not."""
+    assert repr(float(add(values))) == repr(_loop_sum(values))
+    assert add([1e16, 1.0, -1e16]) == 0.0
+    assert type(add([])) is int and add([]) == 0  # the built-in's empty sum
 
 
 def test_sum_left_to_right_adds_in_order():

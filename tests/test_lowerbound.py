@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlearn.auction import FPA_RANDOM, push_forward
+from auctionlearn.dist import SAMPLE_BLOCK
 from auctionlearn.lowerbound import _mask_probs, distinguisher_trials
 from conftest import (
     C1,
@@ -129,6 +130,17 @@ class TestDistinguisher:
         assert np.array_equal(
             distinguisher_trials(16, 0.02, 10**5, 2, seed=16),
             distinguisher_trials_reference(16, 0.02, 10**5, 2, seed=16),
+        )
+
+    @pytest.mark.parametrize(
+        "n, trials",
+        [(12, (SAMPLE_BLOCK >> (12 - 1)) + d) for d in (-1, 0, 1)] + [(16, 3)],
+    )
+    def test_blocks_of_trials_match_per_subset_reference(self, n, trials):
+        """Around a block of trials' counts, and where one trial fills a block."""
+        assert np.array_equal(
+            distinguisher_trials(n, 0.05, 10**4, trials, seed=n + trials),
+            distinguisher_trials_reference(n, 0.05, 10**4, trials, seed=n + trials),
         )
 
     def test_needs_two_bidders(self):

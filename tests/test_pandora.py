@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auctionlearn.dist import (
+    DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
     make_discrete,
@@ -28,6 +30,7 @@ from conftest import (
     QUARTERS,
     opt_welfare_reference,
     optimal_adaptive_oracle,
+    policy_payoff_opened_support,
     policy_payoff_reference,
     quarter_distributions,
     random_search_instance,
@@ -165,6 +168,31 @@ def test_payoff_matches_dict_dp_reference(case):
     inst, policy = case
     assert abs(policy_payoff_exact(inst, policy) - policy_payoff_reference(inst, policy)) <= 1e-12
     assert opt_welfare(inst) == opt_welfare_reference(inst)
+
+
+@st.composite
+def payoff_cases(draw):
+    """``search_cases`` with the 0.0 atoms of some boxes turned to -0.0, and budgets
+    that also stop the search after any prefix of the opening order."""
+    inst, policy = draw(search_cases())
+    marginals = [
+        DiscreteDistribution(tuple(-0.0 if a == 0.0 else a for a in f.atoms), f.weights)
+        if draw(st.booleans()) else f
+        for f in inst.boxes.marginals
+    ]
+    paid = [c for c in accumulate(inst.costs[i] for i in policy.order()) if c > 0]
+    budget = draw(st.one_of(st.just(policy.truncation_budget), st.sampled_from(paid or [1.0])))
+    inst = SearchInstance(product_of(marginals, 1.0), inst.costs)
+    return inst, IndexPolicy(policy.indices, inst.costs, budget)
+
+
+@given(payoff_cases())
+@settings(max_examples=300, deadline=None)
+def test_payoff_has_the_bits_of_the_opened_support_form(case):
+    """The boxes' CDF table spans every box's atoms; the extra points leave the bits."""
+    inst, policy = case
+    got = policy_payoff_exact(inst, policy)
+    assert repr(got) == repr(policy_payoff_opened_support(inst, policy))
 
 
 class TestOracle:

@@ -17,7 +17,8 @@ called only by ``best_response``, ``_certify`` and the solver's search, and
 and both per-sample loops; the whole-row ``ex_post_allocation`` is an oracle in
 ``tests/conftest.py`` (``test_one_opponent_top_per_sample_loop``). Every private
 module-level function in ``src/`` has a caller there. ``cli._read_json`` is the one
-file reader of ``src/``, and ``dist`` opens no file (``test_one_file_reader``).
+file reader of ``src/``, and ``dist`` opens no file (``test_one_file_reader``). Kept
+tables live on the objects one invocation builds: ``src/`` uses no ``functools`` cache.
 """
 
 import ast
@@ -225,9 +226,28 @@ def test_one_argmax_kernel():
 
 
 def test_one_product_of_cdfs_for_search():
-    """``dist.cdf_of_max`` serves only the Pandora search; right limits and the DA's
-    inspection probabilities are read from leave-one-out rows."""
-    assert callers("cdf_of_max") == ["pandora.policy_payoff_exact", "pandora.opt_welfare"]
+    """CDF products serve only the Pandora search: ``dist.cdf_of_max`` the optimum, and
+    the boxes' kept CDF table the policy payoff; right limits and the DA's inspection
+    probabilities are read from leave-one-out rows."""
+    assert callers("cdf_of_max") == ["pandora.opt_welfare"]
+    reads = statements(lambda node: isinstance(node, ast.Attribute) and node.attr == "_cdf_table")
+    assert reads == ["pandora.policy_payoff_exact"]
+
+
+def _caches_calls(node) -> bool:
+    """An import or a read of ``functools.cache`` or ``functools.lru_cache``."""
+    names = {"cache", "lru_cache"}
+    if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        return any(alias.name in names for alias in node.names)
+    return (
+        isinstance(node, ast.Attribute) and node.attr in names and _name(node.value) == "functools"
+    )
+
+
+def test_no_module_level_cache():
+    """Kept tables live on the objects one invocation builds (a distribution's guide
+    tables, a product's CDF table), so no cache outlives a CLI invocation."""
+    assert statements(_caches_calls) == []
 
 
 def test_make_discrete_only_at_the_boundary():
