@@ -27,7 +27,6 @@ from .dist import (
     DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
-    cdf_of_max,
     empirical_marginals,
     make_discrete,
     product_of,
@@ -52,5 +51,6 @@ from .pandora import (
     pandora_from_samples,
     policy_payoff_exact,
     weitzman_index,
+    weitzman_indices,
 )
 from .strategy import MonotoneStrategy, StrategyProfile, shade

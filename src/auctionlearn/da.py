@@ -41,14 +41,12 @@ from .dist import (
     ProductDistribution,
     SampleMatrix,
     empirical_marginals,
-    product_of,
     sum_floats,
     sum_left_to_right,
-    truncate_at,
 )
 from .equilibrium import _search_bne, uniform_bid_grid, verify_bne
 from .estimate import shade_family, sup_error
-from .pandora import SearchInstance, opt_welfare, weitzman_index
+from .pandora import SearchInstance, opt_welfare, weitzman_indices
 from .strategy import MonotoneStrategy, StrategyProfile
 
 
@@ -263,14 +261,9 @@ def empirical_pipeline(
     emp_a = empirical_marginals(s_a, h=f_true.h)
     # A cost above a box's empirical mean gives the negative index E[v] - c,
     # at which no truncated auction exists; such a bidder is taken at index 0.
-    sigma_hat = tuple(
-        max(weitzman_index(f, c, h=f_true.h), 0.0) for f, c in zip(emp_a.marginals, costs)
-    )
+    sigma_hat = tuple(max(sigma, 0.0) for sigma in weitzman_indices(emp_a, costs))
 
-    emp_b = empirical_marginals(s_b, h=f_true.h)
-    fpa_dist = product_of(
-        (truncate_at(f, sig) for f, sig in zip(emp_b.marginals, sigma_hat)), f_true.h
-    )
+    fpa_dist = empirical_marginals(s_b, h=f_true.h).truncated(sigma_hat)
     bid_grid = uniform_bid_grid(f_true.h, grid_step)
     # solve_bne's search at its default damping; the emitted profile is certified below.
     solved = _search_bne(FPA_RANDOM, fpa_dist, bid_grid, PIPELINE_MAX_ITERS, seed, 0.5)
@@ -288,9 +281,7 @@ def empirical_pipeline(
     # Estimator error measured where the pipeline actually estimates: the
     # product-form estimator on the truncated second-half samples against the
     # truncated true distribution, over the solved profile plus a shading grid.
-    f_true_trunc = product_of(
-        (truncate_at(f, sig) for f, sig in zip(f_true.marginals, sigma_hat)), f_true.h
-    )
+    f_true_trunc = f_true.truncated(sigma_hat)
     family = shade_family(f_true_trunc, [k / 4 for k in range(5)]) + [fpa_profile]
     empp = sup_error(s_b.truncated(sigma_hat), FPA_RANDOM, family, f_true_trunc, "empp")
 

@@ -11,7 +11,7 @@ import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, compress, repeat
 from typing import Iterable, Sequence
 
@@ -143,7 +143,7 @@ def make_discrete(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteD
         raise ValueError("atoms and weights must be finite")
     if any(map(operator.lt, weights, repeat(0))):
         raise ValueError("weights must be nonnegative")
-    total = float(sum_floats(weights))
+    total = sum_floats(weights)
     if total <= WEIGHT_TOL:
         raise ValueError("weights sum to zero")
     for a in compress(atoms, map(operator.lt, atoms, repeat(0))):
@@ -156,30 +156,16 @@ def make_discrete(atoms: Sequence[float], weights: Sequence[float]) -> DiscreteD
     return DiscreteDistribution(tuple(a for a, _ in pairs), tuple(w for _, w in pairs))
 
 
-def cdf_of_max(dists: Sequence[DiscreteDistribution], x):
-    """P(max of independent draws from ``dists`` <= x) at every point of ``x``.
-
-    The product of the CDFs runs in list order; no distributions give 1.0.
-    A scalar ``x`` gives a float.
-    """
-    x = np.asarray(x, dtype=float)
-    prob = np.ones_like(x)
-    for d in dists:
-        atoms, _, cum = d.arrays
-        prob = prob * cum[np.searchsorted(atoms, x, side="right")]
-    return float(prob) if x.ndim == 0 else prob
-
-
 def _sum_in_order(values: Iterable[float]) -> float:
-    total = 0  # as the built-in's start: an empty sum is the int 0
+    total = 0.0
     for x in values:
         total += x
     return total
 
 
-# Floats added left to right from 0.0 on every Python version. Before 3.12 the built-in
-# ``sum`` is this loop, in C; 3.12 made its float sum compensated.
-sum_floats = sum if sys.version_info < (3, 12) else _sum_in_order
+# Floats added left to right from 0.0 on every Python version; an empty sum is 0.0. Before
+# 3.12 the built-in ``sum`` is this loop, in C; 3.12 made its float sum compensated.
+sum_floats = partial(sum, start=0.0) if sys.version_info < (3, 12) else _sum_in_order
 
 
 def sum_left_to_right(terms: np.ndarray) -> float:
@@ -202,13 +188,16 @@ def _push_values(f: DiscreteDistribution, values: np.ndarray) -> DiscreteDistrib
 
 
 def truncate_at(f: DiscreteDistribution, sigma: float) -> DiscreteDistribution:
-    """Distribution of min(v, sigma): mass above sigma collapses onto sigma."""
+    """Distribution of min(v, sigma): the atoms below sigma keep their weights, and sigma
+    carries the rest, added left to right."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma >= f.max_atom:
         return f
-    atoms = np.array(f.atoms)
-    return _push_values(f, np.where(atoms < sigma, atoms, float(sigma)))
+    k = bisect_left(f.atoms, sigma)
+    return DiscreteDistribution(
+        (*f.atoms[:k], float(sigma)), (*f.weights[:k], sum_floats(f.weights[k:]))
+    )
 
 
 @dataclass(frozen=True)
@@ -235,18 +224,24 @@ class ProductDistribution:
     def n(self) -> int:
         return len(self.marginals)
 
+    def truncated(self, sigmas: Sequence[float]) -> "ProductDistribution":
+        """The product of min(v_i, sigmas[i]) (:func:`truncate_at`), with the same ``h``."""
+        if len(sigmas) != self.n:
+            raise ValueError(f"need {self.n} sigmas, got {sigmas!r:.40}")
+        return product_of(map(truncate_at, self.marginals, sigmas), self.h)
+
     @cached_property
     def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted union S of the marginals' atoms, and the n x (|S| + 1) array whose
         row i is P(v_i <= t) at t = -inf and at every point of S, built on first use.
 
-        Row i reads marginal i's prefix sums with one ``searchsorted``: the bits of
-        ``cdf_of_max([marginals[i]], t)``, which multiplies 1.0 by the same prefix sum.
-        It takes n * (|S| + 1) doubles: 26 KB at n = 4 and 1.6 MB at n = 32, at 200
+        Row i reads marginal i's prefix sums with one ``searchsorted``. S is
+        :func:`_index`'s, so of a -0.0/0.0 pair it keeps ``np.unique``'s zero. The
+        table takes n * (|S| + 1) doubles: 26 KB at n = 4 and 1.6 MB at n = 32, at 200
         distinct atoms a marginal.
         """
         arrays = [f.arrays for f in self.marginals]
-        support = np.unique(np.concatenate([atoms for atoms, _, _ in arrays]))
+        support = _index(np.concatenate([atoms for atoms, _, _ in arrays]))[0]
         points = np.concatenate(([-np.inf], support))
         rows = [cum[atoms.searchsorted(points, "right")] for atoms, _, cum in arrays]
         return support, np.array(rows)

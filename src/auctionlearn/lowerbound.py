@@ -59,16 +59,14 @@ def distinguisher_trials(
     p_plus = (1.0 + eps) / n
     p_minus = (1.0 - eps) / n
     if n == 2:
-        # Truth is F+ or F- for the single opponent; the estimate of the last
-        # bidder's utility at bid 1/2 is 0.5 * (fraction of zero draws).
-        midpoint = 0.5 * (1.0 - 1.0 / n)
+        # Truth is F+ or F- for the single opponent. The last bidder's estimated
+        # utility at bid 1/2, 0.5 * (fraction of zero draws), is below 1/4 iff
+        # more than half the draws are ones: the Bayes test, which guesses F+.
         scores = np.empty(trials)
         for t in range(trials):
             is_plus = rng.random() < 0.5
             ones = rng.binomial(m, p_plus if is_plus else p_minus)
-            estimate = 0.5 * (m - ones) / m
-            predicted_plus = estimate < midpoint
-            scores[t] = 1.0 if predicted_plus == is_plus else 0.0
+            scores[t] = (ones > m / 2) == is_plus
         return scores
 
     k = (n + 1) // 2  # candidate-set size ceil(n/2)

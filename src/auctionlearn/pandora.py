@@ -4,7 +4,8 @@ Indices solve E[max(v - sigma, 0)] = c exactly: the left side is piecewise
 linear in sigma with kinks at the atoms, so each segment is inverted in
 closed form and no iterative tolerance enters. The expected payoff of an
 index policy and the optimum are both computed from the CDF of a maximum of
-independent values: a product of the boxes' kept CDF rows, and :func:`dist.cdf_of_max`.
+independent values: a product of the rows of a CDF table the boxes keep
+(``ProductDistribution._cdf_table``), of the boxes themselves or of their truncations.
 The test oracles (backward induction, one simulated run, the earlier dict DP and the
 opened-support payoff) and ``weitzman_policy`` are in tests/conftest.py.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -21,10 +23,8 @@ from .dist import (
     DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
-    cdf_of_max,
     empirical_marginals,
     sum_left_to_right,
-    truncate_at,
 )
 
 _MEAN_TOL = 1e-9
@@ -109,6 +109,11 @@ def weitzman_index(f: DiscreteDistribution, c: float, h: float) -> float:
     return 0.0
 
 
+def weitzman_indices(boxes: ProductDistribution, costs: Sequence[float]) -> tuple[float, ...]:
+    """Each box's :func:`weitzman_index` at its cost, under the boxes' value bound ``h``."""
+    return tuple(weitzman_index(f, c, h=boxes.h) for f, c in zip(boxes.marginals, costs))
+
+
 def _effective_prefix(p: IndexPolicy, order: Sequence[int]) -> int:
     paid = 0.0
     for pos, i in enumerate(order):
@@ -160,14 +165,11 @@ def opt_welfare(inst: SearchInstance) -> float:
     """E[max_i min(v_i, sigma_i)] with sigma the exact indices.
 
     This equals the optimal expected search payoff; computed from the CDF of
-    the maximum of the truncated values, independently of any policy.
+    the maximum of the truncated values, independently of any policy: the product
+    of the truncated boxes' CDF rows in box order, whose -inf column is 0.0.
     """
-    sigmas = [
-        weitzman_index(f, c, h=inst.boxes.h) for f, c in zip(inst.boxes.marginals, inst.costs)
-    ]
-    truncated = [truncate_at(f, s) for f, s in zip(inst.boxes.marginals, sigmas)]
-    support = np.array(sorted({a for f in truncated for a in f.atoms}))
-    return sum_left_to_right(support * np.diff(cdf_of_max(truncated, support), prepend=0.0))
+    support, cdfs = inst.boxes.truncated(weitzman_indices(inst.boxes, inst.costs))._cdf_table
+    return sum_left_to_right(support * np.diff(reduce(np.multiply, cdfs)))
 
 
 def truncation_budget(h: float, eps: float) -> float:
@@ -194,9 +196,6 @@ def pandora_from_samples(
     if s.n != f_true.n:
         raise ValueError(f"a sample of {s.n} columns for {f_true.n} boxes")
     inst = SearchInstance(f_true, tuple(costs))
-    emp = empirical_marginals(s, h=f_true.h)
-    indices = tuple(
-        weitzman_index(f, c, h=f_true.h) for f, c in zip(emp.marginals, inst.costs)
-    )
+    indices = weitzman_indices(empirical_marginals(s, h=f_true.h), inst.costs)
     policy = IndexPolicy(indices, inst.costs, truncation_budget(f_true.h, trunc_eps))
     return policy_payoff_exact(inst, policy)

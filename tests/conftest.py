@@ -40,7 +40,6 @@ from auctionlearn.dist import (
     DiscreteDistribution,
     ProductDistribution,
     SampleMatrix,
-    cdf_of_max,
     empirical_marginals,
     json_number,
     json_numbers,
@@ -558,6 +557,20 @@ def prob_at_reference(d, x) -> float:
         if a == x:
             return w
     return 0.0
+
+
+def cdf_of_max(dists: Sequence[DiscreteDistribution], x):
+    """P(max of independent draws from ``dists`` <= x) at every point of ``x``.
+
+    The product of the CDFs runs in list order; no distributions give 1.0.
+    A scalar ``x`` gives a float.
+    """
+    x = np.asarray(x, dtype=float)
+    prob = np.ones_like(x)
+    for d in dists:
+        atoms, _, cum = d.arrays
+        prob = prob * cum[np.searchsorted(atoms, x, side="right")]
+    return float(prob) if x.ndim == 0 else prob
 
 
 def prob_at_most_reference(d, x) -> float:

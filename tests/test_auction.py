@@ -29,7 +29,6 @@ from auctionlearn.auction import (
 from auctionlearn.da import DAPureStrategy, simulate_da
 from auctionlearn.dist import (
     DiscreteDistribution,
-    cdf_of_max,
     make_discrete,
     product_of,
     uniform_on,
@@ -40,6 +39,7 @@ from auctionlearn.strategy import MonotoneStrategy, shade
 
 from conftest import (
     QUARTERS,
+    cdf_of_max,
     push_forward_reference,
     quarter_strategies,
     allocation_probability_by_search,

@@ -15,6 +15,7 @@ from auctionlearn import cli
 from auctionlearn.cli import _indented, _json_text, child_seed, main
 from auctionlearn.dist import DiscreteDistribution, ProductDistribution
 from auctionlearn.estimate import SWEEP_COLUMNS
+from auctionlearn.pandora import weitzman_indices
 from conftest import count_calls, indented_reference
 from test_bench_bytes import versions, workloads
 
@@ -199,7 +200,8 @@ def test_pandora_rows(instance_file, tmp_path):
 
 def test_pandora_seeds_share_the_instance_tables(instance_file, tmp_path, monkeypatch):
     """A 10-seed run builds each marginal's guide table and the boxes' CDF table once,
-    and the next run reads the file anew and builds tables of its own."""
+    and one more CDF table, of the truncated boxes of the optimum; the next run reads
+    the file anew and builds tables of its own."""
     guides = []
     guide_table = DiscreteDistribution._guide_table
 
@@ -221,7 +223,9 @@ def test_pandora_seeds_share_the_instance_tables(instance_file, tmp_path, monkey
         for marg, table in run:
             assert all(t is table for m, t in run if m is marg)
     assert not {id(t) for _, t in runs[0]} & {id(t) for _, t in runs[1]}
-    assert len(cdf_builds) == 2 and cdf_builds[0][0] is not cdf_builds[1][0]
+    assert len(cdf_builds) == 4 and len({id(boxes) for boxes, in cdf_builds}) == 4
+    for (instance,), (optimum,) in zip(cdf_builds[::2], cdf_builds[1::2]):
+        assert optimum == instance.truncated(weitzman_indices(instance, (0.05, 0.05)))
 
 
 def test_pandora_sweep_survives_empirical_mean_below_cost(tmp_path):
@@ -296,6 +300,19 @@ def test_da_experiment_json(instance_file, tmp_path):
     reports = json.loads(out.read_text())
     assert len(reports) == 1
     assert {"eps_fpa", "da_gap", "welfare", "opt", "poa_bound"} <= set(reports[0])
+
+
+def test_da_experiment_prints_a_zero_cost_hat_as_a_float(tmp_path):
+    # A zero-cost box has index H, with no atom above it: its cost_hat is an empty sum.
+    path = tmp_path / "inst.json"
+    marginal = {"atoms": [0.0, 0.5, 1.0], "weights": [0.4, 0.3, 0.3]}
+    path.write_text(json.dumps({"H": 1.0, "marginals": [marginal] * 2, "costs": [0.0, 0.05]}))
+    out = tmp_path / "da.json"
+    argv = ["da-experiment", "--instance", str(path), "--m", "200", "--seeds", "1",
+            "--grid-step", "0.25", "--out", str(out)]
+    assert main(argv) == 0
+    assert '"cost_hat": [\n      0.0,\n' in out.read_text()
+    assert [type(c) for c in json.loads(out.read_text())[0]["cost_hat"]] == [float, float]
 
 
 def test_da_experiment_survives_empirical_mean_below_cost(tmp_path):
@@ -814,6 +831,13 @@ GOLDEN_SHA256 = [
         ["lowerbound", "--n", "12", "--eps", "0.01", "--m", "100000", "--trials", "20",
          "--seed", "3"],
         "sha256:8793e806f81b392e0af966dcbe3728b9d3650e92e100c5f36cd563fb0532b4ee",
+    ),
+    # Recorded before the two-bidder test compared the count of ones with m / 2;
+    # an even m has trials with exactly m / 2 ones. Its own id keeps the others'.
+    pytest.param(
+        ["lowerbound", "--n", "2", "--eps", "0.1", "--m", "40", "--trials", "300", "--seed", "3"],
+        "sha256:e7c52b5a32cd98254f6705c29b291801b00c029b241e9b673aa365b45856f41c",
+        id="lowerbound-n2",
     ),
 ]
 

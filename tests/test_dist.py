@@ -13,7 +13,6 @@ from auctionlearn.dist import (
     ProductDistribution,
     SampleMatrix,
     _sum_in_order,
-    cdf_of_max,
     empirical_marginals,
     make_discrete,
     product_of,
@@ -28,6 +27,7 @@ from conftest import (
     QUARTERS,
     RAW_NUMBERS,
     DiscreteDistributionReference,
+    cdf_of_max,
     construction_outcome,
     count_calls,
     empirical_marginals_reference,
@@ -220,6 +220,20 @@ class TestTruncateMatchesReference:
     def test_edge_cases(self, atoms, sigma):
         d = make_discrete(atoms, [0.3, 0.1, 0.2, 0.4][: len(atoms)])
         assert_same_bits(truncate_at(d, sigma), truncate_at_reference(d, sigma))
+
+    @given(st.lists(truncations(), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_product_truncates_each_marginal(self, cases):
+        f = product_of([d for d, _ in cases], 2.0)
+        got = f.truncated([sigma for _, sigma in cases])
+        assert got.h == 2.0 and got.n == f.n
+        for g, (d, sigma) in zip(got.marginals, cases):
+            assert_same_bits(g, truncate_at_reference(d, sigma))
+
+    def test_product_needs_one_sigma_per_marginal(self):
+        f = product_of([uniform_on([0.0, 1.0])] * 2, 1.0)
+        with pytest.raises(ValueError, match="need 2 sigmas"):
+            f.truncated([0.5])
 
 
 class TestSampling:
@@ -585,6 +599,20 @@ def test_cdf_table_has_the_bits_of_cdf_of_max(dists):
     assert f._cdf_table is f._cdf_table
 
 
+@given(st.lists(quarter_distributions(), min_size=1, max_size=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_cdf_table_support_has_the_bits_of_np_unique(dists, data):
+    """Of a -0.0/0.0 pair across marginals, the table keeps ``np.unique``'s zero."""
+    dists = [
+        DiscreteDistribution((-0.0, *d.atoms[1:]), d.weights)
+        if d.atoms[0] == 0.0 and data.draw(st.booleans()) else d
+        for d in dists
+    ]
+    support, _ = product_of(dists, 1.0)._cdf_table
+    atoms = np.concatenate([d.arrays[0] for d in dists])
+    assert support.tobytes() == np.unique(atoms).tobytes()
+
+
 def _loop_sum(values) -> float:
     total = 0.0
     for x in values:
@@ -592,14 +620,16 @@ def _loop_sum(values) -> float:
     return total
 
 
-@pytest.mark.parametrize("add", [sum_floats, _sum_in_order])
+@pytest.mark.parametrize(
+    "add", [sum_floats, _sum_in_order], ids=lambda add: getattr(add, "func", add).__name__
+)
 @given(st.lists(st.one_of(st.floats(-1e300, 1e300), st.sampled_from([1e16, -1e16, -0.0]))))
 @settings(max_examples=300, deadline=None)
 def test_sum_floats_adds_left_to_right_from_zero(add, values):
     """The built-in ``sum`` of floats compensates from Python 3.12 on; the helper does not."""
     assert repr(float(add(values))) == repr(_loop_sum(values))
     assert add([1e16, 1.0, -1e16]) == 0.0
-    assert type(add([])) is int and add([]) == 0  # the built-in's empty sum
+    assert repr(add([])) == "0.0"  # from 0.0, not the built-in's int 0
 
 
 def test_sum_left_to_right_adds_in_order():

@@ -24,6 +24,7 @@ from auctionlearn.pandora import (
     policy_payoff_exact,
     truncation_budget,
     weitzman_index,
+    weitzman_indices,
 )
 
 from conftest import (
@@ -193,6 +194,28 @@ def test_payoff_has_the_bits_of_the_opened_support_form(case):
     inst, policy = case
     got = policy_payoff_exact(inst, policy)
     assert repr(got) == repr(policy_payoff_opened_support(inst, policy))
+
+
+@given(payoff_cases())
+@settings(max_examples=300, deadline=None)
+def test_opt_welfare_has_the_reference_bits(case):
+    """The optimum reads the truncated boxes' CDF table: shared and -0.0 atoms too."""
+    inst, _ = case
+    assert repr(opt_welfare(inst)) == repr(opt_welfare_reference(inst))
+
+
+@pytest.mark.parametrize("costs", [(0.15, 0.15), (0.15, 0.0), (0.0, 0.15, 0.05)])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_opt_welfare_bits_with_an_index_at_an_atom(costs, zero):
+    """Cost 0.15 puts a box's index on its atom 0.5, and cost 0 on H = 1.0, its top
+    atom; every box has the same atoms, and box 0 has its zero atom as ``zero``."""
+    f = make_discrete([0.0, 0.5, 1.0], [0.4, 0.3, 0.3])
+    first = DiscreteDistribution((zero, *f.atoms[1:]), f.weights)
+    inst = SearchInstance(product_of([first] + [f] * (len(costs) - 1), 1.0), costs)
+    indices = weitzman_indices(inst.boxes, inst.costs)
+    assert indices == tuple(map(weitzman_index, inst.boxes.marginals, costs, [1.0] * len(costs)))
+    assert 0.5 in indices
+    assert repr(opt_welfare(inst)) == repr(opt_welfare_reference(inst))
 
 
 class TestOracle:

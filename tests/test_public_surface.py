@@ -11,8 +11,8 @@ so a second allocation kernel is a visible edit, ``equilibrium._certify`` is
 the one gap computation, every certificate ``src/`` returns is ``verify_bne``'s
 (``test_one_certifier``), and ``auction._bid_axis`` is the one builder of a bid
 axis (``test_one_bid_axis_builder``). ``auction._argmax_picks`` is the one argmax,
-called only by ``best_response``, ``_certify`` and the solver's search, and
-``dist.cdf_of_max`` serves only the Pandora search. ``auction._top_bids`` with
+called only by ``best_response``, ``_certify`` and the solver's search, and a
+product's kept CDF table serves only the Pandora search. ``auction._top_bids`` with
 ``auction._share`` is the one ex post share, of ``ex_post_utility``, ``simulate_da``
 and both per-sample loops; the whole-row ``ex_post_allocation`` is an oracle in
 ``tests/conftest.py`` (``test_one_opponent_top_per_sample_loop``). Every private
@@ -226,12 +226,20 @@ def test_one_argmax_kernel():
 
 
 def test_one_product_of_cdfs_for_search():
-    """CDF products serve only the Pandora search: ``dist.cdf_of_max`` the optimum, and
-    the boxes' kept CDF table the policy payoff; right limits and the DA's inspection
-    probabilities are read from leave-one-out rows."""
-    assert callers("cdf_of_max") == ["pandora.opt_welfare"]
+    """CDF products serve only the Pandora search, from one kernel: the kept CDF table
+    of the boxes gives the policy payoff, and that of their truncations the optimum.
+    ``cdf_of_max`` is a test oracle; right limits and the DA's inspection probabilities
+    are read from leave-one-out rows."""
+    assert callers("cdf_of_max") == []
     reads = statements(lambda node: isinstance(node, ast.Attribute) and node.attr == "_cdf_table")
-    assert reads == ["pandora.policy_payoff_exact"]
+    assert reads == ["pandora.policy_payoff_exact", "pandora.opt_welfare"]
+
+
+def test_distinct_atoms_without_np_unique():
+    """Sorted distinct atoms come from ``dist._index``, the optimum's CDF table too:
+    ``np.unique``'s first call in a process adds about 1 MB to its peak RSS (numpy
+    2.4.6), so only the ``pdim-check`` family, off the pipeline's path, calls it."""
+    assert callers("unique") == ["testkits.dense_monotone_hypotheses"]
 
 
 def _caches_calls(node) -> bool:
